@@ -13,8 +13,9 @@ A group file is a single JSON document, either an explicit presentation
      "relations": [[0, 0, 2]],
      "form": [[0, 1, 0], [-1, 0, 0], [0, 0, 0]]}
 
-(relations and form may be omitted; the form defaults to zero) or the
-surface shorthand
+(relations and form may be omitted; the form defaults to zero; every
+count and entry must be a JSON integer, so 1.5, 2.0 and true are
+rejected with their path) or the surface shorthand
 
     {"surface": {"genus": 2, "boundary": 3}}
 
@@ -49,6 +50,7 @@ from .verify import (
     INCONCLUSIVE,
     NOT_APPLICABLE,
     REFUTED,
+    CertificateError,
     CheckResult,
     _box_size,
     _capped_radius,
@@ -112,18 +114,44 @@ def load_spec(args):
         raise UsageError("group file must be a JSON object")
     if "surface" in data:
         s = data["surface"]
-        try:
-            g, r = int(s["genus"]), int(s["boundary"])
-        except (TypeError, KeyError, ValueError):
+        if not isinstance(s, dict) or not {"genus", "boundary"} <= s.keys():
             raise UsageError('surface shorthand needs {"genus": g, "boundary": r}')
+        g = _json_int(s["genus"], "surface.genus")
+        r = _json_int(s["boundary"], "surface.boundary")
         return surface_presentation(g, r), {"surface": {"genus": g, "boundary": r}}
     if "generators" not in data:
         raise UsageError('group file needs "generators" or "surface"')
-    spec = GroupSpec(int(data["generators"]),
-                     relations=data.get("relations") or (),
-                     form=data.get("form"),
+    relations = data.get("relations")
+    if relations is not None:
+        relations = _json_int_rows(relations, "relations")
+    form = data.get("form")
+    if form is not None:
+        form = _json_int_rows(form, "form")
+    spec = GroupSpec(_json_int(data["generators"], "generators"),
+                     relations=relations or (), form=form,
                      names=data.get("names"))
     return spec, {"file": args.spec}
+
+
+def _json_int(value, path):
+    """value when it is a JSON integer; anything else is rejected by path
+    (Python reads JSON true as an int, so bools are refused by name)."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise UsageError("%s must be an integer, got %s" % (path, json.dumps(value)))
+    return value
+
+
+def _json_int_rows(value, path):
+    """A JSON list of integer rows, checked entry by entry."""
+    if not isinstance(value, list):
+        raise UsageError("%s must be a list of integer rows" % path)
+    rows = []
+    for i, row in enumerate(value):
+        if not isinstance(row, list):
+            raise UsageError("%s[%d] must be a list of integers" % (path, i))
+        rows.append([_json_int(v, "%s[%d][%d]" % (path, i, j))
+                     for j, v in enumerate(row)])
+    return rows
 
 
 def parse_gradings(spec, grading_args):
@@ -306,8 +334,15 @@ def run_inner_suite(spec, gradings, box, enlarge):
     for z in zs:
         if list(z.coords) in skipped:
             continue
-        inner = inner_h2_certify(spec, z, box)
-        checked, exhaustive = inner.scan_f_kills_boundaries()
+        try:
+            inner = inner_h2_certify(spec, z, box)
+            checked, exhaustive = inner.scan_f_kills_boundaries()
+        except CertificateError as exc:
+            out.append(CheckResult(
+                "inner-isomorphism",
+                {"spec": spec.describe()["group"], "z": list(z.coords), "box": box},
+                REFUTED, {"failed_identity": exc.identity}))
+            continue
         inner.result.details["f_boundary_scan"] = {
             "wedges": checked, "exhaustive": exhaustive}
         out.append(inner.result)
@@ -672,7 +707,7 @@ def main(argv=None):
         if args.command == "homology":
             return cmd_homology(args)
         return cmd_verify(args)
-    except (UsageError, ValueError) as exc:
+    except (UsageError, ValueError, CertificateError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
 

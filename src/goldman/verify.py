@@ -20,6 +20,22 @@ witnesses.  The certification patterns are:
   boundary rank up to dim ker(f), which pins the homology of the slice
   to Q (x) (H / Zz) exactly.
 
+  The columns have small integer entries, and the greedy search for
+  independent ones runs modulo the prime p = 2^61 - 1.  A set of
+  integer vectors that is dependent over Q stays dependent mod p, and
+  every accepted column is checked to satisfy f(G) = 0, so
+
+      rank_p <= rank_Q <= dim ker(f) = target:
+
+  reaching the target mod p certifies the rank over Q outright.  When
+  the modular pass ends below the target, the pass is run again with
+  exact Fractions, so the verdict and every reported number are those
+  of exact elimination.  (The chosen columns match the exact greedy
+  choice unless p divides a minor of the column matrix; either way
+  they are a verified independent set.)  Everything else stays exact:
+  the witnesses, the column matrix behind boundary witnesses and
+  in_span, and the f-image and box-image ranks.
+
 * Outer gradings (z not in ker mu).  A contracting homotopy (Phi_1,
   Phi_2) built from any y with <y, z> != 0 satisfies
   Phi_1 d_2 + d_3 Phi_2 = id on the whole graded slice, verified wedge
@@ -36,7 +52,10 @@ Verdicts are "certified", "refuted", or "inconclusive-at-truncation";
 a too-small box can hide boundaries but never fabricate them, so a
 missing witness is reported as inconclusive rather than as a
 refutation.  Every certified verdict carries witnesses that have been
-re-verified by direct expansion before the result is returned.
+re-verified by direct expansion before the result is returned.  The
+re-verification of inner certificates raises CertificateError, naming
+the failed identity, and is not an assert, so it also runs under
+``python -O``.
 """
 
 import itertools
@@ -63,6 +82,7 @@ __all__ = [
     "REFUTED",
     "INCONCLUSIVE",
     "NOT_APPLICABLE",
+    "CertificateError",
     "CheckResult",
     "QuotientTensorSpace",
     "QuotientWedgeVector",
@@ -89,6 +109,23 @@ CERTIFIED = "certified"
 REFUTED = "refuted"
 INCONCLUSIVE = "inconclusive-at-truncation"
 NOT_APPLICABLE = "not-applicable"
+
+
+class CertificateError(Exception):
+    """An identity a certificate rests on failed when re-checked.
+
+    ``identity`` names it.  Raised by explicit checks, not asserts, so
+    the re-verification also runs under ``python -O``.
+    """
+
+    def __init__(self, identity):
+        super().__init__("certificate identity failed: %s" % identity)
+        self.identity = identity
+
+
+def _require(condition, identity):
+    if not condition:
+        raise CertificateError(identity)
 
 
 def _box_size(spec, radius):
@@ -599,30 +636,59 @@ def solve_homotopy_coefficients(spec, z, y, wedges):
 # Inner gradings: explicit boundary columns up to the quotient dimension
 
 
+# The prime 2^61 - 1: the inner column search runs modulo it (the module
+# docstring says why that is sound).
+_SPAN_MODULUS = (1 << 61) - 1
+
+
 class _IncrementalSpan:
-    """Column echelon that accepts one sparse column at a time."""
+    """Column echelon that accepts one sparse column at a time.
 
-    __slots__ = ("pivots",)
+    The field is fixed at construction: exact Fractions when
+    ``modulus`` is None, else the integers modulo the prime ``modulus``
+    (columns must then have int entries).
+    """
 
-    def __init__(self):
+    __slots__ = ("modulus", "pivots")
+
+    def __init__(self, modulus=None):
+        self.modulus = modulus
         self.pivots = {}
 
     def insert(self, vec):
-        """Reduce vec (dict row -> Fraction) and keep it if independent."""
-        vec = dict(vec)
+        """Reduce vec (dict row -> coefficient) and keep it if independent."""
+        p = self.modulus
+        if p is None:
+            vec = {k: v for k, v in vec.items() if v}
+        else:
+            vec = {k: v % p for k, v in vec.items() if v % p}
+        pivots = self.pivots
         while vec:
             r = min(vec)
-            if r not in self.pivots:
-                inv = 1 / vec[r]
-                self.pivots[r] = {k: v * inv for k, v in vec.items()}
+            pivot = pivots.get(r)
+            if pivot is None:
+                if p is None:
+                    inv = Fraction(1) / vec[r]
+                    pivots[r] = {k: v * inv for k, v in vec.items()}
+                else:
+                    inv = pow(vec[r], -1, p)
+                    pivots[r] = {k: v * inv % p for k, v in vec.items()}
                 return True
             factor = vec[r]
-            for k, v in self.pivots[r].items():
-                acc = vec.get(k, 0) - factor * v
-                if acc:
-                    vec[k] = acc
-                else:
-                    vec.pop(k, None)
+            if p is None:
+                for k, v in pivot.items():
+                    acc = vec.get(k, 0) - factor * v
+                    if acc:
+                        vec[k] = acc
+                    else:
+                        vec.pop(k, None)
+            else:
+                for k, v in pivot.items():
+                    acc = (vec.get(k, 0) - factor * v) % p
+                    if acc:
+                        vec[k] = acc
+                    else:
+                        vec.pop(k, None)
         return False
 
     @property
@@ -712,7 +778,6 @@ class InnerCertification:
 
     def _certify(self):
         spec, z = self.spec, self.z
-        wset = set(self.wedges)
         elements = sorted({f for w in self.wedges for f in w.factors},
                           key=lambda e: e.sort_key())
         probes = sorted(self.support, key=lambda e: e.sort_key())
@@ -743,37 +808,14 @@ class InnerCertification:
             key=lambda ij: (weights[elements[ij[0]]] + weights[elements[ij[1]]],
                             keys[elements[ij[0]]], keys[elements[ij[1]]]))
 
-        self.columns = []
-        span = _IncrementalSpan()
-        for i, j in pair_order:
-            if span.rank >= self.target_rank:
-                break
-            u, v = elements[i], elements[j]
-            gen = _ideal_generator(spec, z, u, v)
-            if gen.is_zero():
-                continue
-            # Every term of the column must stay inside span(W); a
-            # degenerate [u+v] ^ [z-u-v] simply contributes nothing.
-            if any(w not in wset for w in gen.terms):
-                continue
-            vec = {self.index[w]: coeff for w, coeff in gen.terms.items()}
-            if not span.insert(vec):
-                continue
-            witness = self._witness_for(u, v, probes)
-            if witness is None:
-                # The pair is independent but has no boundary witness in
-                # the box; drop it and rebuild the span without it.
-                span = _IncrementalSpan()
-                for g, _ in self.columns:
-                    span.insert({self.index[w]: c for w, c in g.terms.items()})
-                continue
-            assert boundary(witness) == gen, "witness failed re-expansion"
-            assert self._inside_boundary_box(witness), \
-                "witness leaves the boundary box"
-            assert f_map(gen, self.qspace).is_zero(), \
-                "boundary column survives the quotient map"
-            self.columns.append((gen, witness))
-        self.rank = span.rank
+        # Search mod p first: the mod-p rank never exceeds the rational
+        # one, so reaching target_rank certifies; only a shortfall needs
+        # the exact pass.
+        self.columns, self.rank = self._column_pass(
+            elements, pair_order, probes, _SPAN_MODULUS)
+        if self.rank < self.target_rank:
+            self.columns, self.rank = self._column_pass(
+                elements, pair_order, probes, None)
 
         self.matrix = SparseRationalMatrix(len(self.wedges), len(self.columns))
         for col, (gen, _) in enumerate(self.columns):
@@ -806,6 +848,65 @@ class InnerCertification:
              "box": self.box_radius, "boundary_box": self.boundary_radius},
             verdict, details)
 
+    def _column_pass(self, elements, pair_order, probes, modulus):
+        """Greedy boundary columns G(u, v) over pair_order until the span
+        (over the field ``modulus`` picks) reaches target_rank.
+
+        Candidates are integer vectors over W; only accepted ones get
+        an exact chain and a witness.  Returns ([(gen, witness)], rank).
+        """
+        spec, z, index = self.spec, self.z, self.index
+        v_rows = {}
+
+        def v_row(x):
+            # [x] ^ [z-x] as (row in W or None, sign); sign 0 when x = z-x.
+            if x not in v_rows:
+                sign, w = Wedge.make((x, z - x))
+                v_rows[x] = (index.get(w), sign)
+            return v_rows[x]
+
+        # u and v are factors of W, so [u]^[z-u] and [v]^[z-v] are rows;
+        # only [u+v]^[z-u-v] can leave span(W), and then the column is
+        # skipped (a degenerate one contributes nothing).
+        own_rows = [v_row(x) for x in elements]
+        columns = []
+        vectors = []
+        span = _IncrementalSpan(modulus)
+        for i, j in pair_order:
+            if span.rank >= self.target_rank:
+                break
+            u, v = elements[i], elements[j]
+            row, sign = v_row(u + v)
+            if sign and row is None:
+                continue
+            vec = {row: sign} if sign else {}
+            for r, c in (own_rows[i], own_rows[j]):
+                acc = vec.get(r, 0) - c
+                if acc:
+                    vec[r] = acc
+                else:
+                    del vec[r]
+            if not vec or not span.insert(vec):
+                continue
+            witness = self._witness_for(u, v, probes)
+            if witness is None:
+                # The pair is independent but has no boundary witness in
+                # the box; drop it and rebuild the span without it.
+                span = _IncrementalSpan(modulus)
+                for kept in vectors:
+                    span.insert(kept)
+                continue
+            gen = _ideal_generator(spec, z, u, v)
+            _require({index.get(w): c for w, c in gen.terms.items()} == vec,
+                     "the integer column equals G(u, v)")
+            _require(boundary(witness) == gen, "d(witness) = G(u, v)")
+            _require(self._inside_boundary_box(witness),
+                     "the witness lies in the boundary box")
+            _require(f_map(gen, self.qspace).is_zero(), "f(G(u, v)) = 0")
+            columns.append((gen, witness))
+            vectors.append(vec)
+        return columns, span.rank
+
     # -- queries -----------------------------------------------------------
 
     def chain_vector(self, c):
@@ -829,7 +930,7 @@ class InnerCertification:
         for col, coeff in enumerate(combo):
             if coeff:
                 out = out + coeff * self.columns[col][1]
-        assert boundary(out) == c, "assembled witness failed re-expansion"
+        _require(boundary(out) == c, "d(assembled witness) = c")
         return out
 
     def scan_f_kills_boundaries(self, sample_cap=2000):
@@ -857,8 +958,7 @@ class InnerCertification:
             seen.add(wedge)
             chain = boundary(WedgeChain(self.spec, 3, [(wedge, 1)]))
             if not chain.is_zero():
-                assert f_map(chain, self.qspace).is_zero(), \
-                    "boundary escaped the kernel of f"
+                _require(f_map(chain, self.qspace).is_zero(), "f(d(w)) = 0")
             checked += 1
             if not exhaustive and checked >= sample_cap:
                 break

@@ -73,6 +73,23 @@ def test_validate_rejects_nondescending_relation(tmp_path, capsys):
     assert "does not descend" in err and "row 0" in err
 
 
+@pytest.mark.parametrize("payload, path", [
+    ({"generators": 2, "form": [[0, 1.5], [-1.5, 0]]}, "form[0][1]"),
+    ({"generators": True, "form": [[0, 1], [-1, 0]]}, "generators"),
+    ({"generators": 2, "relations": [[2.7, 0]],
+      "form": [[0, 0], [0, 0]]}, "relations[0][0]"),
+    ({"generators": 2, "form": [[0, True], [-1, 0]]}, "form[0][1]"),
+    ({"generators": 2.0}, "generators"),
+    ({"surface": {"genus": 1.5, "boundary": 0}}, "surface.genus"),
+])
+def test_non_integer_group_entries_are_rejected(tmp_path, capsys, payload, path):
+    spec = write_spec(tmp_path, "g.json", payload)
+    code, out, err = run(capsys, "verify", "--suite", "h1", "--spec", spec)
+    assert code == 1
+    assert out == ""
+    assert "error: %s must be an integer" % path in err
+
+
 def test_validate_reports_parse_position(tmp_path, capsys):
     p = tmp_path / "broken.json"
     p.write_text('{"generators": 2,\n  oops}')

@@ -9,16 +9,21 @@ infeasibility certificates are re-multiplied against rebuilt rows.
 
 import itertools
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from goldman import (
     CERTIFIED,
     INCONCLUSIVE,
     NOT_APPLICABLE,
     ContractingHomotopy,
+    GroupSpec,
     QuotientTensorSpace,
     WedgeChain,
     boundary,
@@ -41,7 +46,15 @@ from goldman import (
     surface_presentation,
     wedge_chain,
 )
-from goldman.verify import f_on_ordered
+from goldman import verify
+from goldman.verify import (
+    CertificateError,
+    InnerCertification,
+    _IncrementalSpan,
+    _SPAN_MODULUS,
+    _ideal_generator,
+    f_on_ordered,
+)
 
 from conftest import symplectic_z2, z3_rank2_form, z2_z2torsion, torsion_only
 
@@ -340,6 +353,199 @@ def test_inner_f_scan_exhaustive_on_small_box():
     checked, exhaustive = inner.scan_f_kills_boundaries()
     assert exhaustive
     assert checked > 100
+
+
+# ---------------------------------------------------------------------------
+# The modular column span and its exact fallback
+
+
+sparse_columns = st.lists(
+    st.dictionaries(st.integers(0, 7), st.integers(-3, 3), max_size=5),
+    max_size=14)
+
+
+@given(sparse_columns)
+@settings(max_examples=200, deadline=None)
+def test_modular_span_matches_exact_span(columns):
+    # Entries of size <= 3 on 8 rows keep every nonzero minor below
+    # 8! * 3^8 < 2^61 - 1 (each of its at most 8! terms is at most 3^8),
+    # so no minor vanishes mod p only, and the two spans must accept
+    # exactly the same columns.
+    modular = _IncrementalSpan(_SPAN_MODULUS)
+    exact = _IncrementalSpan()
+    for col in columns:
+        assert modular.insert(col) == exact.insert(col)
+    assert modular.rank == exact.rank
+
+
+def _record_passes(monkeypatch):
+    """Wrap the column pass; returns the list of (modulus, rank) it ran."""
+    passes = []
+    column_pass = InnerCertification._column_pass
+
+    def recording(self, elements, pair_order, probes, modulus):
+        columns, rank = column_pass(self, elements, pair_order, probes, modulus)
+        passes.append((modulus, rank))
+        return columns, rank
+
+    monkeypatch.setattr(InnerCertification, "_column_pass", recording)
+    return passes
+
+
+def _exact_inner(monkeypatch, spec, z, box):
+    with monkeypatch.context() as m:
+        m.setattr(verify, "_SPAN_MODULUS", None)
+        return inner_h2_certify(spec, z, box)
+
+
+@pytest.mark.parametrize("prime", [2, 3])
+def test_inner_falls_back_to_exact_when_columns_are_lost_mod_p(monkeypatch, prime):
+    # At the origin of Z^2 + Z/p the greedy columns lose rank mod p
+    # although they are independent over Q.
+    spec = GroupSpec(3, relations=[[0, 0, prime]],
+                     form=[[0, 1, 0], [-1, 0, 0], [0, 0, 0]])
+    exact = _exact_inner(monkeypatch, spec, spec.zero, 1)
+    monkeypatch.setattr(verify, "_SPAN_MODULUS", prime)
+    passes = _record_passes(monkeypatch)
+    inner = inner_h2_certify(spec, spec.zero, 1)
+    assert passes[0][0] == prime and passes[0][1] < inner.target_rank
+    assert passes[1] == (None, inner.target_rank)
+    assert inner.result.to_dict() == exact.result.to_dict()
+    assert inner.result.verdict == CERTIFIED
+    assert inner.columns == exact.columns
+
+
+def test_inner_modular_pass_certifies_without_exact_rerun(monkeypatch):
+    z2 = symplectic_z2()
+    exact = _exact_inner(monkeypatch, z2, z2.zero, 3)
+    passes = _record_passes(monkeypatch)
+    inner = inner_h2_certify(z2, z2.zero, 3)
+    assert passes == [(_SPAN_MODULUS, inner.target_rank)]
+    assert inner.result.to_dict() == exact.result.to_dict()
+    assert inner.columns == exact.columns
+
+
+def test_inner_rebuilds_the_modular_span_from_integer_columns(monkeypatch):
+    # Withhold the witnesses of the first accepted pairs: each drop
+    # rebuilds the mod-p span from the integer vectors kept so far.
+    z2 = symplectic_z2()
+    witness_for = InnerCertification._witness_for
+    dropped = []
+
+    def flaky(self, u, v, probes):
+        if len(dropped) < 3:
+            dropped.append((u, v))
+            return None
+        return witness_for(self, u, v, probes)
+
+    inserted = []
+    insert = _IncrementalSpan.insert
+
+    def recording_insert(self, vec):
+        if self.modulus is not None:
+            inserted.append(vec)
+        return insert(self, vec)
+
+    monkeypatch.setattr(InnerCertification, "_witness_for", flaky)
+    monkeypatch.setattr(_IncrementalSpan, "insert", recording_insert)
+    inner = inner_h2_certify(z2, z2.zero, 3)
+    assert len(dropped) == 3
+    assert all(type(c) is int for vec in inserted for c in vec.values())
+    assert inner.result.verdict == CERTIFIED
+    for gen, witness in inner.columns:
+        assert boundary(witness) == gen
+    dropped_columns = [_ideal_generator(z2, z2.zero, u, v) for u, v in dropped]
+    assert not any(gen in dropped_columns for gen, _ in inner.columns)
+
+    # The same drops in exact arithmetic pick the same columns.
+    del dropped[:]
+    exact = _exact_inner(monkeypatch, z2, z2.zero, 3)
+    assert inner.result.to_dict() == exact.result.to_dict()
+    assert inner.columns == exact.columns
+
+
+def test_inner_rebuild_on_surface_grading_matches_exact(monkeypatch):
+    # surface(1, 2) at z = (0, 0, 0, 2) has independent pairs without a
+    # witness in the box, so the rebuild path runs unpatched.
+    s12 = surface_presentation(1, 2)
+    z = s12.element([0, 0, 0, 2])
+    witness_for = InnerCertification._witness_for
+    missing = []
+
+    def counting(self, u, v, probes):
+        witness = witness_for(self, u, v, probes)
+        if witness is None:
+            missing.append((u, v))
+        return witness
+
+    monkeypatch.setattr(InnerCertification, "_witness_for", counting)
+    inner = inner_h2_certify(s12, z, 2)
+    assert missing
+    assert inner.result.verdict == CERTIFIED
+    exact = _exact_inner(monkeypatch, s12, z, 2)
+    assert inner.result.to_dict() == exact.result.to_dict()
+    assert inner.columns == exact.columns
+
+
+# ---------------------------------------------------------------------------
+# Inner re-verification is not an assert
+
+
+_CORRUPT_WITNESS = """
+import json, sys
+from goldman import verify
+from goldman.cli import main
+
+if not sys.flags.optimize:
+    sys.exit("run with python -O")
+witness_for = verify.InnerCertification._witness_for
+
+def corrupted(self, u, v, probes):
+    witness = witness_for(self, u, v, probes)
+    # A wrong coefficient: d(2X) = 2 G(u, v) != G(u, v).
+    return None if witness is None else 2 * witness
+
+verify.InnerCertification._witness_for = corrupted
+sys.exit(main(["verify", "--suite", "inner", "--surface", "1,0",
+               "--grading", "0,0", "--box", "2", "--format", "json"]))
+"""
+
+
+def test_corrupted_inner_witness_is_refuted_under_python_O(tmp_path):
+    script = tmp_path / "corrupt.py"
+    script.write_text(_CORRUPT_WITNESS)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(verify.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", str(script)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 1, proc.stderr
+    report = json.loads(proc.stdout)
+    (entry,) = report["results"]
+    assert entry["verdict"] == "refuted"
+    assert entry["details"]["failed_identity"] == "d(witness) = G(u, v)"
+    assert report["summary"]["certified"] == 0
+
+
+def test_corrupted_inner_witness_raises_certificate_error(monkeypatch):
+    z2 = symplectic_z2()
+    witness_for = InnerCertification._witness_for
+    monkeypatch.setattr(
+        InnerCertification, "_witness_for",
+        lambda self, u, v, probes: 2 * witness_for(self, u, v, probes))
+    with pytest.raises(CertificateError) as info:
+        inner_h2_certify(z2, z2.zero, 2)
+    assert info.value.identity == "d(witness) = G(u, v)"
+
+
+def test_boundary_witness_rechecks_the_assembled_chain(monkeypatch):
+    z2 = symplectic_z2()
+    inner = inner_h2_certify(z2, z2.zero, 2)
+    gen, witness = inner.columns[0]
+    assert inner.boundary_witness(gen) is not None
+    inner.columns[0] = (gen, 2 * witness)
+    with pytest.raises(CertificateError) as info:
+        inner.boundary_witness(gen)
+    assert info.value.identity == "d(assembled witness) = c"
 
 
 # ---------------------------------------------------------------------------
