@@ -315,6 +315,17 @@ def _skip(check, note):
     return CheckResult(check, {}, NOT_APPLICABLE, {"note": note})
 
 
+def _certify_or_refute(check, certify, spec, z, box):
+    """certify(spec, z, box), or a refuted entry naming the identity
+    that failed its re-check."""
+    try:
+        return certify(spec, z, box)
+    except CertificateError as exc:
+        return CheckResult(
+            check, {"spec": spec.describe()["group"], "z": list(z.coords), "box": box},
+            REFUTED, {"failed_identity": exc.identity})
+
+
 def run_inner_suite(spec, gradings, box, enlarge):
     zs = [z for z in gradings if z.in_kernel_mu()]
     if not zs:
@@ -331,29 +342,25 @@ def run_inner_suite(spec, gradings, box, enlarge):
             "inner-isomorphism", {"box": box}, NOT_APPLICABLE,
             {"note": "grading outside the capped support; enlarge the box",
              "skipped_gradings": skipped, "effective_radius": eff}))
-    for z in zs:
-        if list(z.coords) in skipped:
-            continue
-        try:
-            inner = inner_h2_certify(spec, z, box)
-            checked, exhaustive = inner.scan_f_kills_boundaries()
-        except CertificateError as exc:
-            out.append(CheckResult(
-                "inner-isomorphism",
-                {"spec": spec.describe()["group"], "z": list(z.coords), "box": box},
-                REFUTED, {"failed_identity": exc.identity}))
-            continue
-        inner.result.details["f_boundary_scan"] = {
-            "wedges": checked, "exhaustive": exhaustive}
-        out.append(inner.result)
+    out.extend(_certify_or_refute("inner-isomorphism", _inner_entry, spec, z, box)
+               for z in zs if list(z.coords) not in skipped)
     return out
+
+
+def _inner_entry(spec, z, box):
+    inner = inner_h2_certify(spec, z, box)
+    checked, exhaustive = inner.scan_f_kills_boundaries()
+    inner.result.details["f_boundary_scan"] = {
+        "wedges": checked, "exhaustive": exhaustive}
+    return inner.result
 
 
 def run_outer_suite(spec, gradings, box, enlarge):
     zs = [z for z in gradings if z.is_derived_element()]
     if not zs:
         return [_skip("outer-exactness", "no derived gradings selected")]
-    return [outer_h2_certify(spec, z, box) for z in zs]
+    return [_certify_or_refute("outer-exactness", outer_h2_certify, spec, z, box)
+            for z in zs]
 
 
 def run_gk_suite(spec, gradings, box, enlarge):
@@ -373,7 +380,8 @@ def run_omega_suite(spec, gradings, box, enlarge):
     zs = [z for z in gradings if z.in_kernel_mu()]
     if not zs:
         return [_skip("omega-class", "no radical gradings selected")]
-    return [omega_check(spec, z, box) for z in zs]
+    return [_certify_or_refute("omega-class", omega_check, spec, z, box)
+            for z in zs]
 
 
 def run_h1_suite(spec, gradings, box, enlarge, capped):

@@ -41,7 +41,11 @@ True
 (1, 1)
 """
 
+import itertools
+from bisect import bisect_left
 from fractions import Fraction
+
+from goldman.groups import GroupElement
 
 __all__ = [
     "Wedge",
@@ -55,6 +59,27 @@ __all__ = [
     "box_support",
     "project_derived",
 ]
+
+
+def _sort_sign(factors):
+    """(sign of the sorting permutation, sorted tuple); repeats give (0, None).
+
+    Works on anything ordered, group elements or their coordinate
+    tuples alike (both sort lexicographically on coordinates).
+    """
+    factors = list(factors)
+    sign = 1
+    # Insertion sort; factor lists have length <= 5 throughout.
+    for i in range(1, len(factors)):
+        j = i
+        while j > 0 and factors[j] < factors[j - 1]:
+            factors[j], factors[j - 1] = factors[j - 1], factors[j]
+            sign = -sign
+            j -= 1
+    for a, b in zip(factors, factors[1:]):
+        if a == b:
+            return 0, None
+    return sign, tuple(factors)
 
 
 class Wedge:
@@ -72,19 +97,8 @@ class Wedge:
     @classmethod
     def make(cls, factors):
         """Sort factors, returning (sign, wedge); repeats give (0, None)."""
-        factors = list(factors)
-        sign = 1
-        # Insertion sort; factor lists have length <= 5 throughout.
-        for i in range(1, len(factors)):
-            j = i
-            while j > 0 and factors[j] < factors[j - 1]:
-                factors[j], factors[j - 1] = factors[j - 1], factors[j]
-                sign = -sign
-                j -= 1
-        for a, b in zip(factors, factors[1:]):
-            if a == b:
-                return 0, None
-        return sign, cls(factors)
+        sign, factors = _sort_sign(factors)
+        return (sign, cls(factors)) if sign else (0, None)
 
     @property
     def degree(self):
@@ -239,25 +253,43 @@ def wedge_chain(spec, elements, coeff=1):
     return out
 
 
-def _boundary_terms(spec, w):
-    """(coefficient, wedge) pairs of d(w) for a single wedge, unmerged."""
-    factors = w.factors
-    p = len(factors)
+def _boundary_terms(spec, key):
+    """(integer coefficient, key) pairs of d of one wedge, unmerged.
+
+    A key is a wedge as the strictly increasing tuple of its factors'
+    canonical coordinate tuples (``Wedge.sort_key``).  This is the one
+    implementation of the differential; ``boundary``, ``coboundary`` and
+    the certification scans all evaluate it.
+    """
+    pair, add = spec.pair_coords, spec.add_coords
+    p = len(key)
     out = []
     for i in range(p - 1):
+        a = key[i]
+        head = key[:i]
         for j in range(i + 1, p):
-            pair = spec.pairing(factors[i], factors[j])
-            if not pair:
+            b = key[j]
+            coeff = pair(a, b)
+            if not coeff:
                 continue
-            # (-1)^(i+j) for 1-based indices; the parity of the 0-based
-            # sum is the same, so even i+j means +1.
-            sign = 1 if (i + j) % 2 == 0 else -1
-            rest = [factors[i] + factors[j]]
-            rest.extend(f for k, f in enumerate(factors) if k != i and k != j)
-            s, nw = Wedge.make(rest)
-            if s:
-                out.append((Fraction(sign * s * pair), nw))
+            total = add(a, b)
+            rest = head + key[i + 1:j] + key[j + 1:]
+            # The sum is prepended to the remaining factors, which stay
+            # sorted; moving it to its place k takes k transpositions.
+            k = bisect_left(rest, total)
+            if k < len(rest) and rest[k] == total:
+                continue
+            # (-1)^(i+j) for 1-based indices has the parity of the
+            # 0-based sum.
+            if (i + j + k) % 2:
+                coeff = -coeff
+            out.append((coeff, rest[:k] + (total,) + rest[k:]))
     return out
+
+
+def _wedge_of(spec, key):
+    """The Wedge with the given key."""
+    return Wedge([GroupElement(spec, coords) for coords in key])
 
 
 def boundary(c):
@@ -271,15 +303,16 @@ def boundary(c):
     out = WedgeChain(c.spec, c.degree - 1)
     if c.degree == 1:
         return out
+    spec = c.spec
     acc = {}
     for w, coeff in c.terms.items():
-        for bc, bw in _boundary_terms(c.spec, w):
-            total = acc.get(bw, 0) + coeff * bc
+        for bc, key in _boundary_terms(spec, w.sort_key()):
+            total = acc.get(key, 0) + coeff * bc
             if total:
-                acc[bw] = total
+                acc[key] = total
             else:
-                del acc[bw]
-    out.terms = acc
+                del acc[key]
+    out.terms = {_wedge_of(spec, key): coeff for key, coeff in acc.items()}
     return out
 
 
@@ -338,10 +371,12 @@ def coboundary(eta, p):
     if p != eta.degree:
         raise ValueError("cochain has degree %d, not %d" % (eta.degree, p))
 
+    spec = eta.spec
+
     def rule(w):
         total = Fraction(0)
-        for coeff, bw in _boundary_terms(eta.spec, w):
-            total += coeff * eta.value(bw)
+        for coeff, key in _boundary_terms(spec, w.sort_key()):
+            total += coeff * eta.value(_wedge_of(spec, key))
         return total
 
     return Cochain(eta.spec, p + 1, rule=rule)
@@ -365,32 +400,32 @@ def enumerate_basis(support, p, z, restrict="full"):
     else:
         raise ValueError("unknown restriction %r" % (restrict,))
     pool.sort()
-    members = set(pool)
-    index = {x: i for i, x in enumerate(pool)}
+    index = {x.coords: i for i, x in enumerate(pool)}
     out = []
 
     if p < 1:
         raise ValueError("need degree >= 1")
     if p == 1:
-        if z in members:
+        if z.coords in index:
             out.append(Wedge([z]))
         return out
 
+    negs = [(-x).coords for x in pool]
+    add = z.spec.add_coords
     prefix = []
 
-    def walk(start, remaining_sum):
+    def walk(start, remaining):
         if len(prefix) == p - 1:
-            last = remaining_sum
-            if last in members and index[last] > index[prefix[-1]]:
-                out.append(Wedge(prefix + [last]))
+            last = index.get(remaining)
+            if last is not None and last > prefix[-1]:
+                out.append(Wedge([pool[i] for i in prefix] + [pool[last]]))
             return
         for i in range(start, len(pool)):
-            x = pool[i]
-            prefix.append(x)
-            walk(i + 1, remaining_sum - x)
+            prefix.append(i)
+            walk(i + 1, add(remaining, negs[i]))
             prefix.pop()
 
-    walk(0, z)
+    walk(0, z.coords)
     out.sort(key=lambda w: w.sort_key())
     return out
 
@@ -412,20 +447,9 @@ def box_support(spec, radius):
             ranges.append(range(1))
         else:
             ranges.append(range(d))
-    out = []
-    stack = [0] * spec.n_generators
-
-    def fill(j):
-        if j == spec.n_generators:
-            out.append(spec.canonical(stack))
-            return
-        for v in ranges[j]:
-            stack[j] = v
-            fill(j + 1)
-
-    fill(0)
-    out.sort()
-    return out
+    # Every range is canonical and increasing, so the product runs
+    # through the box already in sorted order.
+    return [GroupElement(spec, coords) for coords in itertools.product(*ranges)]
 
 
 def project_derived(c):

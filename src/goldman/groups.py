@@ -42,6 +42,7 @@ True
 """
 
 from fractions import Fraction
+from operator import add as _add
 
 __all__ = [
     "smith_normal_form",
@@ -118,6 +119,13 @@ def _int_inverse(m):
             if v.denominator != 1:
                 raise ValueError("matrix is not unimodular")
     return [[int(v) for v in row] for row in inv]
+
+
+def _strict_int(value, what):
+    """value itself when it is an int (bool excluded); ValueError otherwise."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError("%s must be an integer, got %r" % (what, value))
+    return value
 
 
 class SnfDecomposition:
@@ -285,7 +293,7 @@ class GroupElement:
     def __add__(self, other):
         if other.spec is not self.spec:
             raise ValueError("elements belong to different groups")
-        return self.spec._reduce([a + b for a, b in zip(self.coords, other.coords)])
+        return GroupElement(self.spec, self.spec.add_coords(self.coords, other.coords))
 
     def __sub__(self, other):
         if other.spec is not self.spec:
@@ -384,25 +392,34 @@ class GroupSpec:
 
     Validation is eager: Omega must be alternating and must pair to zero
     with every relation row (otherwise the form would not descend to the
-    quotient).  Both failures raise ValueError naming the violation.
+    quotient).  Both failures raise ValueError naming the violation, as
+    does any entry of the generator count, relations or form that is not
+    an int (floats such as 1.5 or 2.0, and bools, are rejected, never
+    truncated).
     """
 
     __slots__ = ("n_generators", "relations", "form", "names", "snf",
                  "divisors", "free_indices", "torsion", "dead_indices",
                  "omega_tilde", "zero", "_v", "_v_inv", "_form_support",
-                 "torsion_indices", "torsion_coefficients", "free_rank")
+                 "_pair_entries", "torsion_indices", "torsion_coefficients",
+                 "free_rank")
 
     def __init__(self, n_generators, relations=(), form=None, names=None):
-        if n_generators < 1:
+        n = _strict_int(n_generators, "n_generators")
+        if n < 1:
             raise ValueError("need at least one generator")
-        self.n_generators = n = int(n_generators)
-        self.relations = tuple(tuple(int(v) for v in row) for row in relations)
+        self.n_generators = n
+        self.relations = tuple(
+            tuple(_strict_int(v, "relations[%d][%d]" % (i, j)) for j, v in enumerate(row))
+            for i, row in enumerate(relations))
         for row in self.relations:
             if len(row) != n:
                 raise ValueError("relation row has wrong width")
         if form is None:
             form = [[0] * n for _ in range(n)]
-        self.form = tuple(tuple(int(v) for v in row) for row in form)
+        self.form = tuple(
+            tuple(_strict_int(v, "form[%d][%d]" % (i, j)) for j, v in enumerate(row))
+            for i, row in enumerate(form))
         if len(self.form) != n or any(len(r) != n for r in self.form):
             raise ValueError("form matrix must be %d x %d" % (n, n))
         for i in range(n):
@@ -446,6 +463,11 @@ class GroupSpec:
         self._form_support = tuple(
             j for j in range(n)
             if any(self.omega_tilde[j]) or any(self.omega_tilde[i][j] for i in range(n)))
+        # The form is alternating, so the entries above the diagonal
+        # determine it: <a, b> = sum of w (a_i b_j - a_j b_i) over i < j.
+        self._pair_entries = tuple(
+            (i, j, self.omega_tilde[i][j])
+            for i in range(n) for j in range(i + 1, n) if self.omega_tilde[i][j])
         self.zero = GroupElement(self, (0,) * n)
 
     def _reduce(self, coords):
@@ -454,6 +476,26 @@ class GroupSpec:
         for j in self.dead_indices:
             coords[j] = 0
         return GroupElement(self, tuple(coords))
+
+    def add_coords(self, a, b):
+        """The canonical coordinates of a + b, from canonical coordinates.
+
+        Dead coordinates of canonical tuples are 0 and stay 0, so only
+        the torsion coordinates need reducing.
+        """
+        if not self.torsion:
+            return tuple(map(_add, a, b))
+        total = list(map(_add, a, b))
+        for j, d in self.torsion:
+            total[j] %= d
+        return tuple(total)
+
+    def pair_coords(self, a, b):
+        """The pairing <a, b> of two canonical coordinate tuples, an integer."""
+        total = 0
+        for i, j, w in self._pair_entries:
+            total += w * (a[i] * b[j] - a[j] * b[i])
+        return total
 
     def element(self, coords):
         """Build an element from original-generator coordinates."""
@@ -480,26 +522,7 @@ class GroupSpec:
         """The alternating pairing <x, y>, an integer."""
         if x.spec is not self or y.spec is not self:
             raise ValueError("elements belong to different groups")
-        omega = self.omega_tilde
-        total = 0
-        for i in self._form_support:
-            xi = x.coords[i]
-            if xi:
-                row = omega[i]
-                for j in self._form_support:
-                    yj = y.coords[j]
-                    if yj:
-                        total += xi * row[j] * yj
-        return total
-
-    def in_kernel_mu(self, x):
-        return x.in_kernel_mu()
-
-    def is_derived_element(self, x):
-        return x.is_derived_element()
-
-    def is_torsion(self, x):
-        return x.is_torsion()
+        return self.pair_coords(x.coords, y.coords)
 
     def mu_is_zero(self):
         """True when the form vanishes identically on H (the abelian case)."""

@@ -39,26 +39,35 @@ witnesses.  The certification patterns are:
 * Outer gradings (z not in ker mu).  A contracting homotopy (Phi_1,
   Phi_2) built from any y with <y, z> != 0 satisfies
   Phi_1 d_2 + d_3 Phi_2 = id on the whole graded slice, verified wedge
-  by wedge, so every cycle c bounds via d_3 Phi_2(c) = c.
+  by wedge, so every cycle c bounds via d_3 Phi_2(c) = c.  The five
+  homotopy coefficients have denominators dividing 2 lam^2
+  (lam = <y, z>); multiplied by D, the lcm of their denominators, every
+  term of D (Phi_1 d_2 + d_3 Phi_2 - id)(w) is an integer.  The check
+  sums those terms in one integer dict over wedge keys (sorted tuples
+  of coordinate tuples) and tests it for zero, which is exact over Z.
 
 * The degree-3 cocycle omega([u],[v],[z-u-v]) = <u, v>.  For torsion z
   the existence of a primitive eta is an affine system over box wedges;
   an infeasibility certificate for the box system refutes a global
   primitive outright.  For non-torsion z a primitive is written down
   from a linear functional with f(z) = 1 and checked on every box
-  triple.
+  triple.  Both scans are integer sums: d(omega)(w) = omega(d w) has
+  integer terms, and with f = (integer functional) / g the primitive
+  scan compares g d(eta)(w) with g omega(w), both integers.  No floats
+  and no modulus enter either scan; every zero test is exact over Z.
 
 Verdicts are "certified", "refuted", or "inconclusive-at-truncation";
 a too-small box can hide boundaries but never fabricate them, so a
 missing witness is reported as inconclusive rather than as a
 refutation.  Every certified verdict carries witnesses that have been
 re-verified by direct expansion before the result is returned.  The
-re-verification of inner certificates raises CertificateError, naming
-the failed identity, and is not an assert, so it also runs under
-``python -O``.
+re-verification of inner, outer and omega certificates raises
+CertificateError, naming the failed identity, and is not an assert, so
+it also runs under ``python -O``.
 """
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -67,9 +76,11 @@ from goldman.complexes import (
     Cochain,
     Wedge,
     WedgeChain,
+    _boundary_terms,
+    _sort_sign,
+    _wedge_of,
     boundary,
     box_support,
-    coboundary,
     enumerate_basis,
     project_derived,
     wedge_chain,
@@ -515,9 +526,16 @@ class ContractingHomotopy:
     With the default coefficients Phi_1 d_2 + d_3 Phi_2 = id holds on
     every basis wedge of the slice; ``identity_defect`` measures the
     failure for any coefficient choice.
+
+    The five rational factors in front of the wedges are scaled by
+    ``scale``, the lcm of their denominators, so the operators are
+    evaluated on integer coefficients over wedge keys (sorted tuples of
+    coordinate tuples) and divided by ``scale`` only when a chain is
+    returned.
     """
 
-    __slots__ = ("spec", "z", "y", "lam", "coefficients")
+    __slots__ = ("spec", "z", "y", "lam", "coefficients", "scale", "_scaled",
+                 "_y2c", "_negyc", "_phi1_term", "_tail_term")
 
     def __init__(self, spec, z, y, coefficients=None):
         if z.in_kernel_mu():
@@ -532,47 +550,101 @@ class ContractingHomotopy:
         self.coefficients = dict(_DEFAULT_HOMOTOPY)
         if coefficients:
             self.coefficients.update(coefficients)
+        co, lam = self.coefficients, self.lam
+        factors = (co["phi1"] / lam, co["shift_first"] / lam,
+                   co["shift_second"] / lam, co["shift_both"] / (2 * lam),
+                   co["tail"] / (2 * lam * lam))
+        self.scale = math.lcm(*(q.denominator for q in factors))
+        self._scaled = tuple((q * self.scale).numerator for q in factors)
+        self._y2c, self._negyc = (2 * y).coords, (-y).coords
+        self._phi1_term = _sort_sign((y.coords, (z - y).coords))
+        self._tail_term = _sort_sign((y.coords, self._y2c, (z - 3 * y).coords))
+
+    def _key(self, w):
+        """The key (u, v) of a grading-z 2-wedge."""
+        key = w.sort_key()
+        if self.spec.add_coords(*key) != self.z.coords:
+            raise ValueError("chain is not graded at z")
+        return key
+
+    def _chain(self, scaled, degree):
+        """The WedgeChain of {key: scale * coefficient}."""
+        out = WedgeChain(self.spec, degree)
+        out.terms = {_wedge_of(self.spec, key): Fraction(c) / self.scale
+                     for key, c in scaled.items() if c}
+        return out
+
+    def _scaled_phi2(self, u, v):
+        """(integer coefficient, key) terms of scale * Phi_2([u] ^ [v])."""
+        spec = self.spec
+        _, first, second, both, tail = self._scaled
+        y = self.y.coords
+        uy = spec.add_coords(u, self._negyc)
+        vy = spec.add_coords(v, self._negyc)
+        out = []
+        for coeff, factors in ((first, (y, uy, v)),
+                               (second, (y, u, vy)),
+                               (both, (self._y2c, uy, vy))):
+            sign, key = _sort_sign(factors)
+            if coeff and sign:
+                out.append((sign * coeff, key))
+        sign, key = self._tail_term
+        if tail and sign:
+            pair = spec.pair_coords(uy, vy)
+            if pair:
+                out.append((sign * tail * pair, key))
+        return out
+
+    def _scaled_image(self, key):
+        """scale * (Phi_1 d_2 + d_3 Phi_2) of the wedge with key (u, v),
+        as {key: integer}."""
+        spec = self.spec
+        acc = {}
+        sign, phi1_key = self._phi1_term
+        if sign and self._scaled[0]:
+            # d_2([u] ^ [v]) is a multiple of [z].
+            for coeff, _ in _boundary_terms(spec, key):
+                acc[phi1_key] = sign * self._scaled[0] * coeff
+        for coeff, key3 in self._scaled_phi2(*key):
+            for bc, key2 in _boundary_terms(spec, key3):
+                total = acc.get(key2, 0) + coeff * bc
+                if total:
+                    acc[key2] = total
+                else:
+                    del acc[key2]
+        return acc
 
     def phi1(self, c):
-        out = WedgeChain(self.spec, 2)
         if c.degree != 1:
             raise ValueError("Phi_1 consumes degree-1 chains")
+        total = 0
         for w, coeff in c.terms.items():
             if w.factors[0] != self.z:
                 raise ValueError("chain is not graded at z")
-            out = out + wedge_chain(
-                self.spec, [self.y, self.z - self.y],
-                coeff * self.coefficients["phi1"] / self.lam)
-        return out
-
-    def _phi2_wedge(self, u, v):
-        spec, y, z, lam = self.spec, self.y, self.z, self.lam
-        co = self.coefficients
-        out = wedge_chain(spec, [y, u - y, v], co["shift_first"] / lam)
-        out = out + wedge_chain(spec, [y, u, v - y], co["shift_second"] / lam)
-        out = out + wedge_chain(spec, [2 * y, u - y, v - y],
-                                co["shift_both"] / (2 * lam))
-        tail = Fraction(spec.pairing(u - y, v - y))
-        if tail:
-            out = out + wedge_chain(spec, [y, 2 * y, z - 3 * y],
-                                    co["tail"] * tail / (2 * lam * lam))
-        return out
+            total += coeff
+        sign, key = self._phi1_term
+        return self._chain({key: sign * self._scaled[0] * total} if sign else {}, 2)
 
     def phi2(self, c):
         if c.degree != 2:
             raise ValueError("Phi_2 consumes degree-2 chains")
-        out = WedgeChain(self.spec, 3)
+        acc = {}
         for w, coeff in c.terms.items():
-            u, v = w.factors
-            if u + v != self.z:
-                raise ValueError("chain is not graded at z")
-            out = out + coeff * self._phi2_wedge(u, v)
-        return out
+            for scaled, key in self._scaled_phi2(*self._key(w)):
+                acc[key] = acc.get(key, 0) + coeff * scaled
+        return self._chain(acc, 3)
 
     def identity_defect(self, w):
-        """(Phi_1 d_2 + d_3 Phi_2 - id) of a basis wedge, exactly."""
-        c = WedgeChain(self.spec, 2, [(w, 1)])
-        return self.phi1(boundary(c)) + boundary(self.phi2(c)) - c
+        """(Phi_1 d_2 + d_3 Phi_2 - id) of a basis wedge, exactly.
+
+        Every term of scale times the defect is an integer, so the sum
+        is taken in one integer dict and is zero exactly when the
+        identity holds on w.
+        """
+        key = self._key(w)
+        acc = self._scaled_image(key)
+        acc[key] = acc.get(key, 0) - self.scale
+        return self._chain(acc, 2)
 
 
 def contracting_homotopy(spec, z, y=None, coefficients=None, search_radius=2):
@@ -605,15 +677,14 @@ def solve_homotopy_coefficients(spec, z, y, wedges):
     row_keys = {}
     contributions = {}
     for w in wedges:
-        c = WedgeChain(spec, 2, [(w, 1)])
+        key = w.sort_key()
         for name, hom in pieces.items():
-            chain = hom.phi1(boundary(c)) + boundary(hom.phi2(c))
-            for term, coeff in chain.terms.items():
-                key = (w, term)
-                row_keys.setdefault(key, len(row_keys))
-                bucket = contributions.setdefault(key, {})
-                bucket[name] = bucket.get(name, 0) + coeff
-        row_keys.setdefault((w, w), len(row_keys))
+            for term, coeff in hom._scaled_image(key).items():
+                row = (key, term)
+                row_keys.setdefault(row, len(row_keys))
+                bucket = contributions.setdefault(row, {})
+                bucket[name] = bucket.get(name, 0) + Fraction(coeff, hom.scale)
+        row_keys.setdefault((key, key), len(row_keys))
 
     n_rows = len(row_keys)
     matrix = SparseRationalMatrix(n_rows, len(_HOMOTOPY_SHAPES))
@@ -1028,13 +1099,9 @@ def outer_h2_certify(spec, z, box_radius, y_count=2, max_cycle_witnesses=5):
     # space misses one dimension whenever some wedge hits it.  A dense
     # kernel basis would be quadratic in the wedge count; sparse pair
     # vectors against the pivot column are enough for the samples.
-    coeffs = []
-    pivot = None
-    for col, w in enumerate(wedges):
-        coeff = boundary(WedgeChain(spec, 2, [(w, 1)])).coefficient(Wedge([z]))
-        coeffs.append(coeff)
-        if coeff and pivot is None:
-            pivot = col
+    # d_2([u] ^ [v]) = -<u, v> [z].
+    coeffs = [-spec.pair_coords(*w.sort_key()) for w in wedges]
+    pivot = next((col for col, coeff in enumerate(coeffs) if coeff), None)
     cycle_dim = len(wedges) - (1 if pivot is not None else 0)
 
     hom = per_y[0][0]
@@ -1049,7 +1116,7 @@ def outer_h2_certify(spec, z, box_radius, y_count=2, max_cycle_witnesses=5):
             c = c - Fraction(coeffs[col], coeffs[pivot]) * WedgeChain(
                 spec, 2, [(wedges[pivot], 1)])
         x = hom.phi2(c)
-        assert boundary(x) == c, "outer cycle witness failed re-expansion"
+        _require(boundary(x) == c, "d(Phi_2(c)) = c")
         witnesses.append({"cycle": serialize_chain(c),
                           "preimage": serialize_chain(x)})
 
@@ -1113,17 +1180,17 @@ def main_theorem_check(spec, gradings, box_radius, boundary_radius=None,
               if all(f.in_kernel_mu() for f in w.factors)]
         # The radical is a subgroup, so z - a lies in it exactly when a
         # does: every wedge is all-radical or all-derived, never mixed.
-        assert all(all(f.in_kernel_mu() for f in w.factors)
-                   or all(f.is_derived_element() for f in w.factors)
-                   for w in wedges), "mixed wedge in a radical grading"
+        _require(all(all(f.in_kernel_mu() for f in w.factors)
+                     or all(f.is_derived_element() for f in w.factors)
+                     for w in wedges), "no mixed wedge in a radical grading")
 
         # All grading-z wedges are cycles; verify rather than assume.
         for w in wedges:
-            assert boundary(WedgeChain(spec, 2, [(w, 1)])).is_zero(), \
-                "wedge in a radical grading failed to be a cycle"
+            _require(boundary(WedgeChain(spec, 2, [(w, 1)])).is_zero(),
+                     "d([u]^[z-u]) = 0 in a radical grading")
 
         kernel_pairs = len(enumerate_basis(support, 2, z, "kernel-only"))
-        assert kernel_pairs == len(kk)
+        _require(kernel_pairs == len(kk), "kernel-only enumeration = radical wedges")
 
         inner = inner_h2_certify(spec, z, box_radius, boundary_radius,
                                  support_cap)
@@ -1500,27 +1567,55 @@ def _extended_gcd_vector(values):
     return coeffs, g
 
 
-def _omega_cocycle_scan(spec, z, support, omega, budget=10 ** 6):
+def _omega_cocycle_scan(spec, z, support, budget=10 ** 6):
     """Exhaustively verify d(omega) = 0 on 4-wedges from a prefix of the
-    support sized to the budget; returns (checked, pool size)."""
+    support sized to the budget; returns (checked, pool size).  The scan
+    runs on coordinate tuples and every value is an exact integer."""
     pool = sorted(support, key=lambda e: e.sort_key())
     while len(pool) ** 3 > budget and len(pool) > 8:
         pool = pool[: len(pool) * 9 // 10]
-    members = set(support)
-    domega = coboundary(omega, 3)
+    members = {x.coords for x in support}
+    coords = [x.coords for x in pool]
+    negs = [(-x).coords for x in pool]
+    add = spec.add_coords
     checked = 0
-    for u, v, w in itertools.combinations(pool, 3):
-        t = z - u - v - w
-        # Count each 4-set once: only when the computed factor is the
-        # largest of the four in canonical order.
-        if t not in members or any(t <= f for f in (u, v, w)):
-            continue
-        sign, wedge = Wedge.make([u, v, w, t])
-        if not sign:
-            continue
-        assert domega.value(wedge) == 0, "omega failed the cocycle condition"
-        checked += 1
+    for i, u in enumerate(coords):
+        zu = add(z.coords, negs[i])
+        for j in range(i + 1, len(pool)):
+            v = coords[j]
+            zuv = add(zu, negs[j])
+            for k in range(j + 1, len(pool)):
+                t = add(zuv, negs[k])
+                w = coords[k]
+                # Count each 4-set once: only when the computed factor is
+                # the largest of the four in canonical order.
+                if t not in members or t <= u or t <= v or t <= w:
+                    continue
+                # t exceeds the three distinct pool members: no repeats.
+                _require(_d_omega(spec, tuple(sorted((u, v, w, t)))) == 0,
+                         "d(omega) = 0")
+                checked += 1
     return checked, len(pool)
+
+
+def _d_omega(spec, key):
+    """d(omega) on the 4-wedge with this key: omega(d W), an integer,
+    with omega of a key (g_0, g_1, g_2) equal to <g_0, g_1>."""
+    pair = spec.pair_coords
+    return sum(c * pair(k[0], k[1]) for c, k in _boundary_terms(spec, key))
+
+
+def _scaled_primitive(f_num, g):
+    """g * eta([u] ^ [z-u]) for the primitive eta = -2 f(u) + 1, where
+    f(u) = f_num / g."""
+    return -2 * f_num + g
+
+
+def _scaled_d_eta(spec, key, f_num, g):
+    """g * d(eta) on the 3-wedge with this key, an integer; f_num maps
+    coordinates u to g * f(u)."""
+    return sum(c * _scaled_primitive(f_num(k[0]), g)
+               for c, k in _boundary_terms(spec, key))
 
 
 def omega_check(spec, z, box_radius=3, case1_cap=120, case2_cap=350):
@@ -1531,8 +1626,7 @@ def omega_check(spec, z, box_radius=3, case1_cap=120, case2_cap=350):
     if not z.in_kernel_mu():
         raise ValueError("omega lives in radical gradings only")
     support = box_support(spec, box_radius)
-    omega = omega_cocycle(spec, z)
-    cocycle_checked, cocycle_pool = _omega_cocycle_scan(spec, z, support, omega)
+    cocycle_checked, cocycle_pool = _omega_cocycle_scan(spec, z, support)
     params = {"spec": spec.describe()["group"], "z": list(z.coords),
               "box": box_radius}
 
@@ -1604,38 +1698,35 @@ def omega_check(spec, z, box_radius=3, case1_cap=120, case2_cap=350):
 
     # Non-torsion z: take an integer functional with f(z) = 1 (allowing
     # denominators) and set eta([u] ^ [z-u]) = -2 f(u) + 1; then
-    # d(eta) = omega on every grading-z triple.
+    # d(eta) = omega on every grading-z triple.  Scaled by g, both sides
+    # are integers.
     zfree = [z.coords[j] for j in spec.free_indices]
     coeffs, g = _extended_gcd_vector(zfree)
-    assert g > 0
+    _require(g > 0, "gcd of the free coordinates of z > 0")
 
-    def f_of(x):
-        return Fraction(sum(c * x.coords[j]
-                            for c, j in zip(coeffs, spec.free_indices)), g)
+    def f_num(x):
+        return sum(c * x[j] for c, j in zip(coeffs, spec.free_indices))
 
-    assert f_of(z) == 1
+    _require(f_num(z.coords) == g, "f(z) = 1")
 
-    def eta_rule(w):
-        if w.grading() != z:
-            raise ValueError("wedge is not graded at z")
-        return -2 * f_of(w.factors[0]) + 1
-
-    eta = Cochain(spec, 2, rule=eta_rule)
-    deta = coboundary(eta, 2)
     pool = sorted(support, key=lambda e: e.sort_key())[:case2_cap]
-    members = set(support)
+    members = {x.coords for x in support}
+    coords = [x.coords for x in pool]
+    negs = [(-x).coords for x in pool]
+    add, pair = spec.add_coords, spec.pair_coords
     checked = 0
-    for u, v in itertools.combinations(pool, 2):
-        w = z - u - v
-        # Count each 3-set once: only when the computed factor is largest.
-        if w not in members or any(w <= f for f in (u, v)):
-            continue
-        sign, wedge = Wedge.make([u, v, w])
-        if not sign:
-            continue
-        assert deta.value(wedge) == omega.value(wedge), \
-            "primitive failed d(eta) = omega"
-        checked += 1
+    for i, u in enumerate(coords):
+        zu = add(z.coords, negs[i])
+        for j in range(i + 1, len(pool)):
+            v = coords[j]
+            w = add(zu, negs[j])
+            # Count each 3-set once: only when the computed factor is largest.
+            if w not in members or w <= u or w <= v:
+                continue
+            key = tuple(sorted((u, v, w)))
+            _require(_scaled_d_eta(spec, key, f_num, g) == g * pair(key[0], key[1]),
+                     "d(eta) = omega")
+            checked += 1
     return CheckResult(
         "omega-class", params, CERTIFIED,
         {"conclusion": "class vanishes on the derived part (explicit primitive)",

@@ -1,4 +1,8 @@
-"""Shared test helpers: a pool of small validated group presentations."""
+"""Shared test helpers: a pool of small validated group presentations,
+and an independent Fraction reference for the CE differential."""
+
+import itertools
+from fractions import Fraction
 
 from goldman.groups import GroupSpec, surface_presentation
 
@@ -43,3 +47,48 @@ def spec_pool():
 def random_element(rng, spec, radius=3):
     coords = [rng.randint(-radius, radius) for _ in range(spec.n_generators)]
     return spec.canonical(coords)
+
+
+# ---------------------------------------------------------------------------
+# An independent reference for the CE differential, in Fractions, written
+# from the formula in the goldman.complexes docstring.  It shares nothing
+# with the package's integer kernel: the pairing is read off Omega~ with a
+# double loop, sums are reduced by GroupSpec.canonical, and signs come
+# from counting inversions.
+
+
+def reference_pairing(spec, x, y):
+    """<x, y> = x Omega~ y^T on canonical coordinates."""
+    om = spec.omega_tilde
+    n = spec.n_generators
+    return sum(x.coords[i] * om[i][j] * y.coords[j]
+               for i in range(n) for j in range(n))
+
+
+def reference_normalize(factors):
+    """(sign, key) of [f_1] ^ ... ^ [f_p]: the sorted coordinate tuples
+    and the parity of the sorting permutation; (0, None) on a repeat."""
+    keys = [f.coords for f in factors]
+    if len(set(keys)) < len(keys):
+        return 0, None
+    inversions = sum(1 for a, b in itertools.combinations(keys, 2) if a > b)
+    return (-1) ** inversions, tuple(sorted(keys))
+
+
+def reference_boundary(spec, factors, coeff=1):
+    """d(coeff [f_1] ^ ... ^ [f_p]) as {key: Fraction}: the sum over
+    i < j of (-1)^(i+j) <f_i, f_j> [f_i + f_j] ^ (rest), 1-based indices,
+    rest in its original order after the new factor."""
+    if not reference_normalize(factors)[0]:
+        return {}
+    out = {}
+    for i, j in itertools.combinations(range(len(factors)), 2):
+        pair = reference_pairing(spec, factors[i], factors[j])
+        total = [a + b for a, b in zip(factors[i].coords, factors[j].coords)]
+        rest = [spec.canonical(total)]
+        rest.extend(f for k, f in enumerate(factors) if k not in (i, j))
+        sign, key = reference_normalize(rest)
+        if pair and sign:
+            term = Fraction(coeff) * (-1) ** ((i + 1) + (j + 1)) * pair * sign
+            out[key] = out.get(key, 0) + term
+    return {k: v for k, v in out.items() if v}

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from goldman.complexes import (
+    _boundary_terms,
     Cochain,
     Wedge,
     WedgeChain,
@@ -21,9 +22,20 @@ from goldman.complexes import (
 )
 from goldman.groups import GroupSpec, surface_presentation
 
-from conftest import random_element, spec_pool
+from conftest import (
+    random_element,
+    reference_boundary,
+    reference_normalize,
+    spec_pool,
+    symplectic_z2,
+    z2_z2torsion,
+    z3_rank2_form,
+)
 
 POOL = spec_pool()
+# Free, surface (a dead coordinate), torsion reduction, and a rank-2 form.
+DIFFERENTIAL_SPECS = [symplectic_z2(), surface_presentation(1, 2),
+                      z2_z2torsion(), z3_rank2_form()]
 
 
 def random_wedge(rng, spec, p, radius=3, pool=None):
@@ -116,6 +128,30 @@ def test_boundary_squares_to_zero(data):
     if c is None:
         return
     assert boundary(boundary(c)).is_zero()
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_boundary_kernel_matches_reference_formula(data):
+    spec = data.draw(st.sampled_from(DIFFERENTIAL_SPECS))
+    p = data.draw(st.integers(2, 5))
+    n = spec.n_generators
+    factors = [spec.canonical(data.draw(st.lists(st.integers(-3, 3),
+                                                 min_size=n, max_size=n)))
+               for _ in range(p)]
+    sign, key = reference_normalize(factors)
+    if not sign:
+        return
+    want = reference_boundary(spec, factors)
+    # The kernel runs on the sorted key; the sorting sign carries over.
+    got = {}
+    for coeff, term in _boundary_terms(spec, key):
+        assert type(coeff) is int
+        assert list(term) == sorted(set(term)) and len(term) == p - 1
+        got[term] = got.get(term, 0) + sign * coeff
+    assert {k: v for k, v in got.items() if v} == want
+    chain = boundary(wedge_chain(spec, factors))
+    assert {w.sort_key(): c for w, c in chain.terms.items()} == want
 
 
 def test_boundary_squares_to_zero_seeded_bulk():

@@ -125,6 +125,18 @@ def test_rejects_bad_shapes():
         GroupSpec(2, form=[[0], [0]])
 
 
+@pytest.mark.parametrize("bad", [1.5, 2.7, True, 2.0])
+def test_rejects_non_integer_entries(bad):
+    # Each entry used to be truncated through int(): a form entry of 1.5
+    # became 1 and a relation of 2.7 became Z/2.
+    with pytest.raises(ValueError, match="must be an integer"):
+        GroupSpec(2, form=[[0, bad], [-1, 0]])
+    with pytest.raises(ValueError, match="must be an integer"):
+        GroupSpec(2, relations=[[bad, 0]])
+    with pytest.raises(ValueError, match="must be an integer"):
+        GroupSpec(bad)
+
+
 def test_torsion_classification():
     spec = z2_z2torsion()
     assert spec.free_rank == 2

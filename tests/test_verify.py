@@ -46,7 +46,8 @@ from goldman import (
     surface_presentation,
     wedge_chain,
 )
-from goldman import verify
+from goldman import cli, verify
+from goldman.complexes import Cochain, coboundary
 from goldman.verify import (
     CertificateError,
     InnerCertification,
@@ -56,7 +57,15 @@ from goldman.verify import (
     f_on_ordered,
 )
 
-from conftest import symplectic_z2, z3_rank2_form, z2_z2torsion, torsion_only
+from conftest import (
+    reference_boundary,
+    reference_normalize,
+    reference_pairing,
+    symplectic_z2,
+    torsion_only,
+    z2_z2torsion,
+    z3_rank2_form,
+)
 
 
 def assert_jsonable(result):
@@ -279,6 +288,145 @@ def test_homotopy_solver_recovers_true_coefficients():
                       "tail": Fraction(1)}
     fixed = ContractingHomotopy(z2, z, y, solved)
     assert all(fixed.identity_defect(w).is_zero() for w in wedges)
+
+
+# (group, derived grading) pairs: free, surface, torsion, rank-2 form.
+_HOMOTOPY_CASES = [
+    (symplectic_z2(), [2, 1]),
+    (surface_presentation(1, 2), [1, 1, 1, 0]),
+    (z2_z2torsion(), [0, 1, 1]),
+    (z3_rank2_form(), [1, 0, 1]),
+]
+_RATIONALS = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+
+
+def reference_identity_defect(spec, z, y, coefficients, w):
+    """(Phi_1 d_2 + d_3 Phi_2 - id)[u]^[v] in Fractions, from the
+    ContractingHomotopy docstring and the reference differential."""
+    u, v = w.factors
+    lam = Fraction(reference_pairing(spec, y, z))
+    co = coefficients
+    out = {}
+
+    def add(chain):
+        for key, coeff in chain.items():
+            out[key] = out.get(key, 0) + coeff
+
+    for coeff in reference_boundary(spec, [u, v]).values():
+        # d_2([u] ^ [v]) is a multiple of [z]; Phi_1 takes [z] to
+        # (phi1/lam) [y] ^ [z-y].
+        sign, key = reference_normalize([y, z - y])
+        if sign:
+            add({key: coeff * sign * co["phi1"] / lam})
+    tail = reference_pairing(spec, u - y, v - y)
+    for coeff, factors in (
+            (co["shift_first"] / lam, [y, u - y, v]),
+            (co["shift_second"] / lam, [y, u, v - y]),
+            (co["shift_both"] / (2 * lam), [2 * y, u - y, v - y]),
+            (co["tail"] * tail / (2 * lam * lam), [y, 2 * y, z - 3 * y])):
+        add(reference_boundary(spec, factors, coeff))
+    add({w.sort_key(): Fraction(-1)})
+    return {k: c for k, c in out.items() if c}
+
+
+def _defect_dict(hom, w):
+    return {t.sort_key(): c for t, c in hom.identity_defect(w).terms.items()}
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_identity_defect_matches_reference_for_any_coefficients(data):
+    spec, zc = data.draw(st.sampled_from(_HOMOTOPY_CASES))
+    z = spec.element(zc)
+    y = contracting_homotopy(spec, z).y
+    coefficients = {name: data.draw(_RATIONALS)
+                    for name in ("phi1", "shift_first", "shift_second",
+                                 "shift_both", "tail")}
+    hom = ContractingHomotopy(spec, z, y, coefficients)
+    wedges = enumerate_basis(box_support(spec, 2), 2, z, "full")
+    for w in data.draw(st.lists(st.sampled_from(wedges), min_size=1, max_size=6)):
+        assert _defect_dict(hom, w) == reference_identity_defect(
+            spec, z, y, hom.coefficients, w)
+
+
+@pytest.mark.parametrize("case", range(len(_HOMOTOPY_CASES)))
+def test_perturbed_homotopy_leaves_a_defect(case):
+    spec, zc = _HOMOTOPY_CASES[case]
+    z = spec.element(zc)
+    y = contracting_homotopy(spec, z).y
+    exact = ContractingHomotopy(spec, z, y)
+    # Phi_1 d_2 alone moves with phi1: a wedge with <u, v> != 0 gains
+    # -delta <u, v> / lam [y] ^ [z-y], which nothing else can cancel.
+    perturbed = ContractingHomotopy(spec, z, y, {"phi1": Fraction(-4, 3)})
+    assert 2 * y != z
+    wedges = enumerate_basis(box_support(spec, 2), 2, z, "full")
+    moved = 0
+    for w in wedges:
+        assert _defect_dict(exact, w) == {}
+        assert reference_identity_defect(spec, z, y, exact.coefficients, w) == {}
+        want = reference_identity_defect(spec, z, y, perturbed.coefficients, w)
+        assert _defect_dict(perturbed, w) == want
+        if reference_pairing(spec, *w.factors):
+            assert want
+            moved += 1
+    assert moved
+
+
+# (group, radical grading) pairs: the origin of Z^2, a boundary class,
+# a torsion grading, and the free radical direction of Z^3.
+_OMEGA_CASES = [
+    (symplectic_z2(), [0, 0]),
+    (surface_presentation(1, 2), [0, 0, 1, 0]),
+    (z2_z2torsion(), [0, 0, 1]),
+    (z3_rank2_form(), [0, 0, 2]),
+]
+
+
+def _draw_wedge(data, spec, z, p):
+    """Distinct factors summing to z, sorted, or None on a repeat."""
+    n = spec.n_generators
+    factors = [spec.canonical(data.draw(st.lists(st.integers(-3, 3),
+                                                 min_size=n, max_size=n)))
+               for _ in range(p - 1)]
+    last = z
+    for f in factors:
+        last = last - f
+    factors.append(last)
+    sign, key = reference_normalize(factors)
+    return (sorted(factors), key) if sign else (None, None)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_integer_omega_and_eta_values_match_coboundaries(data):
+    spec, zc = data.draw(st.sampled_from(_OMEGA_CASES))
+    z = spec.element(zc)
+    factors, key = _draw_wedge(data, spec, z, 4)
+    if factors is not None:
+        wedge = wedge_chain(spec, factors).wedges()[0]
+        want = coboundary(omega_cocycle(spec, z), 3).value(wedge)
+        reference = sum(
+            c * reference_pairing(spec, spec.canonical(k[0]), spec.canonical(k[1]))
+            for k, c in reference_boundary(spec, factors).items())
+        assert verify._d_omega(spec, key) == want == reference == 0
+    if z.is_torsion():
+        return
+    # eta([a] ^ [b]) = -2 f(a) + 1 for f(x) = <z, x>_free / |z|^2, so f(z) = 1.
+    free = spec.free_indices
+    g = sum(z.coords[j] ** 2 for j in free)
+
+    def f_num(x):
+        return sum(z.coords[j] * x[j] for j in free)
+
+    eta = Cochain(spec, 2,
+                  rule=lambda w: Fraction(-2 * f_num(w.factors[0].coords), g) + 1)
+    factors, key = _draw_wedge(data, spec, z, 3)
+    if factors is None:
+        return
+    wedge = wedge_chain(spec, factors).wedges()[0]
+    got = verify._scaled_d_eta(spec, key, f_num, g)
+    assert got == g * coboundary(eta, 2).value(wedge)
+    assert got == g * reference_pairing(spec, factors[0], factors[1])
 
 
 # ---------------------------------------------------------------------------
@@ -524,6 +672,62 @@ def test_corrupted_inner_witness_is_refuted_under_python_O(tmp_path):
     assert entry["verdict"] == "refuted"
     assert entry["details"]["failed_identity"] == "d(witness) = G(u, v)"
     assert report["summary"]["certified"] == 0
+
+
+_WRONG_PRIMITIVE = """
+import sys
+from goldman import verify
+from goldman.cli import main
+
+if not sys.flags.optimize:
+    sys.exit("run with python -O")
+# A wrong primitive: eta([u]^[z-u]) = -3 f(u) + 1.
+verify._scaled_primitive = lambda f_num, g: -3 * f_num + g
+sys.exit(main(["verify", "--suite", "omega", "--spec", sys.argv[1],
+               "--grading", "0,0,1", "--box", "2", "--format", "json"]))
+"""
+
+
+def test_wrong_omega_primitive_is_refuted_under_python_O(tmp_path):
+    script = tmp_path / "wrong_primitive.py"
+    script.write_text(_WRONG_PRIMITIVE)
+    group = tmp_path / "z3.json"
+    group.write_text(json.dumps(
+        {"generators": 3, "form": [[0, 1, 0], [-1, 0, 0], [0, 0, 0]]}))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(verify.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", str(script), str(group)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 1, proc.stderr
+    report = json.loads(proc.stdout)
+    (entry,) = report["results"]
+    assert entry["check"] == "omega-class"
+    assert entry["verdict"] == "refuted"
+    assert entry["details"]["failed_identity"] == "d(eta) = omega"
+    assert report["summary"]["certified"] == 0
+
+
+def test_outer_and_omega_suites_report_failed_identities(monkeypatch):
+    z2 = symplectic_z2()
+    phi2 = ContractingHomotopy.phi2
+    monkeypatch.setattr(ContractingHomotopy, "phi2", lambda self, c: 2 * phi2(self, c))
+    (entry,) = cli.run_outer_suite(z2, [z2.element([1, 0])], 1, 3)
+    assert entry.verdict == "refuted"
+    assert entry.details == {"failed_identity": "d(Phi_2(c)) = c"}
+    assert entry.params == {"spec": "Z^2", "z": [1, 0], "box": 1}
+
+    monkeypatch.setattr(verify, "_d_omega", lambda spec, key: 1)
+    (entry,) = cli.run_omega_suite(z2, [z2.zero], 2, 3)
+    assert entry.verdict == "refuted"
+    assert entry.details == {"failed_identity": "d(omega) = 0"}
+
+
+def test_main_theorem_rechecks_radical_cycles(monkeypatch):
+    s = surface_presentation(1, 2)
+    monkeypatch.setattr(verify, "boundary", lambda c: wedge_chain(s, [s.zero]))
+    with pytest.raises(CertificateError) as info:
+        main_theorem_check(s, [s.element([0, 0, 1, 0])], 1)
+    assert info.value.identity == "d([u]^[z-u]) = 0 in a radical grading"
 
 
 def test_corrupted_inner_witness_raises_certificate_error(monkeypatch):
