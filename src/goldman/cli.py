@@ -30,8 +30,8 @@ elements.  Suites that sweep gradings cap the sweep (the cap is recorded
 in the report); explicit vectors are always run in full.
 
 Reports are deterministic for a fixed config and seed: no timestamps,
-dictionary output is key-sorted, and worker count does not affect
-ordering.  Exit status: 0 when nothing failed, 2 when some check was
+dictionary output is key-sorted, and suites run one after another in a
+fixed order.  Exit status: 0 when nothing failed, 2 when some check was
 inconclusive at the truncation, 1 on a refuted check or any error.
 """
 
@@ -39,7 +39,6 @@ import argparse
 import json
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from .algebra import AlgebraVector, bracket
@@ -315,15 +314,20 @@ def _skip(check, note):
     return CheckResult(check, {}, NOT_APPLICABLE, {"note": note})
 
 
-def _certify_or_refute(check, certify, spec, z, box):
-    """certify(spec, z, box), or a refuted entry naming the identity
-    that failed its re-check."""
+def _certify_or_refute(check, params, certify, *args):
+    """certify(*args), or a refuted entry with the params built by
+    ``params()`` naming the identity that failed its re-check."""
     try:
-        return certify(spec, z, box)
+        return certify(*args)
     except CertificateError as exc:
-        return CheckResult(
-            check, {"spec": spec.describe()["group"], "z": list(z.coords), "box": box},
-            REFUTED, {"failed_identity": exc.identity})
+        return CheckResult(check, params(), REFUTED, {"failed_identity": exc.identity})
+
+
+def _graded(check, certify, spec, z, box):
+    """_certify_or_refute for a certify(spec, z, box) on one grading."""
+    return _certify_or_refute(
+        check, lambda: {"spec": spec.describe()["group"], "z": list(z.coords), "box": box},
+        certify, spec, z, box)
 
 
 def run_inner_suite(spec, gradings, box, enlarge):
@@ -342,7 +346,7 @@ def run_inner_suite(spec, gradings, box, enlarge):
             "inner-isomorphism", {"box": box}, NOT_APPLICABLE,
             {"note": "grading outside the capped support; enlarge the box",
              "skipped_gradings": skipped, "effective_radius": eff}))
-    out.extend(_certify_or_refute("inner-isomorphism", _inner_entry, spec, z, box)
+    out.extend(_graded("inner-isomorphism", _inner_entry, spec, z, box)
                for z in zs if list(z.coords) not in skipped)
     return out
 
@@ -359,7 +363,7 @@ def run_outer_suite(spec, gradings, box, enlarge):
     zs = [z for z in gradings if z.is_derived_element()]
     if not zs:
         return [_skip("outer-exactness", "no derived gradings selected")]
-    return [_certify_or_refute("outer-exactness", outer_h2_certify, spec, z, box)
+    return [_graded("outer-exactness", outer_h2_certify, spec, z, box)
             for z in zs]
 
 
@@ -380,7 +384,7 @@ def run_omega_suite(spec, gradings, box, enlarge):
     zs = [z for z in gradings if z.in_kernel_mu()]
     if not zs:
         return [_skip("omega-class", "no radical gradings selected")]
-    return [_certify_or_refute("omega-class", omega_check, spec, z, box)
+    return [_graded("omega-class", omega_check, spec, z, box)
             for z in zs]
 
 
@@ -394,7 +398,10 @@ def run_surface_suite(source, box):
         return [_skip("surface-generators",
                       "needs a --surface group (boundary classes are read off g, r)")]
     g, r = source["surface"]["genus"], source["surface"]["boundary"]
-    return [surface_generator_check(g, r, box_radius=box)]
+    return [_certify_or_refute(
+        "surface-generators",
+        lambda: {"genus": g, "boundary_components": r, "z": [0] * (2 * g + r), "box": box},
+        surface_generator_check, g, r, None, box)]
 
 
 def run_linext_suite(spec, box, seed):
@@ -402,7 +409,7 @@ def run_linext_suite(spec, box, seed):
 
 
 def build_verify_tasks(spec, source, args, selection):
-    """One callable per suite; results keep submission order under --jobs."""
+    """One callable per suite, in report order."""
     suites = SUITES if args.suite == "all" else (args.suite,)
     tasks = []
     notes = {}
@@ -444,14 +451,6 @@ def build_verify_tasks(spec, source, args, selection):
         elif name == "linext":
             tasks.append((name, lambda: run_linext_suite(spec, args.box, args.seed)))
     return tasks, notes
-
-
-def execute_tasks(tasks, jobs):
-    if jobs <= 1:
-        return [(name, fn()) for name, fn in tasks]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        futures = [(name, pool.submit(fn)) for name, fn in tasks]
-        return [(name, f.result()) for name, f in futures]
 
 
 # ---------------------------------------------------------------------------
@@ -642,10 +641,9 @@ def cmd_verify(args):
     spec, source = load_spec(args)
     selection, label = parse_gradings(spec, args.grading)
     tasks, notes = build_verify_tasks(spec, source, args, selection)
-    collected = execute_tasks(tasks, args.jobs)
     dicts = []
-    for _, results in collected:
-        dicts.extend(r.to_dict() for r in results)
+    for _, run in tasks:
+        dicts.extend(r.to_dict() for r in run())
     summary = summarize(dicts)
     report = {
         "command": "verify",
@@ -693,8 +691,6 @@ def build_parser():
                        help="seed for sampled checks (default 0)")
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--out", metavar="PATH", help="write the report here")
-        p.add_argument("--jobs", type=int, default=1, metavar="N",
-                       help="worker threads for independent suites (default 1)")
 
     common(sub.add_parser("validate", help="check a group file and print its structure"))
     common(sub.add_parser("homology", help="truncated H2 table per grading"))
@@ -708,8 +704,8 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.box < 1 or args.enlarge < 1 or args.jobs < 1:
-            raise UsageError("--box, --enlarge and --jobs must be at least 1")
+        if args.box < 1 or args.enlarge < 1:
+            raise UsageError("--box and --enlarge must be at least 1")
         if args.command == "validate":
             return cmd_validate(args)
         if args.command == "homology":

@@ -498,8 +498,12 @@ class GroupSpec:
         return total
 
     def element(self, coords):
-        """Build an element from original-generator coordinates."""
-        coords = list(coords)
+        """Build an element from original-generator coordinates.
+
+        Every coordinate must be an int (bools and floats such as 1.5 or
+        2.0 raise ValueError, never truncate).
+        """
+        coords = [_strict_int(c, "coords[%d]" % i) for i, c in enumerate(coords)]
         if len(coords) != self.n_generators:
             raise ValueError("expected %d coordinates" % self.n_generators)
         v = self._v
@@ -508,8 +512,9 @@ class GroupSpec:
         return self._reduce(canon)
 
     def canonical(self, coords):
-        """Build an element directly from canonical coordinates."""
-        coords = list(int(c) for c in coords)
+        """Build an element directly from canonical coordinates (ints
+        only, as for ``element``)."""
+        coords = [_strict_int(c, "coords[%d]" % i) for i, c in enumerate(coords)]
         if len(coords) != self.n_generators:
             raise ValueError("expected %d coordinates" % self.n_generators)
         return self._reduce(coords)

@@ -36,6 +36,15 @@ witnesses.  The certification patterns are:
   the witnesses, the column matrix behind boundary witnesses and
   in_span, and the f-image and box-image ranks.
 
+  Pairs (u, v) are tried in a fixed order, by weight sum and then by
+  sort key, generated lazily one weight level at a time.  A greedy pass
+  over a fixed order keeps the same independent set whatever
+  elimination decides independence, so the span's reduced echelon form
+  changes the cost of the search and not the columns it keeps.  In
+  degree 2, f([u] ^ [z-u]) = 1 (x) u is the integer coordinate vector
+  of u in H / Zz, a coordinate read with no determinant, and the scan
+  of f over boundaries sums those vectors over integer boundary terms.
+
 * Outer gradings (z not in ker mu).  A contracting homotopy (Phi_1,
   Phi_2) built from any y with <y, z> != 0 satisfies
   Phi_1 d_2 + d_3 Phi_2 = id on the whole graded slice, verified wedge
@@ -66,6 +75,7 @@ CertificateError, naming the failed identity, and is not an assert, so
 it also runs under ``python -O``.
 """
 
+import heapq
 import itertools
 import math
 import random
@@ -74,7 +84,6 @@ from fractions import Fraction
 from goldman.algebra import AlgebraVector, in_gk
 from goldman.complexes import (
     Cochain,
-    Wedge,
     WedgeChain,
     _boundary_terms,
     _sort_sign,
@@ -246,29 +255,39 @@ class QuotientTensorSpace:
         snf = smith_normal_form(rows, n_cols=n)
         free = [j for j, d in enumerate(snf.diagonal) if d == 0]
         self.dim = len(free)
-        # proj(x) = (lift(x) V')_free; relation-lattice vectors have zero
-        # free coordinates, so this is well defined on H.
-        self._proj_cols = [[snf.V[i][j] for i in range(n)] for j in free]
+        # proj(x) = (lift(x) V')_free with lift(x) = coords(x) V^{-1} of
+        # the group; relation-lattice vectors have zero free coordinates,
+        # so this is well defined on H.  Both maps are integer, so their
+        # product acts on canonical coordinates directly.
+        lift = spec._v_inv
+        self._proj_cols = [
+            tuple(sum(lift[i][k] * snf.V[k][j] for k in range(n)) for i in range(n))
+            for j in free]
         vinv = _int_inverse(snf.V)
         self.basis_lifts = [spec.element(vinv[j]) for j in free]
-        assert all(v == 0 for v in self.proj(z)), "z survived its own quotient"
-        for t, E in zip(range(self.dim), self.basis_lifts):
-            image = self.proj(E)
-            assert all(image[s] == (1 if s == t else 0) for s in range(self.dim))
+        _require(not any(self.proj(z)), "z survived its own quotient")
+        for t, E in enumerate(self.basis_lifts):
+            _require(self.proj(E) == tuple(int(s == t) for s in range(self.dim)),
+                     "basis lifts map to the standard basis")
 
     def proj(self, x):
-        """The image of x in Q (x) (H / Zz), a tuple of Fractions."""
-        lift = x.lift()
-        return tuple(
-            Fraction(sum(lift[i] * col[i] for i in range(len(lift)) if lift[i]))
-            for col in self._proj_cols)
+        """The image of x in Q (x) (H / Zz), a tuple of ints."""
+        return self.proj_coords(x.coords)
+
+    def proj_coords(self, coords):
+        """proj of the element with these canonical coordinates."""
+        return tuple(sum(c * a for c, a in zip(coords, col) if c)
+                     for col in self._proj_cols)
 
     def wedge_image(self, elements):
         """The image of u_1 ^ ... ^ u_m in wedge^m of the quotient.
 
         Returned as a map from strictly increasing index tuples to the
-        corresponding minor of the coordinate matrix.
+        corresponding minor of the coordinate matrix.  For one factor
+        (f in degree 2) the minors are the coordinates of its image.
         """
+        if len(elements) == 1:
+            return {(j,): v for j, v in enumerate(self.proj(elements[0])) if v}
         vectors = [self.proj(u) for u in elements]
         m = len(vectors)
         out = {}
@@ -494,7 +513,7 @@ def ideal_membership(c, box_elements, enlarge=3):
             (u, v), gen = generators[col]
             witness.append([frac_str(coeff), list(u.coords), list(v.coords)])
             recon = recon + coeff * gen
-    assert recon == c, "ideal witness failed re-expansion"
+    _require(recon == c, "the ideal witness re-expands to the chain")
     return True, {"witness": witness, "generators_tried": len(generators)}
 
 
@@ -713,58 +732,103 @@ _SPAN_MODULUS = (1 << 61) - 1
 
 
 class _IncrementalSpan:
-    """Column echelon that accepts one sparse column at a time.
+    """Reduced column echelon that accepts one sparse column at a time.
 
     The field is fixed at construction: exact Fractions when
     ``modulus`` is None, else the integers modulo the prime ``modulus``
     (columns must then have int entries).
+
+    ``pivots`` maps each pivot row r to the tail of its basis vector:
+    the vector is 1 at r, 0 at every other pivot row, and the tail holds
+    its entries on non-pivot rows.  ``_users`` maps each non-pivot row
+    to the pivot rows whose tails use it.  A column is then reduced with
+    one tail subtraction per pivot row it touches, and an accepted
+    column is eliminated from the tails that use its pivot row.
     """
 
-    __slots__ = ("modulus", "pivots")
+    __slots__ = ("modulus", "pivots", "_users")
 
     def __init__(self, modulus=None):
         self.modulus = modulus
         self.pivots = {}
+        self._users = {}
 
     def insert(self, vec):
         """Reduce vec (dict row -> coefficient) and keep it if independent."""
         p = self.modulus
-        if p is None:
-            vec = {k: v for k, v in vec.items() if v}
-        else:
-            vec = {k: v % p for k, v in vec.items() if v % p}
         pivots = self.pivots
-        while vec:
-            r = min(vec)
-            pivot = pivots.get(r)
-            if pivot is None:
-                if p is None:
-                    inv = Fraction(1) / vec[r]
-                    pivots[r] = {k: v * inv for k, v in vec.items()}
+        acc = {}
+        for k, c in vec.items():
+            tail = pivots.get(k)
+            if tail is None:
+                acc[k] = acc.get(k, 0) + c
+            elif c:
+                for r, t in tail.items():
+                    acc[r] = acc.get(r, 0) - c * t
+        if p is None:
+            acc = {r: v for r, v in acc.items() if v}
+        else:
+            acc = {r: m for r, v in acc.items() if (m := v % p)}
+        if not acc:
+            return False
+        # The heaviest row: rows are indexed heavy first, so a column
+        # [u+v]-[u]-[v] usually pivots on a row no tail uses yet.
+        r = min(acc)
+        lead = acc.pop(r)
+        if p is None:
+            inv = Fraction(1) / lead
+            new = {s: v * inv for s, v in acc.items()}
+        else:
+            inv = pow(lead, -1, p)
+            new = {s: v * inv % p for s, v in acc.items()}
+        users = self._users
+        for k in users.pop(r, ()):
+            tail = pivots[k]
+            t = tail.pop(r)
+            for s, v in new.items():
+                x = tail.get(s, 0) - t * v
+                if p is not None:
+                    x %= p
+                if x:
+                    tail[s] = x
+                    users.setdefault(s, set()).add(k)
                 else:
-                    inv = pow(vec[r], -1, p)
-                    pivots[r] = {k: v * inv % p for k, v in vec.items()}
-                return True
-            factor = vec[r]
-            if p is None:
-                for k, v in pivot.items():
-                    acc = vec.get(k, 0) - factor * v
-                    if acc:
-                        vec[k] = acc
-                    else:
-                        vec.pop(k, None)
-            else:
-                for k, v in pivot.items():
-                    acc = (vec.get(k, 0) - factor * v) % p
-                    if acc:
-                        vec[k] = acc
-                    else:
-                        vec.pop(k, None)
-        return False
+                    del tail[s]
+                    users[s].discard(k)
+        pivots[r] = new
+        for s in new:
+            users.setdefault(s, set()).add(r)
+        return True
 
     @property
     def rank(self):
         return len(self.pivots)
+
+
+def _pair_order(weights):
+    """Index pairs (i, j), i <= j, in the order of (w_i + w_j, i, j).
+
+    ``weights`` must be non-decreasing (elements in ``sort_key`` order,
+    where the index order is the key order).  Pairs are produced one
+    weight-sum level at a time from the runs of equal weight, so a
+    consumer that stops early never pays for the rest.
+    """
+    runs = {}
+    for i, w in enumerate(weights):
+        start, _ = runs.get(w, (i, i))
+        runs[w] = (start, i + 1)
+    levels = sorted(runs)
+    for total in sorted({a + b for a in levels for b in levels if a <= b}):
+        for a in levels:
+            b = total - a
+            if b < a:
+                break
+            if b not in runs:
+                continue
+            (a_start, a_stop), (b_start, b_stop) = runs[a], runs[b]
+            for i in range(a_start, a_stop):
+                for j in range(max(i, b_start), b_stop):
+                    yield i, j
 
 
 class InnerCertification:
@@ -867,26 +931,20 @@ class InnerCertification:
         for x in self.support:
             if not x.is_derived_element():
                 continue
-            vec = {j: Fraction(v) for j, v in enumerate(self.qspace.proj(x)) if v}
-            box_span.insert(vec)
+            box_span.insert(dict(enumerate(self.qspace.proj(x))))
         self.box_image_rank = box_span.rank
 
         self.target_rank = len(self.wedges) - self.f_rank
-        weights = {x: x.weight() for x in elements}
-        keys = {x: x.sort_key() for x in elements}
-        pair_order = sorted(
-            ((i, j) for j in range(len(elements)) for i in range(j + 1)),
-            key=lambda ij: (weights[elements[ij[0]]] + weights[elements[ij[1]]],
-                            keys[elements[ij[0]]], keys[elements[ij[1]]]))
+        weights = [x.weight() for x in elements]
 
         # Search mod p first: the mod-p rank never exceeds the rational
         # one, so reaching target_rank certifies; only a shortfall needs
         # the exact pass.
         self.columns, self.rank = self._column_pass(
-            elements, pair_order, probes, _SPAN_MODULUS)
+            elements, _pair_order(weights), probes, _SPAN_MODULUS)
         if self.rank < self.target_rank:
             self.columns, self.rank = self._column_pass(
-                elements, pair_order, probes, None)
+                elements, _pair_order(weights), probes, None)
 
         self.matrix = SparseRationalMatrix(len(self.wedges), len(self.columns))
         for col, (gen, _) in enumerate(self.columns):
@@ -923,31 +981,36 @@ class InnerCertification:
         """Greedy boundary columns G(u, v) over pair_order until the span
         (over the field ``modulus`` picks) reaches target_rank.
 
-        Candidates are integer vectors over W; only accepted ones get
-        an exact chain and a witness.  Returns ([(gen, witness)], rank).
+        Candidates are integer vectors over W, built on coordinate
+        tuples; only accepted ones get group elements, an exact chain and
+        a witness.  Returns ([(gen, witness)], rank).
         """
         spec, z, index = self.spec, self.z, self.index
+        add, zc = spec.add_coords, z.coords
+        rows = {w.sort_key(): i for w, i in index.items()}
         v_rows = {}
 
         def v_row(x):
             # [x] ^ [z-x] as (row in W or None, sign); sign 0 when x = z-x.
-            if x not in v_rows:
-                sign, w = Wedge.make((x, z - x))
-                v_rows[x] = (index.get(w), sign)
-            return v_rows[x]
+            got = v_rows.get(x)
+            if got is None:
+                sign, key = _sort_sign((x, add(zc, tuple(-c for c in x))))
+                got = v_rows[x] = (rows.get(key), sign)
+            return got
 
         # u and v are factors of W, so [u]^[z-u] and [v]^[z-v] are rows;
         # only [u+v]^[z-u-v] can leave span(W), and then the column is
         # skipped (a degenerate one contributes nothing).
-        own_rows = [v_row(x) for x in elements]
+        coords = [x.coords for x in elements]
+        own_rows = [v_row(x) for x in coords]
+        target = self.target_rank
         columns = []
         vectors = []
         span = _IncrementalSpan(modulus)
         for i, j in pair_order:
-            if span.rank >= self.target_rank:
+            if len(span.pivots) >= target:
                 break
-            u, v = elements[i], elements[j]
-            row, sign = v_row(u + v)
+            row, sign = v_row(add(coords[i], coords[j]))
             if sign and row is None:
                 continue
             vec = {row: sign} if sign else {}
@@ -959,6 +1022,7 @@ class InnerCertification:
                     del vec[r]
             if not vec or not span.insert(vec):
                 continue
+            u, v = elements[i], elements[j]
             witness = self._witness_for(u, v, probes)
             if witness is None:
                 # The pair is independent but has no boundary witness in
@@ -1007,9 +1071,14 @@ class InnerCertification:
     def scan_f_kills_boundaries(self, sample_cap=2000):
         """Check f(d(w)) = 0 for degree-3 derived wedges on the boundary
         box: exhaustive when the box is small, else a deterministic
-        leading sample.  Returns (checked, exhaustive)."""
-        radius = _capped_radius(self.spec, self.boundary_radius, 20000)
-        support = [x for x in box_support(self.spec, radius)
+        leading sample.  Returns (checked, exhaustive).
+
+        The scan runs on wedge keys: f of a 2-wedge key (a, b) is the
+        integer coordinate vector proj(a), so f(d(w)) is an integer sum
+        over ``_boundary_terms``."""
+        spec = self.spec
+        radius = _capped_radius(spec, self.boundary_radius, 20000)
+        support = [x for x in box_support(spec, radius)
                    if x.is_derived_element()]
         exhaustive = len(support) ** 2 <= 400000
         checked = 0
@@ -1017,19 +1086,24 @@ class InnerCertification:
             pool = support
         else:
             pool = sorted(support, key=lambda e: e.sort_key())[:63]
-        members = set(support)
+        members = {x.coords for x in support}
+        add, zc = spec.add_coords, self.z.coords
+        proj = self.qspace.proj_coords
+        negs = [tuple(-c for c in x.coords) for x in pool]
         seen = set()
-        for u, v in itertools.combinations(pool, 2):
-            w = self.z - u - v
+        for (i, u), (j, v) in itertools.combinations(enumerate(x.coords for x in pool), 2):
+            w = add(add(zc, negs[i]), negs[j])
             if w not in members or w == u or w == v:
                 continue
-            sign, wedge = Wedge.make([u, v, w])
-            if not sign or wedge in seen:
+            _, key = _sort_sign((u, v, w))
+            if key in seen:
                 continue
-            seen.add(wedge)
-            chain = boundary(WedgeChain(self.spec, 3, [(wedge, 1)]))
-            if not chain.is_zero():
-                _require(f_map(chain, self.qspace).is_zero(), "f(d(w)) = 0")
+            seen.add(key)
+            total = [0] * self.qspace.dim
+            for coeff, (a, _) in _boundary_terms(spec, key):
+                for t, x in enumerate(proj(a)):
+                    total[t] += coeff * x
+            _require(not any(total), "f(d(w)) = 0")
             checked += 1
             if not exhaustive and checked >= sample_cap:
                 break
@@ -1057,13 +1131,10 @@ def outer_h2_certify(spec, z, box_radius, y_count=2, max_cycle_witnesses=5):
     support = box_support(spec, box_radius)
     wedges = enumerate_basis(support, 2, z, "full")
 
-    ys = []
-    for cand in sorted(box_support(spec, max(box_radius, 1)),
-                       key=lambda e: e.sort_key()):
-        if spec.pairing(cand, z) != 0:
-            ys.append(cand)
-        if len(ys) >= y_count:
-            break
+    y_box = support if box_radius >= 1 else box_support(spec, 1)
+    pair, zc = spec.pair_coords, z.coords
+    ys = heapq.nsmallest(y_count, (y for y in y_box if pair(y.coords, zc)),
+                         key=lambda e: e.sort_key())
     if not ys:
         raise ValueError("no y with <y, z> != 0 in the box")
 
@@ -1369,7 +1440,7 @@ def surface_generator_check(g, r, z=None, box_radius=2):
         vec = qspace.proj(x)
         images.append({"class": name,
                        "image": [frac_str(v) for v in vec]})
-        span.insert({j: Fraction(v) for j, v in enumerate(vec) if v})
+        span.insert(dict(enumerate(vec)))
     span_ok = span.rank == qspace.dim
 
     a_g = gens[2 * (g - 1)]
@@ -1394,8 +1465,8 @@ def surface_generator_check(g, r, z=None, box_radius=2):
                   + wedge_chain(spec, [a_g, z - a_g]))
                  - (wedge_chain(spec, [c_j - b_g, z - c_j + b_g])
                     + wedge_chain(spec, [b_g, z - b_g])))
-        assert f_map(delta, qspace).is_zero(), \
-            "derived decompositions differ in the quotient"
+        _require(f_map(delta, qspace).is_zero(),
+                 "derived decompositions agree in the quotient")
         if inner is None:
             inner = inner_h2_certify(spec, z, max(box_radius, 2))
         witness = inner.boundary_witness(delta)

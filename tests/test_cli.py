@@ -282,14 +282,10 @@ def test_reports_are_byte_identical(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_jobs_do_not_change_the_report(tmp_path, capsys):
-    base = ["verify", "--suite", "all", "--surface", "1,0", "--box", "2",
-            "--seed", "5", "--format", "json"]
-    a, b = tmp_path / "a.json", tmp_path / "b.json"
-    assert main(base + ["--out", str(a)]) == 0
-    assert main(base + ["--jobs", "4", "--out", str(b)]) == 0
-    capsys.readouterr()
-    assert a.read_bytes() == b.read_bytes()
+def test_jobs_flag_is_gone(capsys):
+    code, _, err = run(capsys, "verify", "--suite", "bracket", "--surface", "1,0",
+                       "--jobs", "2")
+    assert code == 1 and "--jobs" in err
 
 
 def test_text_format_deterministic(tmp_path, capsys):

@@ -137,6 +137,16 @@ def test_rejects_non_integer_entries(bad):
         GroupSpec(bad)
 
 
+@pytest.mark.parametrize("bad", [1.5, 2.0, True])
+def test_elements_reject_non_integer_coordinates(bad):
+    # A non-int coordinate raises; it is neither kept nor truncated.
+    spec = GroupSpec(2, form=[[0, 1], [-1, 0]])
+    with pytest.raises(ValueError, match="must be an integer"):
+        spec.element([bad, 0])
+    with pytest.raises(ValueError, match="must be an integer"):
+        spec.canonical([0, bad])
+
+
 def test_torsion_classification():
     spec = z2_z2torsion()
     assert spec.free_rank == 2

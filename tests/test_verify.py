@@ -54,6 +54,7 @@ from goldman.verify import (
     _IncrementalSpan,
     _SPAN_MODULUS,
     _ideal_generator,
+    _pair_order,
     f_on_ordered,
 )
 
@@ -111,6 +112,14 @@ def test_quotient_projection_additive():
         y = s12.element([rng.randint(-4, 4) for _ in range(4)])
         px, py, ps = q.proj(x), q.proj(y), q.proj(x + y)
         assert all(a + b == c for a, b, c in zip(px, py, ps))
+
+
+def test_quotient_projection_is_integer():
+    for spec, z in ((symplectic_z2(), [0, 0]), (z2_z2torsion(), [1, 2, 1]),
+                    (surface_presentation(1, 2), [0, 0, 1, 0])):
+        q = QuotientTensorSpace(spec, spec.element(z))
+        for x in box_support(spec, 2):
+            assert all(type(v) is int for v in q.proj(x))
 
 
 def test_f_map_degree_two_is_first_factor_image():
@@ -503,6 +512,18 @@ def test_inner_f_scan_exhaustive_on_small_box():
     assert checked > 100
 
 
+def test_inner_f_scan_rechecks_every_boundary(monkeypatch):
+    # A projection that is not additive makes f(d(w)) nonzero somewhere.
+    z2 = symplectic_z2()
+    inner = inner_h2_certify(z2, z2.zero, 2)
+    proj = QuotientTensorSpace.proj_coords
+    monkeypatch.setattr(QuotientTensorSpace, "proj_coords",
+                        lambda self, c: tuple(v * v for v in proj(self, c)))
+    with pytest.raises(CertificateError) as info:
+        inner.scan_f_kills_boundaries()
+    assert info.value.identity == "f(d(w)) = 0"
+
+
 # ---------------------------------------------------------------------------
 # The modular column span and its exact fallback
 
@@ -524,6 +545,116 @@ def test_modular_span_matches_exact_span(columns):
     for col in columns:
         assert modular.insert(col) == exact.insert(col)
     assert modular.rank == exact.rank
+
+
+class _FractionEchelon:
+    """Plain Gaussian elimination over Fractions, the reference for the
+    reduced echelon of _IncrementalSpan."""
+
+    def __init__(self):
+        self.rows = []
+
+    def reduce(self, col):
+        vec = {k: Fraction(v) for k, v in col.items() if v}
+        for pivot, basis in self.rows:
+            c = vec.get(pivot)
+            if c:
+                for k, b in basis.items():
+                    x = vec.get(k, 0) - c * b
+                    if x:
+                        vec[k] = x
+                    else:
+                        vec.pop(k, None)
+        return vec
+
+    def add(self, vec):
+        pivot = min(vec)
+        inv = 1 / vec[pivot]
+        self.rows.append((pivot, {k: v * inv for k, v in vec.items()}))
+
+    def insert(self, col):
+        vec = self.reduce(col)
+        if vec:
+            self.add(vec)
+        return bool(vec)
+
+
+@given(sparse_columns)
+@settings(max_examples=200, deadline=None)
+def test_reduced_echelon_matches_fraction_elimination(columns):
+    # The same minor bound as above keeps the mod-p decisions exact.
+    reference = _FractionEchelon()
+    spans = [_IncrementalSpan(), _IncrementalSpan(_SPAN_MODULUS)]
+    for col in columns:
+        expected = reference.insert(col)
+        assert [span.insert(col) for span in spans] == [expected, expected]
+    for span in spans:
+        assert span.rank == len(reference.rows)
+        # Reduced: no tail touches a pivot row, and the index lists
+        # exactly the pivots whose tails use each row.
+        users = {}
+        for r, tail in span.pivots.items():
+            assert not set(tail) & set(span.pivots)
+            assert all(tail.values())
+            for s in tail:
+                users.setdefault(s, set()).add(r)
+        assert {s: u for s, u in span._users.items() if u} == users
+
+
+@given(st.lists(st.integers(0, 4), max_size=12))
+@settings(max_examples=200, deadline=None)
+def test_pair_order_is_the_sorted_pair_order(weights):
+    weights = sorted(weights)
+    n = len(weights)
+    expected = sorted(((i, j) for j in range(n) for i in range(j + 1)),
+                      key=lambda ij: (weights[ij[0]] + weights[ij[1]], ij[0], ij[1]))
+    assert list(_pair_order(weights)) == expected
+
+
+def test_pair_order_edge_cases():
+    assert list(_pair_order([])) == []
+    assert list(_pair_order([3])) == [(0, 0)]
+    assert list(_pair_order([1, 1])) == [(0, 0), (0, 1), (1, 1)]
+
+
+def _reference_columns(inner):
+    """The greedy columns of the inner pass, over the fully sorted pair
+    list with today's key and exact elimination."""
+    spec, z = inner.spec, inner.z
+    elements = sorted({f for w in inner.wedges for f in w.factors},
+                      key=lambda e: e.sort_key())
+    n = len(elements)
+    pairs = sorted(((i, j) for j in range(n) for i in range(j + 1)),
+                   key=lambda ij: (elements[ij[0]].weight() + elements[ij[1]].weight(),
+                                   elements[ij[0]].sort_key(),
+                                   elements[ij[1]].sort_key()))
+    probes = [x for x in sorted(inner.support, key=lambda e: e.sort_key())
+              if x != spec.zero][:80]
+    span = _FractionEchelon()
+    columns = []
+    for i, j in pairs:
+        if len(span.rows) >= inner.target_rank:
+            break
+        u, v = elements[i], elements[j]
+        gen = _ideal_generator(spec, z, u, v)
+        if gen.is_zero() or any(w not in inner.index for w in gen.terms):
+            continue
+        vec = span.reduce({inner.index[w]: c for w, c in gen.terms.items()})
+        if vec and inner._witness_for(u, v, probes) is not None:
+            span.add(vec)
+            columns.append(gen)
+    return columns
+
+
+@pytest.mark.parametrize("spec, box", [
+    (symplectic_z2(), 4),
+    (z2_z2torsion(), 2),
+    (surface_presentation(1, 2), 2),
+], ids=["z2-box4", "z2+z/2-box2", "surface12-box2"])
+def test_inner_columns_match_the_sorted_reference_greedy(spec, box):
+    inner = inner_h2_certify(spec, spec.zero, box)
+    assert inner.result.verdict == CERTIFIED
+    assert [gen for gen, _ in inner.columns] == _reference_columns(inner)
 
 
 def _record_passes(monkeypatch):
@@ -704,6 +835,44 @@ def test_wrong_omega_primitive_is_refuted_under_python_O(tmp_path):
     assert entry["check"] == "omega-class"
     assert entry["verdict"] == "refuted"
     assert entry["details"]["failed_identity"] == "d(eta) = omega"
+    assert report["summary"]["certified"] == 0
+
+
+_CORRUPT_PROJ = """
+import sys
+from goldman import verify
+from goldman.cli import main
+
+if not sys.flags.optimize:
+    sys.exit("run with python -O")
+proj = verify.QuotientTensorSpace.proj
+
+def corrupted(self, x):
+    # One coordinate off by one: z no longer dies in its own quotient.
+    image = proj(self, x)
+    return (image[0] + 1,) + image[1:]
+
+verify.QuotientTensorSpace.proj = corrupted
+sys.exit(main(["verify", "--suite", "surface", "--surface", "1,2",
+               "--box", "1", "--format", "json"]))
+"""
+
+
+def test_corrupted_projection_is_refuted_under_python_O(tmp_path):
+    script = tmp_path / "corrupt_proj.py"
+    script.write_text(_CORRUPT_PROJ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(verify.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", str(script)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 1, proc.stderr
+    report = json.loads(proc.stdout)
+    (entry,) = report["results"]
+    assert entry["check"] == "surface-generators"
+    assert entry["verdict"] == "refuted"
+    assert entry["details"]["failed_identity"] == "z survived its own quotient"
+    assert entry["params"] == {"genus": 1, "boundary_components": 2,
+                               "z": [0, 0, 0, 0], "box": 1}
     assert report["summary"]["certified"] == 0
 
 
