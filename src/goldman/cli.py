@@ -36,6 +36,7 @@ inconclusive at the truncation, 1 on a refuted check or any error.
 """
 
 import argparse
+import itertools
 import json
 import random
 import sys
@@ -185,35 +186,35 @@ def parse_gradings(spec, grading_args):
 
 
 def default_gradings(spec, radius, cap=8):
-    """Zero, then small radical elements, then the smallest derived ones."""
-    box = box_support(spec, radius)
-    members = set(box)
-    picks = [spec.zero]
+    """Zero, then small radical elements, then the smallest derived
+    ones; the first ``cap`` of them."""
+    return resolve_selection(spec, None, radius, (cap,))[cap][0]
+
+
+def resolve_selection(spec, selection, radius, caps):
+    """Turn the parse_gradings result into {cap: (picks, capped)}, one
+    capped element list per cap in ``caps``.
+
+    The default and all-in-box selections sort the box once for every
+    cap; each cap takes a prefix of that order.  The default order is
+    the zero, the radical generators g and 2g that lie in the box (four
+    elements at most), then the derived elements by sort key; it is
+    capped only when the radical head alone exceeds the cap.
+    """
+    if not caps or selection not in (None, "all-in-box"):
+        return {cap: (list(selection), False) for cap in caps}
+    ordered = sorted(box_support(spec, radius), key=lambda e: e.sort_key())
+    if selection == "all-in-box":
+        return {cap: (ordered[:cap], len(ordered) > cap) for cap in caps}
+    head = [spec.zero]
     for g in spec.kernel_basis_elements():
         for cand in (g, g + g):
-            if cand in members and cand not in picks and len(picks) < 4:
-                picks.append(cand)
-    for x in sorted(box, key=lambda e: e.sort_key()):
-        if len(picks) >= cap:
-            break
-        if x.is_derived_element() and x not in picks:
-            picks.append(x)
-    return picks
-
-
-def resolve_selection(spec, selection, radius, cap):
-    """Turn the parse_gradings result into a concrete capped element list."""
-    capped = False
-    if selection is None:
-        picks = default_gradings(spec, radius, cap=cap or 8)
-    elif selection == "all-in-box":
-        picks = sorted(box_support(spec, radius), key=lambda e: e.sort_key())
-    else:
-        return list(selection), False
-    if cap is not None and len(picks) > cap:
-        picks = picks[:cap]
-        capped = True
-    return picks, capped
+            inside = all(abs(cand.coords[j]) <= radius for j in spec.free_indices)
+            if inside and cand not in head and len(head) < 4:
+                head.append(cand)
+    derived = (x for x in ordered if x.is_derived_element())
+    picks = head + list(itertools.islice(derived, max(max(caps) - len(head), 0)))
+    return {cap: (picks[:cap], len(head) > cap) for cap in caps}
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +331,7 @@ def _graded(check, certify, spec, z, box):
         certify, spec, z, box)
 
 
-def run_inner_suite(spec, gradings, box, enlarge):
+def run_inner_suite(spec, gradings, box):
     zs = [z for z in gradings if z.in_kernel_mu()]
     if not zs:
         return [_skip("inner-isomorphism", "no radical gradings selected")]
@@ -359,7 +360,7 @@ def _inner_entry(spec, z, box):
     return inner.result
 
 
-def run_outer_suite(spec, gradings, box, enlarge):
+def run_outer_suite(spec, gradings, box):
     zs = [z for z in gradings if z.is_derived_element()]
     if not zs:
         return [_skip("outer-exactness", "no derived gradings selected")]
@@ -367,7 +368,7 @@ def run_outer_suite(spec, gradings, box, enlarge):
             for z in zs]
 
 
-def run_gk_suite(spec, gradings, box, enlarge):
+def run_gk_suite(spec, gradings, box):
     u = next((x for x in sorted(box_support(spec, box), key=lambda e: e.sort_key())
               if x.is_derived_element()), None)
     if u is None:
@@ -375,10 +376,12 @@ def run_gk_suite(spec, gradings, box, enlarge):
     zs = [z for z in gradings if z.in_kernel_mu()]
     if not zs:
         zs = [spec.zero]
-    return [gk_cycle_check(spec, u, z, box) for z in zs]
+    return [_certify_or_refute(
+        "gk-cycle", lambda z=z: {"u": list(u.coords), "z": list(z.coords), "box": box},
+        gk_cycle_check, spec, u, z, box) for z in zs]
 
 
-def run_omega_suite(spec, gradings, box, enlarge):
+def run_omega_suite(spec, gradings, box):
     if spec.mu_is_zero():
         return [_skip("omega-class", "the form vanishes; omega is identically zero")]
     zs = [z for z in gradings if z.in_kernel_mu()]
@@ -388,12 +391,16 @@ def run_omega_suite(spec, gradings, box, enlarge):
             for z in zs]
 
 
-def run_h1_suite(spec, gradings, box, enlarge, capped):
-    selected = gradings if capped or gradings is not None else None
-    return [h1_check(spec, box, gradings=selected, enlarge=enlarge)]
+def run_h1_suite(spec, gradings, box, enlarge):
+    """h1 on the given gradings, or on the whole box when None."""
+    count = len(gradings) if gradings is not None else _box_size(spec, box)
+    return [_certify_or_refute(
+        "h1-center",
+        lambda: {"spec": spec.describe()["group"], "box": box, "gradings": count},
+        h1_check, spec, box, gradings, enlarge)]
 
 
-def run_surface_suite(source, box):
+def run_surface_suite(source, box, enlarge):
     if "surface" not in source:
         return [_skip("surface-generators",
                       "needs a --surface group (boundary classes are read off g, r)")]
@@ -401,56 +408,48 @@ def run_surface_suite(source, box):
     return [_certify_or_refute(
         "surface-generators",
         lambda: {"genus": g, "boundary_components": r, "z": [0] * (2 * g + r), "box": box},
-        surface_generator_check, g, r, None, box)]
+        surface_generator_check, g, r, None, box, enlarge)]
 
 
 def run_linext_suite(spec, box, seed):
-    return [linear_extension_check(spec, box, trials=120, seed=seed)]
+    return [_certify_or_refute(
+        "linear-extension",
+        lambda: {"spec": spec.describe()["group"], "box": box, "trials": 120, "seed": seed},
+        linear_extension_check, spec, box, 120, seed)]
 
 
 def build_verify_tasks(spec, source, args, selection):
-    """One callable per suite, in report order."""
+    """One callable per suite, in report order, and the report notes.
+
+    The gradings of every sweeping suite come from one resolve_selection
+    call, so the box is sorted once per run.
+    """
     suites = SUITES if args.suite == "all" else (args.suite,)
-    tasks = []
-    notes = {}
-    for name in suites:
-        cap = SWEEP_CAPS.get(name)
-        if name in ("inner", "outer", "omega", "gk"):
-            picks, capped = resolve_selection(spec, selection, args.box, cap)
-            if capped:
-                notes[name] = {"gradings_capped_at": cap}
-        if name == "bracket":
-            tasks.append((name, lambda: [run_bracket_suite(spec, args.seed)]))
-        elif name == "complex":
-            tasks.append((name, lambda: [run_complex_suite(spec, args.seed)]))
-        elif name == "inner":
-            tasks.append((name, lambda p=picks: run_inner_suite(
-                spec, p, args.box, args.enlarge)))
-        elif name == "outer":
-            tasks.append((name, lambda p=picks: run_outer_suite(
-                spec, p, args.box, args.enlarge)))
-        elif name == "gk":
-            tasks.append((name, lambda p=picks: run_gk_suite(
-                spec, p, args.box, args.enlarge)))
-        elif name == "omega":
-            tasks.append((name, lambda p=picks: run_omega_suite(
-                spec, p, args.box, args.enlarge)))
-        elif name == "h1":
-            cap_h1 = SWEEP_CAPS["h1"]
-            if selection in (None, "all-in-box") and _box_size(spec, args.box) > cap_h1:
-                h1_picks, _ = resolve_selection(spec, selection, args.box, cap_h1)
-                notes[name] = {"gradings_capped_at": cap_h1}
-                tasks.append((name, lambda p=h1_picks: run_h1_suite(
-                    spec, p, args.box, args.enlarge, True)))
-            else:
-                explicit = None if selection in (None, "all-in-box") else list(selection)
-                tasks.append((name, lambda p=explicit: run_h1_suite(
-                    spec, p, args.box, args.enlarge, False)))
-        elif name == "surface":
-            tasks.append((name, lambda: run_surface_suite(source, args.box)))
-        elif name == "linext":
-            tasks.append((name, lambda: run_linext_suite(spec, args.box, args.seed)))
-    return tasks, notes
+    swept = selection in (None, "all-in-box")
+    # h1 sweeps the whole box unless the box outgrows its cap.
+    h1_capped = swept and _box_size(spec, args.box) > SWEEP_CAPS["h1"]
+    caps = {name: SWEEP_CAPS[name] for name in suites
+            if name in ("inner", "outer", "omega", "gk")
+            or (name == "h1" and h1_capped)}
+    resolved = resolve_selection(spec, selection, args.box, set(caps.values()))
+    picks, notes = {}, {}
+    for name, cap in caps.items():
+        picks[name], capped = resolved[cap]
+        if capped or name == "h1":
+            notes[name] = {"gradings_capped_at": cap}
+    h1_gradings = picks.get("h1", None if swept else list(selection))
+    runners = {
+        "bracket": lambda: [run_bracket_suite(spec, args.seed)],
+        "complex": lambda: [run_complex_suite(spec, args.seed)],
+        "inner": lambda: run_inner_suite(spec, picks["inner"], args.box),
+        "outer": lambda: run_outer_suite(spec, picks["outer"], args.box),
+        "gk": lambda: run_gk_suite(spec, picks["gk"], args.box),
+        "omega": lambda: run_omega_suite(spec, picks["omega"], args.box),
+        "h1": lambda: run_h1_suite(spec, h1_gradings, args.box, args.enlarge),
+        "surface": lambda: run_surface_suite(source, args.box, args.enlarge),
+        "linext": lambda: run_linext_suite(spec, args.box, args.seed),
+    }
+    return [(name, runners[name]) for name in suites], notes
 
 
 # ---------------------------------------------------------------------------
@@ -617,7 +616,7 @@ def _homology_row(result):
 def cmd_homology(args):
     spec, source = load_spec(args)
     selection, label = parse_gradings(spec, args.grading)
-    gradings, capped = resolve_selection(spec, selection, args.box, cap=64)
+    gradings, capped = resolve_selection(spec, selection, args.box, (64,))[64]
     results = main_theorem_check(spec, gradings, args.box)
     dicts = [r.to_dict() for r in results]
     summary = summarize(dicts)

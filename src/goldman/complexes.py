@@ -55,6 +55,7 @@ __all__ = [
     "boundary",
     "coboundary",
     "grading",
+    "enumerate_keys",
     "enumerate_basis",
     "box_support",
     "project_derived",
@@ -67,6 +68,20 @@ def _sort_sign(factors):
     Works on anything ordered, group elements or their coordinate
     tuples alike (both sort lexicographically on coordinates).
     """
+    if len(factors) == 3:
+        # Unrolled for the commonest length (the Phi_2 terms of the
+        # outer scan): a three-comparison sorting network.
+        a, b, c = factors
+        sign = 1
+        if b < a:
+            a, b, sign = b, a, -1
+        if c < b:
+            b, c, sign = c, b, -sign
+            if b < a:
+                a, b, sign = b, a, -sign
+        if a == b or b == c:
+            return 0, None
+        return sign, (a, b, c)
     factors = list(factors)
     sign = 1
     # Insertion sort; factor lists have length <= 5 throughout.
@@ -263,7 +278,26 @@ def _boundary_terms(spec, key):
     """
     pair, add = spec.pair_coords, spec.add_coords
     p = len(key)
+    # Degrees 2 and 3, the ones the outer homotopy scan differentiates,
+    # are the loop below unrolled.
+    if p == 2:
+        a, b = key
+        coeff = pair(a, b)
+        return [(-coeff, (add(a, b),))] if coeff else []
     out = []
+    if p == 3:
+        # -<a,b>[a+b]^[c] + <a,c>[a+c]^[b] - <b,c>[b+c]^[a], each sum
+        # moved to its sorted place.
+        a, b, c = key
+        for coeff, x, y, rest in ((-pair(a, b), a, b, c), (pair(a, c), a, c, b),
+                                  (-pair(b, c), b, c, a)):
+            if coeff:
+                total = add(x, y)
+                if total < rest:
+                    out.append((coeff, (total, rest)))
+                elif rest < total:
+                    out.append((-coeff, (rest, total)))
+        return out
     for i in range(p - 1):
         a = key[i]
         head = key[:i]
@@ -382,14 +416,48 @@ def coboundary(eta, p):
     return Cochain(eta.spec, p + 1, rule=rule)
 
 
+def enumerate_keys(spec, pool, p, z):
+    """Keys of all degree-p wedges with factors in ``pool`` and grading z.
+
+    ``pool`` is an ascending list of distinct canonical coordinate
+    tuples and z a coordinate tuple; a key is the ascending tuple of a
+    wedge's factors (``Wedge.sort_key``).  The last factor of each wedge
+    is determined by the grading, so the walk runs over (p-1)-subsets
+    of the pool, in lexicographic order: the keys come out ascending.
+    This is the one basis enumerator; ``enumerate_basis`` wraps its keys
+    into wedges, and the outer scan runs on the keys directly.
+    """
+    if p < 1:
+        raise ValueError("need degree >= 1")
+    index = {x: i for i, x in enumerate(pool)}
+    if p == 1:
+        return [(z,)] if z in index else []
+    sub = spec.sub_coords
+    out = []
+
+    def walk(start, remaining, prefix):
+        if len(prefix) < p - 2:
+            for i in range(start, len(pool)):
+                walk(i + 1, sub(remaining, pool[i]), prefix + (pool[i],))
+            return
+        # The last free choice: the remaining factor is determined.
+        for i in range(start, len(pool)):
+            last = sub(remaining, pool[i])
+            j = index.get(last)
+            if j is not None and j > i:
+                out.append(prefix + (pool[i], last))
+
+    walk(0, z, ())
+    return out
+
+
 def enumerate_basis(support, p, z, restrict="full"):
     """All degree-p wedges with factors in ``support`` and grading z.
 
     ``restrict`` filters the support first: "full" keeps everything,
     "derived-only" keeps labels pairing nonzero with something, and
-    "kernel-only" keeps the radical.  The last factor of each wedge is
-    determined by the grading, so enumeration walks (p-1)-subsets.
-    Output is sorted by factor coordinates.
+    "kernel-only" keeps the radical.  Output is sorted by factor
+    coordinates; the keys come from ``enumerate_keys``.
     """
     if restrict == "full":
         pool = list(support)
@@ -400,34 +468,9 @@ def enumerate_basis(support, p, z, restrict="full"):
     else:
         raise ValueError("unknown restriction %r" % (restrict,))
     pool.sort()
-    index = {x.coords: i for i, x in enumerate(pool)}
-    out = []
-
-    if p < 1:
-        raise ValueError("need degree >= 1")
-    if p == 1:
-        if z.coords in index:
-            out.append(Wedge([z]))
-        return out
-
-    negs = [(-x).coords for x in pool]
-    add = z.spec.add_coords
-    prefix = []
-
-    def walk(start, remaining):
-        if len(prefix) == p - 1:
-            last = index.get(remaining)
-            if last is not None and last > prefix[-1]:
-                out.append(Wedge([pool[i] for i in prefix] + [pool[last]]))
-            return
-        for i in range(start, len(pool)):
-            prefix.append(i)
-            walk(i + 1, add(remaining, negs[i]))
-            prefix.pop()
-
-    walk(0, z.coords)
-    out.sort(key=lambda w: w.sort_key())
-    return out
+    element = {x.coords: x for x in pool}
+    return [Wedge([element[x] for x in key])
+            for key in enumerate_keys(z.spec, list(element), p, z.coords)]
 
 
 def box_support(spec, radius):

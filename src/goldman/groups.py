@@ -42,7 +42,7 @@ True
 """
 
 from fractions import Fraction
-from operator import add as _add
+from operator import add as _add, sub as _sub
 
 __all__ = [
     "smith_normal_form",
@@ -486,6 +486,15 @@ class GroupSpec:
         if not self.torsion:
             return tuple(map(_add, a, b))
         total = list(map(_add, a, b))
+        for j, d in self.torsion:
+            total[j] %= d
+        return tuple(total)
+
+    def sub_coords(self, a, b):
+        """The canonical coordinates of a - b, from canonical coordinates."""
+        if not self.torsion:
+            return tuple(map(_sub, a, b))
+        total = list(map(_sub, a, b))
         for j, d in self.torsion:
             total[j] %= d
         return tuple(total)

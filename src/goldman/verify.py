@@ -54,6 +54,12 @@ witnesses.  The certification patterns are:
   term of D (Phi_1 d_2 + d_3 Phi_2 - id)(w) is an integer.  The check
   sums those terms in one integer dict over wedge keys (sorted tuples
   of coordinate tuples) and tests it for zero, which is exact over Z.
+  The scan walks the keys (u, z-u) of the slice and builds no wedge
+  objects for them.  Each distinct boundary is computed once, while
+  every wedge is still checked in full: d_2 of a key once per grading
+  (both y's and the cycle space share it), d_3 of the tail wedge once
+  per homotopy, and d_3 of a shift term once for the two wedges whose
+  Phi_2 contains it.
 
 * The degree-3 cocycle omega([u],[v],[z-u-v]) = <u, v>.  For torsion z
   the existence of a primitive eta is an affine system over box wedges;
@@ -70,9 +76,8 @@ a too-small box can hide boundaries but never fabricate them, so a
 missing witness is reported as inconclusive rather than as a
 refutation.  Every certified verdict carries witnesses that have been
 re-verified by direct expansion before the result is returned.  The
-re-verification of inner, outer and omega certificates raises
-CertificateError, naming the failed identity, and is not an assert, so
-it also runs under ``python -O``.
+re-verification raises CertificateError, naming the failed identity,
+and is not an assert, so it also runs under ``python -O``.
 """
 
 import heapq
@@ -91,6 +96,7 @@ from goldman.complexes import (
     boundary,
     box_support,
     enumerate_basis,
+    enumerate_keys,
     project_derived,
     wedge_chain,
 )
@@ -544,17 +550,26 @@ class ContractingHomotopy:
 
     With the default coefficients Phi_1 d_2 + d_3 Phi_2 = id holds on
     every basis wedge of the slice; ``identity_defect`` measures the
-    failure for any coefficient choice.
+    failure for any coefficient choice, and ``key_defect`` is the same
+    measurement on a wedge key.
 
     The five rational factors in front of the wedges are scaled by
     ``scale``, the lcm of their denominators, so the operators are
     evaluated on integer coefficients over wedge keys (sorted tuples of
     coordinate tuples) and divided by ``scale`` only when a chain is
     returned.
+
+    d_3 of a Phi_2 term depends only on its key, so a scan of the slice
+    computes each distinct one once.  The tail wedge is the same for
+    every [u] ^ [v]; its boundary is taken at construction and only
+    rescaled per wedge.  The first term of (u, v), [y] ^ [u-y] ^ [v], is
+    the second term of (u-y, v+y), so the two shift terms keep their
+    boundaries in ``_shared`` until that one reuse and then drop them,
+    which keeps the dict small.
     """
 
     __slots__ = ("spec", "z", "y", "lam", "coefficients", "scale", "_scaled",
-                 "_y2c", "_negyc", "_phi1_term", "_tail_term")
+                 "_y2c", "_phi1_term", "_tail_term", "_tail_d3", "_shared")
 
     def __init__(self, spec, z, y, coefficients=None):
         if z.in_kernel_mu():
@@ -575,9 +590,12 @@ class ContractingHomotopy:
                    co["tail"] / (2 * lam * lam))
         self.scale = math.lcm(*(q.denominator for q in factors))
         self._scaled = tuple((q * self.scale).numerator for q in factors)
-        self._y2c, self._negyc = (2 * y).coords, (-y).coords
+        self._y2c = (2 * y).coords
         self._phi1_term = _sort_sign((y.coords, (z - y).coords))
         self._tail_term = _sort_sign((y.coords, self._y2c, (z - 3 * y).coords))
+        sign, key = self._tail_term
+        self._tail_d3 = _boundary_terms(spec, key) if sign else []
+        self._shared = {}
 
     def _key(self, w):
         """The key (u, v) of a grading-z 2-wedge."""
@@ -598,8 +616,8 @@ class ContractingHomotopy:
         spec = self.spec
         _, first, second, both, tail = self._scaled
         y = self.y.coords
-        uy = spec.add_coords(u, self._negyc)
-        vy = spec.add_coords(v, self._negyc)
+        uy = spec.sub_coords(u, y)
+        vy = spec.sub_coords(v, y)
         out = []
         for coeff, factors in ((first, (y, uy, v)),
                                (second, (y, u, vy)),
@@ -614,23 +632,30 @@ class ContractingHomotopy:
                 out.append((sign * tail * pair, key))
         return out
 
-    def _scaled_image(self, key):
+    def _d3(self, key3):
+        """_boundary_terms of a Phi_2 term.  The shift terms are the
+        ones with the factor [y]; a [2y]^[u-y]^[v-y] term has it only
+        when it is the tail."""
+        if key3 == self._tail_term[1]:
+            return self._tail_d3
+        if self.y.coords not in key3:
+            return _boundary_terms(self.spec, key3)
+        terms = self._shared.pop(key3, None)
+        if terms is None:
+            terms = self._shared[key3] = _boundary_terms(self.spec, key3)
+        return terms
+
+    def _scaled_image(self, key, d2):
         """scale * (Phi_1 d_2 + d_3 Phi_2) of the wedge with key (u, v),
-        as {key: integer}."""
-        spec = self.spec
+        as {key: integer}, some entries possibly zero; ``d2`` is the [z]
+        coefficient of d_2 of the wedge."""
         acc = {}
         sign, phi1_key = self._phi1_term
-        if sign and self._scaled[0]:
-            # d_2([u] ^ [v]) is a multiple of [z].
-            for coeff, _ in _boundary_terms(spec, key):
-                acc[phi1_key] = sign * self._scaled[0] * coeff
+        if sign and self._scaled[0] and d2:
+            acc[phi1_key] = sign * self._scaled[0] * d2
         for coeff, key3 in self._scaled_phi2(*key):
-            for bc, key2 in _boundary_terms(spec, key3):
-                total = acc.get(key2, 0) + coeff * bc
-                if total:
-                    acc[key2] = total
-                else:
-                    del acc[key2]
+            for bc, key2 in self._d3(key3):
+                acc[key2] = acc.get(key2, 0) + coeff * bc
         return acc
 
     def phi1(self, c):
@@ -653,17 +678,28 @@ class ContractingHomotopy:
                 acc[key] = acc.get(key, 0) + coeff * scaled
         return self._chain(acc, 3)
 
-    def identity_defect(self, w):
-        """(Phi_1 d_2 + d_3 Phi_2 - id) of a basis wedge, exactly.
+    def key_defect(self, key, d2=None):
+        """scale * (Phi_1 d_2 + d_3 Phi_2 - id) of the grading-z wedge
+        with key (u, v), as {key: nonzero integer}.
 
-        Every term of scale times the defect is an integer, so the sum
-        is taken in one integer dict and is zero exactly when the
-        identity holds on w.
+        Every term is an integer, so the sum is exact and the dict is
+        empty exactly when the identity holds on the wedge.  ``d2``, the
+        [z] coefficient of d_2 of the wedge, is computed when not given.
         """
-        key = self._key(w)
-        acc = self._scaled_image(key)
+        if d2 is None:
+            d2 = _d2_coefficient(self.spec, key)
+        acc = self._scaled_image(key, d2)
         acc[key] = acc.get(key, 0) - self.scale
-        return self._chain(acc, 2)
+        return {k: c for k, c in acc.items() if c}
+
+    def identity_defect(self, w):
+        """(Phi_1 d_2 + d_3 Phi_2 - id) of a basis wedge, exactly."""
+        return self._chain(self.key_defect(self._key(w)), 2)
+
+
+def _d2_coefficient(spec, key):
+    """The [z] coefficient of d_2 of the 2-wedge with this key."""
+    return sum(coeff for coeff, _ in _boundary_terms(spec, key))
 
 
 def contracting_homotopy(spec, z, y=None, coefficients=None, search_radius=2):
@@ -697,8 +733,11 @@ def solve_homotopy_coefficients(spec, z, y, wedges):
     contributions = {}
     for w in wedges:
         key = w.sort_key()
+        d2 = _d2_coefficient(spec, key)
         for name, hom in pieces.items():
-            for term, coeff in hom._scaled_image(key).items():
+            for term, coeff in hom._scaled_image(key, d2).items():
+                if not coeff:
+                    continue
                 row = (key, term)
                 row_keys.setdefault(row, len(row_keys))
                 bucket = contributions.setdefault(row, {})
@@ -1125,11 +1164,17 @@ def outer_h2_certify(spec, z, box_radius, y_count=2, max_cycle_witnesses=5):
     """Certify H_2 = 0 in the outer grading z: the homotopy identity per
     basis wedge for ``y_count`` choices of y.  The identity bounds every
     cycle at once (d Phi2 c = c - Phi1 d c = c when d c = 0), so only a
-    sample of cycle basis vectors gets an explicit serialized witness."""
+    sample of cycle basis vectors gets an explicit serialized witness.
+
+    The scan runs on wedge keys; wedges are built only for the witness
+    columns and on the coefficient-fit path."""
     if z.in_kernel_mu():
         raise ValueError("outer certification needs z outside ker mu")
     support = box_support(spec, box_radius)
-    wedges = enumerate_basis(support, 2, z, "full")
+    keys = enumerate_keys(spec, [x.coords for x in support], 2, z.coords)
+    # d_2([u] ^ [v]) = -<u, v> [z], one coefficient per wedge, shared by
+    # every y and by the cycle space below.
+    d2s = [_d2_coefficient(spec, key) for key in keys]
 
     y_box = support if box_radius >= 1 else box_support(spec, 1)
     pair, zc = spec.pair_coords, z.coords
@@ -1138,19 +1183,21 @@ def outer_h2_certify(spec, z, box_radius, y_count=2, max_cycle_witnesses=5):
     if not ys:
         raise ValueError("no y with <y, z> != 0 in the box")
 
+    def holds(hom):
+        return not any(hom.key_defect(key, d2) for key, d2 in zip(keys, d2s))
+
     corrections = {}
     per_y = []
     for y in ys:
         hom = ContractingHomotopy(spec, z, y)
-        defects = [w for w in wedges if not hom.identity_defect(w).is_zero()]
-        entry = {"y": list(y.coords), "wedges_checked": len(wedges),
-                 "identity_holds": not defects}
-        if defects:
-            solved, _ = solve_homotopy_coefficients(spec, z, y, wedges)
+        entry = {"y": list(y.coords), "wedges_checked": len(keys),
+                 "identity_holds": holds(hom)}
+        if not entry["identity_holds"]:
+            solved, _ = solve_homotopy_coefficients(
+                spec, z, y, [_wedge_of(spec, key) for key in keys])
             if solved is not None:
                 hom = ContractingHomotopy(spec, z, y, solved)
-                still = [w for w in wedges if not hom.identity_defect(w).is_zero()]
-                if not still:
+                if holds(hom):
                     corrections[str(list(y.coords))] = {
                         k: frac_str(v) for k, v in sorted(solved.items())}
                     entry["identity_holds"] = True
@@ -1170,29 +1217,27 @@ def outer_h2_certify(spec, z, box_radius, y_count=2, max_cycle_witnesses=5):
     # space misses one dimension whenever some wedge hits it.  A dense
     # kernel basis would be quadratic in the wedge count; sparse pair
     # vectors against the pivot column are enough for the samples.
-    # d_2([u] ^ [v]) = -<u, v> [z].
-    coeffs = [-spec.pair_coords(*w.sort_key()) for w in wedges]
-    pivot = next((col for col, coeff in enumerate(coeffs) if coeff), None)
-    cycle_dim = len(wedges) - (1 if pivot is not None else 0)
+    pivot = next((col for col, d2 in enumerate(d2s) if d2), None)
+    cycle_dim = len(keys) - (1 if pivot is not None else 0)
 
     hom = per_y[0][0]
     witnesses = []
-    for col in range(len(wedges)):
+    for col in range(len(keys)):
         if len(witnesses) >= max_cycle_witnesses:
             break
         if col == pivot:
             continue
-        c = WedgeChain(spec, 2, [(wedges[col], 1)])
-        if coeffs[col]:
-            c = c - Fraction(coeffs[col], coeffs[pivot]) * WedgeChain(
-                spec, 2, [(wedges[pivot], 1)])
+        c = WedgeChain(spec, 2, [(_wedge_of(spec, keys[col]), 1)])
+        if d2s[col]:
+            c = c - Fraction(d2s[col], d2s[pivot]) * WedgeChain(
+                spec, 2, [(_wedge_of(spec, keys[pivot]), 1)])
         x = hom.phi2(c)
         _require(boundary(x) == c, "d(Phi_2(c)) = c")
         witnesses.append({"cycle": serialize_chain(c),
                           "preimage": serialize_chain(x)})
 
     details = {
-        "wedges": len(wedges),
+        "wedges": len(keys),
         "cycle_dim": cycle_dim,
         "bounded_cycles": cycle_dim,
         "h2_dim": 0,
@@ -1378,7 +1423,7 @@ def gk_cycle_check(spec, u, z, box_radius=3):
                 INCONCLUSIVE,
                 {"note": "no boundary witness for the radical-grading part",
                  "factors_in_gk": factors_in_gk, "is_cycle": is_cycle})
-        assert boundary(piece) == part_z
+        _require(boundary(piece) == part_z, "d(witness) = radical-grading part")
         witness = witness + piece
         remaining = remaining - part_z
         grading_notes.append({"grading": list(z.coords),
@@ -1388,9 +1433,9 @@ def gk_cycle_check(spec, u, z, box_radius=3):
         g = some.grading()
         part = remaining.graded_part(g)
         hom = contracting_homotopy(spec, g, search_radius=radius)
-        assert boundary(part).is_zero(), "shifted part is not a cycle"
+        _require(boundary(part).is_zero(), "shifted part is a cycle")
         piece = hom.phi2(part)
-        assert boundary(piece) == part
+        _require(boundary(piece) == part, "d(Phi_2(part)) = part")
         witness = witness + piece
         remaining = remaining - part
         grading_notes.append({"grading": list(g.coords),
@@ -1414,7 +1459,7 @@ def gk_cycle_check(spec, u, z, box_radius=3):
 # Surface generator classes
 
 
-def surface_generator_check(g, r, z=None, box_radius=2):
+def surface_generator_check(g, r, z=None, box_radius=2, enlarge=3):
     """The generator wedges [x] ^ [z-x] of a surface group span the
     inner homology slice, and each boundary-class decomposition
 
@@ -1422,7 +1467,8 @@ def surface_generator_check(g, r, z=None, box_radius=2):
 
     is exactly one relation generator, with the homology-level equality
     witnessed by an explicit boundary between the two derived
-    decompositions (through A_g and through B_g)."""
+    decompositions (through A_g and through B_g).  ``enlarge`` bounds
+    the generator pool of the ideal-membership solve."""
     if g < 1:
         raise ValueError("the decomposition uses A_g; need genus >= 1")
     spec = surface_presentation(g, r)
@@ -1454,7 +1500,7 @@ def surface_generator_check(g, r, z=None, box_radius=2):
         diff = (wedge_chain(spec, [c_j, z - c_j])
                 - wedge_chain(spec, [c_j - a_g, z - c_j + a_g])
                 - wedge_chain(spec, [a_g, z - a_g]))
-        status, evidence = ideal_membership(diff, box)
+        status, evidence = ideal_membership(diff, box, enlarge)
         entry = {"class": names[2 * g + j],
                  "ideal_member": bool(status),
                  "ideal_witness": evidence.get("witness")}
@@ -1494,6 +1540,15 @@ def surface_generator_check(g, r, z=None, box_radius=2):
 # The linear extension lemma
 
 
+def _integer_functional(spec, coeffs):
+    """x -> sum of coeffs times the free coordinates of x."""
+    free = spec.free_indices
+
+    def f(x):
+        return sum(c * x.coords[j] for c, j in zip(coeffs, free))
+    return f
+
+
 def linear_extension_check(spec, box_radius=2, trials=100, seed=0):
     """Additivity on nonzero-pairing pairs extends linearly: sampled
     integer functionals pass the hypothesis, the conclusions, and the
@@ -1522,12 +1577,6 @@ def linear_extension_check(spec, box_radius=2, trials=100, seed=0):
     zero_pairs = [(u, v) for u in pool for v in pool
                   if spec.pairing(u, v) == 0 and (u + v).is_derived_element()]
 
-    def functional(coeffs):
-        free = spec.free_indices
-        def f(x):
-            return sum(c * x.coords[j] for c, j in zip(coeffs, free))
-        return f
-
     def probe_for(u, v):
         s = u + v
         for x in probe_box:
@@ -1540,12 +1589,12 @@ def linear_extension_check(spec, box_radius=2, trials=100, seed=0):
                "chain_sum": 0, "chain_negation": 0}
     for _ in range(trials):
         coeffs = [rng.randint(-5, 5) for _ in spec.free_indices]
-        f = functional(coeffs)
+        f = _integer_functional(spec, coeffs)
         for u, v in rng.sample(hot_pairs, min(40, len(hot_pairs))):
-            assert f(u + v) == f(u) + f(v)
+            _require(f(u + v) == f(u) + f(v), "f(u+v) = f(u) + f(v) when <u, v> != 0")
             checked["hypothesis"] += 1
         for u, v in rng.sample(zero_pairs, min(20, len(zero_pairs))):
-            assert f(u + v) == f(u) + f(v)
+            _require(f(u + v) == f(u) + f(v), "f(u+v) = f(u) + f(v) when <u, v> = 0")
             checked["additive"] += 1
             x = probe_for(u, v)
             if x is not None:
@@ -1553,23 +1602,23 @@ def linear_extension_check(spec, box_radius=2, trials=100, seed=0):
                 # f(u+v) = f(u+v+x) - f(x), f(u+v+x) = f(u) + f(v+x),
                 # f(v+x) = f(v) + f(x).
                 derived_value = (f(u) + (f(v) + f(x))) - f(x)
-                assert derived_value == f(u + v)
+                _require(derived_value == f(u + v), "f(u+v) re-derived through a probe")
                 checked["chain_sum"] += 1
         for _ in range(10):
             u = pool[rng.randrange(len(pool))]
             n = rng.choice([-3, -2, -1, 2, 3])
-            assert f(n * u) == n * f(u)
+            _require(f(n * u) == n * f(u), "f(n u) = n f(u)")
             checked["scaling"] += 1
         u = pool[rng.randrange(len(pool))]
         x = next((x for x in probe_box if spec.pairing(u, x) != 0), None)
         if x is not None:
             # f(-u) = f(x) - f(u+x): valid since <-u, u+x> = -<u, x> != 0.
-            assert f(x) - f(u + x) == f(-u)
+            _require(f(x) - f(u + x) == f(-u), "f(-u) = f(x) - f(u+x)")
             checked["chain_negation"] += 1
 
     # Negative control: bump one value on a nonzero-pairing pair.
     u0, v0 = hot_pairs[0]
-    base = functional([1] + [0] * (len(spec.free_indices) - 1))
+    base = _integer_functional(spec, [1] + [0] * (len(spec.free_indices) - 1))
     def bumped(x):
         return base(x) + (1 if x == u0 else 0)
     control_fails = bumped(u0 + v0) != bumped(u0) + bumped(v0)
@@ -1646,26 +1695,23 @@ def _omega_cocycle_scan(spec, z, support, budget=10 ** 6):
     while len(pool) ** 3 > budget and len(pool) > 8:
         pool = pool[: len(pool) * 9 // 10]
     members = {x.coords for x in support}
-    coords = [x.coords for x in pool]
-    negs = [(-x).coords for x in pool]
-    add = spec.add_coords
+    # In coordinate order u < v < w, so the computed factor t closes a
+    # 4-set counted once exactly when it is the largest, and then
+    # (u, v, w, t) is already the wedge key.
+    coords = sorted(x.coords for x in pool)
+    sub = spec.sub_coords
     checked = 0
     for i, u in enumerate(coords):
-        zu = add(z.coords, negs[i])
-        for j in range(i + 1, len(pool)):
+        zu = sub(z.coords, u)
+        for j in range(i + 1, len(coords)):
             v = coords[j]
-            zuv = add(zu, negs[j])
-            for k in range(j + 1, len(pool)):
-                t = add(zuv, negs[k])
+            zuv = sub(zu, v)
+            for k in range(j + 1, len(coords)):
                 w = coords[k]
-                # Count each 4-set once: only when the computed factor is
-                # the largest of the four in canonical order.
-                if t not in members or t <= u or t <= v or t <= w:
-                    continue
-                # t exceeds the three distinct pool members: no repeats.
-                _require(_d_omega(spec, tuple(sorted((u, v, w, t)))) == 0,
-                         "d(omega) = 0")
-                checked += 1
+                t = sub(zuv, w)
+                if t > w and t in members:
+                    _require(_d_omega(spec, (u, v, w, t)) == 0, "d(omega) = 0")
+                    checked += 1
     return checked, len(pool)
 
 
@@ -1782,22 +1828,21 @@ def omega_check(spec, z, box_radius=3, case1_cap=120, case2_cap=350):
 
     pool = sorted(support, key=lambda e: e.sort_key())[:case2_cap]
     members = {x.coords for x in support}
-    coords = [x.coords for x in pool]
-    negs = [(-x).coords for x in pool]
-    add, pair = spec.add_coords, spec.pair_coords
+    # Coordinate order, as in the cocycle scan: each 3-set is counted
+    # once, when the computed factor w is the largest, and (u, v, w) is
+    # then the key.
+    coords = sorted(x.coords for x in pool)
+    sub, pair = spec.sub_coords, spec.pair_coords
     checked = 0
     for i, u in enumerate(coords):
-        zu = add(z.coords, negs[i])
-        for j in range(i + 1, len(pool)):
+        zu = sub(z.coords, u)
+        for j in range(i + 1, len(coords)):
             v = coords[j]
-            w = add(zu, negs[j])
-            # Count each 3-set once: only when the computed factor is largest.
-            if w not in members or w <= u or w <= v:
-                continue
-            key = tuple(sorted((u, v, w)))
-            _require(_scaled_d_eta(spec, key, f_num, g) == g * pair(key[0], key[1]),
-                     "d(eta) = omega")
-            checked += 1
+            w = sub(zu, v)
+            if w > v and w in members:
+                _require(_scaled_d_eta(spec, (u, v, w), f_num, g) == g * pair(u, v),
+                         "d(eta) = omega")
+                checked += 1
     return CheckResult(
         "omega-class", params, CERTIFIED,
         {"conclusion": "class vanishes on the derived part (explicit primitive)",
@@ -1827,7 +1872,7 @@ def h1_check(spec, box_radius=2, gradings=None, enlarge=3, scan_cap=500):
         if z.in_kernel_mu():
             scanned = 0
             for u in big[:scan_cap]:
-                assert spec.pairing(u, z - u) == 0
+                _require(spec.pairing(u, z - u) == 0, "<u, z-u> = 0 in a radical grading")
                 scanned += 1
             entries.append({"z": list(z.coords), "dim": 1, "expected": 1,
                             "incoming_coefficients_scanned": scanned})
@@ -1840,8 +1885,7 @@ def h1_check(spec, box_radius=2, gradings=None, enlarge=3, scan_cap=500):
                 continue
             pre = wedge_chain(spec, [u, z - u],
                               Fraction(-1, spec.pairing(u, z - u)))
-            assert boundary(pre) == wedge_chain(spec, [z]), \
-                "preimage failed re-expansion"
+            _require(boundary(pre) == wedge_chain(spec, [z]), "d(preimage) = [z]")
             entries.append({"z": list(z.coords), "dim": 0, "expected": 0,
                             "preimage": serialize_chain(pre)})
     return CheckResult(

@@ -6,11 +6,17 @@ already pinned in test_verify.py.
 """
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from goldman.cli import default_gradings, main
-from goldman import surface_presentation
+from goldman import cli, verify
+from goldman.cli import default_gradings, main, resolve_selection
+from goldman import box_support, surface_presentation
+
+from conftest import symplectic_z2, torsion_only, z2_z2torsion, z3_rank2_form
 
 
 def run(capsys, *argv):
@@ -150,6 +156,107 @@ def test_default_gradings_shape():
     assert len(set(picks)) == 8
     kernel = [x for x in picks if x.in_kernel_mu()]
     assert len(kernel) >= 2
+
+
+def reference_selection(spec, selection, radius, cap):
+    """The grading selection for one cap, written out directly: sort the
+    box, then take the default picks or the all-in-box prefix."""
+    box = box_support(spec, radius)
+    ordered = sorted(box, key=lambda e: e.sort_key())
+    if selection == "all-in-box":
+        return ordered[:cap], len(ordered) > cap
+    picks = [spec.zero]
+    for g in spec.kernel_basis_elements():
+        for cand in (g, g + g):
+            if cand in set(box) and cand not in picks and len(picks) < 4:
+                picks.append(cand)
+    for x in ordered:
+        if len(picks) >= cap:
+            break
+        if x.is_derived_element() and x not in picks:
+            picks.append(x)
+    return picks[:cap], len(picks) > cap
+
+
+@pytest.mark.parametrize("spec, radius", [
+    (surface_presentation(1, 2), 2), (surface_presentation(2, 3), 1),
+    (symplectic_z2(), 3), (z2_z2torsion(), 2), (z3_rank2_form(), 1),
+    (torsion_only(), 1)])
+def test_one_sort_gives_every_cap_its_selection(spec, radius):
+    caps = set(range(1, 40)) | {64, 200}
+    for selection in (None, "all-in-box"):
+        resolved = resolve_selection(spec, selection, radius, caps)
+        assert set(resolved) == caps
+        for cap in caps:
+            assert resolved[cap] == reference_selection(spec, selection, radius, cap), (
+                selection, cap)
+    explicit = [spec.zero]
+    assert resolve_selection(spec, explicit, radius, {2, 3}) == {
+        2: (explicit, False), 3: (explicit, False)}
+    assert resolve_selection(spec, None, radius, set()) == {}
+
+
+def test_enlarge_reaches_the_surface_ideal_membership(monkeypatch, capsys):
+    seen = []
+    membership = verify.ideal_membership
+
+    def spy(c, box_elements, enlarge=3):
+        seen.append(enlarge)
+        return membership(c, box_elements, enlarge)
+
+    monkeypatch.setattr(verify, "ideal_membership", spy)
+    base = ["verify", "--suite", "surface", "--surface", "1,2", "--box", "1",
+            "--format", "json"]
+    code, out, _ = run(capsys, *base, "--enlarge", "4")
+    assert code == 0 and seen and set(seen) == {4}
+    assert json.loads(out)["config"]["enlarge"] == 4
+    seen.clear()
+    code, _, _ = run(capsys, *base)
+    assert code == 0 and seen and set(seen) == {3}
+
+
+# Each script corrupts one witness or value behind a suite and runs it
+# under python -O: the re-check must still refute, naming the identity.
+_CORRUPTED_SUITES = {
+    "gk": ("""
+phi2 = verify.ContractingHomotopy.phi2
+verify.ContractingHomotopy.phi2 = lambda self, c: 2 * phi2(self, c)
+""", ["verify", "--suite", "gk", "--surface", "1,0", "--box", "2"],
+        "gk-cycle", "d(Phi_2(part)) = part"),
+    "h1": ("""
+boundary = verify.boundary
+verify.boundary = lambda c: 2 * boundary(c)
+""", ["verify", "--suite", "h1", "--surface", "1,0", "--box", "1"],
+        "h1-center", "d(preimage) = [z]"),
+    "linext": ("""
+functional = verify._integer_functional
+verify._integer_functional = lambda spec, coeffs: (
+    lambda x: functional(spec, coeffs)(x) + x.coords[0] ** 2)
+""", ["verify", "--suite", "linext", "--surface", "1,0", "--box", "1"],
+        "linear-extension", "f(u+v) = f(u) + f(v) when <u, v> != 0"),
+}
+
+
+@pytest.mark.parametrize("suite", sorted(_CORRUPTED_SUITES))
+def test_corrupted_suite_is_refuted_under_python_O(suite, tmp_path):
+    corruption, argv, check, identity = _CORRUPTED_SUITES[suite]
+    script = tmp_path / "corrupt.py"
+    script.write_text(
+        "import sys\nfrom goldman import verify\nfrom goldman.cli import main\n"
+        "if not sys.flags.optimize:\n    sys.exit('run with python -O')\n"
+        + corruption
+        + "sys.exit(main(%r))\n" % (argv + ["--format", "json"]))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(verify.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", str(script)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 1, proc.stderr
+    report = json.loads(proc.stdout)
+    (entry,) = report["results"]
+    assert entry["check"] == check
+    assert entry["verdict"] == "refuted"
+    assert entry["details"] == {"failed_identity": identity}
+    assert report["summary"]["certified"] == 0
 
 
 # ---------------------------------------------------------------------------

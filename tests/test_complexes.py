@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from goldman.complexes import (
     _boundary_terms,
+    _sort_sign,
     Cochain,
     Wedge,
     WedgeChain,
@@ -358,6 +359,16 @@ def test_wedge_make_sign_matches_permutation_parity():
                   if perm[a] > perm[b])
         assert sign == (1 if inv % 2 == 0 else -1)
         assert w.factors == tuple(labels)
+
+
+def test_sort_sign_of_three_matches_inversion_parity():
+    # Three factors take an unrolled path; repeats included.
+    spec = POOL[0]
+    labels = [spec.canonical(c) for c in ([1, 0], [0, 1], [1, 1], [-1, 2])]
+    for factors in itertools.product(labels, repeat=3):
+        sign, key = reference_normalize(factors)
+        assert _sort_sign([f.coords for f in factors]) == (sign, key)
+        assert _sort_sign(tuple(f.coords for f in factors)) == (sign, key)
 
 
 def test_wedge_repeat_gives_zero():

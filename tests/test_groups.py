@@ -180,6 +180,15 @@ def test_element_arithmetic_canonical():
     assert spec.element(x.lift()) == x
 
 
+def test_sub_coords_is_subtraction():
+    rng = random.Random(4)
+    for spec in (z2_z2torsion(), surface_presentation(2, 3)):
+        for _ in range(50):
+            x, y = (spec.canonical([rng.randint(-4, 4) for _ in range(spec.n_generators)])
+                    for _ in range(2))
+            assert spec.sub_coords(x.coords, y.coords) == (x - y).coords
+
+
 def test_pairing_oracle_symplectic():
     spec = symplectic_z2()
     x, y = spec.generators()

@@ -47,7 +47,7 @@ from goldman import (
     wedge_chain,
 )
 from goldman import cli, verify
-from goldman.complexes import Cochain, coboundary
+from goldman.complexes import Cochain, coboundary, enumerate_keys
 from goldman.verify import (
     CertificateError,
     InnerCertification,
@@ -379,6 +379,134 @@ def test_perturbed_homotopy_leaves_a_defect(case):
             assert want
             moved += 1
     assert moved
+
+
+def _scan_keys(spec, z, radius=2):
+    support = box_support(spec, radius)
+    return enumerate_keys(spec, [x.coords for x in support], 2, z.coords)
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_key_defect_matches_reference_in_any_scan_order(data):
+    spec, zc = data.draw(st.sampled_from(_HOMOTOPY_CASES))
+    z = spec.element(zc)
+    y = contracting_homotopy(spec, z).y
+    coefficients = {name: data.draw(_RATIONALS)
+                    for name in ("phi1", "shift_first", "shift_second",
+                                 "shift_both", "tail")}
+    hom = ContractingHomotopy(spec, z, y, coefficients)
+    wedges = enumerate_basis(box_support(spec, 2), 2, z, "full")
+    assert [w.sort_key() for w in wedges] == _scan_keys(spec, z)
+    # One homotopy serves the whole scan, so its shared boundaries are
+    # reused in whatever order the keys come.
+    order = data.draw(st.sampled_from(["sorted", "reversed", "shuffled"]))
+    if order == "reversed":
+        wedges.reverse()
+    elif order == "shuffled":
+        random.Random(data.draw(st.integers(0, 2 ** 16))).shuffle(wedges)
+    for w in wedges:
+        want = reference_identity_defect(spec, z, y, hom.coefficients, w)
+        got = hom.key_defect(w.sort_key())
+        assert {k: Fraction(c, hom.scale) for k, c in got.items()} == want
+        assert all(type(c) is int and c for c in got.values())
+
+
+@pytest.mark.parametrize("case", range(len(_HOMOTOPY_CASES)))
+def test_scan_computes_each_boundary_once(case, monkeypatch):
+    spec, zc = _HOMOTOPY_CASES[case]
+    z = spec.element(zc)
+    calls = []
+    terms = verify._boundary_terms
+
+    def spy(spec, key):
+        calls.append(key)
+        return terms(spec, key)
+
+    monkeypatch.setattr(verify, "_boundary_terms", spy)
+    r = outer_h2_certify(spec, z, 3)
+    assert r.verdict == CERTIFIED
+    # d_2 once per wedge and grading, shared by both y's.
+    assert len([k for k in calls if len(k) == 2]) == r.details["wedges"]
+
+    keys = _scan_keys(spec, z, 3)
+    for y in r.details["y_choices"]:
+        calls.clear()
+        hom = ContractingHomotopy(spec, z, spec.canonical(y))
+        assert not any(hom.key_defect(key) for key in keys)
+        # Every 3-wedge boundary of the scan is computed once, the
+        # tail's among them.
+        d3 = [k for k in calls if len(k) == 3]
+        assert len(d3) == len(set(d3))
+        assert hom._tail_term[1] in d3
+
+
+@pytest.mark.parametrize("name", ["tail", "shift_first"])
+def test_scan_finds_the_defect_of_a_perturbed_coefficient(name, monkeypatch):
+    spec = surface_presentation(1, 2)
+    z = spec.element([1, 1, 1, 0])
+    y = contracting_homotopy(spec, z).y
+    perturbed = ContractingHomotopy(spec, z, y, {name: Fraction(3, 2)})
+    keys = _scan_keys(spec, z)
+    defects = [key for key in keys if perturbed.key_defect(key)]
+    assert defects
+    for key in defects:
+        w = wedge_chain(spec, [spec.canonical(c) for c in key]).wedges()[0]
+        want = reference_identity_defect(spec, z, y, perturbed.coefficients, w)
+        assert {k: Fraction(c, perturbed.scale)
+                for k, c in perturbed.key_defect(key).items()} == want
+
+    # The same perturbation as the default: the scan of every y sees the
+    # defect, and the coefficient fit restores the true value.
+    monkeypatch.setitem(verify._DEFAULT_HOMOTOPY, name, Fraction(3, 2))
+    r = outer_h2_certify(spec, z, 2)
+    assert r.verdict == CERTIFIED
+    assert all(e["corrected"] for e in r.details["per_y"])
+    for fix in r.details["corrections"].values():
+        assert fix == {"phi1": "-1", "shift_both": "1", "shift_first": "-1",
+                       "shift_second": "-1", "tail": "1"}
+
+
+def test_a_defect_on_any_one_wedge_stops_the_outer_certificate(monkeypatch):
+    spec = symplectic_z2()
+    z = spec.element([2, 1])
+    keys = _scan_keys(spec, z)
+    assert outer_h2_certify(spec, z, 2).verdict == CERTIFIED
+    image = ContractingHomotopy._scaled_image
+    for target in keys:
+        def shifted(self, key, d2, target=target):
+            acc = image(self, key, d2)
+            if key == target:
+                acc[key] = acc.get(key, 0) + 1
+            return acc
+
+        monkeypatch.setattr(ContractingHomotopy, "_scaled_image", shifted)
+        r = outer_h2_certify(spec, z, 2)
+        assert r.verdict == "refuted", target
+        assert not any(e["identity_holds"] for e in r.details["per_y"])
+
+
+@pytest.mark.parametrize("target", ["tail", "shift"])
+def test_dropping_one_boundary_term_stops_the_outer_certificate(target, monkeypatch):
+    spec = surface_presentation(1, 2)
+    z = spec.element([1, 1, 1, 0])
+    y = spec.canonical(outer_h2_certify(spec, z, 2).details["y_choices"][0])
+    hom = ContractingHomotopy(spec, z, y)
+    if target == "tail":
+        bad = hom._tail_term[1]
+    else:
+        # The first Phi_2 term of some wedge, a boundary the scan shares.
+        bad = next(key3 for key in _scan_keys(spec, z)
+                   for _, key3 in hom._scaled_phi2(*key)[:1]
+                   if verify._boundary_terms(spec, key3))
+    assert verify._boundary_terms(spec, bad)
+    terms = verify._boundary_terms
+    monkeypatch.setattr(verify, "_boundary_terms",
+                        lambda spec, key: terms(spec, key)[1:] if key == bad
+                        else terms(spec, key))
+    r = outer_h2_certify(spec, z, 2)
+    assert r.verdict != CERTIFIED
+    assert not all(e["identity_holds"] for e in r.details["per_y"])
 
 
 # (group, radical grading) pairs: the origin of Z^2, a boundary class,
@@ -880,13 +1008,13 @@ def test_outer_and_omega_suites_report_failed_identities(monkeypatch):
     z2 = symplectic_z2()
     phi2 = ContractingHomotopy.phi2
     monkeypatch.setattr(ContractingHomotopy, "phi2", lambda self, c: 2 * phi2(self, c))
-    (entry,) = cli.run_outer_suite(z2, [z2.element([1, 0])], 1, 3)
+    (entry,) = cli.run_outer_suite(z2, [z2.element([1, 0])], 1)
     assert entry.verdict == "refuted"
     assert entry.details == {"failed_identity": "d(Phi_2(c)) = c"}
     assert entry.params == {"spec": "Z^2", "z": [1, 0], "box": 1}
 
     monkeypatch.setattr(verify, "_d_omega", lambda spec, key: 1)
-    (entry,) = cli.run_omega_suite(z2, [z2.zero], 2, 3)
+    (entry,) = cli.run_omega_suite(z2, [z2.zero], 2)
     assert entry.verdict == "refuted"
     assert entry.details == {"failed_identity": "d(omega) = 0"}
 
@@ -1206,6 +1334,28 @@ def test_omega_primitive_matches_brute_force_on_small_box():
         if w in members and all(w > f for f in (u, v)):
             count += 1
     assert r.details["triples_checked"] == count
+
+
+@pytest.mark.parametrize("spec, zc, radius, budget", [
+    (symplectic_z2(), [0, 0], 2, 10 ** 6),
+    (symplectic_z2(), [0, 0], 2, 3000),
+    (surface_presentation(1, 2), [0, 0, 1, 0], 1, 10 ** 6),
+    (z2_z2torsion(), [0, 0, 1], 1, 10 ** 6)])
+def test_omega_cocycle_scan_counts_every_4_set_once(spec, zc, radius, budget):
+    z = spec.element(zc)
+    support = box_support(spec, radius)
+    checked, pool_size = verify._omega_cocycle_scan(spec, z, support, budget)
+    pool = {x.coords for x in sorted(support, key=lambda e: e.sort_key())[:pool_size]}
+    # Brute force: 4-sets of the support with sum z whose three smallest
+    # factors lie in the pool.
+    count = 0
+    for combo in itertools.combinations(sorted(support), 4):
+        if combo[0] + combo[1] + combo[2] + combo[3] == z and all(
+                x.coords in pool for x in combo[:3]):
+            count += 1
+    assert checked == count > 0
+    if budget < 10 ** 6:
+        assert pool_size < len(support)
 
 
 def test_omega_small_pool_is_inconclusive():
