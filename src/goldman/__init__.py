@@ -31,6 +31,7 @@ from goldman.complexes import (
     coboundary,
     enumerate_basis,
     box_support,
+    box_by_weight,
     project_derived,
 )
 from goldman.verify import (
@@ -77,6 +78,7 @@ __all__ = [
     "coboundary",
     "enumerate_basis",
     "box_support",
+    "box_by_weight",
     "project_derived",
     "CERTIFIED",
     "REFUTED",

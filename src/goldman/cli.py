@@ -43,7 +43,7 @@ import sys
 from fractions import Fraction
 
 from .algebra import AlgebraVector, bracket
-from .complexes import Cochain, boundary, box_support, coboundary, wedge_chain
+from .complexes import Cochain, _box_size, boundary, box_by_weight, coboundary, wedge_chain
 from .groups import GroupSpec, surface_presentation
 from .verify import (
     CERTIFIED,
@@ -52,7 +52,6 @@ from .verify import (
     REFUTED,
     CertificateError,
     CheckResult,
-    _box_size,
     _capped_radius,
     frac_str,
     serialize_chain,
@@ -203,7 +202,7 @@ def resolve_selection(spec, selection, radius, caps):
     """
     if not caps or selection not in (None, "all-in-box"):
         return {cap: (list(selection), False) for cap in caps}
-    ordered = sorted(box_support(spec, radius), key=lambda e: e.sort_key())
+    ordered = box_by_weight(spec, radius)
     if selection == "all-in-box":
         return {cap: (ordered[:cap], len(ordered) > cap) for cap in caps}
     head = [spec.zero]
@@ -369,8 +368,7 @@ def run_outer_suite(spec, gradings, box):
 
 
 def run_gk_suite(spec, gradings, box):
-    u = next((x for x in sorted(box_support(spec, box), key=lambda e: e.sort_key())
-              if x.is_derived_element()), None)
+    u = next((x for x in box_by_weight(spec, box) if x.is_derived_element()), None)
     if u is None:
         return [_skip("gk-cycle", "the form vanishes; g_K is everything")]
     zs = [z for z in gradings if z.in_kernel_mu()]

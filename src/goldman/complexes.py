@@ -13,12 +13,19 @@ factor prepended (indices are 1-based).  In low degree:
     d_2([u] ^ [v]) = -<u, v> [u + v]
     d_3([a] ^ [b] ^ [c]) = -<a,b>[a+b]^[c] + <a,c>[a+c]^[b] - <b,c>[b+c]^[a]
 
+The differential of degrees 2, 3 and 4 is unrolled; higher degrees run
+the general loop.  Its coordinate arithmetic is the group's generated
+straight-line code (see goldman.groups).
+
 The label sum u_1 + ... + u_p is the grading of a wedge; every term of
 d(w) has the grading of w because each summand replaces u_i, u_j by
 u_i + u_j.  The complex therefore splits over the group, one summand
 per grading, and all rank computations happen grading by grading.
 
-Supports are truncated to finite boxes.  The boundary of a truncated
+Supports are truncated to finite boxes.  A box is enumerated at most
+once per group and radius and kept on the group, in coordinate order
+and, when asked for, in weight order; a box over the element budget is
+refused before anything is enumerated.  The boundary of a truncated
 chain may leave the enumerated support; terms are kept rather than
 dropped, so a rank computation never silently loses boundary mass.
 Cochains are partial assignments on an enumerated basis, extended by
@@ -58,6 +65,7 @@ __all__ = [
     "enumerate_keys",
     "enumerate_basis",
     "box_support",
+    "box_by_weight",
     "project_derived",
 ]
 
@@ -278,8 +286,8 @@ def _boundary_terms(spec, key):
     """
     pair, add = spec.pair_coords, spec.add_coords
     p = len(key)
-    # Degrees 2 and 3, the ones the outer homotopy scan differentiates,
-    # are the loop below unrolled.
+    # Degrees 2 and 3 (the outer homotopy scan) and 4 (the omega cocycle
+    # scan) are the loop below unrolled.
     if p == 2:
         a, b = key
         coeff = pair(a, b)
@@ -297,6 +305,24 @@ def _boundary_terms(spec, key):
                     out.append((coeff, (total, rest)))
                 elif rest < total:
                     out.append((-coeff, (rest, total)))
+        return out
+    if p == 4:
+        # The six (i, j) terms in loop order, base sign (-1)^(i+j); the
+        # sum lands at place 0, 1 or 2 among the two remaining factors,
+        # and each place past the first flips the sign once.
+        a, b, c, d = key
+        for sign, x, y, r0, r1 in ((-1, a, b, c, d), (1, a, c, b, d), (-1, a, d, b, c),
+                                   (-1, b, c, a, d), (1, b, d, a, c), (-1, c, d, a, b)):
+            coeff = pair(x, y)
+            if coeff:
+                total = add(x, y)
+                if total < r0:
+                    out.append((sign * coeff, (total, r0, r1)))
+                elif total < r1:
+                    if total != r0:
+                        out.append((-sign * coeff, (r0, total, r1)))
+                elif total != r1:
+                    out.append((sign * coeff, (r0, r1, total)))
         return out
     for i in range(p - 1):
         a = key[i]
@@ -473,14 +499,34 @@ def enumerate_basis(support, p, z, restrict="full"):
             for key in enumerate_keys(z.spec, list(element), p, z.coords)]
 
 
-def box_support(spec, radius):
-    """All canonical elements with free coordinates in [-radius, radius].
+# The most elements one box may hold.  A larger request is refused
+# before anything is enumerated.
+BOX_BUDGET = 10 ** 6
 
-    Torsion coordinates run over their full cyclic range; the box is the
-    standard truncation everywhere in the package.
-    """
+
+def _box_size(spec, radius):
+    """|box_support(spec, radius)| without constructing it."""
+    size = 1
+    for d in spec.divisors:
+        if d == 0:
+            size *= 2 * radius + 1
+        elif d > 1:
+            size *= d
+    return size
+
+
+def _box(spec, radius):
+    """The memo entry [box, weight order or None] of box(radius) on the
+    spec, built on first use and never handed out itself."""
+    entry = spec._boxes.get(radius)
+    if entry is not None:
+        return entry
     if radius < 0:
         raise ValueError("radius must be nonnegative")
+    size = _box_size(spec, radius)
+    if size > BOX_BUDGET:
+        raise ValueError("box of radius %d has %d elements, over the budget of %d"
+                         % (radius, size, BOX_BUDGET))
     ranges = []
     for j in range(spec.n_generators):
         d = spec.divisors[j]
@@ -492,7 +538,32 @@ def box_support(spec, radius):
             ranges.append(range(d))
     # Every range is canonical and increasing, so the product runs
     # through the box already in sorted order.
-    return [GroupElement(spec, coords) for coords in itertools.product(*ranges)]
+    box = [GroupElement(spec, coords) for coords in itertools.product(*ranges)]
+    entry = spec._boxes[radius] = [box, None]
+    return entry
+
+
+def box_support(spec, radius):
+    """All canonical elements with free coordinates in [-radius, radius],
+    in coordinate order.
+
+    Torsion coordinates run over their full cyclic range; the box is the
+    standard truncation everywhere in the package.  Each (spec, radius)
+    box is built once and kept on the spec; every call returns a new
+    list of the shared elements.  A box of more than ``BOX_BUDGET``
+    elements raises ValueError before anything is enumerated.
+    """
+    return list(_box(spec, radius)[0])
+
+
+def box_by_weight(spec, radius):
+    """box_support(spec, radius) in ``sort_key`` order (weight, then
+    coordinates), sorted once per (spec, radius) and returned as a new
+    list."""
+    entry = _box(spec, radius)
+    if entry[1] is None:
+        entry[1] = sorted(entry[0], key=GroupElement.sort_key)
+    return list(entry[1])
 
 
 def project_derived(c):

@@ -23,6 +23,12 @@ its complement H^(1) = H minus ker mu indexes the derived part of the
 Goldman bracket, and the pairing of x with all of H vanishes exactly
 when the canonical coordinate row of x annihilates Omega~.
 
+Coordinate arithmetic (sum, difference and pairing of canonical
+tuples) is generated per group as straight-line code: each spec
+compiles its own three functions once, specialised to its rank, its
+torsion moduli and the nonzero entries of Omega~, and the tests check
+them against the loop forms.
+
 >>> z2 = GroupSpec(2, form=[[0, 1], [-1, 0]])
 >>> x, y = z2.generators()
 >>> z2.pairing(x, y)
@@ -42,7 +48,6 @@ True
 """
 
 from fractions import Fraction
-from operator import add as _add, sub as _sub
 
 __all__ = [
     "smith_normal_form",
@@ -275,6 +280,45 @@ def smith_normal_form(rows, n_cols=None):
     return SnfDecomposition(rows, u, a, v, diagonal)
 
 
+def _coordinate_kernels(divisors, pair_entries):
+    """Straight-line (add_coords, sub_coords, pair_coords) for one group.
+
+    The source of each function is generated for the group's invariant
+    factors and the nonzero entries of Omega~ above the diagonal, then
+    compiled once with ``exec`` (as ``dataclasses`` builds its methods):
+    a free coordinate is a plain sum, a torsion coordinate of order d a
+    sum ``% d``, and a dead coordinate the constant 0, which it is on
+    every canonical tuple.  The pairing is the sum of
+    w (a_i b_j - a_j b_i) over the entries (i, j, w), with i < j.
+
+    >>> add, sub, pair = _coordinate_kernels((1, 0, 2), ((1, 2, 3),))
+    >>> add((0, 4, 1), (0, -1, 1)), sub((0, 4, 1), (0, -1, 1))
+    ((0, 3, 0), (0, 5, 0))
+    >>> pair((0, 1, 0), (0, 0, 1))
+    3
+    """
+    def coordinate(op, j, d):
+        if d == 1:
+            return "0"
+        term = "a[%d] %s b[%d]" % (j, op, j)
+        return term if d == 0 else "(%s) %% %d" % (term, d)
+
+    def coords(op):
+        return "(%s,)" % ", ".join(coordinate(op, j, d) for j, d in enumerate(divisors))
+
+    terms = []
+    for i, j, w in pair_entries:
+        cross = "(a[%d] * b[%d] - a[%d] * b[%d])" % (i, j, j, i)
+        terms.append(cross if w == 1 else "-" + cross if w == -1 else "%d * %s" % (w, cross))
+    source = ("def add_coords(a, b):\n    return %s\n\n"
+              "def sub_coords(a, b):\n    return %s\n\n"
+              "def pair_coords(a, b):\n    return %s\n"
+              % (coords("+"), coords("-"), " + ".join(terms) or "0"))
+    namespace = {"__name__": __name__}
+    exec(source, namespace)
+    return namespace["add_coords"], namespace["sub_coords"], namespace["pair_coords"]
+
+
 class GroupElement:
     """An element of a GroupSpec group in canonical coordinates.
 
@@ -396,13 +440,21 @@ class GroupSpec:
     does any entry of the generator count, relations or form that is not
     an int (floats such as 1.5 or 2.0, and bools, are rejected, never
     truncated).
+
+    ``add_coords(a, b)``, ``sub_coords(a, b)`` and ``pair_coords(a, b)``
+    work on canonical coordinate tuples: the coordinates of a + b and
+    a - b, and the integer <a, b>.  They are the arithmetic under every
+    differential, so each spec generates them as straight-line code for
+    its own rank, torsion and form (``_coordinate_kernels``); the tests
+    check them against plain loops over ``torsion`` and the Omega~
+    entries.
     """
 
     __slots__ = ("n_generators", "relations", "form", "names", "snf",
                  "divisors", "free_indices", "torsion", "dead_indices",
                  "omega_tilde", "zero", "_v", "_v_inv", "_form_support",
                  "_pair_entries", "torsion_indices", "torsion_coefficients",
-                 "free_rank")
+                 "free_rank", "add_coords", "sub_coords", "pair_coords", "_boxes")
 
     def __init__(self, n_generators, relations=(), form=None, names=None):
         n = _strict_int(n_generators, "n_generators")
@@ -457,8 +509,9 @@ class GroupSpec:
                   for j in range(n)] for i in range(n)]
         # Descent forces d_i * row_i(Omega~) = 0, so non-free rows vanish.
         for j in range(n):
-            if j not in self.free_indices:
-                assert all(v == 0 for v in omega[j]), "non-free row of Omega~ survived"
+            if j not in self.free_indices and any(omega[j]):
+                raise ValueError("row %d of Omega~ at a non-free index is nonzero "
+                                 "(descent of the form failed)" % j)
         self.omega_tilde = tuple(tuple(row) for row in omega)
         self._form_support = tuple(
             j for j in range(n)
@@ -468,6 +521,9 @@ class GroupSpec:
         self._pair_entries = tuple(
             (i, j, self.omega_tilde[i][j])
             for i in range(n) for j in range(i + 1, n) if self.omega_tilde[i][j])
+        self.add_coords, self.sub_coords, self.pair_coords = _coordinate_kernels(
+            self.divisors, self._pair_entries)
+        self._boxes = {}
         self.zero = GroupElement(self, (0,) * n)
 
     def _reduce(self, coords):
@@ -476,35 +532,6 @@ class GroupSpec:
         for j in self.dead_indices:
             coords[j] = 0
         return GroupElement(self, tuple(coords))
-
-    def add_coords(self, a, b):
-        """The canonical coordinates of a + b, from canonical coordinates.
-
-        Dead coordinates of canonical tuples are 0 and stay 0, so only
-        the torsion coordinates need reducing.
-        """
-        if not self.torsion:
-            return tuple(map(_add, a, b))
-        total = list(map(_add, a, b))
-        for j, d in self.torsion:
-            total[j] %= d
-        return tuple(total)
-
-    def sub_coords(self, a, b):
-        """The canonical coordinates of a - b, from canonical coordinates."""
-        if not self.torsion:
-            return tuple(map(_sub, a, b))
-        total = list(map(_sub, a, b))
-        for j, d in self.torsion:
-            total[j] %= d
-        return tuple(total)
-
-    def pair_coords(self, a, b):
-        """The pairing <a, b> of two canonical coordinate tuples, an integer."""
-        total = 0
-        for i, j, w in self._pair_entries:
-            total += w * (a[i] * b[j] - a[j] * b[i])
-        return total
 
     def element(self, coords):
         """Build an element from original-generator coordinates.

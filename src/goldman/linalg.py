@@ -16,6 +16,11 @@ All pivots are chosen by deterministic rules (least index), so repeated
 runs produce identical results; correctness never depends on pivot
 choice, only exactness does, and Fraction arithmetic is exact.
 
+Every kernel vector, span witness, Farkas certificate and affine
+solution is multiplied back through the matrix before it is returned;
+a failure raises CertificateError naming the identity, an explicit
+check that also runs under ``python -O``.
+
 >>> m = SparseRationalMatrix.from_dense([[1, 2], [2, 4]])
 >>> m.rank()
 1
@@ -25,7 +30,24 @@ choice, only exactness does, and Fraction arithmetic is exact.
 
 from fractions import Fraction
 
-__all__ = ["SparseRationalMatrix"]
+__all__ = ["CertificateError", "SparseRationalMatrix"]
+
+
+class CertificateError(Exception):
+    """An identity a certificate rests on failed when re-checked.
+
+    ``identity`` names it.  Raised by explicit checks, not asserts, so
+    the re-verification also runs under ``python -O``.
+    """
+
+    def __init__(self, identity):
+        super().__init__("certificate identity failed: %s" % identity)
+        self.identity = identity
+
+
+def _require(condition, identity):
+    if not condition:
+        raise CertificateError(identity)
 
 
 def _as_fraction(v):
@@ -197,7 +219,7 @@ class SparseRationalMatrix:
                 vec[j] = v
             out.append(tuple(vec))
         for vec in out:
-            assert not any(self.matvec(vec)), "kernel vector fails M x = 0"
+            _require(not any(self.matvec(vec)), "M x = 0 for a kernel vector")
         return out
 
     def in_span(self, v):
@@ -218,7 +240,8 @@ class SparseRationalMatrix:
             witness[j] = -c
         check = self.matvec(witness)
         target = [_as_fraction(x) for x in v]
-        assert all(a == b for a, b in zip(check, target)), "span witness failed"
+        _require(all(a == b for a, b in zip(check, target)),
+                 "M x = v for the span witness")
         return True, tuple(witness)
 
     def solve_affine(self, b, row_order=None):
@@ -229,9 +252,27 @@ class SparseRationalMatrix:
         indices with y M = 0 and y b != 0: no solution can exist because
         applying y to both sides gives 0 = nonzero.  ``row_order`` lets
         the caller schedule rows (certificates surface early when the
-        contradictory rows come first); default is index order.
+        contradictory rows come first); default is index order.  Either
+        answer is re-checked against M and b before it is returned.
         """
         b = [_as_fraction(x) for x in b]
+        solution, certificate = self._eliminate_affine(b, row_order)
+        if certificate is not None:
+            check = {}
+            for (r, j), v in self.entries.items():
+                if r in certificate:
+                    check[j] = check.get(j, 0) + certificate[r] * v
+            _require(not any(check.values()), "y M = 0 for the Farkas certificate")
+            _require(sum(c * b[r] for r, c in certificate.items()) != 0,
+                     "y b != 0 for the Farkas certificate")
+            return None, certificate
+        _require(all(x == y for x, y in zip(self.matvec(solution), b)),
+                 "M x = b for the affine solution")
+        return solution, None
+
+    def _eliminate_affine(self, b, row_order):
+        """(solution, None) or (None, certificate) for M x = b, by row
+        elimination; unchecked (``solve_affine`` checks both)."""
         rows = self.row_list()
         order = row_order if row_order is not None else range(self.n_rows)
         pivots = {}
@@ -263,16 +304,6 @@ class SparseRationalMatrix:
                 pivots[min(vec)] = (vec, vec_b, comb)
             elif vec_b:
                 # 0 = vec_b != 0: comb is the contradiction certificate.
-                check = {}
-                for r, c in comb.items():
-                    for jj, v in rows[r].items():
-                        newv = check.get(jj, Fraction(0)) + c * v
-                        if newv:
-                            check[jj] = newv
-                        else:
-                            check.pop(jj, None)
-                assert not check, "certificate fails y M = 0"
-                assert sum(c * b[r] for r, c in comb.items()) != 0
                 return None, dict(comb)
         # Back-substitute on the echelon rows, free variables at zero.
         solution = [Fraction(0)] * self.n_cols
@@ -283,8 +314,6 @@ class SparseRationalMatrix:
                 if jj != c:
                     acc -= v * solution[jj]
             solution[c] = acc / pvec[c]
-        check = self.matvec(solution)
-        assert all(x == y for x, y in zip(check, b)), "affine solution failed"
         return tuple(solution), None
 
     def __repr__(self):

@@ -80,7 +80,6 @@ re-verification raises CertificateError, naming the failed identity,
 and is not an assert, so it also runs under ``python -O``.
 """
 
-import heapq
 import itertools
 import math
 import random
@@ -92,8 +91,10 @@ from goldman.complexes import (
     WedgeChain,
     _boundary_terms,
     _sort_sign,
+    _box_size,
     _wedge_of,
     boundary,
+    box_by_weight,
     box_support,
     enumerate_basis,
     enumerate_keys,
@@ -101,7 +102,7 @@ from goldman.complexes import (
     wedge_chain,
 )
 from goldman.groups import smith_normal_form, surface_presentation, _int_inverse
-from goldman.linalg import SparseRationalMatrix
+from goldman.linalg import CertificateError, SparseRationalMatrix, _require
 
 __all__ = [
     "CERTIFIED",
@@ -135,34 +136,6 @@ CERTIFIED = "certified"
 REFUTED = "refuted"
 INCONCLUSIVE = "inconclusive-at-truncation"
 NOT_APPLICABLE = "not-applicable"
-
-
-class CertificateError(Exception):
-    """An identity a certificate rests on failed when re-checked.
-
-    ``identity`` names it.  Raised by explicit checks, not asserts, so
-    the re-verification also runs under ``python -O``.
-    """
-
-    def __init__(self, identity):
-        super().__init__("certificate identity failed: %s" % identity)
-        self.identity = identity
-
-
-def _require(condition, identity):
-    if not condition:
-        raise CertificateError(identity)
-
-
-def _box_size(spec, radius):
-    """|box_support(spec, radius)| without constructing it."""
-    size = 1
-    for d in spec.divisors:
-        if d == 0:
-            size *= 2 * radius + 1
-        elif d > 1:
-            size *= d
-    return size
 
 
 def _capped_radius(spec, radius, cap):
@@ -632,19 +605,6 @@ class ContractingHomotopy:
                 out.append((sign * tail * pair, key))
         return out
 
-    def _d3(self, key3):
-        """_boundary_terms of a Phi_2 term.  The shift terms are the
-        ones with the factor [y]; a [2y]^[u-y]^[v-y] term has it only
-        when it is the tail."""
-        if key3 == self._tail_term[1]:
-            return self._tail_d3
-        if self.y.coords not in key3:
-            return _boundary_terms(self.spec, key3)
-        terms = self._shared.pop(key3, None)
-        if terms is None:
-            terms = self._shared[key3] = _boundary_terms(self.spec, key3)
-        return terms
-
     def _scaled_image(self, key, d2):
         """scale * (Phi_1 d_2 + d_3 Phi_2) of the wedge with key (u, v),
         as {key: integer}, some entries possibly zero; ``d2`` is the [z]
@@ -653,9 +613,22 @@ class ContractingHomotopy:
         sign, phi1_key = self._phi1_term
         if sign and self._scaled[0] and d2:
             acc[phi1_key] = sign * self._scaled[0] * d2
+        spec, get, shared = self.spec, acc.get, self._shared
+        tail_key, y = self._tail_term[1], self.y.coords
         for coeff, key3 in self._scaled_phi2(*key):
-            for bc, key2 in self._d3(key3):
-                acc[key2] = acc.get(key2, 0) + coeff * bc
+            # d_3 of the Phi_2 term: the tail's is precomputed, and a
+            # shift term (one with the factor [y] that is not the tail)
+            # is shared with one other wedge.
+            if key3 == tail_key:
+                terms = self._tail_d3
+            elif y not in key3:
+                terms = _boundary_terms(spec, key3)
+            else:
+                terms = shared.pop(key3, None)
+                if terms is None:
+                    terms = shared[key3] = _boundary_terms(spec, key3)
+            for bc, key2 in terms:
+                acc[key2] = get(key2, 0) + coeff * bc
         return acc
 
     def phi1(self, c):
@@ -954,8 +927,8 @@ class InnerCertification:
         spec, z = self.spec, self.z
         elements = sorted({f for w in self.wedges for f in w.factors},
                           key=lambda e: e.sort_key())
-        probes = sorted(self.support, key=lambda e: e.sort_key())
-        probes = [x for x in probes if x != spec.zero][:80]
+        probes = [x for x in box_by_weight(spec, self.effective_radius)
+                  if x != spec.zero][:80]
 
         image_rows = {}
         fspan = _IncrementalSpan()
@@ -1117,14 +1090,11 @@ class InnerCertification:
         over ``_boundary_terms``."""
         spec = self.spec
         radius = _capped_radius(spec, self.boundary_radius, 20000)
-        support = [x for x in box_support(spec, radius)
+        support = [x for x in box_by_weight(spec, radius)
                    if x.is_derived_element()]
         exhaustive = len(support) ** 2 <= 400000
         checked = 0
-        if exhaustive:
-            pool = support
-        else:
-            pool = sorted(support, key=lambda e: e.sort_key())[:63]
+        pool = support if exhaustive else support[:63]
         members = {x.coords for x in support}
         add, zc = spec.add_coords, self.z.coords
         proj = self.qspace.proj_coords
@@ -1176,10 +1146,11 @@ def outer_h2_certify(spec, z, box_radius, y_count=2, max_cycle_witnesses=5):
     # every y and by the cycle space below.
     d2s = [_d2_coefficient(spec, key) for key in keys]
 
-    y_box = support if box_radius >= 1 else box_support(spec, 1)
+    # The y's are the first ones in weight order that pair nonzero with z.
     pair, zc = spec.pair_coords, z.coords
-    ys = heapq.nsmallest(y_count, (y for y in y_box if pair(y.coords, zc)),
-                         key=lambda e: e.sort_key())
+    ys = list(itertools.islice(
+        (y for y in box_by_weight(spec, max(box_radius, 1)) if pair(y.coords, zc)),
+        y_count))
     if not ys:
         raise ValueError("no y with <y, z> != 0 in the box")
 
@@ -1359,7 +1330,7 @@ def _double_generator_witness(spec, z, u):
     produces a verified combination.
     """
     gen = _ideal_generator(spec, z, u, u)
-    for x in sorted(box_support(spec, 1), key=lambda e: e.sort_key()):
+    for x in box_by_weight(spec, 1):
         if spec.pairing(u, x) == 0:
             continue
         pieces = []
@@ -1557,7 +1528,7 @@ def linear_extension_check(spec, box_radius=2, trials=100, seed=0):
     if box_radius < 1:
         raise ValueError("the box must contain the generators")
     rng = random.Random(seed)
-    box = box_support(spec, box_radius)
+    box = box_by_weight(spec, box_radius)
     derived = [x for x in box if x.is_derived_element()]
     if not derived:
         return CheckResult(
@@ -1567,8 +1538,8 @@ def linear_extension_check(spec, box_radius=2, trials=100, seed=0):
 
     # Pairs come from the smallest derived elements: squaring the whole
     # derived box reaches hundreds of millions of pairs on rank-6 groups.
-    pool = sorted(derived, key=lambda e: e.sort_key())[:60]
-    probe_box = sorted(box, key=lambda e: e.sort_key())[:200]
+    pool = derived[:60]
+    probe_box = box[:200]
     hot_pairs = []
     for u in pool:
         for v in pool:
@@ -1687,14 +1658,15 @@ def _extended_gcd_vector(values):
     return coeffs, g
 
 
-def _omega_cocycle_scan(spec, z, support, budget=10 ** 6):
-    """Exhaustively verify d(omega) = 0 on 4-wedges from a prefix of the
-    support sized to the budget; returns (checked, pool size).  The scan
-    runs on coordinate tuples and every value is an exact integer."""
-    pool = sorted(support, key=lambda e: e.sort_key())
+def _omega_cocycle_scan(spec, z, radius, budget=10 ** 6):
+    """Exhaustively verify d(omega) = 0 on 4-wedges from a weight-order
+    prefix of box(radius) sized to the budget; returns (checked, pool
+    size).  The scan runs on coordinate tuples and every value is an
+    exact integer."""
+    pool = box_by_weight(spec, radius)
+    members = {x.coords for x in pool}
     while len(pool) ** 3 > budget and len(pool) > 8:
         pool = pool[: len(pool) * 9 // 10]
-    members = {x.coords for x in support}
     # In coordinate order u < v < w, so the computed factor t closes a
     # 4-set counted once exactly when it is the largest, and then
     # (u, v, w, t) is already the wedge key.
@@ -1719,7 +1691,10 @@ def _d_omega(spec, key):
     """d(omega) on the 4-wedge with this key: omega(d W), an integer,
     with omega of a key (g_0, g_1, g_2) equal to <g_0, g_1>."""
     pair = spec.pair_coords
-    return sum(c * pair(k[0], k[1]) for c, k in _boundary_terms(spec, key))
+    total = 0
+    for c, (g0, g1, _) in _boundary_terms(spec, key):
+        total += c * pair(g0, g1)
+    return total
 
 
 def _scaled_primitive(f_num, g):
@@ -1731,8 +1706,10 @@ def _scaled_primitive(f_num, g):
 def _scaled_d_eta(spec, key, f_num, g):
     """g * d(eta) on the 3-wedge with this key, an integer; f_num maps
     coordinates u to g * f(u)."""
-    return sum(c * _scaled_primitive(f_num(k[0]), g)
-               for c, k in _boundary_terms(spec, key))
+    total = 0
+    for c, (u, _) in _boundary_terms(spec, key):
+        total += c * _scaled_primitive(f_num(u), g)
+    return total
 
 
 def omega_check(spec, z, box_radius=3, case1_cap=120, case2_cap=350):
@@ -1742,8 +1719,8 @@ def omega_check(spec, z, box_radius=3, case1_cap=120, case2_cap=350):
     every box triple (the class dies on the derived part)."""
     if not z.in_kernel_mu():
         raise ValueError("omega lives in radical gradings only")
-    support = box_support(spec, box_radius)
-    cocycle_checked, cocycle_pool = _omega_cocycle_scan(spec, z, support)
+    ordered = box_by_weight(spec, box_radius)
+    cocycle_checked, cocycle_pool = _omega_cocycle_scan(spec, z, box_radius)
     params = {"spec": spec.describe()["group"], "z": list(z.coords),
               "box": box_radius}
 
@@ -1753,7 +1730,7 @@ def omega_check(spec, z, box_radius=3, case1_cap=120, case2_cap=350):
         #   eta(V(u+v)) - eta(V(u)) - eta(V(v)) = -1,
         # one affine row per wedge.  Box infeasibility refutes a global
         # primitive outright.
-        pool = sorted(support, key=lambda e: e.sort_key())[:case1_cap]
+        pool = ordered[:case1_cap]
         variables = {}
         rows = []
         row_pairs = []
@@ -1826,8 +1803,8 @@ def omega_check(spec, z, box_radius=3, case1_cap=120, case2_cap=350):
 
     _require(f_num(z.coords) == g, "f(z) = 1")
 
-    pool = sorted(support, key=lambda e: e.sort_key())[:case2_cap]
-    members = {x.coords for x in support}
+    pool = ordered[:case2_cap]
+    members = {x.coords for x in ordered}
     # Coordinate order, as in the cocycle scan: each 3-set is counted
     # once, when the computed factor w is the largest, and (u, v, w) is
     # then the key.
@@ -1865,7 +1842,7 @@ def h1_check(spec, box_radius=2, gradings=None, enlarge=3, scan_cap=500):
     if gradings is None:
         gradings = box_support(spec, box_radius)
     big_radius = _capped_radius(spec, enlarge * box_radius, 20000)
-    big = sorted(box_support(spec, big_radius), key=lambda e: e.sort_key())
+    big = box_by_weight(spec, big_radius)
     entries = []
     all_ok = True
     for z in gradings:

@@ -238,11 +238,13 @@ def test_criterion_10_linear_extension_suite():
 
 def test_criterion_11_cli_golden_report(tmp_path):
     """`verify --suite all --surface 2,3 --box 2 --seed 1` reproduces
-    the committed golden report byte for byte."""
+    the committed golden report byte for byte, < 20 s."""
+    start = time.monotonic()
     out = tmp_path / "report.json"
     code = cli_main(["verify", "--suite", "all", "--surface", "2,3",
                      "--box", "2", "--seed", "1", "--format", "json",
                      "--out", str(out)])
+    assert time.monotonic() - start < 20.0
     assert code == 0
     with open(GOLDEN, "rb") as fh:
         golden = fh.read()

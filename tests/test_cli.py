@@ -9,6 +9,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -120,6 +121,16 @@ def test_usage_errors_exit_one(capsys):
     assert code == 1
     code, _, err = run(capsys, "validate", "--surface", "1,0", "--box", "0")
     assert code == 1 and "at least 1" in err
+
+
+@pytest.mark.parametrize("command", ["verify", "homology"])
+def test_a_box_over_the_budget_exits_one_at_once(command, capsys):
+    # --box 10 on Z^6 asks for 21^6 elements; nothing is enumerated.
+    start = time.monotonic()
+    code, out, err = run(capsys, command, "--surface", "3,1", "--box", "10")
+    assert time.monotonic() - start < 2.0
+    assert code == 1 and out == ""
+    assert "85766121 elements, over the budget of 1000000" in err
 
 
 # ---------------------------------------------------------------------------

@@ -8,12 +8,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from goldman.complexes import (
+    BOX_BUDGET,
+    _box_size,
     _boundary_terms,
     _sort_sign,
     Cochain,
     Wedge,
     WedgeChain,
     boundary,
+    box_by_weight,
     box_support,
     coboundary,
     enumerate_basis,
@@ -27,6 +30,7 @@ from conftest import (
     random_element,
     reference_boundary,
     reference_normalize,
+    scaled_blocks_z4,
     spec_pool,
     symplectic_z2,
     z2_z2torsion,
@@ -140,9 +144,14 @@ def test_boundary_kernel_matches_reference_formula(data):
     factors = [spec.canonical(data.draw(st.lists(st.integers(-3, 3),
                                                  min_size=n, max_size=n)))
                for _ in range(p)]
+    _assert_kernel_matches_reference(spec, factors)
+
+
+def _assert_kernel_matches_reference(spec, factors):
     sign, key = reference_normalize(factors)
     if not sign:
         return
+    p = len(factors)
     want = reference_boundary(spec, factors)
     # The kernel runs on the sorted key; the sorting sign carries over.
     got = {}
@@ -153,6 +162,45 @@ def test_boundary_kernel_matches_reference_formula(data):
     assert {k: v for k, v in got.items() if v} == want
     chain = boundary(wedge_chain(spec, factors))
     assert {w.sort_key(): c for w, c in chain.terms.items()} == want
+
+
+@pytest.mark.parametrize("spec", [symplectic_z2(), z2_z2torsion()],
+                         ids=["Z2", "Z2+Z/2"])
+def test_degree4_kernel_matches_reference_on_every_small_key(spec):
+    """Every 4-set of box(1): pair sums land before, between and after
+    the two remaining factors, hit one of them, hit 0, or wrap around a
+    torsion coordinate."""
+    box = box_support(spec, 1)
+    for factors in itertools.combinations(box, 4):
+        _assert_kernel_matches_reference(spec, list(factors))
+
+
+def test_degree4_kernel_hand_cases():
+    z2 = symplectic_z2()
+    e1, e2 = z2.canonical([1, 0]), z2.canonical([0, 1])
+    # e1 + e2 is itself a factor: that term drops out.
+    _assert_kernel_matches_reference(z2, [e1, e2, e1 + e2, 2 * e1])
+    # A pair summing to 0 pairs to 0 and contributes nothing.
+    _assert_kernel_matches_reference(z2, [e1, -e1, e2, z2.zero])
+    # The torsion coordinate (first in canonical order) wraps:
+    # (1, 0, 1) + (1, 1, 0) = (0, 1, 1).
+    t = z2_z2torsion()
+    assert t.torsion == ((0, 2),)
+    factors = [t.canonical(c) for c in ([1, 0, 1], [1, 1, 0], [0, 2, 0], [1, 0, 0])]
+    key = tuple(sorted(f.coords for f in factors))
+    assert any((0, 1, 1) in term for _, term in _boundary_terms(t, key))
+    _assert_kernel_matches_reference(t, factors)
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_degree4_kernel_matches_reference_on_crowded_keys(data):
+    """Degree 4 on factors from box(1), where sums collide often."""
+    spec = data.draw(st.sampled_from(DIFFERENTIAL_SPECS + [scaled_blocks_z4()]))
+    box = box_support(spec, 1)
+    factors = data.draw(st.lists(st.sampled_from(box), min_size=4, max_size=4,
+                                 unique=True))
+    _assert_kernel_matches_reference(spec, factors)
 
 
 def test_boundary_squares_to_zero_seeded_bulk():
@@ -277,6 +325,39 @@ def test_box_support_sizes():
     assert len(box_support(z1, 2)) == 5
     assert len(box_support(POOL[4], 1)) == 24  # torsion only: 4 * 6
     assert box_support(POOL[0], 0) == [POOL[0].zero]
+
+
+@pytest.mark.parametrize("radius", [0, 1, 2])
+def test_box_orders_match_sorted(radius):
+    for spec in POOL:
+        box = box_support(spec, radius)
+        assert box == sorted(box)
+        assert box_by_weight(spec, radius) == sorted(box, key=lambda e: e.sort_key())
+
+
+def test_box_is_built_once_and_never_mutated():
+    spec = symplectic_z2()
+    first = box_support(spec, 1)
+    first.reverse()
+    first.append(spec.zero)
+    again = box_support(spec, 1)
+    assert again == sorted(again) and len(again) == 9
+    # One set of elements per (spec, radius), in both orders.
+    assert all(a is b for a, b in zip(again, box_support(spec, 1)))
+    ordered = box_by_weight(spec, 1)
+    assert {id(x) for x in ordered} == {id(x) for x in again}
+    ordered.clear()
+    assert len(box_by_weight(spec, 1)) == 9
+
+
+def test_box_over_the_budget_is_refused_before_enumeration():
+    spec = surface_presentation(3, 1)   # Z^6
+    assert _box_size(spec, 10) == 21 ** 6 > BOX_BUDGET
+    for build in (box_support, box_by_weight):
+        with pytest.raises(ValueError, match="85766121 elements, over the budget of 1000000"):
+            build(spec, 10)
+    assert 10 not in spec._boxes
+    assert len(box_support(spec, 1)) == 3 ** 6
 
 
 def test_enumerate_basis_hand_oracles():

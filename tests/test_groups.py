@@ -189,6 +189,71 @@ def test_sub_coords_is_subtraction():
             assert spec.sub_coords(x.coords, y.coords) == (x - y).coords
 
 
+# The loop forms of the coordinate kernels: the references the generated
+# straight-line functions must agree with.
+
+
+def reference_add(spec, a, b):
+    total = [x + y for x, y in zip(a, b)]
+    for j, d in spec.torsion:
+        total[j] %= d
+    return tuple(total)
+
+
+def reference_sub(spec, a, b):
+    total = [x - y for x, y in zip(a, b)]
+    for j, d in spec.torsion:
+        total[j] %= d
+    return tuple(total)
+
+
+def reference_pair(spec, a, b):
+    total = 0
+    for i, j, w in spec._pair_entries:
+        total += w * (a[i] * b[j] - a[j] * b[i])
+    return total
+
+
+KERNEL_SPECS = {
+    "Z2": symplectic_z2(),
+    "Z2+Z/2": z2_z2torsion(),
+    "Z/3+Z": GroupSpec(2, relations=[[3, 0]]),
+    "Z/3+Z2 with form": GroupSpec(3, relations=[[0, 0, 3]],
+                                  form=[[0, 2, 0], [-2, 0, 0], [0, 0, 0]]),
+    "Z/2+Z/6 mixed": GroupSpec(3, relations=[[2, 4, 0], [6, 6, 0]],
+                               form=[[0, 0, 0], [0, 0, 0], [0, 0, 0]]),
+    "surface(2,3)": surface_presentation(2, 3),
+    "scaled blocks": GroupSpec(4, form=[[0, 2, 0, 0], [-2, 0, 0, 0],
+                                        [0, 0, 0, -3], [0, 0, 3, 0]]),
+    "zero form": GroupSpec(3, relations=[[0, 2, 0]]),
+    "rank 1": GroupSpec(1),
+}
+
+
+@given(st.sampled_from(sorted(KERNEL_SPECS)), st.data())
+@settings(max_examples=300, deadline=None)
+def test_generated_kernels_match_the_loops(name, data):
+    spec = KERNEL_SPECS[name]
+    n = spec.n_generators
+    a, b = (spec.canonical(data.draw(st.lists(st.integers(-9, 9), min_size=n,
+                                              max_size=n))).coords
+            for _ in range(2))
+    assert spec.add_coords(a, b) == reference_add(spec, a, b)
+    assert spec.sub_coords(a, b) == reference_sub(spec, a, b)
+    assert spec.pair_coords(a, b) == reference_pair(spec, a, b)
+    assert type(spec.pair_coords(a, b)) is int
+
+
+def test_kernel_specs_cover_their_cases():
+    specs = KERNEL_SPECS
+    assert specs["Z/3+Z"].torsion_coefficients == (3,)
+    assert specs["Z/2+Z/6 mixed"].torsion_coefficients == (2, 6)
+    assert specs["surface(2,3)"].dead_indices
+    assert {w for _, _, w in specs["surface(2,3)"]._pair_entries} == {1, -1}
+    assert {abs(w) for _, _, w in specs["scaled blocks"]._pair_entries} == {2, 3}
+    assert specs["zero form"].mu_is_zero() and specs["rank 1"].n_generators == 1
+
+
 def test_pairing_oracle_symplectic():
     spec = symplectic_z2()
     x, y = spec.generators()

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from goldman.linalg import SparseRationalMatrix
+from goldman.linalg import CertificateError, SparseRationalMatrix
 
 
 def dense(rows):
@@ -104,7 +104,7 @@ def test_solve_affine_certificate():
        st.lists(st.integers(-4, 4), min_size=2, max_size=5))
 @settings(max_examples=60, deadline=None)
 def test_solve_affine_total(rows, b):
-    # Either outcome must carry its exact witness; the asserts inside
+    # Either outcome must carry its exact witness; the checks inside
     # solve_affine re-verify, so surviving the call is the property.
     b = (b + [0] * len(rows))[:len(rows)]
     m = dense(rows)
@@ -112,6 +112,37 @@ def test_solve_affine_total(rows, b):
     assert (sol is None) != (cert is None)
     if sol is not None:
         assert list(m.matvec(sol)) == [Fraction(v) for v in b]
+
+
+@pytest.mark.parametrize("call, identity", [
+    (lambda m: m.kernel_basis(), "M x = 0 for a kernel vector"),
+    (lambda m: m.in_span([1, 2]), "M x = v for the span witness"),
+    (lambda m: m.solve_affine([1, 2]), "M x = b for the affine solution"),
+])
+def test_rechecks_raise_certificate_errors(call, identity, monkeypatch):
+    m = dense([[1, 0, 1], [0, 1, 1]])
+    call(m)
+    matvec = SparseRationalMatrix.matvec
+    monkeypatch.setattr(SparseRationalMatrix, "matvec",
+                        lambda self, x: [v + 1 for v in matvec(self, x)])
+    with pytest.raises(CertificateError) as info:
+        call(m)
+    assert info.value.identity == identity
+
+
+def test_farkas_recheck_raises_certificate_errors(monkeypatch):
+    m = dense([[1, 1], [2, 2]])
+    eliminate = SparseRationalMatrix._eliminate_affine
+    for corrupt, identity in ((lambda y: {r: 2 * c if r == 0 else c for r, c in y.items()},
+                               "y M = 0 for the Farkas certificate"),
+                              (lambda y: {0: Fraction(0), 1: Fraction(0)},
+                               "y b != 0 for the Farkas certificate")):
+        monkeypatch.setattr(
+            SparseRationalMatrix, "_eliminate_affine",
+            lambda self, b, order, corrupt=corrupt: (None, corrupt(eliminate(self, b, order)[1])))
+        with pytest.raises(CertificateError) as info:
+            m.solve_affine([0, 1])
+        assert info.value.identity == identity
 
 
 def test_solve_affine_row_order():

@@ -509,6 +509,20 @@ def test_dropping_one_boundary_term_stops_the_outer_certificate(target, monkeypa
     assert not all(e["identity_holds"] for e in r.details["per_y"])
 
 
+@pytest.mark.parametrize("spec, zc, box", [
+    (surface_presentation(1, 2), [1, 1, 1, 0], 2),
+    (surface_presentation(2, 3), [1, 0, 0, 0, 0, 0, 0], 1),
+    (z2_z2torsion(), [1, 0, 1], 0),
+])
+def test_outer_y_choices_are_the_lightest_pairing_elements(spec, zc, box):
+    z = spec.element(zc)
+    pairing = [y for y in box_support(spec, max(box, 1)) if spec.pairing(y, z)]
+    want = [list(y.coords) for y in sorted(pairing, key=lambda e: e.sort_key())[:2]]
+    # Coordinate order would pick other y's: the weight decides.
+    assert [list(y.coords) for y in pairing[:2]] != want
+    assert outer_h2_certify(spec, z, box).details["y_choices"] == want
+
+
 # (group, radical grading) pairs: the origin of Z^2, a boundary class,
 # a torsion grading, and the free radical direction of Z^3.
 _OMEGA_CASES = [
@@ -966,6 +980,45 @@ def test_wrong_omega_primitive_is_refuted_under_python_O(tmp_path):
     assert report["summary"]["certified"] == 0
 
 
+_CORRUPT_FARKAS = """
+import sys
+from goldman import linalg
+from goldman.cli import main
+
+if not sys.flags.optimize:
+    sys.exit("run with python -O")
+eliminate = linalg.SparseRationalMatrix._eliminate_affine
+
+def corrupted(self, b, row_order):
+    solution, certificate = eliminate(self, b, row_order)
+    if certificate is not None:
+        # Double one coefficient: y M = 0 no longer holds.
+        first = min(certificate)
+        certificate[first] *= 2
+    return solution, certificate
+
+linalg.SparseRationalMatrix._eliminate_affine = corrupted
+sys.exit(main(["verify", "--suite", "omega", "--surface", "1,0",
+               "--grading", "0,0", "--box", "2", "--format", "json"]))
+"""
+
+
+def test_corrupted_omega_farkas_certificate_is_refuted_under_python_O(tmp_path):
+    script = tmp_path / "corrupt_farkas.py"
+    script.write_text(_CORRUPT_FARKAS)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(verify.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", str(script)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 1, proc.stderr
+    report = json.loads(proc.stdout)
+    (entry,) = report["results"]
+    assert entry["check"] == "omega-class"
+    assert entry["verdict"] == "refuted"
+    assert entry["details"] == {"failed_identity": "y M = 0 for the Farkas certificate"}
+    assert report["summary"]["certified"] == 0
+
+
 _CORRUPT_PROJ = """
 import sys
 from goldman import verify
@@ -1344,7 +1397,7 @@ def test_omega_primitive_matches_brute_force_on_small_box():
 def test_omega_cocycle_scan_counts_every_4_set_once(spec, zc, radius, budget):
     z = spec.element(zc)
     support = box_support(spec, radius)
-    checked, pool_size = verify._omega_cocycle_scan(spec, z, support, budget)
+    checked, pool_size = verify._omega_cocycle_scan(spec, z, radius, budget)
     pool = {x.coords for x in sorted(support, key=lambda e: e.sort_key())[:pool_size]}
     # Brute force: 4-sets of the support with sum z whose three smallest
     # factors lie in the pool.
