@@ -36,8 +36,16 @@ witnesses.  The certification patterns are:
   the witnesses, the column matrix behind boundary witnesses and
   in_span, and the f-image and box-image ranks.
 
-  Pairs (u, v) are tried in a fixed order, by weight sum and then by
-  sort key, generated lazily one weight level at a time.  A greedy pass
+  Pairs (u, v) are tried in one fixed order, generated lazily.  The
+  unit steps G(x, e) come first: x over the factors of W in weight
+  order, e over the derived elements of box(1) that are factors of W,
+  in weight order.  Then every remaining pair follows, by weight sum
+  and then by sort key, one weight level at a time.  Each unordered
+  pair comes exactly once, so a pair dropped for want of a witness is
+  never offered again.  The unit steps nearly span ker(f) by
+  themselves, which makes the search short.  The order changes which
+  columns are kept, not the argument: every column is still verified,
+  and rank_p <= rank_Q <= dim ker(f) holds for any order.  A greedy pass
   over a fixed order keeps the same independent set whatever
   elimination decides independence, so the span's reduced echelon form
   changes the cost of the search and not the columns it keeps.  In
@@ -80,6 +88,7 @@ re-verification raises CertificateError, naming the failed identity,
 and is not an assert, so it also runs under ``python -O``.
 """
 
+import functools
 import itertools
 import math
 import random
@@ -409,15 +418,17 @@ def _ideal_generator(spec, z, u, v):
             - wedge_chain(spec, [v, z - v]))
 
 
-def ideal_membership(c, box_elements, enlarge=3):
+def ideal_membership(c, box, enlarge=3):
     """Is the grading-z chain c a combination of relation generators?
 
     Candidate generator labels are drawn from the factors of c, their
-    pairwise differences, and the small elements of ``box_elements``,
-    restricted so generator terms stay inside the box enlarged by the
-    given factor.  Returns (True, witness), (False, obstruction) when
-    the quotient map already separates c from the ideal, or
-    (None, note) when the truncated generator pool does not decide.
+    pairwise differences, and the small elements of the box, restricted
+    so generator terms stay inside the box enlarged by the given factor.
+    ``box`` is a radius, or the list of box elements; a radius takes the
+    small elements from the memoised weight order without a scan.
+    Returns (True, witness), (False, obstruction) when the quotient map
+    already separates c from the ideal, or (None, note) when the
+    truncated generator pool does not decide.
     """
     spec = c.spec
     if c.degree != 2:
@@ -433,21 +444,27 @@ def ideal_membership(c, box_elements, enlarge=3):
             "f_image": [[frac_str(v), list(k)] for k, v in image.items()],
         }
 
-    limit = enlarge * max(
-        (max(abs(cc) for cc in x.coords) for x in box_elements), default=1)
+    if isinstance(box, int):
+        # The largest coordinate in box(radius): the radius on a free
+        # coordinate, d - 1 on a torsion one of order d.
+        extent = max([box] + [d - 1 for _, d in spec.torsion])
+        small = itertools.takewhile(lambda x: x.weight() <= 2,
+                                    box_by_weight(spec, box))
+    else:
+        extent = max((max(abs(cc) for cc in x.coords) for x in box), default=1)
+        small = (x for x in box if x.weight() <= 2)
+    limit = enlarge * extent
 
     def inside(x):
         return all(abs(x.coords[j]) <= limit for j in spec.free_indices)
 
     factors = sorted({f for w in c.terms for f in w.factors},
                      key=lambda e: e.sort_key())
-    small = [x for x in box_elements
-             if x.weight() <= 2 and x != spec.zero]
     candidates = list(factors)
     for a, b in itertools.combinations(factors, 2):
         candidates.append(a - b)
         candidates.append(b - a)
-    candidates.extend(small)
+    candidates.extend(x for x in small if x != spec.zero)
     candidates = sorted(set(candidates), key=lambda e: e.sort_key())[:120]
 
     generators = []
@@ -843,6 +860,30 @@ def _pair_order(weights):
                     yield i, j
 
 
+def _candidate_order(weights, steps):
+    """Index pairs (i, j), i <= j, unit steps first.
+
+    First (x, e) for every index x in order and every e in ``steps``
+    (indices, in their given order), then the rest of
+    ``_pair_order(weights)``.  Each unordered pair comes exactly once, so
+    the stream is a reordering of ``_pair_order(weights)``, produced
+    lazily like it.
+    """
+    # The unit pairs are those with a step on either side; one with a
+    # step on both sides is yielded at the smaller index, as x.
+    units = set(steps)
+    for i in range(len(weights)):
+        is_unit = i in units
+        for k in steps:
+            if k >= i:
+                yield i, k
+            elif not is_unit:
+                yield k, i
+    for i, j in _pair_order(weights):
+        if i not in units and j not in units:
+            yield i, j
+
+
 class InnerCertification:
     """Certified data for one inner grading z in ker mu.
 
@@ -948,15 +989,19 @@ class InnerCertification:
 
         self.target_rank = len(self.wedges) - self.f_rank
         weights = [x.weight() for x in elements]
+        # The unit steps e: the elements of box(1) that are factors of W
+        # (all derived, as W is), in weight order.
+        position = {x: i for i, x in enumerate(elements)}
+        steps = [position[e] for e in box_by_weight(spec, 1) if e in position]
 
         # Search mod p first: the mod-p rank never exceeds the rational
         # one, so reaching target_rank certifies; only a shortfall needs
         # the exact pass.
         self.columns, self.rank = self._column_pass(
-            elements, _pair_order(weights), probes, _SPAN_MODULUS)
+            elements, _candidate_order(weights, steps), probes, _SPAN_MODULUS)
         if self.rank < self.target_rank:
             self.columns, self.rank = self._column_pass(
-                elements, _pair_order(weights), probes, None)
+                elements, _candidate_order(weights, steps), probes, None)
 
         self.matrix = SparseRationalMatrix(len(self.wedges), len(self.columns))
         for col, (gen, _) in enumerate(self.columns):
@@ -1462,7 +1507,6 @@ def surface_generator_check(g, r, z=None, box_radius=2, enlarge=3):
 
     a_g = gens[2 * (g - 1)]
     b_g = gens[2 * (g - 1) + 1]
-    box = box_support(spec, box_radius)
     decompositions = []
     all_ok = True
     inner = None
@@ -1471,7 +1515,7 @@ def surface_generator_check(g, r, z=None, box_radius=2, enlarge=3):
         diff = (wedge_chain(spec, [c_j, z - c_j])
                 - wedge_chain(spec, [c_j - a_g, z - c_j + a_g])
                 - wedge_chain(spec, [a_g, z - a_g]))
-        status, evidence = ideal_membership(diff, box, enlarge)
+        status, evidence = ideal_membership(diff, box_radius, enlarge)
         entry = {"class": names[2 * g + j],
                  "ideal_member": bool(status),
                  "ideal_witness": evidence.get("witness")}
@@ -1802,6 +1846,9 @@ def omega_check(spec, z, box_radius=3, case1_cap=120, case2_cap=350):
         return sum(c * x[j] for c, j in zip(coeffs, spec.free_indices))
 
     _require(f_num(z.coords) == g, "f(z) = 1")
+    # The boundary terms of the scan share their factors: f is evaluated
+    # once per coordinate tuple, and the primitive still per term.
+    f_values = functools.cache(f_num)
 
     pool = ordered[:case2_cap]
     members = {x.coords for x in ordered}
@@ -1817,7 +1864,7 @@ def omega_check(spec, z, box_radius=3, case1_cap=120, case2_cap=350):
             v = coords[j]
             w = sub(zu, v)
             if w > v and w in members:
-                _require(_scaled_d_eta(spec, (u, v, w), f_num, g) == g * pair(u, v),
+                _require(_scaled_d_eta(spec, (u, v, w), f_values, g) == g * pair(u, v),
                          "d(eta) = omega")
                 checked += 1
     return CheckResult(

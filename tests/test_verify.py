@@ -53,6 +53,7 @@ from goldman.verify import (
     InnerCertification,
     _IncrementalSpan,
     _SPAN_MODULUS,
+    _candidate_order,
     _ideal_generator,
     _pair_order,
     f_on_ordered,
@@ -230,6 +231,19 @@ def test_ideal_membership_obstruction():
     status, why = ideal_membership(wedge_chain(z2, [u, -u]), box)
     assert status is False
     assert "f_image" in why
+
+
+@pytest.mark.parametrize("spec", [symplectic_z2(), z2_z2torsion()], ids=["z2", "z2+z/2"])
+def test_ideal_membership_from_a_radius_matches_the_box_list(spec):
+    rng = random.Random(5)
+    n = spec.n_generators
+    for _ in range(6):
+        u = spec.element([rng.randint(-1, 1) for _ in range(n)])
+        v = spec.element([rng.randint(-1, 1) for _ in range(n)])
+        c = boundary(wedge_chain(spec, [u, v, -u - v]))
+        for enlarge in (1, 3):
+            assert (ideal_membership(c, 2, enlarge)
+                    == ideal_membership(c, box_support(spec, 2), enlarge))
 
 
 def test_ideal_membership_zero_chain():
@@ -759,17 +773,59 @@ def test_pair_order_edge_cases():
     assert list(_pair_order([1, 1])) == [(0, 0), (0, 1), (1, 1)]
 
 
+@given(st.lists(st.integers(0, 4), max_size=12), st.data())
+@settings(max_examples=200, deadline=None)
+def test_candidate_order_is_unit_steps_then_the_pair_order(weights, data):
+    weights = sorted(weights)
+    n = len(weights)
+    steps = data.draw(st.permutations(range(n)))[:data.draw(st.integers(0, n))]
+    got = list(_candidate_order(weights, steps))
+    unit = {tuple(sorted((i, k))) for i in range(n) for k in steps}
+    rank = {k: r for r, k in enumerate(steps)}
+
+    def first(ij):
+        # (index of x, place of e) of the first unit step (x, e) on ij.
+        i, j = ij
+        return min((x, rank[e]) for x, e in ((i, j), (j, i)) if e in rank)
+
+    # Every unordered pair once, the unit steps as a prefix, and the
+    # rest in the order of _pair_order.
+    assert sorted(got) == sorted(_pair_order(weights))
+    assert got[:len(unit)] == sorted(unit, key=first)
+    assert got[len(unit):] == [ij for ij in _pair_order(weights) if ij not in unit]
+
+
+def _unit_steps(inner, elements):
+    """Indices of the derived box(1) elements among the factors of W,
+    in weight order."""
+    ordered = sorted(box_support(inner.spec, 1), key=lambda e: e.sort_key())
+    return [elements.index(e) for e in ordered
+            if e.is_derived_element() and e in elements]
+
+
 def _reference_columns(inner):
-    """The greedy columns of the inner pass, over the fully sorted pair
-    list with today's key and exact elimination."""
+    """The greedy columns of the inner pass over the fully materialised
+    candidate list in the documented order, with exact elimination.
+
+    The order: each unit step (x, e), x over the factors of W in weight
+    order and e over the derived elements of box(1) in weight order, at
+    its first occurrence; then every other pair by weight sum and sort
+    keys."""
     spec, z = inner.spec, inner.z
     elements = sorted({f for w in inner.wedges for f in w.factors},
                       key=lambda e: e.sort_key())
     n = len(elements)
-    pairs = sorted(((i, j) for j in range(n) for i in range(j + 1)),
-                   key=lambda ij: (elements[ij[0]].weight() + elements[ij[1]].weight(),
-                                   elements[ij[0]].sort_key(),
-                                   elements[ij[1]].sort_key()))
+    steps = _unit_steps(inner, elements)
+    first = {}
+    for i in range(n):
+        for rank, k in enumerate(steps):
+            first.setdefault((min(i, k), max(i, k)), (0, i, rank))
+
+    def place(ij):
+        u, v = elements[ij[0]], elements[ij[1]]
+        return first.get(ij, (1, u.weight() + v.weight(), u.sort_key(), v.sort_key()))
+
+    pairs = sorted(((i, j) for j in range(n) for i in range(j + 1)), key=place)
     probes = [x for x in sorted(inner.support, key=lambda e: e.sort_key())
               if x != spec.zero][:80]
     span = _FractionEchelon()
@@ -797,6 +853,83 @@ def test_inner_columns_match_the_sorted_reference_greedy(spec, box):
     inner = inner_h2_certify(spec, spec.zero, box)
     assert inner.result.verdict == CERTIFIED
     assert [gen for gen, _ in inner.columns] == _reference_columns(inner)
+
+
+@pytest.mark.parametrize("spec, box", [
+    (symplectic_z2(), 4),
+    (z2_z2torsion(), 2),
+    (surface_presentation(1, 2), 2),
+], ids=["z2-box4", "z2+z/2-box2", "surface12-box2"])
+def test_inner_candidate_stream_is_a_permutation_of_all_pairs(spec, box, monkeypatch):
+    streams = []
+    column_pass = InnerCertification._column_pass
+
+    def materialising(self, elements, pair_order, probes, modulus):
+        pairs = list(pair_order)
+        streams.append((elements, pairs))
+        return column_pass(self, elements, iter(pairs), probes, modulus)
+
+    monkeypatch.setattr(InnerCertification, "_column_pass", materialising)
+    inner = inner_h2_certify(spec, spec.zero, box)
+    assert inner.result.verdict == CERTIFIED
+    for elements, pairs in streams:
+        n = len(elements)
+        assert sorted(pairs) == [(i, j) for i in range(n) for j in range(i, n)]
+        steps = set(_unit_steps(inner, elements))
+        unit = sum(1 for i, j in pairs if i in steps or j in steps)
+        assert steps and all(i in steps or j in steps for i, j in pairs[:unit])
+
+
+def test_inner_z2_box12_certifies_from_few_span_inserts(monkeypatch):
+    # The all-pairs greedy took 65,414 inserts here.
+    inserts = []
+    insert = _IncrementalSpan.insert
+
+    def recording_insert(self, vec):
+        if self.modulus is not None:
+            inserts.append(vec)
+        return insert(self, vec)
+
+    monkeypatch.setattr(_IncrementalSpan, "insert", recording_insert)
+    z2 = symplectic_z2()
+    inner = inner_h2_certify(z2, z2.zero, 12)
+    assert inner.result.verdict == CERTIFIED
+    assert inner.rank == inner.target_rank == 310
+    assert 0 < len(inserts) < 8000
+
+
+def test_inner_certifies_z2_box20_and_surface12_radical_gradings():
+    z2 = symplectic_z2()
+    results = [inner_h2_certify(z2, z2.zero, 20).result]
+    s12 = surface_presentation(1, 2)
+    radical = [z for z in box_support(s12, 3) if z.in_kernel_mu()]
+    assert len(radical) == 7
+    results.extend(inner_h2_certify(s12, z, 3).result for z in radical)
+    for r in results:
+        assert r.verdict == CERTIFIED, r.params
+        assert r.details["boundary_rank"] == r.details["kernel_of_f_dim"]
+
+
+def test_inner_pair_order_tail_certifies_without_unit_steps(monkeypatch):
+    # Refuse every pair with a unit step; the columns then all come from
+    # the _pair_order tail.
+    z2 = symplectic_z2()
+    units = {e for e in box_support(z2, 1) if e.is_derived_element()}
+    witness_for = InnerCertification._witness_for
+    refused = []
+
+    def no_unit_steps(self, u, v, probes):
+        if u in units or v in units:
+            refused.append((u, v))
+            return None
+        return witness_for(self, u, v, probes)
+
+    monkeypatch.setattr(InnerCertification, "_witness_for", no_unit_steps)
+    inner = inner_h2_certify(z2, z2.zero, 4)
+    assert refused
+    assert inner.result.verdict == CERTIFIED
+    for gen, witness in inner.columns:
+        assert boundary(witness) == gen
 
 
 def _record_passes(monkeypatch):
@@ -852,12 +985,16 @@ def test_inner_rebuilds_the_modular_span_from_integer_columns(monkeypatch):
     z2 = symplectic_z2()
     witness_for = InnerCertification._witness_for
     dropped = []
+    witnessed = []
 
     def flaky(self, u, v, probes):
         if len(dropped) < 3:
             dropped.append((u, v))
             return None
-        return witness_for(self, u, v, probes)
+        witness = witness_for(self, u, v, probes)
+        if witness is not None:
+            witnessed.append((u, v))
+        return witness
 
     inserted = []
     insert = _IncrementalSpan.insert
@@ -873,13 +1010,19 @@ def test_inner_rebuilds_the_modular_span_from_integer_columns(monkeypatch):
     assert len(dropped) == 3
     assert all(type(c) is int for vec in inserted for c in vec.values())
     assert inner.result.verdict == CERTIFIED
+    # Per pair: every pair is offered at most once, so a dropped pair
+    # never builds a column; each column is G of a witnessed pair, and
+    # its own witness re-expands to it.  (The same chain may come back
+    # from a different pair.)
+    offered = [frozenset((u, v)) for u, v in dropped + witnessed]
+    assert len(offered) == len(set(offered))
+    assert [gen for gen, _ in inner.columns] == [
+        _ideal_generator(z2, z2.zero, u, v) for u, v in witnessed]
     for gen, witness in inner.columns:
         assert boundary(witness) == gen
-    dropped_columns = [_ideal_generator(z2, z2.zero, u, v) for u, v in dropped]
-    assert not any(gen in dropped_columns for gen, _ in inner.columns)
 
     # The same drops in exact arithmetic pick the same columns.
-    del dropped[:]
+    del dropped[:], witnessed[:]
     exact = _exact_inner(monkeypatch, z2, z2.zero, 3)
     assert inner.result.to_dict() == exact.result.to_dict()
     assert inner.columns == exact.columns
