@@ -41,7 +41,6 @@ from goldman.verify import (
     NOT_APPLICABLE,
     CheckResult,
     QuotientTensorSpace,
-    QuotientWedgeVector,
     f_map,
     g_map,
     ideal_membership,
@@ -86,7 +85,6 @@ __all__ = [
     "NOT_APPLICABLE",
     "CheckResult",
     "QuotientTensorSpace",
-    "QuotientWedgeVector",
     "f_map",
     "g_map",
     "ideal_membership",

@@ -47,8 +47,6 @@ False
 True
 """
 
-from fractions import Fraction
-
 __all__ = [
     "smith_normal_form",
     "SnfDecomposition",
@@ -104,28 +102,6 @@ def _determinant(m):
     return sign * a[n - 1][n - 1]
 
 
-def _int_inverse(m):
-    """Inverse of a unimodular integer matrix, returned with integer entries."""
-    n = len(m)
-    work = [[Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(n)]
-            for i, row in enumerate(m)]
-    for col in range(n):
-        pivot = next(i for i in range(col, n) if work[i][col] != 0)
-        work[col], work[pivot] = work[pivot], work[col]
-        pv = work[col][col]
-        work[col] = [v / pv for v in work[col]]
-        for i in range(n):
-            if i != col and work[i][col] != 0:
-                f = work[i][col]
-                work[i] = [a - f * b for a, b in zip(work[i], work[col])]
-    inv = [[v for v in row[n:]] for row in work]
-    for row in inv:
-        for v in row:
-            if v.denominator != 1:
-                raise ValueError("matrix is not unimodular")
-    return [[int(v) for v in row] for row in inv]
-
-
 def _strict_int(value, what):
     """value itself when it is an int (bool excluded); ValueError otherwise."""
     if isinstance(value, bool) or not isinstance(value, int):
@@ -134,29 +110,34 @@ def _strict_int(value, what):
 
 
 class SnfDecomposition:
-    """Smith normal form U @ R @ V = D with unimodular U, V.
+    """Smith normal form U @ R @ V = D with unimodular U, V, and the
+    integer inverse ``V_inv`` of V.
 
     ``diagonal`` lists the diagonal of D padded to the column count, so
     entry j is the invariant factor of the j-th canonical coordinate
     (0 = free, 1 = dead, d > 1 = torsion of order d).
     """
 
-    __slots__ = ("matrix", "U", "D", "V", "diagonal")
+    __slots__ = ("matrix", "U", "D", "V", "V_inv", "diagonal")
 
-    def __init__(self, matrix, U, D, V, diagonal):
+    def __init__(self, matrix, U, D, V, V_inv, diagonal):
         self.matrix = matrix
         self.U = U
         self.D = D
         self.V = V
+        self.V_inv = V_inv
         self.diagonal = diagonal
 
     def validate(self):
-        """Recheck U R V = D, unimodularity, and the divisibility chain."""
+        """Recheck U R V = D, unimodularity, V V_inv = I, and the
+        divisibility chain."""
         m = len(self.matrix)
         if _mat_mul(_mat_mul(self.U, self.matrix), self.V) != self.D:
             raise AssertionError("U R V != D")
         if abs(_determinant(self.U)) != 1 or abs(_determinant(self.V)) != 1:
             raise AssertionError("transform matrix is not unimodular")
+        if _mat_mul(self.V, self.V_inv) != _identity(len(self.V)):
+            raise AssertionError("V V_inv != I")
         nonzero = [d for d in self.diagonal if d != 0]
         for a, b in zip(nonzero, nonzero[1:]):
             if b % a != 0:
@@ -174,7 +155,9 @@ def smith_normal_form(rows, n_cols=None):
     """Smith normal form of an integer matrix given as a list of rows.
 
     Returns an SnfDecomposition with U (m x m), V (n x n), D = U R V
-    diagonal with nonnegative entries in a divisibility chain.
+    diagonal with nonnegative entries in a divisibility chain, and
+    V_inv = V^{-1}: each column operation on V is mirrored on V_inv as
+    the inverse row operation.
     ``n_cols`` is required when ``rows`` is empty.
 
     >>> snf = smith_normal_form([[2, 4], [6, 8]])
@@ -198,6 +181,7 @@ def smith_normal_form(rows, n_cols=None):
     a = [r[:] for r in rows]
     u = _identity(m)
     v = _identity(n)
+    v_inv = _identity(n)
 
     def swap_rows(i, j):
         a[i], a[j] = a[j], a[i]
@@ -208,6 +192,7 @@ def smith_normal_form(rows, n_cols=None):
             row[i], row[j] = row[j], row[i]
         for row in v:
             row[i], row[j] = row[j], row[i]
+        v_inv[i], v_inv[j] = v_inv[j], v_inv[i]
 
     def add_row(dst, src, q):
         # row_dst += q * row_src, mirrored on U to keep U R V = A.
@@ -219,10 +204,15 @@ def smith_normal_form(rows, n_cols=None):
             urow[j] += q * usrc[j]
 
     def add_col(dst, src, q):
+        # col_dst += q * col_src, mirrored on V; V_inv takes the inverse
+        # row operation, row_src -= q * row_dst.
         for row in a:
             row[dst] += q * row[src]
         for row in v:
             row[dst] += q * row[src]
+        vsrc, vdst = v_inv[src], v_inv[dst]
+        for j in range(n):
+            vsrc[j] -= q * vdst[j]
 
     t = 0
     while t < min(m, n):
@@ -277,7 +267,7 @@ def smith_normal_form(rows, n_cols=None):
         t += 1
 
     diagonal = tuple(a[j][j] if j < m else 0 for j in range(n))
-    return SnfDecomposition(rows, u, a, v, diagonal)
+    return SnfDecomposition(rows, u, a, v, v_inv, diagonal)
 
 
 def _coordinate_kernels(divisors, pair_entries):
@@ -495,7 +485,7 @@ class GroupSpec:
         self.snf = smith_normal_form(self.relations, n_cols=n)
         self.divisors = self.snf.diagonal
         self._v = self.snf.V
-        self._v_inv = _int_inverse(self.snf.V)
+        self._v_inv = self.snf.V_inv
         self.free_indices = tuple(j for j, d in enumerate(self.divisors) if d == 0)
         self.torsion = tuple((j, d) for j, d in enumerate(self.divisors) if d > 1)
         self.dead_indices = tuple(j for j, d in enumerate(self.divisors) if d == 1)

@@ -10,7 +10,7 @@ from goldman.groups import (
     smith_normal_form,
     surface_presentation,
     _determinant,
-    _int_inverse,
+    _identity,
     _mat_mul,
 )
 
@@ -77,16 +77,27 @@ def test_snf_decomposition_exact(rows):
     assert prod == snf.D
 
 
+@given(st.lists(st.lists(st.integers(-20, 20), min_size=4, max_size=4),
+                min_size=0, max_size=4))
+@settings(max_examples=60, deadline=None)
+def test_snf_v_inv_inverts_v(rows):
+    snf = smith_normal_form(rows, n_cols=4)
+    assert _mat_mul(snf.V, snf.V_inv) == _identity(4)
+    assert _mat_mul(snf.V_inv, snf.V) == _identity(4)
+
+
+def test_snf_validate_rejects_a_corrupted_v_inv():
+    snf = smith_normal_form([[2, 4, 4], [-6, 6, 12], [10, -4, -16]])
+    assert snf.validate()
+    snf.V_inv[0][0] += 1
+    with pytest.raises(AssertionError, match="V V_inv"):
+        snf.validate()
+
+
 def test_determinant_and_inverse():
     assert _determinant([[2, 1], [1, 1]]) == 1
     assert _determinant([[1, 2], [3, 4]]) == -2
     assert _determinant([]) == 1
-    m = [[1, 1, 0], [0, 1, 2], [0, 0, 1]]
-    inv = _int_inverse(m)
-    n = len(m)
-    assert _mat_mul(m, inv) == [[int(i == j) for j in range(n)] for i in range(n)]
-    with pytest.raises(ValueError):
-        _int_inverse([[2, 0], [0, 1]])
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from goldman.linalg import CertificateError, SparseRationalMatrix
+from goldman.linalg import CertificateError, SparseRationalMatrix, _IncrementalSpan
 
 
 def dense(rows):
@@ -131,50 +131,34 @@ def test_rechecks_raise_certificate_errors(call, identity, monkeypatch):
 
 
 def test_farkas_recheck_raises_certificate_errors(monkeypatch):
+    # The residual of the first inconsistent row [row | b | tags] has its
+    # least entry on the right-hand side coordinate, n_cols = 2; its tag
+    # part (rows 3 and 4) is the unchecked certificate.  Corrupt that.
     m = dense([[1, 1], [2, 2]])
-    eliminate = SparseRationalMatrix._eliminate_affine
-    for corrupt, identity in ((lambda y: {r: 2 * c if r == 0 else c for r, c in y.items()},
+    reduce = _IncrementalSpan.reduce
+    for corrupt, identity in ((lambda y: {r: 2 * c if r == min(y) else c for r, c in y.items()},
                                "y M = 0 for the Farkas certificate"),
-                              (lambda y: {0: Fraction(0), 1: Fraction(0)},
+                              (lambda y: {r: Fraction(0) for r in y},
                                "y b != 0 for the Farkas certificate")):
-        monkeypatch.setattr(
-            SparseRationalMatrix, "_eliminate_affine",
-            lambda self, b, order, corrupt=corrupt: (None, corrupt(eliminate(self, b, order)[1])))
+        def corrupted(self, vec, corrupt=corrupt):
+            residual = reduce(self, vec)
+            if residual and min(residual) == 2:
+                tags = {k: c for k, c in residual.items() if k > 2}
+                residual = {2: residual[2], **corrupt(tags)}
+            return residual
+
+        monkeypatch.setattr(_IncrementalSpan, "reduce", corrupted)
         with pytest.raises(CertificateError) as info:
             m.solve_affine([0, 1])
         assert info.value.identity == identity
 
 
-def test_solve_affine_row_order():
-    m = dense([[1, 1], [2, 2], [1, 0]])
-    sol, cert = m.solve_affine([0, 1, 5], row_order=[2, 0, 1])
-    assert sol is None and cert is not None
-
-
-def test_triplet_round_trip():
-    m = SparseRationalMatrix(3, 4)
-    m[0, 0] = Fraction(1, 2)
-    m[2, 3] = -7
-    text = m.to_triplet_text()
-    back = SparseRationalMatrix.from_triplet_text(text)
-    assert back.n_rows == 3 and back.n_cols == 4
-    assert back.entries == m.entries
-    assert back.to_triplet_text() == text
-
-
-def test_triplet_rejects_garbage():
+def test_wrong_lengths_are_rejected():
+    m = dense([[1, 0, 1], [0, 1, 1]])
     with pytest.raises(ValueError):
-        SparseRationalMatrix.from_triplet_text("")
+        m.in_span([1, 2, 3])
     with pytest.raises(ValueError):
-        SparseRationalMatrix.from_triplet_text("1 1 2\n0 0 1\n")
-
-
-def test_from_columns_and_transpose():
-    m = SparseRationalMatrix.from_columns(2, [{0: 1}, {1: Fraction(1, 3)}, {}])
-    assert m.n_cols == 3
-    t = m.transpose()
-    assert t[1, 1] == Fraction(1, 3)
-    assert t.n_rows == 3 and t.n_cols == 2
+        m.solve_affine([1])
 
 
 def test_setitem_bounds_and_zero_drop():
@@ -184,3 +168,158 @@ def test_setitem_bounds_and_zero_drop():
     assert (0, 1) not in m.entries
     with pytest.raises(IndexError):
         m[2, 0] = 1
+
+
+# ---------------------------------------------------------------------------
+# The eliminations the kernel replaced, kept as the reference: every
+# witness, kernel vector, solution and certificate of the kernel must
+# equal theirs, which is what keeps the reports byte for byte.
+
+
+def _reference_reduce(vec, comb, pivots):
+    # Repeatedly cancel the least-index row of vec against the pivot
+    # stored there, if any; termination because the least index climbs.
+    while vec:
+        r = min(vec)
+        if r not in pivots:
+            return
+        pvec, pcomb = pivots[r]
+        factor = vec[r] / pvec[r]
+        for i, v in pvec.items():
+            newv = vec.get(i, Fraction(0)) - factor * v
+            if newv:
+                vec[i] = newv
+            else:
+                vec.pop(i, None)
+        for c, v in pcomb.items():
+            newv = comb.get(c, Fraction(0)) - factor * v
+            if newv:
+                comb[c] = newv
+            else:
+                comb.pop(c, None)
+
+
+def _reference_column_echelon(m):
+    """Incremental column reduction with combination tracking: (pivots,
+    kernel), pivots mapping a row to (reduced column, combination)."""
+    pivots = {}
+    kernel = []
+    for j, col in enumerate(m.columns()):
+        vec = dict(col)
+        comb = {j: Fraction(1)}
+        _reference_reduce(vec, comb, pivots)
+        if vec:
+            pivots[min(vec)] = (vec, comb)
+        else:
+            kernel.append(comb)
+    return pivots, kernel
+
+
+def _reference_kernel_basis(m):
+    _, kernel = _reference_column_echelon(m)
+    out = []
+    for comb in kernel:
+        vec = [Fraction(0)] * m.n_cols
+        for j, v in comb.items():
+            vec[j] = v
+        out.append(tuple(vec))
+    return out
+
+
+def _reference_in_span(m, v):
+    pivots, _ = _reference_column_echelon(m)
+    vec = {i: Fraction(x) for i, x in enumerate(v) if x}
+    comb = {}
+    _reference_reduce(vec, comb, pivots)
+    if vec:
+        return False, None
+    witness = [Fraction(0)] * m.n_cols
+    for j, c in comb.items():
+        witness[j] = -c
+    return True, tuple(witness)
+
+
+def _reference_solve_affine(m, b):
+    """Row elimination on [row | b | combination], back substitution
+    with free variables at zero."""
+    b = [Fraction(x) for x in b]
+    rows = m.row_list()
+    pivots = {}
+    for i in range(m.n_rows):
+        vec = dict(rows[i])
+        vec_b = b[i]
+        comb = {i: Fraction(1)}
+        while vec:
+            c = min(vec)
+            if c not in pivots:
+                break
+            pvec, pb, pcomb = pivots[c]
+            factor = vec[c] / pvec[c]
+            for jj, v in pvec.items():
+                newv = vec.get(jj, Fraction(0)) - factor * v
+                if newv:
+                    vec[jj] = newv
+                else:
+                    vec.pop(jj, None)
+            vec_b -= factor * pb
+            for cc, v in pcomb.items():
+                newv = comb.get(cc, Fraction(0)) - factor * v
+                if newv:
+                    comb[cc] = newv
+                else:
+                    comb.pop(cc, None)
+        if vec:
+            pivots[min(vec)] = (vec, vec_b, comb)
+        elif vec_b:
+            return None, dict(comb)
+    solution = [Fraction(0)] * m.n_cols
+    for c in sorted(pivots, reverse=True):
+        pvec, pb, _ = pivots[c]
+        acc = pb
+        for jj, v in pvec.items():
+            if jj != c:
+                acc -= v * solution[jj]
+        solution[c] = acc / pvec[c]
+    return tuple(solution), None
+
+
+@st.composite
+def dependent_systems(draw):
+    """(rows, b): a small matrix with dependent columns and rows spliced
+    in at random places, and b = M x, or M x pushed off the image."""
+    entry = st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 1, 2, 3]))
+    n_rows = draw(st.integers(1, 4))
+    n_cols = draw(st.integers(1, 4))
+    rows = [[draw(entry) for _ in range(n_cols)] for _ in range(n_rows)]
+    for _ in range(draw(st.integers(0, 2))):
+        a, c = draw(st.integers(0, n_cols - 1)), draw(st.integers(0, n_cols - 1))
+        ka, kc = draw(entry), draw(entry)
+        at = draw(st.integers(0, n_cols))
+        for row in rows:
+            row.insert(at, ka * row[a] + kc * row[c])
+        n_cols += 1
+    for _ in range(draw(st.integers(0, 2))):
+        a, c = draw(st.integers(0, n_rows - 1)), draw(st.integers(0, n_rows - 1))
+        ka, kc = draw(entry), draw(entry)
+        rows.insert(draw(st.integers(0, n_rows)),
+                    [ka * x + kc * y for x, y in zip(rows[a], rows[c])])
+        n_rows += 1
+    x = [draw(entry) for _ in range(n_cols)]
+    b = [sum(r * v for r, v in zip(row, x)) for row in rows]
+    if draw(st.booleans()):
+        b[draw(st.integers(0, n_rows - 1))] += draw(st.integers(1, 3))
+    return rows, b
+
+
+@given(dependent_systems())
+@settings(max_examples=300, deadline=None)
+def test_kernel_equals_the_reference_eliminations(system):
+    rows, b = system
+    m = dense(rows)
+    assert m.rank() == len(_reference_column_echelon(m)[0])
+    assert m.kernel_basis() == _reference_kernel_basis(m)
+    assert m.in_span(b) == _reference_in_span(m, b)
+    assert m.solve_affine(b) == _reference_solve_affine(m, b)
+    for col in m.columns():
+        v = [col.get(i, 0) for i in range(m.n_rows)]
+        assert m.in_span(v) == _reference_in_span(m, v)

@@ -48,10 +48,10 @@ from goldman import (
 )
 from goldman import cli, verify
 from goldman.complexes import Cochain, coboundary, enumerate_keys
+from goldman.linalg import _IncrementalSpan
 from goldman.verify import (
     CertificateError,
     InnerCertification,
-    _IncrementalSpan,
     _SPAN_MODULUS,
     _candidate_order,
     _ideal_generator,
@@ -128,28 +128,17 @@ def test_f_map_degree_two_is_first_factor_image():
     q = QuotientTensorSpace(z2, z2.zero)
     u = z2.element([3, -2])
     image = f_map(wedge_chain(z2, [u, -u]), q)
-    expected = {(j,): Fraction(v) for j, v in enumerate(q.proj(u)) if v}
-    assert dict(image.items()) == expected
+    # The stored wedge is [-u] ^ [u] or [u] ^ [-u]; either way f reads u.
+    assert image == q.proj(u)
 
 
-def test_f_map_degree_three_minors():
+def test_f_map_rejects_degree_three():
     s12 = surface_presentation(1, 2)
-    z = s12.zero
-    q = QuotientTensorSpace(s12, z)
+    q = QuotientTensorSpace(s12, s12.zero)
     a = s12.element([1, 0, 0, 0])
     b = s12.element([0, 1, 0, 0])
-    c = wedge_chain(s12, [a, b, -a - b])
-    image = f_map(c, q)
-    # The image is the wedge of the projections of the first two stored
-    # factors; recompute its minors by hand.
-    (w, sign), = c.terms.items()
-    va, vb = q.proj(w.factors[0]), q.proj(w.factors[1])
-    expected = {}
-    for i, j in itertools.combinations(range(q.dim), 2):
-        minor = sign * (va[i] * vb[j] - va[j] * vb[i])
-        if minor:
-            expected[(i, j)] = minor
-    assert dict(image.items()) == expected
+    with pytest.raises(ValueError):
+        f_map(wedge_chain(s12, [a, b, -a - b]), q)
 
 
 def test_f_on_ordered_alternates():
@@ -158,10 +147,7 @@ def test_f_on_ordered_alternates():
     q = QuotientTensorSpace(s12, z)
     u = s12.element([1, 0, 0, 0])
     v = z - u
-    assert f_on_ordered(q, (u, v)) == -1 * f_on_ordered(q, (v, u))
-    a = s12.element([0, 1, 0, 0])
-    rest = z - u - a
-    assert f_on_ordered(q, (u, a, rest)) == -1 * f_on_ordered(q, (a, u, rest))
+    assert f_on_ordered(q, (u, v)) == tuple(-x for x in f_on_ordered(q, (v, u)))
 
 
 def test_g_map_sections_f():
@@ -172,16 +158,9 @@ def test_g_map_sections_f():
     t = [(Fraction(3), (u,)), (Fraction(-1, 2), (v,))]
     chain = g_map(q, t)
     image = f_map(chain, q)
-    direct = 3 * f_on_ordered(q, (u, -u)) - Fraction(1, 2) * f_on_ordered(q, (v, -v))
+    direct = tuple(3 * x - Fraction(1, 2) * y
+                   for x, y in zip(f_on_ordered(q, (u, -u)), f_on_ordered(q, (v, -v))))
     assert image == direct
-
-    s12 = surface_presentation(1, 2)
-    q3 = QuotientTensorSpace(s12, s12.zero)
-    a = s12.element([1, 0, 0, 0])
-    b = s12.element([0, 1, 0, 0])
-    chain3 = g_map(q3, [(Fraction(5), (a, b))])
-    assert chain3.degree == 3
-    assert f_map(chain3, q3) == 5 * f_on_ordered(q3, (a, b, -a - b))
 
 
 def test_g_map_projects_kernel_lifts_away():
@@ -193,8 +172,7 @@ def test_g_map_projects_kernel_lifts_away():
     a = s12.element([1, 0, 0, 0])
     chain = g_map(q, [(Fraction(1), (c1 - a,)), (Fraction(1), (a,))])
     assert not chain.is_zero()
-    expected = {(j,): Fraction(v) for j, v in enumerate(q.proj(c1)) if v}
-    assert dict(f_map(chain, q).items()) == expected
+    assert f_map(chain, q) == q.proj(c1)
 
 
 # ---------------------------------------------------------------------------
@@ -838,7 +816,7 @@ def _reference_columns(inner):
         if gen.is_zero() or any(w not in inner.index for w in gen.terms):
             continue
         vec = span.reduce({inner.index[w]: c for w, c in gen.terms.items()})
-        if vec and inner._witness_for(u, v, probes) is not None:
+        if vec and inner._witness_for(u, v, gen, probes) is not None:
             span.add(vec)
             columns.append(gen)
     return columns
@@ -918,11 +896,11 @@ def test_inner_pair_order_tail_certifies_without_unit_steps(monkeypatch):
     witness_for = InnerCertification._witness_for
     refused = []
 
-    def no_unit_steps(self, u, v, probes):
+    def no_unit_steps(self, u, v, gen, probes):
         if u in units or v in units:
             refused.append((u, v))
             return None
-        return witness_for(self, u, v, probes)
+        return witness_for(self, u, v, gen, probes)
 
     monkeypatch.setattr(InnerCertification, "_witness_for", no_unit_steps)
     inner = inner_h2_certify(z2, z2.zero, 4)
@@ -987,11 +965,11 @@ def test_inner_rebuilds_the_modular_span_from_integer_columns(monkeypatch):
     dropped = []
     witnessed = []
 
-    def flaky(self, u, v, probes):
+    def flaky(self, u, v, gen, probes):
         if len(dropped) < 3:
             dropped.append((u, v))
             return None
-        witness = witness_for(self, u, v, probes)
+        witness = witness_for(self, u, v, gen, probes)
         if witness is not None:
             witnessed.append((u, v))
         return witness
@@ -1036,8 +1014,8 @@ def test_inner_rebuild_on_surface_grading_matches_exact(monkeypatch):
     witness_for = InnerCertification._witness_for
     missing = []
 
-    def counting(self, u, v, probes):
-        witness = witness_for(self, u, v, probes)
+    def counting(self, u, v, gen, probes):
+        witness = witness_for(self, u, v, gen, probes)
         if witness is None:
             missing.append((u, v))
         return witness
@@ -1064,8 +1042,8 @@ if not sys.flags.optimize:
     sys.exit("run with python -O")
 witness_for = verify.InnerCertification._witness_for
 
-def corrupted(self, u, v, probes):
-    witness = witness_for(self, u, v, probes)
+def corrupted(self, u, v, gen, probes):
+    witness = witness_for(self, u, v, gen, probes)
     # A wrong coefficient: d(2X) = 2 G(u, v) != G(u, v).
     return None if witness is None else 2 * witness
 
@@ -1130,17 +1108,30 @@ from goldman.cli import main
 
 if not sys.flags.optimize:
     sys.exit("run with python -O")
-eliminate = linalg.SparseRationalMatrix._eliminate_affine
+reduce = linalg._IncrementalSpan.reduce
+solve_affine = linalg.SparseRationalMatrix.solve_affine
+widths = []
 
-def corrupted(self, b, row_order):
-    solution, certificate = eliminate(self, b, row_order)
-    if certificate is not None:
+def recording(self, b):
+    widths.append(self.n_cols)
+    try:
+        return solve_affine(self, b)
+    finally:
+        widths.pop()
+
+def corrupted(self, vec):
+    residual = reduce(self, vec)
+    # The residual of an inconsistent row [row | b | tags] has its least
+    # entry on the right-hand side coordinate, n_cols; its tag part is
+    # the unchecked certificate.
+    if widths and residual and min(residual) == widths[-1]:
         # Double one coefficient: y M = 0 no longer holds.
-        first = min(certificate)
-        certificate[first] *= 2
-    return solution, certificate
+        first = min(k for k in residual if k > widths[-1])
+        residual[first] *= 2
+    return residual
 
-linalg.SparseRationalMatrix._eliminate_affine = corrupted
+linalg._IncrementalSpan.reduce = corrupted
+linalg.SparseRationalMatrix.solve_affine = recording
 sys.exit(main(["verify", "--suite", "omega", "--surface", "1,0",
                "--grading", "0,0", "--box", "2", "--format", "json"]))
 """
@@ -1228,7 +1219,7 @@ def test_corrupted_inner_witness_raises_certificate_error(monkeypatch):
     witness_for = InnerCertification._witness_for
     monkeypatch.setattr(
         InnerCertification, "_witness_for",
-        lambda self, u, v, probes: 2 * witness_for(self, u, v, probes))
+        lambda self, u, v, gen, probes: 2 * witness_for(self, u, v, gen, probes))
     with pytest.raises(CertificateError) as info:
         inner_h2_certify(z2, z2.zero, 2)
     assert info.value.identity == "d(witness) = G(u, v)"
