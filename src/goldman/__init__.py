@@ -16,7 +16,6 @@ from goldman.groups import (
 )
 from goldman.algebra import (
     AlgebraVector,
-    TensorVector,
     bracket,
     k_map,
     in_gk,
@@ -64,7 +63,6 @@ __all__ = [
     "smith_normal_form",
     "surface_presentation",
     "AlgebraVector",
-    "TensorVector",
     "bracket",
     "k_map",
     "in_gk",

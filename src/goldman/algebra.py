@@ -11,12 +11,20 @@ summands.  Beware that the bracket mixes the two structures on H: the
 basis label x + y uses the group law while coefficients live in Q, so
 c[x] and [cx] are different vectors.
 
+Vectors of Q[H] (``AlgebraVector``) and the wedge chains of
+``goldman.complexes`` are both ``SparseCombination``s: finite rational
+combinations of labels with one shared arithmetic, which differ only
+in their labels, the space they add in, and the order in which they
+serialize.
+
 K is the linear map Q[H] -> Q (x) H sending [x] to 1 (x) x.  Torsion
 dies in Q (x) H, so K reads off the free canonical coordinates of each
-basis label.  Its kernel g_K is a Lie subalgebra: the pairing factors
-through Q (x) H, so K([a, b]) collects terms weighted by the pairing of
-each label against K(b) or K(a), and both weights vanish on g_K.  Note
-K does not kill brackets in general: K([[x], [y]]) = <x, y>(xbar + ybar).
+basis label; ``k_map`` returns them as a tuple of Fractions, one per
+free canonical index.  Its kernel g_K is a Lie subalgebra: the pairing
+factors through Q (x) H, so K([a, b]) collects terms weighted by the
+pairing of each label against K(b) or K(a), and both weights vanish on
+g_K.  Note K does not kill brackets in general:
+K([[x], [y]]) = <x, y>(xbar + ybar).
 
 >>> from goldman.groups import GroupSpec
 >>> z2 = GroupSpec(2, form=[[0, 1], [-1, 0]])
@@ -25,30 +33,37 @@ K does not kill brackets in general: K([[x], [y]]) = <x, y>(xbar + ybar).
 [(Fraction(1, 1), (1, 1))]
 >>> bracket(x, x).is_zero()
 True
->>> k_map(x - x).is_zero()
-True
+>>> k_map(x + 2 * y)
+(Fraction(1, 1), Fraction(2, 1))
+>>> k_map(x - x)
+(Fraction(0, 1), Fraction(0, 1))
 >>> u = AlgebraVector.basis(z2.canonical([2, 0])) - 2 * AlgebraVector.basis(z2.canonical([1, 0]))
 >>> in_gk(u)
 True
 """
 
 from fractions import Fraction
+from operator import attrgetter
 
 __all__ = [
     "AlgebraVector",
-    "TensorVector",
     "bracket",
     "k_map",
     "in_gk",
 ]
 
 
-class AlgebraVector:
-    """An element of Q[H]: a finite rational combination of basis labels.
+class SparseCombination:
+    """A finite rational combination of labels in one space: the one
+    sparse vector arithmetic of the package.
 
-    ``terms`` maps GroupElement to a nonzero Fraction.  Instances are
-    treated as immutable; all arithmetic returns new vectors with zero
-    coefficients dropped.
+    ``terms`` maps each label to a nonzero Fraction.  Instances are
+    treated as immutable; all arithmetic returns new combinations with
+    zero coefficients dropped.  A subclass states what differs: its
+    constructor arguments before ``terms`` (``_space``), which are the
+    space that ``+`` and ``==`` compare; the check on each label
+    (``_check``); and the label key (``_label_key``) that orders
+    ``items`` and serializes a label in ``to_pairs``.
     """
 
     __slots__ = ("spec", "terms")
@@ -56,141 +71,109 @@ class AlgebraVector:
     def __init__(self, spec, terms=()):
         self.spec = spec
         clean = {}
-        for element, coeff in (terms.items() if hasattr(terms, "items") else terms):
-            if element.spec is not spec:
-                raise ValueError("term label belongs to a different group")
+        for label, coeff in (terms.items() if hasattr(terms, "items") else terms):
+            self._check(label)
             coeff = Fraction(coeff)
             if coeff:
-                acc = clean.get(element, 0) + coeff
+                acc = clean.get(label, 0) + coeff
                 if acc:
-                    clean[element] = acc
+                    clean[label] = acc
                 else:
-                    del clean[element]
+                    del clean[label]
         self.terms = clean
 
     @classmethod
-    def basis(cls, element, coeff=1):
-        """The vector coeff * [element]."""
-        return cls(element.spec, [(element, coeff)])
+    def _trusted(cls, *args):
+        """cls(*args) for a last argument, the terms dict, that is
+        already clean: checked labels and nonzero Fraction coefficients.
+        The dict is kept, not copied."""
+        *space, terms = args
+        out = cls(*space)
+        out.terms = terms
+        return out
 
     @classmethod
-    def zero(cls, spec):
-        return cls(spec)
+    def zero(cls, *space):
+        return cls(*space)
+
+    def _space(self):
+        return (self.spec,)
 
     def is_zero(self):
         return not self.terms
 
-    def coefficient(self, element):
-        return self.terms.get(element, Fraction(0))
+    def coefficient(self, label):
+        return self.terms.get(label, Fraction(0))
 
     def items(self):
-        """Deterministic (element, coefficient) pairs, sorted by label."""
-        return sorted(self.terms.items(), key=lambda kv: kv[0].coords)
+        """Deterministic (label, coefficient) pairs, sorted by label key."""
+        key = self._label_key
+        return sorted(self.terms.items(), key=lambda kv: key(kv[0]))
 
     def to_pairs(self):
-        """Serialization as (coefficient, canonical-coordinates) pairs."""
-        return [(coeff, element.coords) for element, coeff in self.items()]
+        """Serialization as (coefficient, label key) pairs."""
+        key = self._label_key
+        return [(coeff, key(label)) for label, coeff in self.items()]
 
     def __add__(self, other):
-        if not isinstance(other, AlgebraVector):
+        if not isinstance(other, type(self)):
             return NotImplemented
-        if other.spec is not self.spec:
-            raise ValueError("vectors belong to different groups")
+        space = self._space()
+        if other._space() != space:
+            raise ValueError("combinations live in different spaces")
         merged = dict(self.terms)
-        for element, coeff in other.terms.items():
-            acc = merged.get(element, 0) + coeff
+        for label, coeff in other.terms.items():
+            acc = merged.get(label, 0) + coeff
             if acc:
-                merged[element] = acc
+                merged[label] = acc
             else:
-                del merged[element]
-        out = AlgebraVector(self.spec)
-        out.terms = merged
-        return out
+                del merged[label]
+        return self._trusted(*space, merged)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        out = AlgebraVector(self.spec)
-        out.terms = {element: -coeff for element, coeff in self.terms.items()}
-        return out
+        return self._trusted(*self._space(),
+                             {label: -coeff for label, coeff in self.terms.items()})
 
     def __mul__(self, scalar):
         if not isinstance(scalar, (int, Fraction)):
             return NotImplemented
         scalar = Fraction(scalar)
-        out = AlgebraVector(self.spec)
-        if scalar:
-            out.terms = {element: scalar * coeff for element, coeff in self.terms.items()}
-        return out
+        return self._trusted(*self._space(), {
+            label: scalar * coeff for label, coeff in self.terms.items()} if scalar else {})
 
     __rmul__ = __mul__
 
     def __eq__(self, other):
-        return (isinstance(other, AlgebraVector)
-                and other.spec is self.spec
+        return (isinstance(other, type(self))
+                and other._space() == self._space()
                 and other.terms == self.terms)
 
     def __repr__(self):
         if not self.terms:
             return "0"
-        bits = []
-        for element, coeff in self.items():
-            bits.append("%s*[%r]" % (coeff, element))
-        return " + ".join(bits)
+        return " + ".join(self._term_format % (coeff, label)
+                          for label, coeff in self.items())
 
 
-class TensorVector:
-    """An element of Q (x) H: rational coordinates on the free part of H.
+class AlgebraVector(SparseCombination):
+    """An element of Q[H]: a finite rational combination of basis labels
+    (GroupElements of one spec), serialized by canonical coordinates."""
 
-    Torsion canonical coordinates contribute nothing (Q (x) Z/d = 0), so
-    the vector has one entry per free canonical index of the spec.
-    """
+    __slots__ = ()
+    _term_format = "%s*[%r]"
+    _label_key = staticmethod(attrgetter("coords"))
 
-    __slots__ = ("spec", "coords")
+    def _check(self, element):
+        if element.spec is not self.spec:
+            raise ValueError("term label belongs to a different group")
 
-    def __init__(self, spec, coords=None):
-        self.spec = spec
-        if coords is None:
-            coords = (Fraction(0),) * spec.free_rank
-        coords = tuple(Fraction(c) for c in coords)
-        if len(coords) != spec.free_rank:
-            raise ValueError("expected %d free coordinates" % spec.free_rank)
-        self.coords = coords
-
-    def is_zero(self):
-        return all(c == 0 for c in self.coords)
-
-    def __add__(self, other):
-        if not isinstance(other, TensorVector):
-            return NotImplemented
-        if other.spec is not self.spec:
-            raise ValueError("vectors belong to different groups")
-        return TensorVector(self.spec, [a + b for a, b in zip(self.coords, other.coords)])
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return TensorVector(self.spec, [-c for c in self.coords])
-
-    def __mul__(self, scalar):
-        if not isinstance(scalar, (int, Fraction)):
-            return NotImplemented
-        return TensorVector(self.spec, [Fraction(scalar) * c for c in self.coords])
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        return (isinstance(other, TensorVector)
-                and other.spec is self.spec
-                and other.coords == self.coords)
-
-    def __hash__(self):
-        return hash(self.coords)
-
-    def __repr__(self):
-        return "(" + ", ".join(str(c) for c in self.coords) + ")"
+    @classmethod
+    def basis(cls, element, coeff=1):
+        """The vector coeff * [element]."""
+        return cls(element.spec, [(element, coeff)])
 
 
 def bracket(a, b):
@@ -209,24 +192,22 @@ def bracket(a, b):
                     acc[label] = total
                 else:
                     del acc[label]
-    out = AlgebraVector(spec)
-    out.terms = acc
-    return out
+    return AlgebraVector._trusted(spec, acc)
 
 
 def k_map(a):
-    """K: Q[H] -> Q (x) H, the linear extension of [x] |-> 1 (x) x."""
-    spec = a.spec
-    free = spec.free_indices
+    """K: Q[H] -> Q (x) H, the linear extension of [x] |-> 1 (x) x, as
+    the tuple of Fraction coordinates on the free canonical indices."""
+    free = a.spec.free_indices
     coords = [Fraction(0)] * len(free)
     for element, coeff in a.terms.items():
         for slot, j in enumerate(free):
             c = element.coords[j]
             if c:
                 coords[slot] += coeff * c
-    return TensorVector(spec, coords)
+    return tuple(coords)
 
 
 def in_gk(a):
     """Membership in g_K = ker K."""
-    return k_map(a).is_zero()
+    return not any(k_map(a))

@@ -48,6 +48,7 @@ from .groups import GroupSpec, surface_presentation
 from .verify import (
     CERTIFIED,
     INCONCLUSIVE,
+    INNER_SUPPORT_CAP,
     NOT_APPLICABLE,
     REFUTED,
     CertificateError,
@@ -337,7 +338,7 @@ def run_inner_suite(spec, gradings, box):
     # Gradings outside the capped support cannot receive any ideal
     # column (every candidate leaves the box), so report them as out of
     # reach instead of scanning to a foregone inconclusive.
-    eff = _capped_radius(spec, box, 1200)
+    eff = _capped_radius(spec, box, INNER_SUPPORT_CAP)
     out = []
     skipped = [list(z.coords) for z in zs
                if any(abs(z.coords[j]) > eff for j in spec.free_indices)]

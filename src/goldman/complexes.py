@@ -17,6 +17,11 @@ The differential of degrees 2, 3 and 4 is unrolled; higher degrees run
 the general loop.  Its coordinate arithmetic is the group's generated
 straight-line code (see goldman.groups).
 
+A chain (``WedgeChain``) is a rational combination of wedges of one
+degree, with the sparse arithmetic that vectors of Q[H] share
+(``goldman.algebra``).  The differential runs on wedge keys, and
+``WedgeChain.from_keys`` is the one way back from {key: coefficient}.
+
 The label sum u_1 + ... + u_p is the grading of a wedge; every term of
 d(w) has the grading of w because each summand replaces u_i, u_j by
 u_i + u_j.  The complex therefore splits over the group, one summand
@@ -52,6 +57,7 @@ import itertools
 from bisect import bisect_left
 from fractions import Fraction
 
+from goldman.algebra import SparseCombination
 from goldman.groups import GroupElement
 
 __all__ = [
@@ -151,48 +157,39 @@ def grading(w):
     return w.grading()
 
 
-class WedgeChain:
-    """A finite rational combination of wedges of one common degree."""
+class WedgeChain(SparseCombination):
+    """A finite rational combination of wedges of one common degree;
+    chains add and compare at the same spec and degree, and serialize
+    by ``Wedge.sort_key``."""
 
-    __slots__ = ("spec", "degree", "terms")
+    __slots__ = ("degree",)
+    _term_format = "%s*(%r)"
+    _label_key = staticmethod(Wedge.sort_key)
+    # Bound here as well: the per-layer hooks of bench/hooks.py time
+    # chain additions and look methods up in the class's own namespace.
+    __add__ = SparseCombination.__add__
 
     def __init__(self, spec, degree, terms=()):
-        self.spec = spec
         self.degree = degree
-        clean = {}
-        for w, coeff in (terms.items() if hasattr(terms, "items") else terms):
-            if w.degree != degree:
-                raise ValueError("wedge of degree %d in a degree-%d chain"
-                                 % (w.degree, degree))
-            coeff = Fraction(coeff)
-            if coeff:
-                acc = clean.get(w, 0) + coeff
-                if acc:
-                    clean[w] = acc
-                else:
-                    del clean[w]
-        self.terms = clean
+        super().__init__(spec, terms)
 
     @classmethod
-    def zero(cls, spec, degree):
-        return cls(spec, degree)
+    def from_keys(cls, spec, degree, terms):
+        """The chain of {wedge key: Fraction coefficient}, keys as
+        ``Wedge.sort_key`` gives them; zero coefficients are dropped."""
+        return cls._trusted(spec, degree, {_wedge_of(spec, key): c
+                                           for key, c in terms.items() if c})
 
-    def is_zero(self):
-        return not self.terms
+    def _space(self):
+        return (self.spec, self.degree)
 
-    def coefficient(self, w):
-        return self.terms.get(w, Fraction(0))
-
-    def items(self):
-        """Deterministic (wedge, coefficient) pairs."""
-        return sorted(self.terms.items(), key=lambda kv: kv[0].sort_key())
+    def _check(self, w):
+        if w.degree != self.degree:
+            raise ValueError("wedge of degree %d in a degree-%d chain"
+                             % (w.degree, self.degree))
 
     def wedges(self):
         return [w for w, _ in self.items()]
-
-    def to_pairs(self):
-        """Serialization: (coefficient, tuple of factor coordinate tuples)."""
-        return [(coeff, w.sort_key()) for w, coeff in self.items()]
 
     def common_grading(self):
         """The shared grading of all terms; None for the zero chain.
@@ -211,55 +208,9 @@ class WedgeChain:
 
     def graded_part(self, z):
         """The sub-chain of terms with grading z."""
-        out = WedgeChain(self.spec, self.degree)
-        out.terms = {w: c for w, c in self.terms.items() if w.grading() == z}
-        return out
-
-    def __add__(self, other):
-        if not isinstance(other, WedgeChain):
-            return NotImplemented
-        if other.spec is not self.spec or other.degree != self.degree:
-            raise ValueError("chains live in different spaces")
-        merged = dict(self.terms)
-        for w, coeff in other.terms.items():
-            acc = merged.get(w, 0) + coeff
-            if acc:
-                merged[w] = acc
-            else:
-                del merged[w]
-        out = WedgeChain(self.spec, self.degree)
-        out.terms = merged
-        return out
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        out = WedgeChain(self.spec, self.degree)
-        out.terms = {w: -c for w, c in self.terms.items()}
-        return out
-
-    def __mul__(self, scalar):
-        if not isinstance(scalar, (int, Fraction)):
-            return NotImplemented
-        scalar = Fraction(scalar)
-        out = WedgeChain(self.spec, self.degree)
-        if scalar:
-            out.terms = {w: scalar * c for w, c in self.terms.items()}
-        return out
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        return (isinstance(other, WedgeChain)
-                and other.spec is self.spec
-                and other.degree == self.degree
-                and other.terms == self.terms)
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        return " + ".join("%s*(%r)" % (c, w) for w, c in self.items())
+        return WedgeChain._trusted(self.spec, self.degree,
+                                   {w: c for w, c in self.terms.items()
+                                    if w.grading() == z})
 
 
 def wedge_chain(spec, elements, coeff=1):
@@ -270,10 +221,8 @@ def wedge_chain(spec, elements, coeff=1):
     """
     elements = list(elements)
     sign, w = Wedge.make(elements)
-    out = WedgeChain(spec, len(elements))
-    if sign:
-        out.terms = {w: Fraction(coeff * sign)} if coeff else {}
-    return out
+    terms = {w: Fraction(coeff * sign)} if sign and coeff else {}
+    return WedgeChain._trusted(spec, len(elements), terms)
 
 
 def _boundary_terms(spec, key):
@@ -360,9 +309,6 @@ def boundary(c):
     """
     if c.degree < 1:
         raise ValueError("boundary needs degree >= 1")
-    out = WedgeChain(c.spec, c.degree - 1)
-    if c.degree == 1:
-        return out
     spec = c.spec
     acc = {}
     for w, coeff in c.terms.items():
@@ -372,8 +318,7 @@ def boundary(c):
                 acc[key] = total
             else:
                 del acc[key]
-    out.terms = {_wedge_of(spec, key): coeff for key, coeff in acc.items()}
-    return out
+    return WedgeChain.from_keys(spec, c.degree - 1, acc)
 
 
 class Cochain:
@@ -573,9 +518,6 @@ def project_derived(c):
     composed with the inclusion of derived-only chains it is the
     identity.
     """
-    out = WedgeChain(c.spec, c.degree)
-    out.terms = {
+    return WedgeChain._trusted(c.spec, c.degree, {
         w: coeff for w, coeff in c.terms.items()
-        if all(f.is_derived_element() for f in w.factors)
-    }
-    return out
+        if all(f.is_derived_element() for f in w.factors)})

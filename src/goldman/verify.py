@@ -528,10 +528,9 @@ class ContractingHomotopy:
 
     def _chain(self, scaled, degree):
         """The WedgeChain of {key: scale * coefficient}."""
-        out = WedgeChain(self.spec, degree)
-        out.terms = {_wedge_of(self.spec, key): Fraction(c) / self.scale
-                     for key, c in scaled.items() if c}
-        return out
+        return WedgeChain.from_keys(self.spec, degree,
+                                    {key: Fraction(c, self.scale)
+                                     for key, c in scaled.items()})
 
     def _scaled_phi2(self, u, v):
         """(integer coefficient, key) terms of scale * Phi_2([u] ^ [v])."""
@@ -691,6 +690,10 @@ def solve_homotopy_coefficients(spec, z, y, wedges):
 # docstring says why that is sound).
 _SPAN_MODULUS = (1 << 61) - 1
 
+# The most elements an inner cycle box may hold: the radius is reduced
+# until the box fits (``effective_radius``).
+INNER_SUPPORT_CAP = 1200
+
 
 def _pair_order(weights):
     """Index pairs (i, j), i <= j, in the order of (w_i + w_j, i, j).
@@ -756,19 +759,15 @@ class InnerCertification:
                  "qspace", "columns", "matrix", "rank", "target_rank",
                  "f_rank", "box_image_rank", "result")
 
-    def __init__(self, spec, z, box_radius, boundary_radius, support_cap):
+    def __init__(self, spec, z, box_radius):
         if not z.in_kernel_mu():
             raise ValueError("inner certification needs z in ker mu")
-        if boundary_radius is None:
-            boundary_radius = 3 * box_radius
-        if boundary_radius < 3 * box_radius:
-            raise ValueError("boundary box must be at least three times the cycle box")
         self.spec = spec
         self.z = z
         self.box_radius = box_radius
-        self.boundary_radius = boundary_radius
+        self.boundary_radius = 3 * box_radius
 
-        self.effective_radius = _capped_radius(spec, box_radius, support_cap)
+        self.effective_radius = _capped_radius(spec, box_radius, INNER_SUPPORT_CAP)
         self.support = box_support(spec, self.effective_radius)
 
         self.wedges = enumerate_basis(self.support, 2, z, "derived-only")
@@ -868,8 +867,9 @@ class InnerCertification:
         (over the field ``modulus`` picks) reaches target_rank.
 
         Candidates are integer vectors over W, built on coordinate
-        tuples; only accepted ones get group elements, an exact chain and
-        a witness.  Returns ([(gen, witness)], rank).
+        tuples; only independent ones get group elements, an exact chain
+        and a witness, and are kept once the witness exists.  Returns
+        ([(gen, witness)], rank).
         """
         spec, z, index = self.spec, self.z, self.index
         add, zc = spec.add_coords, z.coords
@@ -891,7 +891,6 @@ class InnerCertification:
         own_rows = [v_row(x) for x in coords]
         target = self.target_rank
         columns = []
-        vectors = []
         span = _IncrementalSpan(modulus)
         for i, j in pair_order:
             if len(span.pivots) >= target:
@@ -906,17 +905,13 @@ class InnerCertification:
                     vec[r] = acc
                 else:
                     del vec[r]
-            if not vec or not span.insert(vec):
+            residual = span.reduce(vec)
+            if not residual:
                 continue
             u, v = elements[i], elements[j]
             gen = _ideal_generator(spec, z, u, v)
             witness = self._witness_for(u, v, gen, probes)
             if witness is None:
-                # The pair is independent but has no boundary witness in
-                # the box; drop it and rebuild the span without it.
-                span = _IncrementalSpan(modulus)
-                for kept in vectors:
-                    span.insert(kept)
                 continue
             _require({index.get(w): c for w, c in gen.terms.items()} == vec,
                      "the integer column equals G(u, v)")
@@ -924,8 +919,8 @@ class InnerCertification:
             _require(self._inside_boundary_box(witness),
                      "the witness lies in the boundary box")
             _require(not any(f_map(gen, self.qspace)), "f(G(u, v)) = 0")
+            span.keep(residual)
             columns.append((gen, witness))
-            vectors.append(vec)
         return columns, span.rank
 
     # -- queries -----------------------------------------------------------
@@ -954,10 +949,10 @@ class InnerCertification:
         _require(boundary(out) == c, "d(assembled witness) = c")
         return out
 
-    def scan_f_kills_boundaries(self, sample_cap=2000):
+    def scan_f_kills_boundaries(self):
         """Check f(d(w)) = 0 for degree-3 derived wedges on the boundary
         box: exhaustive when the box is small, else a deterministic
-        leading sample.  Returns (checked, exhaustive).
+        leading sample of 2000 wedges.  Returns (checked, exhaustive).
 
         The scan runs on wedge keys: f of a 2-wedge key (a, b) is the
         integer coordinate vector proj(a), so f(d(w)) is an integer sum
@@ -988,27 +983,27 @@ class InnerCertification:
                     total[t] += coeff * x
             _require(not any(total), "f(d(w)) = 0")
             checked += 1
-            if not exhaustive and checked >= sample_cap:
+            if not exhaustive and checked >= 2000:
                 break
         return checked, exhaustive
 
 
-def inner_h2_certify(spec, z, box_radius, boundary_radius=None, support_cap=1200):
+def inner_h2_certify(spec, z, box_radius):
     """Certify the inner grading z: boundaries exhaust ker(f) on the box
     and the homology slice has the quotient dimension.  Returns an
     InnerCertification; its ``result`` is the report entry."""
-    return InnerCertification(spec, z, box_radius, boundary_radius, support_cap)
+    return InnerCertification(spec, z, box_radius)
 
 
 # ---------------------------------------------------------------------------
 # Outer gradings
 
 
-def outer_h2_certify(spec, z, box_radius, y_count=2, max_cycle_witnesses=5):
+def outer_h2_certify(spec, z, box_radius):
     """Certify H_2 = 0 in the outer grading z: the homotopy identity per
-    basis wedge for ``y_count`` choices of y.  The identity bounds every
-    cycle at once (d Phi2 c = c - Phi1 d c = c when d c = 0), so only a
-    sample of cycle basis vectors gets an explicit serialized witness.
+    basis wedge for two choices of y.  The identity bounds every cycle
+    at once (d Phi2 c = c - Phi1 d c = c when d c = 0), so only the
+    first five cycle basis vectors get an explicit serialized witness.
 
     The scan runs on wedge keys; wedges are built only for the witness
     columns and on the coefficient-fit path."""
@@ -1024,7 +1019,7 @@ def outer_h2_certify(spec, z, box_radius, y_count=2, max_cycle_witnesses=5):
     pair, zc = spec.pair_coords, z.coords
     ys = list(itertools.islice(
         (y for y in box_by_weight(spec, max(box_radius, 1)) if pair(y.coords, zc)),
-        y_count))
+        2))
     if not ys:
         raise ValueError("no y with <y, z> != 0 in the box")
 
@@ -1068,14 +1063,14 @@ def outer_h2_certify(spec, z, box_radius, y_count=2, max_cycle_witnesses=5):
     hom = per_y[0][0]
     witnesses = []
     for col in range(len(keys)):
-        if len(witnesses) >= max_cycle_witnesses:
+        if len(witnesses) >= 5:
             break
         if col == pivot:
             continue
-        c = WedgeChain(spec, 2, [(_wedge_of(spec, keys[col]), 1)])
+        terms = {keys[col]: Fraction(1)}
         if d2s[col]:
-            c = c - Fraction(d2s[col], d2s[pivot]) * WedgeChain(
-                spec, 2, [(_wedge_of(spec, keys[pivot]), 1)])
+            terms[keys[pivot]] = Fraction(-d2s[col], d2s[pivot])
+        c = WedgeChain.from_keys(spec, 2, terms)
         x = hom.phi2(c)
         _require(boundary(x) == c, "d(Phi_2(c)) = c")
         witnesses.append({"cycle": serialize_chain(c),
@@ -1101,13 +1096,10 @@ def outer_h2_certify(spec, z, box_radius, y_count=2, max_cycle_witnesses=5):
 # The main decomposition per grading
 
 
-def main_theorem_check(spec, gradings, box_radius, boundary_radius=None,
-                       support_cap=1200):
+def main_theorem_check(spec, gradings, box_radius):
     """Per grading: the truncated H_2 dimension against the predicted
     kernel-pair count plus the quotient dimension.  Returns one
     CheckResult per grading."""
-    if boundary_radius is None:
-        boundary_radius = 3 * box_radius
     results = []
     if spec.mu_is_zero():
         for z in gradings:
@@ -1126,7 +1118,7 @@ def main_theorem_check(spec, gradings, box_radius, boundary_radius=None,
     support = box_support(spec, box_radius)
     for z in gradings:
         params = {"spec": spec.describe()["group"], "z": list(z.coords),
-                  "box": box_radius, "boundary_box": boundary_radius}
+                  "box": box_radius, "boundary_box": 3 * box_radius}
         if z.is_derived_element():
             outer = outer_h2_certify(spec, z, box_radius)
             results.append(CheckResult(
@@ -1153,8 +1145,7 @@ def main_theorem_check(spec, gradings, box_radius, boundary_radius=None,
         kernel_pairs = len(enumerate_basis(support, 2, z, "kernel-only"))
         _require(kernel_pairs == len(kk), "kernel-only enumeration = radical wedges")
 
-        inner = inner_h2_certify(spec, z, box_radius, boundary_radius,
-                                 support_cap)
+        inner = inner_h2_certify(spec, z, box_radius)
         inner_res = inner.result
         checked, exhaustive = inner.scan_f_kills_boundaries()
 
@@ -1684,10 +1675,11 @@ def omega_check(spec, z, box_radius=3, case1_cap=120, case2_cap=350):
 # First homology
 
 
-def h1_check(spec, box_radius=2, gradings=None, enlarge=3, scan_cap=500):
+def h1_check(spec, box_radius=2, gradings=None, enlarge=3):
     """Grading-wise H_1 at truncation: dimension 1 exactly on radical
-    gradings (all incoming differentials vanish), 0 on derived ones
-    (with an explicit preimage of [z])."""
+    gradings (all incoming differentials vanish, checked on the first
+    500 elements of the enlarged box), 0 on derived ones (with an
+    explicit preimage of [z])."""
     if gradings is None:
         gradings = box_support(spec, box_radius)
     big_radius = _capped_radius(spec, enlarge * box_radius, 20000)
@@ -1697,7 +1689,7 @@ def h1_check(spec, box_radius=2, gradings=None, enlarge=3, scan_cap=500):
     for z in gradings:
         if z.in_kernel_mu():
             scanned = 0
-            for u in big[:scan_cap]:
+            for u in big[:500]:
                 _require(spec.pairing(u, z - u) == 0, "<u, z-u> = 0 in a radical grading")
                 scanned += 1
             entries.append({"z": list(z.coords), "dim": 1, "expected": 1,

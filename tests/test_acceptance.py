@@ -1,4 +1,5 @@
-"""Acceptance gate: the twelve headline checks, one test line each.
+"""Acceptance gate: the twelve headline checks, one test line each, and
+the pinned bytes of the homology report.
 
 Each test pins the exact instance it certifies (group, grading, box
 radii, sample counts) and the wall-clock budget it must fit.  Run with
@@ -36,6 +37,7 @@ from goldman.cli import main as cli_main
 from conftest import spec_pool, symplectic_z2, z2_z2torsion, z3_rank2_form
 
 GOLDEN = "tests/golden/verify_all_surface23_box2_seed1.json"
+HOMOLOGY_GOLDEN = "tests/golden/homology_surface12_box3.json"
 
 
 def random_alternating_spec(rng, n):
@@ -131,8 +133,9 @@ def test_criterion_04_inner_isomorphism_origin():
     generators, and the homology slice has dimension 2; < 2 s."""
     start = time.monotonic()
     z2 = symplectic_z2()
-    inner = inner_h2_certify(z2, z2.zero, 3, boundary_radius=9)
+    inner = inner_h2_certify(z2, z2.zero, 3)
     r = inner.result
+    assert r.params["boundary_box"] == 9
     assert r.verdict == "certified"
     assert r.details["boundary_rank"] == r.details["kernel_of_f_dim"]
     assert r.details["f_surjective_on_box"]
@@ -252,6 +255,20 @@ def test_criterion_11_cli_golden_report(tmp_path):
     report = json.loads(golden)
     assert report["summary"]["refuted"] == 0
     assert report["summary"]["inconclusive"] == 0
+
+
+def test_cli_homology_surface12_box3_report(tmp_path):
+    """`homology --surface 1,2 --box 3` reproduces the committed report
+    byte for byte (64 gradings: the inner table and the main-theorem
+    decomposition), < 5 s."""
+    start = time.monotonic()
+    out = tmp_path / "report.json"
+    code = cli_main(["homology", "--surface", "1,2", "--box", "3",
+                     "--format", "json", "--out", str(out)])
+    assert time.monotonic() - start < 5.0
+    assert code == 0
+    with open(HOMOLOGY_GOLDEN, "rb") as fh:
+        assert out.read_bytes() == fh.read()
 
 
 def test_criterion_12_inner_isomorphism_z2_box12():

@@ -1,12 +1,14 @@
 """Q[H] arithmetic: the bracket, the map K, and g_K membership."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from goldman.algebra import AlgebraVector, TensorVector, bracket, in_gk, k_map
+from goldman.algebra import AlgebraVector, bracket, in_gk, k_map
+from goldman.complexes import Wedge, WedgeChain, box_by_weight, wedge_chain
 from goldman.groups import GroupSpec, surface_presentation
 
 from conftest import random_element, spec_pool
@@ -109,6 +111,78 @@ def test_mismatched_specs_are_rejected():
 
 
 # ---------------------------------------------------------------------------
+# The shared sparse combination arithmetic, against a plain dict
+
+# Per kind: a small label pool on a spec, the constructor, the label key.
+COMBINATIONS = {
+    "vector": (lambda spec: box_by_weight(spec, 1)[:4],
+               AlgebraVector,
+               lambda x: x.coords),
+    "chain": (lambda spec: [Wedge.make(pair)[1] for pair in
+                            itertools.combinations(box_by_weight(spec, 1)[:4], 2)],
+              lambda spec, terms: WedgeChain(spec, 2, terms),
+              Wedge.sort_key),
+}
+
+
+@st.composite
+def combination_case(draw):
+    """Two term lists over a small pool (repeats and cancellations
+    included) for one kind, and a scalar that may be zero."""
+    spec = draw(st.sampled_from(POOL))
+    labels, make, key = COMBINATIONS[draw(st.sampled_from(sorted(COMBINATIONS)))]
+    pool = labels(spec)
+    coeff = st.builds(Fraction, st.integers(-2, 2), st.integers(1, 3))
+    terms = st.lists(st.tuples(st.sampled_from(pool), coeff), max_size=6)
+    return spec, make, key, draw(terms), draw(terms), draw(coeff)
+
+
+def _dict_reference(terms):
+    out = {}
+    for label, coeff in terms:
+        out[label] = out.get(label, 0) + coeff
+    return {label: coeff for label, coeff in out.items() if coeff}
+
+
+@given(combination_case())
+@settings(max_examples=120, deadline=None)
+def test_combination_arithmetic_matches_dict_reference(case):
+    spec, make, key, s, t, scalar = case
+    a, b = make(spec, s), make(spec, t)
+    negated = [(label, -c) for label, c in t]
+    for got, want in ((a, _dict_reference(s)),
+                      (a + b, _dict_reference(s + t)),
+                      (a - b, _dict_reference(s + negated)),
+                      (-b, _dict_reference(negated)),
+                      (scalar * a, _dict_reference([(l, scalar * c) for l, c in s])),
+                      (a * 3, _dict_reference([(l, 3 * c) for l, c in s]))):
+        assert got.terms == want
+        assert all(type(c) is Fraction and c for c in got.terms.values())
+        ordered = sorted(want.items(), key=lambda kv: key(kv[0]))
+        assert got.items() == ordered
+        assert got.to_pairs() == [(c, key(label)) for label, c in ordered]
+        assert got == make(spec, ordered)
+        assert got.is_zero() == (not want)
+
+
+def test_combination_kinds_and_spaces_do_not_mix():
+    z2, z3 = POOL[0], POOL[1]
+    u, v = z2.canonical([1, 0]), z2.canonical([0, 1])
+    vector, chain = AlgebraVector.basis(u), wedge_chain(z2, [u, v])
+    with pytest.raises(TypeError):
+        vector + chain
+    with pytest.raises(TypeError):
+        chain - vector
+    assert vector != chain
+    with pytest.raises(ValueError):
+        chain + wedge_chain(z2, [u, v, u + v])
+    with pytest.raises(ValueError):
+        chain + wedge_chain(z3, [z3.canonical([1, 0, 0]), z3.canonical([0, 1, 0])])
+    assert WedgeChain.zero(z2, 2) != WedgeChain.zero(z2, 3)
+    assert WedgeChain.zero(z2, 2) == 0 * chain
+
+
+# ---------------------------------------------------------------------------
 # K and g_K
 
 
@@ -116,13 +190,16 @@ def test_k_map_hand_values():
     z2 = POOL[0]
     u = z2.canonical([1, 0])
     v = AlgebraVector.basis(2 * u) - 2 * AlgebraVector.basis(u)
-    assert k_map(v).is_zero()
+    assert k_map(v) == (0, 0)
     assert k_map(AlgebraVector.basis(u) + AlgebraVector.basis(z2.canonical([0, 1]))) \
-        == TensorVector(z2, [1, 1])
+        == (1, 1)
+    assert k_map(AlgebraVector.basis(u, Fraction(1, 3))) == (Fraction(1, 3), 0)
+    assert all(type(c) is Fraction for c in k_map(v))
+    # One coordinate per free canonical index; the torsion one dies.
     mixed = POOL[2]
     t = next(x for x in mixed.generators() if x.is_torsion())
-    assert k_map(AlgebraVector.basis(t)).is_zero()
-    assert k_map(AlgebraVector.basis(t, Fraction(7, 3))).is_zero()
+    assert k_map(AlgebraVector.basis(t)) == (0, 0)
+    assert k_map(AlgebraVector.basis(t, Fraction(7, 3))) == (0, 0)
 
 
 def test_in_gk_examples():
@@ -150,7 +227,8 @@ def test_k_of_single_term_bracket_value():
             x = random_element(rng, spec)
             y = random_element(rng, spec)
             a, b = AlgebraVector.basis(x), AlgebraVector.basis(y)
-            want = spec.pairing(x, y) * (k_map(a) + k_map(b))
+            want = tuple(spec.pairing(x, y) * (p + q)
+                         for p, q in zip(k_map(a), k_map(b)))
             assert k_map(bracket(a, b)) == want
 
 

@@ -623,19 +623,21 @@ def test_inner_boundary_witness_rejects_nonboundaries():
     assert inner.boundary_witness(wedge_chain(z2, [u, -u])) is None
 
 
-def test_inner_support_cap_reduces_radius():
+def test_inner_support_cap_reduces_radius(monkeypatch):
+    monkeypatch.setattr(verify, "INNER_SUPPORT_CAP", 9)
     z2 = symplectic_z2()
-    inner = inner_h2_certify(z2, z2.zero, 3, boundary_radius=9, support_cap=9)
+    inner = inner_h2_certify(z2, z2.zero, 3)
     assert inner.effective_radius == 1
     assert inner.result.details["effective_radius"] == 1
+    assert inner.boundary_radius == 9
 
 
 def test_inner_requires_radical_grading_and_wide_boundary_box():
     z2 = symplectic_z2()
     with pytest.raises(ValueError):
         inner_h2_certify(z2, z2.element([1, 0]), 2)
-    with pytest.raises(ValueError):
-        inner_h2_certify(z2, z2.zero, 2, boundary_radius=5)
+    # The boundary box is always three times the cycle box.
+    assert inner_h2_certify(z2, z2.zero, 2).result.params["boundary_box"] == 6
 
 
 def test_inner_f_scan_exhaustive_on_small_box():
@@ -859,16 +861,18 @@ def test_inner_candidate_stream_is_a_permutation_of_all_pairs(spec, box, monkeyp
 
 
 def test_inner_z2_box12_certifies_from_few_span_inserts(monkeypatch):
-    # The all-pairs greedy took 65,414 inserts here.
+    # The all-pairs greedy took 65,414 inserts here.  The column search
+    # reduces each candidate against the modular span and keeps it only
+    # once its witness exists, so the reductions are its inserts.
     inserts = []
-    insert = _IncrementalSpan.insert
+    reduce = _IncrementalSpan.reduce
 
-    def recording_insert(self, vec):
+    def recording_reduce(self, vec):
         if self.modulus is not None:
             inserts.append(vec)
-        return insert(self, vec)
+        return reduce(self, vec)
 
-    monkeypatch.setattr(_IncrementalSpan, "insert", recording_insert)
+    monkeypatch.setattr(_IncrementalSpan, "reduce", recording_reduce)
     z2 = symplectic_z2()
     inner = inner_h2_certify(z2, z2.zero, 12)
     assert inner.result.verdict == CERTIFIED
@@ -958,8 +962,9 @@ def test_inner_modular_pass_certifies_without_exact_rerun(monkeypatch):
 
 
 def test_inner_rebuilds_the_modular_span_from_integer_columns(monkeypatch):
-    # Withhold the witnesses of the first accepted pairs: each drop
-    # rebuilds the mod-p span from the integer vectors kept so far.
+    # Withhold the witnesses of the first independent pairs: a pair is
+    # kept only once its witness exists, so each drop leaves the mod-p
+    # span as the integer columns kept so far made it.
     z2 = symplectic_z2()
     witness_for = InnerCertification._witness_for
     dropped = []
@@ -974,19 +979,20 @@ def test_inner_rebuilds_the_modular_span_from_integer_columns(monkeypatch):
             witnessed.append((u, v))
         return witness
 
-    inserted = []
-    insert = _IncrementalSpan.insert
+    reduced = []
+    reduce = _IncrementalSpan.reduce
 
-    def recording_insert(self, vec):
+    def recording_reduce(self, vec):
         if self.modulus is not None:
-            inserted.append(vec)
-        return insert(self, vec)
+            reduced.append(vec)
+        return reduce(self, vec)
 
     monkeypatch.setattr(InnerCertification, "_witness_for", flaky)
-    monkeypatch.setattr(_IncrementalSpan, "insert", recording_insert)
+    monkeypatch.setattr(_IncrementalSpan, "reduce", recording_reduce)
     inner = inner_h2_certify(z2, z2.zero, 3)
     assert len(dropped) == 3
-    assert all(type(c) is int for vec in inserted for c in vec.values())
+    assert reduced
+    assert all(type(c) is int for vec in reduced for c in vec.values())
     assert inner.result.verdict == CERTIFIED
     # Per pair: every pair is offered at most once, so a dropped pair
     # never builds a column; each column is G of a witnessed pair, and
@@ -1008,7 +1014,7 @@ def test_inner_rebuilds_the_modular_span_from_integer_columns(monkeypatch):
 
 def test_inner_rebuild_on_surface_grading_matches_exact(monkeypatch):
     # surface(1, 2) at z = (0, 0, 0, 2) has independent pairs without a
-    # witness in the box, so the rebuild path runs unpatched.
+    # witness in the box, so the drop path runs unpatched.
     s12 = surface_presentation(1, 2)
     z = s12.element([0, 0, 0, 2])
     witness_for = InnerCertification._witness_for
