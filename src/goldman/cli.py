@@ -15,7 +15,8 @@ A group file is a single JSON document, either an explicit presentation
 
 (relations and form may be omitted; the form defaults to zero; every
 count and entry must be a JSON integer, so 1.5, 2.0 and true are
-rejected with their path) or the surface shorthand
+rejected with their path; optional "names" is a list of strings, one
+per generator; any other key is rejected) or the surface shorthand
 
     {"surface": {"genus": 2, "boundary": 3}}
 
@@ -112,10 +113,13 @@ def load_spec(args):
                          % (args.spec, exc.msg, exc.lineno, exc.colno))
     if not isinstance(data, dict):
         raise UsageError("group file must be a JSON object")
+    _json_keys(data, ("generators", "relations", "form", "names", "surface"),
+               "the group file")
     if "surface" in data:
         s = data["surface"]
         if not isinstance(s, dict) or not {"genus", "boundary"} <= s.keys():
             raise UsageError('surface shorthand needs {"genus": g, "boundary": r}')
+        _json_keys(s, ("genus", "boundary"), "surface")
         g = _json_int(s["genus"], "surface.genus")
         r = _json_int(s["boundary"], "surface.boundary")
         return surface_presentation(g, r), {"surface": {"genus": g, "boundary": r}}
@@ -127,10 +131,23 @@ def load_spec(args):
     form = data.get("form")
     if form is not None:
         form = _json_int_rows(form, "form")
+    names = data.get("names")
+    if names is not None and not isinstance(names, list):
+        raise UsageError("names must be a list of strings, got %s" % json.dumps(names))
+    for i, name in enumerate(names or ()):
+        if not isinstance(name, str):
+            raise UsageError("names[%d] must be a string, got %s" % (i, json.dumps(name)))
     spec = GroupSpec(_json_int(data["generators"], "generators"),
-                     relations=relations or (), form=form,
-                     names=data.get("names"))
+                     relations=relations or (), form=form, names=names)
     return spec, {"file": args.spec}
+
+
+def _json_keys(obj, known, where):
+    """Reject the first key of a JSON object that is not in ``known``."""
+    for key in obj:
+        if key not in known:
+            raise UsageError("unknown key %s in %s; expected %s"
+                             % (json.dumps(key), where, ", ".join(known)))
 
 
 def _json_int(value, path):

@@ -3,10 +3,12 @@
 Everything downstream that needs a rank, a kernel, a membership witness
 or an infeasibility certificate funnels through this module, and every
 one of them is computed by ``_IncrementalSpan``: a reduced echelon form
-that takes one sparse vector at a time, over the rationals or over the
-integers modulo a prime.  Its reduction step hands back the residual of
-a vector modulo the span without keeping it, so a caller can read a
-certificate off a residual before deciding to keep it.
+over the rationals that takes one sparse vector at a time.  Integer
+vectors stay in integer arithmetic while every pivot is +1 or -1, and
+Fractions appear only at another pivot.  Its reduction step hands back
+the residual of a vector modulo the span without keeping it, so a
+caller can read a certificate off a residual before deciding to keep
+it.
 
 ``SparseRationalMatrix`` keeps its entries as a dictionary mapping
 (row, col) to Fraction and tracks combinations with tag coordinates: a
@@ -73,11 +75,12 @@ def _as_fraction(v):
 
 
 class _IncrementalSpan:
-    """Reduced echelon form that accepts one sparse vector at a time.
+    """Reduced echelon form over Q that accepts one sparse vector at a time.
 
-    The field is fixed at construction: exact Fractions when
-    ``modulus`` is None, else the integers modulo the prime ``modulus``
-    (vectors must then have int entries).
+    Entries are ints or Fractions.  A kept residual is divided by its
+    lead, except that a lead of +1 or -1 is multiplied instead, so
+    integer vectors stay ints through elimination for as long as every
+    pivot is a unit, and Fractions appear only at another pivot.
 
     ``pivots`` maps each pivot row r to the tail of its basis vector:
     the vector is 1 at r, 0 at every other pivot row, and the tail holds
@@ -89,10 +92,9 @@ class _IncrementalSpan:
     rows are the least rows of the span's vectors.
     """
 
-    __slots__ = ("modulus", "pivots", "_users")
+    __slots__ = ("pivots", "_users")
 
-    def __init__(self, modulus=None):
-        self.modulus = modulus
+    def __init__(self):
         self.pivots = {}
         self._users = {}
 
@@ -100,7 +102,6 @@ class _IncrementalSpan:
         """The residual of vec (dict row -> coefficient) modulo the span:
         the unique vector of vec + span that is zero on every pivot row,
         as a dict without zero entries.  The span is not changed."""
-        p = self.modulus
         pivots = self.pivots
         acc = {}
         for k, c in vec.items():
@@ -110,33 +111,25 @@ class _IncrementalSpan:
             elif c:
                 for r, t in tail.items():
                     acc[r] = acc.get(r, 0) - c * t
-        if p is None:
-            return {r: v for r, v in acc.items() if v}
-        return {r: m for r, v in acc.items() if (m := v % p)}
+        return {r: v for r, v in acc.items() if v}
 
     def keep(self, residual):
         """Add a nonzero residual of ``reduce`` to the span (the dict is
         consumed); it pivots on its least row."""
-        p = self.modulus
         pivots = self.pivots
         # Rows are indexed heavy first by the inner search, so a column
         # [u+v]-[u]-[v] usually pivots on a row no tail uses yet.
         r = min(residual)
         lead = residual.pop(r)
-        if p is None:
-            inv = Fraction(1) / lead
-            new = {s: v * inv for s, v in residual.items()}
-        else:
-            inv = pow(lead, -1, p)
-            new = {s: v * inv % p for s, v in residual.items()}
+        # 1 / lead is lead itself when lead is a unit, and keeps ints ints.
+        inv = lead if lead in (1, -1) else Fraction(1) / lead
+        new = {s: v * inv for s, v in residual.items()}
         users = self._users
         for k in users.pop(r, ()):
             tail = pivots[k]
             t = tail.pop(r)
             for s, v in new.items():
                 x = tail.get(s, 0) - t * v
-                if p is not None:
-                    x %= p
                 if x:
                     tail[s] = x
                     users.setdefault(s, set()).add(k)

@@ -21,22 +21,16 @@ witnesses.  The certification patterns are:
   to Q (x) (H / Zz) exactly.
 
   The columns have small integer entries, and the greedy search for
-  independent ones runs modulo the prime p = 2^61 - 1.  A set of
-  integer vectors that is dependent over Q stays dependent mod p, and
-  every accepted column is checked to satisfy f(G) = 0, so
-
-      rank_p <= rank_Q <= dim ker(f) = target:
-
-  reaching the target mod p certifies the rank over Q outright.  When
-  the modular pass ends below the target, the pass is run again with
-  exact Fractions, so the verdict and every reported number are those
-  of exact elimination.  (The chosen columns match the exact greedy
-  choice unless p divides a minor of the column matrix; either way
-  they are a verified independent set.)  Everything else is exact
-  elimination over Q: the witnesses, the column matrix behind boundary
-  witnesses and in_span, and the f-image and box-image ranks.  Every
-  rank, span witness and certificate here, modular or exact, comes from
-  the one elimination kernel of ``goldman.linalg``.
+  independent ones is exact elimination over Q.  It runs in integer
+  arithmetic while every pivot is +1 or -1, and Fractions appear only
+  at another pivot.  Every accepted column is checked to satisfy
+  f(G) = 0, so the columns span a subspace of ker(f), and a boundary
+  rank equal to dim ker(f) certifies that they span all of it.
+  Everything else is exact elimination over Q as well: the witnesses,
+  the column matrix behind boundary witnesses and in_span, and the
+  f-image and box-image ranks.  Every rank, span witness and
+  certificate here comes from the one elimination kernel of
+  ``goldman.linalg``.
 
   Pairs (u, v) are tried in one fixed order, generated lazily.  The
   unit steps G(x, e) come first: x over the factors of W in weight
@@ -47,10 +41,10 @@ witnesses.  The certification patterns are:
   never offered again.  The unit steps nearly span ker(f) by
   themselves, which makes the search short.  The order changes which
   columns are kept, not the argument: every column is still verified,
-  and rank_p <= rank_Q <= dim ker(f) holds for any order.  A greedy pass
-  over a fixed order keeps the same independent set whatever
-  elimination decides independence, so the span's reduced echelon form
-  changes the cost of the search and not the columns it keeps.  The
+  and rank <= dim ker(f) holds for any order.  A greedy pass over a
+  fixed order keeps the same independent set whatever elimination
+  decides independence, so the span's reduced echelon form changes the
+  cost of the search and not the columns it keeps.  The
   certification needs f in degree 2 only, where f([u] ^ [z-u]) = 1 (x) u
   is the integer coordinate vector of u in H / Zz (``f_map`` returns
   that tuple), and the scan of f over boundaries sums those vectors
@@ -686,10 +680,6 @@ def solve_homotopy_coefficients(spec, z, y, wedges):
 # Inner gradings: explicit boundary columns up to the quotient dimension
 
 
-# The prime 2^61 - 1: the inner column search runs modulo it (the module
-# docstring says why that is sound).
-_SPAN_MODULUS = (1 << 61) - 1
-
 # The most elements an inner cycle box may hold: the radius is reduced
 # until the box fits (``effective_radius``).
 INNER_SUPPORT_CAP = 1200
@@ -822,14 +812,8 @@ class InnerCertification:
         position = {x: i for i, x in enumerate(elements)}
         steps = [position[e] for e in box_by_weight(spec, 1) if e in position]
 
-        # Search mod p first: the mod-p rank never exceeds the rational
-        # one, so reaching target_rank certifies; only a shortfall needs
-        # the exact pass.
         self.columns, self.rank = self._column_pass(
-            elements, _candidate_order(weights, steps), probes, _SPAN_MODULUS)
-        if self.rank < self.target_rank:
-            self.columns, self.rank = self._column_pass(
-                elements, _candidate_order(weights, steps), probes, None)
+            elements, _candidate_order(weights, steps), probes)
 
         self.matrix = SparseRationalMatrix(len(self.wedges), len(self.columns))
         for col, (gen, _) in enumerate(self.columns):
@@ -862,9 +846,9 @@ class InnerCertification:
              "box": self.box_radius, "boundary_box": self.boundary_radius},
             verdict, details)
 
-    def _column_pass(self, elements, pair_order, probes, modulus):
-        """Greedy boundary columns G(u, v) over pair_order until the span
-        (over the field ``modulus`` picks) reaches target_rank.
+    def _column_pass(self, elements, pair_order, probes):
+        """Greedy boundary columns G(u, v) over pair_order until their
+        span over Q reaches target_rank.
 
         Candidates are integer vectors over W, built on coordinate
         tuples; only independent ones get group elements, an exact chain
@@ -891,7 +875,7 @@ class InnerCertification:
         own_rows = [v_row(x) for x in coords]
         target = self.target_rank
         columns = []
-        span = _IncrementalSpan(modulus)
+        span = _IncrementalSpan()
         for i, j in pair_order:
             if len(span.pivots) >= target:
                 break
@@ -1215,16 +1199,11 @@ def gk_cycle_check(spec, u, z, box_radius=3):
     part_z = target.graded_part(z)
     if not part_z.is_zero():
         # The z part collapses to the ideal generator G(u, u), whose
-        # probe witness (through box(1)) needs no truncated span; fall
-        # back to the general span search only if that shape ever fails
-        # to match.
+        # probe witness runs through box(1) and needs no truncated span.
         piece = None
         gen = _ideal_generator(spec, z, u, u)
         if part_z == gen:
             piece = _generator_witness(spec, z, u, u, gen, box_by_weight(spec, 1))
-        if piece is None:
-            inner = inner_h2_certify(spec, z, radius)
-            piece = inner.boundary_witness(part_z)
         if piece is None:
             return CheckResult(
                 "gk-cycle",

@@ -97,6 +97,26 @@ def test_non_integer_group_entries_are_rejected(tmp_path, capsys, payload, path)
     assert "error: %s must be an integer" % path in err
 
 
+@pytest.mark.parametrize("payload, message", [
+    # A typo for "relations" must not validate as Z^3.
+    ({"generators": 3, "relation": [[0, 0, 2]],
+      "form": [[0, 1, 0], [-1, 0, 0], [0, 0, 0]]},
+     'unknown key "relation" in the group file'),
+    ({"surface": {"genus": 1, "boundary": 0, "boundaries": 2}},
+     'unknown key "boundaries" in surface'),
+    ({"generators": 2, "names": 5},
+     "names must be a list of strings, got 5"),
+    ({"generators": 2, "names": ["a", 2]},
+     "names[1] must be a string, got 2"),
+], ids=["top-level-key", "surface-key", "names-not-a-list", "name-not-a-string"])
+def test_malformed_group_files_are_rejected(tmp_path, capsys, payload, message):
+    spec = write_spec(tmp_path, "g.json", payload)
+    code, out, err = run(capsys, "validate", "--spec", spec)
+    assert code == 1
+    assert out == ""
+    assert "error: %s" % message in err
+
+
 def test_validate_reports_parse_position(tmp_path, capsys):
     p = tmp_path / "broken.json"
     p.write_text('{"generators": 2,\n  oops}')

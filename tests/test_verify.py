@@ -52,7 +52,6 @@ from goldman.linalg import _IncrementalSpan
 from goldman.verify import (
     CertificateError,
     InnerCertification,
-    _SPAN_MODULUS,
     _candidate_order,
     _ideal_generator,
     _pair_order,
@@ -661,26 +660,12 @@ def test_inner_f_scan_rechecks_every_boundary(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# The modular column span and its exact fallback
+# The exact column span
 
 
 sparse_columns = st.lists(
     st.dictionaries(st.integers(0, 7), st.integers(-3, 3), max_size=5),
     max_size=14)
-
-
-@given(sparse_columns)
-@settings(max_examples=200, deadline=None)
-def test_modular_span_matches_exact_span(columns):
-    # Entries of size <= 3 on 8 rows keep every nonzero minor below
-    # 8! * 3^8 < 2^61 - 1 (each of its at most 8! terms is at most 3^8),
-    # so no minor vanishes mod p only, and the two spans must accept
-    # exactly the same columns.
-    modular = _IncrementalSpan(_SPAN_MODULUS)
-    exact = _IncrementalSpan()
-    for col in columns:
-        assert modular.insert(col) == exact.insert(col)
-    assert modular.rank == exact.rank
 
 
 class _FractionEchelon:
@@ -718,23 +703,38 @@ class _FractionEchelon:
 @given(sparse_columns)
 @settings(max_examples=200, deadline=None)
 def test_reduced_echelon_matches_fraction_elimination(columns):
-    # The same minor bound as above keeps the mod-p decisions exact.
     reference = _FractionEchelon()
-    spans = [_IncrementalSpan(), _IncrementalSpan(_SPAN_MODULUS)]
+    span = _IncrementalSpan()
+    leads = []
     for col in columns:
+        residual = span.reduce(col)
+        if residual:
+            leads.append(residual[min(residual)])
         expected = reference.insert(col)
-        assert [span.insert(col) for span in spans] == [expected, expected]
-    for span in spans:
-        assert span.rank == len(reference.rows)
-        # Reduced: no tail touches a pivot row, and the index lists
-        # exactly the pivots whose tails use each row.
-        users = {}
-        for r, tail in span.pivots.items():
-            assert not set(tail) & set(span.pivots)
-            assert all(tail.values())
-            for s in tail:
-                users.setdefault(s, set()).add(r)
-        assert {s: u for s, u in span._users.items() if u} == users
+        assert span.insert(col) == expected
+    assert span.rank == len(reference.rows)
+    # Reduced: no tail touches a pivot row, and the index lists exactly
+    # the pivots whose tails use each row.
+    users = {}
+    for r, tail in span.pivots.items():
+        assert not set(tail) & set(span.pivots)
+        assert all(tail.values())
+        for s in tail:
+            users.setdefault(s, set()).add(r)
+    assert {s: u for s, u in span._users.items() if u} == users
+    # Integer columns with unit leads never leave integer arithmetic.
+    if all(lead in (1, -1) for lead in leads):
+        assert all(type(v) is int for tail in span.pivots.values()
+                   for v in tail.values())
+
+
+def test_exact_span_keeps_columns_dependent_modulo_a_prime():
+    # Modulo p = 2^61 - 1 the first column is (0, 1), the second one's
+    # multiple; over Q the two are independent.
+    span = _IncrementalSpan()
+    assert span.insert({0: (1 << 61) - 1, 1: 1})
+    assert span.insert({1: 1})
+    assert span.rank == 2
 
 
 @given(st.lists(st.integers(0, 4), max_size=12))
@@ -828,7 +828,13 @@ def _reference_columns(inner):
     (symplectic_z2(), 4),
     (z2_z2torsion(), 2),
     (surface_presentation(1, 2), 2),
-], ids=["z2-box4", "z2+z/2-box2", "surface12-box2"])
+    # The greedy columns at the origin of Z^2 + Z/p are independent over
+    # Q but not modulo p.
+    (z2_z2torsion(), 1),
+    (GroupSpec(3, relations=[[0, 0, 3]],
+               form=[[0, 1, 0], [-1, 0, 0], [0, 0, 0]]), 1),
+], ids=["z2-box4", "z2+z/2-box2", "surface12-box2", "z2+z/2-box1",
+        "z2+z/3-box1"])
 def test_inner_columns_match_the_sorted_reference_greedy(spec, box):
     inner = inner_h2_certify(spec, spec.zero, box)
     assert inner.result.verdict == CERTIFIED
@@ -844,10 +850,10 @@ def test_inner_candidate_stream_is_a_permutation_of_all_pairs(spec, box, monkeyp
     streams = []
     column_pass = InnerCertification._column_pass
 
-    def materialising(self, elements, pair_order, probes, modulus):
+    def materialising(self, elements, pair_order, probes):
         pairs = list(pair_order)
         streams.append((elements, pairs))
-        return column_pass(self, elements, iter(pairs), probes, modulus)
+        return column_pass(self, elements, iter(pairs), probes)
 
     monkeypatch.setattr(InnerCertification, "_column_pass", materialising)
     inner = inner_h2_certify(spec, spec.zero, box)
@@ -860,19 +866,36 @@ def test_inner_candidate_stream_is_a_permutation_of_all_pairs(spec, box, monkeyp
         assert steps and all(i in steps or j in steps for i, j in pairs[:unit])
 
 
-def test_inner_z2_box12_certifies_from_few_span_inserts(monkeypatch):
-    # The all-pairs greedy took 65,414 inserts here.  The column search
-    # reduces each candidate against the modular span and keeps it only
-    # once its witness exists, so the reductions are its inserts.
-    inserts = []
+def _record_column_reductions(monkeypatch):
+    """Record every vector the column pass reduces against its span (and
+    no reduction made outside the pass); returns the list."""
+    reduced = []
+    in_pass = []
+    column_pass = InnerCertification._column_pass
     reduce = _IncrementalSpan.reduce
 
+    def marked_pass(self, *args):
+        in_pass.append(True)
+        try:
+            return column_pass(self, *args)
+        finally:
+            in_pass.pop()
+
     def recording_reduce(self, vec):
-        if self.modulus is not None:
-            inserts.append(vec)
+        if in_pass:
+            reduced.append(vec)
         return reduce(self, vec)
 
+    monkeypatch.setattr(InnerCertification, "_column_pass", marked_pass)
     monkeypatch.setattr(_IncrementalSpan, "reduce", recording_reduce)
+    return reduced
+
+
+def test_inner_z2_box12_certifies_from_few_span_inserts(monkeypatch):
+    # The all-pairs greedy took 65,414 inserts here.  The column search
+    # reduces each candidate against its span and keeps it only once its
+    # witness exists, so the reductions are its inserts.
+    inserts = _record_column_reductions(monkeypatch)
     z2 = symplectic_z2()
     inner = inner_h2_certify(z2, z2.zero, 12)
     assert inner.result.verdict == CERTIFIED
@@ -914,57 +937,10 @@ def test_inner_pair_order_tail_certifies_without_unit_steps(monkeypatch):
         assert boundary(witness) == gen
 
 
-def _record_passes(monkeypatch):
-    """Wrap the column pass; returns the list of (modulus, rank) it ran."""
-    passes = []
-    column_pass = InnerCertification._column_pass
-
-    def recording(self, elements, pair_order, probes, modulus):
-        columns, rank = column_pass(self, elements, pair_order, probes, modulus)
-        passes.append((modulus, rank))
-        return columns, rank
-
-    monkeypatch.setattr(InnerCertification, "_column_pass", recording)
-    return passes
-
-
-def _exact_inner(monkeypatch, spec, z, box):
-    with monkeypatch.context() as m:
-        m.setattr(verify, "_SPAN_MODULUS", None)
-        return inner_h2_certify(spec, z, box)
-
-
-@pytest.mark.parametrize("prime", [2, 3])
-def test_inner_falls_back_to_exact_when_columns_are_lost_mod_p(monkeypatch, prime):
-    # At the origin of Z^2 + Z/p the greedy columns lose rank mod p
-    # although they are independent over Q.
-    spec = GroupSpec(3, relations=[[0, 0, prime]],
-                     form=[[0, 1, 0], [-1, 0, 0], [0, 0, 0]])
-    exact = _exact_inner(monkeypatch, spec, spec.zero, 1)
-    monkeypatch.setattr(verify, "_SPAN_MODULUS", prime)
-    passes = _record_passes(monkeypatch)
-    inner = inner_h2_certify(spec, spec.zero, 1)
-    assert passes[0][0] == prime and passes[0][1] < inner.target_rank
-    assert passes[1] == (None, inner.target_rank)
-    assert inner.result.to_dict() == exact.result.to_dict()
-    assert inner.result.verdict == CERTIFIED
-    assert inner.columns == exact.columns
-
-
-def test_inner_modular_pass_certifies_without_exact_rerun(monkeypatch):
-    z2 = symplectic_z2()
-    exact = _exact_inner(monkeypatch, z2, z2.zero, 3)
-    passes = _record_passes(monkeypatch)
-    inner = inner_h2_certify(z2, z2.zero, 3)
-    assert passes == [(_SPAN_MODULUS, inner.target_rank)]
-    assert inner.result.to_dict() == exact.result.to_dict()
-    assert inner.columns == exact.columns
-
-
 def test_inner_rebuilds_the_modular_span_from_integer_columns(monkeypatch):
     # Withhold the witnesses of the first independent pairs: a pair is
-    # kept only once its witness exists, so each drop leaves the mod-p
-    # span as the integer columns kept so far made it.
+    # kept only once its witness exists, so each drop leaves the span as
+    # the integer columns kept so far made it.
     z2 = symplectic_z2()
     witness_for = InnerCertification._witness_for
     dropped = []
@@ -979,16 +955,8 @@ def test_inner_rebuilds_the_modular_span_from_integer_columns(monkeypatch):
             witnessed.append((u, v))
         return witness
 
-    reduced = []
-    reduce = _IncrementalSpan.reduce
-
-    def recording_reduce(self, vec):
-        if self.modulus is not None:
-            reduced.append(vec)
-        return reduce(self, vec)
-
     monkeypatch.setattr(InnerCertification, "_witness_for", flaky)
-    monkeypatch.setattr(_IncrementalSpan, "reduce", recording_reduce)
+    reduced = _record_column_reductions(monkeypatch)
     inner = inner_h2_certify(z2, z2.zero, 3)
     assert len(dropped) == 3
     assert reduced
@@ -1005,11 +973,9 @@ def test_inner_rebuilds_the_modular_span_from_integer_columns(monkeypatch):
     for gen, witness in inner.columns:
         assert boundary(witness) == gen
 
-    # The same drops in exact arithmetic pick the same columns.
+    # The same drops in plain Fraction elimination pick the same columns.
     del dropped[:], witnessed[:]
-    exact = _exact_inner(monkeypatch, z2, z2.zero, 3)
-    assert inner.result.to_dict() == exact.result.to_dict()
-    assert inner.columns == exact.columns
+    assert [gen for gen, _ in inner.columns] == _reference_columns(inner)
 
 
 def test_inner_rebuild_on_surface_grading_matches_exact(monkeypatch):
@@ -1030,9 +996,7 @@ def test_inner_rebuild_on_surface_grading_matches_exact(monkeypatch):
     inner = inner_h2_certify(s12, z, 2)
     assert missing
     assert inner.result.verdict == CERTIFIED
-    exact = _exact_inner(monkeypatch, s12, z, 2)
-    assert inner.result.to_dict() == exact.result.to_dict()
-    assert inner.columns == exact.columns
+    assert [gen for gen, _ in inner.columns] == _reference_columns(inner)
 
 
 # ---------------------------------------------------------------------------
@@ -1369,6 +1333,21 @@ def test_gk_cycle_other_base_points():
     c1 = s12.element([0, 0, 1, 0])
     r = gk_cycle_check(s12, s12.element([1, 0, 0, 0]), c1, 2)
     assert r.verdict == CERTIFIED
+
+
+def test_gk_cycle_without_the_probe_witness_is_inconclusive(monkeypatch):
+    # The radical-grading part has no other witness: no span search runs,
+    # and the entry is inconclusive instead of certified.
+    def no_span_search(*args):
+        raise AssertionError("gk_cycle_check ran an inner span search")
+
+    monkeypatch.setattr(verify, "_generator_witness", lambda *args: None)
+    monkeypatch.setattr(verify, "inner_h2_certify", no_span_search)
+    z2 = symplectic_z2()
+    r = gk_cycle_check(z2, z2.element([1, 0]), z2.zero, 3)
+    assert (r.check, r.verdict) == ("gk-cycle", INCONCLUSIVE)
+    assert r.details["note"] == "no boundary witness for the radical-grading part"
+    assert r.details["factors_in_gk"] and r.details["is_cycle"]
 
 
 # ---------------------------------------------------------------------------
