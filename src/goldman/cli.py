@@ -116,6 +116,10 @@ def load_spec(args):
     _json_keys(data, ("generators", "relations", "form", "names", "surface"),
                "the group file")
     if "surface" in data:
+        for key in data:
+            if key != "surface":
+                raise UsageError("surface shorthand stands alone; drop %s"
+                                 % json.dumps(key))
         s = data["surface"]
         if not isinstance(s, dict) or not {"genus", "boundary"} <= s.keys():
             raise UsageError('surface shorthand needs {"genus": g, "boundary": r}')
@@ -200,12 +204,6 @@ def parse_gradings(spec, grading_args):
     if not picks:
         raise UsageError("empty grading selection")
     return picks, [list(x.coords) for x in picks]
-
-
-def default_gradings(spec, radius, cap=8):
-    """Zero, then small radical elements, then the smallest derived
-    ones; the first ``cap`` of them."""
-    return resolve_selection(spec, None, radius, (cap,))[cap][0]
 
 
 def resolve_selection(spec, selection, radius, caps):
@@ -568,7 +566,12 @@ def render_json(report):
 
 
 def emit(report, args):
-    text = render_json(report) if args.format == "json" else render_text(report)
+    write_report(render_json(report) if args.format == "json"
+                 else render_text(report), args)
+
+
+def write_report(text, args):
+    """Write a rendered report to --out, else to stdout."""
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
@@ -605,13 +608,7 @@ def cmd_validate(args):
              "ker mu generators: %s" % (", ".join(d["kernel_mu_generators"]) or
                                         "none (form nondegenerate)"),
              "status: ok"]
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-        print("report written to %s" % args.out)
-    else:
-        sys.stdout.write(text)
+    write_report("\n".join(lines) + "\n", args)
     return 0
 
 

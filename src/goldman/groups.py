@@ -596,7 +596,7 @@ class GroupSpec:
             self.n_generators, len(self.relations), list(self.torsion_coefficients))
 
 
-def surface_presentation(g, r, with_names=True):
+def surface_presentation(g, r):
     """First homology of a compact oriented surface of genus g with r boundary circles.
 
     Generators A_1, B_1, ..., A_g, B_g, C_1, ..., C_r with the single
@@ -623,10 +623,8 @@ def surface_presentation(g, r, with_names=True):
     relations = []
     if r >= 1:
         relations.append([0] * (2 * g) + [1] * r)
-    names = None
-    if with_names:
-        names = []
-        for i in range(g):
-            names.extend(["A%d" % (i + 1), "B%d" % (i + 1)])
-        names.extend("C%d" % (j + 1) for j in range(r))
+    names = []
+    for i in range(g):
+        names.extend(["A%d" % (i + 1), "B%d" % (i + 1)])
+    names.extend("C%d" % (j + 1) for j in range(r))
     return GroupSpec(n, relations=relations, form=form, names=names)

@@ -20,17 +20,16 @@ witnesses.  The certification patterns are:
   boundary rank up to dim ker(f), which pins the homology of the slice
   to Q (x) (H / Zz) exactly.
 
-  The columns have small integer entries, and the greedy search for
+  A column is its integer vector over W, and the greedy search for
   independent ones is exact elimination over Q.  It runs in integer
   arithmetic while every pivot is +1 or -1, and Fractions appear only
-  at another pivot.  Every accepted column is checked to satisfy
-  f(G) = 0, so the columns span a subspace of ker(f), and a boundary
-  rank equal to dim ker(f) certifies that they span all of it.
-  Everything else is exact elimination over Q as well: the witnesses,
-  the column matrix behind boundary witnesses and in_span, and the
-  f-image and box-image ranks.  Every rank, span witness and
-  certificate here comes from the one elimination kernel of
-  ``goldman.linalg``.
+  at another pivot.  Every kept column is checked on that vector:
+  d(witness) read on the rows of W equals it, and f summed over its
+  rows is 0, so the columns span a subspace of ker(f), and a boundary
+  rank equal to dim ker(f) certifies that they span all of it.  The
+  column matrix is built only when a boundary witness is asked for.
+  Every rank, span witness and certificate here comes from the one
+  elimination kernel of ``goldman.linalg``.
 
   Pairs (u, v) are tried in one fixed order, generated lazily.  The
   unit steps G(x, e) come first: x over the factors of W in weight
@@ -46,9 +45,8 @@ witnesses.  The certification patterns are:
   decides independence, so the span's reduced echelon form changes the
   cost of the search and not the columns it keeps.  The
   certification needs f in degree 2 only, where f([u] ^ [z-u]) = 1 (x) u
-  is the integer coordinate vector of u in H / Zz (``f_map`` returns
-  that tuple), and the scan of f over boundaries sums those vectors
-  over integer boundary terms.
+  is the integer coordinate vector of u in H / Zz, and f of a column
+  or of a boundary sums those vectors over integer terms.
 
 * Outer gradings (z not in ker mu).  A contracting homotopy (Phi_1,
   Phi_2) built from any y with <y, z> != 0 satisfies
@@ -320,27 +318,26 @@ def _direct_witness(spec, z, u, v):
     return None if chain.is_zero() else chain
 
 
-def _generator_witness(spec, z, u, v, gen, probes):
-    """A chain X with d(X) = gen, where gen = G(u, v), or None.
+def _generator_witness(spec, z, u, v, probes):
+    """A chain X with d(X) = G(u, v) for radical z, or None; the caller
+    re-checks d(X).
 
-    The direct preimage when <u, v> != 0; otherwise (or for a collapsed
-    wedge) a route through the first probe x pairing nonzero with u, v
-    and u + v, where the direct pieces of G(u+v, x), G(u, v+x) and
-    G(v, x) telescope to G(u, v).
+    The direct preimage when <u, v> != 0 and the wedge survives, as
+    d([u]^[v]^[z-u-v]) = -<u, v> G(u, v) (<u, z-u-v> = -<u, v> and
+    <v, z-u-v> = <u, v>).  Otherwise the direct pieces of the first
+    probe x for which all three exist, since
+    -G(u+v, x) + G(u, v+x) + G(v, x) = G(u, v) term by term.
     """
     direct = _direct_witness(spec, z, u, v)
-    if direct is not None and boundary(direct) == gen:
+    if direct is not None:
         return direct
     s = u + v
     for x in probes:
         pieces = (_direct_witness(spec, z, s, x),
                   _direct_witness(spec, z, u, v + x),
                   _direct_witness(spec, z, v, x))
-        if any(p is None for p in pieces):
-            continue
-        combo = -1 * pieces[0] + pieces[1] + pieces[2]
-        if boundary(combo) == gen:
-            return combo
+        if all(p is not None for p in pieces):
+            return -1 * pieces[0] + pieces[1] + pieces[2]
     return None
 
 
@@ -746,7 +743,7 @@ class InnerCertification:
 
     __slots__ = ("spec", "z", "box_radius", "boundary_radius",
                  "effective_radius", "support", "wedges", "index",
-                 "qspace", "columns", "matrix", "rank", "target_rank",
+                 "qspace", "columns", "rank", "target_rank",
                  "f_rank", "box_image_rank", "result")
 
     def __init__(self, spec, z, box_radius):
@@ -773,9 +770,9 @@ class InnerCertification:
 
     # -- construction -----------------------------------------------------
 
-    def _witness_for(self, u, v, gen, probes):
-        """A chain X on the boundary box with d(X) = gen = G(u, v), or None."""
-        return _generator_witness(self.spec, self.z, u, v, gen, probes)
+    def _witness_for(self, u, v, probes):
+        """A chain X with d(X) = G(u, v), or None."""
+        return _generator_witness(self.spec, self.z, u, v, probes)
 
     def _inside_boundary_box(self, chain):
         limit = self.boundary_radius
@@ -793,9 +790,10 @@ class InnerCertification:
         probes = [x for x in box_by_weight(spec, self.effective_radius)
                   if x != spec.zero][:80]
 
+        f_rows = [f_on_ordered(self.qspace, w.factors) for w in self.wedges]
         fspan = _IncrementalSpan()
-        for w in self.wedges:
-            fspan.insert(dict(enumerate(f_on_ordered(self.qspace, w.factors))))
+        for f in f_rows:
+            fspan.insert(dict(enumerate(f)))
         self.f_rank = fspan.rank
 
         box_span = _IncrementalSpan()
@@ -813,12 +811,7 @@ class InnerCertification:
         steps = [position[e] for e in box_by_weight(spec, 1) if e in position]
 
         self.columns, self.rank = self._column_pass(
-            elements, _candidate_order(weights, steps), probes)
-
-        self.matrix = SparseRationalMatrix(len(self.wedges), len(self.columns))
-        for col, (gen, _) in enumerate(self.columns):
-            for w, coeff in gen.terms.items():
-                self.matrix[self.index[w], col] = coeff
+            elements, _candidate_order(weights, steps), probes, f_rows)
 
         verdict = CERTIFIED if self.rank == self.target_rank else INCONCLUSIVE
         quotient_dim = len(self.wedges) - self.rank
@@ -846,17 +839,18 @@ class InnerCertification:
              "box": self.box_radius, "boundary_box": self.boundary_radius},
             verdict, details)
 
-    def _column_pass(self, elements, pair_order, probes):
+    def _column_pass(self, elements, pair_order, probes, f_rows):
         """Greedy boundary columns G(u, v) over pair_order until their
         span over Q reaches target_rank.
 
-        Candidates are integer vectors over W, built on coordinate
-        tuples; only independent ones get group elements, an exact chain
-        and a witness, and are kept once the witness exists.  Returns
-        ([(gen, witness)], rank).
+        A column is its integer vector {row of W: coefficient}, built on
+        coordinate tuples.  An independent one gets a witness and is kept
+        once the witness exists, with d(witness) read on the rows of W
+        and f summed over ``f_rows`` (f of each row), both checked
+        against the vector.  Returns ([(vec, witness)], rank).
         """
-        spec, z, index = self.spec, self.z, self.index
-        add, zc = spec.add_coords, z.coords
+        index = self.index
+        add, zc = self.spec.add_coords, self.z.coords
         rows = {w.sort_key(): i for w, i in index.items()}
         v_rows = {}
 
@@ -892,19 +886,17 @@ class InnerCertification:
             residual = span.reduce(vec)
             if not residual:
                 continue
-            u, v = elements[i], elements[j]
-            gen = _ideal_generator(spec, z, u, v)
-            witness = self._witness_for(u, v, gen, probes)
+            witness = self._witness_for(elements[i], elements[j], probes)
             if witness is None:
                 continue
-            _require({index.get(w): c for w, c in gen.terms.items()} == vec,
-                     "the integer column equals G(u, v)")
-            _require(boundary(witness) == gen, "d(witness) = G(u, v)")
+            _require({index.get(w): c for w, c in boundary(witness).terms.items()}
+                     == vec, "d(witness) = G(u, v)")
             _require(self._inside_boundary_box(witness),
                      "the witness lies in the boundary box")
-            _require(not any(f_map(gen, self.qspace)), "f(G(u, v)) = 0")
+            _require(not any(sum(c * f_rows[r][t] for r, c in vec.items())
+                             for t in range(self.qspace.dim)), "f(G(u, v)) = 0")
             span.keep(residual)
-            columns.append((gen, witness))
+            columns.append((vec, witness))
         return columns, span.rank
 
     # -- queries -----------------------------------------------------------
@@ -919,11 +911,16 @@ class InnerCertification:
         return tuple(vec)
 
     def boundary_witness(self, c):
-        """An explicit X with d(X) = c, or None; c must lie in span(W)."""
+        """An explicit X with d(X) = c, or None; c must lie in span(W).
+        The column matrix is built here, from the integer columns."""
         vec = self.chain_vector(c)
         if vec is None:
             return None
-        ok, combo = self.matrix.in_span(vec)
+        matrix = SparseRationalMatrix(
+            len(self.wedges), len(self.columns),
+            {(r, col): coeff for col, (column, _) in enumerate(self.columns)
+             for r, coeff in column.items()})
+        ok, combo = matrix.in_span(vec)
         if not ok:
             return None
         out = WedgeChain(self.spec, 3)
@@ -1203,7 +1200,7 @@ def gk_cycle_check(spec, u, z, box_radius=3):
         piece = None
         gen = _ideal_generator(spec, z, u, u)
         if part_z == gen:
-            piece = _generator_witness(spec, z, u, u, gen, box_by_weight(spec, 1))
+            piece = _generator_witness(spec, z, u, u, box_by_weight(spec, 1))
         if piece is None:
             return CheckResult(
                 "gk-cycle",

@@ -14,7 +14,7 @@ import time
 import pytest
 
 from goldman import cli, verify
-from goldman.cli import default_gradings, main, resolve_selection
+from goldman.cli import main, resolve_selection
 from goldman import box_support, surface_presentation
 
 from conftest import symplectic_z2, torsion_only, z2_z2torsion, z3_rank2_form
@@ -63,6 +63,18 @@ def test_validate_surface_shorthand_file(tmp_path, capsys):
     assert "group: Z^3" in out
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_validate_out_writes_the_stdout_report(tmp_path, capsys, fmt):
+    code, printed, _ = run(capsys, "validate", "--surface", "1,2", "--format", fmt)
+    assert code == 0
+    out = tmp_path / "report"
+    code, notice, _ = run(capsys, "validate", "--surface", "1,2", "--format", fmt,
+                          "--out", str(out))
+    assert code == 0
+    assert notice == "report written to %s\n" % out
+    assert out.read_text() == printed
+
+
 def test_validate_rejects_nonalternating_form(tmp_path, capsys):
     path = write_spec(tmp_path, "bad.json", {
         "generators": 2, "form": [[1, 0], [0, 0]]})
@@ -108,7 +120,12 @@ def test_non_integer_group_entries_are_rejected(tmp_path, capsys, payload, path)
      "names must be a list of strings, got 5"),
     ({"generators": 2, "names": ["a", 2]},
      "names[1] must be a string, got 2"),
-], ids=["top-level-key", "surface-key", "names-not-a-list", "name-not-a-string"])
+    # The shorthand must not silently win over a presentation beside it.
+    ({"surface": {"genus": 1, "boundary": 0}, "generators": 5,
+      "relations": [[0, 2]]},
+     'surface shorthand stands alone; drop "generators"'),
+], ids=["top-level-key", "surface-key", "names-not-a-list", "name-not-a-string",
+        "surface-beside-generators"])
 def test_malformed_group_files_are_rejected(tmp_path, capsys, payload, message):
     spec = write_spec(tmp_path, "g.json", payload)
     code, out, err = run(capsys, "validate", "--spec", spec)
@@ -181,7 +198,7 @@ def test_all_in_box_excludes_vectors(capsys):
 
 def test_default_gradings_shape():
     s12 = surface_presentation(1, 2)
-    picks = default_gradings(s12, 2, cap=8)
+    picks = resolve_selection(s12, None, 2, (8,))[8][0]
     assert picks[0] == s12.zero
     assert len(picks) == 8
     assert len(set(picks)) == 8

@@ -590,11 +590,16 @@ def test_inner_certification_z2_origin():
     assert_jsonable(r)
 
 
+def _row_vector(inner, chain):
+    """The integer vector {row of W: coefficient} of a chain on W."""
+    return {inner.index[w]: c for w, c in chain.terms.items()}
+
+
 def test_inner_witnesses_re_expand():
     z2 = symplectic_z2()
     inner = inner_h2_certify(z2, z2.zero, 3)
-    for gen, witness in inner.columns:
-        assert boundary(witness) == gen
+    for vec, witness in inner.columns:
+        assert _row_vector(inner, boundary(witness)) == vec
 
 
 def test_inner_boundary_witness_for_arbitrary_boundary():
@@ -785,7 +790,9 @@ def _unit_steps(inner, elements):
 
 def _reference_columns(inner):
     """The greedy columns of the inner pass over the fully materialised
-    candidate list in the documented order, with exact elimination.
+    candidate list in the documented order, with exact elimination, as
+    integer vectors {row of W: coefficient} of G(u, v) built from group
+    elements.
 
     The order: each unit step (x, e), x over the factors of W in weight
     order and e over the derived elements of box(1) in weight order, at
@@ -817,10 +824,11 @@ def _reference_columns(inner):
         gen = _ideal_generator(spec, z, u, v)
         if gen.is_zero() or any(w not in inner.index for w in gen.terms):
             continue
-        vec = span.reduce({inner.index[w]: c for w, c in gen.terms.items()})
-        if vec and inner._witness_for(u, v, gen, probes) is not None:
+        column = _row_vector(inner, gen)
+        vec = span.reduce(column)
+        if vec and inner._witness_for(u, v, probes) is not None:
             span.add(vec)
-            columns.append(gen)
+            columns.append(column)
     return columns
 
 
@@ -838,7 +846,7 @@ def _reference_columns(inner):
 def test_inner_columns_match_the_sorted_reference_greedy(spec, box):
     inner = inner_h2_certify(spec, spec.zero, box)
     assert inner.result.verdict == CERTIFIED
-    assert [gen for gen, _ in inner.columns] == _reference_columns(inner)
+    assert [vec for vec, _ in inner.columns] == _reference_columns(inner)
 
 
 @pytest.mark.parametrize("spec, box", [
@@ -850,10 +858,10 @@ def test_inner_candidate_stream_is_a_permutation_of_all_pairs(spec, box, monkeyp
     streams = []
     column_pass = InnerCertification._column_pass
 
-    def materialising(self, elements, pair_order, probes):
+    def materialising(self, elements, pair_order, *rest):
         pairs = list(pair_order)
         streams.append((elements, pairs))
-        return column_pass(self, elements, iter(pairs), probes)
+        return column_pass(self, elements, iter(pairs), *rest)
 
     monkeypatch.setattr(InnerCertification, "_column_pass", materialising)
     inner = inner_h2_certify(spec, spec.zero, box)
@@ -923,18 +931,18 @@ def test_inner_pair_order_tail_certifies_without_unit_steps(monkeypatch):
     witness_for = InnerCertification._witness_for
     refused = []
 
-    def no_unit_steps(self, u, v, gen, probes):
+    def no_unit_steps(self, u, v, probes):
         if u in units or v in units:
             refused.append((u, v))
             return None
-        return witness_for(self, u, v, gen, probes)
+        return witness_for(self, u, v, probes)
 
     monkeypatch.setattr(InnerCertification, "_witness_for", no_unit_steps)
     inner = inner_h2_certify(z2, z2.zero, 4)
     assert refused
     assert inner.result.verdict == CERTIFIED
-    for gen, witness in inner.columns:
-        assert boundary(witness) == gen
+    for vec, witness in inner.columns:
+        assert _row_vector(inner, boundary(witness)) == vec
 
 
 def test_inner_rebuilds_the_modular_span_from_integer_columns(monkeypatch):
@@ -946,11 +954,11 @@ def test_inner_rebuilds_the_modular_span_from_integer_columns(monkeypatch):
     dropped = []
     witnessed = []
 
-    def flaky(self, u, v, gen, probes):
+    def flaky(self, u, v, probes):
         if len(dropped) < 3:
             dropped.append((u, v))
             return None
-        witness = witness_for(self, u, v, gen, probes)
+        witness = witness_for(self, u, v, probes)
         if witness is not None:
             witnessed.append((u, v))
         return witness
@@ -968,14 +976,15 @@ def test_inner_rebuilds_the_modular_span_from_integer_columns(monkeypatch):
     # from a different pair.)
     offered = [frozenset((u, v)) for u, v in dropped + witnessed]
     assert len(offered) == len(set(offered))
-    assert [gen for gen, _ in inner.columns] == [
-        _ideal_generator(z2, z2.zero, u, v) for u, v in witnessed]
-    for gen, witness in inner.columns:
-        assert boundary(witness) == gen
+    assert [vec for vec, _ in inner.columns] == [
+        _row_vector(inner, _ideal_generator(z2, z2.zero, u, v))
+        for u, v in witnessed]
+    for vec, witness in inner.columns:
+        assert _row_vector(inner, boundary(witness)) == vec
 
     # The same drops in plain Fraction elimination pick the same columns.
     del dropped[:], witnessed[:]
-    assert [gen for gen, _ in inner.columns] == _reference_columns(inner)
+    assert [vec for vec, _ in inner.columns] == _reference_columns(inner)
 
 
 def test_inner_rebuild_on_surface_grading_matches_exact(monkeypatch):
@@ -986,8 +995,8 @@ def test_inner_rebuild_on_surface_grading_matches_exact(monkeypatch):
     witness_for = InnerCertification._witness_for
     missing = []
 
-    def counting(self, u, v, gen, probes):
-        witness = witness_for(self, u, v, gen, probes)
+    def counting(self, u, v, probes):
+        witness = witness_for(self, u, v, probes)
         if witness is None:
             missing.append((u, v))
         return witness
@@ -996,7 +1005,7 @@ def test_inner_rebuild_on_surface_grading_matches_exact(monkeypatch):
     inner = inner_h2_certify(s12, z, 2)
     assert missing
     assert inner.result.verdict == CERTIFIED
-    assert [gen for gen, _ in inner.columns] == _reference_columns(inner)
+    assert [vec for vec, _ in inner.columns] == _reference_columns(inner)
 
 
 # ---------------------------------------------------------------------------
@@ -1012,8 +1021,8 @@ if not sys.flags.optimize:
     sys.exit("run with python -O")
 witness_for = verify.InnerCertification._witness_for
 
-def corrupted(self, u, v, gen, probes):
-    witness = witness_for(self, u, v, gen, probes)
+def corrupted(self, u, v, probes):
+    witness = witness_for(self, u, v, probes)
     # A wrong coefficient: d(2X) = 2 G(u, v) != G(u, v).
     return None if witness is None else 2 * witness
 
@@ -1189,18 +1198,70 @@ def test_corrupted_inner_witness_raises_certificate_error(monkeypatch):
     witness_for = InnerCertification._witness_for
     monkeypatch.setattr(
         InnerCertification, "_witness_for",
-        lambda self, u, v, gen, probes: 2 * witness_for(self, u, v, gen, probes))
+        lambda self, u, v, probes: 2 * witness_for(self, u, v, probes))
     with pytest.raises(CertificateError) as info:
         inner_h2_certify(z2, z2.zero, 2)
     assert info.value.identity == "d(witness) = G(u, v)"
 
 
+def test_witness_outside_the_boundary_box_raises_certificate_error(monkeypatch):
+    # A far-away boundary d(Y) leaves d(witness) unchanged, as d(d(Y)) = 0,
+    # so only the box check sees it.
+    z2 = symplectic_z2()
+    a, b, c = z2.element([100, 0]), z2.element([0, 100]), z2.element([-100, 1])
+    far = boundary(wedge_chain(z2, [a, b, c, -a - b - c]))
+    assert not far.is_zero() and boundary(far).is_zero()
+    witness_for = InnerCertification._witness_for
+    monkeypatch.setattr(
+        InnerCertification, "_witness_for",
+        lambda self, u, v, probes: witness_for(self, u, v, probes) + far)
+    with pytest.raises(CertificateError) as info:
+        inner_h2_certify(z2, z2.zero, 2)
+    assert info.value.identity == "the witness lies in the boundary box"
+
+
+def test_wrong_f_row_raises_certificate_error(monkeypatch):
+    # f of the first row of W is off by one; the first kept column that
+    # uses that row no longer sums to 0 under f.
+    z2 = symplectic_z2()
+    calls = []
+
+    def off_on_first_row(qspace, elements):
+        got = f_on_ordered(qspace, elements)
+        calls.append(elements)
+        if len(calls) == 1:
+            return (got[0] + 1,) + got[1:]
+        return got
+
+    monkeypatch.setattr(verify, "f_on_ordered", off_on_first_row)
+    with pytest.raises(CertificateError) as info:
+        inner_h2_certify(z2, z2.zero, 2)
+    assert info.value.identity == "f(G(u, v)) = 0"
+
+
+def test_inner_certifies_without_chains_of_g_or_a_column_matrix(monkeypatch):
+    # The columns are their integer vectors: no G(u, v) chain and no
+    # column matrix is built unless a boundary witness is asked for.
+    def refuse(*args, **kwargs):
+        raise AssertionError("built outside a boundary witness")
+
+    monkeypatch.setattr(verify, "_ideal_generator", refuse)
+    monkeypatch.setattr(verify, "SparseRationalMatrix", refuse)
+    z2 = symplectic_z2()
+    s12 = surface_presentation(1, 2)
+    for spec, box in ((z2, 4), (s12, 2)):
+        inner = inner_h2_certify(spec, spec.zero, box)
+        assert inner.result.verdict == CERTIFIED
+        assert inner.rank == inner.target_rank
+
+
 def test_boundary_witness_rechecks_the_assembled_chain(monkeypatch):
     z2 = symplectic_z2()
     inner = inner_h2_certify(z2, z2.zero, 2)
-    gen, witness = inner.columns[0]
+    vec, witness = inner.columns[0]
+    gen = WedgeChain(z2, 2, {inner.wedges[r]: c for r, c in vec.items()})
     assert inner.boundary_witness(gen) is not None
-    inner.columns[0] = (gen, 2 * witness)
+    inner.columns[0] = (vec, 2 * witness)
     with pytest.raises(CertificateError) as info:
         inner.boundary_witness(gen)
     assert info.value.identity == "d(assembled witness) = c"
