@@ -37,6 +37,7 @@ inconclusive at the truncation, 1 on a refuted check or any error.
 """
 
 import argparse
+import functools
 import itertools
 import json
 import random
@@ -55,6 +56,8 @@ from .verify import (
     CertificateError,
     CheckResult,
     _capped_radius,
+    _certify_or_refute,
+    _inner_params,
     frac_str,
     serialize_chain,
     gk_cycle_check,
@@ -330,15 +333,6 @@ def _skip(check, note):
     return CheckResult(check, {}, NOT_APPLICABLE, {"note": note})
 
 
-def _certify_or_refute(check, params, certify, *args):
-    """certify(*args), or a refuted entry with the params built by
-    ``params()`` naming the identity that failed its re-check."""
-    try:
-        return certify(*args)
-    except CertificateError as exc:
-        return CheckResult(check, params(), REFUTED, {"failed_identity": exc.identity})
-
-
 def _graded(check, certify, spec, z, box):
     """_certify_or_refute for a certify(spec, z, box) on one grading."""
     return _certify_or_refute(
@@ -362,8 +356,9 @@ def run_inner_suite(spec, gradings, box):
             "inner-isomorphism", {"box": box}, NOT_APPLICABLE,
             {"note": "grading outside the capped support; enlarge the box",
              "skipped_gradings": skipped, "effective_radius": eff}))
-    out.extend(_graded("inner-isomorphism", _inner_entry, spec, z, box)
-               for z in zs if list(z.coords) not in skipped)
+    out.extend(_certify_or_refute(
+        "inner-isomorphism", functools.partial(_inner_params, spec, z, box),
+        _inner_entry, spec, z, box) for z in zs if list(z.coords) not in skipped)
     return out
 
 
@@ -414,15 +409,15 @@ def run_h1_suite(spec, gradings, box, enlarge):
         h1_check, spec, box, gradings, enlarge)]
 
 
-def run_surface_suite(source, box, enlarge):
+def run_surface_suite(source):
     if "surface" not in source:
         return [_skip("surface-generators",
                       "needs a --surface group (boundary classes are read off g, r)")]
     g, r = source["surface"]["genus"], source["surface"]["boundary"]
     return [_certify_or_refute(
         "surface-generators",
-        lambda: {"genus": g, "boundary_components": r, "z": [0] * (2 * g + r), "box": box},
-        surface_generator_check, g, r, None, box, enlarge)]
+        lambda: {"genus": g, "boundary_components": r, "z": [0] * (2 * g + r)},
+        surface_generator_check, g, r)]
 
 
 def run_linext_suite(spec, box, seed):
@@ -460,7 +455,7 @@ def build_verify_tasks(spec, source, args, selection):
         "gk": lambda: run_gk_suite(spec, picks["gk"], args.box),
         "omega": lambda: run_omega_suite(spec, picks["omega"], args.box),
         "h1": lambda: run_h1_suite(spec, h1_gradings, args.box, args.enlarge),
-        "surface": lambda: run_surface_suite(source, args.box, args.enlarge),
+        "surface": lambda: run_surface_suite(source),
         "linext": lambda: run_linext_suite(spec, args.box, args.seed),
     }
     return [(name, runners[name]) for name in suites], notes
@@ -539,10 +534,10 @@ def render_text(report):
     if "table" in report:
         rows = [("z", "Z2", "B2", "H2", "predicted", "verdict")]
         for row in report["table"]:
-            rows.append((json.dumps(row["z"]), str(row["Z2"]), str(row["B2"]),
-                         str(row["H2"]),
-                         "-" if row["predicted"] is None else str(row["predicted"]),
-                         row["verdict"]))
+            rows.append((json.dumps(row["z"]),)
+                        + tuple("-" if row[k] is None else str(row[k])
+                                for k in ("Z2", "B2", "H2", "predicted"))
+                        + (row["verdict"],))
         widths = [max(len(r[i]) for r in rows) for i in range(6)]
         for r in rows:
             lines.append("  ".join(v.ljust(w) for v, w in zip(r, widths)).rstrip())
@@ -615,6 +610,9 @@ def cmd_validate(args):
 def _homology_row(result):
     d = result.details
     z = list(result.params["z"])
+    if "failed_identity" in d:
+        return {"z": z, "Z2": None, "B2": None, "H2": None,
+                "predicted": None, "verdict": result.verdict}
     if result.verdict == NOT_APPLICABLE:
         return {"z": z, "Z2": d["h2_dim"], "B2": 0, "H2": d["h2_dim"],
                 "predicted": None, "verdict": result.verdict}
@@ -696,7 +694,7 @@ def build_parser():
         p.add_argument("--box", type=int, default=2, metavar="M",
                        help="truncation box radius (default 2)")
         p.add_argument("--enlarge", type=int, default=3, metavar="K",
-                       help="search box enlargement factor (default 3)")
+                       help="h1 scans the box of radius K times --box (default 3)")
         p.add_argument("--grading", action="append", default=[], metavar="VECS",
                        help="semicolon separated coordinate vectors, or all-in-box")
         p.add_argument("--seed", type=int, default=0, metavar="N",

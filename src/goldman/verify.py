@@ -192,6 +192,15 @@ class CheckResult:
         return "CheckResult(%s: %s)" % (self.check, self.verdict)
 
 
+def _certify_or_refute(check, params, certify, *args):
+    """certify(*args), or a refuted entry with the params built by
+    ``params()`` naming the identity that failed its re-check."""
+    try:
+        return certify(*args)
+    except CertificateError as exc:
+        return CheckResult(check, params(), REFUTED, {"failed_identity": exc.identity})
+
+
 # ---------------------------------------------------------------------------
 # The quotient space Q (x) (H / Zz) and the maps f, g
 
@@ -347,8 +356,7 @@ def ideal_membership(c, box, enlarge=3):
     Candidate generator labels are drawn from the factors of c, their
     pairwise differences, and the small elements of the box, restricted
     so generator terms stay inside the box enlarged by the given factor.
-    ``box`` is a radius, or the list of box elements; a radius takes the
-    small elements from the memoised weight order without a scan.
+    ``box`` is the box radius.
     Returns (True, witness), (False, obstruction) when the quotient map
     already separates c from the ideal, or (None, note) when the
     truncated generator pool does not decide.
@@ -367,16 +375,11 @@ def ideal_membership(c, box, enlarge=3):
             "f_image": [[frac_str(v), [j]] for j, v in enumerate(image) if v],
         }
 
-    if isinstance(box, int):
-        # The largest coordinate in box(radius): the radius on a free
-        # coordinate, d - 1 on a torsion one of order d.
-        extent = max([box] + [d - 1 for _, d in spec.torsion])
-        small = itertools.takewhile(lambda x: x.weight() <= 2,
-                                    box_by_weight(spec, box))
-    else:
-        extent = max((max(abs(cc) for cc in x.coords) for x in box), default=1)
-        small = (x for x in box if x.weight() <= 2)
-    limit = enlarge * extent
+    # The largest coordinate in box(radius): the radius on a free
+    # coordinate, d - 1 on a torsion one of order d.
+    limit = enlarge * max([box] + [d - 1 for _, d in spec.torsion])
+    small = itertools.takewhile(lambda x: x.weight() <= 2,
+                                box_by_weight(spec, box))
 
     def inside(x):
         return all(abs(x.coords[j]) <= limit for j in spec.free_indices)
@@ -614,17 +617,13 @@ def _d2_coefficient(spec, key):
     return sum(coeff for coeff, _ in _boundary_terms(spec, key))
 
 
-def contracting_homotopy(spec, z, y=None, coefficients=None, search_radius=2):
-    """A ContractingHomotopy for grading z; y defaults to the smallest
-    box element pairing nonzero with z."""
-    if y is None:
-        for cand in box_support(spec, search_radius):
-            if spec.pairing(cand, z) != 0:
-                y = cand
-                break
-        else:
-            raise ValueError("no element pairing nonzero with z in the search box")
-    return ContractingHomotopy(spec, z, y, coefficients)
+def contracting_homotopy(spec, z, search_radius=2):
+    """A ContractingHomotopy for grading z with y the smallest box
+    element pairing nonzero with z."""
+    for y in box_support(spec, search_radius):
+        if spec.pairing(y, z) != 0:
+            return ContractingHomotopy(spec, z, y)
+    raise ValueError("no element pairing nonzero with z in the search box")
 
 
 def solve_homotopy_coefficients(spec, z, y, wedges):
@@ -833,11 +832,9 @@ class InnerCertification:
         if verdict == INCONCLUSIVE and "note" not in details:
             details["note"] = ("boundary columns reach rank %d of %d; "
                                "enlarge the box" % (self.rank, self.target_rank))
-        self.result = CheckResult(
-            "inner-isomorphism",
-            {"spec": spec.describe()["group"], "z": list(z.coords),
-             "box": self.box_radius, "boundary_box": self.boundary_radius},
-            verdict, details)
+        self.result = CheckResult("inner-isomorphism",
+                                  _inner_params(spec, z, self.box_radius),
+                                  verdict, details)
 
     def _column_pass(self, elements, pair_order, probes, f_rows):
         """Greedy boundary columns G(u, v) over pair_order until their
@@ -969,6 +966,13 @@ class InnerCertification:
         return checked, exhaustive
 
 
+def _inner_params(spec, z, box_radius):
+    """The params of an inner entry: the grading, the cycle box and the
+    boundary box, whatever the verdict."""
+    return {"spec": spec.describe()["group"], "z": list(z.coords),
+            "box": box_radius, "boundary_box": 3 * box_radius}
+
+
 def inner_h2_certify(spec, z, box_radius):
     """Certify the inner grading z: boundaries exhaust ker(f) on the box
     and the homology slice has the quotient dimension.  Returns an
@@ -1080,77 +1084,75 @@ def outer_h2_certify(spec, z, box_radius):
 def main_theorem_check(spec, gradings, box_radius):
     """Per grading: the truncated H_2 dimension against the predicted
     kernel-pair count plus the quotient dimension.  Returns one
-    CheckResult per grading."""
-    results = []
-    if spec.mu_is_zero():
-        for z in gradings:
-            support = box_support(spec, box_radius)
-            wedges = enumerate_basis(support, 2, z, "full")
-            results.append(CheckResult(
-                "main-theorem",
-                {"spec": spec.describe()["group"], "z": list(z.coords),
-                 "box": box_radius},
-                NOT_APPLICABLE,
-                {"note": "the form vanishes identically; the decomposition "
-                         "hypothesis fails and the differential is zero",
-                 "h2_dim": len(wedges)}))
-        return results
-
+    CheckResult per grading; a grading whose re-check fails gives a
+    refuted entry naming the identity."""
     support = box_support(spec, box_radius)
-    for z in gradings:
-        params = {"spec": spec.describe()["group"], "z": list(z.coords),
-                  "box": box_radius, "boundary_box": 3 * box_radius}
-        if z.is_derived_element():
-            outer = outer_h2_certify(spec, z, box_radius)
-            results.append(CheckResult(
-                "main-theorem", params, outer.verdict,
-                {"component": "outer", "h2_dim": 0,
-                 "predicted": 0,
-                 "cycle_dim": outer.details.get("cycle_dim")}))
-            continue
+    if spec.mu_is_zero():
+        return [CheckResult(
+            "main-theorem",
+            {"spec": spec.describe()["group"], "z": list(z.coords),
+             "box": box_radius},
+            NOT_APPLICABLE,
+            {"note": "the form vanishes identically; the decomposition "
+                     "hypothesis fails and the differential is zero",
+             "h2_dim": len(enumerate_basis(support, 2, z, "full"))})
+            for z in gradings]
+    return [_certify_or_refute(
+        "main-theorem", functools.partial(_inner_params, spec, z, box_radius),
+        _main_theorem_entry, spec, support, z, box_radius) for z in gradings]
 
-        wedges = enumerate_basis(support, 2, z, "full")
-        kk = [w for w in wedges
-              if all(f.in_kernel_mu() for f in w.factors)]
-        # The radical is a subgroup, so z - a lies in it exactly when a
-        # does: every wedge is all-radical or all-derived, never mixed.
-        _require(all(all(f.in_kernel_mu() for f in w.factors)
-                     or all(f.is_derived_element() for f in w.factors)
-                     for w in wedges), "no mixed wedge in a radical grading")
 
-        # All grading-z wedges are cycles; verify rather than assume.
-        for w in wedges:
-            _require(boundary(WedgeChain(spec, 2, [(w, 1)])).is_zero(),
-                     "d([u]^[z-u]) = 0 in a radical grading")
+def _main_theorem_entry(spec, support, z, box_radius):
+    """The main-theorem entry of one grading of a nonzero form."""
+    params = _inner_params(spec, z, box_radius)
+    if z.is_derived_element():
+        outer = outer_h2_certify(spec, z, box_radius)
+        return CheckResult(
+            "main-theorem", params, outer.verdict,
+            {"component": "outer", "h2_dim": 0,
+             "predicted": 0,
+             "cycle_dim": outer.details.get("cycle_dim")})
 
-        kernel_pairs = len(enumerate_basis(support, 2, z, "kernel-only"))
-        _require(kernel_pairs == len(kk), "kernel-only enumeration = radical wedges")
+    wedges = enumerate_basis(support, 2, z, "full")
+    kk = [w for w in wedges
+          if all(f.in_kernel_mu() for f in w.factors)]
+    # The radical is a subgroup, so z - a lies in it exactly when a
+    # does: every wedge is all-radical or all-derived, never mixed.
+    _require(all(all(f.in_kernel_mu() for f in w.factors)
+                 or all(f.is_derived_element() for f in w.factors)
+                 for w in wedges), "no mixed wedge in a radical grading")
 
-        inner = inner_h2_certify(spec, z, box_radius)
-        inner_res = inner.result
-        checked, exhaustive = inner.scan_f_kills_boundaries()
+    # All grading-z wedges are cycles; verify rather than assume.
+    for w in wedges:
+        _require(boundary(WedgeChain(spec, 2, [(w, 1)])).is_zero(),
+                 "d([u]^[z-u]) = 0 in a radical grading")
 
-        certified = inner_res.verdict == CERTIFIED
-        h2 = len(kk) + (len(inner.wedges) - inner.rank)
-        predicted = kernel_pairs + inner.qspace.dim
-        if certified and h2 != predicted:
-            certified = False
-        details = {
-            "component": "inner",
-            "wedges_full": len(wedges),
-            "kernel_pairs": kernel_pairs,
-            "derived_wedges": len(inner.wedges),
-            "inner_dim": len(inner.wedges) - inner.rank,
-            "quotient_dim": inner.qspace.dim,
-            "h2_dim": h2,
-            "predicted": predicted,
-            "f_boundary_scan": {"wedges": checked, "exhaustive": exhaustive},
-            "inner": inner_res.details,
-        }
-        results.append(CheckResult(
-            "main-theorem", params,
-            CERTIFIED if certified else INCONCLUSIVE, details))
-    return results
+    kernel_pairs = len(enumerate_basis(support, 2, z, "kernel-only"))
+    _require(kernel_pairs == len(kk), "kernel-only enumeration = radical wedges")
+
+    inner = inner_h2_certify(spec, z, box_radius)
+    inner_res = inner.result
+    checked, exhaustive = inner.scan_f_kills_boundaries()
+
+    certified = inner_res.verdict == CERTIFIED
+    h2 = len(kk) + (len(inner.wedges) - inner.rank)
+    predicted = kernel_pairs + inner.qspace.dim
+    if certified and h2 != predicted:
+        certified = False
+    details = {
+        "component": "inner",
+        "wedges_full": len(wedges),
+        "kernel_pairs": kernel_pairs,
+        "derived_wedges": len(inner.wedges),
+        "inner_dim": len(inner.wedges) - inner.rank,
+        "quotient_dim": inner.qspace.dim,
+        "h2_dim": h2,
+        "predicted": predicted,
+        "f_boundary_scan": {"wedges": checked, "exhaustive": exhaustive},
+        "inner": inner_res.details,
+    }
+    return CheckResult("main-theorem", params,
+                       CERTIFIED if certified else INCONCLUSIVE, details)
 
 
 # ---------------------------------------------------------------------------
@@ -1244,25 +1246,25 @@ def gk_cycle_check(spec, u, z, box_radius=3):
 # Surface generator classes
 
 
-def surface_generator_check(g, r, z=None, box_radius=2, enlarge=3):
-    """The generator wedges [x] ^ [z-x] of a surface group span the
-    inner homology slice, and each boundary-class decomposition
+def surface_generator_check(g, r):
+    """At the origin grading z = 0, the generator wedges [x] ^ [-x] of a
+    surface group span the inner homology slice, and each boundary-class
+    decomposition
 
-        [C_j] ^ [z-C_j] - [C_j - A_g] ^ [z-C_j+A_g] - [A_g] ^ [z-A_g]
+        [C_j] ^ [-C_j] - [C_j - A_g] ^ [A_g - C_j] - [A_g] ^ [-A_g]
 
-    is exactly one relation generator, with the homology-level equality
-    witnessed by an explicit boundary between the two derived
-    decompositions (through A_g and through B_g).  ``enlarge`` bounds
-    the generator pool of the ideal-membership solve."""
+    is the relation generator G(C_j - A_g, A_g).  The two derived
+    decompositions (through A_g and through B_g) differ by
+    -G(C_j - A_g, A_g - B_g) - G(A_g, -B_g); C_j is radical, so the pairs
+    pair to <A_g, B_g> = 1 and -1 and the boundary witness is their two
+    direct preimages.  Both closed forms are re-checked by expansion; no
+    column search and no truncation is involved."""
     if g < 1:
         raise ValueError("the decomposition uses A_g; need genus >= 1")
     spec = surface_presentation(g, r)
     gens = spec.generators()
     names = spec.names
-    if z is None:
-        z = spec.zero
-    if not z.in_kernel_mu():
-        raise ValueError("z must lie in ker mu")
+    z = spec.zero
 
     qspace = QuotientTensorSpace(spec, z)
     span = _IncrementalSpan()
@@ -1277,42 +1279,38 @@ def surface_generator_check(g, r, z=None, box_radius=2, enlarge=3):
     a_g = gens[2 * (g - 1)]
     b_g = gens[2 * (g - 1) + 1]
     decompositions = []
-    all_ok = True
-    inner = None
     for j in range(r):
         c_j = gens[2 * g + j]
-        diff = (wedge_chain(spec, [c_j, z - c_j])
-                - wedge_chain(spec, [c_j - a_g, z - c_j + a_g])
-                - wedge_chain(spec, [a_g, z - a_g]))
-        status, evidence = ideal_membership(diff, box_radius, enlarge)
-        entry = {"class": names[2 * g + j],
-                 "ideal_member": bool(status),
-                 "ideal_witness": evidence.get("witness")}
+        diff = (wedge_chain(spec, [c_j, -c_j])
+                - wedge_chain(spec, [c_j - a_g, a_g - c_j])
+                - wedge_chain(spec, [a_g, -a_g]))
+        _require(diff == _ideal_generator(spec, z, c_j - a_g, a_g),
+                 "the decomposition is G(C_j - A_g, A_g)")
 
         # The two derived decompositions of the same quotient image
         # differ by a genuine boundary.
-        delta = ((wedge_chain(spec, [c_j - a_g, z - c_j + a_g])
-                  + wedge_chain(spec, [a_g, z - a_g]))
-                 - (wedge_chain(spec, [c_j - b_g, z - c_j + b_g])
-                    + wedge_chain(spec, [b_g, z - b_g])))
+        delta = ((wedge_chain(spec, [c_j - a_g, a_g - c_j])
+                  + wedge_chain(spec, [a_g, -a_g]))
+                 - (wedge_chain(spec, [c_j - b_g, b_g - c_j])
+                    + wedge_chain(spec, [b_g, -b_g])))
         _require(not any(f_map(delta, qspace)),
                  "derived decompositions agree in the quotient")
-        if inner is None:
-            inner = inner_h2_certify(spec, z, max(box_radius, 2))
-        witness = inner.boundary_witness(delta)
-        entry["derived_difference_bounds"] = witness is not None
-        if witness is not None:
-            entry["boundary_witness"] = serialize_chain(witness)
-        all_ok = all_ok and status is True and witness is not None
-        decompositions.append(entry)
+        # Minus the direct preimages (-1/<u, v>) [u] ^ [v] ^ [-u-v] of the
+        # two generators, whose pairs pair to 1 and -1.
+        witness = (wedge_chain(spec, [c_j - a_g, a_g - b_g, b_g - c_j])
+                   - wedge_chain(spec, [a_g, -b_g, b_g - a_g]))
+        _require(boundary(witness) == delta, "d(boundary witness) = derived difference")
+        decompositions.append({
+            "class": names[2 * g + j],
+            "ideal_member": True,
+            "ideal_witness": [["1", list((c_j - a_g).coords), list(a_g.coords)]],
+            "derived_difference_bounds": True,
+            "boundary_witness": serialize_chain(witness)})
 
-    verdict = CERTIFIED if (span_ok and all_ok) else (
-        INCONCLUSIVE if span_ok else REFUTED)
     return CheckResult(
         "surface-generators",
-        {"genus": g, "boundary_components": r, "z": list(z.coords),
-         "box": box_radius},
-        verdict,
+        {"genus": g, "boundary_components": r, "z": list(z.coords)},
+        CERTIFIED if span_ok else REFUTED,
         {"generator_images": images,
          "image_rank": span.rank,
          "space_dim": qspace.dim,

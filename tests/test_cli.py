@@ -244,16 +244,16 @@ def test_one_sort_gives_every_cap_its_selection(spec, radius):
     assert resolve_selection(spec, None, radius, set()) == {}
 
 
-def test_enlarge_reaches_the_surface_ideal_membership(monkeypatch, capsys):
+def test_enlarge_reaches_h1_check(monkeypatch, capsys):
     seen = []
-    membership = verify.ideal_membership
+    h1_check = cli.h1_check
 
-    def spy(c, box_elements, enlarge=3):
+    def spy(spec, box, gradings, enlarge):
         seen.append(enlarge)
-        return membership(c, box_elements, enlarge)
+        return h1_check(spec, box, gradings, enlarge)
 
-    monkeypatch.setattr(verify, "ideal_membership", spy)
-    base = ["verify", "--suite", "surface", "--surface", "1,2", "--box", "1",
+    monkeypatch.setattr(cli, "h1_check", spy)
+    base = ["verify", "--suite", "h1", "--surface", "1,2", "--box", "1",
             "--format", "json"]
     code, out, _ = run(capsys, *base, "--enlarge", "4")
     assert code == 0 and seen and set(seen) == {4}
@@ -261,6 +261,55 @@ def test_enlarge_reaches_the_surface_ideal_membership(monkeypatch, capsys):
     seen.clear()
     code, _, _ = run(capsys, *base)
     assert code == 0 and seen and set(seen) == {3}
+
+
+def test_refuted_inner_entry_has_the_certified_params(monkeypatch):
+    z2 = symplectic_z2()
+    (certified,) = cli.run_inner_suite(z2, [z2.zero], 2)
+    witness_for = verify.InnerCertification._witness_for
+    monkeypatch.setattr(
+        verify.InnerCertification, "_witness_for",
+        lambda self, u, v, probes: 2 * witness_for(self, u, v, probes))
+    (refuted,) = cli.run_inner_suite(z2, [z2.zero], 2)
+    assert (certified.verdict, refuted.verdict) == ("certified", "refuted")
+    assert refuted.params == certified.params
+    assert set(refuted.params) == {"spec", "z", "box", "boundary_box"}
+
+
+_CORRUPT_HOMOLOGY = """
+import sys
+from goldman import verify
+from goldman.cli import main
+
+if not sys.flags.optimize:
+    sys.exit("run with python -O")
+phi2 = verify.ContractingHomotopy.phi2
+verify.ContractingHomotopy.phi2 = lambda self, c: 2 * phi2(self, c)
+sys.exit(main(["homology", "--surface", "1,2", "--box", "1",
+               "--grading", "0,0,1,0;1,0,0,0", "--format", "json"]))
+"""
+
+
+def test_homology_keeps_its_report_when_an_identity_fails_under_python_O(tmp_path):
+    script = tmp_path / "corrupt_homology.py"
+    script.write_text(_CORRUPT_HOMOLOGY)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(verify.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", str(script)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr == ""
+    report = json.loads(proc.stdout)
+    radical, derived = report["results"]
+    assert (radical["verdict"], radical["details"]["component"]) == ("certified", "inner")
+    assert derived["check"] == "main-theorem"
+    assert derived["verdict"] == "refuted"
+    assert derived["details"] == {"failed_identity": "d(Phi_2(c)) = c"}
+    assert derived["params"] == {"spec": "Z^3", "z": [0, 0, 1, 0], "box": 1,
+                                 "boundary_box": 3}
+    assert report["table"][1] == {"z": [0, 0, 1, 0], "Z2": None, "B2": None,
+                                  "H2": None, "predicted": None, "verdict": "refuted"}
+    assert report["summary"]["refuted"] == 1 and report["exit_status"] == 1
 
 
 # Each script corrupts one witness or value behind a suite and runs it
@@ -333,6 +382,22 @@ def test_homology_zero_form_notice(tmp_path, capsys):
     assert code == 0
     assert "identically zero" in out
     assert "not-applicable" in out
+
+
+def test_homology_reports_a_failed_identity_in_its_row(monkeypatch, capsys):
+    phi2 = verify.ContractingHomotopy.phi2
+    monkeypatch.setattr(verify.ContractingHomotopy, "phi2",
+                        lambda self, c: 2 * phi2(self, c))
+    code, out, err = run(capsys, "homology", "--surface", "1,0", "--box", "2",
+                         "--grading", "0,0;1,0")
+    assert code == 1 and err == ""
+    lines = out.splitlines()
+    head = lines.index(next(line for line in lines if line.startswith("z ")))
+    assert [line.split() for line in lines[head + 1:head + 3]] == [
+        ["[0,", "0]", "12", "10", "2", "2", "certified"],
+        ["[1,", "0]", "-", "-", "-", "-", "refuted"]]
+    assert "failed_identity=d(Phi_2(c)) = c" in out
+    assert "summary: 1 certified, 1 refuted" in out
 
 
 def test_homology_inconclusive_exits_two(tmp_path, capsys):

@@ -180,7 +180,6 @@ def test_g_map_projects_kernel_lifts_away():
 
 def test_ideal_membership_of_boundaries():
     z2 = symplectic_z2()
-    box = box_support(z2, 2)
     rng = random.Random(11)
     for _ in range(10):
         u = z2.element([rng.randint(-1, 1), rng.randint(-1, 1)])
@@ -188,7 +187,7 @@ def test_ideal_membership_of_boundaries():
         c = boundary(wedge_chain(z2, [u, v, -u - v]))
         if c.is_zero():
             continue
-        status, evidence = ideal_membership(c, box)
+        status, evidence = ideal_membership(c, 2)
         assert status is True
         # Re-expand the witness combination independently.
         recon = WedgeChain(z2, 2)
@@ -203,29 +202,15 @@ def test_ideal_membership_of_boundaries():
 
 def test_ideal_membership_obstruction():
     z2 = symplectic_z2()
-    box = box_support(z2, 2)
     u = z2.element([1, 0])
-    status, why = ideal_membership(wedge_chain(z2, [u, -u]), box)
+    status, why = ideal_membership(wedge_chain(z2, [u, -u]), 2)
     assert status is False
     assert "f_image" in why
 
 
-@pytest.mark.parametrize("spec", [symplectic_z2(), z2_z2torsion()], ids=["z2", "z2+z/2"])
-def test_ideal_membership_from_a_radius_matches_the_box_list(spec):
-    rng = random.Random(5)
-    n = spec.n_generators
-    for _ in range(6):
-        u = spec.element([rng.randint(-1, 1) for _ in range(n)])
-        v = spec.element([rng.randint(-1, 1) for _ in range(n)])
-        c = boundary(wedge_chain(spec, [u, v, -u - v]))
-        for enlarge in (1, 3):
-            assert (ideal_membership(c, 2, enlarge)
-                    == ideal_membership(c, box_support(spec, 2), enlarge))
-
-
 def test_ideal_membership_zero_chain():
     z2 = symplectic_z2()
-    status, _ = ideal_membership(WedgeChain(z2, 2), box_support(z2, 1))
+    status, _ = ideal_membership(WedgeChain(z2, 2), 1)
     assert status is True
 
 
@@ -1166,7 +1151,7 @@ def test_corrupted_projection_is_refuted_under_python_O(tmp_path):
     assert entry["verdict"] == "refuted"
     assert entry["details"]["failed_identity"] == "z survived its own quotient"
     assert entry["params"] == {"genus": 1, "boundary_components": 2,
-                               "z": [0, 0, 0, 0], "box": 1}
+                               "z": [0, 0, 0, 0]}
     assert report["summary"]["certified"] == 0
 
 
@@ -1188,9 +1173,23 @@ def test_outer_and_omega_suites_report_failed_identities(monkeypatch):
 def test_main_theorem_rechecks_radical_cycles(monkeypatch):
     s = surface_presentation(1, 2)
     monkeypatch.setattr(verify, "boundary", lambda c: wedge_chain(s, [s.zero]))
-    with pytest.raises(CertificateError) as info:
-        main_theorem_check(s, [s.element([0, 0, 1, 0])], 1)
-    assert info.value.identity == "d([u]^[z-u]) = 0 in a radical grading"
+    (entry,) = main_theorem_check(s, [s.element([0, 0, 1, 0])], 1)
+    assert (entry.check, entry.verdict) == ("main-theorem", "refuted")
+    assert entry.details == {
+        "failed_identity": "d([u]^[z-u]) = 0 in a radical grading"}
+    assert entry.params == {"spec": "Z^3", "z": [0, 0, 0, -1], "box": 1,
+                            "boundary_box": 3}
+
+
+def test_main_theorem_refutes_one_grading_and_keeps_the_others(monkeypatch):
+    s = surface_presentation(1, 2)
+    phi2 = ContractingHomotopy.phi2
+    monkeypatch.setattr(ContractingHomotopy, "phi2", lambda self, c: 2 * phi2(self, c))
+    radical, derived = s.element([0, 0, 1, 0]), s.element([1, 0, 0, 0])
+    inner, outer = main_theorem_check(s, [radical, derived], 1)
+    assert (inner.verdict, inner.details["component"]) == ("certified", "inner")
+    assert (outer.check, outer.verdict) == ("main-theorem", "refuted")
+    assert outer.details == {"failed_identity": "d(Phi_2(c)) = c"}
 
 
 def test_corrupted_inner_witness_raises_certificate_error(monkeypatch):
@@ -1428,38 +1427,80 @@ def test_surface_generator_check_2_3():
     assert_jsonable(r)
 
 
-def test_surface_generator_witnesses_re_expand():
-    spec = surface_presentation(2, 3)
-    r = surface_generator_check(2, 3)
-    gens = spec.generators()
-    a2 = gens[2]
-    for j, entry in enumerate(r.details["decompositions"]):
-        c_j = gens[4 + j]
-        diff = (wedge_chain(spec, [c_j, -c_j])
-                - wedge_chain(spec, [c_j - a2, -c_j + a2])
-                - wedge_chain(spec, [a2, -a2]))
-        ((coeff_s, uc, vc),) = entry["ideal_witness"]
-        gu, gv = spec.canonical(uc), spec.canonical(vc)
-        gen = (wedge_chain(spec, [gu + gv, -gu - gv])
-               - wedge_chain(spec, [gu, -gu])
-               - wedge_chain(spec, [gv, -gv]))
-        assert Fraction(coeff_s) * gen == diff
-        witness = WedgeChain(spec, 3)
-        for cs, factors in entry["boundary_witness"]:
-            witness = witness + wedge_chain(
-                spec, [spec.canonical(f) for f in factors], Fraction(cs))
-        b2 = gens[3]
-        delta = ((wedge_chain(spec, [c_j - a2, -c_j + a2])
-                  + wedge_chain(spec, [a2, -a2]))
-                 - (wedge_chain(spec, [c_j - b2, -c_j + b2])
-                    + wedge_chain(spec, [b2, -b2])))
-        assert boundary(witness) == delta
-
-
 def test_surface_generator_check_1_2():
     r = surface_generator_check(1, 2)
     assert r.verdict == CERTIFIED
     assert r.details["image_rank"] == 3
+
+
+def _reference_chain(terms):
+    """{key: Fraction} of a sum of coeff [f_1] ^ ... ^ [f_p] terms, signs
+    and repeats through the conftest reference."""
+    out = {}
+    for coeff, factors in terms:
+        sign, key = reference_normalize(factors)
+        if sign:
+            out[key] = out.get(key, 0) + sign * Fraction(coeff)
+    return {k: v for k, v in out.items() if v}
+
+
+def test_surface_generator_witnesses_re_expand():
+    # Every witness is re-expanded through the conftest reference, for
+    # genus 1 to 3 with 0 to 3 boundary circles.
+    for g, r in itertools.product((1, 2, 3), range(4)):
+        _check_surface_witnesses(g, r)
+
+
+def _check_surface_witnesses(g, r):
+    spec = surface_presentation(g, r)
+    gens = spec.generators()
+    a, b = gens[2 * g - 2], gens[2 * g - 1]
+    result = surface_generator_check(g, r)
+    assert result.verdict == CERTIFIED
+    assert result.params == {"genus": g, "boundary_components": r,
+                             "z": [0] * spec.n_generators}
+    assert result.details["image_rank"] == result.details["space_dim"] == (
+        2 * g + max(r - 1, 0))
+    decompositions = result.details["decompositions"]
+    assert [e["class"] for e in decompositions] == list(spec.names[2 * g:])
+    for c, entry in zip(gens[2 * g:], decompositions):
+        assert entry["ideal_member"] and entry["derived_difference_bounds"]
+        ((coeff, uc, vc),) = entry["ideal_witness"]
+        u, v = spec.canonical(uc), spec.canonical(vc)
+        assert _reference_chain([(coeff, [u + v, -u - v]), (-1, [u, -u]),
+                                 (-1, [v, -v])]) == _reference_chain(
+            [(1, [c, -c]), (-1, [c - a, a - c]), (-1, [a, -a])])
+        assert len(entry["boundary_witness"]) == 2
+        d_witness = {}
+        for coeff, factors in entry["boundary_witness"]:
+            image = reference_boundary(
+                spec, [spec.canonical(f) for f in factors], Fraction(coeff))
+            for key, value in image.items():
+                d_witness[key] = d_witness.get(key, 0) + value
+        assert {k: v for k, v in d_witness.items() if v} == _reference_chain(
+            [(1, [c - a, a - c]), (1, [a, -a]), (-1, [c - b, b - c]), (-1, [b, -b])])
+
+
+def test_surface_check_runs_no_column_search_or_ideal_solve(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the surface check ran a search")
+
+    for name in ("inner_h2_certify", "InnerCertification", "ideal_membership",
+                 "SparseRationalMatrix"):
+        monkeypatch.setattr(verify, name, forbidden)
+    assert surface_generator_check(2, 3).verdict == CERTIFIED
+
+
+@pytest.mark.parametrize("target, identity", [
+    ("_ideal_generator", "the decomposition is G(C_j - A_g, A_g)"),
+    ("boundary", "d(boundary witness) = derived difference"),
+])
+def test_surface_closed_forms_are_rechecked(target, identity, monkeypatch):
+    original = getattr(verify, target)
+    monkeypatch.setattr(verify, target, lambda *args: 2 * original(*args))
+    with pytest.raises(CertificateError) as info:
+        surface_generator_check(2, 3)
+    assert info.value.identity == identity
 
 
 # ---------------------------------------------------------------------------
