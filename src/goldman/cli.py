@@ -32,8 +32,12 @@ in the report); explicit vectors are always run in full.
 
 Reports are deterministic for a fixed config and seed: no timestamps,
 dictionary output is key-sorted, and suites run one after another in a
-fixed order.  Exit status: 0 when nothing failed, 2 when some check was
-inconclusive at the truncation, 1 on a refuted check or any error.
+fixed order.  The gradings of the outer, omega and inner suites, and of
+``homology``, run in forked workers, one per CPU in the affinity mask
+(``verify.fan_out``); the bytes are those of a serial run, which
+``taskset -c 0`` gives.  Exit status: 0 when nothing failed, 2 when some
+check was inconclusive at the truncation, 1 on a refuted check or any
+error.
 """
 
 import argparse
@@ -58,6 +62,7 @@ from .verify import (
     _capped_radius,
     _certify_or_refute,
     _inner_params,
+    fan_out,
     frac_str,
     serialize_chain,
     gk_cycle_check,
@@ -356,9 +361,9 @@ def run_inner_suite(spec, gradings, box):
             "inner-isomorphism", {"box": box}, NOT_APPLICABLE,
             {"note": "grading outside the capped support; enlarge the box",
              "skipped_gradings": skipped, "effective_radius": eff}))
-    out.extend(_certify_or_refute(
+    out.extend(fan_out(lambda z: _certify_or_refute(
         "inner-isomorphism", functools.partial(_inner_params, spec, z, box),
-        _inner_entry, spec, z, box) for z in zs if list(z.coords) not in skipped)
+        _inner_entry, spec, z, box), [z for z in zs if list(z.coords) not in skipped]))
     return out
 
 
@@ -374,8 +379,7 @@ def run_outer_suite(spec, gradings, box):
     zs = [z for z in gradings if z.is_derived_element()]
     if not zs:
         return [_skip("outer-exactness", "no derived gradings selected")]
-    return [_graded("outer-exactness", outer_h2_certify, spec, z, box)
-            for z in zs]
+    return fan_out(lambda z: _graded("outer-exactness", outer_h2_certify, spec, z, box), zs)
 
 
 def run_gk_suite(spec, gradings, box):
@@ -396,8 +400,7 @@ def run_omega_suite(spec, gradings, box):
     zs = [z for z in gradings if z.in_kernel_mu()]
     if not zs:
         return [_skip("omega-class", "no radical gradings selected")]
-    return [_graded("omega-class", omega_check, spec, z, box)
-            for z in zs]
+    return fan_out(lambda z: _graded("omega-class", omega_check, spec, z, box), zs)
 
 
 def run_h1_suite(spec, gradings, box, enlarge):

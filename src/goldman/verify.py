@@ -86,6 +86,7 @@ and is not an assert, so it also runs under ``python -O``.
 import functools
 import itertools
 import math
+import os
 import random
 from fractions import Fraction
 
@@ -199,6 +200,45 @@ def _certify_or_refute(check, params, certify, *args):
         return certify(*args)
     except CertificateError as exc:
         return CheckResult(check, params(), REFUTED, {"failed_identity": exc.identity})
+
+
+_FANNED = None   # (fn, items) of the running fan_out; forked workers inherit it
+
+
+def _fanned_unit(i):
+    fn, items = _FANNED
+    return fn(items[i])
+
+
+def fan_out(fn, items):
+    """[fn(x) for x in items], in input order, for a list of independent
+    units such as the gradings of one suite.
+
+    With two or more items and two or more CPUs in this process's
+    affinity mask, the units run in forked worker processes, one per
+    usable CPU.  The workers inherit fn and items through fork, so only
+    indices go out and only results come back.  Otherwise fn runs here
+    in turn: with one item or one CPU, on a platform without affinity
+    masks, and inside a worker.  The results, and so the report bytes,
+    are the same either way; `taskset -c 0` gives a serial run.  A
+    worker's exception is re-raised here, and a worker that dies raises
+    BrokenProcessPool instead of hanging.
+    """
+    global _FANNED
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(len(items), cpus)
+    if workers < 2 or _FANNED is not None:
+        return [fn(x) for x in items]
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    _FANNED = (fn, items)
+    try:
+        # With fork the executor starts every worker before its own
+        # thread, so no thread is running when the process forks.
+        with ProcessPoolExecutor(workers, multiprocessing.get_context("fork")) as pool:
+            return list(pool.map(_fanned_unit, range(len(items))))
+    finally:
+        _FANNED = None
 
 
 # ---------------------------------------------------------------------------
@@ -1097,9 +1137,9 @@ def main_theorem_check(spec, gradings, box_radius):
                      "hypothesis fails and the differential is zero",
              "h2_dim": len(enumerate_basis(support, 2, z, "full"))})
             for z in gradings]
-    return [_certify_or_refute(
+    return fan_out(lambda z: _certify_or_refute(
         "main-theorem", functools.partial(_inner_params, spec, z, box_radius),
-        _main_theorem_entry, spec, support, z, box_radius) for z in gradings]
+        _main_theorem_entry, spec, support, z, box_radius), gradings)
 
 
 def _main_theorem_entry(spec, support, z, box_radius):
@@ -1420,6 +1460,12 @@ def linear_extension_check(spec, box_radius=2, trials=100, seed=0):
 # ---------------------------------------------------------------------------
 # The degree-3 cocycle
 
+# The cocycle scan keeps a weight-order prefix of at most about
+# OMEGA_SCAN_BUDGET ** (1/3) elements; the primitive scan of a
+# non-torsion grading pairs the first OMEGA_PRIMITIVE_POOL.
+OMEGA_SCAN_BUDGET = 10 ** 6
+OMEGA_PRIMITIVE_POOL = 350
+
 
 def omega_cocycle(spec, z):
     """The cocycle omega([u],[v],[w]) = <u, v> on grading-z 3-wedges.
@@ -1469,14 +1515,14 @@ def _extended_gcd_vector(values):
     return coeffs, g
 
 
-def _omega_cocycle_scan(spec, z, radius, budget=10 ** 6):
+def _omega_cocycle_scan(spec, z, radius):
     """Exhaustively verify d(omega) = 0 on 4-wedges from a weight-order
-    prefix of box(radius) sized to the budget; returns (checked, pool
+    prefix of box(radius) sized to OMEGA_SCAN_BUDGET; returns (checked, pool
     size).  The scan runs on coordinate tuples and every value is an
     exact integer."""
     pool = box_by_weight(spec, radius)
     members = {x.coords for x in pool}
-    while len(pool) ** 3 > budget and len(pool) > 8:
+    while len(pool) ** 3 > OMEGA_SCAN_BUDGET and len(pool) > 8:
         pool = pool[: len(pool) * 9 // 10]
     # In coordinate order u < v < w, so the computed factor t closes a
     # 4-set counted once exactly when it is the largest, and then
@@ -1523,7 +1569,7 @@ def _scaled_d_eta(spec, key, f_num, g):
     return total
 
 
-def omega_check(spec, z, box_radius=3, case1_cap=120, case2_cap=350):
+def omega_check(spec, z, box_radius, case1_cap=120):
     """The cohomology class of omega in grading z: torsion z yields an
     exact infeasibility certificate for any primitive (the class is
     nonzero); non-torsion z yields an explicit primitive eta verified on
@@ -1617,7 +1663,7 @@ def omega_check(spec, z, box_radius=3, case1_cap=120, case2_cap=350):
     # once per coordinate tuple, and the primitive still per term.
     f_values = functools.cache(f_num)
 
-    pool = ordered[:case2_cap]
+    pool = ordered[:OMEGA_PRIMITIVE_POOL]
     members = {x.coords for x in ordered}
     # Coordinate order, as in the cocycle scan: each 3-set is counted
     # once, when the computed factor w is the largest, and (u, v, w) is

@@ -39,3 +39,44 @@ def test_every_bench_hook_target_resolves():
                if hooks._resolve(importlib.import_module(module), target) is None]
     assert not missing, "bench hooks that do not resolve: " + ", ".join(missing)
     assert len(hooks.HOOKS) > 30
+
+
+def _module_level_imports(tree):
+    """Import nodes that run when the module is imported: everything
+    outside function bodies."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        stack.extend(ast.iter_child_nodes(node))
+
+
+def test_process_pool_is_imported_only_inside_fan_out():
+    # A single-grading run must not pay for importing a process pool, so
+    # the pool modules are imported inside verify.fan_out, when a pool is
+    # built, and named nowhere else in the library.
+    pool_modules = ("multiprocessing", "concurrent")
+    found = []
+    for name in sorted(os.listdir(SOURCE_DIR)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(SOURCE_DIR, name)) as fh:
+            text = fh.read()
+        tree = ast.parse(text, filename=name)
+        for node in _module_level_imports(tree):
+            modules = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                       else [node.module or ""])
+            found.extend("%s:%d imports %s" % (name, node.lineno, m)
+                         for m in modules if m.split(".")[0] in pool_modules)
+        helper = range(0)
+        if name == "verify.py":
+            (fan_out,) = [node for node in tree.body
+                          if isinstance(node, ast.FunctionDef) and node.name == "fan_out"]
+            helper = range(fan_out.lineno, fan_out.end_lineno + 1)
+        found.extend("%s:%d names %s" % (name, lineno, m)
+                     for lineno, line in enumerate(text.splitlines(), 1)
+                     for m in pool_modules if m in line and lineno not in helper)
+    assert not found, "process pool outside verify.fan_out: " + ", ".join(found)

@@ -1615,10 +1615,11 @@ def test_omega_primitive_matches_brute_force_on_small_box():
     (symplectic_z2(), [0, 0], 2, 3000),
     (surface_presentation(1, 2), [0, 0, 1, 0], 1, 10 ** 6),
     (z2_z2torsion(), [0, 0, 1], 1, 10 ** 6)])
-def test_omega_cocycle_scan_counts_every_4_set_once(spec, zc, radius, budget):
+def test_omega_cocycle_scan_counts_every_4_set_once(spec, zc, radius, budget, monkeypatch):
     z = spec.element(zc)
     support = box_support(spec, radius)
-    checked, pool_size = verify._omega_cocycle_scan(spec, z, radius, budget)
+    monkeypatch.setattr(verify, "OMEGA_SCAN_BUDGET", budget)
+    checked, pool_size = verify._omega_cocycle_scan(spec, z, radius)
     pool = {x.coords for x in sorted(support, key=lambda e: e.sort_key())[:pool_size]}
     # Brute force: 4-sets of the support with sum z whose three smallest
     # factors lie in the pool.
