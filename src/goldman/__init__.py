@@ -25,7 +25,6 @@ from goldman.complexes import (
     WedgeChain,
     Cochain,
     wedge_chain,
-    grading,
     boundary,
     coboundary,
     enumerate_basis,
@@ -45,7 +44,6 @@ from goldman.verify import (
     ideal_membership,
     ContractingHomotopy,
     contracting_homotopy,
-    solve_homotopy_coefficients,
     inner_h2_certify,
     outer_h2_certify,
     main_theorem_check,
@@ -70,7 +68,6 @@ __all__ = [
     "WedgeChain",
     "Cochain",
     "wedge_chain",
-    "grading",
     "boundary",
     "coboundary",
     "enumerate_basis",
@@ -88,7 +85,6 @@ __all__ = [
     "ideal_membership",
     "ContractingHomotopy",
     "contracting_homotopy",
-    "solve_homotopy_coefficients",
     "inner_h2_certify",
     "outer_h2_certify",
     "main_theorem_check",

@@ -82,6 +82,11 @@ SUITES = ("bracket", "complex", "inner", "outer", "gk", "surface",
 # --grading vectors bypass these.
 SWEEP_CAPS = {"inner": 3, "outer": 12, "omega": 3, "gk": 2, "h1": 200}
 
+# The sample sizes of the seeded suites.
+BRACKET_TRIPLES = 500
+COMPLEX_WEDGES = 300
+LINEXT_TRIALS = 120
+
 
 # ---------------------------------------------------------------------------
 # Config
@@ -245,14 +250,14 @@ def resolve_selection(spec, selection, radius, caps):
 # verify; these two only need reproducible sampling)
 
 
-def _random_element(spec, rng, bound=3):
-    return spec.element([rng.randint(-bound, bound)
-                         for _ in range(spec.n_generators)])
+def _random_element(spec, rng):
+    return spec.element([rng.randint(-3, 3) for _ in range(spec.n_generators)])
 
 
-def _random_vector(spec, rng, terms=2):
+def _random_vector(spec, rng):
+    """A combination of two random basis labels."""
     v = AlgebraVector.zero(spec)
-    for _ in range(terms):
+    for _ in range(2):
         v = v + AlgebraVector.basis(_random_element(spec, rng),
                                     Fraction(rng.randint(-4, 4)))
     return v
@@ -262,11 +267,11 @@ def _vector_pairs(v):
     return [[frac_str(coeff), list(coords)] for coeff, coords in v.to_pairs()]
 
 
-def run_bracket_suite(spec, seed, triples=500):
+def run_bracket_suite(spec, seed):
     """Skew-symmetry and Jacobi on random basis triples and short combos."""
     rng = random.Random("bracket:%d" % seed)
-    combos = max(1, triples // 10)
-    for _ in range(triples):
+    combos = max(1, BRACKET_TRIPLES // 10)
+    for _ in range(BRACKET_TRIPLES):
         a = AlgebraVector.basis(_random_element(spec, rng))
         b = AlgebraVector.basis(_random_element(spec, rng))
         c = AlgebraVector.basis(_random_element(spec, rng))
@@ -288,7 +293,7 @@ def run_bracket_suite(spec, seed, triples=500):
             return CheckResult("bracket-axioms", {"seed": seed}, REFUTED,
                                {"failed": "combination"})
     return CheckResult("bracket-axioms", {"seed": seed}, CERTIFIED,
-                       {"triples": triples, "combination_triples": combos})
+                       {"triples": BRACKET_TRIPLES, "combination_triples": combos})
 
 
 def _probe_cochain(spec, degree):
@@ -302,11 +307,11 @@ def _probe_cochain(spec, degree):
     return Cochain(spec, degree, rule=rule)
 
 
-def run_complex_suite(spec, seed, wedges=300):
+def run_complex_suite(spec, seed):
     """d o d = 0 on random wedges and (d eta)(c) = eta(dc) on samples."""
     rng = random.Random("complex:%d" % seed)
     squared = 0
-    for _ in range(wedges):
+    for _ in range(COMPLEX_WEDGES):
         p = rng.randint(2, 5)
         c = wedge_chain(spec, [_random_element(spec, rng) for _ in range(p)])
         if c.is_zero():
@@ -316,7 +321,7 @@ def run_complex_suite(spec, seed, wedges=300):
                                {"failed": "d o d", "chain": serialize_chain(c)})
         squared += 1
     duality = 0
-    for _ in range(max(1, wedges // 3)):
+    for _ in range(max(1, COMPLEX_WEDGES // 3)):
         p = rng.randint(1, 4)
         c = wedge_chain(spec, [_random_element(spec, rng) for _ in range(p + 1)])
         if c.is_zero():
@@ -417,6 +422,9 @@ def run_surface_suite(source):
         return [_skip("surface-generators",
                       "needs a --surface group (boundary classes are read off g, r)")]
     g, r = source["surface"]["genus"], source["surface"]["boundary"]
+    if g < 1:
+        return [_skip("surface-generators",
+                      "the decomposition uses A_g; needs genus >= 1")]
     return [_certify_or_refute(
         "surface-generators",
         lambda: {"genus": g, "boundary_components": r, "z": [0] * (2 * g + r)},
@@ -426,8 +434,9 @@ def run_surface_suite(source):
 def run_linext_suite(spec, box, seed):
     return [_certify_or_refute(
         "linear-extension",
-        lambda: {"spec": spec.describe()["group"], "box": box, "trials": 120, "seed": seed},
-        linear_extension_check, spec, box, 120, seed)]
+        lambda: {"spec": spec.describe()["group"], "box": box,
+                 "trials": LINEXT_TRIALS, "seed": seed},
+        linear_extension_check, spec, box, LINEXT_TRIALS, seed)]
 
 
 def build_verify_tasks(spec, source, args, selection):

@@ -33,9 +33,8 @@ and, when asked for, in weight order; a box over the element budget is
 refused before anything is enumerated.  The boundary of a truncated
 chain may leave the enumerated support; terms are kept rather than
 dropped, so a rank computation never silently loses boundary mass.
-Cochains are partial assignments on an enumerated basis, extended by
-zero; evaluations that fall outside the assignment are counted so
-truncation edges surface in reports instead of hiding.
+A cochain is a rule on wedges, evaluated lazily and cached, so it is
+defined on every wedge and has no truncation edge.
 
 >>> from goldman.groups import GroupSpec
 >>> z2 = GroupSpec(2, form=[[0, 1], [-1, 0]])
@@ -49,7 +48,7 @@ truncation edges surface in reports instead of hiding.
 3
 >>> boundary(boundary(w)).is_zero()
 True
->>> grading(c.wedges()[0]).coords
+>>> c.common_grading().coords
 (1, 1)
 """
 
@@ -67,7 +66,6 @@ __all__ = [
     "wedge_chain",
     "boundary",
     "coboundary",
-    "grading",
     "enumerate_keys",
     "enumerate_basis",
     "box_support",
@@ -152,11 +150,6 @@ class Wedge:
         return " ^ ".join("[%r]" % f for f in self.factors)
 
 
-def grading(w):
-    """The label sum of a wedge, an element of the group."""
-    return w.grading()
-
-
 class WedgeChain(SparseCombination):
     """A finite rational combination of wedges of one common degree;
     chains add and compare at the same spec and degree, and serialize
@@ -187,9 +180,6 @@ class WedgeChain(SparseCombination):
         if w.degree != self.degree:
             raise ValueError("wedge of degree %d in a degree-%d chain"
                              % (w.degree, self.degree))
-
-    def wedges(self):
-        return [w for w, _ in self.items()]
 
     def common_grading(self):
         """The shared grading of all terms; None for the zero chain.
@@ -322,40 +312,25 @@ def boundary(c):
 
 
 class Cochain:
-    """A partial assignment wedge -> rational, extended by zero.
+    """A cochain of one degree, given by a rule wedge -> rational.
 
-    ``assignments`` keys are the enumerated support (a value of zero is
-    still "defined").  Evaluations of wedges outside the support return
-    zero and bump ``truncation_hits``, so reports can surface that a
-    computation touched the truncation edge.  ``rule`` makes the cochain
-    lazy: unseen wedges are computed, cached, and never counted as
-    truncation hits (coboundaries use this).
+    Each value is computed by ``rule`` on first use and cached, so a
+    coboundary evaluates the cochain it is built on once per wedge.
     """
 
-    __slots__ = ("spec", "degree", "assignments", "rule", "truncation_hits")
+    __slots__ = ("spec", "degree", "rule", "_values")
 
-    def __init__(self, spec, degree, assignments=(), rule=None):
+    def __init__(self, spec, degree, rule):
         self.spec = spec
         self.degree = degree
-        pairs = assignments.items() if hasattr(assignments, "items") else assignments
-        self.assignments = {}
-        for w, value in pairs:
-            if w.degree != degree:
-                raise ValueError("wedge of degree %d in a degree-%d cochain"
-                                 % (w.degree, degree))
-            self.assignments[w] = Fraction(value)
         self.rule = rule
-        self.truncation_hits = 0
+        self._values = {}
 
     def value(self, w):
-        if w in self.assignments:
-            return self.assignments[w]
-        if self.rule is not None:
-            v = Fraction(self.rule(w))
-            self.assignments[w] = v
-            return v
-        self.truncation_hits += 1
-        return Fraction(0)
+        v = self._values.get(w)
+        if v is None:
+            v = self._values[w] = Fraction(self.rule(w))
+        return v
 
     def evaluate(self, chain):
         """The pairing <cochain, chain>, a rational."""
@@ -368,11 +343,7 @@ class Cochain:
 
 
 def coboundary(eta, p):
-    """The dual differential: (d eta)(w) = eta(d w) on degree p + 1 wedges.
-
-    Truncation hits of eta propagate: evaluating d(eta) on a wedge whose
-    boundary leaves eta's support bumps eta.truncation_hits.
-    """
+    """The dual differential: (d eta)(w) = eta(d w) on degree p + 1 wedges."""
     if p != eta.degree:
         raise ValueError("cochain has degree %d, not %d" % (eta.degree, p))
 
@@ -384,7 +355,7 @@ def coboundary(eta, p):
             total += coeff * eta.value(_wedge_of(spec, key))
         return total
 
-    return Cochain(eta.spec, p + 1, rule=rule)
+    return Cochain(eta.spec, p + 1, rule)
 
 
 def enumerate_keys(spec, pool, p, z):

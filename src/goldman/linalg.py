@@ -1,14 +1,12 @@
 """Sparse exact linear algebra, on one elimination kernel.
 
-Everything downstream that needs a rank, a kernel, a membership witness
-or an infeasibility certificate funnels through this module, and every
-one of them is computed by ``_IncrementalSpan``: a reduced echelon form
-over the rationals that takes one sparse vector at a time.  Integer
-vectors stay in integer arithmetic while every pivot is +1 or -1, and
-Fractions appear only at another pivot.  Its reduction step hands back
-the residual of a vector modulo the span without keeping it, so a
-caller can read a certificate off a residual before deciding to keep
-it.
+Every rank, span witness and infeasibility certificate of the package
+is computed by ``_IncrementalSpan``: a reduced echelon form over the
+rationals that takes one sparse vector at a time.  Integer vectors stay
+in integer arithmetic while every pivot is +1 or -1, and Fractions
+appear only at another pivot.  Its reduction step hands back the
+residual of a vector modulo the span without keeping it, so a caller
+can read a certificate off a residual before deciding to keep it.
 
 ``SparseRationalMatrix`` keeps its entries as a dictionary mapping
 (row, col) to Fraction and tracks combinations with tag coordinates: a
@@ -17,11 +15,11 @@ own, placed after the real coordinates, and a residual whose real part
 is zero is read, never kept.  Pivots are always real coordinates, so
 the tag part of a residual is the combination that produced it:
 
-* ``in_span(M, v)`` inserts the columns [col_j | tag_j] in index order
-  and reduces [v | 0]; if the real part vanishes, the negated tag part
-  is a coefficient vector x with M x = v;
-* ``kernel_basis(M)`` is the tag part of every column whose real part
-  reduces to zero, one vector per dependent column;
+* ``rank(M)`` is the number of columns [col_j | tag_j] kept when they
+  are inserted in index order;
+* ``in_span(M, v)`` inserts the same columns and reduces [v | 0]; if
+  the real part vanishes, the negated tag part is a coefficient vector
+  x with M x = v;
 * ``solve_affine(M, b)`` inserts the rows [row_i | b_i | tag_i] in
   index order.  The first row whose real part reduces to zero with a
   nonzero b part has a tag part y with y M = 0 and y b != 0, a
@@ -30,22 +28,24 @@ the tag part of a residual is the combination that produced it:
 
 Each of these is unique whatever elimination finds it.  The columns (or
 rows) kept are the greedy independent set in index order, which no
-elimination changes; a witness, a kernel vector or a solution with its
-free variables at 0 is then the unique one over that set, and a Farkas
+elimination changes; a span witness or a solution with its free
+variables at 0 is then the unique one over that set, and a Farkas
 certificate is fixed by the first inconsistent row and the independent
 rows before it.  So the kernel returns exactly what any textbook
 elimination in index order returns, bit for bit.
 
-Every kernel vector, span witness, Farkas certificate and affine
-solution is multiplied back through the matrix before it is returned;
-a failure raises CertificateError naming the identity, an explicit
-check that also runs under ``python -O``.
+Every span witness, Farkas certificate and affine solution is
+multiplied back through the matrix before it is returned; a failure
+raises CertificateError naming the identity, an explicit check that
+also runs under ``python -O``.
 
->>> m = SparseRationalMatrix.from_dense([[1, 2], [2, 4]])
+>>> m = SparseRationalMatrix(2, 2, {(0, 0): 1, (0, 1): 2, (1, 0): 2, (1, 1): 4})
 >>> m.rank()
 1
->>> m.kernel_basis()
-[(Fraction(-2, 1), Fraction(1, 1))]
+>>> m.in_span((3, 6))
+(True, (Fraction(3, 1), Fraction(0, 1)))
+>>> m.in_span((1, 0))
+(False, None)
 """
 
 from fractions import Fraction
@@ -61,8 +61,13 @@ class CertificateError(Exception):
     """
 
     def __init__(self, identity):
-        super().__init__("certificate identity failed: %s" % identity)
+        # Only the identity goes into ``args``, so the error pickles back
+        # to itself and crosses from a worker process unchanged.
+        super().__init__(identity)
         self.identity = identity
+
+    def __str__(self):
+        return "certificate identity failed: %s" % self.identity
 
 
 def _require(condition, identity):
@@ -177,15 +182,6 @@ class SparseRationalMatrix:
 
     # -- construction and access -------------------------------------------------
 
-    @classmethod
-    def from_dense(cls, rows):
-        m = cls(len(rows), len(rows[0]) if rows else 0)
-        for i, row in enumerate(rows):
-            for j, v in enumerate(row):
-                if v:
-                    m.entries[(i, j)] = _as_fraction(v)
-        return m
-
     def __setitem__(self, key, v):
         i, j = key
         if not (0 <= i < self.n_rows and 0 <= j < self.n_cols):
@@ -224,32 +220,21 @@ class SparseRationalMatrix:
 
     def _column_echelon(self):
         """The span of the tagged columns [col_j | tag_j], tag j on row
-        n_rows + j, and the residuals (tag parts) of the dependent ones.
+        n_rows + j, keeping the independent ones in index order.
 
-        The kernel's one column pass, behind rank, kernel_basis and
-        in_span; the benchmark's per-layer hook counts it by this name."""
+        The kernel's one column pass, behind rank and in_span; the
+        benchmark's per-layer hook counts it by this name."""
         n = self.n_rows
         span = _IncrementalSpan()
-        dependent = []
         for j, col in enumerate(self.columns()):
             col[n + j] = Fraction(1)
             residual = span.reduce(col)
             if min(residual) < n:
                 span.keep(residual)
-            else:
-                dependent.append(residual)
-        return span, dependent
+        return span
 
     def rank(self):
-        return self._column_echelon()[0].rank
-
-    def kernel_basis(self):
-        """Vectors x (dense tuples) spanning {x : M x = 0}."""
-        _, dependent = self._column_echelon()
-        out = [tuple(_untag(r, self.n_rows, self.n_cols)) for r in dependent]
-        for vec in out:
-            _require(not any(self.matvec(vec)), "M x = 0 for a kernel vector")
-        return out
+        return self._column_echelon().rank
 
     def in_span(self, v):
         """Is the dense vector v in the column span?  Returns (bool, witness).
@@ -259,7 +244,7 @@ class SparseRationalMatrix:
         """
         if len(v) != self.n_rows:
             raise ValueError("vector of length %d, expected %d" % (len(v), self.n_rows))
-        span, _ = self._column_echelon()
+        span = self._column_echelon()
         target = [_as_fraction(x) for x in v]
         residual = span.reduce({i: x for i, x in enumerate(target) if x})
         if residual and min(residual) < self.n_rows:

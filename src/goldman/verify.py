@@ -52,7 +52,9 @@ witnesses.  The certification patterns are:
   Phi_2) built from any y with <y, z> != 0 satisfies
   Phi_1 d_2 + d_3 Phi_2 = id on the whole graded slice, verified wedge
   by wedge, so every cycle c bounds via d_3 Phi_2(c) = c.  The five
-  homotopy coefficients have denominators dividing 2 lam^2
+  homotopy coefficients are fixed (``_DEFAULT_HOMOTOPY``), and a wedge
+  on which the identity fails refutes the grading.  The coefficients
+  have denominators dividing 2 lam^2
   (lam = <y, z>); multiplied by D, the lcm of their denominators, every
   term of D (Phi_1 d_2 + d_3 Phi_2 - id)(w) is an integer.  The check
   sums those terms in one integer dict over wedge keys (sorted tuples
@@ -97,7 +99,6 @@ from goldman.complexes import (
     _boundary_terms,
     _sort_sign,
     _box_size,
-    _wedge_of,
     boundary,
     box_by_weight,
     box_support,
@@ -128,7 +129,6 @@ __all__ = [
     "ideal_membership",
     "ContractingHomotopy",
     "contracting_homotopy",
-    "solve_homotopy_coefficients",
     "InnerCertification",
     "inner_h2_certify",
     "outer_h2_certify",
@@ -482,8 +482,8 @@ def ideal_membership(c, box, enlarge=3):
 # ---------------------------------------------------------------------------
 # Contracting homotopy for outer gradings
 
-_HOMOTOPY_SHAPES = ("phi1", "shift_first", "shift_second", "shift_both", "tail")
-
+# The five homotopy coefficients, the one place they live: every
+# ContractingHomotopy reads them when it is built.
 _DEFAULT_HOMOTOPY = {
     "phi1": Fraction(-1),
     "shift_first": Fraction(-1),
@@ -496,7 +496,8 @@ _DEFAULT_HOMOTOPY = {
 class ContractingHomotopy:
     """Operators Phi_1: C_1 -> C_2 and Phi_2: C_2 -> C_3 in grading z.
 
-    For y with lam = <y, z> != 0:
+    For y with lam = <y, z> != 0 and the coefficients of
+    ``_DEFAULT_HOMOTOPY``:
 
         Phi_1([z])      = (phi1/lam) [y] ^ [z-y]
         Phi_2([u]^[v])  = (shift_first/lam)  [y] ^ [u-y] ^ [v]
@@ -504,10 +505,10 @@ class ContractingHomotopy:
                         + (shift_both/2lam)  [2y] ^ [u-y] ^ [v-y]
                         + (tail <u-y, v-y> / 2 lam^2) [y] ^ [2y] ^ [z-3y]
 
-    With the default coefficients Phi_1 d_2 + d_3 Phi_2 = id holds on
-    every basis wedge of the slice; ``identity_defect`` measures the
-    failure for any coefficient choice, and ``key_defect`` is the same
-    measurement on a wedge key.
+    Phi_1 d_2 + d_3 Phi_2 = id holds on every basis wedge of the slice.
+    ``key_defect`` measures its failure on a wedge key, and
+    ``identity_defect`` on a wedge; a nonzero defect refutes the
+    certificate.
 
     The five rational factors in front of the wedges are scaled by
     ``scale``, the lcm of their denominators, so the operators are
@@ -524,10 +525,10 @@ class ContractingHomotopy:
     which keeps the dict small.
     """
 
-    __slots__ = ("spec", "z", "y", "lam", "coefficients", "scale", "_scaled",
+    __slots__ = ("spec", "z", "y", "lam", "scale", "_scaled",
                  "_y2c", "_phi1_term", "_tail_term", "_tail_d3", "_shared")
 
-    def __init__(self, spec, z, y, coefficients=None):
+    def __init__(self, spec, z, y):
         if z.in_kernel_mu():
             raise ValueError("grading lies in ker mu; the homotopy needs <y, z> != 0")
         lam = spec.pairing(y, z)
@@ -537,10 +538,7 @@ class ContractingHomotopy:
         self.z = z
         self.y = y
         self.lam = Fraction(lam)
-        self.coefficients = dict(_DEFAULT_HOMOTOPY)
-        if coefficients:
-            self.coefficients.update(coefficients)
-        co, lam = self.coefficients, self.lam
+        co, lam = _DEFAULT_HOMOTOPY, self.lam
         factors = (co["phi1"] / lam, co["shift_first"] / lam,
                    co["shift_second"] / lam, co["shift_both"] / (2 * lam),
                    co["tail"] / (2 * lam * lam))
@@ -613,17 +611,6 @@ class ContractingHomotopy:
                 acc[key2] = get(key2, 0) + coeff * bc
         return acc
 
-    def phi1(self, c):
-        if c.degree != 1:
-            raise ValueError("Phi_1 consumes degree-1 chains")
-        total = 0
-        for w, coeff in c.terms.items():
-            if w.factors[0] != self.z:
-                raise ValueError("chain is not graded at z")
-            total += coeff
-        sign, key = self._phi1_term
-        return self._chain({key: sign * self._scaled[0] * total} if sign else {}, 2)
-
     def phi2(self, c):
         if c.degree != 2:
             raise ValueError("Phi_2 consumes degree-2 chains")
@@ -664,52 +651,6 @@ def contracting_homotopy(spec, z, search_radius=2):
         if spec.pairing(y, z) != 0:
             return ContractingHomotopy(spec, z, y)
     raise ValueError("no element pairing nonzero with z in the search box")
-
-
-def solve_homotopy_coefficients(spec, z, y, wedges):
-    """Fit the five homotopy coefficients so the identity holds on the
-    sample wedges; returns (coefficients, residual_is_zero).
-
-    The identity is affine in the coefficients, so the fit is an exact
-    linear solve.  With a correct operator the solution reproduces the
-    default coefficients.
-    """
-    pieces = {}
-    for name in _HOMOTOPY_SHAPES:
-        coeffs = {k: Fraction(0) for k in _HOMOTOPY_SHAPES}
-        coeffs[name] = Fraction(1)
-        pieces[name] = ContractingHomotopy(spec, z, y, coeffs)
-
-    row_keys = {}
-    contributions = {}
-    for w in wedges:
-        key = w.sort_key()
-        d2 = _d2_coefficient(spec, key)
-        for name, hom in pieces.items():
-            for term, coeff in hom._scaled_image(key, d2).items():
-                if not coeff:
-                    continue
-                row = (key, term)
-                row_keys.setdefault(row, len(row_keys))
-                bucket = contributions.setdefault(row, {})
-                bucket[name] = bucket.get(name, 0) + Fraction(coeff, hom.scale)
-        row_keys.setdefault((key, key), len(row_keys))
-
-    n_rows = len(row_keys)
-    matrix = SparseRationalMatrix(n_rows, len(_HOMOTOPY_SHAPES))
-    rhs = [Fraction(0)] * n_rows
-    for key, idx in row_keys.items():
-        w, term = key
-        for col, name in enumerate(_HOMOTOPY_SHAPES):
-            coeff = contributions.get(key, {}).get(name, 0)
-            if coeff:
-                matrix[idx, col] = Fraction(coeff)
-        if term == w:
-            rhs[idx] = Fraction(1)
-    solution, certificate = matrix.solve_affine(tuple(rhs))
-    if solution is None:
-        return None, certificate
-    return dict(zip(_HOMOTOPY_SHAPES, solution)), None
 
 
 # ---------------------------------------------------------------------------
@@ -1031,7 +972,8 @@ def outer_h2_certify(spec, z, box_radius):
     first five cycle basis vectors get an explicit serialized witness.
 
     The scan runs on wedge keys; wedges are built only for the witness
-    columns and on the coefficient-fit path."""
+    columns.  If the identity fails on any wedge for some y, the entry
+    is refuted."""
     if z.in_kernel_mu():
         raise ValueError("outer certification needs z outside ker mu")
     support = box_support(spec, box_radius)
@@ -1048,26 +990,12 @@ def outer_h2_certify(spec, z, box_radius):
     if not ys:
         raise ValueError("no y with <y, z> != 0 in the box")
 
-    def holds(hom):
-        return not any(hom.key_defect(key, d2) for key, d2 in zip(keys, d2s))
-
-    corrections = {}
     per_y = []
     for y in ys:
         hom = ContractingHomotopy(spec, z, y)
-        entry = {"y": list(y.coords), "wedges_checked": len(keys),
-                 "identity_holds": holds(hom)}
-        if not entry["identity_holds"]:
-            solved, _ = solve_homotopy_coefficients(
-                spec, z, y, [_wedge_of(spec, key) for key in keys])
-            if solved is not None:
-                hom = ContractingHomotopy(spec, z, y, solved)
-                if holds(hom):
-                    corrections[str(list(y.coords))] = {
-                        k: frac_str(v) for k, v in sorted(solved.items())}
-                    entry["identity_holds"] = True
-                    entry["corrected"] = True
-        per_y.append((hom, entry))
+        holds = not any(hom.key_defect(key, d2) for key, d2 in zip(keys, d2s))
+        per_y.append((hom, {"y": list(y.coords), "wedges_checked": len(keys),
+                            "identity_holds": holds}))
 
     if not all(entry["identity_holds"] for _, entry in per_y):
         return CheckResult(
@@ -1076,7 +1004,7 @@ def outer_h2_certify(spec, z, box_radius):
              "box": box_radius},
             REFUTED,
             {"per_y": [e for _, e in per_y],
-             "note": "homotopy identity failed and no coefficient fix exists"})
+             "note": "homotopy identity failed"})
 
     # d_2 to C_1 is one coordinate (the [z] coefficient), so the cycle
     # space misses one dimension whenever some wedge hits it.  A dense
@@ -1108,7 +1036,6 @@ def outer_h2_certify(spec, z, box_radius):
         "h2_dim": 0,
         "y_choices": [list(y.coords) for y in ys],
         "per_y": [e for _, e in per_y],
-        "corrections": corrections,
         "witnesses": witnesses,
     }
     return CheckResult(
@@ -1209,7 +1136,7 @@ def _vector_wedge(a, b):
     return out
 
 
-def gk_cycle_check(spec, u, z, box_radius=3):
+def gk_cycle_check(spec, u, z, box_radius):
     """The cycle ([2u]-2[u]) ^ ([z-2u]-2[z-u]+[z]) in C_2(g_K): both
     factors die under K, the chain is a cycle, and its derived
     projection differs from 6 [u] ^ [z-u] by an explicit boundary."""
@@ -1371,7 +1298,7 @@ def _integer_functional(spec, coeffs):
     return f
 
 
-def linear_extension_check(spec, box_radius=2, trials=100, seed=0):
+def linear_extension_check(spec, box_radius, trials, seed):
     """Additivity on nonzero-pairing pairs extends linearly: sampled
     integer functionals pass the hypothesis, the conclusions, and the
     constructive re-derivation chains; one deliberately perturbed

@@ -356,6 +356,52 @@ def test_corrupted_suite_is_refuted_under_python_O(suite, tmp_path):
     assert report["summary"]["certified"] == 0
 
 
+_PATCHED_HOMOTOPY = """
+import json, sys
+from fractions import Fraction
+from unittest import mock
+from goldman import verify
+from goldman.cli import main
+
+if not sys.flags.optimize:
+    sys.exit("run with python -O")
+out = {}
+for name in sorted(verify._DEFAULT_HOMOTOPY):
+    path = sys.argv[1] + "/" + name + ".json"
+    with mock.patch.dict(verify._DEFAULT_HOMOTOPY, {name: Fraction(3, 2)}):
+        code = main(["verify", "--suite", "outer", "--surface", "1,2",
+                     "--grading", "1,1,1,0", "--box", "2", "--format", "json",
+                     "--out", path])
+    with open(path) as fh:
+        out[name] = [code, json.load(fh)]
+print(json.dumps(out))
+"""
+
+
+def test_a_patched_homotopy_coefficient_is_refuted_under_python_O(tmp_path):
+    # Any one of the five fixed coefficients changed: the identity fails
+    # and the entry is refuted; nothing fits the coefficients again.
+    script = tmp_path / "patched.py"
+    script.write_text(_PATCHED_HOMOTOPY)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(verify.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", str(script), str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    runs = json.loads(proc.stdout.splitlines()[-1])
+    assert sorted(runs) == sorted(verify._DEFAULT_HOMOTOPY)
+    for name, (code, report) in runs.items():
+        (entry,) = report["results"]
+        assert code == 1, name
+        assert entry["check"] == "outer-exactness"
+        assert entry["verdict"] == "refuted", name
+        assert entry["details"]["note"] == "homotopy identity failed"
+        per_y = entry["details"]["per_y"]
+        assert len(per_y) == 2
+        assert not any(e["identity_holds"] for e in per_y), name
+        assert all(set(e) == {"y", "wedges_checked", "identity_holds"} for e in per_y)
+
+
 # ---------------------------------------------------------------------------
 # Homology command
 
@@ -453,6 +499,23 @@ def test_verify_surface_suite_needs_surface_source(tmp_path, capsys):
     report = json.loads(out)
     (entry,) = report["results"]
     assert entry["verdict"] == "not-applicable"
+
+
+def test_verify_all_keeps_its_report_on_a_genus_zero_surface(capsys):
+    code, out, err = run(capsys, "verify", "--suite", "all", "--surface", "0,2",
+                         "--box", "2", "--format", "json")
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert [r["check"] for r in report["results"]][:2] == [
+        "bracket-axioms", "complex-squares-to-zero"]
+    assert {r["check"] for r in report["results"]} == {
+        "bracket-axioms", "complex-squares-to-zero", "inner-isomorphism",
+        "outer-exactness", "gk-cycle", "surface-generators", "omega-class",
+        "h1-center", "linear-extension"}
+    (surface,) = [r for r in report["results"] if r["check"] == "surface-generators"]
+    assert surface["verdict"] == "not-applicable"
+    assert "genus >= 1" in surface["details"]["note"]
+    assert report["summary"]["refuted"] == 0 and report["exit_status"] == 0
 
 
 def test_verify_inner_skips_unreachable_grading(tmp_path, capsys):

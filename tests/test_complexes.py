@@ -20,7 +20,6 @@ from goldman.complexes import (
     box_support,
     coboundary,
     enumerate_basis,
-    grading,
     project_derived,
     wedge_chain,
 )
@@ -257,11 +256,11 @@ def test_mixed_grading_chain_is_rejected_by_common_grading():
 
 
 def _full_cochain(rng, spec, support, p):
-    wedges = []
-    for combo in itertools.combinations(sorted(support), p):
-        wedges.append(Wedge(list(combo)))
-    return Cochain(spec, p, {w: Fraction(rng.randint(-5, 5), rng.randint(1, 3))
-                             for w in wedges})
+    """Random values on every degree-p wedge of the support; a wedge
+    outside it raises KeyError, so a test never leaves the support."""
+    values = {Wedge(list(combo)): Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+              for combo in itertools.combinations(sorted(support), p)}
+    return Cochain(spec, p, values.__getitem__)
 
 
 def test_duality_of_boundary_and_coboundary():
@@ -275,7 +274,6 @@ def test_duality_of_boundary_and_coboundary():
         if c is None or c.is_zero():
             continue
         assert deta.evaluate(c) == eta.evaluate(boundary(c))
-    assert eta.truncation_hits == 0
 
 
 def test_coboundary_squares_to_zero():
@@ -288,30 +286,41 @@ def test_coboundary_squares_to_zero():
         if c is None or c.is_zero():
             continue
         assert dd_eta.evaluate(c) == 0
-    assert eta.truncation_hits == 0
 
 
 def test_coboundary_hand_value():
     # (d eta)([u]^[v]) = eta(d([u]^[v])) = -<u,v> eta([u+v]).
     z2 = POOL[0]
     u, v = z2.canonical([1, 0]), z2.canonical([0, 1])
-    eta = Cochain(z2, 1, {Wedge([u + v]): Fraction(7)})
+    eta = Cochain(z2, 1, {Wedge([u + v]): Fraction(7)}.__getitem__)
     deta = coboundary(eta, 1)
     assert deta.evaluate(wedge_chain(z2, [u, v])) == -7
 
 
-def test_truncation_edge_is_counted():
+def test_cochain_rejects_a_degree_mismatch():
     z2 = POOL[0]
     u, v = z2.canonical([1, 0]), z2.canonical([0, 1])
-    eta = Cochain(z2, 1, {Wedge([u]): Fraction(1)})
-    deta = coboundary(eta, 1)
-    # d([u]^[v]) hits [u+v], which eta does not enumerate.
-    deta.evaluate(wedge_chain(z2, [u, v]))
-    assert eta.truncation_hits == 1
+    eta = Cochain(z2, 1, {Wedge([u]): Fraction(1)}.__getitem__)
+    assert eta.evaluate(wedge_chain(z2, [u])) == 1
     with pytest.raises(ValueError):
-        Cochain(z2, 2, {Wedge([u]): Fraction(1)})
+        eta.evaluate(wedge_chain(z2, [u, v]))
     with pytest.raises(ValueError):
         coboundary(eta, 2)
+
+
+def test_cochain_evaluates_its_rule_once_per_wedge():
+    z2 = POOL[0]
+    u, v = z2.canonical([1, 0]), z2.canonical([0, 1])
+    calls = []
+
+    def rule(w):
+        calls.append(w)
+        return len(calls)
+
+    eta = Cochain(z2, 1, rule)
+    c = wedge_chain(z2, [u]) + 2 * wedge_chain(z2, [v])
+    assert eta.evaluate(c) == eta.evaluate(c) == 5
+    assert calls == [Wedge([u]), Wedge([v])]
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,19 @@ def test_every_bench_hook_target_resolves():
     assert len(hooks.HOOKS) > 30
 
 
+def test_every_exported_name_resolves():
+    # A name deleted from a module must leave its __all__ and the
+    # package's import blocks with it.
+    modules = [goldman] + [importlib.import_module("goldman." + name[:-3])
+                           for name in sorted(os.listdir(SOURCE_DIR))
+                           if name.endswith(".py")
+                           and name not in ("__init__.py", "__main__.py")]
+    missing = ["%s.%s" % (module.__name__, name) for module in modules
+               for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+    assert not missing, "names in __all__ that do not resolve: " + ", ".join(missing)
+    assert len(goldman.__all__) > 30
+
+
 def _module_level_imports(tree):
     """Import nodes that run when the module is imported: everything
     outside function bodies."""

@@ -14,6 +14,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,9 +23,11 @@ from goldman import (
     CERTIFIED,
     INCONCLUSIVE,
     NOT_APPLICABLE,
+    REFUTED,
     ContractingHomotopy,
     GroupSpec,
     QuotientTensorSpace,
+    Wedge,
     WedgeChain,
     boundary,
     box_support,
@@ -41,7 +44,6 @@ from goldman import (
     omega_check,
     omega_cocycle,
     outer_h2_certify,
-    solve_homotopy_coefficients,
     surface_generator_check,
     surface_presentation,
     wedge_chain,
@@ -256,25 +258,6 @@ def test_homotopy_rejects_radical_gradings_and_bad_y():
         ContractingHomotopy(z2, z, z2.element([2, 0]))
 
 
-def test_homotopy_solver_recovers_true_coefficients():
-    z2 = symplectic_z2()
-    z = z2.element([2, 1])
-    y = next(x for x in box_support(z2, 2) if z2.pairing(x, z) != 0)
-    wedges = enumerate_basis(box_support(z2, 2), 2, z, "full")
-
-    perturbed = ContractingHomotopy(
-        z2, z, y, {"shift_both": Fraction(7), "tail": Fraction(-2)})
-    assert any(not perturbed.identity_defect(w).is_zero() for w in wedges)
-
-    solved, cert = solve_homotopy_coefficients(z2, z, y, wedges)
-    assert cert is None
-    assert solved == {"phi1": Fraction(-1), "shift_first": Fraction(-1),
-                      "shift_second": Fraction(-1), "shift_both": Fraction(1),
-                      "tail": Fraction(1)}
-    fixed = ContractingHomotopy(z2, z, y, solved)
-    assert all(fixed.identity_defect(w).is_zero() for w in wedges)
-
-
 # (group, derived grading) pairs: free, surface, torsion, rank-2 form.
 _HOMOTOPY_CASES = [
     (symplectic_z2(), [2, 1]),
@@ -327,11 +310,12 @@ def test_identity_defect_matches_reference_for_any_coefficients(data):
     coefficients = {name: data.draw(_RATIONALS)
                     for name in ("phi1", "shift_first", "shift_second",
                                  "shift_both", "tail")}
-    hom = ContractingHomotopy(spec, z, y, coefficients)
+    with mock.patch.dict(verify._DEFAULT_HOMOTOPY, coefficients):
+        hom = ContractingHomotopy(spec, z, y)
     wedges = enumerate_basis(box_support(spec, 2), 2, z, "full")
     for w in data.draw(st.lists(st.sampled_from(wedges), min_size=1, max_size=6)):
         assert _defect_dict(hom, w) == reference_identity_defect(
-            spec, z, y, hom.coefficients, w)
+            spec, z, y, coefficients, w)
 
 
 @pytest.mark.parametrize("case", range(len(_HOMOTOPY_CASES)))
@@ -342,14 +326,16 @@ def test_perturbed_homotopy_leaves_a_defect(case):
     exact = ContractingHomotopy(spec, z, y)
     # Phi_1 d_2 alone moves with phi1: a wedge with <u, v> != 0 gains
     # -delta <u, v> / lam [y] ^ [z-y], which nothing else can cancel.
-    perturbed = ContractingHomotopy(spec, z, y, {"phi1": Fraction(-4, 3)})
+    coefficients = dict(verify._DEFAULT_HOMOTOPY, phi1=Fraction(-4, 3))
+    with mock.patch.dict(verify._DEFAULT_HOMOTOPY, coefficients):
+        perturbed = ContractingHomotopy(spec, z, y)
     assert 2 * y != z
     wedges = enumerate_basis(box_support(spec, 2), 2, z, "full")
     moved = 0
     for w in wedges:
         assert _defect_dict(exact, w) == {}
-        assert reference_identity_defect(spec, z, y, exact.coefficients, w) == {}
-        want = reference_identity_defect(spec, z, y, perturbed.coefficients, w)
+        assert reference_identity_defect(spec, z, y, verify._DEFAULT_HOMOTOPY, w) == {}
+        want = reference_identity_defect(spec, z, y, coefficients, w)
         assert _defect_dict(perturbed, w) == want
         if reference_pairing(spec, *w.factors):
             assert want
@@ -371,7 +357,8 @@ def test_key_defect_matches_reference_in_any_scan_order(data):
     coefficients = {name: data.draw(_RATIONALS)
                     for name in ("phi1", "shift_first", "shift_second",
                                  "shift_both", "tail")}
-    hom = ContractingHomotopy(spec, z, y, coefficients)
+    with mock.patch.dict(verify._DEFAULT_HOMOTOPY, coefficients):
+        hom = ContractingHomotopy(spec, z, y)
     wedges = enumerate_basis(box_support(spec, 2), 2, z, "full")
     assert [w.sort_key() for w in wedges] == _scan_keys(spec, z)
     # One homotopy serves the whole scan, so its shared boundaries are
@@ -382,7 +369,7 @@ def test_key_defect_matches_reference_in_any_scan_order(data):
     elif order == "shuffled":
         random.Random(data.draw(st.integers(0, 2 ** 16))).shuffle(wedges)
     for w in wedges:
-        want = reference_identity_defect(spec, z, y, hom.coefficients, w)
+        want = reference_identity_defect(spec, z, y, coefficients, w)
         got = hom.key_defect(w.sort_key())
         assert {k: Fraction(c, hom.scale) for k, c in got.items()} == want
         assert all(type(c) is int and c for c in got.values())
@@ -418,29 +405,31 @@ def test_scan_computes_each_boundary_once(case, monkeypatch):
 
 
 @pytest.mark.parametrize("name", ["tail", "shift_first"])
-def test_scan_finds_the_defect_of_a_perturbed_coefficient(name, monkeypatch):
+def test_scan_finds_the_defect_of_a_perturbed_coefficient(name):
     spec = surface_presentation(1, 2)
     z = spec.element([1, 1, 1, 0])
     y = contracting_homotopy(spec, z).y
-    perturbed = ContractingHomotopy(spec, z, y, {name: Fraction(3, 2)})
+    coefficients = dict(verify._DEFAULT_HOMOTOPY, **{name: Fraction(3, 2)})
+    with mock.patch.dict(verify._DEFAULT_HOMOTOPY, coefficients):
+        perturbed = ContractingHomotopy(spec, z, y)
     keys = _scan_keys(spec, z)
     defects = [key for key in keys if perturbed.key_defect(key)]
     assert defects
     for key in defects:
-        w = wedge_chain(spec, [spec.canonical(c) for c in key]).wedges()[0]
-        want = reference_identity_defect(spec, z, y, perturbed.coefficients, w)
+        w = Wedge([spec.canonical(c) for c in key])
+        want = reference_identity_defect(spec, z, y, coefficients, w)
         assert {k: Fraction(c, perturbed.scale)
                 for k, c in perturbed.key_defect(key).items()} == want
 
     # The same perturbation as the default: the scan of every y sees the
-    # defect, and the coefficient fit restores the true value.
-    monkeypatch.setitem(verify._DEFAULT_HOMOTOPY, name, Fraction(3, 2))
-    r = outer_h2_certify(spec, z, 2)
-    assert r.verdict == CERTIFIED
-    assert all(e["corrected"] for e in r.details["per_y"])
-    for fix in r.details["corrections"].values():
-        assert fix == {"phi1": "-1", "shift_both": "1", "shift_first": "-1",
-                       "shift_second": "-1", "tail": "1"}
+    # defect, and the entry is refuted with nothing refitted.
+    with mock.patch.dict(verify._DEFAULT_HOMOTOPY, coefficients):
+        r = outer_h2_certify(spec, z, 2)
+    assert r.verdict == REFUTED
+    assert not any(e["identity_holds"] for e in r.details["per_y"])
+    assert r.details["note"] == "homotopy identity failed"
+    assert all("corrected" not in e for e in r.details["per_y"])
+    assert "corrections" not in r.details
 
 
 def test_a_defect_on_any_one_wedge_stops_the_outer_certificate(monkeypatch):
@@ -530,7 +519,7 @@ def test_integer_omega_and_eta_values_match_coboundaries(data):
     z = spec.element(zc)
     factors, key = _draw_wedge(data, spec, z, 4)
     if factors is not None:
-        wedge = wedge_chain(spec, factors).wedges()[0]
+        wedge = Wedge(factors)
         want = coboundary(omega_cocycle(spec, z), 3).value(wedge)
         reference = sum(
             c * reference_pairing(spec, spec.canonical(k[0]), spec.canonical(k[1]))
@@ -550,7 +539,7 @@ def test_integer_omega_and_eta_values_match_coboundaries(data):
     factors, key = _draw_wedge(data, spec, z, 3)
     if factors is None:
         return
-    wedge = wedge_chain(spec, factors).wedges()[0]
+    wedge = Wedge(factors)
     got = verify._scaled_d_eta(spec, key, f_num, g)
     assert got == g * coboundary(eta, 2).value(wedge)
     assert got == g * reference_pairing(spec, factors[0], factors[1])
@@ -930,7 +919,7 @@ def test_inner_pair_order_tail_certifies_without_unit_steps(monkeypatch):
         assert _row_vector(inner, boundary(witness)) == vec
 
 
-def test_inner_rebuilds_the_modular_span_from_integer_columns(monkeypatch):
+def test_inner_keeps_the_exact_span_of_the_integer_columns_when_witnesses_drop(monkeypatch):
     # Withhold the witnesses of the first independent pairs: a pair is
     # kept only once its witness exists, so each drop leaves the span as
     # the integer columns kept so far made it.
@@ -1276,7 +1265,8 @@ def test_outer_certification_no_corrections():
         z = spec.element(zc)
         r = outer_h2_certify(spec, z, 2)
         assert r.verdict == CERTIFIED
-        assert r.details["corrections"] == {}
+        assert all(e["identity_holds"] for e in r.details["per_y"])
+        assert "corrections" not in r.details
         assert r.details["h2_dim"] == 0
         assert len(r.details["y_choices"]) == 2
         # One incoming coordinate, so the cycle space misses one dim.
