@@ -20,33 +20,29 @@ witnesses.  The certification patterns are:
   boundary rank up to dim ker(f), which pins the homology of the slice
   to Q (x) (H / Zz) exactly.
 
-  A column is its integer vector over W, and the greedy search for
-  independent ones is exact elimination over Q.  It runs in integer
-  arithmetic while every pivot is +1 or -1, and Fractions appear only
-  at another pivot.  Every kept column is checked on that vector:
-  d(witness) read on the rows of W equals it, and f summed over its
-  rows is 0, so the columns span a subspace of ker(f), and a boundary
-  rank equal to dim ker(f) certifies that they span all of it.  The
-  column matrix is built only when a boundary witness is asked for.
-  Every rank, span witness and certificate here comes from the one
-  elimination kernel of ``goldman.linalg``.
+  A column is its integer vector over W, and its witness is integer
+  too: (scale, keys), integer coefficients on at most three 3-wedge
+  keys whose boundary is scale times the column.  Every kept column is
+  checked on integers: d of the keys, read on the rows of W, is scale
+  times the vector, every key lies in the boundary box, and f summed
+  over its rows is 0.  So the columns span a subspace of ker(f), and a
+  boundary rank equal to dim ker(f) certifies that they span all of
+  it.  No chain is built for a column; the column matrix and a chain
+  are built only when a boundary witness is asked for.
 
-  Pairs (u, v) are tried in one fixed order, generated lazily.  The
-  unit steps G(x, e) come first: x over the factors of W in weight
-  order, e over the derived elements of box(1) that are factors of W,
-  in weight order.  Then every remaining pair follows, by weight sum
-  and then by sort key, one weight level at a time.  Each unordered
-  pair comes exactly once, so a pair dropped for want of a witness is
-  never offered again.  The unit steps nearly span ker(f) by
-  themselves, which makes the search short.  The order changes which
-  columns are kept, not the argument: every column is still verified,
-  and rank <= dim ker(f) holds for any order.  A greedy pass over a
-  fixed order keeps the same independent set whatever elimination
-  decides independence, so the span's reduced echelon form changes the
-  cost of the search and not the columns it keeps.  The
+  The rows of W are indexed heavy first.  Each row r = [a]^[z-a] with a
+  unit step e (an element of box(1) that is a factor of W) such that
+  x = a - e is a factor of W, x != e, and the rows of x and e come
+  after r, has the triangular column G(x, e): +-1 on r and 0 before
+  it.  These come first, lightest row first, so each pivots on its own
+  row with a unit lead and the span stays in integers.  The fill comes
+  from every other pair, by weight sum and then by index, one weight
+  level at a time; each unordered pair is offered once, so a pair
+  without a witness is never offered again.  The search is exact
+  elimination over Q (the one kernel of ``goldman.linalg``), and the
+  order changes which columns are kept, not the argument.  The
   certification needs f in degree 2 only, where f([u] ^ [z-u]) = 1 (x) u
-  is the integer coordinate vector of u in H / Zz, and f of a column
-  or of a boundary sums those vectors over integer terms.
+  is the integer coordinate vector of u in H / Zz.
 
 * Outer gradings (z not in ker mu).  A contracting homotopy (Phi_1,
   Phi_2) built from any y with <y, z> != 0 satisfies
@@ -359,35 +355,59 @@ def _ideal_generator(spec, z, u, v):
 
 
 def _direct_witness(spec, z, u, v):
-    """d-preimage of G(u, v) when <u, v> != 0 and the wedge survives."""
-    pair = spec.pairing(u, v)
-    if pair == 0:
+    """The witness (scale, {3-key: int}) of G(u, v) with one key, on
+    coordinate tuples; None when <u, v> = 0 or the wedge vanishes.
+
+    d([u]^[v]^[z-u-v]) = -<u, v> G(u, v) for radical z (<u, z-u-v> =
+    -<u, v> and <v, z-u-v> = <u, v>), so the sorted key with its sorting
+    sign flipped has boundary <u, v> G(u, v): the scale is <u, v>.
+    """
+    pair = spec.pair_coords(u, v)
+    if not pair:
         return None
-    chain = wedge_chain(spec, [u, v, z - u - v], Fraction(-1, pair))
-    return None if chain.is_zero() else chain
+    sub = spec.sub_coords
+    sign, key = _sort_sign((u, v, sub(sub(z, u), v)))
+    return (pair, {key: -sign}) if sign else None
 
 
 def _generator_witness(spec, z, u, v, probes):
-    """A chain X with d(X) = G(u, v) for radical z, or None; the caller
-    re-checks d(X).
+    """A witness (scale, keys) of G(u, v) for radical z, or None: integer
+    coefficients on 3-keys whose boundary is scale * G(u, v).  Works on
+    coordinate tuples; the caller re-checks the boundary.
 
-    The direct preimage when <u, v> != 0 and the wedge survives, as
-    d([u]^[v]^[z-u-v]) = -<u, v> G(u, v) (<u, z-u-v> = -<u, v> and
-    <v, z-u-v> = <u, v>).  Otherwise the direct pieces of the first
-    probe x for which all three exist, since
-    -G(u+v, x) + G(u, v+x) + G(v, x) = G(u, v) term by term.
+    The direct witness when there is one.  Otherwise the direct pieces of
+    the first probe x for which all three exist, since
+    -G(u+v, x) + G(u, v+x) + G(v, x) = G(u, v) term by term: at most
+    three keys, over the lcm of the three pairings.
     """
     direct = _direct_witness(spec, z, u, v)
     if direct is not None:
         return direct
-    s = u + v
+    add = spec.add_coords
+    s = add(u, v)
     for x in probes:
         pieces = (_direct_witness(spec, z, s, x),
-                  _direct_witness(spec, z, u, v + x),
+                  _direct_witness(spec, z, u, add(v, x)),
                   _direct_witness(spec, z, v, x))
-        if all(p is not None for p in pieces):
-            return -1 * pieces[0] + pieces[1] + pieces[2]
+        if any(p is None for p in pieces):
+            continue
+        scale = math.lcm(*(pair for pair, _ in pieces))
+        keys = {}
+        for sign, (pair, piece) in zip((-1, 1, 1), pieces):
+            for key, c in piece.items():
+                keys[key] = keys.get(key, 0) + sign * (scale // pair) * c
+        return scale, {key: c for key, c in keys.items() if c}
     return None
+
+
+def _key_chain(spec, terms):
+    """The degree-3 chain of the sum of coeff / scale * keys over
+    (coeff, (scale, keys)) terms: key witnesses as a chain."""
+    acc = {}
+    for coeff, (scale, keys) in terms:
+        for key, c in keys.items():
+            acc[key] = acc.get(key, 0) + Fraction(coeff * c, scale)
+    return WedgeChain.from_keys(spec, 3, acc)
 
 
 def ideal_membership(c, box, enlarge=3):
@@ -688,37 +708,15 @@ def _pair_order(weights):
                     yield i, j
 
 
-def _candidate_order(weights, steps):
-    """Index pairs (i, j), i <= j, unit steps first.
-
-    First (x, e) for every index x in order and every e in ``steps``
-    (indices, in their given order), then the rest of
-    ``_pair_order(weights)``.  Each unordered pair comes exactly once, so
-    the stream is a reordering of ``_pair_order(weights)``, produced
-    lazily like it.
-    """
-    # The unit pairs are those with a step on either side; one with a
-    # step on both sides is yielded at the smaller index, as x.
-    units = set(steps)
-    for i in range(len(weights)):
-        is_unit = i in units
-        for k in steps:
-            if k >= i:
-                yield i, k
-            elif not is_unit:
-                yield k, i
-    for i, j in _pair_order(weights):
-        if i not in units and j not in units:
-            yield i, j
-
-
 class InnerCertification:
     """Certified data for one inner grading z in ker mu.
 
     Holds the derived wedge basis W on the cycle box, the quotient
     space Q (x) (H / Zz), and an explicit list of boundary columns
-    (each the verified d_3 of a chain on the boundary box) whose span
-    reaches dim ker(f) inside span(W) when the verdict is certified.
+    (vec, witness): the integer vector of G(u, v) over W and a key
+    witness (scale, keys) whose boundary is scale * vec, with every key
+    on the boundary box.  Their span reaches dim ker(f) inside span(W)
+    when the verdict is certified.
     """
 
     __slots__ = ("spec", "z", "box_radius", "boundary_radius",
@@ -751,23 +749,15 @@ class InnerCertification:
     # -- construction -----------------------------------------------------
 
     def _witness_for(self, u, v, probes):
-        """A chain X with d(X) = G(u, v), or None."""
-        return _generator_witness(self.spec, self.z, u, v, probes)
-
-    def _inside_boundary_box(self, chain):
-        limit = self.boundary_radius
-        free = self.spec.free_indices
-        for w in chain.terms:
-            for f in w.factors:
-                if any(abs(f.coords[j]) > limit for j in free):
-                    return False
-        return True
+        """A key witness (scale, keys) of G(u, v), or None; u, v and the
+        probes are coordinate tuples."""
+        return _generator_witness(self.spec, self.z.coords, u, v, probes)
 
     def _certify(self):
         spec, z = self.spec, self.z
         elements = sorted({f for w in self.wedges for f in w.factors},
                           key=lambda e: e.sort_key())
-        probes = [x for x in box_by_weight(spec, self.effective_radius)
+        probes = [x.coords for x in box_by_weight(spec, self.effective_radius)
                   if x != spec.zero][:80]
 
         f_rows = [f_on_ordered(self.qspace, w.factors) for w in self.wedges]
@@ -790,8 +780,13 @@ class InnerCertification:
         position = {x: i for i, x in enumerate(elements)}
         steps = [position[e] for e in box_by_weight(spec, 1) if e in position]
 
+        seeds = self._triangular_pairs(elements, steps)
+        seeded = set(seeds)
         self.columns, self.rank = self._column_pass(
-            elements, _candidate_order(weights, steps), probes, f_rows)
+            elements,
+            itertools.chain(seeds, (ij for ij in _pair_order(weights)
+                                    if ij not in seeded)),
+            probes, f_rows)
 
         verdict = CERTIFIED if self.rank == self.target_rank else INCONCLUSIVE
         quotient_dim = len(self.wedges) - self.rank
@@ -810,6 +805,9 @@ class InnerCertification:
         if verdict == CERTIFIED and self.f_rank != self.box_image_rank:
             verdict = INCONCLUSIVE
             details["note"] = "f image does not reach every box generator"
+        if verdict == CERTIFIED and quotient_dim != self.qspace.dim:
+            verdict = INCONCLUSIVE
+            details["note"] = "the quotient dimension differs from dim Q (x) (H / Zz)"
         if verdict == INCONCLUSIVE and "note" not in details:
             details["note"] = ("boundary columns reach rank %d of %d; "
                                "enlarge the box" % (self.rank, self.target_rank))
@@ -817,19 +815,47 @@ class InnerCertification:
                                   _inner_params(spec, z, self.box_radius),
                                   verdict, details)
 
+    def _triangular_pairs(self, elements, steps):
+        """The pair (x, e) of each row's triangular column G(x, e), as a
+        sorted index pair into ``elements``, lightest row first.
+
+        For the row r = [a]^[z-a], and for each factor a of it in turn, e
+        is the first of ``steps`` with x = a - e a factor of W, x != e,
+        and the rows of [x]^[z-x] and [e]^[z-e] both after r.  G(x, e) is
+        then +-1 on r and 0 on every row before it, so columns fed from
+        the last row up each pivot on their own row with a unit lead.
+        """
+        sub = self.spec.sub_coords
+        position = {x.coords: i for i, x in enumerate(elements)}
+        row_of = {f.coords: r for w, r in self.index.items() for f in w.factors}
+        units = [elements[k].coords for k in steps]
+        pairs = []
+        for r in range(len(self.wedges) - 1, -1, -1):
+            found = next(((x, e) for a in self.wedges[r].sort_key() for e in units
+                          for x in (sub(a, e),)
+                          if x != e and row_of.get(x, -1) > r and row_of[e] > r),
+                         None)
+            if found is not None:
+                i, j = position[found[0]], position[found[1]]
+                pairs.append((min(i, j), max(i, j)))
+        return pairs
+
     def _column_pass(self, elements, pair_order, probes, f_rows):
         """Greedy boundary columns G(u, v) over pair_order until their
         span over Q reaches target_rank.
 
         A column is its integer vector {row of W: coefficient}, built on
-        coordinate tuples.  An independent one gets a witness and is kept
-        once the witness exists, with d(witness) read on the rows of W
-        and f summed over ``f_rows`` (f of each row), both checked
-        against the vector.  Returns ([(vec, witness)], rank).
+        coordinate tuples.  An independent one gets a key witness and is
+        kept once the witness exists, checked on integers: d of its keys,
+        summed over ``_boundary_terms`` and read on the rows of W, is
+        scale * vec; every key factor lies in the boundary box; and f
+        summed over ``f_rows`` (f of each row) is 0 on vec.  Returns
+        ([(vec, witness)], rank).
         """
-        index = self.index
-        add, zc = self.spec.add_coords, self.z.coords
-        rows = {w.sort_key(): i for w, i in index.items()}
+        spec = self.spec
+        add, zc = spec.add_coords, self.z.coords
+        rows = {w.sort_key(): i for w, i in self.index.items()}
+        limit, free = self.boundary_radius, spec.free_indices
         v_rows = {}
 
         def v_row(x):
@@ -864,12 +890,19 @@ class InnerCertification:
             residual = span.reduce(vec)
             if not residual:
                 continue
-            witness = self._witness_for(elements[i], elements[j], probes)
+            witness = self._witness_for(coords[i], coords[j], probes)
             if witness is None:
                 continue
-            _require({index.get(w): c for w, c in boundary(witness).terms.items()}
-                     == vec, "d(witness) = G(u, v)")
-            _require(self._inside_boundary_box(witness),
+            scale, keys = witness
+            image = {}
+            for key, c in keys.items():
+                for bc, face in _boundary_terms(spec, key):
+                    image[face] = image.get(face, 0) + c * bc
+            # Faces off W all read as row None, which vec never has; a
+            # zero scale would certify nothing.
+            _require(scale and {rows.get(face): c for face, c in image.items() if c}
+                     == {r: scale * c for r, c in vec.items()}, "d(witness) = G(u, v)")
+            _require(all(abs(x[t]) <= limit for key in keys for x in key for t in free),
                      "the witness lies in the boundary box")
             _require(not any(sum(c * f_rows[r][t] for r, c in vec.items())
                              for t in range(self.qspace.dim)), "f(G(u, v)) = 0")
@@ -890,7 +923,8 @@ class InnerCertification:
 
     def boundary_witness(self, c):
         """An explicit X with d(X) = c, or None; c must lie in span(W).
-        The column matrix is built here, from the integer columns."""
+        The column matrix and the chain of X are built here, from the
+        integer columns and their key witnesses."""
         vec = self.chain_vector(c)
         if vec is None:
             return None
@@ -901,10 +935,8 @@ class InnerCertification:
         ok, combo = matrix.in_span(vec)
         if not ok:
             return None
-        out = WedgeChain(self.spec, 3)
-        for col, coeff in enumerate(combo):
-            if coeff:
-                out = out + coeff * self.columns[col][1]
+        out = _key_chain(self.spec, [(coeff, witness) for (_, witness), coeff
+                                     in zip(self.columns, combo) if coeff])
         _require(boundary(out) == c, "d(assembled witness) = c")
         return out
 
@@ -915,7 +947,8 @@ class InnerCertification:
 
         The scan runs on wedge keys: f of a 2-wedge key (a, b) is the
         integer coordinate vector proj(a), so f(d(w)) is an integer sum
-        over ``_boundary_terms``."""
+        over ``_boundary_terms``.  proj is computed once per coordinate
+        tuple."""
         spec = self.spec
         radius = _capped_radius(spec, self.boundary_radius, 20000)
         support = [x for x in box_by_weight(spec, radius)
@@ -925,7 +958,8 @@ class InnerCertification:
         pool = support if exhaustive else support[:63]
         members = {x.coords for x in support}
         add, zc = spec.add_coords, self.z.coords
-        proj = self.qspace.proj_coords
+        proj_coords = self.qspace.proj_coords
+        projs = {}
         negs = [tuple(-c for c in x.coords) for x in pool]
         seen = set()
         for (i, u), (j, v) in itertools.combinations(enumerate(x.coords for x in pool), 2):
@@ -938,7 +972,10 @@ class InnerCertification:
             seen.add(key)
             total = [0] * self.qspace.dim
             for coeff, (a, _) in _boundary_terms(spec, key):
-                for t, x in enumerate(proj(a)):
+                proj = projs.get(a)
+                if proj is None:
+                    proj = projs[a] = proj_coords(a)
+                for t, x in enumerate(proj):
                     total[t] += coeff * x
             _require(not any(total), "f(d(w)) = 0")
             checked += 1
@@ -1169,7 +1206,10 @@ def gk_cycle_check(spec, u, z, box_radius):
         piece = None
         gen = _ideal_generator(spec, z, u, u)
         if part_z == gen:
-            piece = _generator_witness(spec, z, u, u, box_by_weight(spec, 1))
+            found = _generator_witness(spec, z.coords, u.coords, u.coords,
+                                       [x.coords for x in box_by_weight(spec, 1)])
+            if found is not None:
+                piece = _key_chain(spec, [(1, found)])
         if piece is None:
             return CheckResult(
                 "gk-cycle",

@@ -263,13 +263,26 @@ def test_enlarge_reaches_h1_check(monkeypatch, capsys):
     assert code == 0 and seen and set(seen) == {3}
 
 
+def test_inner_suite_does_not_apply_to_a_zero_form(capsys):
+    code, out, _ = run(capsys, "verify", "--suite", "inner", "--surface", "0,2",
+                       "--box", "2", "--format", "json")
+    assert code == 0
+    (entry,) = json.loads(out)["results"]
+    assert entry["check"] == "inner-isomorphism"
+    assert entry["verdict"] == "not-applicable"
+    assert entry["details"] == {"note": "the form vanishes; no wedge is derived"}
+
+
 def test_refuted_inner_entry_has_the_certified_params(monkeypatch):
     z2 = symplectic_z2()
     (certified,) = cli.run_inner_suite(z2, [z2.zero], 2)
     witness_for = verify.InnerCertification._witness_for
-    monkeypatch.setattr(
-        verify.InnerCertification, "_witness_for",
-        lambda self, u, v, probes: 2 * witness_for(self, u, v, probes))
+
+    def doubled_scale(self, u, v, probes):
+        scale, keys = witness_for(self, u, v, probes)
+        return 2 * scale, keys
+
+    monkeypatch.setattr(verify.InnerCertification, "_witness_for", doubled_scale)
     (refuted,) = cli.run_inner_suite(z2, [z2.zero], 2)
     assert (certified.verdict, refuted.verdict) == ("certified", "refuted")
     assert refuted.params == certified.params
@@ -544,11 +557,11 @@ def test_verify_zero_form_group(tmp_path, capsys):
     assert verdicts["linear-extension"] == "not-applicable"
     assert verdicts["gk-cycle"] == "not-applicable"
     # With a zero form every grading sits in the radical: the boundary
-    # vanishes, H1 is one-dimensional per grading (the whole algebra is
-    # the center), and the derived slice of H2 is empty, so h1 and the
-    # inner check certify trivially.
+    # vanishes and H1 is one-dimensional per grading (the whole algebra is
+    # the center), so h1 certifies trivially.  No wedge is derived, so the
+    # inner slice is empty while Q (x) (H / Zz) is not: inner does not apply.
     assert verdicts["h1-center"] == "certified"
-    assert verdicts["inner-isomorphism"] == "certified"
+    assert verdicts["inner-isomorphism"] == "not-applicable"
 
 
 # ---------------------------------------------------------------------------

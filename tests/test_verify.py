@@ -54,7 +54,6 @@ from goldman.linalg import _IncrementalSpan
 from goldman.verify import (
     CertificateError,
     InnerCertification,
-    _candidate_order,
     _ideal_generator,
     _pair_order,
     f_on_ordered,
@@ -569,11 +568,23 @@ def _row_vector(inner, chain):
     return {inner.index[w]: c for w, c in chain.terms.items()}
 
 
+def _witness_chain(spec, witness):
+    """The chain keys / scale of a key witness (scale, {3-key: int})."""
+    scale, keys = witness
+    return WedgeChain.from_keys(spec, 3, {k: Fraction(c, scale) for k, c in keys.items()})
+
+
 def test_inner_witnesses_re_expand():
     z2 = symplectic_z2()
     inner = inner_h2_certify(z2, z2.zero, 3)
     for vec, witness in inner.columns:
-        assert _row_vector(inner, boundary(witness)) == vec
+        scale, keys = witness
+        # One key for a direct witness, at most three for a telescoped one,
+        # all integers.
+        assert type(scale) is int and scale
+        assert 1 <= len(keys) <= 3
+        assert all(type(c) is int for c in keys.values())
+        assert _row_vector(inner, boundary(_witness_chain(z2, witness))) == vec
 
 
 def test_inner_boundary_witness_for_arbitrary_boundary():
@@ -599,6 +610,17 @@ def test_inner_boundary_witness_rejects_nonboundaries():
     inner = inner_h2_certify(z2, z2.zero, 3)
     u = z2.element([1, 0])
     assert inner.boundary_witness(wedge_chain(z2, [u, -u])) is None
+
+
+def test_inner_zero_form_is_not_certified():
+    # No wedge is derived, so the slice is empty and the boundaries
+    # exhaust ker f vacuously, but Q (x) (H / Zz) = Q: the two sides of
+    # the isomorphism differ.
+    flat = surface_presentation(0, 2)
+    r = inner_h2_certify(flat, flat.zero, 2).result
+    assert (r.details["quotient_dim"], r.details["space_dim"]) == (0, 1)
+    assert r.verdict == INCONCLUSIVE
+    assert r.details["note"] == "the quotient dimension differs from dim Q (x) (H / Zz)"
 
 
 def test_inner_support_cap_reduces_radius(monkeypatch):
@@ -732,28 +754,6 @@ def test_pair_order_edge_cases():
     assert list(_pair_order([1, 1])) == [(0, 0), (0, 1), (1, 1)]
 
 
-@given(st.lists(st.integers(0, 4), max_size=12), st.data())
-@settings(max_examples=200, deadline=None)
-def test_candidate_order_is_unit_steps_then_the_pair_order(weights, data):
-    weights = sorted(weights)
-    n = len(weights)
-    steps = data.draw(st.permutations(range(n)))[:data.draw(st.integers(0, n))]
-    got = list(_candidate_order(weights, steps))
-    unit = {tuple(sorted((i, k))) for i in range(n) for k in steps}
-    rank = {k: r for r, k in enumerate(steps)}
-
-    def first(ij):
-        # (index of x, place of e) of the first unit step (x, e) on ij.
-        i, j = ij
-        return min((x, rank[e]) for x, e in ((i, j), (j, i)) if e in rank)
-
-    # Every unordered pair once, the unit steps as a prefix, and the
-    # rest in the order of _pair_order.
-    assert sorted(got) == sorted(_pair_order(weights))
-    assert got[:len(unit)] == sorted(unit, key=first)
-    assert got[len(unit):] == [ij for ij in _pair_order(weights) if ij not in unit]
-
-
 def _unit_steps(inner, elements):
     """Indices of the derived box(1) elements among the factors of W,
     in weight order."""
@@ -762,32 +762,44 @@ def _unit_steps(inner, elements):
             if e.is_derived_element() and e in elements]
 
 
+def _triangular_reference(inner, elements, steps):
+    """The triangular pairs of the documented rule, from group elements:
+    for each row r = [a]^[z-a], lightest row first, and each factor a of
+    it in turn, the first unit step e with x = a - e a factor of W,
+    x != e, and the rows of x and e after r; as sorted index pairs."""
+    row_of = {f: r for r, w in enumerate(inner.wedges) for f in w.factors}
+    pairs = []
+    for r in reversed(range(len(inner.wedges))):
+        for a, k in itertools.product(inner.wedges[r].factors, steps):
+            e = elements[k]
+            x = a - e
+            if x != e and row_of.get(x, -1) > r and row_of[e] > r:
+                pairs.append(tuple(sorted((elements.index(x), k))))
+                break
+    return pairs
+
+
 def _reference_columns(inner):
     """The greedy columns of the inner pass over the fully materialised
     candidate list in the documented order, with exact elimination, as
     integer vectors {row of W: coefficient} of G(u, v) built from group
     elements.
 
-    The order: each unit step (x, e), x over the factors of W in weight
-    order and e over the derived elements of box(1) in weight order, at
-    its first occurrence; then every other pair by weight sum and sort
-    keys."""
+    The order: the triangular pairs, lightest row first; then every
+    other pair by weight sum and sort keys."""
     spec, z = inner.spec, inner.z
     elements = sorted({f for w in inner.wedges for f in w.factors},
                       key=lambda e: e.sort_key())
     n = len(elements)
-    steps = _unit_steps(inner, elements)
-    first = {}
-    for i in range(n):
-        for rank, k in enumerate(steps):
-            first.setdefault((min(i, k), max(i, k)), (0, i, rank))
+    seeds = _triangular_reference(inner, elements, _unit_steps(inner, elements))
+    first = {ij: (0, t) for t, ij in enumerate(seeds)}
 
     def place(ij):
         u, v = elements[ij[0]], elements[ij[1]]
         return first.get(ij, (1, u.weight() + v.weight(), u.sort_key(), v.sort_key()))
 
     pairs = sorted(((i, j) for j in range(n) for i in range(j + 1)), key=place)
-    probes = [x for x in sorted(inner.support, key=lambda e: e.sort_key())
+    probes = [x.coords for x in sorted(inner.support, key=lambda e: e.sort_key())
               if x != spec.zero][:80]
     span = _FractionEchelon()
     columns = []
@@ -800,7 +812,7 @@ def _reference_columns(inner):
             continue
         column = _row_vector(inner, gen)
         vec = span.reduce(column)
-        if vec and inner._witness_for(u, v, probes) is not None:
+        if vec and inner._witness_for(u.coords, v.coords, probes) is not None:
             span.add(vec)
             columns.append(column)
     return columns
@@ -843,9 +855,49 @@ def test_inner_candidate_stream_is_a_permutation_of_all_pairs(spec, box, monkeyp
     for elements, pairs in streams:
         n = len(elements)
         assert sorted(pairs) == [(i, j) for i in range(n) for j in range(i, n)]
-        steps = set(_unit_steps(inner, elements))
-        unit = sum(1 for i, j in pairs if i in steps or j in steps)
-        assert steps and all(i in steps or j in steps for i, j in pairs[:unit])
+        # The triangular pairs, then the rest by weight sum and indices.
+        seeds = _triangular_reference(inner, elements, _unit_steps(inner, elements))
+        assert seeds and pairs[:len(seeds)] == seeds
+        weights = [x.weight() for x in elements]
+        assert pairs[len(seeds):] == sorted(
+            set(pairs) - set(seeds),
+            key=lambda ij: (weights[ij[0]] + weights[ij[1]], ij[0], ij[1]))
+
+
+@pytest.mark.parametrize("spec, box, seeds", [
+    (symplectic_z2(), 12, 309),
+    (surface_presentation(1, 2), 3, 164),
+], ids=["z2-box12", "surface12-box3"])
+def test_triangular_columns_lead_with_a_unit_on_their_own_rows(spec, box, seeds,
+                                                                monkeypatch):
+    recorded = []
+    triangular_pairs = InnerCertification._triangular_pairs
+
+    def recording(self, elements, steps):
+        pairs = triangular_pairs(self, elements, steps)
+        recorded.append((elements, steps, pairs))
+        return pairs
+
+    monkeypatch.setattr(InnerCertification, "_triangular_pairs", recording)
+    inner = inner_h2_certify(spec, spec.zero, box)
+    assert inner.result.verdict == CERTIFIED
+    ((elements, steps, pairs),) = recorded
+    assert steps == _unit_steps(inner, elements)
+    assert pairs == _triangular_reference(inner, elements, steps)
+    assert len(pairs) == seeds
+    vecs, leads = [], []
+    for i, j in pairs:
+        x, e = elements[i], elements[j]
+        vec = _row_vector(inner, _ideal_generator(spec, spec.zero, x, e))
+        lead = min(vec)
+        # The least row is the column's own row [x+e]^[z-x-e], with +-1.
+        assert x + e in inner.wedges[lead].factors
+        assert vec[lead] in (1, -1)
+        vecs.append(vec)
+        leads.append(lead)
+    # Distinct rows, lightest first; fed first, every one is kept.
+    assert leads == sorted(set(leads), reverse=True)
+    assert [vec for vec, _ in inner.columns[:len(pairs)]] == vecs
 
 
 def _record_column_reductions(monkeypatch):
@@ -874,15 +926,17 @@ def _record_column_reductions(monkeypatch):
 
 
 def test_inner_z2_box12_certifies_from_few_span_inserts(monkeypatch):
-    # The all-pairs greedy took 65,414 inserts here.  The column search
-    # reduces each candidate against its span and keeps it only once its
-    # witness exists, so the reductions are its inserts.
+    # The all-pairs greedy took 65,414 inserts here, and the unit-step
+    # stream alone 4,568 reductions.  The column search reduces each
+    # candidate against its span and keeps it only once its witness
+    # exists, so the reductions are its inserts: the 309 triangular
+    # columns, then the stream's fill.
     inserts = _record_column_reductions(monkeypatch)
     z2 = symplectic_z2()
     inner = inner_h2_certify(z2, z2.zero, 12)
     assert inner.result.verdict == CERTIFIED
     assert inner.rank == inner.target_rank == 310
-    assert 0 < len(inserts) < 8000
+    assert 310 <= len(inserts) <= 320
 
 
 def test_inner_certifies_z2_box20_and_surface12_radical_gradings():
@@ -901,7 +955,7 @@ def test_inner_pair_order_tail_certifies_without_unit_steps(monkeypatch):
     # Refuse every pair with a unit step; the columns then all come from
     # the _pair_order tail.
     z2 = symplectic_z2()
-    units = {e for e in box_support(z2, 1) if e.is_derived_element()}
+    units = {e.coords for e in box_support(z2, 1) if e.is_derived_element()}
     witness_for = InnerCertification._witness_for
     refused = []
 
@@ -916,7 +970,7 @@ def test_inner_pair_order_tail_certifies_without_unit_steps(monkeypatch):
     assert refused
     assert inner.result.verdict == CERTIFIED
     for vec, witness in inner.columns:
-        assert _row_vector(inner, boundary(witness)) == vec
+        assert _row_vector(inner, boundary(_witness_chain(z2, witness))) == vec
 
 
 def test_inner_keeps_the_exact_span_of_the_integer_columns_when_witnesses_drop(monkeypatch):
@@ -951,10 +1005,10 @@ def test_inner_keeps_the_exact_span_of_the_integer_columns_when_witnesses_drop(m
     offered = [frozenset((u, v)) for u, v in dropped + witnessed]
     assert len(offered) == len(set(offered))
     assert [vec for vec, _ in inner.columns] == [
-        _row_vector(inner, _ideal_generator(z2, z2.zero, u, v))
+        _row_vector(inner, _ideal_generator(z2, z2.zero, z2.canonical(u), z2.canonical(v)))
         for u, v in witnessed]
     for vec, witness in inner.columns:
-        assert _row_vector(inner, boundary(witness)) == vec
+        assert _row_vector(inner, boundary(_witness_chain(z2, witness))) == vec
 
     # The same drops in plain Fraction elimination pick the same columns.
     del dropped[:], witnessed[:]
@@ -986,23 +1040,74 @@ def test_inner_rebuild_on_surface_grading_matches_exact(monkeypatch):
 # Inner re-verification is not an assert
 
 
-_CORRUPT_WITNESS = """
+# The corruptions of a key witness (scale, keys) that the inner checks
+# must catch, as source: the tests below run them in process and, in
+# _CORRUPT_WITNESS, under python -O.
+_WITNESS_MUTATIONS = """
+def doubled_scale(spec, scale, keys):
+    # d(keys) = scale G(u, v), which is not 2 scale G(u, v).
+    return 2 * scale, keys
+
+
+def flipped_coefficient(spec, scale, keys):
+    keys = dict(keys)
+    first = min(keys)
+    keys[first] = -keys[first]
+    return scale, keys
+
+
+def key_outside_the_box(spec, scale, keys):
+    # A far-away boundary d(Y) leaves d(keys) unchanged, as d(d(Y)) = 0,
+    # so only the box check sees it.
+    a, b, c = (spec.canonical(x) for x in ([100, 0], [0, 100], [-100, 1]))
+    keys = dict(keys)
+    for w, k in boundary(wedge_chain(spec, [a, b, c, -a - b - c])).terms.items():
+        keys[w.sort_key()] = keys.get(w.sort_key(), 0) + int(k)
+    return scale, keys
+"""
+_MUTATED_IDENTITY = {"doubled_scale": "d(witness) = G(u, v)",
+                     "flipped_coefficient": "d(witness) = G(u, v)",
+                     "key_outside_the_box": "the witness lies in the boundary box"}
+
+
+def _witness_mutation(name):
+    namespace = {"boundary": boundary, "wedge_chain": wedge_chain}
+    exec(_WITNESS_MUTATIONS, namespace)
+    return namespace[name]
+
+
+def _mutate_witnesses(monkeypatch, name):
+    """Make every inner key witness go through the named corruption."""
+    mutate = _witness_mutation(name)
+    witness_for = InnerCertification._witness_for
+
+    def corrupted(self, u, v, probes):
+        witness = witness_for(self, u, v, probes)
+        return None if witness is None else mutate(self.spec, *witness)
+
+    monkeypatch.setattr(InnerCertification, "_witness_for", corrupted)
+
+
+_CORRUPT_WITNESS = _WITNESS_MUTATIONS + """
 import json, sys
-from goldman import verify
-from goldman.cli import main
+from goldman import cli, verify
+from goldman.complexes import boundary, wedge_chain
+from goldman.groups import surface_presentation
 
 if not sys.flags.optimize:
     sys.exit("run with python -O")
+spec = surface_presentation(1, 0)
 witness_for = verify.InnerCertification._witness_for
+entries = {}
+for mutate in (doubled_scale, flipped_coefficient, key_outside_the_box):
+    def corrupted(self, u, v, probes, mutate=mutate):
+        witness = witness_for(self, u, v, probes)
+        return None if witness is None else mutate(self.spec, *witness)
 
-def corrupted(self, u, v, probes):
-    witness = witness_for(self, u, v, probes)
-    # A wrong coefficient: d(2X) = 2 G(u, v) != G(u, v).
-    return None if witness is None else 2 * witness
-
-verify.InnerCertification._witness_for = corrupted
-sys.exit(main(["verify", "--suite", "inner", "--surface", "1,0",
-               "--grading", "0,0", "--box", "2", "--format", "json"]))
+    verify.InnerCertification._witness_for = corrupted
+    (entry,) = cli.run_inner_suite(spec, [spec.zero], 2)
+    entries[mutate.__name__] = entry.to_dict()
+print(json.dumps(entries))
 """
 
 
@@ -1013,12 +1118,12 @@ def test_corrupted_inner_witness_is_refuted_under_python_O(tmp_path):
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-O", str(script)], env=env,
                           capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 1, proc.stderr
-    report = json.loads(proc.stdout)
-    (entry,) = report["results"]
-    assert entry["verdict"] == "refuted"
-    assert entry["details"]["failed_identity"] == "d(witness) = G(u, v)"
-    assert report["summary"]["certified"] == 0
+    assert proc.returncode == 0, proc.stderr
+    entries = json.loads(proc.stdout)
+    assert set(entries) == set(_MUTATED_IDENTITY)
+    for name, entry in entries.items():
+        assert entry["verdict"] == "refuted", name
+        assert entry["details"] == {"failed_identity": _MUTATED_IDENTITY[name]}
 
 
 _WRONG_PRIMITIVE = """
@@ -1183,26 +1288,26 @@ def test_main_theorem_refutes_one_grading_and_keeps_the_others(monkeypatch):
 
 def test_corrupted_inner_witness_raises_certificate_error(monkeypatch):
     z2 = symplectic_z2()
-    witness_for = InnerCertification._witness_for
-    monkeypatch.setattr(
-        InnerCertification, "_witness_for",
-        lambda self, u, v, probes: 2 * witness_for(self, u, v, probes))
+    _mutate_witnesses(monkeypatch, "doubled_scale")
+    with pytest.raises(CertificateError) as info:
+        inner_h2_certify(z2, z2.zero, 2)
+    assert info.value.identity == "d(witness) = G(u, v)"
+
+
+def test_flipped_witness_coefficient_raises_certificate_error(monkeypatch):
+    z2 = symplectic_z2()
+    _mutate_witnesses(monkeypatch, "flipped_coefficient")
     with pytest.raises(CertificateError) as info:
         inner_h2_certify(z2, z2.zero, 2)
     assert info.value.identity == "d(witness) = G(u, v)"
 
 
 def test_witness_outside_the_boundary_box_raises_certificate_error(monkeypatch):
-    # A far-away boundary d(Y) leaves d(witness) unchanged, as d(d(Y)) = 0,
-    # so only the box check sees it.
     z2 = symplectic_z2()
-    a, b, c = z2.element([100, 0]), z2.element([0, 100]), z2.element([-100, 1])
-    far = boundary(wedge_chain(z2, [a, b, c, -a - b - c]))
-    assert not far.is_zero() and boundary(far).is_zero()
-    witness_for = InnerCertification._witness_for
-    monkeypatch.setattr(
-        InnerCertification, "_witness_for",
-        lambda self, u, v, probes: witness_for(self, u, v, probes) + far)
+    far = _witness_mutation("key_outside_the_box")(z2, 1, {})[1]
+    chain = WedgeChain.from_keys(z2, 3, far)
+    assert far and boundary(chain).is_zero()
+    _mutate_witnesses(monkeypatch, "key_outside_the_box")
     with pytest.raises(CertificateError) as info:
         inner_h2_certify(z2, z2.zero, 2)
     assert info.value.identity == "the witness lies in the boundary box"
@@ -1228,28 +1333,41 @@ def test_wrong_f_row_raises_certificate_error(monkeypatch):
 
 
 def test_inner_certifies_without_chains_of_g_or_a_column_matrix(monkeypatch):
-    # The columns are their integer vectors: no G(u, v) chain and no
-    # column matrix is built unless a boundary witness is asked for.
+    # The columns are their integer vectors and their witnesses integer
+    # keys: no G(u, v) chain, no chain or Fraction of a witness, and no
+    # column matrix is built unless a boundary witness is asked for.  The
+    # only wedges built are the basis W.
     def refuse(*args, **kwargs):
         raise AssertionError("built outside a boundary witness")
 
-    monkeypatch.setattr(verify, "_ideal_generator", refuse)
-    monkeypatch.setattr(verify, "SparseRationalMatrix", refuse)
+    for name in ("_ideal_generator", "SparseRationalMatrix", "WedgeChain",
+                 "wedge_chain", "boundary", "Fraction", "_key_chain"):
+        monkeypatch.setattr(verify, name, refuse)
+    built = []
+    wedge_init = Wedge.__init__
+
+    def counting_init(self, factors):
+        built.append(factors)
+        wedge_init(self, factors)
+
+    monkeypatch.setattr(Wedge, "__init__", counting_init)
     z2 = symplectic_z2()
     s12 = surface_presentation(1, 2)
     for spec, box in ((z2, 4), (s12, 2)):
+        del built[:]
         inner = inner_h2_certify(spec, spec.zero, box)
         assert inner.result.verdict == CERTIFIED
         assert inner.rank == inner.target_rank
+        assert len(built) == len(inner.wedges)
 
 
 def test_boundary_witness_rechecks_the_assembled_chain(monkeypatch):
     z2 = symplectic_z2()
     inner = inner_h2_certify(z2, z2.zero, 2)
-    vec, witness = inner.columns[0]
+    vec, (scale, keys) = inner.columns[0]
     gen = WedgeChain(z2, 2, {inner.wedges[r]: c for r, c in vec.items()})
     assert inner.boundary_witness(gen) is not None
-    inner.columns[0] = (vec, 2 * witness)
+    inner.columns[0] = (vec, (2 * scale, keys))
     with pytest.raises(CertificateError) as info:
         inner.boundary_witness(gen)
     assert info.value.identity == "d(assembled witness) = c"
