@@ -49,7 +49,8 @@ import sys
 from fractions import Fraction
 
 from .algebra import AlgebraVector, bracket
-from .complexes import Cochain, _box_size, boundary, box_by_weight, coboundary, wedge_chain
+from .complexes import (Cochain, _box_size, _check_box_budget, boundary, box_by_weight,
+                        coboundary, wedge_chain)
 from .groups import GroupSpec, surface_presentation
 from .verify import (
     CERTIFIED,
@@ -640,6 +641,7 @@ def _homology_row(result):
 
 def cmd_homology(args):
     spec, source = load_spec(args)
+    _check_box_budget(spec, args.box)
     selection, label = parse_gradings(spec, args.grading)
     gradings, capped = resolve_selection(spec, selection, args.box, (64,))[64]
     results = main_theorem_check(spec, gradings, args.box)
@@ -663,6 +665,7 @@ def cmd_homology(args):
 
 def cmd_verify(args):
     spec, source = load_spec(args)
+    _check_box_budget(spec, args.box)
     selection, label = parse_gradings(spec, args.grading)
     tasks, notes = build_verify_tasks(spec, source, args, selection)
     dicts = []

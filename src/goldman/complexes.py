@@ -26,6 +26,8 @@ The label sum u_1 + ... + u_p is the grading of a wedge; every term of
 d(w) has the grading of w because each summand replaces u_i, u_j by
 u_i + u_j.  The complex therefore splits over the group, one summand
 per grading, and all rank computations happen grading by grading.
+``enumerate_keys`` walks the wedge keys of one grading lazily, and the
+bases and scans of ``goldman.verify`` read that one stream.
 
 Supports are truncated to finite boxes.  A box is enumerated at most
 once per group and radius and kept on the group, in coordinate order
@@ -52,6 +54,7 @@ True
 (1, 1)
 """
 
+import functools
 import itertools
 from bisect import bisect_left
 from fractions import Fraction
@@ -358,55 +361,50 @@ def coboundary(eta, p):
     return Cochain(eta.spec, p + 1, rule)
 
 
-def enumerate_keys(spec, pool, p, z):
-    """Keys of all degree-p wedges with factors in ``pool`` and grading z.
+def enumerate_keys(spec, pool, p, z, last=None):
+    """An iterator over the keys of the degree-p wedges of grading z with
+    their first p-1 factors in ``pool`` and the last in the set ``last``
+    (the pool when omitted).
 
     ``pool`` is an ascending list of distinct canonical coordinate
     tuples and z a coordinate tuple; a key is the ascending tuple of a
-    wedge's factors (``Wedge.sort_key``).  The last factor of each wedge
-    is determined by the grading, so the walk runs over (p-1)-subsets
-    of the pool, in lexicographic order: the keys come out ascending.
-    This is the one basis enumerator; ``enumerate_basis`` wraps its keys
-    into wedges, and the outer scan runs on the keys directly.
+    wedge's factors (``Wedge.sort_key``).  The last factor is determined
+    by the grading, so the walk runs over (p-1)-subsets of the pool in
+    lexicographic order, and the keys come out ascending.  This is the
+    one basis enumerator.  A degree below 1 raises ValueError at once.
     """
     if p < 1:
         raise ValueError("need degree >= 1")
-    index = {x: i for i, x in enumerate(pool)}
+    if last is None:
+        last = set(pool)
     if p == 1:
-        return [(z,)] if z in index else []
-    sub = spec.sub_coords
-    out = []
+        return iter([(z,)] if z in last else [])
+    return _walk_keys(spec.sub_coords, pool, p, z, last)
 
-    def walk(start, remaining, prefix):
-        if len(prefix) < p - 2:
-            for i in range(start, len(pool)):
-                walk(i + 1, sub(remaining, pool[i]), prefix + (pool[i],))
-            return
+
+def _walk_keys(sub, pool, p, z, last):
+    for head in itertools.combinations(range(len(pool)), p - 2):
+        prefix = tuple(pool[i] for i in head)
+        remaining = functools.reduce(sub, prefix, z)
         # The last free choice: the remaining factor is determined.
-        for i in range(start, len(pool)):
-            last = sub(remaining, pool[i])
-            j = index.get(last)
-            if j is not None and j > i:
-                out.append(prefix + (pool[i], last))
-
-    walk(0, z, ())
-    return out
+        for x in itertools.islice(pool, head[-1] + 1 if head else 0, None):
+            y = sub(remaining, x)
+            if y > x and y in last:
+                yield prefix + (x, y)
 
 
 def enumerate_basis(support, p, z, restrict="full"):
     """All degree-p wedges with factors in ``support`` and grading z.
 
     ``restrict`` filters the support first: "full" keeps everything,
-    "derived-only" keeps labels pairing nonzero with something, and
-    "kernel-only" keeps the radical.  Output is sorted by factor
-    coordinates; the keys come from ``enumerate_keys``.
+    and "derived-only" keeps labels pairing nonzero with something.
+    Output is sorted by factor coordinates; the keys come from
+    ``enumerate_keys``.
     """
     if restrict == "full":
         pool = list(support)
     elif restrict == "derived-only":
         pool = [x for x in support if x.is_derived_element()]
-    elif restrict == "kernel-only":
-        pool = [x for x in support if x.in_kernel_mu()]
     else:
         raise ValueError("unknown restriction %r" % (restrict,))
     pool.sort()
@@ -431,6 +429,14 @@ def _box_size(spec, radius):
     return size
 
 
+def _check_box_budget(spec, radius):
+    """Raise ValueError when box(radius) has more than BOX_BUDGET elements."""
+    size = _box_size(spec, radius)
+    if size > BOX_BUDGET:
+        raise ValueError("box of radius %d has %d elements, over the budget of %d"
+                         % (radius, size, BOX_BUDGET))
+
+
 def _box(spec, radius):
     """The memo entry [box, weight order or None] of box(radius) on the
     spec, built on first use and never handed out itself."""
@@ -439,10 +445,7 @@ def _box(spec, radius):
         return entry
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    size = _box_size(spec, radius)
-    if size > BOX_BUDGET:
-        raise ValueError("box of radius %d has %d elements, over the budget of %d"
-                         % (radius, size, BOX_BUDGET))
+    _check_box_budget(spec, radius)
     ranges = []
     for j in range(spec.n_generators):
         d = spec.divisors[j]

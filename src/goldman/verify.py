@@ -71,6 +71,9 @@ witnesses.  The certification patterns are:
   integer terms, and with f = (integer functional) / g the primitive
   scan compares g d(eta)(w) with g omega(w), both integers.  No floats
   and no modulus enter either scan; every zero test is exact over Z.
+  Both scans read ``enumerate_keys``, the last factor from the whole
+  box; the torsion system's rows come in ``_pair_order``, and its
+  variables are the keys of the wedges [x]^[z-x].
 
 Verdicts are "certified", "refuted", or "inconclusive-at-truncation";
 a too-small box can hide boundaries but never fabricate them, so a
@@ -81,6 +84,7 @@ re-verification raises CertificateError, naming the failed identity,
 and is not an assert, so it also runs under ``python -O``.
 """
 
+import bisect
 import functools
 import itertools
 import math
@@ -144,11 +148,10 @@ NOT_APPLICABLE = "not-applicable"
 
 
 def _capped_radius(spec, radius, cap):
-    """The largest r <= radius with |box(r)| <= cap (at least 1)."""
-    r = radius
-    while r > 1 and _box_size(spec, r) > cap:
-        r -= 1
-    return r
+    """The largest r <= radius with |box(r)| <= cap (at least 1), by
+    bisection: box sizes grow with r."""
+    fits = bisect.bisect_right(range(radius + 1), cap, key=functools.partial(_box_size, spec))
+    return max(fits - 1, min(radius, 1))
 
 
 def frac_str(q):
@@ -410,13 +413,17 @@ def _key_chain(spec, terms):
     return WedgeChain.from_keys(spec, 3, acc)
 
 
-def ideal_membership(c, box, enlarge=3):
+# An ideal search keeps generator terms inside the box times this.
+IDEAL_BOX_ENLARGE = 3
+
+
+def ideal_membership(c, box):
     """Is the grading-z chain c a combination of relation generators?
 
     Candidate generator labels are drawn from the factors of c, their
     pairwise differences, and the small elements of the box, restricted
-    so generator terms stay inside the box enlarged by the given factor.
-    ``box`` is the box radius.
+    so generator terms stay inside the box enlarged by
+    ``IDEAL_BOX_ENLARGE``.  ``box`` is the box radius.
     Returns (True, witness), (False, obstruction) when the quotient map
     already separates c from the ideal, or (None, note) when the
     truncated generator pool does not decide.
@@ -437,7 +444,7 @@ def ideal_membership(c, box, enlarge=3):
 
     # The largest coordinate in box(radius): the radius on a free
     # coordinate, d - 1 on a torsion one of order d.
-    limit = enlarge * max([box] + [d - 1 for _, d in spec.torsion])
+    limit = IDEAL_BOX_ENLARGE * max([box] + [d - 1 for _, d in spec.torsion])
     small = itertools.takewhile(lambda x: x.weight() <= 2,
                                 box_by_weight(spec, box))
 
@@ -766,11 +773,13 @@ class InnerCertification:
             fspan.insert(dict(enumerate(f)))
         self.f_rank = fspan.rank
 
+        # The rank cannot exceed dim Q (x) (H / Zz): stop once it is reached.
         box_span = _IncrementalSpan()
         for x in self.support:
-            if not x.is_derived_element():
-                continue
-            box_span.insert(dict(enumerate(self.qspace.proj(x))))
+            if box_span.rank == self.qspace.dim:
+                break
+            if x.is_derived_element():
+                box_span.insert(dict(enumerate(self.qspace.proj(x))))
         self.box_image_rank = box_span.rank
 
         self.target_rank = len(self.wedges) - self.f_rank
@@ -948,7 +957,9 @@ class InnerCertification:
         The scan runs on wedge keys: f of a 2-wedge key (a, b) is the
         integer coordinate vector proj(a), so f(d(w)) is an integer sum
         over ``_boundary_terms``.  proj is computed once per coordinate
-        tuple."""
+        tuple.  It keeps its own pair walk: a triple counts once any two
+        of its factors lie in the pool, which ``enumerate_keys`` does not
+        walk, so moving it would change the reported wedge count."""
         spec = self.spec
         radius = _capped_radius(spec, self.boundary_radius, 20000)
         support = [x for x in box_by_weight(spec, radius)
@@ -1014,7 +1025,7 @@ def outer_h2_certify(spec, z, box_radius):
     if z.in_kernel_mu():
         raise ValueError("outer certification needs z outside ker mu")
     support = box_support(spec, box_radius)
-    keys = enumerate_keys(spec, [x.coords for x in support], 2, z.coords)
+    keys = list(enumerate_keys(spec, [x.coords for x in support], 2, z.coords))
     # d_2([u] ^ [v]) = -<u, v> [z], one coefficient per wedge, shared by
     # every y and by the cycle space below.
     d2s = [_d2_coefficient(spec, key) for key in keys]
@@ -1117,35 +1128,32 @@ def _main_theorem_entry(spec, support, z, box_radius):
              "predicted": 0,
              "cycle_dim": outer.details.get("cycle_dim")})
 
-    wedges = enumerate_basis(support, 2, z, "full")
-    kk = [w for w in wedges
-          if all(f.in_kernel_mu() for f in w.factors)]
-    # The radical is a subgroup, so z - a lies in it exactly when a
-    # does: every wedge is all-radical or all-derived, never mixed.
-    _require(all(all(f.in_kernel_mu() for f in w.factors)
-                 or all(f.is_derived_element() for f in w.factors)
-                 for w in wedges), "no mixed wedge in a radical grading")
+    radical = {x.coords for x in support if x.in_kernel_mu()}
+    full = radical_wedges = 0
+    for u, v in enumerate_keys(spec, [x.coords for x in support], 2, z.coords):
+        # The radical is a subgroup, so z - u lies in it exactly when u
+        # does: every wedge is all-radical or all-derived, never mixed.
+        _require((u in radical) == (v in radical), "no mixed wedge in a radical grading")
+        # All grading-z wedges are cycles; verify rather than assume.
+        _require(not _d2_coefficient(spec, (u, v)), "d([u]^[z-u]) = 0 in a radical grading")
+        full += 1
+        radical_wedges += u in radical
 
-    # All grading-z wedges are cycles; verify rather than assume.
-    for w in wedges:
-        _require(boundary(WedgeChain(spec, 2, [(w, 1)])).is_zero(),
-                 "d([u]^[z-u]) = 0 in a radical grading")
-
-    kernel_pairs = len(enumerate_basis(support, 2, z, "kernel-only"))
-    _require(kernel_pairs == len(kk), "kernel-only enumeration = radical wedges")
+    kernel_pairs = sum(1 for _ in enumerate_keys(spec, sorted(radical), 2, z.coords))
+    _require(kernel_pairs == radical_wedges, "radical-pool enumeration = radical wedges")
 
     inner = inner_h2_certify(spec, z, box_radius)
     inner_res = inner.result
     checked, exhaustive = inner.scan_f_kills_boundaries()
 
     certified = inner_res.verdict == CERTIFIED
-    h2 = len(kk) + (len(inner.wedges) - inner.rank)
+    h2 = radical_wedges + (len(inner.wedges) - inner.rank)
     predicted = kernel_pairs + inner.qspace.dim
     if certified and h2 != predicted:
         certified = False
     details = {
         "component": "inner",
-        "wedges_full": len(wedges),
+        "wedges_full": full,
         "kernel_pairs": kernel_pairs,
         "derived_wedges": len(inner.wedges),
         "inner_dim": len(inner.wedges) - inner.rank,
@@ -1429,9 +1437,11 @@ def linear_extension_check(spec, box_radius, trials, seed):
 
 # The cocycle scan keeps a weight-order prefix of at most about
 # OMEGA_SCAN_BUDGET ** (1/3) elements; the primitive scan of a
-# non-torsion grading pairs the first OMEGA_PRIMITIVE_POOL.
+# non-torsion grading pairs the first OMEGA_PRIMITIVE_POOL, and the
+# Farkas system of a torsion grading the first OMEGA_FARKAS_POOL.
 OMEGA_SCAN_BUDGET = 10 ** 6
 OMEGA_PRIMITIVE_POOL = 350
+OMEGA_FARKAS_POOL = 120
 
 
 def omega_cocycle(spec, z):
@@ -1491,23 +1501,12 @@ def _omega_cocycle_scan(spec, z, radius):
     members = {x.coords for x in pool}
     while len(pool) ** 3 > OMEGA_SCAN_BUDGET and len(pool) > 8:
         pool = pool[: len(pool) * 9 // 10]
-    # In coordinate order u < v < w, so the computed factor t closes a
-    # 4-set counted once exactly when it is the largest, and then
-    # (u, v, w, t) is already the wedge key.
-    coords = sorted(x.coords for x in pool)
-    sub = spec.sub_coords
+    # Three factors from the prefix; the fourth, determined by z, from
+    # the whole box.
     checked = 0
-    for i, u in enumerate(coords):
-        zu = sub(z.coords, u)
-        for j in range(i + 1, len(coords)):
-            v = coords[j]
-            zuv = sub(zu, v)
-            for k in range(j + 1, len(coords)):
-                w = coords[k]
-                t = sub(zuv, w)
-                if t > w and t in members:
-                    _require(_d_omega(spec, (u, v, w, t)) == 0, "d(omega) = 0")
-                    checked += 1
+    for key in enumerate_keys(spec, sorted(x.coords for x in pool), 4, z.coords, members):
+        _require(_d_omega(spec, key) == 0, "d(omega) = 0")
+        checked += 1
     return checked, len(pool)
 
 
@@ -1536,7 +1535,7 @@ def _scaled_d_eta(spec, key, f_num, g):
     return total
 
 
-def omega_check(spec, z, box_radius, case1_cap=120):
+def omega_check(spec, z, box_radius):
     """The cohomology class of omega in grading z: torsion z yields an
     exact infeasibility certificate for any primitive (the class is
     nonzero); non-torsion z yields an explicit primitive eta verified on
@@ -1552,52 +1551,32 @@ def omega_check(spec, z, box_radius, case1_cap=120):
         # A primitive eta restricted to box wedges satisfies, for each
         # 3-wedge [u]^[v]^[z-u-v] with <u, v> != 0,
         #   eta(V(u+v)) - eta(V(u)) - eta(V(v)) = -1,
-        # one affine row per wedge.  Box infeasibility refutes a global
+        # one affine row per wedge, pairs in the order of (weight sum, i,
+        # j), i < j.  The variable of V(x) = [x]^[z-x] is its key, and
+        # V(x) = 0 when x = z - x.  Box infeasibility refutes a global
         # primitive outright.
-        pool = ordered[:case1_cap]
-        variables = {}
-        rows = []
-        row_pairs = []
-
-        def var_coeffs(x):
-            """eta(V(x)) as (variable index, sign), or None when V(x) = 0."""
-            chain = wedge_chain(spec, [x, z - x])
-            if chain.is_zero():
-                return None
-            ((wedge, sign),) = chain.terms.items()
-            if wedge not in variables:
-                variables[wedge] = len(variables)
-            return variables[wedge], sign
-
-        pair_list = sorted(
-            itertools.combinations(pool, 2),
-            key=lambda uv: (uv[0].weight() + uv[1].weight(),
-                            uv[0].sort_key(), uv[1].sort_key()))
-        for u, v in pair_list:
-            if spec.pairing(u, v) == 0:
-                continue
-            w = z - u - v
-            if w == u or w == v:
+        head = ordered[:OMEGA_FARKAS_POOL]
+        pool = [x.coords for x in head]
+        add, sub, pair, zc = spec.add_coords, spec.sub_coords, spec.pair_coords, z.coords
+        variables, entries, row_pairs = {}, {}, []
+        for i, j in _pair_order([x.weight() for x in head]):
+            u, v = pool[i], pool[j]
+            if i == j or not pair(u, v) or sub(sub(zc, u), v) in (u, v):
                 continue
             row = {}
-            for x, outer_sign in ((u + v, 1), (u, -1), (v, -1)):
-                vc = var_coeffs(x)
-                if vc is None:
-                    continue
-                idx, sign = vc
-                row[idx] = row.get(idx, 0) + outer_sign * sign
-            rows.append({k: Fraction(v) for k, v in row.items() if v})
+            for x, outer_sign in ((add(u, v), 1), (u, -1), (v, -1)):
+                sign, key = _sort_sign((x, sub(zc, x)))
+                if sign:
+                    col = variables.setdefault(key, len(variables))
+                    row[col] = row.get(col, 0) + outer_sign * sign
+            entries.update(((len(row_pairs), col), c) for col, c in row.items() if c)
             row_pairs.append((u, v))
 
-        matrix = SparseRationalMatrix(len(rows), len(variables))
-        for i, row in enumerate(rows):
-            for j, coeff in row.items():
-                matrix[i, j] = coeff
-        rhs = tuple(Fraction(-1) for _ in rows)
+        matrix = SparseRationalMatrix(len(row_pairs), len(variables), entries)
+        rhs = tuple(Fraction(-1) for _ in row_pairs)
         solution, certificate = matrix.solve_affine(rhs)
         if certificate is not None:
-            combo = [[frac_str(coeff),
-                      list(row_pairs[i][0].coords), list(row_pairs[i][1].coords)]
+            combo = [[frac_str(coeff), list(row_pairs[i][0]), list(row_pairs[i][1])]
                      for i, coeff in sorted(certificate.items())]
             return CheckResult(
                 "omega-class", params, CERTIFIED,
@@ -1605,14 +1584,14 @@ def omega_check(spec, z, box_radius, case1_cap=120):
                  "z_is_torsion": True,
                  "cocycle_scan": {"wedges": cocycle_checked,
                                   "pool": cocycle_pool},
-                 "system": {"rows": len(rows), "variables": len(variables)},
+                 "system": {"rows": len(row_pairs), "variables": len(variables)},
                  "certificate": combo})
         return CheckResult(
             "omega-class", params, INCONCLUSIVE,
             {"note": "the box system is solvable; a larger box is needed "
                      "to obstruct a primitive",
              "z_is_torsion": True,
-             "system": {"rows": len(rows), "variables": len(variables)}})
+             "system": {"rows": len(row_pairs), "variables": len(variables)}})
 
     # Non-torsion z: take an integer functional with f(z) = 1 (allowing
     # denominators) and set eta([u] ^ [z-u]) = -2 f(u) + 1; then
@@ -1630,23 +1609,15 @@ def omega_check(spec, z, box_radius, case1_cap=120):
     # once per coordinate tuple, and the primitive still per term.
     f_values = functools.cache(f_num)
 
+    # Two factors from the pool; the third, determined by z, from the
+    # whole box.
     pool = ordered[:OMEGA_PRIMITIVE_POOL]
-    members = {x.coords for x in ordered}
-    # Coordinate order, as in the cocycle scan: each 3-set is counted
-    # once, when the computed factor w is the largest, and (u, v, w) is
-    # then the key.
-    coords = sorted(x.coords for x in pool)
-    sub, pair = spec.sub_coords, spec.pair_coords
     checked = 0
-    for i, u in enumerate(coords):
-        zu = sub(z.coords, u)
-        for j in range(i + 1, len(coords)):
-            v = coords[j]
-            w = sub(zu, v)
-            if w > v and w in members:
-                _require(_scaled_d_eta(spec, (u, v, w), f_values, g) == g * pair(u, v),
-                         "d(eta) = omega")
-                checked += 1
+    for key in enumerate_keys(spec, sorted(x.coords for x in pool), 3, z.coords,
+                              {x.coords for x in ordered}):
+        _require(_scaled_d_eta(spec, key, f_values, g) == g * spec.pair_coords(*key[:2]),
+                 "d(eta) = omega")
+        checked += 1
     return CheckResult(
         "omega-class", params, CERTIFIED,
         {"conclusion": "class vanishes on the derived part (explicit primitive)",

@@ -9,10 +9,14 @@ summary.
 
 import itertools
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
+import goldman
 from goldman import (
     AlgebraVector,
     Cochain,
@@ -270,6 +274,21 @@ def test_cli_homology_surface12_box3_report(tmp_path):
     assert code == 0
     with open(HOMOLOGY_GOLDEN, "rb") as fh:
         assert out.read_bytes() == fh.read()
+
+
+def test_cli_homology_surface12_box3_report_under_python_O():
+    """The same report under `python -O`: its re-checks are explicit
+    ones, not asserts, so the bytes do not move; < 10 s."""
+    start = time.monotonic()
+    src = os.path.dirname(os.path.dirname(os.path.abspath(goldman.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "goldman", "homology", "--surface", "1,2",
+         "--box", "3", "--format", "json"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, timeout=60)
+    assert time.monotonic() - start < 10.0
+    assert proc.returncode == 0, proc.stderr
+    with open(HOMOLOGY_GOLDEN, "rb") as fh:
+        assert proc.stdout == fh.read()
 
 
 def test_criterion_12_inner_isomorphism_z2_box12():

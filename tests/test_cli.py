@@ -170,6 +170,32 @@ def test_a_box_over_the_budget_exits_one_at_once(command, capsys):
     assert "85766121 elements, over the budget of 1000000" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "--suite", "inner"),
+    ("verify", "--suite", "outer"),
+    ("verify", "--suite", "surface"),
+    ("homology",),
+])
+def test_a_box_over_the_budget_exits_one_at_once_with_explicit_gradings(argv, capsys):
+    # No suite builds the box for explicit gradings, so the budget is
+    # checked before any of them runs.
+    start = time.monotonic()
+    code, out, err = run(capsys, *argv, "--surface", "1,0", "--grading", "0,0",
+                         "--box", "10000000")
+    assert time.monotonic() - start < 2.0
+    assert code == 1 and out == ""
+    assert "400000040000001 elements, over the budget of 1000000" in err
+
+
+def test_a_huge_enlarge_caps_the_h1_box_at_once(capsys):
+    start = time.monotonic()
+    code, out, _ = run(capsys, "verify", "--suite", "h1", "--surface", "1,0",
+                       "--box", "1", "--enlarge", "10000000", "--format", "json")
+    assert time.monotonic() - start < 2.0
+    assert code == 0
+    assert json.loads(out)["results"][0]["verdict"] == "certified"
+
+
 # ---------------------------------------------------------------------------
 # Grading selection
 

@@ -1,5 +1,6 @@
 """CE chains: boundary, coboundary duality, grading, basis enumeration."""
 
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -20,6 +21,7 @@ from goldman.complexes import (
     box_support,
     coboundary,
     enumerate_basis,
+    enumerate_keys,
     project_derived,
     wedge_chain,
 )
@@ -379,9 +381,10 @@ def test_enumerate_basis_hand_oracles():
         assert w.factors[1] == -w.factors[0]
     u = z2.canonical([1, 1])
     assert enumerate_basis(box_support(z2, 1), 1, u) == [Wedge([u])]
-    kernel_only = enumerate_basis(box_support(z2, 1), 1, zero, "kernel-only")
-    assert kernel_only == [Wedge([zero])]
-    assert enumerate_basis(box_support(z2, 1), 2, zero, "kernel-only") == []
+    # The radical of Z^2 is {0}: one 1-wedge and no 2-wedge on it.
+    radical = [x.coords for x in box_support(z2, 1) if x.in_kernel_mu()]
+    assert list(enumerate_keys(z2, radical, 1, zero.coords)) == [(zero.coords,)]
+    assert list(enumerate_keys(z2, radical, 2, zero.coords)) == []
 
 
 def test_enumerate_basis_matches_bruteforce():
@@ -396,6 +399,32 @@ def test_enumerate_basis_matches_bruteforce():
                         for combo in itertools.combinations(sorted(support), p)
                         if sum(combo[1:], combo[0]) == z]
                 assert fast == sorted(slow, key=lambda w: w.sort_key())
+
+
+@pytest.mark.parametrize("spec", [symplectic_z2(), z2_z2torsion()], ids=["free", "torsion"])
+def test_enumerate_keys_is_a_lazy_filter_of_combinations(spec):
+    # The first p-1 factors come from the pool, the last from the
+    # last-factor set: the pool itself, or the whole box around it.
+    rng = random.Random(22)
+    box = sorted(x.coords for x in box_support(spec, 1))
+    pool = sorted(x.coords for x in box_by_weight(spec, 1)[:7])
+    add = spec.add_coords
+    found = {}
+    for last in (set(pool), set(box)):
+        for p in (1, 2, 3, 4):
+            for z in [spec.zero] + [random_element(rng, spec, 2) for _ in range(3)]:
+                keys = enumerate_keys(spec, pool, p, z.coords, last)
+                assert iter(keys) is keys
+                slow = [t for t in itertools.combinations(sorted(last), p)
+                        if functools.reduce(add, t) == z.coords
+                        and set(t[:-1]) <= set(pool)]
+                assert list(keys) == slow
+                found[len(last), p] = found.get((len(last), p), 0) + len(slow)
+                if len(last) == len(pool):
+                    assert list(enumerate_keys(spec, pool, p, z.coords)) == slow
+    assert all(found[len(box), p] > found[len(pool), p] for p in (2, 3, 4))
+    with pytest.raises(ValueError):
+        enumerate_keys(spec, pool, 0, spec.zero.coords)
 
 
 def test_enumerate_basis_is_deterministic():

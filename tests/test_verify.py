@@ -344,7 +344,7 @@ def test_perturbed_homotopy_leaves_a_defect(case):
 
 def _scan_keys(spec, z, radius=2):
     support = box_support(spec, radius)
-    return enumerate_keys(spec, [x.coords for x in support], 2, z.coords)
+    return list(enumerate_keys(spec, [x.coords for x in support], 2, z.coords))
 
 
 @given(st.data())
@@ -939,6 +939,35 @@ def test_inner_z2_box12_certifies_from_few_span_inserts(monkeypatch):
     assert 310 <= len(inserts) <= 320
 
 
+@pytest.mark.parametrize("spec, z, radius", [
+    (symplectic_z2(), (0, 0), 12),
+    (surface_presentation(1, 2), (0, 0, 0, 0), 3),
+    (z2_z2torsion(), (0, 0, 1), 3),
+], ids=["z2-box12", "surface12-box3", "torsion-box3"])
+def test_inner_box_span_stops_at_the_quotient_dimension(spec, z, radius, monkeypatch):
+    # The box generators are projected into Q (x) (H / Zz) only until
+    # their rank reaches its dimension; the reported rank is the rank of
+    # all of them.
+    inserts = []
+    insert = _IncrementalSpan.insert
+
+    def counting_insert(self, vec):
+        inserts.append(vec)
+        return insert(self, vec)
+
+    monkeypatch.setattr(_IncrementalSpan, "insert", counting_insert)
+    inner = inner_h2_certify(spec, spec.element(z), radius)
+    derived = [x for x in inner.support if x.is_derived_element()]
+    full, needed = _IncrementalSpan(), None
+    for n, x in enumerate(derived, 1):
+        insert(full, dict(enumerate(inner.qspace.proj(x))))
+        if needed is None and full.rank == inner.qspace.dim:
+            needed = n
+    assert inner.result.details["box_generator_image_rank"] == full.rank
+    # The f rows are inserted first, one per row of W.
+    assert len(inserts) - len(inner.wedges) == (needed or len(derived)) < len(derived)
+
+
 def test_inner_certifies_z2_box20_and_surface12_radical_gradings():
     z2 = symplectic_z2()
     results = [inner_h2_certify(z2, z2.zero, 20).result]
@@ -1265,8 +1294,10 @@ def test_outer_and_omega_suites_report_failed_identities(monkeypatch):
 
 
 def test_main_theorem_rechecks_radical_cycles(monkeypatch):
+    # The radical wedges are re-checked on keys through the differential:
+    # one that reads a nonzero d_2 refutes the grading.
     s = surface_presentation(1, 2)
-    monkeypatch.setattr(verify, "boundary", lambda c: wedge_chain(s, [s.zero]))
+    monkeypatch.setattr(verify, "_boundary_terms", lambda spec, key: [(1, key[:1])])
     (entry,) = main_theorem_check(s, [s.element([0, 0, 1, 0])], 1)
     assert (entry.check, entry.verdict) == ("main-theorem", "refuted")
     assert entry.details == {
@@ -1741,9 +1772,10 @@ def test_omega_cocycle_scan_counts_every_4_set_once(spec, zc, radius, budget, mo
         assert pool_size < len(support)
 
 
-def test_omega_small_pool_is_inconclusive():
+def test_omega_small_pool_is_inconclusive(monkeypatch):
     zt = z2_z2torsion()
-    r = omega_check(zt, zt.element([0, 0, 1]), 3, case1_cap=2)
+    monkeypatch.setattr(verify, "OMEGA_FARKAS_POOL", 2)
+    r = omega_check(zt, zt.element([0, 0, 1]), 3)
     assert r.verdict == INCONCLUSIVE
 
 
@@ -1751,6 +1783,33 @@ def test_omega_rejects_derived_grading():
     z2 = symplectic_z2()
     with pytest.raises(ValueError):
         omega_check(z2, z2.element([1, 0]), 2)
+
+
+@pytest.mark.parametrize("spec, radius", [
+    (z2_z2torsion(), 3),
+    (surface_presentation(1, 2), 3),
+], ids=["torsion-box3", "surface12-box3"])
+def test_omega_farkas_pairs_follow_the_weight_sum_sort(spec, radius):
+    # The Farkas rows take their pairs from _pair_order with i < j: the
+    # order of sorting all pairs of the pool by (weight sum, u, v).
+    head = verify.box_by_weight(spec, radius)[:verify.OMEGA_FARKAS_POOL]
+    by_sort = sorted(itertools.combinations(head, 2),
+                     key=lambda uv: (uv[0].weight() + uv[1].weight(),
+                                     uv[0].sort_key(), uv[1].sort_key()))
+    by_order = [(head[i], head[j]) for i, j in _pair_order([x.weight() for x in head])
+                if i < j]
+    assert by_order == by_sort
+    assert len(by_order) == len(head) * (len(head) - 1) // 2
+
+
+def test_capped_radius_bisects_to_the_largest_fitting_box():
+    for spec in (symplectic_z2(), z2_z2torsion(), torsion_only(), surface_presentation(2, 3)):
+        for radius in (0, 1, 2, 5, 40):
+            for cap in (1, 9, 100, 1200, 20000):
+                r = radius
+                while r > 1 and verify._box_size(spec, r) > cap:
+                    r -= 1
+                assert verify._capped_radius(spec, radius, cap) == r
 
 
 # ---------------------------------------------------------------------------
