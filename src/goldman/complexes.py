@@ -437,6 +437,13 @@ def _check_box_budget(spec, radius):
                          % (radius, size, BOX_BUDGET))
 
 
+def _box_ranges(spec, radius):
+    """Per coordinate, the canonical values in box(radius), increasing,
+    so their product runs through the box in sorted order."""
+    return [range(-radius, radius + 1) if d == 0 else range(max(d, 1))
+            for d in spec.divisors]
+
+
 def _box(spec, radius):
     """The memo entry [box, weight order or None] of box(radius) on the
     spec, built on first use and never handed out itself."""
@@ -446,18 +453,8 @@ def _box(spec, radius):
     if radius < 0:
         raise ValueError("radius must be nonnegative")
     _check_box_budget(spec, radius)
-    ranges = []
-    for j in range(spec.n_generators):
-        d = spec.divisors[j]
-        if d == 0:
-            ranges.append(range(-radius, radius + 1))
-        elif d == 1:
-            ranges.append(range(1))
-        else:
-            ranges.append(range(d))
-    # Every range is canonical and increasing, so the product runs
-    # through the box already in sorted order.
-    box = [GroupElement(spec, coords) for coords in itertools.product(*ranges)]
+    box = [GroupElement(spec, coords)
+           for coords in itertools.product(*_box_ranges(spec, radius))]
     entry = spec._boxes[radius] = [box, None]
     return entry
 

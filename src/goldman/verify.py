@@ -42,7 +42,8 @@ witnesses.  The certification patterns are:
   elimination over Q (the one kernel of ``goldman.linalg``), and the
   order changes which columns are kept, not the argument.  The
   certification needs f in degree 2 only, where f([u] ^ [z-u]) = 1 (x) u
-  is the integer coordinate vector of u in H / Zz.
+  is the integer coordinate vector of u in H / Zz; f(d(w)) = 0 on
+  3-wedges is a sampled scan that builds no boundary box.
 
 * Outer gradings (z not in ker mu).  A contracting homotopy (Phi_1,
   Phi_2) built from any y with <y, z> != 0 satisfies
@@ -50,17 +51,19 @@ witnesses.  The certification patterns are:
   by wedge, so every cycle c bounds via d_3 Phi_2(c) = c.  The five
   homotopy coefficients are fixed (``_DEFAULT_HOMOTOPY``), and a wedge
   on which the identity fails refutes the grading.  The coefficients
-  have denominators dividing 2 lam^2
-  (lam = <y, z>); multiplied by D, the lcm of their denominators, every
-  term of D (Phi_1 d_2 + d_3 Phi_2 - id)(w) is an integer.  The check
-  sums those terms in one integer dict over wedge keys (sorted tuples
-  of coordinate tuples) and tests it for zero, which is exact over Z.
-  The scan walks the keys (u, z-u) of the slice and builds no wedge
-  objects for them.  Each distinct boundary is computed once, while
-  every wedge is still checked in full: d_2 of a key once per grading
-  (both y's and the cycle space share it), d_3 of the tail wedge once
-  per homotopy, and d_3 of a shift term once for the two wedges whose
-  Phi_2 contains it.
+  have denominators dividing 2 lam^2 (lam = <y, z>); multiplied by D,
+  the lcm of their denominators, every term of
+  D (Phi_1 d_2 + d_3 Phi_2 - id)(w) is an integer.  The check sums those
+  terms in one integer dict over wedge keys (sorted tuples of
+  coordinate tuples) and tests it for zero, which is exact over Z.  The
+  scan walks the keys (u, z-u) of the slice and builds no wedge objects
+  for them.  Each distinct boundary is computed once, while every wedge
+  is still checked in full: d_2 of a key once per grading (both y's and
+  the cycle space share it), d_3 of the tail wedge once per homotopy,
+  and d_3 of a shift term once for the two wedges whose Phi_2 contains
+  it.  The five reported cycle witnesses c are key dicts too, c times
+  its denominator; d(D Phi_2(c)) = D c is checked on integers, and
+  Fractions are built only to serialize them.
 
 * The degree-3 cocycle omega([u],[v],[z-u-v]) = <u, v>.  For torsion z
   the existence of a primitive eta is an affine system over box wedges;
@@ -98,6 +101,7 @@ from goldman.complexes import (
     WedgeChain,
     _boundary_terms,
     _sort_sign,
+    _box_ranges,
     _box_size,
     boundary,
     box_by_weight,
@@ -165,6 +169,21 @@ def serialize_chain(c):
             for coeff, key in c.to_pairs()]
 
 
+def _serialize_keys(terms, den):
+    """serialize_chain of the chain {wedge key: integer c} divided by den."""
+    return [[frac_str(Fraction(c, den)), [list(f) for f in key]]
+            for key, c in sorted(terms.items())]
+
+
+def _key_boundary(spec, terms):
+    """d of the chain {wedge key: integer}, as {key: nonzero integer}."""
+    acc = {}
+    for key, c in terms.items():
+        for bc, face in _boundary_terms(spec, key):
+            acc[face] = acc.get(face, 0) + c * bc
+    return {face: c for face, c in acc.items() if c}
+
+
 class CheckResult:
     """One verification entry: id, instance parameters, verdict, details.
 
@@ -221,7 +240,9 @@ def fan_out(fn, items):
     masks, and inside a worker.  The results, and so the report bytes,
     are the same either way; `taskset -c 0` gives a serial run.  A
     worker's exception is re-raised here, and a worker that dies raises
-    BrokenProcessPool instead of hanging.
+    BrokenProcessPool instead of hanging.  The indices go out in chunks
+    of len(items) // (4 * workers), at least 1, so many small units (the
+    gradings of ``homology``) do not pay one round trip each.
     """
     global _FANNED
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
@@ -235,7 +256,8 @@ def fan_out(fn, items):
         # With fork the executor starts every worker before its own
         # thread, so no thread is running when the process forks.
         with ProcessPoolExecutor(workers, multiprocessing.get_context("fork")) as pool:
-            return list(pool.map(_fanned_unit, range(len(items))))
+            return list(pool.map(_fanned_unit, range(len(items)),
+                                 chunksize=max(1, len(items) // (4 * workers))))
     finally:
         _FANNED = None
 
@@ -638,14 +660,21 @@ class ContractingHomotopy:
                 acc[key2] = get(key2, 0) + coeff * bc
         return acc
 
+    def phi2_keys(self, terms):
+        """scale * Phi_2 of the grading-z chain {2-key: coefficient}, as
+        {3-key: nonzero coefficient}: the one Phi_2, which ``phi2`` and
+        the outer cycle witnesses both evaluate."""
+        acc = {}
+        for key, coeff in terms.items():
+            for scaled, key3 in self._scaled_phi2(*key):
+                acc[key3] = acc.get(key3, 0) + coeff * scaled
+        return {key: c for key, c in acc.items() if c}
+
     def phi2(self, c):
         if c.degree != 2:
             raise ValueError("Phi_2 consumes degree-2 chains")
-        acc = {}
-        for w, coeff in c.terms.items():
-            for scaled, key in self._scaled_phi2(*self._key(w)):
-                acc[key] = acc.get(key, 0) + coeff * scaled
-        return self._chain(acc, 3)
+        return self._chain(self.phi2_keys({self._key(w): coeff
+                                           for w, coeff in c.terms.items()}), 3)
 
     def key_defect(self, key, d2=None):
         """scale * (Phi_1 d_2 + d_3 Phi_2 - id) of the grading-z wedge
@@ -903,13 +932,9 @@ class InnerCertification:
             if witness is None:
                 continue
             scale, keys = witness
-            image = {}
-            for key, c in keys.items():
-                for bc, face in _boundary_terms(spec, key):
-                    image[face] = image.get(face, 0) + c * bc
             # Faces off W all read as row None, which vec never has; a
             # zero scale would certify nothing.
-            _require(scale and {rows.get(face): c for face, c in image.items() if c}
+            _require(scale and {rows.get(face): c for face, c in _key_boundary(spec, keys).items()}
                      == {r: scale * c for r, c in vec.items()}, "d(witness) = G(u, v)")
             _require(all(abs(x[t]) <= limit for key in keys for x in key for t in free),
                      "the witness lies in the boundary box")
@@ -950,9 +975,18 @@ class InnerCertification:
         return out
 
     def scan_f_kills_boundaries(self):
-        """Check f(d(w)) = 0 for degree-3 derived wedges on the boundary
-        box: exhaustive when the box is small, else a deterministic
-        leading sample of 2000 wedges.  Returns (checked, exhaustive).
+        """Check f(d(w)) = 0 for the degree-3 derived wedges w of the
+        boundary box (capped at 20000 elements) with two factors in a
+        pool.  Returns (checked, exhaustive).
+
+        With at most F_SCAN_EXHAUSTIVE derived elements in the box, the
+        pool is all of them and the scan is exhaustive; else it is the
+        F_SCAN_POOL lightest ones.  Those lie in box(r) for the least r
+        whose elements of weight <= r include F_SCAN_POOL derived ones,
+        or in the whole box when no r up to its radius does (the weight
+        is an l1 size, the box a max-norm box).  So the boundary box is
+        never built: its derived elements are counted lazily, and the
+        third factor is tested for membership on its coordinates.
 
         The scan runs on wedge keys: f of a 2-wedge key (a, b) is the
         integer coordinate vector proj(a), so f(d(w)) is an integer sum
@@ -960,39 +994,33 @@ class InnerCertification:
         tuple.  It keeps its own pair walk: a triple counts once any two
         of its factors lie in the pool, which ``enumerate_keys`` does not
         walk, so moving it would change the reported wedge count."""
-        spec = self.spec
+        spec, zc = self.spec, self.z.coords
+        free, pair, sub = spec.free_indices, spec.pair_coords, spec.sub_coords
         radius = _capped_radius(spec, self.boundary_radius, 20000)
-        support = [x for x in box_by_weight(spec, radius)
-                   if x.is_derived_element()]
-        exhaustive = len(support) ** 2 <= 400000
-        checked = 0
-        pool = support if exhaustive else support[:63]
-        members = {x.coords for x in support}
-        add, zc = spec.add_coords, self.z.coords
-        proj_coords = self.qspace.proj_coords
-        projs = {}
-        negs = [tuple(-c for c in x.coords) for x in pool]
-        seen = set()
-        for (i, u), (j, v) in itertools.combinations(enumerate(x.coords for x in pool), 2):
-            w = add(add(zc, negs[i]), negs[j])
-            if w not in members or w == u or w == v:
-                continue
-            _, key = _sort_sign((u, v, w))
-            if key in seen:
-                continue
-            seen.add(key)
+        units = [tuple(int(i == j) for i in range(len(zc))) for j in range(len(zc))]
+        member = functools.cache(lambda x: all(abs(x[t]) <= radius for t in free)
+                                 and any(pair(x, e) for e in units))
+        exhaustive = sum(1 for _ in itertools.islice(
+            filter(member, itertools.product(*_box_ranges(spec, radius))),
+            F_SCAN_EXHAUSTIVE + 1)) <= F_SCAN_EXHAUSTIVE
+        for r in range(radius if exhaustive else 0, radius + 1):
+            pool = [x.coords for x in box_by_weight(spec, r)
+                    if x.is_derived_element() and (r == radius or x.weight() <= r)]
+            if len(pool) >= F_SCAN_POOL:
+                break
+        keys = {}
+        for u, v in itertools.combinations(pool if exhaustive else pool[:F_SCAN_POOL], 2):
+            w = sub(sub(zc, u), v)
+            if w != u and w != v and member(w):
+                keys.setdefault(_sort_sign((u, v, w))[1])
+        proj = functools.cache(self.qspace.proj_coords)
+        for key in keys:
             total = [0] * self.qspace.dim
             for coeff, (a, _) in _boundary_terms(spec, key):
-                proj = projs.get(a)
-                if proj is None:
-                    proj = projs[a] = proj_coords(a)
-                for t, x in enumerate(proj):
+                for t, x in enumerate(proj(a)):
                     total[t] += coeff * x
             _require(not any(total), "f(d(w)) = 0")
-            checked += 1
-            if not exhaustive and checked >= 2000:
-                break
-        return checked, exhaustive
+        return len(keys), exhaustive
 
 
 def _inner_params(spec, z, box_radius):
@@ -1018,10 +1046,8 @@ def outer_h2_certify(spec, z, box_radius):
     basis wedge for two choices of y.  The identity bounds every cycle
     at once (d Phi2 c = c - Phi1 d c = c when d c = 0), so only the
     first five cycle basis vectors get an explicit serialized witness.
-
-    The scan runs on wedge keys; wedges are built only for the witness
-    columns.  If the identity fails on any wedge for some y, the entry
-    is refuted."""
+    The scan and the witnesses run on wedge keys and build no wedge.  If
+    the identity fails on any wedge for some y, the entry is refuted."""
     if z.in_kernel_mu():
         raise ValueError("outer certification needs z outside ker mu")
     support = box_support(spec, box_radius)
@@ -1045,14 +1071,11 @@ def outer_h2_certify(spec, z, box_radius):
         per_y.append((hom, {"y": list(y.coords), "wedges_checked": len(keys),
                             "identity_holds": holds}))
 
+    params = {"spec": spec.describe()["group"], "z": list(z.coords), "box": box_radius}
     if not all(entry["identity_holds"] for _, entry in per_y):
-        return CheckResult(
-            "outer-exactness",
-            {"spec": spec.describe()["group"], "z": list(z.coords),
-             "box": box_radius},
-            REFUTED,
-            {"per_y": [e for _, e in per_y],
-             "note": "homotopy identity failed"})
+        return CheckResult("outer-exactness", params, REFUTED,
+                           {"per_y": [e for _, e in per_y],
+                            "note": "homotopy identity failed"})
 
     # d_2 to C_1 is one coordinate (the [z] coefficient), so the cycle
     # space misses one dimension whenever some wedge hits it.  A dense
@@ -1061,21 +1084,19 @@ def outer_h2_certify(spec, z, box_radius):
     pivot = next((col for col, d2 in enumerate(d2s) if d2), None)
     cycle_dim = len(keys) - (1 if pivot is not None else 0)
 
+    # A witness cycle c is held as den * c on integer keys (den = d2s[pivot],
+    # or 1 for a cycle column): d(scale * den * Phi_2(c)) = scale * den * c.
     hom = per_y[0][0]
     witnesses = []
-    for col in range(len(keys)):
-        if len(witnesses) >= 5:
-            break
-        if col == pivot:
-            continue
-        terms = {keys[col]: Fraction(1)}
-        if d2s[col]:
-            terms[keys[pivot]] = Fraction(-d2s[col], d2s[pivot])
-        c = WedgeChain.from_keys(spec, 2, terms)
-        x = hom.phi2(c)
-        _require(boundary(x) == c, "d(Phi_2(c)) = c")
-        witnesses.append({"cycle": serialize_chain(c),
-                          "preimage": serialize_chain(x)})
+    for col in itertools.islice((col for col in range(len(keys)) if col != pivot), 5):
+        cycle = ({keys[col]: d2s[pivot], keys[pivot]: -d2s[col]} if d2s[col]
+                 else {keys[col]: 1})
+        den = cycle[keys[col]]
+        x = hom.phi2_keys(cycle)
+        _require(_key_boundary(spec, x) == {key: hom.scale * c for key, c in cycle.items()},
+                 "d(Phi_2(c)) = c")
+        witnesses.append({"cycle": _serialize_keys(cycle, den),
+                          "preimage": _serialize_keys(x, hom.scale * den)})
 
     details = {
         "wedges": len(keys),
@@ -1086,10 +1107,7 @@ def outer_h2_certify(spec, z, box_radius):
         "per_y": [e for _, e in per_y],
         "witnesses": witnesses,
     }
-    return CheckResult(
-        "outer-exactness",
-        {"spec": spec.describe()["group"], "z": list(z.coords), "box": box_radius},
-        CERTIFIED, details)
+    return CheckResult("outer-exactness", params, CERTIFIED, details)
 
 
 # ---------------------------------------------------------------------------
@@ -1442,6 +1460,11 @@ def linear_extension_check(spec, box_radius, trials, seed):
 OMEGA_SCAN_BUDGET = 10 ** 6
 OMEGA_PRIMITIVE_POOL = 350
 OMEGA_FARKAS_POOL = 120
+# The inner f-boundary scan pairs the F_SCAN_POOL lightest derived
+# elements of its box, or all of them when there are at most
+# F_SCAN_EXHAUSTIVE (632 ** 2 <= 400000 < 633 ** 2).
+F_SCAN_POOL = 63
+F_SCAN_EXHAUSTIVE = 632
 
 
 def omega_cocycle(spec, z):

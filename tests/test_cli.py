@@ -322,8 +322,9 @@ from goldman.cli import main
 
 if not sys.flags.optimize:
     sys.exit("run with python -O")
-phi2 = verify.ContractingHomotopy.phi2
-verify.ContractingHomotopy.phi2 = lambda self, c: 2 * phi2(self, c)
+phi2_keys = verify.ContractingHomotopy.phi2_keys
+verify.ContractingHomotopy.phi2_keys = lambda self, terms: {
+    key: 2 * c for key, c in phi2_keys(self, terms).items()}
 sys.exit(main(["homology", "--surface", "1,2", "--box", "1",
                "--grading", "0,0,1,0;1,0,0,0", "--format", "json"]))
 """
@@ -470,9 +471,9 @@ def test_homology_zero_form_notice(tmp_path, capsys):
 
 
 def test_homology_reports_a_failed_identity_in_its_row(monkeypatch, capsys):
-    phi2 = verify.ContractingHomotopy.phi2
-    monkeypatch.setattr(verify.ContractingHomotopy, "phi2",
-                        lambda self, c: 2 * phi2(self, c))
+    phi2_keys = verify.ContractingHomotopy.phi2_keys
+    monkeypatch.setattr(verify.ContractingHomotopy, "phi2_keys", lambda self, terms: {
+        key: 2 * c for key, c in phi2_keys(self, terms).items()})
     code, out, err = run(capsys, "homology", "--surface", "1,0", "--box", "2",
                          "--grading", "0,0;1,0")
     assert code == 1 and err == ""

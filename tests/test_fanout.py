@@ -89,9 +89,39 @@ def test_one_unit_or_one_cpu_runs_in_this_process(cpus, monkeypatch):
     assert pools == []
 
 
+def test_sixty_four_units_go_in_chunks_and_keep_their_order(cpus, monkeypatch):
+    chunks = []
+    executor = concurrent.futures.process.ProcessPoolExecutor
+    pool_map = executor.map
+    monkeypatch.setattr(executor, "map", lambda self, fn, *its, **kw: (
+        chunks.append(kw.get("chunksize", 1)), pool_map(self, fn, *its, **kw))[1])
+    pools = cpus(2)
+    parent = os.getpid()
+    out = fan_out(lambda x: (x, os.getpid()), list(range(64)))
+    assert [x for x, _ in out] == list(range(64))
+    assert parent not in {pid for _, pid in out}
+    # Golden's suites, at most 8 units on 2 CPUs, keep chunks of 1.
+    assert fan_out(lambda x: x * x, list(range(8))) == [x * x for x in range(8)]
+    assert (pools, chunks) == ([2, 2], [8, 1])
+
+    def unit(x):
+        if x == 37:
+            raise ValueError("unit %d failed" % x)
+        return x
+    with pytest.raises(ValueError, match="^unit 37 failed$"):
+        fan_out(unit, list(range(64)))
+    assert multiprocessing.active_children() == []
+
+    pools = cpus(1)
+    assert fan_out(lambda x: (x, os.getpid()), list(range(64))) == [
+        (x, parent) for x in range(64)]
+    assert pools == []
+
+
 def test_refuted_gradings_stay_in_their_slots(cpus, monkeypatch):
-    phi2 = ContractingHomotopy.phi2
-    monkeypatch.setattr(ContractingHomotopy, "phi2", lambda self, c: 2 * phi2(self, c))
+    phi2_keys = ContractingHomotopy.phi2_keys
+    monkeypatch.setattr(ContractingHomotopy, "phi2_keys", lambda self, terms: {
+        key: 2 * c for key, c in phi2_keys(self, terms).items()})
     z2 = symplectic_z2()
     zs = [z2.element(c) for c in ([1, 0], [0, 1], [1, 1])]
     s = surface_presentation(1, 2)

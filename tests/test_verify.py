@@ -248,6 +248,43 @@ def test_homotopy_bounds_cycles():
     assert boundary(x) == cycle
 
 
+def _reference_outer_witnesses(spec, z, box, y):
+    """The five outer cycle witnesses by the chain path: Fraction cycles,
+    Phi_2 of a WedgeChain, its boundary, then serialize_chain."""
+    keys = _scan_keys(spec, z, box)
+    d2s = [-spec.pair_coords(*key) for key in keys]
+    pivot = next((col for col, d2 in enumerate(d2s) if d2), None)
+    hom = ContractingHomotopy(spec, z, y)
+    out = []
+    for col in [col for col in range(len(keys)) if col != pivot][:5]:
+        terms = {keys[col]: Fraction(1)}
+        if d2s[col]:
+            terms[keys[pivot]] = Fraction(-d2s[col], d2s[pivot])
+        c = WedgeChain.from_keys(spec, 2, terms)
+        x = hom.phi2(c)
+        assert boundary(x) == c
+        out.append({"cycle": verify.serialize_chain(c),
+                    "preimage": verify.serialize_chain(x)})
+    return out
+
+
+@pytest.mark.parametrize("spec, zc, box", [
+    (symplectic_z2(), (1, 0), 2),
+    (symplectic_z2(), (1, 2), 2),
+    (symplectic_z2(), (2, -1), 3),
+    (surface_presentation(1, 2), (1, 0, 0, 0), 2),
+    (surface_presentation(1, 2), (1, 1, 1, 0), 2),
+    (surface_presentation(1, 2), (0, 1, -1, 0), 3),
+], ids=["z2-10", "z2-12", "z2-2m1", "s12-1000", "s12-1110", "s12-01m10"])
+def test_outer_witnesses_on_keys_match_the_chain_path(spec, zc, box):
+    z = spec.element(list(zc))
+    r = outer_h2_certify(spec, z, box)
+    assert r.verdict == CERTIFIED
+    y = spec.canonical(r.details["y_choices"][0])
+    assert r.details["witnesses"] == _reference_outer_witnesses(spec, z, box, y)
+    assert len(r.details["witnesses"]) == 5
+
+
 def test_homotopy_rejects_radical_gradings_and_bad_y():
     z2 = symplectic_z2()
     with pytest.raises(ValueError):
@@ -658,6 +695,59 @@ def test_inner_f_scan_rechecks_every_boundary(monkeypatch):
     with pytest.raises(CertificateError) as info:
         inner.scan_f_kills_boundaries()
     assert info.value.identity == "f(d(w)) = 0"
+
+
+def _reference_f_scan(inner):
+    """The f-boundary scan as first written, over the whole boundary box:
+    (checked, exhaustive, the set of triple keys it checks)."""
+    spec = inner.spec
+    radius = verify._capped_radius(spec, inner.boundary_radius, 20000)
+    support = [x for x in verify.box_by_weight(spec, radius) if x.is_derived_element()]
+    exhaustive = len(support) ** 2 <= 400000
+    pool = support if exhaustive else support[:63]
+    members = {x.coords for x in support}
+    add, zc = spec.add_coords, inner.z.coords
+    negs = [tuple(-c for c in x.coords) for x in pool]
+    keys = []
+    for (i, u), (j, v) in itertools.combinations(enumerate(x.coords for x in pool), 2):
+        w = add(add(zc, negs[i]), negs[j])
+        if w not in members or w == u or w == v:
+            continue
+        _, key = verify._sort_sign((u, v, w))
+        if key not in keys:
+            keys.append(key)
+        if not exhaustive and len(keys) >= 2000:
+            break
+    return len(keys), exhaustive, set(keys)
+
+
+@pytest.mark.parametrize("spec, zc, box", [
+    (symplectic_z2(), (0, 0), 2),
+    (symplectic_z2(), (0, 0), 12),
+    (surface_presentation(1, 2), (0, 0, 0, 0), 3),
+    (surface_presentation(1, 2), (0, 0, 0, 1), 3),
+    (surface_presentation(1, 2), (0, 0, 0, 2), 3),
+    (z2_z2torsion(), (0, 0, 0), 3),
+    (surface_presentation(3, 2), (0,) * 8, 1),
+], ids=["z2-box2", "z2-box12", "s12-z0", "s12-z1", "s12-z2", "torsion-box3",
+        "s32-box1-fallback"])
+def test_f_scan_matches_the_whole_box_scan(spec, zc, box, monkeypatch):
+    # The pool and the membership test come without the boundary box, and
+    # the scan checks exactly the triples of the scan over the whole box.
+    inner = inner_h2_certify(spec, spec.canonical(list(zc)), box)
+    seen = []
+    terms = verify._boundary_terms
+    monkeypatch.setattr(verify, "_boundary_terms",
+                        lambda spec, key: seen.append(key) or terms(spec, key))
+    checked, exhaustive = inner.scan_f_kills_boundaries()
+    # Only the exhaustive scan reads its boundary box whole.
+    assert (3 * box in spec._boxes) == exhaustive == (box == 2)
+    assert len(seen) == len(set(seen)) == checked
+    assert (checked, exhaustive, set(seen)) == _reference_f_scan(inner)
+    if box == 1:
+        # The 63 lightest derived elements are not all of weight <= 1,
+        # so the pool comes from the whole box at radius 1.
+        assert checked == 1318
 
 
 # ---------------------------------------------------------------------------
@@ -1280,8 +1370,9 @@ def test_corrupted_projection_is_refuted_under_python_O(tmp_path):
 
 def test_outer_and_omega_suites_report_failed_identities(monkeypatch):
     z2 = symplectic_z2()
-    phi2 = ContractingHomotopy.phi2
-    monkeypatch.setattr(ContractingHomotopy, "phi2", lambda self, c: 2 * phi2(self, c))
+    phi2_keys = ContractingHomotopy.phi2_keys
+    monkeypatch.setattr(ContractingHomotopy, "phi2_keys", lambda self, terms: {
+        key: 2 * c for key, c in phi2_keys(self, terms).items()})
     (entry,) = cli.run_outer_suite(z2, [z2.element([1, 0])], 1)
     assert entry.verdict == "refuted"
     assert entry.details == {"failed_identity": "d(Phi_2(c)) = c"}
@@ -1308,8 +1399,9 @@ def test_main_theorem_rechecks_radical_cycles(monkeypatch):
 
 def test_main_theorem_refutes_one_grading_and_keeps_the_others(monkeypatch):
     s = surface_presentation(1, 2)
-    phi2 = ContractingHomotopy.phi2
-    monkeypatch.setattr(ContractingHomotopy, "phi2", lambda self, c: 2 * phi2(self, c))
+    phi2_keys = ContractingHomotopy.phi2_keys
+    monkeypatch.setattr(ContractingHomotopy, "phi2_keys", lambda self, terms: {
+        key: 2 * c for key, c in phi2_keys(self, terms).items()})
     radical, derived = s.element([0, 0, 1, 0]), s.element([1, 0, 0, 0])
     inner, outer = main_theorem_check(s, [radical, derived], 1)
     assert (inner.verdict, inner.details["component"]) == ("certified", "inner")
