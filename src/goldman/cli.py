@@ -220,21 +220,22 @@ def parse_gradings(spec, grading_args):
     return picks, [list(x.coords) for x in picks]
 
 
-def resolve_selection(spec, selection, radius, caps):
-    """Turn the parse_gradings result into {cap: (picks, capped)}, one
-    capped element list per cap in ``caps``.
+def resolve_selection(spec, selection, radius, cap):
+    """Turn the parse_gradings result into (picks, capped): the gradings
+    of one suite, at most ``cap`` of them for a default or all-in-box
+    sweep, and whether the sweep was cut.  Explicit vectors run in full.
 
-    The default and all-in-box selections sort the box once for every
-    cap; each cap takes a prefix of that order.  The default order is
-    the zero, the radical generators g and 2g that lie in the box (four
-    elements at most), then the derived elements by sort key; it is
-    capped only when the radical head alone exceeds the cap.
+    The sweeps take a prefix of the box in weight order (sorted once
+    per box by ``box_by_weight``).  The default order is the zero, the
+    radical generators g and 2g that lie in the box (four elements at
+    most), then the derived elements by sort key; it is capped only when
+    the radical head alone exceeds the cap.
     """
-    if not caps or selection not in (None, "all-in-box"):
-        return {cap: (list(selection), False) for cap in caps}
+    if selection not in (None, "all-in-box"):
+        return list(selection), False
     ordered = box_by_weight(spec, radius)
     if selection == "all-in-box":
-        return {cap: (ordered[:cap], len(ordered) > cap) for cap in caps}
+        return ordered[:cap], len(ordered) > cap
     head = [spec.zero]
     for g in spec.kernel_basis_elements():
         for cand in (g, g + g):
@@ -242,8 +243,8 @@ def resolve_selection(spec, selection, radius, caps):
             if inside and cand not in head and len(head) < 4:
                 head.append(cand)
     derived = (x for x in ordered if x.is_derived_element())
-    picks = head + list(itertools.islice(derived, max(max(caps) - len(head), 0)))
-    return {cap: (picks[:cap], len(head) > cap) for cap in caps}
+    picks = head + list(itertools.islice(derived, max(cap - len(head), 0)))
+    return picks[:cap], len(head) > cap
 
 
 # ---------------------------------------------------------------------------
@@ -299,10 +300,10 @@ def run_bracket_suite(spec, seed):
 
 def _probe_cochain(spec, degree):
     """A deterministic nonlinear cochain used for duality sampling."""
-    def rule(w):
+    def rule(key):
         total = 0
-        for i, f in enumerate(w.factors):
-            row = sum((j + 2) * c for j, c in enumerate(f.coords))
+        for i, f in enumerate(key):
+            row = sum((j + 2) * c for j, c in enumerate(f))
             total += (i + 1) * row + row * row
         return Fraction(total)
     return Cochain(spec, degree, rule=rule)
@@ -319,7 +320,7 @@ def run_complex_suite(spec, seed):
             continue
         if not boundary(boundary(c)).is_zero():
             return CheckResult("complex-squares-to-zero", {"seed": seed}, REFUTED,
-                               {"failed": "d o d", "chain": serialize_chain(c)})
+                               {"failed": "d o d", "chain": serialize_chain(c.terms, 1)})
         squared += 1
     duality = 0
     for _ in range(max(1, COMPLEX_WEDGES // 3)):
@@ -330,7 +331,7 @@ def run_complex_suite(spec, seed):
         eta = _probe_cochain(spec, p)
         if coboundary(eta, p).evaluate(c) != eta.evaluate(boundary(c)):
             return CheckResult("complex-squares-to-zero", {"seed": seed}, REFUTED,
-                               {"failed": "duality", "chain": serialize_chain(c)})
+                               {"failed": "duality", "chain": serialize_chain(c.terms, 1)})
         duality += 1
     return CheckResult("complex-squares-to-zero", {"seed": seed}, CERTIFIED,
                        {"squared_wedges": squared, "duality_samples": duality})
@@ -445,8 +446,8 @@ def run_linext_suite(spec, box, seed):
 def build_verify_tasks(spec, source, args, selection):
     """One callable per suite, in report order, and the report notes.
 
-    The gradings of every sweeping suite come from one resolve_selection
-    call, so the box is sorted once per run.
+    Each sweeping suite takes its gradings from resolve_selection at its
+    own cap.
     """
     suites = SUITES if args.suite == "all" else (args.suite,)
     swept = selection in (None, "all-in-box")
@@ -455,10 +456,9 @@ def build_verify_tasks(spec, source, args, selection):
     caps = {name: SWEEP_CAPS[name] for name in suites
             if name in ("inner", "outer", "omega", "gk")
             or (name == "h1" and h1_capped)}
-    resolved = resolve_selection(spec, selection, args.box, set(caps.values()))
     picks, notes = {}, {}
     for name, cap in caps.items():
-        picks[name], capped = resolved[cap]
+        picks[name], capped = resolve_selection(spec, selection, args.box, cap)
         if capped or name == "h1":
             notes[name] = {"gradings_capped_at": cap}
     h1_gradings = picks.get("h1", None if swept else list(selection))
@@ -643,7 +643,7 @@ def cmd_homology(args):
     spec, source = load_spec(args)
     _check_box_budget(spec, args.box)
     selection, label = parse_gradings(spec, args.grading)
-    gradings, capped = resolve_selection(spec, selection, args.box, (64,))[64]
+    gradings, capped = resolve_selection(spec, selection, args.box, 64)
     results = main_theorem_check(spec, gradings, args.box)
     dicts = [r.to_dict() for r in results]
     summary = summarize(dicts)

@@ -17,10 +17,11 @@ The differential of degrees 2, 3 and 4 is unrolled; higher degrees run
 the general loop.  Its coordinate arithmetic is the group's generated
 straight-line code (see goldman.groups).
 
-A chain (``WedgeChain``) is a rational combination of wedges of one
-degree, with the sparse arithmetic that vectors of Q[H] share
-(``goldman.algebra``).  The differential runs on wedge keys, and
-``WedgeChain.from_keys`` is the one way back from {key: coefficient}.
+A wedge is labelled by its key: the strictly increasing tuple of its
+factors' canonical coordinate tuples.  A chain (``WedgeChain``) is
+{key: Fraction} for wedges of one degree, with the sparse arithmetic
+that vectors of Q[H] share (``goldman.algebra``); the differential,
+cochains, bases and the scans of ``goldman.verify`` all read keys.
 
 The label sum u_1 + ... + u_p is the grading of a wedge; every term of
 d(w) has the grading of w because each summand replaces u_i, u_j by
@@ -35,8 +36,8 @@ and, when asked for, in weight order; a box over the element budget is
 refused before anything is enumerated.  The boundary of a truncated
 chain may leave the enumerated support; terms are kept rather than
 dropped, so a rank computation never silently loses boundary mass.
-A cochain is a rule on wedges, evaluated lazily and cached, so it is
-defined on every wedge and has no truncation edge.
+A cochain is a rule on wedge keys, evaluated lazily and cached, so it
+is defined on every wedge and has no truncation edge.
 
 >>> from goldman.groups import GroupSpec
 >>> z2 = GroupSpec(2, form=[[0, 1], [-1, 0]])
@@ -50,6 +51,8 @@ defined on every wedge and has no truncation edge.
 3
 >>> boundary(boundary(w)).is_zero()
 True
+>>> c.terms
+{((0, 1), (1, 0)): Fraction(-1, 1)}
 >>> c.common_grading().coords
 (1, 1)
 """
@@ -112,6 +115,9 @@ def _sort_sign(factors):
     return sign, tuple(factors)
 
 
+# The object form of a wedge key.  Chains, cochains and bases are
+# labelled by keys, and no command builds a Wedge; the class stays for
+# the per-layer hooks of bench/hooks.py, which name Wedge.make.
 class Wedge:
     """A basis wedge: strictly increasing distinct labels, length >= 1.
 
@@ -154,13 +160,13 @@ class Wedge:
 
 
 class WedgeChain(SparseCombination):
-    """A finite rational combination of wedges of one common degree;
-    chains add and compare at the same spec and degree, and serialize
-    by ``Wedge.sort_key``."""
+    """A finite rational combination of wedges of one common degree,
+    labelled by their keys; chains add and compare at the same spec and
+    degree, and serialize in key order."""
 
     __slots__ = ("degree",)
-    _term_format = "%s*(%r)"
-    _label_key = staticmethod(Wedge.sort_key)
+    _term_format = "%s*%r"
+    _label_key = staticmethod(lambda key: key)
     # Bound here as well: the per-layer hooks of bench/hooks.py time
     # chain additions and look methods up in the class's own namespace.
     __add__ = SparseCombination.__add__
@@ -171,50 +177,54 @@ class WedgeChain(SparseCombination):
 
     @classmethod
     def from_keys(cls, spec, degree, terms):
-        """The chain of {wedge key: Fraction coefficient}, keys as
-        ``Wedge.sort_key`` gives them; zero coefficients are dropped."""
-        return cls._trusted(spec, degree, {_wedge_of(spec, key): c
-                                           for key, c in terms.items() if c})
+        """The chain of {wedge key: Fraction coefficient} with the zero
+        coefficients dropped; the keys are trusted."""
+        return cls._trusted(spec, degree, {key: c for key, c in terms.items() if c})
 
     def _space(self):
         return (self.spec, self.degree)
 
-    def _check(self, w):
-        if w.degree != self.degree:
-            raise ValueError("wedge of degree %d in a degree-%d chain"
-                             % (w.degree, self.degree))
+    def _check(self, key):
+        # An unsorted key would be a second label of the same wedge.
+        if len(key) != self.degree or any(b <= a for a, b in zip(key, key[1:])):
+            raise ValueError("%r is not the key of a degree-%d wedge" % (key, self.degree))
 
     def common_grading(self):
-        """The shared grading of all terms; None for the zero chain.
+        """The shared grading of all terms, a GroupElement; None for the
+        zero chain.
 
         Raises ValueError when terms have mixed gradings, which signals
         a bookkeeping bug in the caller.
         """
-        z = None
-        for w in self.terms:
-            g = w.grading()
-            if z is None:
-                z = g
-            elif g != z:
-                raise ValueError("chain mixes gradings %r and %r" % (z, g))
-        return z
+        gradings = {_key_grading(self.spec, key) for key in self.terms}
+        if len(gradings) > 1:
+            raise ValueError("chain mixes gradings %s" % sorted(gradings))
+        return GroupElement(self.spec, gradings.pop()) if gradings else None
 
     def graded_part(self, z):
         """The sub-chain of terms with grading z."""
         return WedgeChain._trusted(self.spec, self.degree,
-                                   {w: c for w, c in self.terms.items()
-                                    if w.grading() == z})
+                                   {key: c for key, c in self.terms.items()
+                                    if _key_grading(self.spec, key) == z.coords})
+
+
+def _key_grading(spec, key):
+    """The grading of a wedge key: the coordinates of its factor sum."""
+    return functools.reduce(spec.add_coords, key)
 
 
 def wedge_chain(spec, elements, coeff=1):
     """The chain coeff * [e_1] ^ ... ^ [e_p], normalized.
 
     Factors may arrive in any order; sorting contributes the permutation
-    sign, and a repeated factor gives the zero chain.
+    sign, and a repeated factor gives the zero chain.  A factor of
+    another group raises ValueError.
     """
     elements = list(elements)
-    sign, w = Wedge.make(elements)
-    terms = {w: Fraction(coeff * sign)} if sign and coeff else {}
+    if any(e.spec is not spec for e in elements):
+        raise ValueError("wedge factor belongs to a different group")
+    sign, key = _sort_sign([e.coords for e in elements])
+    terms = {key: Fraction(coeff * sign)} if sign and coeff else {}
     return WedgeChain._trusted(spec, len(elements), terms)
 
 
@@ -222,9 +232,9 @@ def _boundary_terms(spec, key):
     """(integer coefficient, key) pairs of d of one wedge, unmerged.
 
     A key is a wedge as the strictly increasing tuple of its factors'
-    canonical coordinate tuples (``Wedge.sort_key``).  This is the one
-    implementation of the differential; ``boundary``, ``coboundary`` and
-    the certification scans all evaluate it.
+    canonical coordinate tuples.  This is the one implementation of the
+    differential; ``boundary``, ``coboundary`` and the certification
+    scans all evaluate it.
     """
     pair, add = spec.pair_coords, spec.add_coords
     p = len(key)
@@ -289,9 +299,15 @@ def _boundary_terms(spec, key):
     return out
 
 
-def _wedge_of(spec, key):
-    """The Wedge with the given key."""
-    return Wedge([GroupElement(spec, coords) for coords in key])
+def _key_boundary(spec, terms):
+    """d of the chain {wedge key: coefficient}, as {key: nonzero
+    coefficient}: the one accumulation of ``_boundary_terms``, which
+    ``boundary`` and the integer scans of ``goldman.verify`` share."""
+    acc = {}
+    for key, c in terms.items():
+        for bc, face in _boundary_terms(spec, key):
+            acc[face] = acc.get(face, 0) + c * bc
+    return {face: c for face, c in acc.items() if c}
 
 
 def boundary(c):
@@ -302,20 +318,11 @@ def boundary(c):
     """
     if c.degree < 1:
         raise ValueError("boundary needs degree >= 1")
-    spec = c.spec
-    acc = {}
-    for w, coeff in c.terms.items():
-        for bc, key in _boundary_terms(spec, w.sort_key()):
-            total = acc.get(key, 0) + coeff * bc
-            if total:
-                acc[key] = total
-            else:
-                del acc[key]
-    return WedgeChain.from_keys(spec, c.degree - 1, acc)
+    return WedgeChain._trusted(c.spec, c.degree - 1, _key_boundary(c.spec, c.terms))
 
 
 class Cochain:
-    """A cochain of one degree, given by a rule wedge -> rational.
+    """A cochain of one degree, given by a rule wedge key -> rational.
 
     Each value is computed by ``rule`` on first use and cached, so a
     coboundary evaluates the cochain it is built on once per wedge.
@@ -329,10 +336,10 @@ class Cochain:
         self.rule = rule
         self._values = {}
 
-    def value(self, w):
-        v = self._values.get(w)
+    def value(self, key):
+        v = self._values.get(key)
         if v is None:
-            v = self._values[w] = Fraction(self.rule(w))
+            v = self._values[key] = Fraction(self.rule(key))
         return v
 
     def evaluate(self, chain):
@@ -340,8 +347,8 @@ class Cochain:
         if chain.degree != self.degree:
             raise ValueError("degree mismatch")
         total = Fraction(0)
-        for w, coeff in chain.terms.items():
-            total += coeff * self.value(w)
+        for key, coeff in chain.terms.items():
+            total += coeff * self.value(key)
         return total
 
 
@@ -352,10 +359,10 @@ def coboundary(eta, p):
 
     spec = eta.spec
 
-    def rule(w):
+    def rule(key):
         total = Fraction(0)
-        for coeff, key in _boundary_terms(spec, w.sort_key()):
-            total += coeff * eta.value(_wedge_of(spec, key))
+        for coeff, face in _boundary_terms(spec, key):
+            total += coeff * eta.value(face)
         return total
 
     return Cochain(eta.spec, p + 1, rule)
@@ -367,9 +374,8 @@ def enumerate_keys(spec, pool, p, z, last=None):
     (the pool when omitted).
 
     ``pool`` is an ascending list of distinct canonical coordinate
-    tuples and z a coordinate tuple; a key is the ascending tuple of a
-    wedge's factors (``Wedge.sort_key``).  The last factor is determined
-    by the grading, so the walk runs over (p-1)-subsets of the pool in
+    tuples and z a coordinate tuple.  The last factor is determined by
+    the grading, so the walk runs over (p-1)-subsets of the pool in
     lexicographic order, and the keys come out ascending.  This is the
     one basis enumerator.  A degree below 1 raises ValueError at once.
     """
@@ -393,24 +399,10 @@ def _walk_keys(sub, pool, p, z, last):
                 yield prefix + (x, y)
 
 
-def enumerate_basis(support, p, z, restrict="full"):
-    """All degree-p wedges with factors in ``support`` and grading z.
-
-    ``restrict`` filters the support first: "full" keeps everything,
-    and "derived-only" keeps labels pairing nonzero with something.
-    Output is sorted by factor coordinates; the keys come from
-    ``enumerate_keys``.
-    """
-    if restrict == "full":
-        pool = list(support)
-    elif restrict == "derived-only":
-        pool = [x for x in support if x.is_derived_element()]
-    else:
-        raise ValueError("unknown restriction %r" % (restrict,))
-    pool.sort()
-    element = {x.coords: x for x in pool}
-    return [Wedge([element[x] for x in key])
-            for key in enumerate_keys(z.spec, list(element), p, z.coords)]
+def enumerate_basis(support, p, z):
+    """The keys of all degree-p wedges with factors in ``support`` (group
+    elements) and grading z, ascending; they come from ``enumerate_keys``."""
+    return list(enumerate_keys(z.spec, sorted({x.coords for x in support}), p, z.coords))
 
 
 # The most elements one box may hold.  A larger request is refused
@@ -489,6 +481,7 @@ def project_derived(c):
     composed with the inclusion of derived-only chains it is the
     identity.
     """
-    return WedgeChain._trusted(c.spec, c.degree, {
-        w: coeff for w, coeff in c.terms.items()
-        if all(f.is_derived_element() for f in w.factors)})
+    spec = c.spec
+    return WedgeChain._trusted(spec, c.degree, {
+        key: coeff for key, coeff in c.terms.items()
+        if all(GroupElement(spec, f).is_derived_element() for f in key)})

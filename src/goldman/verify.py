@@ -22,7 +22,9 @@ witnesses.  The certification patterns are:
 
   A column is its integer vector over W, and its witness is integer
   too: (scale, keys), integer coefficients on at most three 3-wedge
-  keys whose boundary is scale times the column.  Every kept column is
+  keys whose boundary is scale times the column.  A wedge key is the
+  ascending tuple of its factors' coordinate tuples, and a chain is
+  {key: Fraction} (``goldman.complexes``).  Every kept column is
   checked on integers: d of the keys, read on the rows of W, is scale
   times the vector, every key lies in the boundary box, and f summed
   over its rows is 0.  So the columns span a subspace of ker(f), and a
@@ -54,10 +56,9 @@ witnesses.  The certification patterns are:
   have denominators dividing 2 lam^2 (lam = <y, z>); multiplied by D,
   the lcm of their denominators, every term of
   D (Phi_1 d_2 + d_3 Phi_2 - id)(w) is an integer.  The check sums those
-  terms in one integer dict over wedge keys (sorted tuples of
-  coordinate tuples) and tests it for zero, which is exact over Z.  The
-  scan walks the keys (u, z-u) of the slice and builds no wedge objects
-  for them.  Each distinct boundary is computed once, while every wedge
+  terms in one integer dict over wedge keys and tests it for zero,
+  which is exact over Z; the scan walks the keys (u, z-u) of the
+  slice.  Each distinct boundary is computed once, while every wedge
   is still checked in full: d_2 of a key once per grading (both y's and
   the cycle space share it), d_3 of the tail wedge once per homotopy,
   and d_3 of a shift term once for the two wedges whose Phi_2 contains
@@ -100,6 +101,8 @@ from goldman.complexes import (
     Cochain,
     WedgeChain,
     _boundary_terms,
+    _key_boundary,
+    _key_grading,
     _sort_sign,
     _box_ranges,
     _box_size,
@@ -111,7 +114,7 @@ from goldman.complexes import (
     project_derived,
     wedge_chain,
 )
-from goldman.groups import smith_normal_form, surface_presentation
+from goldman.groups import GroupElement, smith_normal_form, surface_presentation
 from goldman.linalg import (
     CertificateError,
     SparseRationalMatrix,
@@ -159,29 +162,17 @@ def _capped_radius(spec, radius, cap):
 
 
 def frac_str(q):
-    q = Fraction(q)
+    """An int or a Fraction as "n" or "n/d"; nothing is converted."""
     return "%d/%d" % (q.numerator, q.denominator) if q.denominator != 1 else str(q.numerator)
 
 
-def serialize_chain(c):
-    """A chain as [coefficient, [factor coordinates...]] pairs."""
-    return [[frac_str(coeff), [list(f) for f in key]]
-            for coeff, key in c.to_pairs()]
-
-
-def _serialize_keys(terms, den):
-    """serialize_chain of the chain {wedge key: integer c} divided by den."""
-    return [[frac_str(Fraction(c, den)), [list(f) for f in key]]
+def serialize_chain(terms, den):
+    """The chain {wedge key: c / den} as [coefficient, [factor
+    coordinates...]] pairs in key order: ``WedgeChain.terms`` with den 1,
+    or integer key terms over their denominator.  Each coefficient is
+    built once, and with den 1 not at all."""
+    return [[frac_str(c if den == 1 else Fraction(c, den)), [list(f) for f in key]]
             for key, c in sorted(terms.items())]
-
-
-def _key_boundary(spec, terms):
-    """d of the chain {wedge key: integer}, as {key: nonzero integer}."""
-    acc = {}
-    for key, c in terms.items():
-        for bc, face in _boundary_terms(spec, key):
-            acc[face] = acc.get(face, 0) + c * bc
-    return {face: c for face, c in acc.items() if c}
 
 
 class CheckResult:
@@ -313,11 +304,10 @@ class QuotientTensorSpace:
                      for col in self._proj_cols)
 
 
-def f_on_ordered(qspace, elements):
-    """f of the 2-wedge with the ordered factors (u, z-u): the integer
-    coordinate tuple proj(u)."""
-    u, _ = elements
-    return qspace.proj(u)
+def f_on_ordered(qspace, key):
+    """f of the 2-wedge with the ordered factor coordinates (u, z-u): the
+    integer coordinate tuple proj(u)."""
+    return qspace.proj_coords(key[0])
 
 
 def f_map(c, qspace):
@@ -330,13 +320,13 @@ def f_map(c, qspace):
     if c.degree != 2:
         raise ValueError("f_map is defined on degree-2 chains, got degree %d"
                          % c.degree)
-    z = qspace.z
+    z = qspace.z.coords
     out = [0] * qspace.dim
-    for w, coeff in c.terms.items():
-        if w.grading() != z:
+    for key, coeff in c.terms.items():
+        if _key_grading(c.spec, key) != z:
             raise ValueError("chain term graded at %r, expected %r"
-                             % (w.grading(), z))
-        for j, x in enumerate(f_on_ordered(qspace, w.factors)):
+                             % (_key_grading(c.spec, key), z))
+        for j, x in enumerate(f_on_ordered(qspace, key)):
             out[j] += coeff * x
     return tuple(out)
 
@@ -473,7 +463,7 @@ def ideal_membership(c, box):
     def inside(x):
         return all(abs(x.coords[j]) <= limit for j in spec.free_indices)
 
-    factors = sorted({f for w in c.terms for f in w.factors},
+    factors = sorted({GroupElement(spec, f) for key in c.terms for f in key},
                      key=lambda e: e.sort_key())
     candidates = list(factors)
     for a, b in itertools.combinations(factors, 2):
@@ -495,14 +485,13 @@ def ideal_membership(c, box):
             # The chain is literally one generator; no solve needed.
             return True, {"witness": [["1", list(u.coords), list(v.coords)]],
                           "generators_tried": len(generators) + 1}
-        key = tuple(sorted(w.sort_key() for w in gen.terms))
+        key = tuple(sorted(gen.terms))
         if key in seen:
             continue
         seen.add(key)
         generators.append(((u, v), gen))
 
-    wedges = sorted({w for _, gen in generators for w in gen.terms}
-                    | set(c.terms), key=lambda w: w.sort_key())
+    wedges = sorted({w for _, gen in generators for w in gen.terms} | set(c.terms))
     index = {w: i for i, w in enumerate(wedges)}
     matrix = SparseRationalMatrix(len(wedges), len(generators))
     for col, (_, gen) in enumerate(generators):
@@ -555,9 +544,9 @@ class ContractingHomotopy:
                         + (tail <u-y, v-y> / 2 lam^2) [y] ^ [2y] ^ [z-3y]
 
     Phi_1 d_2 + d_3 Phi_2 = id holds on every basis wedge of the slice.
-    ``key_defect`` measures its failure on a wedge key, and
-    ``identity_defect`` on a wedge; a nonzero defect refutes the
-    certificate.
+    ``key_defect`` measures its failure on a wedge key as an integer
+    dict, and ``identity_defect`` as a chain; a nonzero defect refutes
+    the certificate.
 
     The five rational factors in front of the wedges are scaled by
     ``scale``, the lcm of their denominators, so the operators are
@@ -600,12 +589,10 @@ class ContractingHomotopy:
         self._tail_d3 = _boundary_terms(spec, key) if sign else []
         self._shared = {}
 
-    def _key(self, w):
-        """The key (u, v) of a grading-z 2-wedge."""
-        key = w.sort_key()
-        if self.spec.add_coords(*key) != self.z.coords:
+    def _check_graded(self, keys):
+        """Raise ValueError unless every 2-wedge key (u, v) has grading z."""
+        if any(self.spec.add_coords(*key) != self.z.coords for key in keys):
             raise ValueError("chain is not graded at z")
-        return key
 
     def _chain(self, scaled, degree):
         """The WedgeChain of {key: scale * coefficient}."""
@@ -673,8 +660,8 @@ class ContractingHomotopy:
     def phi2(self, c):
         if c.degree != 2:
             raise ValueError("Phi_2 consumes degree-2 chains")
-        return self._chain(self.phi2_keys({self._key(w): coeff
-                                           for w, coeff in c.terms.items()}), 3)
+        self._check_graded(c.terms)
+        return self._chain(self.phi2_keys(c.terms), 3)
 
     def key_defect(self, key, d2=None):
         """scale * (Phi_1 d_2 + d_3 Phi_2 - id) of the grading-z wedge
@@ -690,9 +677,11 @@ class ContractingHomotopy:
         acc[key] = acc.get(key, 0) - self.scale
         return {k: c for k, c in acc.items() if c}
 
-    def identity_defect(self, w):
-        """(Phi_1 d_2 + d_3 Phi_2 - id) of a basis wedge, exactly."""
-        return self._chain(self.key_defect(self._key(w)), 2)
+    def identity_defect(self, key):
+        """(Phi_1 d_2 + d_3 Phi_2 - id) of the basis wedge with this key,
+        as a chain."""
+        self._check_graded([key])
+        return self._chain(self.key_defect(key), 2)
 
 
 def _d2_coefficient(spec, key):
@@ -700,7 +689,7 @@ def _d2_coefficient(spec, key):
     return sum(coeff for coeff, _ in _boundary_terms(spec, key))
 
 
-def contracting_homotopy(spec, z, search_radius=2):
+def contracting_homotopy(spec, z, search_radius):
     """A ContractingHomotopy for grading z with y the smallest box
     element pairing nonzero with z."""
     for y in box_support(spec, search_radius):
@@ -756,7 +745,7 @@ class InnerCertification:
     """
 
     __slots__ = ("spec", "z", "box_radius", "boundary_radius",
-                 "effective_radius", "support", "wedges", "index",
+                 "effective_radius", "support", "wedges", "rows",
                  "qspace", "columns", "rank", "target_rank",
                  "f_rank", "box_image_rank", "result")
 
@@ -771,16 +760,17 @@ class InnerCertification:
         self.effective_radius = _capped_radius(spec, box_radius, INNER_SUPPORT_CAP)
         self.support = box_support(spec, self.effective_radius)
 
-        self.wedges = enumerate_basis(self.support, 2, z, "derived-only")
-        # Index heavy wedges first: a column [u+v]-[u]-[v] then pivots on
-        # its heaviest row and the echelon stays near triangular.
-        order = sorted(self.wedges,
-                       key=lambda w: tuple(f.sort_key() for f in w.factors),
-                       reverse=True)
-        self.index = {w: i for i, w in enumerate(order)}
-        self.wedges = order
+        derived = [x for x in self.support if x.is_derived_element()]
+        weight = {x.coords: x.weight() for x in derived}
+        # The keys of W, heavy first: a column [u+v]-[u]-[v] then pivots
+        # on its heaviest row and the echelon stays near triangular.
+        # ``rows`` is the one row map, {key: row}.
+        self.wedges = sorted(enumerate_basis(derived, 2, z),
+                             key=lambda key: tuple((weight[f], f) for f in key),
+                             reverse=True)
+        self.rows = {key: r for r, key in enumerate(self.wedges)}
         self.qspace = QuotientTensorSpace(spec, z)
-        self._certify()
+        self._certify(weight)
 
     # -- construction -----------------------------------------------------
 
@@ -789,14 +779,15 @@ class InnerCertification:
         probes are coordinate tuples."""
         return _generator_witness(self.spec, self.z.coords, u, v, probes)
 
-    def _certify(self):
+    def _certify(self, weight):
         spec, z = self.spec, self.z
-        elements = sorted({f for w in self.wedges for f in w.factors},
-                          key=lambda e: e.sort_key())
+        # The factors of W, in sort_key order (weight, then coordinates).
+        elements = sorted({f for key in self.wedges for f in key},
+                          key=lambda f: (weight[f], f))
         probes = [x.coords for x in box_by_weight(spec, self.effective_radius)
                   if x != spec.zero][:80]
 
-        f_rows = [f_on_ordered(self.qspace, w.factors) for w in self.wedges]
+        f_rows = [f_on_ordered(self.qspace, key) for key in self.wedges]
         fspan = _IncrementalSpan()
         for f in f_rows:
             fspan.insert(dict(enumerate(f)))
@@ -812,19 +803,25 @@ class InnerCertification:
         self.box_image_rank = box_span.rank
 
         self.target_rank = len(self.wedges) - self.f_rank
-        weights = [x.weight() for x in elements]
-        # The unit steps e: the elements of box(1) that are factors of W
-        # (all derived, as W is), in weight order.
-        position = {x: i for i, x in enumerate(elements)}
-        steps = [position[e] for e in box_by_weight(spec, 1) if e in position]
+        sub, zc, rows = spec.sub_coords, z.coords, self.rows
 
-        seeds = self._triangular_pairs(elements, steps)
+        def v_row(x):
+            # [x] ^ [z-x] as (row of W or -1, sign); sign 0 when x = z-x.
+            y = sub(zc, x)
+            if x < y:
+                return rows.get((x, y), -1), 1
+            return (rows.get((y, x), -1), -1) if y < x else (-1, 0)
+
+        # box(1) in weight order, each e with the row of [e]^[z-e] (-1
+        # off W); the unit steps are the e on a row, the factors of W.
+        units = [(e.coords, v_row(e.coords)[0]) for e in box_by_weight(spec, 1)]
+        seeds = self._triangular_pairs(v_row, units, weight)
         seeded = set(seeds)
+        fill = ((elements[i], elements[j])
+                for i, j in _pair_order([weight[x] for x in elements]))
         self.columns, self.rank = self._column_pass(
-            elements,
-            itertools.chain(seeds, (ij for ij in _pair_order(weights)
-                                    if ij not in seeded)),
-            probes, f_rows)
+            itertools.chain(seeds, (uv for uv in fill if uv not in seeded)),
+            v_row, probes, f_rows)
 
         verdict = CERTIFIED if self.rank == self.target_rank else INCONCLUSIVE
         quotient_dim = len(self.wedges) - self.rank
@@ -853,32 +850,28 @@ class InnerCertification:
                                   _inner_params(spec, z, self.box_radius),
                                   verdict, details)
 
-    def _triangular_pairs(self, elements, steps):
-        """The pair (x, e) of each row's triangular column G(x, e), as a
-        sorted index pair into ``elements``, lightest row first.
+    def _triangular_pairs(self, v_row, units, weight):
+        """The pair (x, e) of each row's triangular column G(x, e), as
+        coordinate tuples in sort_key order, lightest row first.
 
         For the row r = [a]^[z-a], and for each factor a of it in turn, e
-        is the first of ``steps`` with x = a - e a factor of W, x != e,
-        and the rows of [x]^[z-x] and [e]^[z-e] both after r.  G(x, e) is
-        then +-1 on r and 0 on every row before it, so columns fed from
-        the last row up each pivot on their own row with a unit lead.
+        is the first of ``units`` (pairs of e and the row of [e]^[z-e])
+        with x = a - e a factor of W, x != e, and the rows of [x]^[z-x]
+        and [e]^[z-e] both after r.  G(x, e) is then +-1 on r and 0 on
+        every row before it, so columns fed from the last row up each
+        pivot on their own row with a unit lead.
         """
         sub = self.spec.sub_coords
-        position = {x.coords: i for i, x in enumerate(elements)}
-        row_of = {f.coords: r for w, r in self.index.items() for f in w.factors}
-        units = [elements[k].coords for k in steps]
         pairs = []
         for r in range(len(self.wedges) - 1, -1, -1):
-            found = next(((x, e) for a in self.wedges[r].sort_key() for e in units
-                          for x in (sub(a, e),)
-                          if x != e and row_of.get(x, -1) > r and row_of[e] > r),
+            found = next(((x, e) for a in self.wedges[r] for e, row in units if row > r
+                          for x in (sub(a, e),) if x != e and v_row(x)[0] > r),
                          None)
             if found is not None:
-                i, j = position[found[0]], position[found[1]]
-                pairs.append((min(i, j), max(i, j)))
+                pairs.append(tuple(sorted(found, key=lambda f: (weight[f], f))))
         return pairs
 
-    def _column_pass(self, elements, pair_order, probes, f_rows):
+    def _column_pass(self, pair_order, v_row, probes, f_rows):
         """Greedy boundary columns G(u, v) over pair_order until their
         span over Q reaches target_rank.
 
@@ -890,36 +883,23 @@ class InnerCertification:
         summed over ``f_rows`` (f of each row) is 0 on vec.  Returns
         ([(vec, witness)], rank).
         """
-        spec = self.spec
-        add, zc = spec.add_coords, self.z.coords
-        rows = {w.sort_key(): i for w, i in self.index.items()}
+        spec, rows = self.spec, self.rows
+        add = spec.add_coords
         limit, free = self.boundary_radius, spec.free_indices
-        v_rows = {}
-
-        def v_row(x):
-            # [x] ^ [z-x] as (row in W or None, sign); sign 0 when x = z-x.
-            got = v_rows.get(x)
-            if got is None:
-                sign, key = _sort_sign((x, add(zc, tuple(-c for c in x))))
-                got = v_rows[x] = (rows.get(key), sign)
-            return got
-
         # u and v are factors of W, so [u]^[z-u] and [v]^[z-v] are rows;
         # only [u+v]^[z-u-v] can leave span(W), and then the column is
         # skipped (a degenerate one contributes nothing).
-        coords = [x.coords for x in elements]
-        own_rows = [v_row(x) for x in coords]
         target = self.target_rank
         columns = []
         span = _IncrementalSpan()
-        for i, j in pair_order:
+        for u, v in pair_order:
             if len(span.pivots) >= target:
                 break
-            row, sign = v_row(add(coords[i], coords[j]))
-            if sign and row is None:
+            row, sign = v_row(add(u, v))
+            if sign and row < 0:
                 continue
             vec = {row: sign} if sign else {}
-            for r, c in (own_rows[i], own_rows[j]):
+            for r, c in (v_row(u), v_row(v)):
                 acc = vec.get(r, 0) - c
                 if acc:
                     vec[r] = acc
@@ -928,7 +908,7 @@ class InnerCertification:
             residual = span.reduce(vec)
             if not residual:
                 continue
-            witness = self._witness_for(coords[i], coords[j], probes)
+            witness = self._witness_for(u, v, probes)
             if witness is None:
                 continue
             scale, keys = witness
@@ -949,10 +929,11 @@ class InnerCertification:
     def chain_vector(self, c):
         """Coordinates of a chain over W, or None if it leaves the box."""
         vec = [Fraction(0)] * len(self.wedges)
-        for w, coeff in c.terms.items():
-            if w not in self.index:
+        for key, coeff in c.terms.items():
+            row = self.rows.get(key)
+            if row is None:
                 return None
-            vec[self.index[w]] = coeff
+            vec[row] = coeff
         return tuple(vec)
 
     def boundary_witness(self, c):
@@ -1095,8 +1076,8 @@ def outer_h2_certify(spec, z, box_radius):
         x = hom.phi2_keys(cycle)
         _require(_key_boundary(spec, x) == {key: hom.scale * c for key, c in cycle.items()},
                  "d(Phi_2(c)) = c")
-        witnesses.append({"cycle": _serialize_keys(cycle, den),
-                          "preimage": _serialize_keys(x, hom.scale * den)})
+        witnesses.append({"cycle": serialize_chain(cycle, den),
+                          "preimage": serialize_chain(x, hom.scale * den)})
 
     details = {
         "wedges": len(keys),
@@ -1122,13 +1103,10 @@ def main_theorem_check(spec, gradings, box_radius):
     support = box_support(spec, box_radius)
     if spec.mu_is_zero():
         return [CheckResult(
-            "main-theorem",
-            {"spec": spec.describe()["group"], "z": list(z.coords),
-             "box": box_radius},
-            NOT_APPLICABLE,
+            "main-theorem", _inner_params(spec, z, box_radius), NOT_APPLICABLE,
             {"note": "the form vanishes identically; the decomposition "
                      "hypothesis fails and the differential is zero",
-             "h2_dim": len(enumerate_basis(support, 2, z, "full"))})
+             "h2_dim": len(enumerate_basis(support, 2, z))})
             for z in gradings]
     return fan_out(lambda z: _certify_or_refute(
         "main-theorem", functools.partial(_inner_params, spec, z, box_radius),
@@ -1247,19 +1225,18 @@ def gk_cycle_check(spec, u, z, box_radius):
         witness = witness + piece
         remaining = remaining - part_z
         grading_notes.append({"grading": list(z.coords),
-                              "part": serialize_chain(part_z)})
+                              "part": serialize_chain(part_z.terms, 1)})
     while not remaining.is_zero():
-        some = next(iter(remaining.terms))
-        g = some.grading()
+        g = GroupElement(spec, _key_grading(spec, next(iter(remaining.terms))))
         part = remaining.graded_part(g)
-        hom = contracting_homotopy(spec, g, search_radius=radius)
+        hom = contracting_homotopy(spec, g, radius)
         _require(boundary(part).is_zero(), "shifted part is a cycle")
         piece = hom.phi2(part)
         _require(boundary(piece) == part, "d(Phi_2(part)) = part")
         witness = witness + piece
         remaining = remaining - part
         grading_notes.append({"grading": list(g.coords),
-                              "part": serialize_chain(part)})
+                              "part": serialize_chain(part.terms, 1)})
 
     total_ok = boundary(witness) == target
     verdict = CERTIFIED if (factors_in_gk and is_cycle and total_ok) else REFUTED
@@ -1269,9 +1246,9 @@ def gk_cycle_check(spec, u, z, box_radius):
         verdict,
         {"factors_in_gk": factors_in_gk,
          "is_cycle": is_cycle,
-         "projected_chain": serialize_chain(projected),
+         "projected_chain": serialize_chain(projected.terms, 1),
          "difference_parts": grading_notes,
-         "boundary_witness": serialize_chain(witness),
+         "boundary_witness": serialize_chain(witness.terms, 1),
          "witness_verified": total_ok})
 
 
@@ -1338,7 +1315,7 @@ def surface_generator_check(g, r):
             "ideal_member": True,
             "ideal_witness": [["1", list((c_j - a_g).coords), list(a_g.coords)]],
             "derived_difference_bounds": True,
-            "boundary_witness": serialize_chain(witness)})
+            "boundary_witness": serialize_chain(witness.terms, 1)})
 
     return CheckResult(
         "surface-generators",
@@ -1374,11 +1351,11 @@ def linear_extension_check(spec, box_radius, trials, seed):
     rng = random.Random(seed)
     box = box_by_weight(spec, box_radius)
     derived = [x for x in box if x.is_derived_element()]
+    params = {"spec": spec.describe()["group"], "box": box_radius,
+              "trials": trials, "seed": seed}
     if not derived:
-        return CheckResult(
-            "linear-extension",
-            {"spec": spec.describe()["group"], "box": box_radius},
-            NOT_APPLICABLE, {"note": "no derived elements: the form is zero"})
+        return CheckResult("linear-extension", params, NOT_APPLICABLE,
+                           {"note": "no derived elements: the form is zero"})
 
     # Pairs come from the smallest derived elements: squaring the whole
     # derived box reaches hundreds of millions of pairs on rank-6 groups.
@@ -1440,10 +1417,7 @@ def linear_extension_check(spec, box_radius, trials, seed):
 
     verdict = CERTIFIED if control_fails else REFUTED
     return CheckResult(
-        "linear-extension",
-        {"spec": spec.describe()["group"], "box": box_radius,
-         "trials": trials, "seed": seed},
-        verdict,
+        "linear-extension", params, verdict,
         {"checks": checked,
          "functionals": trials,
          "pair_pool": len(pool),
@@ -1477,10 +1451,10 @@ def omega_cocycle(spec, z):
     if not z.in_kernel_mu():
         raise ValueError("omega needs z in ker mu")
 
-    def rule(w):
-        if w.grading() != z:
+    def rule(key):
+        if _key_grading(spec, key) != z.coords:
             raise ValueError("wedge is not graded at z")
-        return Fraction(spec.pairing(w.factors[0], w.factors[1]))
+        return spec.pair_coords(key[0], key[1])
 
     return Cochain(spec, 3, rule=rule)
 
@@ -1656,11 +1630,11 @@ def omega_check(spec, z, box_radius):
 # First homology
 
 
-def h1_check(spec, box_radius=2, gradings=None, enlarge=3):
+def h1_check(spec, box_radius, gradings, enlarge):
     """Grading-wise H_1 at truncation: dimension 1 exactly on radical
     gradings (all incoming differentials vanish, checked on the first
     500 elements of the enlarged box), 0 on derived ones (with an
-    explicit preimage of [z])."""
+    explicit preimage of [z]).  ``gradings`` None means the whole box."""
     if gradings is None:
         gradings = box_support(spec, box_radius)
     big_radius = _capped_radius(spec, enlarge * box_radius, 20000)
@@ -1686,7 +1660,7 @@ def h1_check(spec, box_radius=2, gradings=None, enlarge=3):
                               Fraction(-1, spec.pairing(u, z - u)))
             _require(boundary(pre) == wedge_chain(spec, [z]), "d(preimage) = [z]")
             entries.append({"z": list(z.coords), "dim": 0, "expected": 0,
-                            "preimage": serialize_chain(pre)})
+                            "preimage": serialize_chain(pre.terms, 1)})
     return CheckResult(
         "h1-center",
         {"spec": spec.describe()["group"], "box": box_radius,

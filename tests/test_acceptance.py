@@ -85,10 +85,10 @@ def test_criterion_02_boundary_squares_to_zero():
     specs = spec_pool()
 
     def probe(spec, degree):
-        def rule(w):
+        def rule(key):
             total = 0
-            for i, f in enumerate(w.factors):
-                row = sum((j + 2) * c for j, c in enumerate(f.coords))
+            for i, f in enumerate(key):
+                row = sum((j + 2) * c for j, c in enumerate(f))
                 total += (i + 1) * row + row * row
             return Fraction(total)
         return Cochain(spec, degree, rule=rule)
@@ -177,7 +177,7 @@ def test_criterion_06_h1_equals_center():
     """H1 is one-dimensional exactly in radical gradings and vanishes in
     derived ones, across the full box-2 sweep of both test groups."""
     for spec in (symplectic_z2(), surface_presentation(1, 2)):
-        r = h1_check(spec, 2)
+        r = h1_check(spec, 2, None, 3)
         assert r.verdict == "certified"
         for entry in r.details["per_grading"]:
             z = spec.canonical(entry["z"])

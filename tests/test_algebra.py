@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from goldman.algebra import AlgebraVector, bracket, in_gk, k_map
-from goldman.complexes import Wedge, WedgeChain, box_by_weight, wedge_chain
+from goldman.complexes import WedgeChain, box_by_weight, wedge_chain
 from goldman.groups import GroupSpec, surface_presentation
 
 from conftest import random_element, spec_pool
@@ -118,10 +118,10 @@ COMBINATIONS = {
     "vector": (lambda spec: box_by_weight(spec, 1)[:4],
                AlgebraVector,
                lambda x: x.coords),
-    "chain": (lambda spec: [Wedge.make(pair)[1] for pair in
+    "chain": (lambda spec: [tuple(sorted(x.coords for x in pair)) for pair in
                             itertools.combinations(box_by_weight(spec, 1)[:4], 2)],
               lambda spec, terms: WedgeChain(spec, 2, terms),
-              Wedge.sort_key),
+              lambda key: key),
 }
 
 

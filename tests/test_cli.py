@@ -13,7 +13,7 @@ import time
 
 import pytest
 
-from goldman import cli, verify
+from goldman import cli, complexes, verify
 from goldman.cli import main, resolve_selection
 from goldman import box_support, surface_presentation
 
@@ -224,7 +224,8 @@ def test_all_in_box_excludes_vectors(capsys):
 
 def test_default_gradings_shape():
     s12 = surface_presentation(1, 2)
-    picks = resolve_selection(s12, None, 2, (8,))[8][0]
+    picks, capped = resolve_selection(s12, None, 2, 8)
+    assert not capped
     assert picks[0] == s12.zero
     assert len(picks) == 8
     assert len(set(picks)) == 8
@@ -259,15 +260,16 @@ def reference_selection(spec, selection, radius, cap):
 def test_one_sort_gives_every_cap_its_selection(spec, radius):
     caps = set(range(1, 40)) | {64, 200}
     for selection in (None, "all-in-box"):
-        resolved = resolve_selection(spec, selection, radius, caps)
-        assert set(resolved) == caps
         for cap in caps:
-            assert resolved[cap] == reference_selection(spec, selection, radius, cap), (
-                selection, cap)
+            assert resolve_selection(spec, selection, radius, cap) == reference_selection(
+                spec, selection, radius, cap), (selection, cap)
+    # Every cap reads the one weight order kept on the spec.
+    order = spec._boxes[radius][1]
+    resolve_selection(spec, None, radius, 3)
+    assert order is not None and spec._boxes[radius][1] is order
     explicit = [spec.zero]
-    assert resolve_selection(spec, explicit, radius, {2, 3}) == {
-        2: (explicit, False), 3: (explicit, False)}
-    assert resolve_selection(spec, None, radius, set()) == {}
+    for cap in (2, 3):
+        assert resolve_selection(spec, explicit, radius, cap) == (explicit, False)
 
 
 def test_enlarge_reaches_h1_check(monkeypatch, capsys):
@@ -569,6 +571,27 @@ def test_verify_inner_skips_unreachable_grading(tmp_path, capsys):
     (entry,) = report["results"]
     assert entry["verdict"] == "not-applicable"
     assert entry["details"]["skipped_gradings"] == [[0, 0, 2]]
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--suite", "all", "--surface", "1,2", "--box", "2"),
+    ("homology", "--surface", "1,2", "--box", "2"),
+], ids=["verify-all", "homology"])
+def test_no_command_builds_a_wedge(argv, monkeypatch, capsys):
+    # Every command runs on wedge keys: with the Wedge constructor
+    # refusing (in forked workers too), the report is the same.
+    code, want, _ = run(capsys, *argv)
+    assert code == 0
+
+    def refuse(self, factors):
+        raise AssertionError("a Wedge was built")
+
+    monkeypatch.setattr(complexes.Wedge, "__init__", refuse)
+    with pytest.raises(AssertionError):
+        complexes.Wedge.make([symplectic_z2().zero])
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out == want
 
 
 def test_verify_zero_form_group(tmp_path, capsys):

@@ -3,6 +3,7 @@
 import ast
 import importlib
 import os
+import re
 import types
 
 import goldman
@@ -52,6 +53,21 @@ def test_every_exported_name_resolves():
                for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
     assert not missing, "names in __all__ that do not resolve: " + ", ".join(missing)
     assert len(goldman.__all__) > 30
+
+
+def test_only_the_definition_and_the_package_name_wedge():
+    # Chains, cochains and bases are labelled by wedge keys; the Wedge
+    # class is defined in goldman.complexes and re-exported by the
+    # package, and no other module names it.
+    found = []
+    for name in sorted(os.listdir(SOURCE_DIR)):
+        if not name.endswith(".py") or name in ("complexes.py", "__init__.py"):
+            continue
+        with open(os.path.join(SOURCE_DIR, name)) as fh:
+            found.extend("%s:%d" % (name, lineno)
+                         for lineno, line in enumerate(fh, 1)
+                         if re.search(r"\bWedge\b", line))
+    assert not found, "Wedge named outside its definition: " + ", ".join(found)
 
 
 def _module_level_imports(tree):

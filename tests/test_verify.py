@@ -27,7 +27,6 @@ from goldman import (
     ContractingHomotopy,
     GroupSpec,
     QuotientTensorSpace,
-    Wedge,
     WedgeChain,
     boundary,
     box_support,
@@ -49,7 +48,7 @@ from goldman import (
     wedge_chain,
 )
 from goldman import cli, verify
-from goldman.complexes import Cochain, coboundary, enumerate_keys
+from goldman.complexes import Cochain, Wedge, coboundary, enumerate_keys
 from goldman.linalg import _IncrementalSpan
 from goldman.verify import (
     CertificateError,
@@ -147,7 +146,8 @@ def test_f_on_ordered_alternates():
     q = QuotientTensorSpace(s12, z)
     u = s12.element([1, 0, 0, 0])
     v = z - u
-    assert f_on_ordered(q, (u, v)) == tuple(-x for x in f_on_ordered(q, (v, u)))
+    assert f_on_ordered(q, (u.coords, v.coords)) == tuple(
+        -x for x in f_on_ordered(q, (v.coords, u.coords)))
 
 
 def test_g_map_sections_f():
@@ -159,7 +159,8 @@ def test_g_map_sections_f():
     chain = g_map(q, t)
     image = f_map(chain, q)
     direct = tuple(3 * x - Fraction(1, 2) * y
-                   for x, y in zip(f_on_ordered(q, (u, -u)), f_on_ordered(q, (v, -v))))
+                   for x, y in zip(f_on_ordered(q, (u.coords, (-u).coords)),
+                                   f_on_ordered(q, (v.coords, (-v).coords))))
     assert image == direct
 
 
@@ -226,17 +227,17 @@ def test_homotopy_identity_on_sampled_wedges():
                      (z2_z2torsion(), [0, 1, 1])):
         z = spec.element(zc)
         support = box_support(spec, 2)
-        wedges = enumerate_basis(support, 2, z, "full")
-        assert wedges, (spec, zc)
-        hom = contracting_homotopy(spec, z)
-        for w in wedges:
-            assert hom.identity_defect(w).is_zero(), (spec, zc, w)
+        keys = enumerate_basis(support, 2, z)
+        assert keys, (spec, zc)
+        hom = contracting_homotopy(spec, z, 2)
+        for key in keys:
+            assert hom.identity_defect(key).is_zero(), (spec, zc, key)
 
 
 def test_homotopy_bounds_cycles():
     z2 = symplectic_z2()
     z = z2.element([1, 2])
-    hom = contracting_homotopy(z2, z)
+    hom = contracting_homotopy(z2, z, 2)
     # A difference of two wedges with equal d2 image is a cycle.
     u = z2.element([1, 0])
     v = z2.element([0, 1])
@@ -248,9 +249,14 @@ def test_homotopy_bounds_cycles():
     assert boundary(x) == cycle
 
 
+def _serialized(chain):
+    return [[str(c), [list(f) for f in key]] for key, c in sorted(chain.terms.items())]
+
+
 def _reference_outer_witnesses(spec, z, box, y):
     """The five outer cycle witnesses by the chain path: Fraction cycles,
-    Phi_2 of a WedgeChain, its boundary, then serialize_chain."""
+    Phi_2 of a WedgeChain, its boundary, then each chain's terms in key
+    order with str of each Fraction."""
     keys = _scan_keys(spec, z, box)
     d2s = [-spec.pair_coords(*key) for key in keys]
     pivot = next((col for col, d2 in enumerate(d2s) if d2), None)
@@ -263,8 +269,7 @@ def _reference_outer_witnesses(spec, z, box, y):
         c = WedgeChain.from_keys(spec, 2, terms)
         x = hom.phi2(c)
         assert boundary(x) == c
-        out.append({"cycle": verify.serialize_chain(c),
-                    "preimage": verify.serialize_chain(x)})
+        out.append({"cycle": _serialized(c), "preimage": _serialized(x)})
     return out
 
 
@@ -304,10 +309,11 @@ _HOMOTOPY_CASES = [
 _RATIONALS = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 
 
-def reference_identity_defect(spec, z, y, coefficients, w):
+def reference_identity_defect(spec, z, y, coefficients, wedge_key):
     """(Phi_1 d_2 + d_3 Phi_2 - id)[u]^[v] in Fractions, from the
-    ContractingHomotopy docstring and the reference differential."""
-    u, v = w.factors
+    ContractingHomotopy docstring and the reference differential; the
+    wedge is given by its key (u, v)."""
+    u, v = (spec.canonical(list(f)) for f in wedge_key)
     lam = Fraction(reference_pairing(spec, y, z))
     co = coefficients
     out = {}
@@ -329,12 +335,12 @@ def reference_identity_defect(spec, z, y, coefficients, w):
             (co["shift_both"] / (2 * lam), [2 * y, u - y, v - y]),
             (co["tail"] * tail / (2 * lam * lam), [y, 2 * y, z - 3 * y])):
         add(reference_boundary(spec, factors, coeff))
-    add({w.sort_key(): Fraction(-1)})
+    add({wedge_key: Fraction(-1)})
     return {k: c for k, c in out.items() if c}
 
 
-def _defect_dict(hom, w):
-    return {t.sort_key(): c for t, c in hom.identity_defect(w).terms.items()}
+def _defect_dict(hom, key):
+    return hom.identity_defect(key).terms
 
 
 @given(st.data())
@@ -342,23 +348,23 @@ def _defect_dict(hom, w):
 def test_identity_defect_matches_reference_for_any_coefficients(data):
     spec, zc = data.draw(st.sampled_from(_HOMOTOPY_CASES))
     z = spec.element(zc)
-    y = contracting_homotopy(spec, z).y
+    y = contracting_homotopy(spec, z, 2).y
     coefficients = {name: data.draw(_RATIONALS)
                     for name in ("phi1", "shift_first", "shift_second",
                                  "shift_both", "tail")}
     with mock.patch.dict(verify._DEFAULT_HOMOTOPY, coefficients):
         hom = ContractingHomotopy(spec, z, y)
-    wedges = enumerate_basis(box_support(spec, 2), 2, z, "full")
-    for w in data.draw(st.lists(st.sampled_from(wedges), min_size=1, max_size=6)):
-        assert _defect_dict(hom, w) == reference_identity_defect(
-            spec, z, y, coefficients, w)
+    keys = enumerate_basis(box_support(spec, 2), 2, z)
+    for key in data.draw(st.lists(st.sampled_from(keys), min_size=1, max_size=6)):
+        assert _defect_dict(hom, key) == reference_identity_defect(
+            spec, z, y, coefficients, key)
 
 
 @pytest.mark.parametrize("case", range(len(_HOMOTOPY_CASES)))
 def test_perturbed_homotopy_leaves_a_defect(case):
     spec, zc = _HOMOTOPY_CASES[case]
     z = spec.element(zc)
-    y = contracting_homotopy(spec, z).y
+    y = contracting_homotopy(spec, z, 2).y
     exact = ContractingHomotopy(spec, z, y)
     # Phi_1 d_2 alone moves with phi1: a wedge with <u, v> != 0 gains
     # -delta <u, v> / lam [y] ^ [z-y], which nothing else can cancel.
@@ -366,14 +372,14 @@ def test_perturbed_homotopy_leaves_a_defect(case):
     with mock.patch.dict(verify._DEFAULT_HOMOTOPY, coefficients):
         perturbed = ContractingHomotopy(spec, z, y)
     assert 2 * y != z
-    wedges = enumerate_basis(box_support(spec, 2), 2, z, "full")
+    keys = enumerate_basis(box_support(spec, 2), 2, z)
     moved = 0
-    for w in wedges:
-        assert _defect_dict(exact, w) == {}
-        assert reference_identity_defect(spec, z, y, verify._DEFAULT_HOMOTOPY, w) == {}
-        want = reference_identity_defect(spec, z, y, coefficients, w)
-        assert _defect_dict(perturbed, w) == want
-        if reference_pairing(spec, *w.factors):
+    for key in keys:
+        assert _defect_dict(exact, key) == {}
+        assert reference_identity_defect(spec, z, y, verify._DEFAULT_HOMOTOPY, key) == {}
+        want = reference_identity_defect(spec, z, y, coefficients, key)
+        assert _defect_dict(perturbed, key) == want
+        if reference_pairing(spec, *(spec.canonical(list(f)) for f in key)):
             assert want
             moved += 1
     assert moved
@@ -389,24 +395,24 @@ def _scan_keys(spec, z, radius=2):
 def test_key_defect_matches_reference_in_any_scan_order(data):
     spec, zc = data.draw(st.sampled_from(_HOMOTOPY_CASES))
     z = spec.element(zc)
-    y = contracting_homotopy(spec, z).y
+    y = contracting_homotopy(spec, z, 2).y
     coefficients = {name: data.draw(_RATIONALS)
                     for name in ("phi1", "shift_first", "shift_second",
                                  "shift_both", "tail")}
     with mock.patch.dict(verify._DEFAULT_HOMOTOPY, coefficients):
         hom = ContractingHomotopy(spec, z, y)
-    wedges = enumerate_basis(box_support(spec, 2), 2, z, "full")
-    assert [w.sort_key() for w in wedges] == _scan_keys(spec, z)
+    keys = enumerate_basis(box_support(spec, 2), 2, z)
+    assert keys == _scan_keys(spec, z)
     # One homotopy serves the whole scan, so its shared boundaries are
     # reused in whatever order the keys come.
     order = data.draw(st.sampled_from(["sorted", "reversed", "shuffled"]))
     if order == "reversed":
-        wedges.reverse()
+        keys.reverse()
     elif order == "shuffled":
-        random.Random(data.draw(st.integers(0, 2 ** 16))).shuffle(wedges)
-    for w in wedges:
-        want = reference_identity_defect(spec, z, y, coefficients, w)
-        got = hom.key_defect(w.sort_key())
+        random.Random(data.draw(st.integers(0, 2 ** 16))).shuffle(keys)
+    for key in keys:
+        want = reference_identity_defect(spec, z, y, coefficients, key)
+        got = hom.key_defect(key)
         assert {k: Fraction(c, hom.scale) for k, c in got.items()} == want
         assert all(type(c) is int and c for c in got.values())
 
@@ -444,7 +450,7 @@ def test_scan_computes_each_boundary_once(case, monkeypatch):
 def test_scan_finds_the_defect_of_a_perturbed_coefficient(name):
     spec = surface_presentation(1, 2)
     z = spec.element([1, 1, 1, 0])
-    y = contracting_homotopy(spec, z).y
+    y = contracting_homotopy(spec, z, 2).y
     coefficients = dict(verify._DEFAULT_HOMOTOPY, **{name: Fraction(3, 2)})
     with mock.patch.dict(verify._DEFAULT_HOMOTOPY, coefficients):
         perturbed = ContractingHomotopy(spec, z, y)
@@ -452,8 +458,7 @@ def test_scan_finds_the_defect_of_a_perturbed_coefficient(name):
     defects = [key for key in keys if perturbed.key_defect(key)]
     assert defects
     for key in defects:
-        w = Wedge([spec.canonical(c) for c in key])
-        want = reference_identity_defect(spec, z, y, coefficients, w)
+        want = reference_identity_defect(spec, z, y, coefficients, key)
         assert {k: Fraction(c, perturbed.scale)
                 for k, c in perturbed.key_defect(key).items()} == want
 
@@ -555,8 +560,7 @@ def test_integer_omega_and_eta_values_match_coboundaries(data):
     z = spec.element(zc)
     factors, key = _draw_wedge(data, spec, z, 4)
     if factors is not None:
-        wedge = Wedge(factors)
-        want = coboundary(omega_cocycle(spec, z), 3).value(wedge)
+        want = coboundary(omega_cocycle(spec, z), 3).value(key)
         reference = sum(
             c * reference_pairing(spec, spec.canonical(k[0]), spec.canonical(k[1]))
             for k, c in reference_boundary(spec, factors).items())
@@ -571,13 +575,12 @@ def test_integer_omega_and_eta_values_match_coboundaries(data):
         return sum(z.coords[j] * x[j] for j in free)
 
     eta = Cochain(spec, 2,
-                  rule=lambda w: Fraction(-2 * f_num(w.factors[0].coords), g) + 1)
+                  rule=lambda key: Fraction(-2 * f_num(key[0]), g) + 1)
     factors, key = _draw_wedge(data, spec, z, 3)
     if factors is None:
         return
-    wedge = Wedge(factors)
     got = verify._scaled_d_eta(spec, key, f_num, g)
-    assert got == g * coboundary(eta, 2).value(wedge)
+    assert got == g * coboundary(eta, 2).value(key)
     assert got == g * reference_pairing(spec, factors[0], factors[1])
 
 
@@ -602,7 +605,7 @@ def test_inner_certification_z2_origin():
 
 def _row_vector(inner, chain):
     """The integer vector {row of W: coefficient} of a chain on W."""
-    return {inner.index[w]: c for w, c in chain.terms.items()}
+    return {inner.rows[key]: c for key, c in chain.terms.items()}
 
 
 def _witness_chain(spec, witness):
@@ -844,6 +847,13 @@ def test_pair_order_edge_cases():
     assert list(_pair_order([1, 1])) == [(0, 0), (0, 1), (1, 1)]
 
 
+def _factors(inner):
+    """The factors of W as group elements, in sort_key order."""
+    spec = inner.spec
+    return sorted({spec.canonical(list(f)) for key in inner.wedges for f in key},
+                  key=lambda e: e.sort_key())
+
+
 def _unit_steps(inner, elements):
     """Indices of the derived box(1) elements among the factors of W,
     in weight order."""
@@ -857,10 +867,12 @@ def _triangular_reference(inner, elements, steps):
     for each row r = [a]^[z-a], lightest row first, and each factor a of
     it in turn, the first unit step e with x = a - e a factor of W,
     x != e, and the rows of x and e after r; as sorted index pairs."""
-    row_of = {f: r for r, w in enumerate(inner.wedges) for f in w.factors}
+    spec = inner.spec
+    row_of = {spec.canonical(list(f)): r for r, key in enumerate(inner.wedges) for f in key}
     pairs = []
     for r in reversed(range(len(inner.wedges))):
-        for a, k in itertools.product(inner.wedges[r].factors, steps):
+        row = [spec.canonical(list(f)) for f in inner.wedges[r]]
+        for a, k in itertools.product(row, steps):
             e = elements[k]
             x = a - e
             if x != e and row_of.get(x, -1) > r and row_of[e] > r:
@@ -878,8 +890,7 @@ def _reference_columns(inner):
     The order: the triangular pairs, lightest row first; then every
     other pair by weight sum and sort keys."""
     spec, z = inner.spec, inner.z
-    elements = sorted({f for w in inner.wedges for f in w.factors},
-                      key=lambda e: e.sort_key())
+    elements = _factors(inner)
     n = len(elements)
     seeds = _triangular_reference(inner, elements, _unit_steps(inner, elements))
     first = {ij: (0, t) for t, ij in enumerate(seeds)}
@@ -898,7 +909,7 @@ def _reference_columns(inner):
             break
         u, v = elements[i], elements[j]
         gen = _ideal_generator(spec, z, u, v)
-        if gen.is_zero() or any(w not in inner.index for w in gen.terms):
+        if gen.is_zero() or any(key not in inner.rows for key in gen.terms):
             continue
         column = _row_vector(inner, gen)
         vec = span.reduce(column)
@@ -934,15 +945,20 @@ def test_inner_candidate_stream_is_a_permutation_of_all_pairs(spec, box, monkeyp
     streams = []
     column_pass = InnerCertification._column_pass
 
-    def materialising(self, elements, pair_order, *rest):
+    def materialising(self, pair_order, *rest):
         pairs = list(pair_order)
-        streams.append((elements, pairs))
-        return column_pass(self, elements, iter(pairs), *rest)
+        streams.append(pairs)
+        return column_pass(self, iter(pairs), *rest)
 
     monkeypatch.setattr(InnerCertification, "_column_pass", materialising)
     inner = inner_h2_certify(spec, spec.zero, box)
     assert inner.result.verdict == CERTIFIED
-    for elements, pairs in streams:
+    elements = _factors(inner)
+    index = {x.coords: i for i, x in enumerate(elements)}
+    for stream in streams:
+        # The stream offers coordinate pairs (u, v), u before v in
+        # sort_key order.
+        pairs = [(index[u], index[v]) for u, v in stream]
         n = len(elements)
         assert sorted(pairs) == [(i, j) for i in range(n) for j in range(i, n)]
         # The triangular pairs, then the rest by weight sum and indices.
@@ -963,25 +979,31 @@ def test_triangular_columns_lead_with_a_unit_on_their_own_rows(spec, box, seeds,
     recorded = []
     triangular_pairs = InnerCertification._triangular_pairs
 
-    def recording(self, elements, steps):
-        pairs = triangular_pairs(self, elements, steps)
-        recorded.append((elements, steps, pairs))
+    def recording(self, v_row, units, weight):
+        pairs = triangular_pairs(self, v_row, units, weight)
+        recorded.append((units, pairs))
         return pairs
 
     monkeypatch.setattr(InnerCertification, "_triangular_pairs", recording)
     inner = inner_h2_certify(spec, spec.zero, box)
     assert inner.result.verdict == CERTIFIED
-    ((elements, steps, pairs),) = recorded
-    assert steps == _unit_steps(inner, elements)
-    assert pairs == _triangular_reference(inner, elements, steps)
+    ((units, pairs),) = recorded
+    elements = _factors(inner)
+    steps = _unit_steps(inner, elements)
+    # The units are box(1) in weight order, each with the row of
+    # [e]^[z-e]; the unit steps are those on a row.
+    assert [e for e, row in units if row >= 0] == [elements[k].coords for k in steps]
+    assert all(e in inner.wedges[row] for e, row in units if row >= 0)
+    assert pairs == [(elements[i].coords, elements[j].coords)
+                     for i, j in _triangular_reference(inner, elements, steps)]
     assert len(pairs) == seeds
     vecs, leads = [], []
-    for i, j in pairs:
-        x, e = elements[i], elements[j]
+    for u, v in pairs:
+        x, e = spec.canonical(list(u)), spec.canonical(list(v))
         vec = _row_vector(inner, _ideal_generator(spec, spec.zero, x, e))
         lead = min(vec)
         # The least row is the column's own row [x+e]^[z-x-e], with +-1.
-        assert x + e in inner.wedges[lead].factors
+        assert (x + e).coords in inner.wedges[lead]
         assert vec[lead] in (1, -1)
         vecs.append(vec)
         leads.append(lead)
@@ -1180,8 +1202,8 @@ def key_outside_the_box(spec, scale, keys):
     # so only the box check sees it.
     a, b, c = (spec.canonical(x) for x in ([100, 0], [0, 100], [-100, 1]))
     keys = dict(keys)
-    for w, k in boundary(wedge_chain(spec, [a, b, c, -a - b - c])).terms.items():
-        keys[w.sort_key()] = keys.get(w.sort_key(), 0) + int(k)
+    for key, k in boundary(wedge_chain(spec, [a, b, c, -a - b - c])).terms.items():
+        keys[key] = keys.get(key, 0) + int(k)
     return scale, keys
 """
 _MUTATED_IDENTITY = {"doubled_scale": "d(witness) = G(u, v)",
@@ -1459,29 +1481,21 @@ def test_inner_certifies_without_chains_of_g_or_a_column_matrix(monkeypatch):
     # The columns are their integer vectors and their witnesses integer
     # keys: no G(u, v) chain, no chain or Fraction of a witness, and no
     # column matrix is built unless a boundary witness is asked for.  The
-    # only wedges built are the basis W.
+    # basis W is its keys: no Wedge is built at all.
     def refuse(*args, **kwargs):
         raise AssertionError("built outside a boundary witness")
 
     for name in ("_ideal_generator", "SparseRationalMatrix", "WedgeChain",
                  "wedge_chain", "boundary", "Fraction", "_key_chain"):
         monkeypatch.setattr(verify, name, refuse)
-    built = []
-    wedge_init = Wedge.__init__
-
-    def counting_init(self, factors):
-        built.append(factors)
-        wedge_init(self, factors)
-
-    monkeypatch.setattr(Wedge, "__init__", counting_init)
+    monkeypatch.setattr(Wedge, "__init__", refuse)
     z2 = symplectic_z2()
     s12 = surface_presentation(1, 2)
     for spec, box in ((z2, 4), (s12, 2)):
-        del built[:]
         inner = inner_h2_certify(spec, spec.zero, box)
         assert inner.result.verdict == CERTIFIED
         assert inner.rank == inner.target_rank
-        assert len(built) == len(inner.wedges)
+        assert inner.wedges == sorted(inner.rows, key=inner.rows.get)
 
 
 def test_boundary_witness_rechecks_the_assembled_chain(monkeypatch):
@@ -1750,6 +1764,29 @@ def test_linear_extension_z2():
     assert_jsonable(r)
 
 
+def test_linear_extension_params_do_not_depend_on_the_verdict():
+    # A zero form has no derived element: the not-applicable entry names
+    # the same instance, trials and seed included, as a certified one.
+    flat = surface_presentation(0, 2)
+    na = linear_extension_check(flat, 2, trials=20, seed=9)
+    ok = linear_extension_check(z3_rank2_form(), 2, trials=20, seed=9)
+    assert (na.verdict, ok.verdict) == (NOT_APPLICABLE, CERTIFIED)
+    assert na.params == {"spec": "Z", "box": 2, "trials": 20, "seed": 9}
+    assert set(na.params) == set(ok.params)
+
+
+def test_main_theorem_params_do_not_depend_on_the_form():
+    # Every main-theorem entry names its grading, cycle box and boundary
+    # box, the zero-form (not-applicable) ones included.
+    flat = surface_presentation(0, 2)
+    (na,) = main_theorem_check(flat, [flat.zero], 1)
+    z2 = symplectic_z2()
+    inner, outer = main_theorem_check(z2, [z2.zero, z2.element([1, 0])], 1)
+    assert na.verdict == NOT_APPLICABLE and na.details["h2_dim"] == 1
+    assert na.params == {"spec": "Z", "z": [0, 0], "box": 1, "boundary_box": 3}
+    assert set(na.params) == set(inner.params) == set(outer.params)
+
+
 def test_linear_extension_deterministic():
     spec = z3_rank2_form()
     a = linear_extension_check(spec, 2, trials=20, seed=9)
@@ -1769,9 +1806,9 @@ def test_omega_cocycle_value_and_closedness():
     v = zt.element([0, 1, 0])
     w = z - u - v
     c = wedge_chain(zt, [u, v, w])
-    ((wedge, sign),) = c.terms.items()
+    ((key, sign),) = c.terms.items()
     # omega reads the pairing of the first two stored factors.
-    assert omega.value(wedge) == zt.pairing(wedge.factors[0], wedge.factors[1])
+    assert omega.value(key) == zt.pairing(zt.canonical(list(key[0])), zt.canonical(list(key[1])))
     with pytest.raises(ValueError):
         omega_cocycle(zt, zt.element([1, 0, 0]))
 
@@ -1910,7 +1947,7 @@ def test_capped_radius_bisects_to_the_largest_fitting_box():
 
 def test_h1_dimensions_z2():
     z2 = symplectic_z2()
-    r = h1_check(z2, 2)
+    r = h1_check(z2, 2, None, 3)
     assert r.verdict == CERTIFIED
     per = r.details["per_grading"]
     assert len(per) == 25
@@ -1922,7 +1959,7 @@ def test_h1_dimensions_z2():
 
 def test_h1_dimensions_surface():
     s12 = surface_presentation(1, 2)
-    r = h1_check(s12, 2)
+    r = h1_check(s12, 2, None, 3)
     per = r.details["per_grading"]
     assert len(per) == 125
     kernel_zs = sum(1 for e in per if e["dim"] == 1)
@@ -1933,8 +1970,7 @@ def test_h1_dimensions_surface():
 
 def test_h1_preimages_re_expand():
     z2 = symplectic_z2()
-    r = h1_check(z2, 1)
-    from goldman import Wedge
+    r = h1_check(z2, 1, None, 3)
     for e in r.details["per_grading"]:
         if e["dim"] == 0:
             z = z2.canonical(e["z"])
