@@ -367,8 +367,9 @@ def run_inner_suite(spec, gradings, box):
                if any(abs(z.coords[j]) > eff for j in spec.free_indices)]
     if skipped:
         out.append(CheckResult(
-            "inner-isomorphism", {"box": box}, NOT_APPLICABLE,
-            {"note": "grading outside the capped support; enlarge the box",
+            "inner-isomorphism", {"spec": spec.describe()["group"], "box": box}, NOT_APPLICABLE,
+            {"note": "grading outside the inner cycle box of radius %d, the largest within "
+                     "--box and INNER_SUPPORT_CAP = %d elements" % (eff, INNER_SUPPORT_CAP),
              "skipped_gradings": skipped, "effective_radius": eff}))
     out.extend(fan_out(lambda z: _certify_or_refute(
         "inner-isomorphism", functools.partial(_inner_params, spec, z, box),
@@ -412,13 +413,13 @@ def run_omega_suite(spec, gradings, box):
     return fan_out(lambda z: _graded("omega-class", omega_check, spec, z, box), zs)
 
 
-def run_h1_suite(spec, gradings, box, enlarge):
+def run_h1_suite(spec, gradings, box):
     """h1 on the given gradings, or on the whole box when None."""
     count = len(gradings) if gradings is not None else _box_size(spec, box)
     return [_certify_or_refute(
         "h1-center",
         lambda: {"spec": spec.describe()["group"], "box": box, "gradings": count},
-        h1_check, spec, box, gradings, enlarge)]
+        h1_check, spec, box, gradings)]
 
 
 def run_surface_suite(source):
@@ -469,7 +470,7 @@ def build_verify_tasks(spec, source, args, selection):
         "outer": lambda: run_outer_suite(spec, picks["outer"], args.box),
         "gk": lambda: run_gk_suite(spec, picks["gk"], args.box),
         "omega": lambda: run_omega_suite(spec, picks["omega"], args.box),
-        "h1": lambda: run_h1_suite(spec, h1_gradings, args.box, args.enlarge),
+        "h1": lambda: run_h1_suite(spec, h1_gradings, args.box),
         "surface": lambda: run_surface_suite(source),
         "linext": lambda: run_linext_suite(spec, args.box, args.seed),
     }
@@ -536,8 +537,7 @@ def render_text(report):
     else:
         lines.append("group: %s (%s)" % (src.get("file", "inline"),
                                          report["group"]["group"]))
-    opts = ["box=%d" % cfg["box"], "enlarge=%d" % cfg["enlarge"],
-            "seed=%d" % cfg["seed"]]
+    opts = ["box=%d" % cfg["box"], "seed=%d" % cfg["seed"]]
     if "suite" in cfg:
         opts.append("suite=%s" % cfg["suite"])
     lines.append(" ".join(opts))
@@ -598,8 +598,8 @@ def cmd_validate(args):
     spec, source = load_spec(args)
     report = {
         "command": "validate",
-        "config": {"source": source, "box": args.box, "enlarge": args.enlarge,
-                   "seed": args.seed, "gradings": "n/a"},
+        "config": {"source": source, "box": args.box, "seed": args.seed,
+                   "gradings": "n/a"},
         "group": spec.describe(),
         "results": [],
         "summary": {"certified": 0, "refuted": 0, "inconclusive": 0,
@@ -649,8 +649,8 @@ def cmd_homology(args):
     summary = summarize(dicts)
     report = {
         "command": "homology",
-        "config": {"source": source, "box": args.box, "enlarge": args.enlarge,
-                   "seed": args.seed, "gradings": label},
+        "config": {"source": source, "box": args.box, "seed": args.seed,
+                   "gradings": label},
         "group": spec.describe(),
         "notes": {"homology": {"gradings_capped_at": 64}} if capped else {},
         "table": [_homology_row(r) for r in results],
@@ -674,8 +674,8 @@ def cmd_verify(args):
     summary = summarize(dicts)
     report = {
         "command": "verify",
-        "config": {"source": source, "box": args.box, "enlarge": args.enlarge,
-                   "seed": args.seed, "suite": args.suite, "gradings": label},
+        "config": {"source": source, "box": args.box, "seed": args.seed,
+                   "suite": args.suite, "gradings": label},
         "group": spec.describe(),
         "notes": notes,
         "results": dicts,
@@ -710,8 +710,6 @@ def build_parser():
                        help="surface shorthand: genus,boundary")
         p.add_argument("--box", type=int, default=2, metavar="M",
                        help="truncation box radius (default 2)")
-        p.add_argument("--enlarge", type=int, default=3, metavar="K",
-                       help="h1 scans the box of radius K times --box (default 3)")
         p.add_argument("--grading", action="append", default=[], metavar="VECS",
                        help="semicolon separated coordinate vectors, or all-in-box")
         p.add_argument("--seed", type=int, default=0, metavar="N",
@@ -731,8 +729,8 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.box < 1 or args.enlarge < 1:
-            raise UsageError("--box and --enlarge must be at least 1")
+        if args.box < 1:
+            raise UsageError("--box must be at least 1")
         if args.command == "validate":
             return cmd_validate(args)
         if args.command == "homology":

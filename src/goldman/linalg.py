@@ -1,12 +1,13 @@
 """Sparse exact linear algebra, on one elimination kernel.
 
-Every rank, span witness and infeasibility certificate of the package
-is computed by ``_IncrementalSpan``: a reduced echelon form over the
-rationals that takes one sparse vector at a time.  Integer vectors stay
-in integer arithmetic while every pivot is +1 or -1, and Fractions
-appear only at another pivot.  Its reduction step hands back the
-residual of a vector modulo the span without keeping it, so a caller
-can read a certificate off a residual before deciding to keep it.
+Every rank, span witness and Farkas certificate here is computed by
+``_IncrementalSpan``: a reduced echelon form over the rationals that
+takes one sparse vector at a time (the omega obstruction of
+``goldman.verify`` is a closed form, and no command calls
+``solve_affine``).  Integer vectors stay in integer arithmetic while
+every pivot is +1 or -1, and Fractions appear only at another pivot.
+Its reduction step hands back the residual of a vector modulo the span
+without keeping it.
 
 ``SparseRationalMatrix`` keeps its entries as a dictionary mapping
 (row, col) to Fraction and tracks combinations with tag coordinates: a

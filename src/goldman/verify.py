@@ -67,17 +67,16 @@ witnesses.  The certification patterns are:
   Fractions are built only to serialize them.
 
 * The degree-3 cocycle omega([u],[v],[z-u-v]) = <u, v>.  For torsion z
-  the existence of a primitive eta is an affine system over box wedges;
-  an infeasibility certificate for the box system refutes a global
-  primitive outright.  For non-torsion z a primitive is written down
-  from a linear functional with f(z) = 1 and checked on every box
-  triple.  Both scans are integer sums: d(omega)(w) = omega(d w) has
-  integer terms, and with f = (integer functional) / g the primitive
-  scan compares g d(eta)(w) with g omega(w), both integers.  No floats
-  and no modulus enter either scan; every zero test is exact over Z.
-  Both scans read ``enumerate_keys``, the last factor from the whole
-  box; the torsion system's rows come in ``_pair_order``, and its
-  variables are the keys of the wedges [x]^[z-x].
+  a closed-form combination of the rows of a primitive eta
+  (``_omega_rows``) has left side 0 and right side -2, so no primitive
+  exists on any box; the rows are re-expanded on wedge keys.  For
+  non-torsion z a primitive is written down from a linear functional
+  with f(z) = 1 and checked on every box triple.  Both scans are
+  integer sums: d(omega)(w) = omega(d w) has integer terms, and with
+  f = (integer functional) / g the primitive scan compares g d(eta)(w)
+  with g omega(w), both integers.  No floats and no modulus enter
+  either scan; every zero test is exact over Z.  Both scans read
+  ``enumerate_keys``, the last factor from the whole box.
 
 Verdicts are "certified", "refuted", or "inconclusive-at-truncation";
 a too-small box can hide boundaries but never fabricate them, so a
@@ -89,6 +88,7 @@ and is not an assert, so it also runs under ``python -O``.
 """
 
 import bisect
+import collections
 import functools
 import itertools
 import math
@@ -434,7 +434,7 @@ def ideal_membership(c, box):
 
     Candidate generator labels are drawn from the factors of c, their
     pairwise differences, and the small elements of the box, restricted
-    so generator terms stay inside the box enlarged by
+    so generator terms stay inside the box grown by
     ``IDEAL_BOX_ENLARGE``.  ``box`` is the box radius.
     Returns (True, witness), (False, obstruction) when the quotient map
     already separates c from the ideal, or (None, note) when the
@@ -845,7 +845,7 @@ class InnerCertification:
             details["note"] = "the quotient dimension differs from dim Q (x) (H / Zz)"
         if verdict == INCONCLUSIVE and "note" not in details:
             details["note"] = ("boundary columns reach rank %d of %d; "
-                               "enlarge the box" % (self.rank, self.target_rank))
+                               "a larger box may reach the rest" % (self.rank, self.target_rank))
         self.result = CheckResult("inner-isomorphism",
                                   _inner_params(spec, z, self.box_radius),
                                   verdict, details)
@@ -1429,11 +1429,9 @@ def linear_extension_check(spec, box_radius, trials, seed):
 
 # The cocycle scan keeps a weight-order prefix of at most about
 # OMEGA_SCAN_BUDGET ** (1/3) elements; the primitive scan of a
-# non-torsion grading pairs the first OMEGA_PRIMITIVE_POOL, and the
-# Farkas system of a torsion grading the first OMEGA_FARKAS_POOL.
+# non-torsion grading pairs the first OMEGA_PRIMITIVE_POOL.
 OMEGA_SCAN_BUDGET = 10 ** 6
 OMEGA_PRIMITIVE_POOL = 350
-OMEGA_FARKAS_POOL = 120
 # The inner f-boundary scan pairs the F_SCAN_POOL lightest derived
 # elements of its box, or all of them when there are at most
 # F_SCAN_EXHAUSTIVE (632 ** 2 <= 400000 < 633 ** 2).
@@ -1532,63 +1530,69 @@ def _scaled_d_eta(spec, key, f_num, g):
     return total
 
 
+def _omega_rows(spec, z, n):
+    """The rows {(u, v): coefficient} of the obstruction to a primitive
+    eta of omega at a torsion z of order n, from the first pair a, b of
+    box(1) with <a, b> != 0.
+
+    The row R(u, v) reads phi(u+v) - phi(u) - phi(v) = -1, for
+    phi(x) = eta([x]^[z-x]).  With D(y) = phi(y+z) - phi(y),
+    D(q) - D(p) = R(p+z, q-p) - R(p, q-p) = 0 when <p, q> != 0, and
+    R(-a, b) + R(-b, a) + [D(a-b) - D(-a)] - [D(-b) - D(-a)]
+    + (1/n) sum_{k<n} [D(b+kz) - D(-a)] has left side 0, since the
+    D(b+kz) telescope to 0, and right side -2.  Equal rows are merged
+    and zero rows dropped: at z = 0 only the two R rows are left.
+    """
+    a, b = next((a, b) for a, b in itertools.combinations(box_by_weight(spec, 1), 2)
+                if spec.pairing(a, b))
+    rows = collections.Counter({((-a).coords, b.coords): 1, ((-b).coords, a.coords): 1})
+    for q, c in [(a - b, 1), (-b, -1)] + [(b + k * z, Fraction(1, n)) for k in range(n)]:
+        rows[(z - a).coords, (q + a).coords] += c
+        rows[(-a).coords, (q + a).coords] -= c
+    return {uv: c for uv, c in rows.items() if c}
+
+
+def _check_omega_rows(spec, z, rows):
+    """Re-expand the rows {(u, v): c} on the wedge keys of [x]^[z-x]:
+    each row has <u, v> != 0 and three distinct factors, the left sides
+    cancel, and the right side -sum(c) does not."""
+    add, sub, pair, zc = spec.add_coords, spec.sub_coords, spec.pair_coords, z.coords
+    lhs = collections.Counter()
+    for (u, v), c in rows.items():
+        _require(pair(u, v) != 0, "<u, v> != 0 in every omega row")
+        _require(len({u, v, sub(sub(zc, u), v)}) == 3, "three distinct factors in every omega row")
+        for x, outer_sign in ((add(u, v), 1), (u, -1), (v, -1)):
+            sign, key = _sort_sign((x, sub(zc, x)))
+            if sign:
+                lhs[key] += c * outer_sign * sign
+    _require(not any(lhs.values()), "the omega rows cancel on the left")
+    _require(sum(rows.values()) != 0, "the omega rows sum to a nonzero right side")
+
+
 def omega_check(spec, z, box_radius):
-    """The cohomology class of omega in grading z: torsion z yields an
-    exact infeasibility certificate for any primitive (the class is
-    nonzero); non-torsion z yields an explicit primitive eta verified on
-    every box triple (the class dies on the derived part)."""
+    """The cohomology class of omega in grading z: torsion z yields a
+    closed-form obstruction to any primitive (the class is nonzero);
+    non-torsion z yields an explicit primitive eta verified on every box
+    triple (the class dies on the derived part)."""
     if not z.in_kernel_mu():
         raise ValueError("omega lives in radical gradings only")
-    ordered = box_by_weight(spec, box_radius)
     cocycle_checked, cocycle_pool = _omega_cocycle_scan(spec, z, box_radius)
     params = {"spec": spec.describe()["group"], "z": list(z.coords),
               "box": box_radius}
 
     if z.is_torsion():
-        # A primitive eta restricted to box wedges satisfies, for each
-        # 3-wedge [u]^[v]^[z-u-v] with <u, v> != 0,
-        #   eta(V(u+v)) - eta(V(u)) - eta(V(v)) = -1,
-        # one affine row per wedge, pairs in the order of (weight sum, i,
-        # j), i < j.  The variable of V(x) = [x]^[z-x] is its key, and
-        # V(x) = 0 when x = z - x.  Box infeasibility refutes a global
-        # primitive outright.
-        head = ordered[:OMEGA_FARKAS_POOL]
-        pool = [x.coords for x in head]
-        add, sub, pair, zc = spec.add_coords, spec.sub_coords, spec.pair_coords, z.coords
-        variables, entries, row_pairs = {}, {}, []
-        for i, j in _pair_order([x.weight() for x in head]):
-            u, v = pool[i], pool[j]
-            if i == j or not pair(u, v) or sub(sub(zc, u), v) in (u, v):
-                continue
-            row = {}
-            for x, outer_sign in ((add(u, v), 1), (u, -1), (v, -1)):
-                sign, key = _sort_sign((x, sub(zc, x)))
-                if sign:
-                    col = variables.setdefault(key, len(variables))
-                    row[col] = row.get(col, 0) + outer_sign * sign
-            entries.update(((len(row_pairs), col), c) for col, c in row.items() if c)
-            row_pairs.append((u, v))
-
-        matrix = SparseRationalMatrix(len(row_pairs), len(variables), entries)
-        rhs = tuple(Fraction(-1) for _ in row_pairs)
-        solution, certificate = matrix.solve_affine(rhs)
-        if certificate is not None:
-            combo = [[frac_str(coeff), list(row_pairs[i][0]), list(row_pairs[i][1])]
-                     for i, coeff in sorted(certificate.items())]
-            return CheckResult(
-                "omega-class", params, CERTIFIED,
-                {"conclusion": "class is nonzero (no primitive exists)",
-                 "z_is_torsion": True,
-                 "cocycle_scan": {"wedges": cocycle_checked,
-                                  "pool": cocycle_pool},
-                 "system": {"rows": len(row_pairs), "variables": len(variables)},
-                 "certificate": combo})
+        if spec.mu_is_zero():
+            raise ValueError("omega vanishes with the form: no pair a, b has <a, b> != 0")
+        # n = ord(z): the lcm of d / gcd(d, z_j) over the torsion coordinates.
+        n = math.lcm(*(d // math.gcd(d, z.coords[j]) for j, d in spec.torsion))
+        rows = _omega_rows(spec, z, n)
+        _check_omega_rows(spec, z, rows)
         return CheckResult(
-            "omega-class", params, INCONCLUSIVE,
-            {"note": "the box system is solvable; a larger box is needed "
-                     "to obstruct a primitive",
+            "omega-class", params, CERTIFIED,
+            {"conclusion": "class is nonzero (no primitive exists)",
              "z_is_torsion": True,
-             "system": {"rows": len(row_pairs), "variables": len(variables)}})
+             "cocycle_scan": {"wedges": cocycle_checked, "pool": cocycle_pool},
+             "certificate": [[frac_str(c), list(u), list(v)] for (u, v), c in rows.items()]})
 
     # Non-torsion z: take an integer functional with f(z) = 1 (allowing
     # denominators) and set eta([u] ^ [z-u]) = -2 f(u) + 1; then
@@ -1608,6 +1612,7 @@ def omega_check(spec, z, box_radius):
 
     # Two factors from the pool; the third, determined by z, from the
     # whole box.
+    ordered = box_by_weight(spec, box_radius)
     pool = ordered[:OMEGA_PRIMITIVE_POOL]
     checked = 0
     for key in enumerate_keys(spec, sorted(x.coords for x in pool), 3, z.coords,
@@ -1630,40 +1635,32 @@ def omega_check(spec, z, box_radius):
 # First homology
 
 
-def h1_check(spec, box_radius, gradings, enlarge):
-    """Grading-wise H_1 at truncation: dimension 1 exactly on radical
-    gradings (all incoming differentials vanish, checked on the first
-    500 elements of the enlarged box), 0 on derived ones (with an
-    explicit preimage of [z]).  ``gradings`` None means the whole box."""
+def h1_check(spec, box_radius, gradings):
+    """Grading-wise H_1: dimension 1 on radical gradings (all incoming
+    differentials vanish, checked on the first 500 box elements), 0 on
+    derived ones, where [z] bounds [u]^[z-u] / -<u, z-u> for the first u
+    of box(1) with <u, z-u> = <u, z> != 0, which a derived z always has.
+    ``gradings`` None means the whole box."""
     if gradings is None:
         gradings = box_support(spec, box_radius)
-    big_radius = _capped_radius(spec, enlarge * box_radius, 20000)
-    big = box_by_weight(spec, big_radius)
+    scan = box_by_weight(spec, box_radius)[:500]
+    units = box_by_weight(spec, 1)
     entries = []
-    all_ok = True
     for z in gradings:
         if z.in_kernel_mu():
-            scanned = 0
-            for u in big[:500]:
+            for u in scan:
                 _require(spec.pairing(u, z - u) == 0, "<u, z-u> = 0 in a radical grading")
-                scanned += 1
             entries.append({"z": list(z.coords), "dim": 1, "expected": 1,
-                            "incoming_coefficients_scanned": scanned})
-        else:
-            u = next((u for u in big if spec.pairing(u, z - u) != 0), None)
-            if u is None:
-                entries.append({"z": list(z.coords), "dim": None,
-                                "expected": 0, "note": "no preimage in box"})
-                all_ok = False
-                continue
-            pre = wedge_chain(spec, [u, z - u],
-                              Fraction(-1, spec.pairing(u, z - u)))
-            _require(boundary(pre) == wedge_chain(spec, [z]), "d(preimage) = [z]")
-            entries.append({"z": list(z.coords), "dim": 0, "expected": 0,
-                            "preimage": serialize_chain(pre.terms, 1)})
+                            "incoming_coefficients_scanned": len(scan)})
+            continue
+        u = next((u for u in units if spec.pairing(u, z - u) != 0), None)
+        _require(u is not None, "a unit u with <u, z-u> != 0 in a derived grading")
+        pre = wedge_chain(spec, [u, z - u], Fraction(-1, spec.pairing(u, z - u)))
+        _require(boundary(pre) == wedge_chain(spec, [z]), "d(preimage) = [z]")
+        entries.append({"z": list(z.coords), "dim": 0, "expected": 0,
+                        "preimage": serialize_chain(pre.terms, 1)})
     return CheckResult(
         "h1-center",
         {"spec": spec.describe()["group"], "box": box_radius,
          "gradings": len(entries)},
-        CERTIFIED if all_ok else INCONCLUSIVE,
-        {"per_grading": entries})
+        CERTIFIED, {"per_grading": entries})

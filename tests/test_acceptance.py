@@ -1,5 +1,6 @@
-"""Acceptance gate: the twelve headline checks, one test line each, and
-the pinned bytes of the homology report.
+"""Acceptance gate: the twelve headline checks, one test line each, the
+pinned bytes of the homology report, and the box-free omega
+certificates of two torsion groups.
 
 Each test pins the exact instance it certifies (group, grading, box
 radii, sample counts) and the wall-clock budget it must fit.  Run with
@@ -177,7 +178,7 @@ def test_criterion_06_h1_equals_center():
     """H1 is one-dimensional exactly in radical gradings and vanishes in
     derived ones, across the full box-2 sweep of both test groups."""
     for spec in (symplectic_z2(), surface_presentation(1, 2)):
-        r = h1_check(spec, 2, None, 3)
+        r = h1_check(spec, 2, None)
         assert r.verdict == "certified"
         for entry in r.details["per_grading"]:
             z = spec.canonical(entry["z"])
@@ -198,7 +199,7 @@ def test_criterion_07_gk_cycle():
 
 
 def test_criterion_08_omega_dichotomy():
-    """The degree-3 class: an infeasibility certificate proves it
+    """The degree-3 class: a closed-form combination of rows proves it
     nonzero at the torsion grading of Z^2 + Z/2 (box 3), and an explicit
     primitive kills it at the free radical grading e3 of Z^3 with the
     rank-2 form, checked on every box triple; < 10 s combined."""
@@ -216,6 +217,22 @@ def test_criterion_08_omega_dichotomy():
     assert b.details["primitive"]["formula"] == "eta([u]^[z-u]) = -2 f(u) + 1"
     assert b.details["triples_checked"] > 1000
     assert time.monotonic() - start < 10.0
+
+
+def test_omega_torsion_certificates_do_not_depend_on_the_box():
+    """At box 2 the closed-form rows prove omega nonzero on Z^2 + Z/16
+    at z = t and on Z^2 + Z/40 at z = t and z = 20 t, with 2 ord(z) + 6
+    rows each; < 2 s combined."""
+    start = time.monotonic()
+    for order, multiples in ((16, (1,)), (40, (1, 20))):
+        spec = GroupSpec(3, relations=[[0, 0, order]],
+                         form=[[0, 1, 0], [-1, 0, 0], [0, 0, 0]])
+        for k in multiples:
+            r = omega_check(spec, spec.element([0, 0, k]), 2)
+            assert r.verdict == "certified"
+            assert r.details["z_is_torsion"]
+            assert len(r.details["certificate"]) == 2 * (order // k) + 6
+    assert time.monotonic() - start < 2.0
 
 
 def test_criterion_09_surface_generator_classes():

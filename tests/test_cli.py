@@ -187,13 +187,13 @@ def test_a_box_over_the_budget_exits_one_at_once_with_explicit_gradings(argv, ca
     assert "400000040000001 elements, over the budget of 1000000" in err
 
 
-def test_a_huge_enlarge_caps_the_h1_box_at_once(capsys):
-    start = time.monotonic()
-    code, out, _ = run(capsys, "verify", "--suite", "h1", "--surface", "1,0",
-                       "--box", "1", "--enlarge", "10000000", "--format", "json")
-    assert time.monotonic() - start < 2.0
-    assert code == 0
-    assert json.loads(out)["results"][0]["verdict"] == "certified"
+def test_enlarge_is_a_usage_error(capsys):
+    # h1 reads the requested box and box(1) only, so there is no
+    # enlarged box to ask for.
+    code, out, err = run(capsys, "verify", "--suite", "h1", "--surface", "1,0",
+                         "--box", "1", "--enlarge", "3", "--format", "json")
+    assert code == 1 and out == ""
+    assert "--enlarge" in err
 
 
 # ---------------------------------------------------------------------------
@@ -272,23 +272,19 @@ def test_one_sort_gives_every_cap_its_selection(spec, radius):
         assert resolve_selection(spec, explicit, radius, cap) == (explicit, False)
 
 
-def test_enlarge_reaches_h1_check(monkeypatch, capsys):
-    seen = []
-    h1_check = cli.h1_check
-
-    def spy(spec, box, gradings, enlarge):
-        seen.append(enlarge)
-        return h1_check(spec, box, gradings, enlarge)
-
-    monkeypatch.setattr(cli, "h1_check", spy)
-    base = ["verify", "--suite", "h1", "--surface", "1,2", "--box", "1",
-            "--format", "json"]
-    code, out, _ = run(capsys, *base, "--enlarge", "4")
-    assert code == 0 and seen and set(seen) == {4}
-    assert json.loads(out)["config"]["enlarge"] == 4
-    seen.clear()
-    code, _, _ = run(capsys, *base)
-    assert code == 0 and seen and set(seen) == {3}
+def test_h1_certifies_surface10_at_box1(capsys):
+    code, out, _ = run(capsys, "verify", "--suite", "h1", "--surface", "1,0",
+                       "--box", "1", "--format", "json")
+    assert code == 0
+    report = json.loads(out)
+    assert "enlarge" not in report["config"]
+    (entry,) = report["results"]
+    assert entry["verdict"] == "certified"
+    per = entry["details"]["per_grading"]
+    assert len(per) == 9
+    # Radical gradings scan the whole box(1); derived ones name a unit.
+    assert [e["incoming_coefficients_scanned"] for e in per if e["dim"] == 1] == [9]
+    assert all(len(e["preimage"]) == 1 for e in per if e["dim"] == 0)
 
 
 def test_inner_suite_does_not_apply_to_a_zero_form(capsys):

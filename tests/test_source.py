@@ -1,5 +1,6 @@
 """Checks on the library source itself."""
 
+import argparse
 import ast
 import importlib
 import os
@@ -7,6 +8,7 @@ import re
 import types
 
 import goldman
+from goldman.cli import build_parser
 
 SOURCE_DIR = os.path.dirname(os.path.abspath(goldman.__file__))
 HOOKS_FILE = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -109,3 +111,22 @@ def test_process_pool_is_imported_only_inside_fan_out():
                      for lineno, line in enumerate(text.splitlines(), 1)
                      for m in pool_modules if m in line and lineno not in helper)
     assert not found, "process pool outside verify.fan_out: " + ", ".join(found)
+
+
+def test_readme_shared_flags_are_the_parser_flags():
+    # The README's shared-flags paragraph names every flag the parser
+    # accepts, and no other, so a removed flag cannot linger there.
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                          "README.md")
+    with open(readme) as fh:
+        (paragraph,) = [p for p in fh.read().split("\n\n") if p.startswith("Shared flags:")]
+    named = set(re.findall(r"`(--[a-z-]+)", paragraph))
+    parsers, accepted = [build_parser()], set()
+    while parsers:
+        for action in parsers.pop()._actions:
+            accepted.update(s for s in action.option_strings if s.startswith("--"))
+            if isinstance(action, argparse._SubParsersAction):
+                parsers.extend(action.choices.values())
+    accepted.discard("--help")
+    assert "--box" in accepted and "--suite" in accepted
+    assert named == accepted

@@ -1300,56 +1300,66 @@ def test_wrong_omega_primitive_is_refuted_under_python_O(tmp_path):
     assert report["summary"]["certified"] == 0
 
 
-_CORRUPT_FARKAS = """
-import sys
-from goldman import linalg
+_CORRUPT_OMEGA_ROWS = """
+import json, sys
+from goldman import verify
 from goldman.cli import main
 
 if not sys.flags.optimize:
     sys.exit("run with python -O")
-reduce = linalg._IncrementalSpan.reduce
-solve_affine = linalg.SparseRationalMatrix.solve_affine
-widths = []
+rows = verify._omega_rows
 
-def recording(self, b):
-    widths.append(self.n_cols)
-    try:
-        return solve_affine(self, b)
-    finally:
-        widths.pop()
+def dropped(*args):
+    kept = rows(*args)
+    kept.pop(next(iter(kept)))
+    return kept
 
-def corrupted(self, vec):
-    residual = reduce(self, vec)
-    # The residual of an inconsistent row [row | b | tags] has its least
-    # entry on the right-hand side coordinate, n_cols; its tag part is
-    # the unchecked certificate.
-    if widths and residual and min(residual) == widths[-1]:
-        # Double one coefficient: y M = 0 no longer holds.
-        first = min(k for k in residual if k > widths[-1])
-        residual[first] *= 2
-    return residual
+def flipped(*args):
+    kept = rows(*args)
+    last = list(kept)[-1]
+    kept[last] = -kept[last]
+    return kept
 
-linalg._IncrementalSpan.reduce = corrupted
-linalg.SparseRationalMatrix.solve_affine = recording
-sys.exit(main(["verify", "--suite", "omega", "--surface", "1,0",
-               "--grading", "0,0", "--box", "2", "--format", "json"]))
+mutants = {
+    "wrong-n": lambda spec, z, n: rows(spec, z, n - 1),
+    "dropped-row": dropped,
+    "sign-flip": flipped,
+}
+out = {}
+for name, mutant in mutants.items():
+    verify._omega_rows = mutant
+    path = sys.argv[2] + "/" + name + ".json"
+    code = main(["verify", "--suite", "omega", "--spec", sys.argv[1],
+                 "--grading", "0,0,1", "--box", "2", "--format", "json",
+                 "--out", path])
+    with open(path) as fh:
+        out[name] = [code, json.load(fh)]
+print(json.dumps(out))
 """
 
 
-def test_corrupted_omega_farkas_certificate_is_refuted_under_python_O(tmp_path):
-    script = tmp_path / "corrupt_farkas.py"
-    script.write_text(_CORRUPT_FARKAS)
+def test_corrupted_omega_closed_form_certificate_is_refuted_under_python_O(tmp_path):
+    # On Z^2 + Z/16 at the torsion generator: a wrong ord(z), a dropped
+    # row and a sign flip in a row each leave the left side uncancelled.
+    script = tmp_path / "corrupt_omega_rows.py"
+    script.write_text(_CORRUPT_OMEGA_ROWS)
+    group = tmp_path / "z16.json"
+    group.write_text(json.dumps({"generators": 3, "relations": [[0, 0, 16]],
+                                 "form": [[0, 1, 0], [-1, 0, 0], [0, 0, 0]]}))
     src = os.path.dirname(os.path.dirname(os.path.abspath(verify.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-O", str(script)], env=env,
-                          capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 1, proc.stderr
-    report = json.loads(proc.stdout)
-    (entry,) = report["results"]
-    assert entry["check"] == "omega-class"
-    assert entry["verdict"] == "refuted"
-    assert entry["details"] == {"failed_identity": "y M = 0 for the Farkas certificate"}
-    assert report["summary"]["certified"] == 0
+    proc = subprocess.run([sys.executable, "-O", str(script), str(group), str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    reports = json.loads(proc.stdout.splitlines()[-1])
+    assert set(reports) == {"wrong-n", "dropped-row", "sign-flip"}
+    for name, (code, report) in reports.items():
+        assert code == 1, name
+        (entry,) = report["results"]
+        assert entry["check"] == "omega-class"
+        assert entry["verdict"] == "refuted", name
+        assert entry["details"] == {"failed_identity": "the omega rows cancel on the left"}
+        assert report["summary"]["certified"] == 0
 
 
 _CORRUPT_PROJ = """
@@ -1814,35 +1824,39 @@ def test_omega_cocycle_value_and_closedness():
 
 
 def test_omega_torsion_grading_class_nonzero():
-    zt = z2_z2torsion()
-    z = zt.element([0, 0, 1])
-    r = omega_check(zt, z, 3)
-    assert r.verdict == CERTIFIED
-    assert r.details["z_is_torsion"]
-    cert = r.details["certificate"]
-    assert cert
-    # Re-multiply the certificate against rebuilt rows: sum of
-    # coeff * row must vanish while the right-hand side does not.
-    total = {}
-    rhs = Fraction(0)
-    for coeff_s, uc, vc in cert:
-        coeff = Fraction(coeff_s)
-        u, v = zt.canonical(uc), zt.canonical(vc)
-        assert zt.pairing(u, v) != 0
-        rhs += coeff * Fraction(-1)
-        for x, outer_sign in ((u + v, 1), (u, -1), (v, -1)):
-            chain = wedge_chain(zt, [x, z - x])
-            if chain.is_zero():
-                continue
-            ((w, sign),) = chain.terms.items()
-            acc = total.get(w, 0) + coeff * outer_sign * sign
-            if acc:
-                total[w] = acc
-            else:
-                total.pop(w, None)
-    assert not total
-    assert rhs != 0
-    assert_jsonable(r)
+    z16 = GroupSpec(3, relations=[[0, 0, 16]], form=[[0, 1, 0], [-1, 0, 0], [0, 0, 0]])
+    for spec, radius, order in ((z2_z2torsion(), 3, 2), (z16, 2, 16)):
+        z = spec.element([0, 0, 1])
+        r = omega_check(spec, z, radius)
+        assert r.verdict == CERTIFIED
+        assert r.details["z_is_torsion"]
+        cert = r.details["certificate"]
+        # The closed form: two R rows and two D-differences, and one
+        # D-difference per multiple of z, each of two rows.
+        assert len(cert) == 2 * order + 6
+        # Re-multiply the certificate against rebuilt rows: sum of
+        # coeff * row must vanish while the right-hand side does not.
+        total = {}
+        rhs = Fraction(0)
+        for coeff_s, uc, vc in cert:
+            coeff = Fraction(coeff_s)
+            u, v = spec.canonical(uc), spec.canonical(vc)
+            assert spec.pairing(u, v) != 0
+            assert len({u, v, z - u - v}) == 3
+            rhs += coeff * Fraction(-1)
+            for x, outer_sign in ((u + v, 1), (u, -1), (v, -1)):
+                chain = wedge_chain(spec, [x, z - x])
+                if chain.is_zero():
+                    continue
+                ((w, sign),) = chain.terms.items()
+                acc = total.get(w, 0) + coeff * outer_sign * sign
+                if acc:
+                    total[w] = acc
+                else:
+                    total.pop(w, None)
+        assert not total
+        assert rhs == -2
+        assert_jsonable(r)
 
 
 def test_omega_origin_grading_class_nonzero():
@@ -1901,34 +1915,10 @@ def test_omega_cocycle_scan_counts_every_4_set_once(spec, zc, radius, budget, mo
         assert pool_size < len(support)
 
 
-def test_omega_small_pool_is_inconclusive(monkeypatch):
-    zt = z2_z2torsion()
-    monkeypatch.setattr(verify, "OMEGA_FARKAS_POOL", 2)
-    r = omega_check(zt, zt.element([0, 0, 1]), 3)
-    assert r.verdict == INCONCLUSIVE
-
-
 def test_omega_rejects_derived_grading():
     z2 = symplectic_z2()
     with pytest.raises(ValueError):
         omega_check(z2, z2.element([1, 0]), 2)
-
-
-@pytest.mark.parametrize("spec, radius", [
-    (z2_z2torsion(), 3),
-    (surface_presentation(1, 2), 3),
-], ids=["torsion-box3", "surface12-box3"])
-def test_omega_farkas_pairs_follow_the_weight_sum_sort(spec, radius):
-    # The Farkas rows take their pairs from _pair_order with i < j: the
-    # order of sorting all pairs of the pool by (weight sum, u, v).
-    head = verify.box_by_weight(spec, radius)[:verify.OMEGA_FARKAS_POOL]
-    by_sort = sorted(itertools.combinations(head, 2),
-                     key=lambda uv: (uv[0].weight() + uv[1].weight(),
-                                     uv[0].sort_key(), uv[1].sort_key()))
-    by_order = [(head[i], head[j]) for i, j in _pair_order([x.weight() for x in head])
-                if i < j]
-    assert by_order == by_sort
-    assert len(by_order) == len(head) * (len(head) - 1) // 2
 
 
 def test_capped_radius_bisects_to_the_largest_fitting_box():
@@ -1947,7 +1937,7 @@ def test_capped_radius_bisects_to_the_largest_fitting_box():
 
 def test_h1_dimensions_z2():
     z2 = symplectic_z2()
-    r = h1_check(z2, 2, None, 3)
+    r = h1_check(z2, 2, None)
     assert r.verdict == CERTIFIED
     per = r.details["per_grading"]
     assert len(per) == 25
@@ -1959,7 +1949,7 @@ def test_h1_dimensions_z2():
 
 def test_h1_dimensions_surface():
     s12 = surface_presentation(1, 2)
-    r = h1_check(s12, 2, None, 3)
+    r = h1_check(s12, 2, None)
     per = r.details["per_grading"]
     assert len(per) == 125
     kernel_zs = sum(1 for e in per if e["dim"] == 1)
@@ -1970,12 +1960,16 @@ def test_h1_dimensions_surface():
 
 def test_h1_preimages_re_expand():
     z2 = symplectic_z2()
-    r = h1_check(z2, 1, None, 3)
+    units = {x.coords for x in box_support(z2, 1)}
+    r = h1_check(z2, 1, None)
     for e in r.details["per_grading"]:
         if e["dim"] == 0:
             z = z2.canonical(e["z"])
             pre = WedgeChain(z2, 2)
             for coeff_s, factors in e["preimage"]:
+                # One wedge [u]^[z-u], with its factor u in box(1).
+                assert any(tuple(f) in units for f in factors)
                 pre = pre + wedge_chain(
                     z2, [z2.canonical(f) for f in factors], Fraction(coeff_s))
+            assert len(e["preimage"]) == 1
             assert boundary(pre) == wedge_chain(z2, [z])
