@@ -31,13 +31,13 @@ elements.  Suites that sweep gradings cap the sweep (the cap is recorded
 in the report); explicit vectors are always run in full.
 
 Reports are deterministic for a fixed config and seed: no timestamps,
-dictionary output is key-sorted, and suites run one after another in a
-fixed order.  The gradings of the outer, omega and inner suites, and of
-``homology``, run in forked workers, one per CPU in the affinity mask
-(``verify.fan_out``); the bytes are those of a serial run, which
-``taskset -c 0`` gives.  Exit status: 0 when nothing failed, 2 when some
-check was inconclusive at the truncation, 1 on a refuted check or any
-error.
+dictionary output is key-sorted, and suites are reported in a fixed
+order.  A command forks at most one pool, a worker per CPU in the
+affinity mask (``verify.fan_out``), for the gradings of ``homology`` or
+every unit of ``verify`` (omega, outer and inner gradings first); the
+bytes are those of a serial run, which ``taskset -c 0`` gives.  Exit
+status: 0 when nothing failed, 2 when some check was inconclusive at the
+truncation, 1 on a refuted check or any error.
 """
 
 import argparse
@@ -78,6 +78,10 @@ from .verify import (
 
 SUITES = ("bracket", "complex", "inner", "outer", "gk", "surface",
           "omega", "h1", "linext")
+
+# Queue ranks of the suites with a unit per grading, heaviest first; the
+# others rank 3 and keep their report order (the sort is stable).
+HEAVY_FIRST = {"omega": 0, "outer": 1, "inner": 2}
 
 # Per-suite grading caps for default and all-in-box sweeps.  Explicit
 # --grading vectors bypass these.
@@ -341,8 +345,9 @@ def run_complex_suite(spec, seed):
 # Certification suite drivers
 
 
-def _skip(check, note):
-    return CheckResult(check, {}, NOT_APPLICABLE, {"note": note})
+def _skip(check, note, spec, box=None):
+    params = {"spec": spec.describe()["group"]} | ({} if box is None else {"box": box})
+    return CheckResult(check, params, NOT_APPLICABLE, {"note": note})
 
 
 def _graded(check, certify, spec, z, box):
@@ -352,12 +357,12 @@ def _graded(check, certify, spec, z, box):
         certify, spec, z, box)
 
 
-def run_inner_suite(spec, gradings, box):
+def run_inner_suite(spec, gradings, box, fan=fan_out):
     if spec.mu_is_zero():
-        return [_skip("inner-isomorphism", "the form vanishes; no wedge is derived")]
+        return [_skip("inner-isomorphism", "the form vanishes; no wedge is derived", spec, box)]
     zs = [z for z in gradings if z.in_kernel_mu()]
     if not zs:
-        return [_skip("inner-isomorphism", "no radical gradings selected")]
+        return [_skip("inner-isomorphism", "no radical gradings selected", spec, box)]
     # Gradings outside the capped support cannot receive any ideal
     # column (every candidate leaves the box), so report them as out of
     # reach instead of scanning to a foregone inconclusive.
@@ -371,7 +376,7 @@ def run_inner_suite(spec, gradings, box):
             {"note": "grading outside the inner cycle box of radius %d, the largest within "
                      "--box and INNER_SUPPORT_CAP = %d elements" % (eff, INNER_SUPPORT_CAP),
              "skipped_gradings": skipped, "effective_radius": eff}))
-    out.extend(fan_out(lambda z: _certify_or_refute(
+    out.extend(fan(lambda z: _certify_or_refute(
         "inner-isomorphism", functools.partial(_inner_params, spec, z, box),
         _inner_entry, spec, z, box), [z for z in zs if list(z.coords) not in skipped]))
     return out
@@ -385,17 +390,17 @@ def _inner_entry(spec, z, box):
     return inner.result
 
 
-def run_outer_suite(spec, gradings, box):
+def run_outer_suite(spec, gradings, box, fan=fan_out):
     zs = [z for z in gradings if z.is_derived_element()]
     if not zs:
-        return [_skip("outer-exactness", "no derived gradings selected")]
-    return fan_out(lambda z: _graded("outer-exactness", outer_h2_certify, spec, z, box), zs)
+        return [_skip("outer-exactness", "no derived gradings selected", spec, box)]
+    return fan(lambda z: _graded("outer-exactness", outer_h2_certify, spec, z, box), zs)
 
 
 def run_gk_suite(spec, gradings, box):
     u = next((x for x in box_by_weight(spec, box) if x.is_derived_element()), None)
     if u is None:
-        return [_skip("gk-cycle", "the form vanishes; g_K is everything")]
+        return [_skip("gk-cycle", "the form vanishes; g_K is everything", spec, box)]
     zs = [z for z in gradings if z.in_kernel_mu()]
     if not zs:
         zs = [spec.zero]
@@ -404,13 +409,13 @@ def run_gk_suite(spec, gradings, box):
         gk_cycle_check, spec, u, z, box) for z in zs]
 
 
-def run_omega_suite(spec, gradings, box):
+def run_omega_suite(spec, gradings, box, fan=fan_out):
     if spec.mu_is_zero():
-        return [_skip("omega-class", "the form vanishes; omega is identically zero")]
+        return [_skip("omega-class", "the form vanishes; omega is identically zero", spec, box)]
     zs = [z for z in gradings if z.in_kernel_mu()]
     if not zs:
-        return [_skip("omega-class", "no radical gradings selected")]
-    return fan_out(lambda z: _graded("omega-class", omega_check, spec, z, box), zs)
+        return [_skip("omega-class", "no radical gradings selected", spec, box)]
+    return fan(lambda z: _graded("omega-class", omega_check, spec, z, box), zs)
 
 
 def run_h1_suite(spec, gradings, box):
@@ -422,14 +427,14 @@ def run_h1_suite(spec, gradings, box):
         h1_check, spec, box, gradings)]
 
 
-def run_surface_suite(source):
+def run_surface_suite(spec, source):
     if "surface" not in source:
         return [_skip("surface-generators",
-                      "needs a --surface group (boundary classes are read off g, r)")]
+                      "needs a --surface group (boundary classes are read off g, r)", spec)]
     g, r = source["surface"]["genus"], source["surface"]["boundary"]
     if g < 1:
         return [_skip("surface-generators",
-                      "the decomposition uses A_g; needs genus >= 1")]
+                      "the decomposition uses A_g; needs genus >= 1", spec)]
     return [_certify_or_refute(
         "surface-generators",
         lambda: {"genus": g, "boundary_components": r, "z": [0] * (2 * g + r)},
@@ -445,10 +450,12 @@ def run_linext_suite(spec, box, seed):
 
 
 def build_verify_tasks(spec, source, args, selection):
-    """One callable per suite, in report order, and the report notes.
+    """One (name, plan) per suite, in report order, and the report notes.
 
-    Each sweeping suite takes its gradings from resolve_selection at its
-    own cap.
+    plan(fan) gives the suite's results and units (callables returning a
+    list of results): a unit per grading of omega, outer and inner, made
+    by ``fan``, else one.  Each sweeping suite takes its gradings from
+    resolve_selection at its own cap.
     """
     suites = SUITES if args.suite == "all" else (args.suite,)
     swept = selection in (None, "all-in-box")
@@ -463,18 +470,18 @@ def build_verify_tasks(spec, source, args, selection):
         if capped or name == "h1":
             notes[name] = {"gradings_capped_at": cap}
     h1_gradings = picks.get("h1", None if swept else list(selection))
-    runners = {
-        "bracket": lambda: [run_bracket_suite(spec, args.seed)],
-        "complex": lambda: [run_complex_suite(spec, args.seed)],
-        "inner": lambda: run_inner_suite(spec, picks["inner"], args.box),
-        "outer": lambda: run_outer_suite(spec, picks["outer"], args.box),
-        "gk": lambda: run_gk_suite(spec, picks["gk"], args.box),
-        "omega": lambda: run_omega_suite(spec, picks["omega"], args.box),
-        "h1": lambda: run_h1_suite(spec, h1_gradings, args.box),
-        "surface": lambda: run_surface_suite(source),
-        "linext": lambda: run_linext_suite(spec, args.box, args.seed),
+    plans = {
+        "bracket": lambda fan: [lambda: [run_bracket_suite(spec, args.seed)]],
+        "complex": lambda fan: [lambda: [run_complex_suite(spec, args.seed)]],
+        "inner": lambda fan: run_inner_suite(spec, picks["inner"], args.box, fan),
+        "outer": lambda fan: run_outer_suite(spec, picks["outer"], args.box, fan),
+        "gk": lambda fan: [lambda: run_gk_suite(spec, picks["gk"], args.box)],
+        "omega": lambda fan: run_omega_suite(spec, picks["omega"], args.box, fan),
+        "h1": lambda fan: [lambda: run_h1_suite(spec, h1_gradings, args.box)],
+        "surface": lambda fan: [lambda: run_surface_suite(spec, source)],
+        "linext": lambda fan: [lambda: run_linext_suite(spec, args.box, args.seed)],
     }
-    return [(name, runners[name]) for name in suites], notes
+    return [(name, plans[name]) for name in suites], notes
 
 
 # ---------------------------------------------------------------------------
@@ -663,14 +670,22 @@ def cmd_homology(args):
     return report["exit_status"]
 
 
+def _as_units(fn, items):
+    return [(lambda x=x: [fn(x)]) for x in items]
+
+
 def cmd_verify(args):
     spec, source = load_spec(args)
     _check_box_budget(spec, args.box)
     selection, label = parse_gradings(spec, args.grading)
     tasks, notes = build_verify_tasks(spec, source, args, selection)
-    dicts = []
-    for _, run in tasks:
-        dicts.extend(r.to_dict() for r in run())
+    # Plan every suite here, then run all units in one queue, heaviest first.
+    plans = [(name, plan(_as_units)) for name, plan in tasks]
+    queue = [e for _, entries in sorted(plans, key=lambda p: HEAVY_FIRST.get(p[0], 3))
+             for e in entries if callable(e)]
+    done = dict(zip(queue, fan_out(lambda unit: unit(), queue)))
+    dicts = [r.to_dict() for _, entries in plans for e in entries
+             for r in (done[e] if callable(e) else [e])]
     summary = summarize(dicts)
     report = {
         "command": "verify",

@@ -249,14 +249,21 @@ def _boundary_terms(spec, key):
         # -<a,b>[a+b]^[c] + <a,c>[a+c]^[b] - <b,c>[b+c]^[a], each sum
         # moved to its sorted place.
         a, b, c = key
-        for coeff, x, y, rest in ((-pair(a, b), a, b, c), (pair(a, c), a, c, b),
-                                  (-pair(b, c), b, c, a)):
-            if coeff:
-                total = add(x, y)
-                if total < rest:
-                    out.append((coeff, (total, rest)))
-                elif rest < total:
-                    out.append((-coeff, (rest, total)))
+        coeff = pair(a, b)
+        if coeff:
+            total = add(a, b)
+            if total != c:
+                out.append((-coeff, (total, c)) if total < c else (coeff, (c, total)))
+        coeff = pair(a, c)
+        if coeff:
+            total = add(a, c)
+            if total != b:
+                out.append((coeff, (total, b)) if total < b else (-coeff, (b, total)))
+        coeff = pair(b, c)
+        if coeff:
+            total = add(b, c)
+            if total != a:
+                out.append((-coeff, (total, a)) if total < a else (coeff, (a, total)))
         return out
     if p == 4:
         # The six (i, j) terms in loop order, base sign (-1)^(i+j); the

@@ -211,46 +211,17 @@ def _certify_or_refute(check, params, certify, *args):
         return CheckResult(check, params(), REFUTED, {"failed_identity": exc.identity})
 
 
-_FANNED = None   # (fn, items) of the running fan_out; forked workers inherit it
-
-
-def _fanned_unit(i):
-    fn, items = _FANNED
-    return fn(items[i])
-
-
 def fan_out(fn, items):
-    """[fn(x) for x in items], in input order, for a list of independent
-    units such as the gradings of one suite.
-
-    With two or more items and two or more CPUs in this process's
-    affinity mask, the units run in forked worker processes, one per
-    usable CPU.  The workers inherit fn and items through fork, so only
-    indices go out and only results come back.  Otherwise fn runs here
-    in turn: with one item or one CPU, on a platform without affinity
-    masks, and inside a worker.  The results, and so the report bytes,
-    are the same either way; `taskset -c 0` gives a serial run.  A
-    worker's exception is re-raised here, and a worker that dies raises
-    BrokenProcessPool instead of hanging.  The indices go out in chunks
-    of len(items) // (4 * workers), at least 1, so many small units (the
-    gradings of ``homology``) do not pay one round trip each.
-    """
-    global _FANNED
+    """[fn(x) for x in items], in input order, for independent units (the
+    one queue of ``verify`` or the gradings of ``homology``): in forked
+    workers (``goldman.pool``) with two or more items and CPUs in the
+    affinity mask, else here, with the same results (`taskset -c 0`)."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     workers = min(len(items), cpus)
-    if workers < 2 or _FANNED is not None:
+    if workers < 2:
         return [fn(x) for x in items]
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    _FANNED = (fn, items)
-    try:
-        # With fork the executor starts every worker before its own
-        # thread, so no thread is running when the process forks.
-        with ProcessPoolExecutor(workers, multiprocessing.get_context("fork")) as pool:
-            return list(pool.map(_fanned_unit, range(len(items)),
-                                 chunksize=max(1, len(items) // (4 * workers))))
-    finally:
-        _FANNED = None
+    from goldman import pool
+    return pool.fan_out(fn, items, workers)
 
 
 # ---------------------------------------------------------------------------
@@ -1049,6 +1020,7 @@ def outer_h2_certify(spec, z, box_radius):
     for y in ys:
         hom = ContractingHomotopy(spec, z, y)
         holds = not any(hom.key_defect(key, d2) for key, d2 in zip(keys, d2s))
+        hom._shared.clear()   # left by wedges whose partner lies outside the box
         per_y.append((hom, {"y": list(y.coords), "wedges_checked": len(keys),
                             "identity_holds": holds}))
 

@@ -556,6 +556,27 @@ def test_verify_all_keeps_its_report_on_a_genus_zero_surface(capsys):
     assert report["summary"]["refuted"] == 0 and report["exit_status"] == 0
 
 
+def test_suite_level_not_applicable_entries_carry_the_suite_params(tmp_path, capsys):
+    # Each not-applicable entry names its group, and its box wherever the
+    # suite's other entries do; the surface suite has no box.
+    code, out, _ = run(capsys, "verify", "--suite", "all", "--surface", "0,2",
+                       "--box", "1", "--format", "json")
+    assert code == 0
+    skipped = {r["check"]: r["params"] for r in json.loads(out)["results"]
+               if r["verdict"] == "not-applicable"}
+    assert skipped == {
+        "inner-isomorphism": {"spec": "Z", "box": 1},
+        "outer-exactness": {"spec": "Z", "box": 1},
+        "gk-cycle": {"spec": "Z", "box": 1},
+        "surface-generators": {"spec": "Z"},
+        "omega-class": {"spec": "Z", "box": 1},
+        "linear-extension": {"spec": "Z", "box": 1, "seed": 0, "trials": 120}}
+    path = write_spec(tmp_path, "g.json", {"generators": 2, "form": [[0, 1], [-1, 0]]})
+    code, out, _ = run(capsys, "verify", "--suite", "surface", "--spec", path,
+                       "--format", "json")
+    assert json.loads(out)["results"][0]["params"] == {"spec": "Z^2"}
+
+
 def test_verify_inner_skips_unreachable_grading(tmp_path, capsys):
     path = write_spec(tmp_path, "z3.json", {
         "generators": 3,

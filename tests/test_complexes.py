@@ -172,6 +172,16 @@ def _assert_kernel_matches_reference(spec, factors):
 
 @pytest.mark.parametrize("spec", [symplectic_z2(), z2_z2torsion()],
                          ids=["Z2", "Z2+Z/2"])
+def test_degree3_kernel_matches_reference_on_every_small_key(spec):
+    """Every 3-set of box(1): each pair sum lands before or after the
+    remaining factor, hits it, or wraps around a torsion coordinate."""
+    box = box_support(spec, 1)
+    for factors in itertools.combinations(box, 3):
+        _assert_kernel_matches_reference(spec, list(factors))
+
+
+@pytest.mark.parametrize("spec", [symplectic_z2(), z2_z2torsion()],
+                         ids=["Z2", "Z2+Z/2"])
 def test_degree4_kernel_matches_reference_on_every_small_key(spec):
     """Every 4-set of box(1): pair sums land before, between and after
     the two remaining factors, hit one of them, hit 0, or wrap around a

@@ -390,6 +390,28 @@ def _scan_keys(spec, z, radius=2):
     return list(enumerate_keys(spec, [x.coords for x in support], 2, z.coords))
 
 
+@pytest.mark.parametrize("case", range(len(_HOMOTOPY_CASES)))
+def test_outer_certification_leaves_no_shared_boundaries(case, monkeypatch):
+    # A scan leaves in _shared the shift terms of the wedges whose partner
+    # lies outside the box; outer_h2_certify drops them after each scan,
+    # so no homotopy it built holds any when it returns.
+    spec, zc = _HOMOTOPY_CASES[case]
+    z = spec.element(zc)
+    hom = contracting_homotopy(spec, z, 3)
+    assert not any(hom.key_defect(key) for key in _scan_keys(spec, z, 3))
+    assert hom._shared
+    built = []
+    init = ContractingHomotopy.__init__
+
+    def recording_init(self, *args):
+        init(self, *args)
+        built.append(self)
+
+    monkeypatch.setattr(ContractingHomotopy, "__init__", recording_init)
+    assert outer_h2_certify(spec, z, 3).verdict == CERTIFIED
+    assert len(built) == 2 and not any(h._shared for h in built)
+
+
 @given(st.data())
 @settings(max_examples=40, deadline=None)
 def test_key_defect_matches_reference_in_any_scan_order(data):
