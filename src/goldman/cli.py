@@ -41,6 +41,7 @@ truncation, 1 on a refuted check or any error.
 """
 
 import argparse
+import contextlib
 import functools
 import itertools
 import json
@@ -578,23 +579,30 @@ def render_text(report):
     return "\n".join(lines) + "\n"
 
 
-def render_json(report):
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+def render_json(report, fh):
+    """Stream the report to fh as indented JSON, so no string of the
+    whole report is built."""
+    json.dump(report, fh, indent=2, sort_keys=True)
+    fh.write("\n")
 
 
 def emit(report, args):
-    write_report(render_json(report) if args.format == "json"
-                 else render_text(report), args)
+    with report_file(args) as fh:
+        if args.format == "json":
+            render_json(report, fh)
+        else:
+            fh.write(render_text(report))
 
 
-def write_report(text, args):
-    """Write a rendered report to --out, else to stdout."""
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-        print("report written to %s" % args.out)
-    else:
-        sys.stdout.write(text)
+@contextlib.contextmanager
+def report_file(args):
+    """The --out file, named on stdout once written, else stdout."""
+    if not args.out:
+        yield sys.stdout
+        return
+    with open(args.out, "w") as fh:
+        yield fh
+    print("report written to %s" % args.out)
 
 
 # ---------------------------------------------------------------------------
@@ -625,7 +633,8 @@ def cmd_validate(args):
              "ker mu generators: %s" % (", ".join(d["kernel_mu_generators"]) or
                                         "none (form nondegenerate)"),
              "status: ok"]
-    write_report("\n".join(lines) + "\n", args)
+    with report_file(args) as fh:
+        fh.write("\n".join(lines) + "\n")
     return 0
 
 

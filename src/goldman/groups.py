@@ -332,10 +332,11 @@ class GroupElement:
     def __sub__(self, other):
         if other.spec is not self.spec:
             raise ValueError("elements belong to different groups")
-        return self.spec._reduce([a - b for a, b in zip(self.coords, other.coords)])
+        return GroupElement(self.spec, self.spec.sub_coords(self.coords, other.coords))
 
     def __neg__(self):
-        return self.spec._reduce([-a for a in self.coords])
+        spec = self.spec
+        return GroupElement(spec, spec.sub_coords(spec.zero.coords, self.coords))
 
     def __mul__(self, k):
         if not isinstance(k, int):
@@ -350,19 +351,8 @@ class GroupElement:
     def in_kernel_mu(self):
         """True when <self, y> = 0 for every y, i.e. self lies in the radical."""
         if self._derived is None:
-            omega = self.spec.omega_tilde
-            coords = self.coords
-            kernel = True
-            for j in self.spec._form_support:
-                s = 0
-                for i in self.spec._form_support:
-                    c = coords[i]
-                    if c:
-                        s += c * omega[i][j]
-                if s != 0:
-                    kernel = False
-                    break
-            self._derived = not kernel
+            pair, coords = self.spec.pair_coords, self.coords
+            self._derived = any(pair(coords, e) for e in self.spec.unit_coords)
         return not self._derived
 
     def is_derived_element(self):
@@ -434,15 +424,17 @@ class GroupSpec:
     ``add_coords(a, b)``, ``sub_coords(a, b)`` and ``pair_coords(a, b)``
     work on canonical coordinate tuples: the coordinates of a + b and
     a - b, and the integer <a, b>.  They are the arithmetic under every
-    differential, so each spec generates them as straight-line code for
-    its own rank, torsion and form (``_coordinate_kernels``); the tests
+    differential and of ``GroupElement``'s sum, difference, negation and
+    radical test (``unit_coords`` holds the unit tuple of each canonical
+    index), so each spec generates them as straight-line code for its
+    own rank, torsion and form (``_coordinate_kernels``); the tests
     check them against plain loops over ``torsion`` and the Omega~
     entries.
     """
 
     __slots__ = ("n_generators", "relations", "form", "names", "snf",
                  "divisors", "free_indices", "torsion", "dead_indices",
-                 "omega_tilde", "zero", "_v", "_v_inv", "_form_support",
+                 "omega_tilde", "zero", "unit_coords", "_v", "_v_inv",
                  "_pair_entries", "torsion_indices", "torsion_coefficients",
                  "free_rank", "add_coords", "sub_coords", "pair_coords", "_boxes")
 
@@ -503,9 +495,6 @@ class GroupSpec:
                 raise ValueError("row %d of Omega~ at a non-free index is nonzero "
                                  "(descent of the form failed)" % j)
         self.omega_tilde = tuple(tuple(row) for row in omega)
-        self._form_support = tuple(
-            j for j in range(n)
-            if any(self.omega_tilde[j]) or any(self.omega_tilde[i][j] for i in range(n)))
         # The form is alternating, so the entries above the diagonal
         # determine it: <a, b> = sum of w (a_i b_j - a_j b_i) over i < j.
         self._pair_entries = tuple(
@@ -515,6 +504,7 @@ class GroupSpec:
             self.divisors, self._pair_entries)
         self._boxes = {}
         self.zero = GroupElement(self, (0,) * n)
+        self.unit_coords = tuple(tuple(int(i == j) for i in range(n)) for j in range(n))
 
     def _reduce(self, coords):
         for j, d in self.torsion:

@@ -58,13 +58,11 @@ witnesses.  The certification patterns are:
   D (Phi_1 d_2 + d_3 Phi_2 - id)(w) is an integer.  The check sums those
   terms in one integer dict over wedge keys and tests it for zero,
   which is exact over Z; the scan walks the keys (u, z-u) of the
-  slice.  Each distinct boundary is computed once, while every wedge
-  is still checked in full: d_2 of a key once per grading (both y's and
-  the cycle space share it), d_3 of the tail wedge once per homotopy,
-  and d_3 of a shift term once for the two wedges whose Phi_2 contains
-  it.  The five reported cycle witnesses c are key dicts too, c times
-  its denominator; d(D Phi_2(c)) = D c is checked on integers, and
-  Fractions are built only to serialize them.
+  slice.  Every wedge is checked in full: d_2 of a key is computed
+  once per grading (both y's and the cycle space share it), and d_3 of
+  the tail wedge once per homotopy.  The five reported cycle witnesses
+  c are key dicts too, c times its denominator; d(D Phi_2(c)) = D c is
+  checked on integers, and Fractions are built only to serialize them.
 
 * The degree-3 cocycle omega([u],[v],[z-u-v]) = <u, v>.  For torsion z
   a closed-form combination of the rows of a primitive eta
@@ -525,17 +523,12 @@ class ContractingHomotopy:
     coordinate tuples) and divided by ``scale`` only when a chain is
     returned.
 
-    d_3 of a Phi_2 term depends only on its key, so a scan of the slice
-    computes each distinct one once.  The tail wedge is the same for
-    every [u] ^ [v]; its boundary is taken at construction and only
-    rescaled per wedge.  The first term of (u, v), [y] ^ [u-y] ^ [v], is
-    the second term of (u-y, v+y), so the two shift terms keep their
-    boundaries in ``_shared`` until that one reuse and then drop them,
-    which keeps the dict small.
+    The tail wedge is the same for every [u] ^ [v]; its boundary is
+    taken at construction and only rescaled per wedge.
     """
 
     __slots__ = ("spec", "z", "y", "lam", "scale", "_scaled",
-                 "_y2c", "_phi1_term", "_tail_term", "_tail_d3", "_shared")
+                 "_y2c", "_phi1_term", "_tail_term", "_tail_d3")
 
     def __init__(self, spec, z, y):
         if z.in_kernel_mu():
@@ -558,7 +551,6 @@ class ContractingHomotopy:
         self._tail_term = _sort_sign((y.coords, self._y2c, (z - 3 * y).coords))
         sign, key = self._tail_term
         self._tail_d3 = _boundary_terms(spec, key) if sign else []
-        self._shared = {}
 
     def _check_graded(self, keys):
         """Raise ValueError unless every 2-wedge key (u, v) has grading z."""
@@ -600,20 +592,10 @@ class ContractingHomotopy:
         sign, phi1_key = self._phi1_term
         if sign and self._scaled[0] and d2:
             acc[phi1_key] = sign * self._scaled[0] * d2
-        spec, get, shared = self.spec, acc.get, self._shared
-        tail_key, y = self._tail_term[1], self.y.coords
+        spec, get, tail_key = self.spec, acc.get, self._tail_term[1]
         for coeff, key3 in self._scaled_phi2(*key):
-            # d_3 of the Phi_2 term: the tail's is precomputed, and a
-            # shift term (one with the factor [y] that is not the tail)
-            # is shared with one other wedge.
-            if key3 == tail_key:
-                terms = self._tail_d3
-            elif y not in key3:
-                terms = _boundary_terms(spec, key3)
-            else:
-                terms = shared.pop(key3, None)
-                if terms is None:
-                    terms = shared[key3] = _boundary_terms(spec, key3)
+            terms = (self._tail_d3 if key3 == tail_key
+                     else _boundary_terms(spec, key3))
             for bc, key2 in terms:
                 acc[key2] = get(key2, 0) + coeff * bc
         return acc
@@ -949,9 +931,8 @@ class InnerCertification:
         spec, zc = self.spec, self.z.coords
         free, pair, sub = spec.free_indices, spec.pair_coords, spec.sub_coords
         radius = _capped_radius(spec, self.boundary_radius, 20000)
-        units = [tuple(int(i == j) for i in range(len(zc))) for j in range(len(zc))]
         member = functools.cache(lambda x: all(abs(x[t]) <= radius for t in free)
-                                 and any(pair(x, e) for e in units))
+                                 and any(pair(x, e) for e in spec.unit_coords))
         exhaustive = sum(1 for _ in itertools.islice(
             filter(member, itertools.product(*_box_ranges(spec, radius))),
             F_SCAN_EXHAUSTIVE + 1)) <= F_SCAN_EXHAUSTIVE
@@ -1016,18 +997,16 @@ def outer_h2_certify(spec, z, box_radius):
     if not ys:
         raise ValueError("no y with <y, z> != 0 in the box")
 
-    per_y = []
-    for y in ys:
-        hom = ContractingHomotopy(spec, z, y)
-        holds = not any(hom.key_defect(key, d2) for key, d2 in zip(keys, d2s))
-        hom._shared.clear()   # left by wedges whose partner lies outside the box
-        per_y.append((hom, {"y": list(y.coords), "wedges_checked": len(keys),
-                            "identity_holds": holds}))
+    homs = [ContractingHomotopy(spec, z, y) for y in ys]
+    per_y = [{"y": list(hom.y.coords), "wedges_checked": len(keys),
+              "identity_holds": not any(hom.key_defect(key, d2)
+                                        for key, d2 in zip(keys, d2s))}
+             for hom in homs]
 
     params = {"spec": spec.describe()["group"], "z": list(z.coords), "box": box_radius}
-    if not all(entry["identity_holds"] for _, entry in per_y):
+    if not all(entry["identity_holds"] for entry in per_y):
         return CheckResult("outer-exactness", params, REFUTED,
-                           {"per_y": [e for _, e in per_y],
+                           {"per_y": per_y,
                             "note": "homotopy identity failed"})
 
     # d_2 to C_1 is one coordinate (the [z] coefficient), so the cycle
@@ -1039,7 +1018,7 @@ def outer_h2_certify(spec, z, box_radius):
 
     # A witness cycle c is held as den * c on integer keys (den = d2s[pivot],
     # or 1 for a cycle column): d(scale * den * Phi_2(c)) = scale * den * c.
-    hom = per_y[0][0]
+    hom = homs[0]
     witnesses = []
     for col in itertools.islice((col for col in range(len(keys)) if col != pivot), 5):
         cycle = ({keys[col]: d2s[pivot], keys[pivot]: -d2s[col]} if d2s[col]
@@ -1057,7 +1036,7 @@ def outer_h2_certify(spec, z, box_radius):
         "bounded_cycles": cycle_dim,
         "h2_dim": 0,
         "y_choices": [list(y.coords) for y in ys],
-        "per_y": [e for _, e in per_y],
+        "per_y": per_y,
         "witnesses": witnesses,
     }
     return CheckResult("outer-exactness", params, CERTIFIED, details)
@@ -1430,22 +1409,11 @@ def omega_cocycle(spec, z):
 
 
 def _extended_gcd_vector(values):
-    """Integers a with sum(a_i values_i) = gcd(values) > 0."""
-    coeffs = [0] * len(values)
-    g = 0
+    """Integers a with sum(a_i values_i) = g = gcd(values) >= 0, g = 0
+    only for the zero vector: extended Euclid on (g, v) for each entry v."""
+    coeffs, g = [0] * len(values), 0
     for i, v in enumerate(values):
-        if v == 0:
-            continue
-        if g == 0:
-            g = abs(v)
-            coeffs = [0] * len(values)
-            coeffs[i] = 1 if v > 0 else -1
-            continue
-        a, b = g, v
-        # Extended Euclid for (g, v).
-        old_r, r = a, b
-        old_s, s = 1, 0
-        old_t, t = 0, 1
+        old_r, r, old_s, s, old_t, t = g, v, 1, 0, 0, 1
         while r:
             q = old_r // r
             old_r, r = r, old_r - q * r
@@ -1454,8 +1422,7 @@ def _extended_gcd_vector(values):
         if old_r < 0:
             old_r, old_s, old_t = -old_r, -old_s, -old_t
         coeffs = [c * old_s for c in coeffs]
-        coeffs[i] = old_t
-        g = old_r
+        coeffs[i], g = old_t, old_r
     return coeffs, g
 
 

@@ -7,8 +7,10 @@ package are re-expanded through the differential inside the tests, and
 infeasibility certificates are re-multiplied against rebuilt rows.
 """
 
+import copy
 import itertools
 import json
+import math
 import os
 import random
 import subprocess
@@ -391,25 +393,24 @@ def _scan_keys(spec, z, radius=2):
 
 
 @pytest.mark.parametrize("case", range(len(_HOMOTOPY_CASES)))
-def test_outer_certification_leaves_no_shared_boundaries(case, monkeypatch):
-    # A scan leaves in _shared the shift terms of the wedges whose partner
-    # lies outside the box; outer_h2_certify drops them after each scan,
-    # so no homotopy it built holds any when it returns.
+def test_a_full_scan_leaves_every_homotopy_slot_unchanged(case, monkeypatch):
+    # A homotopy keeps no scan state: no slot is written after __init__,
+    # and no value a slot holds changes during a full-slice scan.
     spec, zc = _HOMOTOPY_CASES[case]
     z = spec.element(zc)
     hom = contracting_homotopy(spec, z, 3)
-    assert not any(hom.key_defect(key) for key in _scan_keys(spec, z, 3))
-    assert hom._shared
-    built = []
-    init = ContractingHomotopy.__init__
-
-    def recording_init(self, *args):
-        init(self, *args)
-        built.append(self)
-
-    monkeypatch.setattr(ContractingHomotopy, "__init__", recording_init)
-    assert outer_h2_certify(spec, z, 3).verdict == CERTIFIED
-    assert len(built) == 2 and not any(h._shared for h in built)
+    keys = _scan_keys(spec, z, 3)
+    slots = {name: getattr(hom, name) for name in ContractingHomotopy.__slots__}
+    elements = ("spec", "z", "y")
+    before = {name: copy.deepcopy(value) for name, value in slots.items()
+              if name not in elements}
+    writes = []
+    monkeypatch.setattr(ContractingHomotopy, "__setattr__",
+                        lambda self, name, value: writes.append(name))
+    assert not any(hom.key_defect(key) for key in keys)
+    assert writes == []
+    assert all(getattr(hom, name) is value for name, value in slots.items())
+    assert {name: getattr(hom, name) for name in before} == before
 
 
 @given(st.data())
@@ -425,8 +426,8 @@ def test_key_defect_matches_reference_in_any_scan_order(data):
         hom = ContractingHomotopy(spec, z, y)
     keys = enumerate_basis(box_support(spec, 2), 2, z)
     assert keys == _scan_keys(spec, z)
-    # One homotopy serves the whole scan, so its shared boundaries are
-    # reused in whatever order the keys come.
+    # One homotopy serves the whole scan, and a wedge's defect depends
+    # only on its key, so the keys may come in any order.
     order = data.draw(st.sampled_from(["sorted", "reversed", "shuffled"]))
     if order == "reversed":
         keys.reverse()
@@ -460,12 +461,12 @@ def test_scan_computes_each_boundary_once(case, monkeypatch):
     for y in r.details["y_choices"]:
         calls.clear()
         hom = ContractingHomotopy(spec, z, spec.canonical(y))
+        # The tail's d_3 once per homotopy, at construction.
+        sign, tail = hom._tail_term
+        assert calls == ([tail] if sign else [])
+        calls.clear()
         assert not any(hom.key_defect(key) for key in keys)
-        # Every 3-wedge boundary of the scan is computed once, the
-        # tail's among them.
-        d3 = [k for k in calls if len(k) == 3]
-        assert len(d3) == len(set(d3))
-        assert hom._tail_term[1] in d3
+        assert tail not in calls
 
 
 @pytest.mark.parametrize("name", ["tail", "shift_first"])
@@ -573,6 +574,15 @@ def _draw_wedge(data, spec, z, p):
     factors.append(last)
     sign, key = reference_normalize(factors)
     return (sorted(factors), key) if sign else (None, None)
+
+
+@given(st.lists(st.integers(-60, 60), max_size=6))
+def test_extended_gcd_vector_gives_bezout_coefficients(values):
+    coeffs, g = verify._extended_gcd_vector(values)
+    assert len(coeffs) == len(values)
+    assert sum(a * v for a, v in zip(coeffs, values)) == g
+    assert g == math.gcd(*values) and g >= 0
+    assert (g == 0) == (not any(values))
 
 
 @given(st.data())
