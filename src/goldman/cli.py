@@ -46,12 +46,13 @@ import functools
 import itertools
 import json
 import random
+import re
 import sys
 from fractions import Fraction
 
 from .algebra import AlgebraVector, bracket
-from .complexes import (Cochain, _box_size, _check_box_budget, boundary, box_by_weight,
-                        coboundary, wedge_chain)
+from .complexes import (Cochain, _box_size, _check_box_budget, _key_boundary, _wedge_keys,
+                        box_by_weight, coboundary)
 from .groups import GroupSpec, surface_presentation
 from .verify import (
     CERTIFIED,
@@ -102,15 +103,20 @@ class UsageError(Exception):
     pass
 
 
+def _parse_int(token, where):
+    """An optional sign and ASCII digits, after stripping; int() alone would
+    also read "1_0" as 10, and non-ASCII digits."""
+    token = token.strip()
+    if not re.fullmatch(r"[+-]?[0-9]+", token):
+        raise UsageError("%s: %r is not an integer" % (where, token))
+    return int(token)
+
+
 def _parse_surface(text):
     parts = text.split(",")
     if len(parts) != 2:
         raise UsageError("--surface expects 'g,r'")
-    try:
-        g, r = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise UsageError("--surface expects two integers 'g,r'")
-    return g, r
+    return tuple(_parse_int(part, "--surface expects two integers 'g,r'") for part in parts)
 
 
 def load_spec(args):
@@ -212,10 +218,7 @@ def parse_gradings(spec, grading_args):
             chunk = chunk.strip()
             if not chunk:
                 continue
-            try:
-                coords = [int(t) for t in chunk.split(",")]
-            except ValueError:
-                raise UsageError("bad grading vector %r" % chunk)
+            coords = [_parse_int(t, "bad grading vector %r" % chunk) for t in chunk.split(",")]
             if len(coords) != spec.n_generators:
                 raise UsageError("grading %r needs %d coordinates"
                                  % (chunk, spec.n_generators))
@@ -315,28 +318,31 @@ def _probe_cochain(spec, degree):
 
 
 def run_complex_suite(spec, seed):
-    """d o d = 0 on random wedges and (d eta)(c) = eta(dc) on samples."""
+    """d o d = 0 on random wedges and (d eta)(c) = eta(dc) on samples,
+    each wedge as its (sign, key)."""
     rng = random.Random("complex:%d" % seed)
     squared = 0
     for _ in range(COMPLEX_WEDGES):
         p = rng.randint(2, 5)
-        c = wedge_chain(spec, [_random_element(spec, rng) for _ in range(p)])
-        if c.is_zero():
+        c = _wedge_keys([(tuple(_random_element(spec, rng).coords for _ in range(p)), 1)])
+        if not c:
             continue
-        if not boundary(boundary(c)).is_zero():
+        if _key_boundary(spec, _key_boundary(spec, c)):
             return CheckResult("complex-squares-to-zero", {"seed": seed}, REFUTED,
-                               {"failed": "d o d", "chain": serialize_chain(c.terms, 1)})
+                               {"failed": "d o d", "chain": serialize_chain(c, 1)})
         squared += 1
     duality = 0
     for _ in range(max(1, COMPLEX_WEDGES // 3)):
         p = rng.randint(1, 4)
-        c = wedge_chain(spec, [_random_element(spec, rng) for _ in range(p + 1)])
-        if c.is_zero():
+        c = _wedge_keys([(tuple(_random_element(spec, rng).coords for _ in range(p + 1)), 1)])
+        if not c:
             continue
+        ((key, sign),) = c.items()
         eta = _probe_cochain(spec, p)
-        if coboundary(eta, p).evaluate(c) != eta.evaluate(boundary(c)):
+        if sign * coboundary(eta, p).value(key) != sum(
+                b * eta.value(face) for face, b in _key_boundary(spec, c).items()):
             return CheckResult("complex-squares-to-zero", {"seed": seed}, REFUTED,
-                               {"failed": "duality", "chain": serialize_chain(c.terms, 1)})
+                               {"failed": "duality", "chain": serialize_chain(c, 1)})
         duality += 1
     return CheckResult("complex-squares-to-zero", {"seed": seed}, CERTIFIED,
                        {"squared_wedges": squared, "duality_samples": duality})
@@ -387,7 +393,7 @@ def _inner_entry(spec, z, box):
     inner = inner_h2_certify(spec, z, box)
     checked, exhaustive = inner.scan_f_kills_boundaries()
     inner.result.details["f_boundary_scan"] = {
-        "wedges": checked, "exhaustive": exhaustive}
+        "wedges": checked, "exhaustive": exhaustive, "radius": inner.f_scan_radius}
     return inner.result
 
 
@@ -596,11 +602,16 @@ def emit(report, args):
 
 @contextlib.contextmanager
 def report_file(args):
-    """The --out file, named on stdout once written, else stdout."""
+    """The --out file, named on stdout once written, else stdout; a path
+    that cannot be opened is a UsageError."""
     if not args.out:
         yield sys.stdout
         return
-    with open(args.out, "w") as fh:
+    try:
+        fh = open(args.out, "w")
+    except OSError as exc:
+        raise UsageError("cannot write %s: %s" % (args.out, exc.strerror or exc))
+    with fh:
         yield fh
     print("report written to %s" % args.out)
 

@@ -18,10 +18,12 @@ the general loop.  Its coordinate arithmetic is the group's generated
 straight-line code (see goldman.groups).
 
 A wedge is labelled by its key: the strictly increasing tuple of its
-factors' canonical coordinate tuples.  A chain (``WedgeChain``) is
-{key: Fraction} for wedges of one degree, with the sparse arithmetic
-that vectors of Q[H] share (``goldman.algebra``); the differential,
-cochains, bases and the scans of ``goldman.verify`` all read keys.
+factors' canonical coordinate tuples.  A chain is {key: integer} over
+one scale: ``_wedge_keys`` builds it, ``_key_boundary`` is its
+differential, and a caller divides only to serialize.  ``WedgeChain``
+({key: Fraction}, with the arithmetic of ``goldman.algebra``) stays for
+``g_map``, ``ideal_membership`` and the benchmark hooks; no command
+builds one.
 
 The label sum u_1 + ... + u_p is the grading of a wedge; every term of
 d(w) has the grading of w because each summand replaces u_i, u_j by
@@ -201,12 +203,6 @@ class WedgeChain(SparseCombination):
             raise ValueError("chain mixes gradings %s" % sorted(gradings))
         return GroupElement(self.spec, gradings.pop()) if gradings else None
 
-    def graded_part(self, z):
-        """The sub-chain of terms with grading z."""
-        return WedgeChain._trusted(self.spec, self.degree,
-                                   {key: c for key, c in self.terms.items()
-                                    if _key_grading(self.spec, key) == z.coords})
-
 
 def _key_grading(spec, key):
     """The grading of a wedge key: the coordinates of its factor sum."""
@@ -223,9 +219,20 @@ def wedge_chain(spec, elements, coeff=1):
     elements = list(elements)
     if any(e.spec is not spec for e in elements):
         raise ValueError("wedge factor belongs to a different group")
-    sign, key = _sort_sign([e.coords for e in elements])
-    terms = {key: Fraction(coeff * sign)} if sign and coeff else {}
+    terms = _wedge_keys([(tuple(e.coords for e in elements), Fraction(coeff))])
     return WedgeChain._trusted(spec, len(elements), terms)
+
+
+def _wedge_keys(terms):
+    """The sum of c [x_1] ^ ... ^ [x_p] over (factor coordinate tuples, c)
+    terms, as {key: nonzero coefficient}: ``wedge_chain`` on keys, with
+    the same sorting signs, and a repeated factor giving nothing."""
+    acc = {}
+    for factors, c in terms:
+        sign, key = _sort_sign(factors)
+        if sign:
+            acc[key] = acc.get(key, 0) + sign * c
+    return {key: c for key, c in acc.items() if c}
 
 
 def _boundary_terms(spec, key):

@@ -24,7 +24,8 @@ witnesses.  The certification patterns are:
   too: (scale, keys), integer coefficients on at most three 3-wedge
   keys whose boundary is scale times the column.  A wedge key is the
   ascending tuple of its factors' coordinate tuples, and a chain is
-  {key: Fraction} (``goldman.complexes``).  Every kept column is
+  {key: integer} over one scale, divided only when it is serialized
+  (``serialize_chain``).  Every kept column is
   checked on integers: d of the keys, read on the rows of W, is scale
   times the vector, every key lies in the boundary box, and f summed
   over its rows is 0.  So the columns span a subspace of ker(f), and a
@@ -51,11 +52,11 @@ witnesses.  The certification patterns are:
   Phi_2) built from any y with <y, z> != 0 satisfies
   Phi_1 d_2 + d_3 Phi_2 = id on the whole graded slice, verified wedge
   by wedge, so every cycle c bounds via d_3 Phi_2(c) = c.  The five
-  homotopy coefficients are fixed (``_DEFAULT_HOMOTOPY``), and a wedge
-  on which the identity fails refutes the grading.  The coefficients
-  have denominators dividing 2 lam^2 (lam = <y, z>); multiplied by D,
-  the lcm of their denominators, every term of
-  D (Phi_1 d_2 + d_3 Phi_2 - id)(w) is an integer.  The check sums those
+  homotopy factors are fixed, and a wedge on which the identity fails
+  refutes the grading.  Their denominators divide D = 2 lam^2
+  (lam = <y, z>), and ``_homotopy_factors`` gives D and the five
+  factors times D, so every term of D (Phi_1 d_2 + d_3 Phi_2 - id)(w)
+  is an integer.  The check sums those
   terms in one integer dict over wedge keys and tests it for zero,
   which is exact over Z; the scan walks the keys (u, z-u) of the
   slice.  Every wedge is checked in full: d_2 of a key is computed
@@ -75,6 +76,9 @@ witnesses.  The certification patterns are:
   with g omega(w), both integers.  No floats and no modulus enter
   either scan; every zero test is exact over Z.  Both scans read
   ``enumerate_keys``, the last factor from the whole box.
+
+The closed-form checks (g_K cycle, surface, H_1) and the ``complex``
+suite build their chains on keys too; no command builds a ``WedgeChain``.
 
 Verdicts are "certified", "refuted", or "inconclusive-at-truncation";
 a too-small box can hide boundaries but never fabricate them, so a
@@ -102,6 +106,7 @@ from goldman.complexes import (
     _key_boundary,
     _key_grading,
     _sort_sign,
+    _wedge_keys,
     _box_ranges,
     _box_size,
     boundary,
@@ -166,9 +171,9 @@ def frac_str(q):
 
 def serialize_chain(terms, den):
     """The chain {wedge key: c / den} as [coefficient, [factor
-    coordinates...]] pairs in key order: ``WedgeChain.terms`` with den 1,
-    or integer key terms over their denominator.  Each coefficient is
-    built once, and with den 1 not at all."""
+    coordinates...]] pairs in key order, for integer key terms over
+    their denominator.  Each Fraction is built once, and with den 1 not
+    at all."""
     return [[frac_str(c if den == 1 else Fraction(c, den)), [list(f) for f in key]]
             for key, c in sorted(terms.items())]
 
@@ -289,12 +294,18 @@ def f_map(c, qspace):
     if c.degree != 2:
         raise ValueError("f_map is defined on degree-2 chains, got degree %d"
                          % c.degree)
-    z = qspace.z.coords
+    return _f_terms(qspace, c.terms)
+
+
+def _f_terms(qspace, terms):
+    """f of the grading-z chain {2-key: coefficient}, a coordinate tuple;
+    a term of another grading raises ValueError."""
+    spec, z = qspace.spec, qspace.z.coords
     out = [0] * qspace.dim
-    for key, coeff in c.terms.items():
-        if _key_grading(c.spec, key) != z:
+    for key, coeff in terms.items():
+        if _key_grading(spec, key) != z:
             raise ValueError("chain term graded at %r, expected %r"
-                             % (_key_grading(c.spec, key), z))
+                             % (_key_grading(spec, key), z))
         for j, x in enumerate(f_on_ordered(qspace, key)):
             out[j] += coeff * x
     return tuple(out)
@@ -332,10 +343,20 @@ def g_map(qspace, terms):
 #   G(u, v) = [u+v] ^ [z-u-v] - [u] ^ [z-u] - [v] ^ [z-v].
 
 
+def _cycle_keys(spec, z, terms):
+    """The sum of c [x] ^ [z-x] over (x, c) on coordinate tuples, as keys."""
+    sub = spec.sub_coords
+    return _wedge_keys(((x, sub(z, x)), c) for x, c in terms)
+
+
+def _generator_keys(spec, z, u, v):
+    """G(u, v) on coordinate tuples, as {2-key: nonzero int}."""
+    return _cycle_keys(spec, z, ((spec.add_coords(u, v), 1), (u, -1), (v, -1)))
+
+
 def _ideal_generator(spec, z, u, v):
-    return (wedge_chain(spec, [u + v, z - u - v])
-            - wedge_chain(spec, [u, z - u])
-            - wedge_chain(spec, [v, z - v]))
+    """G(u, v) of group elements, as a chain."""
+    return WedgeChain(spec, 2, _generator_keys(spec, z.coords, u.coords, v.coords))
 
 
 def _direct_witness(spec, z, u, v):
@@ -489,28 +510,23 @@ def ideal_membership(c, box):
 # ---------------------------------------------------------------------------
 # Contracting homotopy for outer gradings
 
-# The five homotopy coefficients, the one place they live: every
-# ContractingHomotopy reads them when it is built.
-_DEFAULT_HOMOTOPY = {
-    "phi1": Fraction(-1),
-    "shift_first": Fraction(-1),
-    "shift_second": Fraction(-1),
-    "shift_both": Fraction(1),
-    "tail": Fraction(1),
-}
+def _homotopy_factors(lam):
+    """(D, scaled) for lam = <y, z> != 0: D = 2 lam^2 is the lcm of the
+    denominators of the homotopy factors -1/lam, -1/lam, -1/lam, 1/(2 lam)
+    and 1/(2 lam^2), and ``scaled`` those factors times D, all integers."""
+    return 2 * lam * lam, (-2 * lam, -2 * lam, -2 * lam, lam, 1)
 
 
 class ContractingHomotopy:
     """Operators Phi_1: C_1 -> C_2 and Phi_2: C_2 -> C_3 in grading z.
 
-    For y with lam = <y, z> != 0 and the coefficients of
-    ``_DEFAULT_HOMOTOPY``:
+    For y with lam = <y, z> != 0:
 
-        Phi_1([z])      = (phi1/lam) [y] ^ [z-y]
-        Phi_2([u]^[v])  = (shift_first/lam)  [y] ^ [u-y] ^ [v]
-                        + (shift_second/lam) [y] ^ [u]   ^ [v-y]
-                        + (shift_both/2lam)  [2y] ^ [u-y] ^ [v-y]
-                        + (tail <u-y, v-y> / 2 lam^2) [y] ^ [2y] ^ [z-3y]
+        Phi_1([z])      = (-1/lam) [y] ^ [z-y]
+        Phi_2([u]^[v])  = (-1/lam)  [y] ^ [u-y] ^ [v]
+                        + (-1/lam)  [y] ^ [u]   ^ [v-y]
+                        + (1/2lam)  [2y] ^ [u-y] ^ [v-y]
+                        + (<u-y, v-y> / 2 lam^2) [y] ^ [2y] ^ [z-3y]
 
     Phi_1 d_2 + d_3 Phi_2 = id holds on every basis wedge of the slice.
     ``key_defect`` measures its failure on a wedge key as an integer
@@ -518,16 +534,16 @@ class ContractingHomotopy:
     the certificate.
 
     The five rational factors in front of the wedges are scaled by
-    ``scale``, the lcm of their denominators, so the operators are
-    evaluated on integer coefficients over wedge keys (sorted tuples of
-    coordinate tuples) and divided by ``scale`` only when a chain is
-    returned.
+    ``scale`` = 2 lam^2, the lcm of their denominators
+    (``_homotopy_factors``), so the operators are evaluated on integer
+    coefficients over wedge keys (sorted tuples of coordinate tuples),
+    and a caller divides by ``scale`` only to serialize.
 
     The tail wedge is the same for every [u] ^ [v]; its boundary is
     taken at construction and only rescaled per wedge.
     """
 
-    __slots__ = ("spec", "z", "y", "lam", "scale", "_scaled",
+    __slots__ = ("spec", "z", "y", "scale", "_scaled",
                  "_y2c", "_phi1_term", "_tail_term", "_tail_d3")
 
     def __init__(self, spec, z, y):
@@ -539,29 +555,12 @@ class ContractingHomotopy:
         self.spec = spec
         self.z = z
         self.y = y
-        self.lam = Fraction(lam)
-        co, lam = _DEFAULT_HOMOTOPY, self.lam
-        factors = (co["phi1"] / lam, co["shift_first"] / lam,
-                   co["shift_second"] / lam, co["shift_both"] / (2 * lam),
-                   co["tail"] / (2 * lam * lam))
-        self.scale = math.lcm(*(q.denominator for q in factors))
-        self._scaled = tuple((q * self.scale).numerator for q in factors)
+        self.scale, self._scaled = _homotopy_factors(lam)
         self._y2c = (2 * y).coords
         self._phi1_term = _sort_sign((y.coords, (z - y).coords))
         self._tail_term = _sort_sign((y.coords, self._y2c, (z - 3 * y).coords))
         sign, key = self._tail_term
         self._tail_d3 = _boundary_terms(spec, key) if sign else []
-
-    def _check_graded(self, keys):
-        """Raise ValueError unless every 2-wedge key (u, v) has grading z."""
-        if any(self.spec.add_coords(*key) != self.z.coords for key in keys):
-            raise ValueError("chain is not graded at z")
-
-    def _chain(self, scaled, degree):
-        """The WedgeChain of {key: scale * coefficient}."""
-        return WedgeChain.from_keys(self.spec, degree,
-                                    {key: Fraction(c, self.scale)
-                                     for key, c in scaled.items()})
 
     def _scaled_phi2(self, u, v):
         """(integer coefficient, key) terms of scale * Phi_2([u] ^ [v])."""
@@ -602,19 +601,13 @@ class ContractingHomotopy:
 
     def phi2_keys(self, terms):
         """scale * Phi_2 of the grading-z chain {2-key: coefficient}, as
-        {3-key: nonzero coefficient}: the one Phi_2, which ``phi2`` and
-        the outer cycle witnesses both evaluate."""
+        {3-key: nonzero coefficient}: the one Phi_2, which the outer
+        cycle witnesses and the g_K cycle's shifted parts evaluate."""
         acc = {}
         for key, coeff in terms.items():
             for scaled, key3 in self._scaled_phi2(*key):
                 acc[key3] = acc.get(key3, 0) + coeff * scaled
         return {key: c for key, c in acc.items() if c}
-
-    def phi2(self, c):
-        if c.degree != 2:
-            raise ValueError("Phi_2 consumes degree-2 chains")
-        self._check_graded(c.terms)
-        return self._chain(self.phi2_keys(c.terms), 3)
 
     def key_defect(self, key, d2=None):
         """scale * (Phi_1 d_2 + d_3 Phi_2 - id) of the grading-z wedge
@@ -633,8 +626,10 @@ class ContractingHomotopy:
     def identity_defect(self, key):
         """(Phi_1 d_2 + d_3 Phi_2 - id) of the basis wedge with this key,
         as a chain."""
-        self._check_graded([key])
-        return self._chain(self.key_defect(key), 2)
+        if self.spec.add_coords(*key) != self.z.coords:
+            raise ValueError("wedge is not graded at z")
+        return WedgeChain.from_keys(self.spec, 2, {k: Fraction(c, self.scale)
+                                                   for k, c in self.key_defect(key).items()})
 
 
 def _d2_coefficient(spec, key):
@@ -697,7 +692,7 @@ class InnerCertification:
     when the verdict is certified.
     """
 
-    __slots__ = ("spec", "z", "box_radius", "boundary_radius",
+    __slots__ = ("spec", "z", "box_radius", "boundary_radius", "f_scan_radius",
                  "effective_radius", "support", "wedges", "rows",
                  "qspace", "columns", "rank", "target_rank",
                  "f_rank", "box_image_rank", "result")
@@ -709,6 +704,8 @@ class InnerCertification:
         self.z = z
         self.box_radius = box_radius
         self.boundary_radius = 3 * box_radius
+        # The f-boundary scan's box: the boundary box cut to 20000 elements.
+        self.f_scan_radius = _capped_radius(spec, self.boundary_radius, 20000)
 
         self.effective_radius = _capped_radius(spec, box_radius, INNER_SUPPORT_CAP)
         self.support = box_support(spec, self.effective_radius)
@@ -909,9 +906,9 @@ class InnerCertification:
         return out
 
     def scan_f_kills_boundaries(self):
-        """Check f(d(w)) = 0 for the degree-3 derived wedges w of the
-        boundary box (capped at 20000 elements) with two factors in a
-        pool.  Returns (checked, exhaustive).
+        """Check f(d(w)) = 0 for the degree-3 derived wedges w of
+        box(f_scan_radius) with two factors in a pool.  Returns (checked,
+        exhaustive).
 
         With at most F_SCAN_EXHAUSTIVE derived elements in the box, the
         pool is all of them and the scan is exhaustive; else it is the
@@ -930,7 +927,7 @@ class InnerCertification:
         walk, so moving it would change the reported wedge count."""
         spec, zc = self.spec, self.z.coords
         free, pair, sub = spec.free_indices, spec.pair_coords, spec.sub_coords
-        radius = _capped_radius(spec, self.boundary_radius, 20000)
+        radius = self.f_scan_radius
         member = functools.cache(lambda x: all(abs(x[t]) <= radius for t in free)
                                  and any(pair(x, e) for e in spec.unit_coords))
         exhaustive = sum(1 for _ in itertools.islice(
@@ -1107,7 +1104,8 @@ def _main_theorem_entry(spec, support, z, box_radius):
         "quotient_dim": inner.qspace.dim,
         "h2_dim": h2,
         "predicted": predicted,
-        "f_boundary_scan": {"wedges": checked, "exhaustive": exhaustive},
+        "f_boundary_scan": {"wedges": checked, "exhaustive": exhaustive,
+                            "radius": inner.f_scan_radius},
         "inner": inner_res.details,
     }
     return CheckResult("main-theorem", params,
@@ -1118,88 +1116,73 @@ def _main_theorem_entry(spec, support, z, box_radius):
 # The g_K cycle
 
 
-def _vector_wedge(a, b):
-    """The chain expansion of (vector a) ^ (vector b) in C_2."""
-    spec = a.spec
-    out = WedgeChain(spec, 2)
-    for x, cx in a.terms.items():
-        for y, cy in b.terms.items():
-            out = out + wedge_chain(spec, [x, y], cx * cy)
-    return out
-
-
 def gk_cycle_check(spec, u, z, box_radius):
     """The cycle ([2u]-2[u]) ^ ([z-2u]-2[z-u]+[z]) in C_2(g_K): both
     factors die under K, the chain is a cycle, and its derived
-    projection differs from 6 [u] ^ [z-u] by an explicit boundary."""
+    projection differs from 6 [u] ^ [z-u] by an explicit boundary, whose
+    pieces are summed over the lcm of their scales."""
     if u.in_kernel_mu():
         raise ValueError("u must pair nonzero with something")
     if not z.in_kernel_mu():
         raise ValueError("z must lie in ker mu")
-    left = AlgebraVector.basis(2 * u) - 2 * AlgebraVector.basis(u)
-    right = (AlgebraVector.basis(z - 2 * u)
-             - 2 * AlgebraVector.basis(z - u)
-             + AlgebraVector.basis(z))
-    factors_in_gk = in_gk(left) and in_gk(right)
+    zc, uc = z.coords, u.coords
+    params = {"u": list(uc), "z": list(zc), "box": box_radius}
+    left = ((2 * u, 1), (u, -2))
+    right = ((z - 2 * u, 1), (z - u, -2), (z, 1))
+    factors_in_gk = in_gk(AlgebraVector(spec, left)) and in_gk(AlgebraVector(spec, right))
 
-    chain = _vector_wedge(left, right)
-    is_cycle = boundary(chain).is_zero()
+    chain = _wedge_keys(((x.coords, y.coords), cx * cy) for x, cx in left for y, cy in right)
+    is_cycle = not _key_boundary(spec, chain)
 
-    projected = project_derived(chain)
-    target = projected - 6 * wedge_chain(spec, [u, z - u])
+    projected = {key: c for key, c in chain.items()
+                 if all(GroupElement(spec, f).is_derived_element() for f in key)}
+    target = _wedge_keys([*projected.items(), ((uc, (z - u).coords), -6)])
+    # The difference splits over gradings z, z + u, z - u, in order of
+    # first appearance; the z part is an ideal column and the shifted
+    # parts bound through the homotopy.
+    parts = {}
+    for key, c in target.items():
+        parts.setdefault(_key_grading(spec, key), {})[key] = c
 
-    # The difference splits over gradings z, z + u, z - u; the z part is
-    # an ideal column and the shifted parts bound through the homotopy.
-    radius = max(box_radius, 2 * max((abs(c) for c in u.coords), default=1))
-    witness = WedgeChain(spec, 3)
-    grading_notes = []
-    remaining = target
-    part_z = target.graded_part(z)
-    if not part_z.is_zero():
+    radius = max(box_radius, 2 * max((abs(c) for c in uc), default=1))
+    pieces, grading_notes = [], []
+    part_z = parts.pop(zc, None)
+    if part_z is not None:
         # The z part collapses to the ideal generator G(u, u), whose
         # probe witness runs through box(1) and needs no truncated span.
-        piece = None
-        gen = _ideal_generator(spec, z, u, u)
-        if part_z == gen:
-            found = _generator_witness(spec, z.coords, u.coords, u.coords,
-                                       [x.coords for x in box_by_weight(spec, 1)])
-            if found is not None:
-                piece = _key_chain(spec, [(1, found)])
-        if piece is None:
+        found = part_z == _generator_keys(spec, zc, uc, uc) and _generator_witness(
+            spec, zc, uc, uc, [x.coords for x in box_by_weight(spec, 1)])
+        if not found:
             return CheckResult(
-                "gk-cycle",
-                {"u": list(u.coords), "z": list(z.coords), "box": box_radius},
-                INCONCLUSIVE,
+                "gk-cycle", params, INCONCLUSIVE,
                 {"note": "no boundary witness for the radical-grading part",
                  "factors_in_gk": factors_in_gk, "is_cycle": is_cycle})
-        _require(boundary(piece) == part_z, "d(witness) = radical-grading part")
-        witness = witness + piece
-        remaining = remaining - part_z
-        grading_notes.append({"grading": list(z.coords),
-                              "part": serialize_chain(part_z.terms, 1)})
-    while not remaining.is_zero():
-        g = GroupElement(spec, _key_grading(spec, next(iter(remaining.terms))))
-        part = remaining.graded_part(g)
-        hom = contracting_homotopy(spec, g, radius)
-        _require(boundary(part).is_zero(), "shifted part is a cycle")
-        piece = hom.phi2(part)
-        _require(boundary(piece) == part, "d(Phi_2(part)) = part")
-        witness = witness + piece
-        remaining = remaining - part
-        grading_notes.append({"grading": list(g.coords),
-                              "part": serialize_chain(part.terms, 1)})
+        scale, keys = found
+        _require(_key_boundary(spec, keys) == {key: scale * c for key, c in part_z.items()},
+                 "d(witness) = radical-grading part")
+        pieces.append(found)
+        grading_notes.append({"grading": list(zc), "part": serialize_chain(part_z, 1)})
+    for g, part in parts.items():
+        hom = contracting_homotopy(spec, GroupElement(spec, g), radius)
+        _require(not _key_boundary(spec, part), "shifted part is a cycle")
+        x = hom.phi2_keys(part)
+        _require(_key_boundary(spec, x) == {key: hom.scale * c for key, c in part.items()},
+                 "d(Phi_2(part)) = part")
+        pieces.append((hom.scale, x))
+        grading_notes.append({"grading": list(g), "part": serialize_chain(part, 1)})
 
-    total_ok = boundary(witness) == target
+    den = math.lcm(*(scale for scale, _ in pieces))
+    witness = _wedge_keys((key, den // scale * c)
+                          for scale, keys in pieces for key, c in keys.items())
+    total_ok = _key_boundary(spec, witness) == {key: den * c for key, c in target.items()}
     verdict = CERTIFIED if (factors_in_gk and is_cycle and total_ok) else REFUTED
     return CheckResult(
-        "gk-cycle",
-        {"u": list(u.coords), "z": list(z.coords), "box": box_radius},
-        verdict,
+        "gk-cycle", params, verdict,
         {"factors_in_gk": factors_in_gk,
          "is_cycle": is_cycle,
-         "projected_chain": serialize_chain(projected.terms, 1),
+         "projected_chain": serialize_chain(projected, 1),
          "difference_parts": grading_notes,
-         "boundary_witness": serialize_chain(witness.terms, 1),
+         "boundary_witness": serialize_chain(witness, den),
          "witness_verified": total_ok})
 
 
@@ -1239,34 +1222,31 @@ def surface_generator_check(g, r):
 
     a_g = gens[2 * (g - 1)]
     b_g = gens[2 * (g - 1) + 1]
+    zc = z.coords
     decompositions = []
     for j in range(r):
         c_j = gens[2 * g + j]
-        diff = (wedge_chain(spec, [c_j, -c_j])
-                - wedge_chain(spec, [c_j - a_g, a_g - c_j])
-                - wedge_chain(spec, [a_g, -a_g]))
-        _require(diff == _ideal_generator(spec, z, c_j - a_g, a_g),
+        ca, cb = (c_j - a_g).coords, (c_j - b_g).coords
+        diff = _cycle_keys(spec, zc, ((c_j.coords, 1), (ca, -1), (a_g.coords, -1)))
+        _require(diff == _generator_keys(spec, zc, ca, a_g.coords),
                  "the decomposition is G(C_j - A_g, A_g)")
 
         # The two derived decompositions of the same quotient image
         # differ by a genuine boundary.
-        delta = ((wedge_chain(spec, [c_j - a_g, a_g - c_j])
-                  + wedge_chain(spec, [a_g, -a_g]))
-                 - (wedge_chain(spec, [c_j - b_g, b_g - c_j])
-                    + wedge_chain(spec, [b_g, -b_g])))
-        _require(not any(f_map(delta, qspace)),
+        delta = _cycle_keys(spec, zc, ((ca, 1), (a_g.coords, 1), (cb, -1), (b_g.coords, -1)))
+        _require(not any(_f_terms(qspace, delta)),
                  "derived decompositions agree in the quotient")
         # Minus the direct preimages (-1/<u, v>) [u] ^ [v] ^ [-u-v] of the
         # two generators, whose pairs pair to 1 and -1.
-        witness = (wedge_chain(spec, [c_j - a_g, a_g - b_g, b_g - c_j])
-                   - wedge_chain(spec, [a_g, -b_g, b_g - a_g]))
-        _require(boundary(witness) == delta, "d(boundary witness) = derived difference")
+        witness = _wedge_keys([((ca, (a_g - b_g).coords, (b_g - c_j).coords), 1),
+                               ((a_g.coords, (-b_g).coords, (b_g - a_g).coords), -1)])
+        _require(_key_boundary(spec, witness) == delta, "d(boundary witness) = derived difference")
         decompositions.append({
             "class": names[2 * g + j],
             "ideal_member": True,
-            "ideal_witness": [["1", list((c_j - a_g).coords), list(a_g.coords)]],
+            "ideal_witness": [["1", list(ca), list(a_g.coords)]],
             "derived_difference_bounds": True,
-            "boundary_witness": serialize_chain(witness.terms, 1)})
+            "boundary_witness": serialize_chain(witness, 1)})
 
     return CheckResult(
         "surface-generators",
@@ -1492,18 +1472,16 @@ def _omega_rows(spec, z, n):
 
 
 def _check_omega_rows(spec, z, rows):
-    """Re-expand the rows {(u, v): c} on the wedge keys of [x]^[z-x]:
-    each row has <u, v> != 0 and three distinct factors, the left sides
-    cancel, and the right side -sum(c) does not."""
-    add, sub, pair, zc = spec.add_coords, spec.sub_coords, spec.pair_coords, z.coords
+    """Re-expand the rows {(u, v): c} on the wedge keys of [x]^[z-x], row
+    (u, v) as G(u, v): each row has <u, v> != 0 and three distinct
+    factors, the left sides cancel, and the right side -sum(c) does not."""
+    sub, pair, zc = spec.sub_coords, spec.pair_coords, z.coords
     lhs = collections.Counter()
     for (u, v), c in rows.items():
         _require(pair(u, v) != 0, "<u, v> != 0 in every omega row")
         _require(len({u, v, sub(sub(zc, u), v)}) == 3, "three distinct factors in every omega row")
-        for x, outer_sign in ((add(u, v), 1), (u, -1), (v, -1)):
-            sign, key = _sort_sign((x, sub(zc, x)))
-            if sign:
-                lhs[key] += c * outer_sign * sign
+        for key, g in _generator_keys(spec, zc, u, v).items():
+            lhs[key] += c * g
     _require(not any(lhs.values()), "the omega rows cancel on the left")
     _require(sum(rows.values()) != 0, "the omega rows sum to a nonzero right side")
 
@@ -1594,10 +1572,11 @@ def h1_check(spec, box_radius, gradings):
             continue
         u = next((u for u in units if spec.pairing(u, z - u) != 0), None)
         _require(u is not None, "a unit u with <u, z-u> != 0 in a derived grading")
-        pre = wedge_chain(spec, [u, z - u], Fraction(-1, spec.pairing(u, z - u)))
-        _require(boundary(pre) == wedge_chain(spec, [z]), "d(preimage) = [z]")
+        pair = spec.pairing(u, z - u)
+        pre = _wedge_keys([((u.coords, (z - u).coords), -1)])
+        _require(_key_boundary(spec, pre) == {(z.coords,): pair}, "d(preimage) = [z]")
         entries.append({"z": list(z.coords), "dim": 0, "expected": 0,
-                        "preimage": serialize_chain(pre.terms, 1)})
+                        "preimage": serialize_chain(pre, pair)})
     return CheckResult(
         "h1-center",
         {"spec": spec.describe()["group"], "box": box_radius,

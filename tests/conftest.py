@@ -2,6 +2,7 @@
 and an independent Fraction reference for the CE differential."""
 
 import itertools
+import math
 from fractions import Fraction
 
 from goldman.groups import GroupSpec, surface_presentation
@@ -73,6 +74,27 @@ def reference_normalize(factors):
         return 0, None
     inversions = sum(1 for a, b in itertools.combinations(keys, 2) if a > b)
     return (-1) ** inversions, tuple(sorted(keys))
+
+
+# The five contracting homotopy coefficients, in front of Phi_1 and the
+# four Phi_2 terms, as the ContractingHomotopy docstring writes them.
+HOMOTOPY_COEFFICIENTS = {"phi1": Fraction(-1), "shift_first": Fraction(-1),
+                         "shift_second": Fraction(-1), "shift_both": Fraction(1),
+                         "tail": Fraction(1)}
+
+
+def reference_homotopy_factors(coefficients):
+    """A stand-in for verify._homotopy_factors with any rational
+    coefficients: lam -> (D, scaled) for the five factors phi1/lam,
+    shift_first/lam, shift_second/lam, shift_both/(2 lam) and
+    tail/(2 lam^2), D the lcm of their denominators."""
+    def factors(lam):
+        co, lam = coefficients, Fraction(lam)
+        qs = (co["phi1"] / lam, co["shift_first"] / lam, co["shift_second"] / lam,
+              co["shift_both"] / (2 * lam), co["tail"] / (2 * lam * lam))
+        scale = math.lcm(*(q.denominator for q in qs))
+        return scale, tuple((q * scale).numerator for q in qs)
+    return factors
 
 
 def reference_boundary(spec, factors, coeff=1):

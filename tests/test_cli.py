@@ -17,7 +17,8 @@ from goldman import cli, complexes, verify
 from goldman.cli import main, resolve_selection
 from goldman import box_support, surface_presentation
 
-from conftest import symplectic_z2, torsion_only, z2_z2torsion, z3_rank2_form
+from conftest import (HOMOTOPY_COEFFICIENTS, symplectic_z2, torsion_only, z2_z2torsion,
+                      z3_rank2_form)
 
 
 def run(capsys, *argv):
@@ -73,6 +74,20 @@ def test_validate_out_writes_the_stdout_report(tmp_path, capsys, fmt):
     assert code == 0
     assert notice == "report written to %s\n" % out
     assert out.read_text() == printed
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "--surface", "1,0"],
+    ["verify", "--surface", "1,0", "--box", "1"],
+], ids=["validate", "verify"])
+def test_an_unwritable_out_path_is_an_error(argv, tmp_path, capsys):
+    # The report file cannot be opened: one error line, no traceback,
+    # nothing on stdout, exit 1.
+    path = str(tmp_path / "missing" / "r.json")
+    code, out, err = run(capsys, *argv, "--out", path)
+    assert (code, out) == (1, "")
+    assert err == "error: cannot write %s: No such file or directory\n" % path
+    assert not os.path.exists(path)
 
 
 def test_validate_rejects_nonalternating_form(tmp_path, capsys):
@@ -208,6 +223,26 @@ def test_grading_vectors_parse_and_echo(capsys):
     report = json.loads(out)
     assert report["config"]["gradings"] == [[0, 0], [1, 0], [1, 1]]
     assert len(report["table"]) == 3
+
+
+@pytest.mark.parametrize("token", ["1_0", "\u0661"], ids=["underscore", "arabic-indic"])
+def test_integer_tokens_that_int_reads_loosely_are_refused(token, capsys):
+    # int() reads "1_0" as 10 and U+0661 as 1; both flags take only an
+    # optional sign and ASCII digits, and name the token they refuse.
+    assert int(token) in (10, 1)
+    vector = "%s,0" % token
+    code, out, err = run(capsys, "homology", "--surface", "1,0", "--box", "1",
+                         "--grading", vector)
+    assert (code, out) == (1, "")
+    assert err == "error: bad grading vector %r: %r is not an integer\n" % (vector, token)
+    code, out, err = run(capsys, "validate", "--surface", vector)
+    assert (code, out) == (1, "")
+    assert err == "error: --surface expects two integers 'g,r': %r is not an integer\n" % token
+    # A sign and surrounding blanks are still accepted.
+    code, out, _ = run(capsys, "homology", "--surface", " +1 , 0", "--box", "1",
+                       "--grading", " -1 ,+0", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["config"]["gradings"] == [[-1, 0]]
 
 
 def test_grading_width_checked(capsys):
@@ -354,13 +389,15 @@ def test_homology_keeps_its_report_when_an_identity_fails_under_python_O(tmp_pat
 # under python -O: the re-check must still refute, naming the identity.
 _CORRUPTED_SUITES = {
     "gk": ("""
-phi2 = verify.ContractingHomotopy.phi2
-verify.ContractingHomotopy.phi2 = lambda self, c: 2 * phi2(self, c)
+phi2_keys = verify.ContractingHomotopy.phi2_keys
+verify.ContractingHomotopy.phi2_keys = lambda self, terms: {
+    key: 2 * c for key, c in phi2_keys(self, terms).items()}
 """, ["verify", "--suite", "gk", "--surface", "1,0", "--box", "2"],
         "gk-cycle", "d(Phi_2(part)) = part"),
     "h1": ("""
-boundary = verify.boundary
-verify.boundary = lambda c: 2 * boundary(c)
+key_boundary = verify._key_boundary
+verify._key_boundary = lambda spec, terms: {
+    key: 2 * c for key, c in key_boundary(spec, terms).items()}
 """, ["verify", "--suite", "h1", "--surface", "1,0", "--box", "1"],
         "h1-center", "d(preimage) = [z]"),
     "linext": ("""
@@ -400,13 +437,15 @@ from fractions import Fraction
 from unittest import mock
 from goldman import verify
 from goldman.cli import main
+from conftest import HOMOTOPY_COEFFICIENTS, reference_homotopy_factors
 
 if not sys.flags.optimize:
     sys.exit("run with python -O")
 out = {}
-for name in sorted(verify._DEFAULT_HOMOTOPY):
+for name in sorted(HOMOTOPY_COEFFICIENTS):
     path = sys.argv[1] + "/" + name + ".json"
-    with mock.patch.dict(verify._DEFAULT_HOMOTOPY, {name: Fraction(3, 2)}):
+    factors = reference_homotopy_factors(dict(HOMOTOPY_COEFFICIENTS, **{name: Fraction(3, 2)}))
+    with mock.patch.object(verify, "_homotopy_factors", factors):
         code = main(["verify", "--suite", "outer", "--surface", "1,2",
                      "--grading", "1,1,1,0", "--box", "2", "--format", "json",
                      "--out", path])
@@ -417,17 +456,18 @@ print(json.dumps(out))
 
 
 def test_a_patched_homotopy_coefficient_is_refuted_under_python_O(tmp_path):
-    # Any one of the five fixed coefficients changed: the identity fails
-    # and the entry is refuted; nothing fits the coefficients again.
+    # Any one of the five fixed coefficients changed, and the factors
+    # derived from it: the identity fails and the entry is refuted;
+    # nothing fits the coefficients again.
     script = tmp_path / "patched.py"
     script.write_text(_PATCHED_HOMOTOPY)
     src = os.path.dirname(os.path.dirname(os.path.abspath(verify.__file__)))
-    env = dict(os.environ, PYTHONPATH=src)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join((src, os.path.dirname(__file__))))
     proc = subprocess.run([sys.executable, "-O", str(script), str(tmp_path)],
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     runs = json.loads(proc.stdout.splitlines()[-1])
-    assert sorted(runs) == sorted(verify._DEFAULT_HOMOTOPY)
+    assert sorted(runs) == sorted(HOMOTOPY_COEFFICIENTS)
     for name, (code, report) in runs.items():
         (entry,) = report["results"]
         assert code == 1, name
@@ -438,6 +478,26 @@ def test_a_patched_homotopy_coefficient_is_refuted_under_python_O(tmp_path):
         assert len(per_y) == 2
         assert not any(e["identity_holds"] for e in per_y), name
         assert all(set(e) == {"y", "wedges_checked", "identity_holds"} for e in per_y)
+
+
+def test_no_command_builds_a_wedge_chain(monkeypatch, capsys):
+    # The command paths run on integer wedge keys: with WedgeChain
+    # refused, verify and homology print the bytes of an unpatched run.
+    # Forked workers inherit the patch.
+    argvs = (["verify", "--suite", "all", "--surface", "1,2", "--box", "2", "--seed", "1",
+              "--format", "json"],
+             ["homology", "--surface", "1,2", "--box", "2", "--format", "json"])
+    want = [run(capsys, *argv) for argv in argvs]
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a command built a WedgeChain")
+
+    monkeypatch.setattr(complexes.WedgeChain, "__init__", refuse)
+    spec = symplectic_z2()
+    with pytest.raises(AssertionError):
+        complexes.wedge_chain(spec, [spec.element([1, 0])])
+    assert [run(capsys, *argv) for argv in argvs] == want
+    assert [code for code, _, _ in want] == [0, 0]
 
 
 # ---------------------------------------------------------------------------

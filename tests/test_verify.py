@@ -61,9 +61,12 @@ from goldman.verify import (
 )
 
 from conftest import (
+    HOMOTOPY_COEFFICIENTS,
     reference_boundary,
+    reference_homotopy_factors,
     reference_normalize,
     reference_pairing,
+    spec_pool,
     symplectic_z2,
     torsion_only,
     z2_z2torsion,
@@ -247,8 +250,15 @@ def test_homotopy_bounds_cycles():
     cv = wedge_chain(z2, [v, z - v], Fraction(1, z2.pairing(v, z - v)))
     cycle = cu - cv
     assert boundary(cycle).is_zero()
-    x = hom.phi2(cycle)
+    x = _phi2_chain(hom, cycle)
     assert boundary(x) == cycle
+
+
+def _phi2_chain(hom, c):
+    """Phi_2 of the chain c: ``phi2_keys`` of its Fraction terms, over
+    the homotopy's scale."""
+    return WedgeChain.from_keys(c.spec, 3, {key: v / hom.scale
+                                            for key, v in hom.phi2_keys(c.terms).items()})
 
 
 def _serialized(chain):
@@ -257,8 +267,8 @@ def _serialized(chain):
 
 def _reference_outer_witnesses(spec, z, box, y):
     """The five outer cycle witnesses by the chain path: Fraction cycles,
-    Phi_2 of a WedgeChain, its boundary, then each chain's terms in key
-    order with str of each Fraction."""
+    Phi_2 of their Fraction terms as a WedgeChain, its boundary, then each
+    chain's terms in key order with str of each Fraction."""
     keys = _scan_keys(spec, z, box)
     d2s = [-spec.pair_coords(*key) for key in keys]
     pivot = next((col for col, d2 in enumerate(d2s) if d2), None)
@@ -269,7 +279,7 @@ def _reference_outer_witnesses(spec, z, box, y):
         if d2s[col]:
             terms[keys[pivot]] = Fraction(-d2s[col], d2s[pivot])
         c = WedgeChain.from_keys(spec, 2, terms)
-        x = hom.phi2(c)
+        x = _phi2_chain(hom, c)
         assert boundary(x) == c
         out.append({"cycle": _serialized(c), "preimage": _serialized(x)})
     return out
@@ -290,6 +300,17 @@ def test_outer_witnesses_on_keys_match_the_chain_path(spec, zc, box):
     y = spec.canonical(r.details["y_choices"][0])
     assert r.details["witnesses"] == _reference_outer_witnesses(spec, z, box, y)
     assert len(r.details["witnesses"]) == 5
+
+
+def test_homotopy_factors_are_the_lcm_of_the_rational_factors():
+    # D = 2 lam^2 and (-2 lam, -2 lam, -2 lam, lam, 1) are the lcm of the
+    # denominators of -1/lam, -1/lam, -1/lam, 1/(2 lam), 1/(2 lam^2) and
+    # those factors times it, for either sign of lam.
+    reference = reference_homotopy_factors(HOMOTOPY_COEFFICIENTS)
+    for lam in [*range(-12, 0), *range(1, 13)]:
+        scale, scaled = verify._homotopy_factors(lam)
+        assert (scale, scaled) == reference(lam)
+        assert type(scale) is int and all(type(c) is int for c in scaled)
 
 
 def test_homotopy_rejects_radical_gradings_and_bad_y():
@@ -354,7 +375,8 @@ def test_identity_defect_matches_reference_for_any_coefficients(data):
     coefficients = {name: data.draw(_RATIONALS)
                     for name in ("phi1", "shift_first", "shift_second",
                                  "shift_both", "tail")}
-    with mock.patch.dict(verify._DEFAULT_HOMOTOPY, coefficients):
+    with mock.patch.object(verify, "_homotopy_factors",
+                           reference_homotopy_factors(coefficients)):
         hom = ContractingHomotopy(spec, z, y)
     keys = enumerate_basis(box_support(spec, 2), 2, z)
     for key in data.draw(st.lists(st.sampled_from(keys), min_size=1, max_size=6)):
@@ -370,15 +392,16 @@ def test_perturbed_homotopy_leaves_a_defect(case):
     exact = ContractingHomotopy(spec, z, y)
     # Phi_1 d_2 alone moves with phi1: a wedge with <u, v> != 0 gains
     # -delta <u, v> / lam [y] ^ [z-y], which nothing else can cancel.
-    coefficients = dict(verify._DEFAULT_HOMOTOPY, phi1=Fraction(-4, 3))
-    with mock.patch.dict(verify._DEFAULT_HOMOTOPY, coefficients):
+    coefficients = dict(HOMOTOPY_COEFFICIENTS, phi1=Fraction(-4, 3))
+    with mock.patch.object(verify, "_homotopy_factors",
+                           reference_homotopy_factors(coefficients)):
         perturbed = ContractingHomotopy(spec, z, y)
     assert 2 * y != z
     keys = enumerate_basis(box_support(spec, 2), 2, z)
     moved = 0
     for key in keys:
         assert _defect_dict(exact, key) == {}
-        assert reference_identity_defect(spec, z, y, verify._DEFAULT_HOMOTOPY, key) == {}
+        assert reference_identity_defect(spec, z, y, HOMOTOPY_COEFFICIENTS, key) == {}
         want = reference_identity_defect(spec, z, y, coefficients, key)
         assert _defect_dict(perturbed, key) == want
         if reference_pairing(spec, *(spec.canonical(list(f)) for f in key)):
@@ -422,7 +445,8 @@ def test_key_defect_matches_reference_in_any_scan_order(data):
     coefficients = {name: data.draw(_RATIONALS)
                     for name in ("phi1", "shift_first", "shift_second",
                                  "shift_both", "tail")}
-    with mock.patch.dict(verify._DEFAULT_HOMOTOPY, coefficients):
+    with mock.patch.object(verify, "_homotopy_factors",
+                           reference_homotopy_factors(coefficients)):
         hom = ContractingHomotopy(spec, z, y)
     keys = enumerate_basis(box_support(spec, 2), 2, z)
     assert keys == _scan_keys(spec, z)
@@ -474,8 +498,9 @@ def test_scan_finds_the_defect_of_a_perturbed_coefficient(name):
     spec = surface_presentation(1, 2)
     z = spec.element([1, 1, 1, 0])
     y = contracting_homotopy(spec, z, 2).y
-    coefficients = dict(verify._DEFAULT_HOMOTOPY, **{name: Fraction(3, 2)})
-    with mock.patch.dict(verify._DEFAULT_HOMOTOPY, coefficients):
+    coefficients = dict(HOMOTOPY_COEFFICIENTS, **{name: Fraction(3, 2)})
+    with mock.patch.object(verify, "_homotopy_factors",
+                           reference_homotopy_factors(coefficients)):
         perturbed = ContractingHomotopy(spec, z, y)
     keys = _scan_keys(spec, z)
     defects = [key for key in keys if perturbed.key_defect(key)]
@@ -487,7 +512,8 @@ def test_scan_finds_the_defect_of_a_perturbed_coefficient(name):
 
     # The same perturbation as the default: the scan of every y sees the
     # defect, and the entry is refuted with nothing refitted.
-    with mock.patch.dict(verify._DEFAULT_HOMOTOPY, coefficients):
+    with mock.patch.object(verify, "_homotopy_factors",
+                           reference_homotopy_factors(coefficients)):
         r = outer_h2_certify(spec, z, 2)
     assert r.verdict == REFUTED
     assert not any(e["identity_holds"] for e in r.details["per_y"])
@@ -710,6 +736,30 @@ def test_inner_requires_radical_grading_and_wide_boundary_box():
         inner_h2_certify(z2, z2.element([1, 0]), 2)
     # The boundary box is always three times the cycle box.
     assert inner_h2_certify(z2, z2.zero, 2).result.params["boundary_box"] == 6
+
+
+def test_f_scan_radius_is_reported_and_bounds_every_checked_key(monkeypatch):
+    # On surface(2,3) at box 2 the boundary box has radius 6, but the
+    # f-boundary scan tests membership in box(2): the report says so, and
+    # no checked key has a factor outside box(2).
+    spec = surface_presentation(2, 3)
+    (entry,) = cli.run_inner_suite(spec, [spec.zero], 2)
+    scan = entry.details["f_boundary_scan"]
+    assert (scan["radius"], entry.params["boundary_box"]) == (2, 6)
+    inner = InnerCertification(spec, spec.zero, 2)
+    assert inner.f_scan_radius == 2
+    keys = []
+    terms = verify._boundary_terms
+
+    def spy(spec, key):
+        keys.append(key)
+        return terms(spec, key)
+
+    monkeypatch.setattr(verify, "_boundary_terms", spy)
+    assert inner.scan_f_kills_boundaries() == (scan["wedges"], scan["exhaustive"])
+    assert len(keys) == scan["wedges"] > 0
+    assert all(len(key) == 3 and all(abs(x[t]) <= 2 for x in key for t in spec.free_indices)
+               for key in keys)
 
 
 def test_inner_f_scan_exhaustive_on_small_box():
@@ -1675,6 +1725,20 @@ def test_gk_cycle_witness_re_expands():
     assert boundary(witness) == target
 
 
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_generator_keys_match_the_chain_and_the_reference(data):
+    spec = data.draw(st.sampled_from(spec_pool()))
+    n = spec.n_generators
+    z, u, v = (spec.canonical(data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)))
+               for _ in range(3))
+    keys = verify._generator_keys(spec, z.coords, u.coords, v.coords)
+    assert keys == _ideal_generator(spec, z, u, v).terms
+    assert keys == _reference_chain([(1, [u + v, z - u - v]), (-1, [u, z - u]),
+                                     (-1, [v, z - v])])
+    assert all(type(c) is int and c for c in keys.values())
+
+
 def test_gk_cycle_other_base_points():
     s12 = surface_presentation(1, 2)
     c1 = s12.element([0, 0, 1, 0])
@@ -1779,12 +1843,13 @@ def test_surface_check_runs_no_column_search_or_ideal_solve(monkeypatch):
 
 
 @pytest.mark.parametrize("target, identity", [
-    ("_ideal_generator", "the decomposition is G(C_j - A_g, A_g)"),
-    ("boundary", "d(boundary witness) = derived difference"),
+    ("_generator_keys", "the decomposition is G(C_j - A_g, A_g)"),
+    ("_key_boundary", "d(boundary witness) = derived difference"),
 ])
 def test_surface_closed_forms_are_rechecked(target, identity, monkeypatch):
     original = getattr(verify, target)
-    monkeypatch.setattr(verify, target, lambda *args: 2 * original(*args))
+    monkeypatch.setattr(verify, target, lambda *args: {
+        key: 2 * c for key, c in original(*args).items()})
     with pytest.raises(CertificateError) as info:
         surface_generator_check(2, 3)
     assert info.value.identity == identity
