@@ -5,7 +5,7 @@ Usage:
 
     goldman validate --spec group.json
     goldman homology --surface 1,2 --box 2
-    goldman verify --suite all --surface 2,3 --box 2 --seed 1
+    goldman verify --suite all --surface 2,3 --box 2
 
 A group file is a single JSON document, either an explicit presentation
 
@@ -30,9 +30,11 @@ radical generators that fit in the box, then the smallest derived
 elements.  Suites that sweep gradings cap the sweep (the cap is recorded
 in the report); explicit vectors are always run in full.
 
-Reports are deterministic for a fixed config and seed: no timestamps,
-dictionary output is key-sorted, and suites are reported in a fixed
-order.  A command forks at most one pool, a worker per CPU in the
+Reports are deterministic for a fixed config: no timestamps, dictionary
+output is key-sorted, and suites are reported in a fixed order.  No
+check samples (``bracket``, ``complex`` and ``linext`` are proved over
+formal symbols, ``goldman.formal``), so ``--seed`` is only recorded.
+A command forks at most one pool, a worker per CPU in the
 affinity mask (``verify.fan_out``), for the gradings of ``homology`` or
 every unit of ``verify`` (omega, outer and inner gradings first); the
 bytes are those of a serial run, which ``taskset -c 0`` gives.  Exit
@@ -45,14 +47,12 @@ import contextlib
 import functools
 import itertools
 import json
-import random
 import re
 import sys
-from fractions import Fraction
 
 from .algebra import AlgebraVector, bracket
-from .complexes import (Cochain, _box_size, _check_box_budget, _key_boundary, _wedge_keys,
-                        box_by_weight, coboundary)
+from .complexes import _box_size, _check_box_budget, _key_boundary, box_by_weight
+from .formal import FormalSpec
 from .groups import GroupSpec, surface_presentation
 from .verify import (
     CERTIFIED,
@@ -64,10 +64,9 @@ from .verify import (
     CheckResult,
     _capped_radius,
     _certify_or_refute,
+    _formal_check,
     _inner_params,
     fan_out,
-    frac_str,
-    serialize_chain,
     gk_cycle_check,
     h1_check,
     inner_h2_certify,
@@ -88,11 +87,6 @@ HEAVY_FIRST = {"omega": 0, "outer": 1, "inner": 2}
 # Per-suite grading caps for default and all-in-box sweeps.  Explicit
 # --grading vectors bypass these.
 SWEEP_CAPS = {"inner": 3, "outer": 12, "omega": 3, "gk": 2, "h1": 200}
-
-# The sample sizes of the seeded suites.
-BRACKET_TRIPLES = 500
-COMPLEX_WEDGES = 300
-LINEXT_TRIALS = 120
 
 
 # ---------------------------------------------------------------------------
@@ -256,96 +250,41 @@ def resolve_selection(spec, selection, radius, cap):
 
 
 # ---------------------------------------------------------------------------
-# Seeded suites for the raw algebra (the certification suites live in
-# verify; these two only need reproducible sampling)
+# Formal suites: the raw algebra's identities, proved once over symbols
+# (goldman.formal) through the production bracket and differential
 
 
-def _random_element(spec, rng):
-    return spec.element([rng.randint(-3, 3) for _ in range(spec.n_generators)])
+def run_bracket_suite():
+    """Skew-symmetry, Jacobi and bilinearity of ``bracket`` on three
+    formal symbols."""
+    a, b, c = (AlgebraVector.basis(e) for e in FormalSpec(3).symbols())
+    s = 2 * a + 3 * b
+    return _certify_or_refute("bracket-axioms", dict, _formal_check, "bracket-axioms", {}, [
+        ("[a, b] + [b, a] = 0", (bracket(a, b) + bracket(b, a)).is_zero()),
+        ("[a, [b, c]] + [b, [c, a]] + [c, [a, b]] = 0", (
+            bracket(a, bracket(b, c)) + bracket(b, bracket(c, a))
+            + bracket(c, bracket(a, b))).is_zero()),
+        ("[2a + 3b, c] = 2[a, c] + 3[b, c]", bracket(s, c) == 2 * bracket(a, c) + 3 * bracket(b, c)),
+        ("[c, 2a + 3b] = 2[c, a] + 3[c, b]", bracket(c, s) == 2 * bracket(c, a) + 3 * bracket(c, b)),
+    ])
 
 
-def _random_vector(spec, rng):
-    """A combination of two random basis labels."""
-    v = AlgebraVector.zero(spec)
-    for _ in range(2):
-        v = v + AlgebraVector.basis(_random_element(spec, rng),
-                                    Fraction(rng.randint(-4, 4)))
-    return v
+def run_complex_suite():
+    """d o d = 0 through ``_key_boundary`` on formal wedges: a generic
+    p-wedge, p symbols, for p = 2..6 (the unrolled degrees and the
+    loop), and every wedge of degree 2..5 with factors in box(1) of two
+    symbols, where a sum can meet a remaining factor."""
+    generic, plane = FormalSpec(6), FormalSpec(2)
+    units = sorted(e.coords for e in generic.symbols())
+    box1 = sorted(c for c in itertools.product((-1, 0, 1), repeat=2) if any(c))
 
-
-def _vector_pairs(v):
-    return [[frac_str(coeff), list(coords)] for coeff, coords in v.to_pairs()]
-
-
-def run_bracket_suite(spec, seed):
-    """Skew-symmetry and Jacobi on random basis triples and short combos."""
-    rng = random.Random("bracket:%d" % seed)
-    combos = max(1, BRACKET_TRIPLES // 10)
-    for _ in range(BRACKET_TRIPLES):
-        a = AlgebraVector.basis(_random_element(spec, rng))
-        b = AlgebraVector.basis(_random_element(spec, rng))
-        c = AlgebraVector.basis(_random_element(spec, rng))
-        if not (bracket(a, b) + bracket(b, a)).is_zero():
-            return CheckResult("bracket-axioms", {"seed": seed}, REFUTED,
-                               {"failed": "skew", "a": _vector_pairs(a),
-                                "b": _vector_pairs(b)})
-        jac = (bracket(a, bracket(b, c)) + bracket(b, bracket(c, a))
-               + bracket(c, bracket(a, b)))
-        if not jac.is_zero():
-            return CheckResult("bracket-axioms", {"seed": seed}, REFUTED,
-                               {"failed": "jacobi", "a": _vector_pairs(a),
-                                "b": _vector_pairs(b), "c": _vector_pairs(c)})
-    for _ in range(combos):
-        a, b, c = (_random_vector(spec, rng) for _ in range(3))
-        jac = (bracket(a, bracket(b, c)) + bracket(b, bracket(c, a))
-               + bracket(c, bracket(a, b)))
-        if not (bracket(a, b) + bracket(b, a)).is_zero() or not jac.is_zero():
-            return CheckResult("bracket-axioms", {"seed": seed}, REFUTED,
-                               {"failed": "combination"})
-    return CheckResult("bracket-axioms", {"seed": seed}, CERTIFIED,
-                       {"triples": BRACKET_TRIPLES, "combination_triples": combos})
-
-
-def _probe_cochain(spec, degree):
-    """A deterministic nonlinear cochain used for duality sampling."""
-    def rule(key):
-        total = 0
-        for i, f in enumerate(key):
-            row = sum((j + 2) * c for j, c in enumerate(f))
-            total += (i + 1) * row + row * row
-        return Fraction(total)
-    return Cochain(spec, degree, rule=rule)
-
-
-def run_complex_suite(spec, seed):
-    """d o d = 0 on random wedges and (d eta)(c) = eta(dc) on samples,
-    each wedge as its (sign, key)."""
-    rng = random.Random("complex:%d" % seed)
-    squared = 0
-    for _ in range(COMPLEX_WEDGES):
-        p = rng.randint(2, 5)
-        c = _wedge_keys([(tuple(_random_element(spec, rng).coords for _ in range(p)), 1)])
-        if not c:
-            continue
-        if _key_boundary(spec, _key_boundary(spec, c)):
-            return CheckResult("complex-squares-to-zero", {"seed": seed}, REFUTED,
-                               {"failed": "d o d", "chain": serialize_chain(c, 1)})
-        squared += 1
-    duality = 0
-    for _ in range(max(1, COMPLEX_WEDGES // 3)):
-        p = rng.randint(1, 4)
-        c = _wedge_keys([(tuple(_random_element(spec, rng).coords for _ in range(p + 1)), 1)])
-        if not c:
-            continue
-        ((key, sign),) = c.items()
-        eta = _probe_cochain(spec, p)
-        if sign * coboundary(eta, p).value(key) != sum(
-                b * eta.value(face) for face, b in _key_boundary(spec, c).items()):
-            return CheckResult("complex-squares-to-zero", {"seed": seed}, REFUTED,
-                               {"failed": "duality", "chain": serialize_chain(c, 1)})
-        duality += 1
-    return CheckResult("complex-squares-to-zero", {"seed": seed}, CERTIFIED,
-                       {"squared_wedges": squared, "duality_samples": duality})
+    def squares_to_zero(spec, keys):
+        return not any(_key_boundary(spec, _key_boundary(spec, {key: 1})) for key in keys)
+    return _certify_or_refute("complex-squares-to-zero", dict, _formal_check,
+                              "complex-squares-to-zero", {}, [
+        ("d(d(w)) = 0 on %d-wedges" % p, squares_to_zero(generic, [tuple(units[:p])])
+         and (p > 5 or squares_to_zero(plane, itertools.combinations(box1, p))))
+        for p in range(2, 7)])
 
 
 # ---------------------------------------------------------------------------
@@ -353,14 +292,14 @@ def run_complex_suite(spec, seed):
 
 
 def _skip(check, note, spec, box=None):
-    params = {"spec": spec.describe()["group"]} | ({} if box is None else {"box": box})
+    params = {"spec": spec.label} | ({} if box is None else {"box": box})
     return CheckResult(check, params, NOT_APPLICABLE, {"note": note})
 
 
 def _graded(check, certify, spec, z, box):
     """_certify_or_refute for a certify(spec, z, box) on one grading."""
     return _certify_or_refute(
-        check, lambda: {"spec": spec.describe()["group"], "z": list(z.coords), "box": box},
+        check, lambda: {"spec": spec.label, "z": list(z.coords), "box": box},
         certify, spec, z, box)
 
 
@@ -379,7 +318,7 @@ def run_inner_suite(spec, gradings, box, fan=fan_out):
                if any(abs(z.coords[j]) > eff for j in spec.free_indices)]
     if skipped:
         out.append(CheckResult(
-            "inner-isomorphism", {"spec": spec.describe()["group"], "box": box}, NOT_APPLICABLE,
+            "inner-isomorphism", {"spec": spec.label, "box": box}, NOT_APPLICABLE,
             {"note": "grading outside the inner cycle box of radius %d, the largest within "
                      "--box and INNER_SUPPORT_CAP = %d elements" % (eff, INNER_SUPPORT_CAP),
              "skipped_gradings": skipped, "effective_radius": eff}))
@@ -429,8 +368,7 @@ def run_h1_suite(spec, gradings, box):
     """h1 on the given gradings, or on the whole box when None."""
     count = len(gradings) if gradings is not None else _box_size(spec, box)
     return [_certify_or_refute(
-        "h1-center",
-        lambda: {"spec": spec.describe()["group"], "box": box, "gradings": count},
+        "h1-center", lambda: {"spec": spec.label, "box": box, "gradings": count},
         h1_check, spec, box, gradings)]
 
 
@@ -448,12 +386,9 @@ def run_surface_suite(spec, source):
         surface_generator_check, g, r)]
 
 
-def run_linext_suite(spec, box, seed):
-    return [_certify_or_refute(
-        "linear-extension",
-        lambda: {"spec": spec.describe()["group"], "box": box,
-                 "trials": LINEXT_TRIALS, "seed": seed},
-        linear_extension_check, spec, box, LINEXT_TRIALS, seed)]
+def run_linext_suite(spec, box):
+    return [_certify_or_refute("linear-extension", lambda: {"spec": spec.label, "box": box},
+                               linear_extension_check, spec, box)]
 
 
 def build_verify_tasks(spec, source, args, selection):
@@ -478,15 +413,15 @@ def build_verify_tasks(spec, source, args, selection):
             notes[name] = {"gradings_capped_at": cap}
     h1_gradings = picks.get("h1", None if swept else list(selection))
     plans = {
-        "bracket": lambda fan: [lambda: [run_bracket_suite(spec, args.seed)]],
-        "complex": lambda fan: [lambda: [run_complex_suite(spec, args.seed)]],
+        "bracket": lambda fan: [lambda: [run_bracket_suite()]],
+        "complex": lambda fan: [lambda: [run_complex_suite()]],
         "inner": lambda fan: run_inner_suite(spec, picks["inner"], args.box, fan),
         "outer": lambda fan: run_outer_suite(spec, picks["outer"], args.box, fan),
         "gk": lambda fan: [lambda: run_gk_suite(spec, picks["gk"], args.box)],
         "omega": lambda fan: run_omega_suite(spec, picks["omega"], args.box, fan),
         "h1": lambda fan: [lambda: run_h1_suite(spec, h1_gradings, args.box)],
         "surface": lambda fan: [lambda: run_surface_suite(spec, source)],
-        "linext": lambda fan: [lambda: run_linext_suite(spec, args.box, args.seed)],
+        "linext": lambda fan: [lambda: run_linext_suite(spec, args.box)],
     }
     return [(name, plans[name]) for name in suites], notes
 
@@ -592,18 +527,22 @@ def render_json(report, fh):
     fh.write("\n")
 
 
-def emit(report, args):
-    with report_file(args) as fh:
-        if args.format == "json":
-            render_json(report, fh)
-        else:
-            fh.write(render_text(report))
+def emit(report, args, fh):
+    """Complete the report with its summary and exit status, write it to
+    fh in the --format, and return the exit status."""
+    report["summary"] = summarize(report["results"])
+    report["exit_status"] = exit_status(report["summary"])
+    if args.format == "json":
+        render_json(report, fh)
+    else:
+        fh.write(render_text(report))
+    return report["exit_status"]
 
 
 @contextlib.contextmanager
 def report_file(args):
-    """The --out file, named on stdout once written, else stdout; a path
-    that cannot be opened is a UsageError."""
+    """The --out file (opened before any suite runs), named on stdout once
+    written, else stdout; a path that cannot be opened is a UsageError."""
     if not args.out:
         yield sys.stdout
         return
@@ -628,13 +567,7 @@ def cmd_validate(args):
                    "gradings": "n/a"},
         "group": spec.describe(),
         "results": [],
-        "summary": {"certified": 0, "refuted": 0, "inconclusive": 0,
-                    "not_applicable": 0},
-        "exit_status": 0,
     }
-    if args.format == "json":
-        emit(report, args)
-        return 0
     d = report["group"]
     lines = ["== goldman validate ==",
              "group: %s" % d["group"],
@@ -645,6 +578,8 @@ def cmd_validate(args):
                                         "none (form nondegenerate)"),
              "status: ok"]
     with report_file(args) as fh:
+        if args.format == "json":
+            return emit(report, args, fh)
         fh.write("\n".join(lines) + "\n")
     return 0
 
@@ -670,24 +605,19 @@ def cmd_homology(args):
     spec, source = load_spec(args)
     _check_box_budget(spec, args.box)
     selection, label = parse_gradings(spec, args.grading)
-    gradings, capped = resolve_selection(spec, selection, args.box, 64)
-    results = main_theorem_check(spec, gradings, args.box)
-    dicts = [r.to_dict() for r in results]
-    summary = summarize(dicts)
-    report = {
-        "command": "homology",
-        "config": {"source": source, "box": args.box, "seed": args.seed,
-                   "gradings": label},
-        "group": spec.describe(),
-        "notes": {"homology": {"gradings_capped_at": 64}} if capped else {},
-        "table": [_homology_row(r) for r in results],
-        "out_of_hypothesis": spec.mu_is_zero(),
-        "results": dicts,
-        "summary": summary,
-    }
-    report["exit_status"] = exit_status(summary)
-    emit(report, args)
-    return report["exit_status"]
+    with report_file(args) as fh:
+        gradings, capped = resolve_selection(spec, selection, args.box, 64)
+        results = main_theorem_check(spec, gradings, args.box)
+        return emit({
+            "command": "homology",
+            "config": {"source": source, "box": args.box, "seed": args.seed,
+                       "gradings": label},
+            "group": spec.describe(),
+            "notes": {"homology": {"gradings_capped_at": 64}} if capped else {},
+            "table": [_homology_row(r) for r in results],
+            "out_of_hypothesis": spec.mu_is_zero(),
+            "results": [r.to_dict() for r in results],
+        }, args, fh)
 
 
 def _as_units(fn, items):
@@ -698,27 +628,22 @@ def cmd_verify(args):
     spec, source = load_spec(args)
     _check_box_budget(spec, args.box)
     selection, label = parse_gradings(spec, args.grading)
-    tasks, notes = build_verify_tasks(spec, source, args, selection)
-    # Plan every suite here, then run all units in one queue, heaviest first.
-    plans = [(name, plan(_as_units)) for name, plan in tasks]
-    queue = [e for _, entries in sorted(plans, key=lambda p: HEAVY_FIRST.get(p[0], 3))
-             for e in entries if callable(e)]
-    done = dict(zip(queue, fan_out(lambda unit: unit(), queue)))
-    dicts = [r.to_dict() for _, entries in plans for e in entries
-             for r in (done[e] if callable(e) else [e])]
-    summary = summarize(dicts)
-    report = {
-        "command": "verify",
-        "config": {"source": source, "box": args.box, "seed": args.seed,
-                   "suite": args.suite, "gradings": label},
-        "group": spec.describe(),
-        "notes": notes,
-        "results": dicts,
-        "summary": summary,
-    }
-    report["exit_status"] = exit_status(summary)
-    emit(report, args)
-    return report["exit_status"]
+    with report_file(args) as fh:
+        tasks, notes = build_verify_tasks(spec, source, args, selection)
+        # Plan every suite here, then run all units in one queue, heaviest first.
+        plans = [(name, plan(_as_units)) for name, plan in tasks]
+        queue = [e for _, entries in sorted(plans, key=lambda p: HEAVY_FIRST.get(p[0], 3))
+                 for e in entries if callable(e)]
+        done = dict(zip(queue, fan_out(lambda unit: unit(), queue)))
+        return emit({
+            "command": "verify",
+            "config": {"source": source, "box": args.box, "seed": args.seed,
+                       "suite": args.suite, "gradings": label},
+            "group": spec.describe(),
+            "notes": notes,
+            "results": [r.to_dict() for _, entries in plans for e in entries
+                        for r in (done[e] if callable(e) else [e])],
+        }, args, fh)
 
 
 # ---------------------------------------------------------------------------
@@ -739,20 +664,22 @@ def build_parser():
                     "Goldman bracket on a finitely generated abelian group")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, grading=True):
         p.add_argument("--spec", metavar="PATH", help="JSON group file")
         p.add_argument("--surface", metavar="G,R",
                        help="surface shorthand: genus,boundary")
         p.add_argument("--box", type=int, default=2, metavar="M",
                        help="truncation box radius (default 2)")
-        p.add_argument("--grading", action="append", default=[], metavar="VECS",
-                       help="semicolon separated coordinate vectors, or all-in-box")
+        if grading:
+            p.add_argument("--grading", action="append", default=[], metavar="VECS",
+                           help="semicolon separated coordinate vectors, or all-in-box")
         p.add_argument("--seed", type=int, default=0, metavar="N",
-                       help="seed for sampled checks (default 0)")
+                       help="recorded in the report config; no check samples (default 0)")
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--out", metavar="PATH", help="write the report here")
 
-    common(sub.add_parser("validate", help="check a group file and print its structure"))
+    common(sub.add_parser("validate", help="check a group file and print its structure"),
+           grading=False)
     common(sub.add_parser("homology", help="truncated H2 table per grading"))
     p_verify = sub.add_parser("verify", help="run certification suites")
     common(p_verify)

@@ -429,14 +429,15 @@ class GroupSpec:
     index), so each spec generates them as straight-line code for its
     own rank, torsion and form (``_coordinate_kernels``); the tests
     check them against plain loops over ``torsion`` and the Omega~
-    entries.
+    entries.  ``label`` names the group in reports ("Z^3 + Z/2"); it is
+    computed once, here.
     """
 
     __slots__ = ("n_generators", "relations", "form", "names", "snf",
                  "divisors", "free_indices", "torsion", "dead_indices",
                  "omega_tilde", "zero", "unit_coords", "_v", "_v_inv",
                  "_pair_entries", "torsion_indices", "torsion_coefficients",
-                 "free_rank", "add_coords", "sub_coords", "pair_coords", "_boxes")
+                 "free_rank", "label", "add_coords", "sub_coords", "pair_coords", "_boxes")
 
     def __init__(self, n_generators, relations=(), form=None, names=None):
         n = _strict_int(n_generators, "n_generators")
@@ -484,6 +485,9 @@ class GroupSpec:
         self.torsion_indices = tuple(j for j, _ in self.torsion)
         self.torsion_coefficients = tuple(d for _, d in self.torsion)
         self.free_rank = len(self.free_indices)
+        parts = ["Z^%d" % self.free_rank if self.free_rank > 1 else "Z"] if self.free_rank else []
+        parts.extend("Z/%d" % d for d in self.torsion_coefficients)
+        self.label = " + ".join(parts) or "0"
 
         vinv = self._v_inv
         omega = [[sum(vinv[i][a] * self.form[a][b] * vinv[j][b]
@@ -569,14 +573,10 @@ class GroupSpec:
 
     def describe(self):
         """Structure summary used by validation output."""
-        parts = []
-        if self.free_rank:
-            parts.append("Z^%d" % self.free_rank if self.free_rank > 1 else "Z")
-        parts.extend("Z/%d" % d for d in self.torsion_coefficients)
         return {
             "free_rank": self.free_rank,
             "torsion": list(self.torsion_coefficients),
-            "group": " + ".join(parts) if parts else "0",
+            "group": self.label,
             "kernel_mu_generators": [repr(x) for x in self.kernel_basis_elements()],
             "form_is_zero": self.mu_is_zero(),
         }

@@ -77,8 +77,9 @@ witnesses.  The certification patterns are:
   either scan; every zero test is exact over Z.  Both scans read
   ``enumerate_keys``, the last factor from the whole box.
 
-The closed-form checks (g_K cycle, surface, H_1) and the ``complex``
-suite build their chains on keys too; no command builds a ``WedgeChain``.
+The closed-form checks (g_K cycle, surface, H_1) build their chains on
+keys too; no command builds a ``WedgeChain``.  The linear extension
+lemma is proved once over formal symbols (``goldman.formal``).
 
 Verdicts are "certified", "refuted", or "inconclusive-at-truncation";
 a too-small box can hide boundaries but never fabricate them, so a
@@ -95,7 +96,6 @@ import functools
 import itertools
 import math
 import os
-import random
 from fractions import Fraction
 
 from goldman.algebra import AlgebraVector, in_gk
@@ -117,6 +117,7 @@ from goldman.complexes import (
     project_derived,
     wedge_chain,
 )
+from goldman.formal import FormalSpec, Poly
 from goldman.groups import GroupElement, smith_normal_form, surface_presentation
 from goldman.linalg import (
     CertificateError,
@@ -212,6 +213,15 @@ def _certify_or_refute(check, params, certify, *args):
         return certify(*args)
     except CertificateError as exc:
         return CheckResult(check, params(), REFUTED, {"failed_identity": exc.identity})
+
+
+def _formal_check(check, params, identities):
+    """The certified entry of a check proved over formal symbols, once
+    ``_require`` has passed each (name, holds) of ``identities``."""
+    for name, holds in identities:
+        _require(holds, name)
+    return CheckResult(check, params, CERTIFIED,
+                       {"identity": "formal", "identities": [name for name, _ in identities]})
 
 
 def fan_out(fn, items):
@@ -956,7 +966,7 @@ class InnerCertification:
 def _inner_params(spec, z, box_radius):
     """The params of an inner entry: the grading, the cycle box and the
     boundary box, whatever the verdict."""
-    return {"spec": spec.describe()["group"], "z": list(z.coords),
+    return {"spec": spec.label, "z": list(z.coords),
             "box": box_radius, "boundary_box": 3 * box_radius}
 
 
@@ -1000,7 +1010,7 @@ def outer_h2_certify(spec, z, box_radius):
                                         for key, d2 in zip(keys, d2s))}
              for hom in homs]
 
-    params = {"spec": spec.describe()["group"], "z": list(z.coords), "box": box_radius}
+    params = {"spec": spec.label, "z": list(z.coords), "box": box_radius}
     if not all(entry["identity_holds"] for entry in per_y):
         return CheckResult("outer-exactness", params, REFUTED,
                            {"per_y": per_y,
@@ -1272,87 +1282,34 @@ def _integer_functional(spec, coeffs):
     return f
 
 
-def linear_extension_check(spec, box_radius, trials, seed):
-    """Additivity on nonzero-pairing pairs extends linearly: sampled
-    integer functionals pass the hypothesis, the conclusions, and the
-    constructive re-derivation chains; one deliberately perturbed
-    functional fails the hypothesis (negative control)."""
-    if box_radius < 1:
-        raise ValueError("the box must contain the generators")
-    rng = random.Random(seed)
-    box = box_by_weight(spec, box_radius)
-    derived = [x for x in box if x.is_derived_element()]
-    params = {"spec": spec.describe()["group"], "box": box_radius,
-              "trials": trials, "seed": seed}
-    if not derived:
+def linear_extension_check(spec, box_radius):
+    """The linear extension lemma's identities for ``_integer_functional``
+    with symbolic coefficients, on elements u, v, x with symbolic
+    coordinates, and the bumped functional's failure (negative control);
+    a zero form has no derived element, so nothing to extend."""
+    params = {"spec": spec.label, "box": box_radius}
+    if spec.mu_is_zero():
         return CheckResult("linear-extension", params, NOT_APPLICABLE,
                            {"note": "no derived elements: the form is zero"})
+    formal = FormalSpec(2)
+    u, v, x = (formal.generic(name) for name in "uvx")
+    f = _integer_functional(formal, [Poly.var("c%d" % j) for j in formal.free_indices])
 
-    # Pairs come from the smallest derived elements: squaring the whole
-    # derived box reaches hundreds of millions of pairs on rank-6 groups.
-    pool = derived[:60]
-    probe_box = box[:200]
-    hot_pairs = []
-    for u in pool:
-        for v in pool:
-            if spec.pairing(u, v) != 0:
-                hot_pairs.append((u, v))
-    zero_pairs = [(u, v) for u in pool for v in pool
-                  if spec.pairing(u, v) == 0 and (u + v).is_derived_element()]
-
-    def probe_for(u, v):
-        s = u + v
-        for x in probe_box:
-            if (spec.pairing(u, x) != 0 and spec.pairing(v, x) != 0
-                    and spec.pairing(s, x) != 0):
-                return x
-        return None
-
-    checked = {"hypothesis": 0, "additive": 0, "scaling": 0,
-               "chain_sum": 0, "chain_negation": 0}
-    for _ in range(trials):
-        coeffs = [rng.randint(-5, 5) for _ in spec.free_indices]
-        f = _integer_functional(spec, coeffs)
-        for u, v in rng.sample(hot_pairs, min(40, len(hot_pairs))):
-            _require(f(u + v) == f(u) + f(v), "f(u+v) = f(u) + f(v) when <u, v> != 0")
-            checked["hypothesis"] += 1
-        for u, v in rng.sample(zero_pairs, min(20, len(zero_pairs))):
-            _require(f(u + v) == f(u) + f(v), "f(u+v) = f(u) + f(v) when <u, v> = 0")
-            checked["additive"] += 1
-            x = probe_for(u, v)
-            if x is not None:
-                # Re-derive f(u+v) using only nonzero-pairing additivity:
-                # f(u+v) = f(u+v+x) - f(x), f(u+v+x) = f(u) + f(v+x),
-                # f(v+x) = f(v) + f(x).
-                derived_value = (f(u) + (f(v) + f(x))) - f(x)
-                _require(derived_value == f(u + v), "f(u+v) re-derived through a probe")
-                checked["chain_sum"] += 1
-        for _ in range(10):
-            u = pool[rng.randrange(len(pool))]
-            n = rng.choice([-3, -2, -1, 2, 3])
-            _require(f(n * u) == n * f(u), "f(n u) = n f(u)")
-            checked["scaling"] += 1
-        u = pool[rng.randrange(len(pool))]
-        x = next((x for x in probe_box if spec.pairing(u, x) != 0), None)
-        if x is not None:
-            # f(-u) = f(x) - f(u+x): valid since <-u, u+x> = -<u, x> != 0.
-            _require(f(x) - f(u + x) == f(-u), "f(-u) = f(x) - f(u+x)")
-            checked["chain_negation"] += 1
-
-    # Negative control: bump one value on a nonzero-pairing pair.
-    u0, v0 = hot_pairs[0]
-    base = _integer_functional(spec, [1] + [0] * (len(spec.free_indices) - 1))
-    def bumped(x):
-        return base(x) + (1 if x == u0 else 0)
-    control_fails = bumped(u0 + v0) != bumped(u0) + bumped(v0)
-
-    verdict = CERTIFIED if control_fails else REFUTED
-    return CheckResult(
-        "linear-extension", params, verdict,
-        {"checks": checked,
-         "functionals": trials,
-         "pair_pool": len(pool),
-         "negative_control_detected": control_fails})
+    def bumped(y):
+        return f(y) + (1 if y == u else 0)
+    return _formal_check("linear-extension", params, [
+        ("f(u+v) = f(u) + f(v)", f(u + v) == f(u) + f(v)),
+        # Each step adds a pair that pairs nonzero: <u+v, x>, <u, v+x>, <v, x>.
+        ("f(u+v) re-derived through a probe",
+         all(formal.pairing(a, b) for a, b in ((u + v, x), (u, v + x), (v, x)))
+         and f(u + v) == f(u + v + x) - f(x)
+         and f(u + v + x) == f(u) + f(v + x)
+         and f(v + x) == f(v) + f(x)),
+        # <-u, u+x> = -<u, x> != 0.
+        ("f(-u) = f(x) - f(u+x)", f(-u) == f(x) - f(u + x)),
+        ("a functional bumped at u is not additive (negative control)",
+         bumped(u + v) != bumped(u) + bumped(v)),
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -1494,8 +1451,7 @@ def omega_check(spec, z, box_radius):
     if not z.in_kernel_mu():
         raise ValueError("omega lives in radical gradings only")
     cocycle_checked, cocycle_pool = _omega_cocycle_scan(spec, z, box_radius)
-    params = {"spec": spec.describe()["group"], "z": list(z.coords),
-              "box": box_radius}
+    params = {"spec": spec.label, "z": list(z.coords), "box": box_radius}
 
     if z.is_torsion():
         if spec.mu_is_zero():
@@ -1579,6 +1535,5 @@ def h1_check(spec, box_radius, gradings):
                         "preimage": serialize_chain(pre, pair)})
     return CheckResult(
         "h1-center",
-        {"spec": spec.describe()["group"], "box": box_radius,
-         "gradings": len(entries)},
+        {"spec": spec.label, "box": box_radius, "gradings": len(entries)},
         CERTIFIED, {"per_grading": entries})

@@ -250,15 +250,18 @@ def test_criterion_09_surface_generator_classes():
 
 
 def test_criterion_10_linear_extension_suite():
-    """Additivity on nonzero-pairing pairs extends to 100 sampled
-    functionals with the constructive chains, and a deliberately bumped
-    functional is caught as the negative control."""
-    r = linear_extension_check(symplectic_z2(), 2, trials=100, seed=0)
+    """Additivity, the probe re-derivation and the negation identity
+    hold for a functional with symbolic coefficients on symbolic
+    elements (a formal proof, the same entry for every group), and a
+    deliberately bumped functional is caught as the negative control."""
+    r = linear_extension_check(symplectic_z2(), 2)
     assert r.verdict == "certified"
-    assert r.details["functionals"] >= 100
-    assert r.details["negative_control_detected"]
-    r2 = linear_extension_check(z3_rank2_form(), 2, trials=100, seed=1)
+    assert r.details == {"identity": "formal", "identities": [
+        "f(u+v) = f(u) + f(v)", "f(u+v) re-derived through a probe", "f(-u) = f(x) - f(u+x)",
+        "a functional bumped at u is not additive (negative control)"]}
+    r2 = linear_extension_check(z3_rank2_form(), 2)
     assert r2.verdict == "certified"
+    assert r2.details == r.details
 
 
 def test_criterion_11_cli_golden_report(tmp_path):

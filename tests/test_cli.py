@@ -5,6 +5,7 @@ tmp_path files or captured stdout.  Oracles are the library-level dims
 already pinned in test_verify.py.
 """
 
+import inspect
 import json
 import os
 import subprocess
@@ -13,7 +14,7 @@ import time
 
 import pytest
 
-from goldman import cli, complexes, verify
+from goldman import algebra, cli, complexes, groups, verify
 from goldman.cli import main, resolve_selection
 from goldman import box_support, surface_presentation
 
@@ -88,6 +89,29 @@ def test_an_unwritable_out_path_is_an_error(argv, tmp_path, capsys):
     assert (code, out) == (1, "")
     assert err == "error: cannot write %s: No such file or directory\n" % path
     assert not os.path.exists(path)
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "all", "--surface", "2,3", "--box", "2"],
+    ["homology", "--surface", "1,2", "--box", "3"],
+], ids=["verify", "homology"])
+def test_an_unwritable_out_path_fails_before_any_suite_runs(argv, monkeypatch, tmp_path,
+                                                            capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a suite ran before --out was opened")
+
+    for name in ["run_%s_suite" % suite for suite in cli.SUITES] + ["main_theorem_check"]:
+        monkeypatch.setattr(cli, name, refuse)
+    path = str(tmp_path / "missing" / "r.json")
+    code, out, err = run(capsys, *argv, "--out", path)
+    assert (code, out) == (1, "")
+    assert err == "error: cannot write %s: No such file or directory\n" % path
+
+
+def test_validate_takes_no_grading(capsys):
+    code, out, err = run(capsys, "validate", "--surface", "1,0", "--grading", "x;y;z")
+    assert (code, out) == (1, "")
+    assert "unrecognized arguments: --grading" in err
 
 
 def test_validate_rejects_nonalternating_form(tmp_path, capsys):
@@ -405,7 +429,24 @@ functional = verify._integer_functional
 verify._integer_functional = lambda spec, coeffs: (
     lambda x: functional(spec, coeffs)(x) + x.coords[0] ** 2)
 """, ["verify", "--suite", "linext", "--surface", "1,0", "--box", "1"],
-        "linear-extension", "f(u+v) = f(u) + f(v) when <u, v> != 0"),
+        "linear-extension", "f(u+v) = f(u) + f(v)"),
+    "bracket": ("""
+import inspect
+from goldman import algebra, cli
+namespace = dict(vars(algebra))
+exec(inspect.getsource(algebra.bracket).replace("cx * cy * p", "cx * cy * p ** 3"), namespace)
+cli.bracket = namespace["bracket"]
+""", ["verify", "--suite", "bracket", "--surface", "1,0", "--box", "1"],
+        "bracket-axioms", "[a, [b, c]] + [b, [c, a]] + [c, [a, b]] = 0"),
+    "complex": ("""
+import inspect
+from goldman import complexes
+namespace = dict(vars(complexes))
+exec(inspect.getsource(complexes._boundary_terms).replace(
+    "((-1, a, b, c, d)", "((1, a, b, c, d)"), namespace)
+complexes._boundary_terms = namespace["_boundary_terms"]
+""", ["verify", "--suite", "complex", "--surface", "1,0", "--box", "1"],
+        "complex-squares-to-zero", "d(d(w)) = 0 on 4-wedges"),
 }
 
 
@@ -429,6 +470,84 @@ def test_corrupted_suite_is_refuted_under_python_O(suite, tmp_path):
     assert entry["verdict"] == "refuted"
     assert entry["details"] == {"failed_identity": identity}
     assert report["summary"]["certified"] == 0
+
+
+def _mutant(fn, old, new):
+    """fn recompiled from its source with ``old`` replaced by ``new``, in
+    a copy of its module's globals."""
+    source = inspect.getsource(fn)
+    assert source.count(old) == 1, old
+    namespace = dict(fn.__globals__)
+    exec(source.replace(old, new), namespace)
+    return namespace[fn.__name__]
+
+
+# Every sign flip and dropped coincidence test of _boundary_terms that
+# d o d can see.  Negating all of d_2, or all of the loop, keeps
+# d o d = 0, so no such check can catch those two.
+_BOUNDARY_MUTANTS = [
+    pytest.param(old, new, id="%s-%d" % (where, i))
+    for where, pairs in (
+        ("d3-sign", [("out.append((-coeff, (total, c)) if", "out.append((coeff, (total, c)) if"),
+                     ("else (coeff, (c, total)))", "else (-coeff, (c, total)))"),
+                     ("out.append((coeff, (total, b)) if", "out.append((-coeff, (total, b)) if"),
+                     ("else (-coeff, (b, total)))", "else (coeff, (b, total)))"),
+                     ("out.append((-coeff, (total, a)) if", "out.append((coeff, (total, a)) if"),
+                     ("else (coeff, (a, total)))", "else (-coeff, (a, total)))")]),
+        ("d3-coincidence", [("if total != c:", "if True:"), ("if total != b:", "if True:"),
+                            ("if total != a:", "if True:")]),
+        ("d4-sign", [("((-1, a, b, c, d)", "((1, a, b, c, d)"),
+                     ("(1, a, c, b, d)", "(-1, a, c, b, d)"),
+                     ("(-1, a, d, b, c)", "(1, a, d, b, c)"),
+                     ("(-1, b, c, a, d)", "(1, b, c, a, d)"),
+                     ("(1, b, d, a, c)", "(-1, b, d, a, c)"),
+                     ("(-1, c, d, a, b))", "(1, c, d, a, b))"),
+                     ("((sign * coeff, (total, r0, r1)))", "((-sign * coeff, (total, r0, r1)))"),
+                     ("((-sign * coeff, (r0, total, r1)))", "((sign * coeff, (r0, total, r1)))"),
+                     ("((sign * coeff, (r0, r1, total)))", "((-sign * coeff, (r0, r1, total)))")]),
+        ("d4-coincidence", [("if total != r0:", "if True:"), ("elif total != r1:", "else:")]),
+        ("loop-coincidence", [("if k < len(rest) and rest[k] == total:", "if False:")]),
+    )
+    for i, (old, new) in enumerate(pairs)]
+
+
+@pytest.mark.parametrize("old, new", _BOUNDARY_MUTANTS)
+def test_a_boundary_mutant_is_refuted(old, new, monkeypatch):
+    monkeypatch.setattr(complexes, "_boundary_terms",
+                        _mutant(complexes._boundary_terms, old, new))
+    result = cli.run_complex_suite()
+    assert result.verdict == "refuted"
+    assert result.details["failed_identity"].startswith("d(d(w)) = 0 on ")
+
+
+@pytest.mark.parametrize("new, identity", [
+    ("cy * p", "[2a + 3b, c] = 2[a, c] + 3[b, c]"),
+    ("cx * p", "[c, 2a + 3b] = 2[c, a] + 3[c, b]"),
+    ("cx * cy * p ** 3", "[a, [b, c]] + [b, [c, a]] + [c, [a, b]] = 0"),
+], ids=["drop-cx", "drop-cy", "cubed-pairing"])
+def test_a_bracket_mutant_is_refuted(new, identity, monkeypatch):
+    # Dropping a coefficient passes skew-symmetry and Jacobi on symbols;
+    # only bilinearity with non-unit coefficients sees it.
+    monkeypatch.setattr(cli, "bracket", _mutant(algebra.bracket, "cx * cy * p", new))
+    result = cli.run_bracket_suite()
+    assert (result.verdict, result.details) == ("refuted", {"failed_identity": identity})
+
+
+def test_entry_params_compute_no_smith_normal_form(monkeypatch):
+    # The group's label is computed once, with the group; naming it in
+    # an entry runs no Smith normal form.
+    spec = surface_presentation(1, 2)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("smith_normal_form called")
+
+    monkeypatch.setattr(groups, "smith_normal_form", refuse)
+    with pytest.raises(AssertionError):
+        spec.kernel_basis_elements()
+    assert verify._inner_params(spec, spec.zero, 2)["spec"] == "Z^3"
+    assert cli._skip("omega-class", "note", spec, 2).params == {"spec": "Z^3", "box": 2}
+    (entry,) = cli.run_linext_suite(spec, 2)
+    assert entry.params == {"spec": "Z^3", "box": 2}
 
 
 _PATCHED_HOMOTOPY = """
@@ -630,7 +749,7 @@ def test_suite_level_not_applicable_entries_carry_the_suite_params(tmp_path, cap
         "gk-cycle": {"spec": "Z", "box": 1},
         "surface-generators": {"spec": "Z"},
         "omega-class": {"spec": "Z", "box": 1},
-        "linear-extension": {"spec": "Z", "box": 1, "seed": 0, "trials": 120}}
+        "linear-extension": {"spec": "Z", "box": 1}}
     path = write_spec(tmp_path, "g.json", {"generators": 2, "form": [[0, 1], [-1, 0]]})
     code, out, _ = run(capsys, "verify", "--suite", "surface", "--spec", path,
                        "--format", "json")
@@ -722,14 +841,16 @@ def test_text_format_deterministic(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_seed_changes_sampling_not_verdict(capsys):
+def test_seed_is_only_recorded_in_the_config(capsys):
+    # No check samples: the results of every suite are the same at two
+    # seeds, and the report differs only in config.seed.
     outs = []
     for seed in ("1", "2"):
-        code, out, _ = run(capsys, "verify", "--suite", "linext",
-                           "--surface", "1,0", "--seed", seed,
+        code, out, _ = run(capsys, "verify", "--suite", "all",
+                           "--surface", "1,1", "--box", "2", "--seed", seed,
                            "--format", "json")
         assert code == 0
         outs.append(json.loads(out))
-    assert outs[0]["results"][0]["verdict"] == "certified"
-    assert outs[0]["config"]["seed"] == 1
-    assert outs[1]["config"]["seed"] == 2
+    assert outs[0]["results"] == outs[1]["results"]
+    assert [o["config"].pop("seed") for o in outs] == [1, 2]
+    assert outs[0] == outs[1]

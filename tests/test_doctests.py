@@ -6,7 +6,7 @@ import importlib
 import pytest
 
 
-@pytest.mark.parametrize("name", ["groups", "algebra", "complexes", "linalg"])
+@pytest.mark.parametrize("name", ["groups", "algebra", "complexes", "linalg", "formal"])
 def test_docstring_examples_pass(name):
     module = importlib.import_module("goldman." + name)
     failed, attempted = doctest.testmod(module)

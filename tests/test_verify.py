@@ -51,6 +51,7 @@ from goldman import (
 )
 from goldman import cli, verify
 from goldman.complexes import Cochain, Wedge, coboundary, enumerate_keys
+from goldman.formal import Poly
 from goldman.linalg import _IncrementalSpan
 from goldman.verify import (
     CertificateError,
@@ -1861,24 +1862,56 @@ def test_surface_closed_forms_are_rechecked(target, identity, monkeypatch):
 
 def test_linear_extension_z2():
     z2 = symplectic_z2()
-    r = linear_extension_check(z2, 2, trials=100, seed=0)
+    r = linear_extension_check(z2, 2)
     assert r.verdict == CERTIFIED
-    assert r.details["functionals"] == 100
-    assert r.details["checks"]["hypothesis"] >= 100
-    assert r.details["checks"]["chain_sum"] >= 100
-    assert r.details["checks"]["chain_negation"] >= 50
-    assert r.details["negative_control_detected"]
+    assert r.details["identity"] == "formal"
+    assert len(r.details["identities"]) == 4
     assert_jsonable(r)
+
+
+def test_linear_extension_refutes_an_undetected_negative_control(monkeypatch):
+    # If bumping f at u went unnoticed, the check would have no power.
+    monkeypatch.setattr(verify.GroupElement, "__eq__", lambda self, other: False)
+    with pytest.raises(CertificateError) as info:
+        linear_extension_check(symplectic_z2(), 2)
+    assert info.value.identity == "a functional bumped at u is not additive (negative control)"
+
+
+@pytest.mark.parametrize("corruption, identity", [
+    (lambda x: x.coords[0] ** 2, "f(u+v) = f(u) + f(v)"),
+    (lambda x: 1, "f(u+v) = f(u) + f(v)"),
+])
+def test_linear_extension_refutes_a_nonadditive_functional(corruption, identity, monkeypatch):
+    # Symbolic coordinates see a non-additive term that basis symbols
+    # would miss; the failure names the identity.
+    functional = verify._integer_functional
+    monkeypatch.setattr(verify, "_integer_functional", lambda spec, coeffs: (
+        lambda x: functional(spec, coeffs)(x) + corruption(x)))
+    with pytest.raises(CertificateError) as info:
+        linear_extension_check(symplectic_z2(), 2)
+    assert info.value.identity == identity
+
+
+def test_linear_extension_negation_identity_is_checked(monkeypatch):
+    # Wrong at -u only: additivity and the probe steps never evaluate f
+    # there, so the negation identity is the one that fails.
+    minus_u = tuple(-Poly.var("u%d" % j) for j in range(2))
+    functional = verify._integer_functional
+    monkeypatch.setattr(verify, "_integer_functional", lambda spec, coeffs: (
+        lambda x, f=functional(spec, coeffs): f(x) + (7 if x.coords == minus_u else 0)))
+    with pytest.raises(CertificateError) as info:
+        linear_extension_check(symplectic_z2(), 2)
+    assert info.value.identity == "f(-u) = f(x) - f(u+x)"
 
 
 def test_linear_extension_params_do_not_depend_on_the_verdict():
     # A zero form has no derived element: the not-applicable entry names
-    # the same instance, trials and seed included, as a certified one.
+    # the same instance as a certified one.
     flat = surface_presentation(0, 2)
-    na = linear_extension_check(flat, 2, trials=20, seed=9)
-    ok = linear_extension_check(z3_rank2_form(), 2, trials=20, seed=9)
+    na = linear_extension_check(flat, 2)
+    ok = linear_extension_check(z3_rank2_form(), 2)
     assert (na.verdict, ok.verdict) == (NOT_APPLICABLE, CERTIFIED)
-    assert na.params == {"spec": "Z", "box": 2, "trials": 20, "seed": 9}
+    assert na.params == {"spec": "Z", "box": 2}
     assert set(na.params) == set(ok.params)
 
 
@@ -1895,10 +1928,12 @@ def test_main_theorem_params_do_not_depend_on_the_form():
 
 
 def test_linear_extension_deterministic():
+    # Formal, so the details are the same for every group and box.
     spec = z3_rank2_form()
-    a = linear_extension_check(spec, 2, trials=20, seed=9)
-    b = linear_extension_check(spec, 2, trials=20, seed=9)
+    a = linear_extension_check(spec, 2)
+    b = linear_extension_check(spec, 2)
     assert a.to_dict() == b.to_dict()
+    assert linear_extension_check(z2_z2torsion(), 3).details == a.details
 
 
 # ---------------------------------------------------------------------------
