@@ -90,7 +90,7 @@ def _sort_sign(factors):
     """
     if len(factors) == 3:
         # Unrolled for the commonest length (the Phi_2 terms of the
-        # outer scan): a three-comparison sorting network.
+        # outer homotopy): a three-comparison sorting network.
         a, b, c = factors
         sign = 1
         if b < a:
@@ -245,8 +245,8 @@ def _boundary_terms(spec, key):
     """
     pair, add = spec.pair_coords, spec.add_coords
     p = len(key)
-    # Degrees 2 and 3 (the outer homotopy scan) and 4 (the omega cocycle
-    # scan) are the loop below unrolled.
+    # Degrees 2 and 3 (the outer homotopy and its witnesses) and 4 (the
+    # omega cocycle scan) are the loop below unrolled.
     if p == 2:
         a, b = key
         coeff = pair(a, b)

@@ -49,21 +49,16 @@ witnesses.  The certification patterns are:
   3-wedges is a sampled scan that builds no boundary box.
 
 * Outer gradings (z not in ker mu).  A contracting homotopy (Phi_1,
-  Phi_2) built from any y with <y, z> != 0 satisfies
-  Phi_1 d_2 + d_3 Phi_2 = id on the whole graded slice, verified wedge
-  by wedge, so every cycle c bounds via d_3 Phi_2(c) = c.  The five
-  homotopy factors are fixed, and a wedge on which the identity fails
-  refutes the grading.  Their denominators divide D = 2 lam^2
-  (lam = <y, z>), and ``_homotopy_factors`` gives D and the five
-  factors times D, so every term of D (Phi_1 d_2 + d_3 Phi_2 - id)(w)
-  is an integer.  The check sums those
-  terms in one integer dict over wedge keys and tests it for zero,
-  which is exact over Z; the scan walks the keys (u, z-u) of the
-  slice.  Every wedge is checked in full: d_2 of a key is computed
-  once per grading (both y's and the cycle space share it), and d_3 of
-  the tail wedge once per homotopy.  The five reported cycle witnesses
-  c are key dicts too, c times its denominator; d(D Phi_2(c)) = D c is
-  checked on integers, and Fractions are built only to serialize them.
+  Phi_2) built from any y with lam = <y, z> != 0 satisfies
+  Phi_1 d_2 + d_3 Phi_2 = id, so every cycle c bounds via d_3 Phi_2(c).
+  Scaled by D = 2 lam^2 (``_homotopy_factors``) this is a polynomial
+  identity in the pairings, proved once per certificate by running the
+  production homotopy and differential over the symbols u, y, z of
+  ``FormalSpec(3)`` on [u] ^ [z-u]: no wedge of the slice is scanned.
+  The group's coordinate kernels, all the proof reads of it, are checked
+  on all pairs of signed units.  The five cycle witnesses c are key
+  dicts, c times its denominator, and d(D Phi_2(c)) = D c is checked on
+  integers.
 
 * The degree-3 cocycle omega([u],[v],[z-u-v]) = <u, v>.  For torsion z
   a closed-form combination of the rows of a primitive eta
@@ -539,26 +534,23 @@ class ContractingHomotopy:
                         + (<u-y, v-y> / 2 lam^2) [y] ^ [2y] ^ [z-3y]
 
     Phi_1 d_2 + d_3 Phi_2 = id holds on every basis wedge of the slice.
-    ``key_defect`` measures its failure on a wedge key as an integer
-    dict, and ``identity_defect`` as a chain; a nonzero defect refutes
-    the certificate.
+    ``key_defect`` measures its failure on a wedge key as a dict, and
+    ``identity_defect`` as a chain.  The operators read a group only by
+    ``pairing`` and the coordinate kernels, so they run on a
+    ``FormalSpec``, where the identity is proved once over symbols.
 
     The five rational factors in front of the wedges are scaled by
     ``scale`` = 2 lam^2, the lcm of their denominators
     (``_homotopy_factors``), so the operators are evaluated on integer
-    coefficients over wedge keys (sorted tuples of coordinate tuples),
-    and a caller divides by ``scale`` only to serialize.
-
-    The tail wedge is the same for every [u] ^ [v]; its boundary is
-    taken at construction and only rescaled per wedge.
+    (or polynomial) coefficients over wedge keys (sorted tuples of
+    coordinate tuples), and a caller divides by ``scale`` only to
+    serialize.
     """
 
     __slots__ = ("spec", "z", "y", "scale", "_scaled",
-                 "_y2c", "_phi1_term", "_tail_term", "_tail_d3")
+                 "_y2c", "_phi1_term", "_tail_term")
 
     def __init__(self, spec, z, y):
-        if z.in_kernel_mu():
-            raise ValueError("grading lies in ker mu; the homotopy needs <y, z> != 0")
         lam = spec.pairing(y, z)
         if lam == 0:
             raise ValueError("y pairs to zero with the grading")
@@ -566,14 +558,14 @@ class ContractingHomotopy:
         self.z = z
         self.y = y
         self.scale, self._scaled = _homotopy_factors(lam)
-        self._y2c = (2 * y).coords
-        self._phi1_term = _sort_sign((y.coords, (z - y).coords))
-        self._tail_term = _sort_sign((y.coords, self._y2c, (z - 3 * y).coords))
-        sign, key = self._tail_term
-        self._tail_d3 = _boundary_terms(spec, key) if sign else []
+        # 2y, z-y and z-3y by the coordinate kernels, which a FormalSpec has.
+        self._y2c = spec.add_coords(y.coords, y.coords)
+        zy = spec.sub_coords(z.coords, y.coords)
+        self._phi1_term = _sort_sign((y.coords, zy))
+        self._tail_term = _sort_sign((y.coords, self._y2c, spec.sub_coords(zy, self._y2c)))
 
     def _scaled_phi2(self, u, v):
-        """(integer coefficient, key) terms of scale * Phi_2([u] ^ [v])."""
+        """(coefficient, key) terms of scale * Phi_2([u] ^ [v])."""
         spec = self.spec
         _, first, second, both, tail = self._scaled
         y = self.y.coords
@@ -593,22 +585,6 @@ class ContractingHomotopy:
                 out.append((sign * tail * pair, key))
         return out
 
-    def _scaled_image(self, key, d2):
-        """scale * (Phi_1 d_2 + d_3 Phi_2) of the wedge with key (u, v),
-        as {key: integer}, some entries possibly zero; ``d2`` is the [z]
-        coefficient of d_2 of the wedge."""
-        acc = {}
-        sign, phi1_key = self._phi1_term
-        if sign and self._scaled[0] and d2:
-            acc[phi1_key] = sign * self._scaled[0] * d2
-        spec, get, tail_key = self.spec, acc.get, self._tail_term[1]
-        for coeff, key3 in self._scaled_phi2(*key):
-            terms = (self._tail_d3 if key3 == tail_key
-                     else _boundary_terms(spec, key3))
-            for bc, key2 in terms:
-                acc[key2] = get(key2, 0) + coeff * bc
-        return acc
-
     def phi2_keys(self, terms):
         """scale * Phi_2 of the grading-z chain {2-key: coefficient}, as
         {3-key: nonzero coefficient}: the one Phi_2, which the outer
@@ -619,18 +595,20 @@ class ContractingHomotopy:
                 acc[key3] = acc.get(key3, 0) + coeff * scaled
         return {key: c for key, c in acc.items() if c}
 
-    def key_defect(self, key, d2=None):
+    def key_defect(self, key):
         """scale * (Phi_1 d_2 + d_3 Phi_2 - id) of the grading-z wedge
-        with key (u, v), as {key: nonzero integer}.
-
-        Every term is an integer, so the sum is exact and the dict is
-        empty exactly when the identity holds on the wedge.  ``d2``, the
-        [z] coefficient of d_2 of the wedge, is computed when not given.
-        """
-        if d2 is None:
-            d2 = _d2_coefficient(self.spec, key)
-        acc = self._scaled_image(key, d2)
-        acc[key] = acc.get(key, 0) - self.scale
+        with key (u, v), as {key: nonzero coefficient}.  Every term is
+        exact (an integer, or a polynomial over a ``FormalSpec``), so the
+        dict is empty exactly when the identity holds on the wedge."""
+        spec, acc = self.spec, {key: -self.scale}
+        get = acc.get
+        sign, phi1_key = self._phi1_term
+        d2 = _d2_coefficient(spec, key)
+        if sign and self._scaled[0] and d2:
+            acc[phi1_key] = get(phi1_key, 0) + sign * self._scaled[0] * d2
+        for coeff, key3 in self._scaled_phi2(*key):
+            for bc, key2 in _boundary_terms(spec, key3):
+                acc[key2] = get(key2, 0) + coeff * bc
         return {k: c for k, c in acc.items() if c}
 
     def identity_defect(self, key):
@@ -981,19 +959,61 @@ def inner_h2_certify(spec, z, box_radius):
 # Outer gradings
 
 
+def _homotopy_identity_holds():
+    """True when the production homotopy and differential send [u]^[z-u]
+    to 0 over FormalSpec(3), scaled by 2 lam^2 (lam = <y, z>): then the
+    identity holds in every group and grading, for every y with lam != 0.
+
+    u, y, z is the basis 2 e_0 + e_1, e_0, 3 e_0 + e_2, and then its
+    negative: y, u-y and z-u share their lead coordinate, so between the
+    two every order branch of the degree-3 differential is taken.  Not
+    cached: a patched homotopy must not hide behind an old answer."""
+    spec = FormalSpec(3)
+    for s in (1, -1):
+        u, y, z = (GroupElement(spec, tuple(s * c for c in coords))
+                   for coords in ((2, 1, 0), (1, 0, 0), (3, 0, 1)))
+        if ContractingHomotopy(spec, z, y).key_defect(_sort_sign((u.coords, (z - u).coords))[1]):
+            return False
+    return True
+
+
+def _kernel_identities(spec):
+    """(name, holds) of the coordinate kernels against ``spec.canonical``
+    and the Omega~ loop on all pairs of signed units: what the formal
+    identities read of a group."""
+    n, om, canonical = spec.n_generators, spec.omega_tilde, spec.canonical
+    units = [canonical([s * (i == j) for i in range(n)]).coords
+             for j in range(n) for s in (1, -1)]
+    references = (
+        ("add_coords = canonical a + b on signed units", spec.add_coords,
+         lambda a, b: canonical([x + y for x, y in zip(a, b)]).coords),
+        ("sub_coords = canonical a - b on signed units", spec.sub_coords,
+         lambda a, b: canonical([x - y for x, y in zip(a, b)]).coords),
+        ("pair_coords = a Omega~ b^T on signed units", spec.pair_coords,
+         lambda a, b: sum(a[i] * om[i][j] * b[j]
+                          for i in range(n) if a[i] for j in range(n) if b[j])))
+    return [(name, all(kernel(a, b) == reference(a, b)
+                       for a, b in itertools.product(units, repeat=2)))
+            for name, kernel, reference in references]
+
+
 def outer_h2_certify(spec, z, box_radius):
-    """Certify H_2 = 0 in the outer grading z: the homotopy identity per
-    basis wedge for two choices of y.  The identity bounds every cycle
-    at once (d Phi2 c = c - Phi1 d c = c when d c = 0), so only the
-    first five cycle basis vectors get an explicit serialized witness.
-    The scan and the witnesses run on wedge keys and build no wedge.  If
-    the identity fails on any wedge for some y, the entry is refuted."""
+    """Certify H_2 = 0 in the outer grading z: the homotopy identity is
+    proved over symbols and the group's coordinate kernels are checked
+    (a failure raises CertificateError naming the identity), with no
+    scan of the slice.  The identity bounds every cycle at once
+    (d Phi2 c = c - Phi1 d c = c when d c = 0), so only the first five
+    cycle basis vectors get a serialized witness, checked on integers."""
     if z.in_kernel_mu():
         raise ValueError("outer certification needs z outside ker mu")
+    result = _formal_check(
+        "outer-exactness", {"spec": spec.label, "z": list(z.coords), "box": box_radius},
+        [*_kernel_identities(spec), ("Phi_1 d_2 + d_3 Phi_2 = id", _homotopy_identity_holds())])
+
     support = box_support(spec, box_radius)
     keys = list(enumerate_keys(spec, [x.coords for x in support], 2, z.coords))
     # d_2([u] ^ [v]) = -<u, v> [z], one coefficient per wedge, shared by
-    # every y and by the cycle space below.
+    # the cycle space and the witnesses below.
     d2s = [_d2_coefficient(spec, key) for key in keys]
 
     # The y's are the first ones in weight order that pair nonzero with z.
@@ -1004,18 +1024,6 @@ def outer_h2_certify(spec, z, box_radius):
     if not ys:
         raise ValueError("no y with <y, z> != 0 in the box")
 
-    homs = [ContractingHomotopy(spec, z, y) for y in ys]
-    per_y = [{"y": list(hom.y.coords), "wedges_checked": len(keys),
-              "identity_holds": not any(hom.key_defect(key, d2)
-                                        for key, d2 in zip(keys, d2s))}
-             for hom in homs]
-
-    params = {"spec": spec.label, "z": list(z.coords), "box": box_radius}
-    if not all(entry["identity_holds"] for entry in per_y):
-        return CheckResult("outer-exactness", params, REFUTED,
-                           {"per_y": per_y,
-                            "note": "homotopy identity failed"})
-
     # d_2 to C_1 is one coordinate (the [z] coefficient), so the cycle
     # space misses one dimension whenever some wedge hits it.  A dense
     # kernel basis would be quadratic in the wedge count; sparse pair
@@ -1025,7 +1033,7 @@ def outer_h2_certify(spec, z, box_radius):
 
     # A witness cycle c is held as den * c on integer keys (den = d2s[pivot],
     # or 1 for a cycle column): d(scale * den * Phi_2(c)) = scale * den * c.
-    hom = homs[0]
+    hom = ContractingHomotopy(spec, z, ys[0])
     witnesses = []
     for col in itertools.islice((col for col in range(len(keys)) if col != pivot), 5):
         cycle = ({keys[col]: d2s[pivot], keys[pivot]: -d2s[col]} if d2s[col]
@@ -1037,16 +1045,10 @@ def outer_h2_certify(spec, z, box_radius):
         witnesses.append({"cycle": serialize_chain(cycle, den),
                           "preimage": serialize_chain(x, hom.scale * den)})
 
-    details = {
-        "wedges": len(keys),
-        "cycle_dim": cycle_dim,
-        "bounded_cycles": cycle_dim,
-        "h2_dim": 0,
-        "y_choices": [list(y.coords) for y in ys],
-        "per_y": per_y,
-        "witnesses": witnesses,
-    }
-    return CheckResult("outer-exactness", params, CERTIFIED, details)
+    result.details.update(wedges=len(keys), cycle_dim=cycle_dim, bounded_cycles=cycle_dim,
+                          h2_dim=0, y_choices=[list(y.coords) for y in ys],
+                          witnesses=witnesses)
+    return result
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,14 @@
 """Shared test helpers: a pool of small validated group presentations,
-and an independent Fraction reference for the CE differential."""
+an independent Fraction reference for the CE differential, and source
+mutants of the production outer homotopy."""
 
+import inspect
 import itertools
 import math
+import textwrap
 from fractions import Fraction
 
+from goldman.formal import Poly
 from goldman.groups import GroupSpec, surface_presentation
 
 
@@ -87,9 +91,16 @@ def reference_homotopy_factors(coefficients):
     """A stand-in for verify._homotopy_factors with any rational
     coefficients: lam -> (D, scaled) for the five factors phi1/lam,
     shift_first/lam, shift_second/lam, shift_both/(2 lam) and
-    tail/(2 lam^2), D the lcm of their denominators."""
+    tail/(2 lam^2), D the lcm of their denominators.  For a formal lam
+    (a ``Poly``), D = 2 lam^2 and the scaled factors are polynomials
+    with rational coefficients."""
     def factors(lam):
-        co, lam = coefficients, Fraction(lam)
+        co = coefficients
+        if isinstance(lam, Poly):
+            return 2 * lam * lam, (2 * co["phi1"] * lam, 2 * co["shift_first"] * lam,
+                                   2 * co["shift_second"] * lam, co["shift_both"] * lam,
+                                   co["tail"])
+        lam = Fraction(lam)
         qs = (co["phi1"] / lam, co["shift_first"] / lam, co["shift_second"] / lam,
               co["shift_both"] / (2 * lam), co["tail"] / (2 * lam * lam))
         scale = math.lcm(*(q.denominator for q in qs))
@@ -114,3 +125,66 @@ def reference_boundary(spec, factors, coeff=1):
             term = Fraction(coeff) * (-1) ** ((i + 1) + (j + 1)) * pair * sign
             out[key] = out.get(key, 0) + term
     return {k: v for k, v in out.items() if v}
+
+
+# ---------------------------------------------------------------------------
+# Source mutants: a function recompiled with exact snippets replaced.
+
+
+def source_mutant(fn, replacements):
+    """fn recompiled from its dedented source with each (old, new) of
+    ``replacements`` applied (each old occurring once), in a copy of its
+    module's globals."""
+    source = textwrap.dedent(inspect.getsource(fn))
+    for old, new in replacements:
+        assert source.count(old) == 1, old
+        source = source.replace(old, new)
+    namespace = dict(fn.__globals__)
+    exec(source, namespace)
+    return namespace[fn.__name__]
+
+
+# A sign flip in each of the six unrolled degree-3 terms of
+# complexes._boundary_terms.
+D3_SIGN_FLIPS = [
+    ("out.append((-coeff, (total, c)) if", "out.append((coeff, (total, c)) if"),
+    ("else (coeff, (c, total)))", "else (-coeff, (c, total)))"),
+    ("out.append((coeff, (total, b)) if", "out.append((-coeff, (total, b)) if"),
+    ("else (-coeff, (b, total)))", "else (coeff, (b, total)))"),
+    ("out.append((-coeff, (total, a)) if", "out.append((coeff, (total, a)) if"),
+    ("else (coeff, (a, total)))", "else (-coeff, (a, total)))"),
+]
+
+_FACTORS = "(-2 * lam, -2 * lam, -2 * lam, lam, 1)"
+
+HOMOTOPY_IDENTITY = "Phi_1 d_2 + d_3 Phi_2 = id"
+
+# Mutants of the code behind the formal outer identity: name -> (the
+# function, as a dotted name in goldman.verify, and its replacements).
+# Each one breaks HOMOTOPY_IDENTITY over symbols.
+OUTER_MUTANTS = {
+    "scale": ("_homotopy_factors", [("return 2 * lam * lam", "return -2 * lam * lam")]),
+    "phi1": ("_homotopy_factors", [(_FACTORS, "(2 * lam, -2 * lam, -2 * lam, lam, 1)")]),
+    "shift_first": ("_homotopy_factors", [(_FACTORS, "(-2 * lam, 2 * lam, -2 * lam, lam, 1)")]),
+    "shift_second": ("_homotopy_factors", [(_FACTORS, "(-2 * lam, -2 * lam, 2 * lam, lam, 1)")]),
+    "shift_both": ("_homotopy_factors", [(_FACTORS, "(-2 * lam, -2 * lam, -2 * lam, -lam, 1)")]),
+    "tail": ("_homotopy_factors", [(_FACTORS, "(-2 * lam, -2 * lam, -2 * lam, lam, -1)")]),
+    **{"d3-sign-%d" % i: ("_boundary_terms", [flip]) for i, flip in enumerate(D3_SIGN_FLIPS)},
+    "swap-uy-vy": ("ContractingHomotopy._scaled_phi2",
+                   [("uy = spec.sub_coords(u, y)", "uy = spec.sub_coords(v, y)"),
+                    ("vy = spec.sub_coords(v, y)", "vy = spec.sub_coords(u, y)")]),
+    "drop-tail-term": ("ContractingHomotopy._scaled_phi2",
+                       [("if tail and sign:", "if False:")]),
+}
+
+
+def outer_mutant(name):
+    """(owner, attribute, mutated function) for OUTER_MUTANTS[name], ready
+    for ``monkeypatch.setattr`` or ``mock.patch.object``."""
+    from goldman import verify
+    path, replacements = OUTER_MUTANTS[name]
+    *owners, attr = path.split(".")
+    owner = verify
+    for part in owners:
+        owner = getattr(owner, part)
+    return owner, attr, source_mutant(getattr(owner, attr), replacements)

@@ -114,8 +114,8 @@ def test_criterion_02_boundary_squares_to_zero():
 def test_criterion_03_outer_gradings_all_vanish():
     """H2 = 0 in every non-radical grading of the box-2 slice, for the
     symplectic plane and the one-holed torus with two boundary circles,
-    at least two shift elements y each, the identity holding for every
-    y with the fixed coefficients; < 5 s."""
+    at least two shift elements y each, the homotopy identity with the
+    fixed coefficients proved over formal symbols; < 5 s."""
     start = time.monotonic()
     swept = 0
     for spec in (symplectic_z2(), surface_presentation(1, 2)):
@@ -125,7 +125,8 @@ def test_criterion_03_outer_gradings_all_vanish():
             r = outer_h2_certify(spec, z, 2)
             assert r.verdict == "certified", (spec, z)
             assert len(r.details["y_choices"]) >= 2
-            assert all(e["identity_holds"] for e in r.details["per_y"])
+            assert r.details["identity"] == "formal"
+            assert "Phi_1 d_2 + d_3 Phi_2 = id" in r.details["identities"]
             assert "corrections" not in r.details
             assert r.details["h2_dim"] == 0
             swept += 1
@@ -266,13 +267,13 @@ def test_criterion_10_linear_extension_suite():
 
 def test_criterion_11_cli_golden_report(tmp_path):
     """`verify --suite all --surface 2,3 --box 2 --seed 1` reproduces
-    the committed golden report byte for byte, < 20 s."""
+    the committed golden report byte for byte, < 10 s."""
     start = time.monotonic()
     out = tmp_path / "report.json"
     code = cli_main(["verify", "--suite", "all", "--surface", "2,3",
                      "--box", "2", "--seed", "1", "--format", "json",
                      "--out", str(out)])
-    assert time.monotonic() - start < 20.0
+    assert time.monotonic() - start < 10.0
     assert code == 0
     with open(GOLDEN, "rb") as fh:
         golden = fh.read()

@@ -5,7 +5,6 @@ tmp_path files or captured stdout.  Oracles are the library-level dims
 already pinned in test_verify.py.
 """
 
-import inspect
 import json
 import os
 import subprocess
@@ -18,7 +17,8 @@ from goldman import algebra, cli, complexes, groups, verify
 from goldman.cli import main, resolve_selection
 from goldman import box_support, surface_presentation
 
-from conftest import (HOMOTOPY_COEFFICIENTS, symplectic_z2, torsion_only, z2_z2torsion,
+from conftest import (D3_SIGN_FLIPS, HOMOTOPY_COEFFICIENTS, HOMOTOPY_IDENTITY, OUTER_MUTANTS,
+                      outer_mutant, source_mutant, symplectic_z2, torsion_only, z2_z2torsion,
                       z3_rank2_form)
 
 
@@ -473,13 +473,8 @@ def test_corrupted_suite_is_refuted_under_python_O(suite, tmp_path):
 
 
 def _mutant(fn, old, new):
-    """fn recompiled from its source with ``old`` replaced by ``new``, in
-    a copy of its module's globals."""
-    source = inspect.getsource(fn)
-    assert source.count(old) == 1, old
-    namespace = dict(fn.__globals__)
-    exec(source.replace(old, new), namespace)
-    return namespace[fn.__name__]
+    """fn recompiled from its source with ``old`` replaced by ``new``."""
+    return source_mutant(fn, [(old, new)])
 
 
 # Every sign flip and dropped coincidence test of _boundary_terms that
@@ -488,12 +483,7 @@ def _mutant(fn, old, new):
 _BOUNDARY_MUTANTS = [
     pytest.param(old, new, id="%s-%d" % (where, i))
     for where, pairs in (
-        ("d3-sign", [("out.append((-coeff, (total, c)) if", "out.append((coeff, (total, c)) if"),
-                     ("else (coeff, (c, total)))", "else (-coeff, (c, total)))"),
-                     ("out.append((coeff, (total, b)) if", "out.append((-coeff, (total, b)) if"),
-                     ("else (-coeff, (b, total)))", "else (coeff, (b, total)))"),
-                     ("out.append((-coeff, (total, a)) if", "out.append((coeff, (total, a)) if"),
-                     ("else (coeff, (a, total)))", "else (-coeff, (a, total)))")]),
+        ("d3-sign", D3_SIGN_FLIPS),
         ("d3-coincidence", [("if total != c:", "if True:"), ("if total != b:", "if True:"),
                             ("if total != a:", "if True:")]),
         ("d4-sign", [("((-1, a, b, c, d)", "((1, a, b, c, d)"),
@@ -533,6 +523,50 @@ def test_a_bracket_mutant_is_refuted(new, identity, monkeypatch):
     assert (result.verdict, result.details) == ("refuted", {"failed_identity": identity})
 
 
+@pytest.mark.parametrize("name", sorted(OUTER_MUTANTS))
+def test_an_outer_homotopy_mutant_is_refuted(name, monkeypatch):
+    # The scale or one scaled factor flipped, a degree-3 sign flipped,
+    # u-y and v-y swapped in Phi_2, or its tail term dropped: the formal
+    # identity fails, and the outer entry is refuted naming it.
+    spec = surface_presentation(1, 2)
+    z = spec.element([1, 1, 1, 0])
+    (certified,) = cli.run_outer_suite(spec, [z], 1)
+    monkeypatch.setattr(*outer_mutant(name))
+    (refuted,) = cli.run_outer_suite(spec, [z], 1)
+    assert certified.verdict == "certified"
+    assert (refuted.verdict, refuted.details) == (
+        "refuted", {"failed_identity": HOMOTOPY_IDENTITY})
+    assert refuted.params == certified.params
+    assert verify._homotopy_identity_holds() is False
+
+
+def _outer_entry_on_z2_z2torsion(**kernels):
+    """The outer entry of Z^2 + Z/2 at a derived grading, box 1, with its
+    coordinate kernels replaced by ``kernels``."""
+    spec = z2_z2torsion()
+    z = spec.canonical([1, 1, 0])
+    assert z.is_derived_element()
+    for name, fn in kernels.items():
+        setattr(spec, name, fn)
+    (entry,) = cli.run_outer_suite(spec, [z], 1)
+    return entry
+
+
+def test_the_outer_entry_checks_the_group_kernels():
+    assert _outer_entry_on_z2_z2torsion().verdict == "certified"
+    # Without the torsion wrap, (1, 0, 0) + (1, 0, 0) is not (0, 0, 0).
+    unwrapped = _outer_entry_on_z2_z2torsion(
+        add_coords=lambda a, b: tuple(x + y for x, y in zip(a, b)))
+    assert (unwrapped.verdict, unwrapped.details) == (
+        "refuted", {"failed_identity": "add_coords = canonical a + b on signed units"})
+    spec = z2_z2torsion()
+    (i, j, w), = spec._pair_entries
+    doubled = _outer_entry_on_z2_z2torsion(
+        pair_coords=groups._coordinate_kernels(spec.divisors, ((i, j, 2 * w),))[2])
+    assert (doubled.verdict, doubled.details) == (
+        "refuted", {"failed_identity": "pair_coords = a Omega~ b^T on signed units"})
+
+
 def test_entry_params_compute_no_smith_normal_form(monkeypatch):
     # The group's label is computed once, with the group; naming it in
     # an entry runs no Smith normal form.
@@ -550,24 +584,41 @@ def test_entry_params_compute_no_smith_normal_form(monkeypatch):
     assert entry.params == {"spec": "Z^3", "box": 2}
 
 
+# Each patch runs `verify --suite outer` under python -O; "patches" maps
+# a name to (argv tail, patch).  The Z^2 + Z/2 spec file and the reports
+# lie in the directory sys.argv[1].
 _PATCHED_HOMOTOPY = """
-import json, sys
+import json, os, sys
 from fractions import Fraction
 from unittest import mock
-from goldman import verify
+from goldman import groups, verify
 from goldman.cli import main
-from conftest import HOMOTOPY_COEFFICIENTS, reference_homotopy_factors
+from conftest import (HOMOTOPY_COEFFICIENTS, OUTER_MUTANTS, outer_mutant,
+                      reference_homotopy_factors)
 
 if not sys.flags.optimize:
     sys.exit("run with python -O")
-out = {}
-for name in sorted(HOMOTOPY_COEFFICIENTS):
-    path = sys.argv[1] + "/" + name + ".json"
+surface = ["--surface", "1,2", "--grading", "1,1,1,0"]
+torsion = ["--spec", os.path.join(sys.argv[1], "z2t.json"), "--grading", "1,1,0"]
+patches = {}
+for name in HOMOTOPY_COEFFICIENTS:
     factors = reference_homotopy_factors(dict(HOMOTOPY_COEFFICIENTS, **{name: Fraction(3, 2)}))
-    with mock.patch.object(verify, "_homotopy_factors", factors):
-        code = main(["verify", "--suite", "outer", "--surface", "1,2",
-                     "--grading", "1,1,1,0", "--box", "2", "--format", "json",
-                     "--out", path])
+    patches[name + "=1.5"] = surface, mock.patch.object(verify, "_homotopy_factors", factors)
+for name in OUTER_MUTANTS:
+    patches[name] = surface, mock.patch.object(*outer_mutant(name))
+kernels = groups._coordinate_kernels
+patches["unwrapped-add"] = torsion, mock.patch.object(
+    groups, "_coordinate_kernels", lambda divisors, entries: (
+        kernels((0,) * len(divisors), entries)[0], *kernels(divisors, entries)[1:]))
+patches["doubled-pair-entry"] = surface, mock.patch.object(
+    groups, "_coordinate_kernels", lambda divisors, entries: kernels(
+        divisors, ((entries[0][0], entries[0][1], 2 * entries[0][2]),) + entries[1:]))
+out = {}
+for name, (argv, patch) in patches.items():
+    path = os.path.join(sys.argv[1], name + ".json")
+    with patch:
+        code = main(["verify", "--suite", "outer", *argv, "--box", "2",
+                     "--format", "json", "--out", path])
     with open(path) as fh:
         out[name] = [code, json.load(fh)]
 print(json.dumps(out))
@@ -575,9 +626,12 @@ print(json.dumps(out))
 
 
 def test_a_patched_homotopy_coefficient_is_refuted_under_python_O(tmp_path):
-    # Any one of the five fixed coefficients changed, and the factors
-    # derived from it: the identity fails and the entry is refuted;
-    # nothing fits the coefficients again.
+    # Any one of the five fixed coefficients changed (with the factors
+    # derived from it), any outer homotopy mutant, or a group kernel
+    # broken: the entry is refuted naming the identity that failed,
+    # although asserts are off.
+    write_spec(tmp_path, "z2t.json", {"generators": 3, "relations": [[0, 0, 2]],
+                                      "form": [[0, 1, 0], [-1, 0, 0], [0, 0, 0]]})
     script = tmp_path / "patched.py"
     script.write_text(_PATCHED_HOMOTOPY)
     src = os.path.dirname(os.path.dirname(os.path.abspath(verify.__file__)))
@@ -586,17 +640,17 @@ def test_a_patched_homotopy_coefficient_is_refuted_under_python_O(tmp_path):
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     runs = json.loads(proc.stdout.splitlines()[-1])
-    assert sorted(runs) == sorted(HOMOTOPY_COEFFICIENTS)
+    want = {**{name + "=1.5": HOMOTOPY_IDENTITY for name in HOMOTOPY_COEFFICIENTS},
+            **{name: HOMOTOPY_IDENTITY for name in OUTER_MUTANTS},
+            "unwrapped-add": "add_coords = canonical a + b on signed units",
+            "doubled-pair-entry": "pair_coords = a Omega~ b^T on signed units"}
+    assert sorted(runs) == sorted(want)
     for name, (code, report) in runs.items():
         (entry,) = report["results"]
         assert code == 1, name
         assert entry["check"] == "outer-exactness"
-        assert entry["verdict"] == "refuted", name
-        assert entry["details"]["note"] == "homotopy identity failed"
-        per_y = entry["details"]["per_y"]
-        assert len(per_y) == 2
-        assert not any(e["identity_holds"] for e in per_y), name
-        assert all(set(e) == {"y", "wedges_checked", "identity_holds"} for e in per_y)
+        assert (entry["verdict"], entry["details"]) == (
+            "refuted", {"failed_identity": want[name]}), name
 
 
 def test_no_command_builds_a_wedge_chain(monkeypatch, capsys):

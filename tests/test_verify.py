@@ -51,7 +51,7 @@ from goldman import (
 )
 from goldman import cli, verify
 from goldman.complexes import Cochain, Wedge, coboundary, enumerate_keys
-from goldman.formal import Poly
+from goldman.formal import FormalSpec, Poly
 from goldman.linalg import _IncrementalSpan
 from goldman.verify import (
     CertificateError,
@@ -63,6 +63,7 @@ from goldman.verify import (
 
 from conftest import (
     HOMOTOPY_COEFFICIENTS,
+    HOMOTOPY_IDENTITY,
     reference_boundary,
     reference_homotopy_factors,
     reference_normalize,
@@ -472,26 +473,24 @@ def test_scan_computes_each_boundary_once(case, monkeypatch):
     calls = []
     terms = verify._boundary_terms
 
-    def spy(spec, key):
-        calls.append(key)
-        return terms(spec, key)
+    def spy(on, key):
+        calls.append((on, key))
+        return terms(on, key)
 
     monkeypatch.setattr(verify, "_boundary_terms", spy)
     r = outer_h2_certify(spec, z, 3)
     assert r.verdict == CERTIFIED
-    # d_2 once per wedge and grading, shared by both y's.
-    assert len([k for k in calls if len(k) == 2]) == r.details["wedges"]
+    # d_2 once per wedge of the grading, for the cycle space; no d_3 of
+    # a wedge of the group: the homotopy identity runs over symbols.
+    on_spec = [key for on, key in calls if on is spec]
+    assert sorted(on_spec) == sorted(_scan_keys(spec, z, 3)) == sorted(set(on_spec))
+    assert {len(key) for on, key in calls if on is not spec} == {2, 3}
 
-    keys = _scan_keys(spec, z, 3)
+    # A homotopy takes no boundary at construction.
     for y in r.details["y_choices"]:
         calls.clear()
-        hom = ContractingHomotopy(spec, z, spec.canonical(y))
-        # The tail's d_3 once per homotopy, at construction.
-        sign, tail = hom._tail_term
-        assert calls == ([tail] if sign else [])
-        calls.clear()
-        assert not any(hom.key_defect(key) for key in keys)
-        assert tail not in calls
+        ContractingHomotopy(spec, z, spec.canonical(y))
+        assert calls == []
 
 
 @pytest.mark.parametrize("name", ["tail", "shift_first"])
@@ -511,58 +510,64 @@ def test_scan_finds_the_defect_of_a_perturbed_coefficient(name):
         assert {k: Fraction(c, perturbed.scale)
                 for k, c in perturbed.key_defect(key).items()} == want
 
-    # The same perturbation as the default: the scan of every y sees the
-    # defect, and the entry is refuted with nothing refitted.
+    # The same perturbation as the default: the formal identity fails,
+    # and the entry is refuted naming it, with nothing refitted.
     with mock.patch.object(verify, "_homotopy_factors",
                            reference_homotopy_factors(coefficients)):
-        r = outer_h2_certify(spec, z, 2)
-    assert r.verdict == REFUTED
-    assert not any(e["identity_holds"] for e in r.details["per_y"])
-    assert r.details["note"] == "homotopy identity failed"
-    assert all("corrected" not in e for e in r.details["per_y"])
-    assert "corrections" not in r.details
+        (r,) = cli.run_outer_suite(spec, [z], 2)
+    assert (r.verdict, r.details) == (REFUTED, {"failed_identity": HOMOTOPY_IDENTITY})
+
+
+def _formal_images(monkeypatch):
+    """The (homotopy, key) pairs on which the outer certificate evaluates
+    the homotopy identity, recorded through ``key_defect``."""
+    seen = []
+    defect = ContractingHomotopy.key_defect
+
+    def spy(self, key):
+        seen.append((self, key))
+        return defect(self, key)
+
+    monkeypatch.setattr(ContractingHomotopy, "key_defect", spy)
+    spec = symplectic_z2()
+    assert outer_h2_certify(spec, spec.element([2, 1]), 2).verdict == CERTIFIED
+    monkeypatch.setattr(ContractingHomotopy, "key_defect", defect)
+    return seen
 
 
 def test_a_defect_on_any_one_wedge_stops_the_outer_certificate(monkeypatch):
+    # The identity is evaluated on two wedges [u] ^ [z-u] of formal
+    # symbols, and on no wedge of the group; a defect on either of them
+    # refutes every outer grading, naming the identity.
+    seen = _formal_images(monkeypatch)
+    assert len(seen) == 2
+    assert all(isinstance(hom.spec, FormalSpec) for hom, _ in seen)
     spec = symplectic_z2()
-    z = spec.element([2, 1])
-    keys = _scan_keys(spec, z)
-    assert outer_h2_certify(spec, z, 2).verdict == CERTIFIED
-    image = ContractingHomotopy._scaled_image
-    for target in keys:
-        def shifted(self, key, d2, target=target):
-            acc = image(self, key, d2)
-            if key == target:
-                acc[key] = acc.get(key, 0) + 1
-            return acc
+    defect = ContractingHomotopy.key_defect
+    for _, target in seen:
+        def shifted(self, key, target=target):
+            return {**defect(self, key), key: 1} if key == target else defect(self, key)
 
-        monkeypatch.setattr(ContractingHomotopy, "_scaled_image", shifted)
-        r = outer_h2_certify(spec, z, 2)
-        assert r.verdict == "refuted", target
-        assert not any(e["identity_holds"] for e in r.details["per_y"])
+        monkeypatch.setattr(ContractingHomotopy, "key_defect", shifted)
+        results = cli.run_outer_suite(spec, [spec.element([2, 1]), spec.element([1, 0])], 2)
+        assert [(r.verdict, r.details) for r in results] == [
+            (REFUTED, {"failed_identity": HOMOTOPY_IDENTITY})] * 2, target
 
 
 @pytest.mark.parametrize("target", ["tail", "shift"])
 def test_dropping_one_boundary_term_stops_the_outer_certificate(target, monkeypatch):
-    spec = surface_presentation(1, 2)
-    z = spec.element([1, 1, 1, 0])
-    y = spec.canonical(outer_h2_certify(spec, z, 2).details["y_choices"][0])
-    hom = ContractingHomotopy(spec, z, y)
-    if target == "tail":
-        bad = hom._tail_term[1]
-    else:
-        # The first Phi_2 term of some wedge, a boundary the scan shares.
-        bad = next(key3 for key in _scan_keys(spec, z)
-                   for _, key3 in hom._scaled_phi2(*key)[:1]
-                   if verify._boundary_terms(spec, key3))
-    assert verify._boundary_terms(spec, bad)
+    # d_3 of the tail wedge, or of the first Phi_2 term, of a formal
+    # wedge the identity is evaluated on loses one term.
+    (hom, key), _ = _formal_images(monkeypatch)
+    bad = hom._tail_term[1] if target == "tail" else hom._scaled_phi2(*key)[0][1]
+    assert verify._boundary_terms(hom.spec, bad)
     terms = verify._boundary_terms
     monkeypatch.setattr(verify, "_boundary_terms",
                         lambda spec, key: terms(spec, key)[1:] if key == bad
                         else terms(spec, key))
-    r = outer_h2_certify(spec, z, 2)
-    assert r.verdict != CERTIFIED
-    assert not all(e["identity_holds"] for e in r.details["per_y"])
+    spec = surface_presentation(1, 2)
+    (r,) = cli.run_outer_suite(spec, [spec.element([1, 1, 1, 0])], 2)
+    assert (r.verdict, r.details) == (REFUTED, {"failed_identity": HOMOTOPY_IDENTITY})
 
 
 @pytest.mark.parametrize("spec, zc, box", [
@@ -1613,7 +1618,8 @@ def test_outer_certification_no_corrections():
         z = spec.element(zc)
         r = outer_h2_certify(spec, z, 2)
         assert r.verdict == CERTIFIED
-        assert all(e["identity_holds"] for e in r.details["per_y"])
+        assert r.details["identity"] == "formal"
+        assert HOMOTOPY_IDENTITY in r.details["identities"]
         assert "corrections" not in r.details
         assert r.details["h2_dim"] == 0
         assert len(r.details["y_choices"]) == 2
