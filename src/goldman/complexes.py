@@ -30,7 +30,8 @@ d(w) has the grading of w because each summand replaces u_i, u_j by
 u_i + u_j.  The complex therefore splits over the group, one summand
 per grading, and all rank computations happen grading by grading.
 ``enumerate_keys`` walks the wedge keys of one grading lazily, and the
-bases and scans of ``goldman.verify`` read that one stream.
+bases and walks of ``goldman.verify`` read that one stream; ``_slice_size``
+counts the degree-2 keys of a box without walking them.
 
 Supports are truncated to finite boxes.  A box is enumerated at most
 once per group and radius and kept on the group, in coordinate order
@@ -240,13 +241,13 @@ def _boundary_terms(spec, key):
 
     A key is a wedge as the strictly increasing tuple of its factors'
     canonical coordinate tuples.  This is the one implementation of the
-    differential; ``boundary``, ``coboundary`` and the certification
-    scans all evaluate it.
+    differential; ``boundary``, ``coboundary``, the certificates and
+    the formal identities all evaluate it.
     """
     pair, add = spec.pair_coords, spec.add_coords
     p = len(key)
-    # Degrees 2 and 3 (the outer homotopy and its witnesses) and 4 (the
-    # omega cocycle scan) are the loop below unrolled.
+    # Degrees 2 and 3 (the outer homotopy, its witnesses and the omega
+    # primitive) and 4 (the omega cocycle) are the loop below unrolled.
     if p == 2:
         a, b = key
         coeff = pair(a, b)
@@ -316,7 +317,7 @@ def _boundary_terms(spec, key):
 def _key_boundary(spec, terms):
     """d of the chain {wedge key: coefficient}, as {key: nonzero
     coefficient}: the one accumulation of ``_boundary_terms``, which
-    ``boundary`` and the integer scans of ``goldman.verify`` share."""
+    ``boundary`` and the integer checks of ``goldman.verify`` share."""
     acc = {}
     for key, c in terms.items():
         for bc, face in _boundary_terms(spec, key):
@@ -382,10 +383,9 @@ def coboundary(eta, p):
     return Cochain(eta.spec, p + 1, rule)
 
 
-def enumerate_keys(spec, pool, p, z, last=None):
+def enumerate_keys(spec, pool, p, z):
     """An iterator over the keys of the degree-p wedges of grading z with
-    their first p-1 factors in ``pool`` and the last in the set ``last``
-    (the pool when omitted).
+    all their factors in ``pool``.
 
     ``pool`` is an ascending list of distinct canonical coordinate
     tuples and z a coordinate tuple.  The last factor is determined by
@@ -395,11 +395,9 @@ def enumerate_keys(spec, pool, p, z, last=None):
     """
     if p < 1:
         raise ValueError("need degree >= 1")
-    if last is None:
-        last = set(pool)
     if p == 1:
-        return iter([(z,)] if z in last else [])
-    return _walk_keys(spec.sub_coords, pool, p, z, last)
+        return iter([(z,)] if z in pool else [])
+    return _walk_keys(spec.sub_coords, pool, p, z, set(pool))
 
 
 def _walk_keys(sub, pool, p, z, last):
@@ -433,6 +431,22 @@ def _box_size(spec, radius):
         elif d > 1:
             size *= d
     return size
+
+
+def _slice_size(spec, radius, z):
+    """|enumerate_basis(box_support(spec, radius), 2, z)| without
+    enumerating it: the u of the box with z - u in it, less the fixed
+    points 2u = z, halved."""
+    pairs = fixed = 1
+    for d, zj in zip(spec.divisors, z):
+        if d == 0:
+            pairs *= max(2 * radius + 1 - abs(zj), 0)
+            fixed *= zj % 2 == 0 and abs(zj) <= 2 * radius
+        else:
+            # 2u = zj mod d has one solution for odd d, else two or none.
+            pairs *= d
+            fixed *= 1 if d % 2 else 2 * (zj % 2 == 0)
+    return (pairs - fixed) // 2
 
 
 def _check_box_budget(spec, radius):

@@ -86,13 +86,16 @@ class Poly:
 
 
 class FormalSpec:
-    """Z^n on n symbols with the generic form; elements are ``GroupElement``s."""
+    """Z^n on n symbols with the generic form; elements are ``GroupElement``s.
+    The symbols with an index in ``radical`` pair to 0 with every symbol
+    (they lie in ker mu)."""
 
-    def __init__(self, n):
+    def __init__(self, n, radical=()):
         self.free_indices = tuple(range(n))
         self.zero = GroupElement(self, (0,) * n)
         self._entries = [(i, j, Poly.var("P%d_%d" % (i, j)))
-                         for i in range(n) for j in range(i + 1, n)]
+                         for i in range(n) for j in range(i + 1, n)
+                         if i not in radical and j not in radical]
 
     def add_coords(self, a, b):
         return tuple(x + y for x, y in zip(a, b))

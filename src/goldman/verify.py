@@ -60,17 +60,15 @@ witnesses.  The certification patterns are:
   dicts, c times its denominator, and d(D Phi_2(c)) = D c is checked on
   integers.
 
-* The degree-3 cocycle omega([u],[v],[z-u-v]) = <u, v>.  For torsion z
-  a closed-form combination of the rows of a primitive eta
-  (``_omega_rows``) has left side 0 and right side -2, so no primitive
-  exists on any box; the rows are re-expanded on wedge keys.  For
-  non-torsion z a primitive is written down from a linear functional
-  with f(z) = 1 and checked on every box triple.  Both scans are
-  integer sums: d(omega)(w) = omega(d w) has integer terms, and with
-  f = (integer functional) / g the primitive scan compares g d(eta)(w)
-  with g omega(w), both integers.  No floats and no modulus enter
-  either scan; every zero test is exact over Z.  Both scans read
-  ``enumerate_keys``, the last factor from the whole box.
+* The degree-3 cocycle omega([u],[v],[z-u-v]) = <u, v> on radical z.
+  d(omega) = 0 is proved once over symbols whose pairings with the
+  radical symbol vanish.  For torsion z a closed-form combination of
+  the rows of a primitive eta (``_omega_rows``) has left side 0 and
+  right side -2, so no primitive exists; the rows are re-expanded on
+  wedge keys.  For non-torsion z the primitive eta = -2 f + 1, with f
+  an integer functional over g = f(z), and g d(eta) = g omega is
+  proved over symbols with f symbolic.  No wedge of the slice is
+  scanned, and no box enters.
 
 The closed-form checks (g_K cycle, surface, H_1) build their chains on
 keys too; no command builds a ``WedgeChain``.  The linear extension
@@ -104,6 +102,7 @@ from goldman.complexes import (
     _wedge_keys,
     _box_ranges,
     _box_size,
+    _slice_size,
     boundary,
     box_by_weight,
     box_support,
@@ -1010,12 +1009,6 @@ def outer_h2_certify(spec, z, box_radius):
         "outer-exactness", {"spec": spec.label, "z": list(z.coords), "box": box_radius},
         [*_kernel_identities(spec), ("Phi_1 d_2 + d_3 Phi_2 = id", _homotopy_identity_holds())])
 
-    support = box_support(spec, box_radius)
-    keys = list(enumerate_keys(spec, [x.coords for x in support], 2, z.coords))
-    # d_2([u] ^ [v]) = -<u, v> [z], one coefficient per wedge, shared by
-    # the cycle space and the witnesses below.
-    d2s = [_d2_coefficient(spec, key) for key in keys]
-
     # The y's are the first ones in weight order that pair nonzero with z.
     pair, zc = spec.pair_coords, z.coords
     ys = list(itertools.islice(
@@ -1024,28 +1017,35 @@ def outer_h2_certify(spec, z, box_radius):
     if not ys:
         raise ValueError("no y with <y, z> != 0 in the box")
 
-    # d_2 to C_1 is one coordinate (the [z] coefficient), so the cycle
-    # space misses one dimension whenever some wedge hits it.  A dense
-    # kernel basis would be quadratic in the wedge count; sparse pair
-    # vectors against the pivot column are enough for the samples.
-    pivot = next((col for col, d2 in enumerate(d2s) if d2), None)
-    cycle_dim = len(keys) - (1 if pivot is not None else 0)
+    # d_2([u] ^ [v]) = -<u, v> [z], so the cycles miss one dimension when
+    # some wedge has d_2 != 0.  The first one pivots, the next five others
+    # give the witnesses, and the walk stops there: the slice is counted.
+    pivot, others = None, []
+    for key in enumerate_keys(spec, [x.coords for x in box_support(spec, box_radius)], 2, zc):
+        d2 = _d2_coefficient(spec, key)
+        if d2 and pivot is None:
+            pivot = key, d2
+        elif len(others) < 5:
+            others.append((key, d2))
+        if pivot is not None and len(others) == 5:
+            break
+    wedges = _slice_size(spec, box_radius, zc)
+    cycle_dim = wedges - (pivot is not None)
 
-    # A witness cycle c is held as den * c on integer keys (den = d2s[pivot],
-    # or 1 for a cycle column): d(scale * den * Phi_2(c)) = scale * den * c.
+    # A witness cycle c is den * c on integer keys (den = the pivot's d_2,
+    # or 1 for a cycle wedge): d(scale * den * Phi_2(c)) = scale * den * c.
     hom = ContractingHomotopy(spec, z, ys[0])
     witnesses = []
-    for col in itertools.islice((col for col in range(len(keys)) if col != pivot), 5):
-        cycle = ({keys[col]: d2s[pivot], keys[pivot]: -d2s[col]} if d2s[col]
-                 else {keys[col]: 1})
-        den = cycle[keys[col]]
+    for key, d2 in others:
+        cycle = {key: pivot[1], pivot[0]: -d2} if d2 else {key: 1}
+        den = cycle[key]
         x = hom.phi2_keys(cycle)
-        _require(_key_boundary(spec, x) == {key: hom.scale * c for key, c in cycle.items()},
+        _require(_key_boundary(spec, x) == {k: hom.scale * c for k, c in cycle.items()},
                  "d(Phi_2(c)) = c")
         witnesses.append({"cycle": serialize_chain(cycle, den),
                           "preimage": serialize_chain(x, hom.scale * den)})
 
-    result.details.update(wedges=len(keys), cycle_dim=cycle_dim, bounded_cycles=cycle_dim,
+    result.details.update(wedges=wedges, cycle_dim=cycle_dim, bounded_cycles=cycle_dim,
                           h2_dim=0, y_choices=[list(y.coords) for y in ys],
                           witnesses=witnesses)
     return result
@@ -1276,12 +1276,8 @@ def surface_generator_check(g, r):
 
 
 def _integer_functional(spec, coeffs):
-    """x -> sum of coeffs times the free coordinates of x."""
-    free = spec.free_indices
-
-    def f(x):
-        return sum(c * x.coords[j] for c, j in zip(coeffs, free))
-    return f
+    """coordinates x -> sum of coeffs times the free coordinates of x."""
+    return lambda x: sum(c * x[j] for c, j in zip(coeffs, spec.free_indices))
 
 
 def linear_extension_check(spec, box_radius):
@@ -1295,7 +1291,10 @@ def linear_extension_check(spec, box_radius):
                            {"note": "no derived elements: the form is zero"})
     formal = FormalSpec(2)
     u, v, x = (formal.generic(name) for name in "uvx")
-    f = _integer_functional(formal, [Poly.var("c%d" % j) for j in formal.free_indices])
+    functional = _integer_functional(formal, [Poly.var("c%d" % j) for j in formal.free_indices])
+
+    def f(y):
+        return functional(y.coords)
 
     def bumped(y):
         return f(y) + (1 if y == u else 0)
@@ -1317,11 +1316,6 @@ def linear_extension_check(spec, box_radius):
 # ---------------------------------------------------------------------------
 # The degree-3 cocycle
 
-# The cocycle scan keeps a weight-order prefix of at most about
-# OMEGA_SCAN_BUDGET ** (1/3) elements; the primitive scan of a
-# non-torsion grading pairs the first OMEGA_PRIMITIVE_POOL.
-OMEGA_SCAN_BUDGET = 10 ** 6
-OMEGA_PRIMITIVE_POOL = 350
 # The inner f-boundary scan pairs the F_SCAN_POOL lightest derived
 # elements of its box, or all of them when there are at most
 # F_SCAN_EXHAUSTIVE (632 ** 2 <= 400000 < 633 ** 2).
@@ -1342,7 +1336,7 @@ def omega_cocycle(spec, z):
     def rule(key):
         if _key_grading(spec, key) != z.coords:
             raise ValueError("wedge is not graded at z")
-        return spec.pair_coords(key[0], key[1])
+        return _omega(spec, key)
 
     return Cochain(spec, 3, rule=rule)
 
@@ -1365,32 +1359,15 @@ def _extended_gcd_vector(values):
     return coeffs, g
 
 
-def _omega_cocycle_scan(spec, z, radius):
-    """Exhaustively verify d(omega) = 0 on 4-wedges from a weight-order
-    prefix of box(radius) sized to OMEGA_SCAN_BUDGET; returns (checked, pool
-    size).  The scan runs on coordinate tuples and every value is an
-    exact integer."""
-    pool = box_by_weight(spec, radius)
-    members = {x.coords for x in pool}
-    while len(pool) ** 3 > OMEGA_SCAN_BUDGET and len(pool) > 8:
-        pool = pool[: len(pool) * 9 // 10]
-    # Three factors from the prefix; the fourth, determined by z, from
-    # the whole box.
-    checked = 0
-    for key in enumerate_keys(spec, sorted(x.coords for x in pool), 4, z.coords, members):
-        _require(_d_omega(spec, key) == 0, "d(omega) = 0")
-        checked += 1
-    return checked, len(pool)
+def _omega(spec, key):
+    """omega on the 3-wedge with this key (g_0, g_1, g_2): <g_0, g_1>."""
+    return spec.pair_coords(key[0], key[1])
 
 
 def _d_omega(spec, key):
-    """d(omega) on the 4-wedge with this key: omega(d W), an integer,
-    with omega of a key (g_0, g_1, g_2) equal to <g_0, g_1>."""
-    pair = spec.pair_coords
-    total = 0
-    for c, (g0, g1, _) in _boundary_terms(spec, key):
-        total += c * pair(g0, g1)
-    return total
+    """d(omega) on the 4-wedge with this key: omega(d W), exact (an
+    integer, or a polynomial over a ``FormalSpec``)."""
+    return sum(c * _omega(spec, face) for c, face in _boundary_terms(spec, key))
 
 
 def _scaled_primitive(f_num, g):
@@ -1400,12 +1377,40 @@ def _scaled_primitive(f_num, g):
 
 
 def _scaled_d_eta(spec, key, f_num, g):
-    """g * d(eta) on the 3-wedge with this key, an integer; f_num maps
-    coordinates u to g * f(u)."""
+    """g * d(eta) on the 3-wedge with this key; f_num maps coordinates u
+    to g * f(u)."""
     total = 0
     for c, (u, _) in _boundary_terms(spec, key):
         total += c * _scaled_primitive(f_num(u), g)
     return total
+
+
+def _omega_identities(free):
+    """(name, holds) of d(omega) = 0 and, for a free z, d(eta) = omega with
+    f symbolic, through the production differential over symbols where
+    e_0 is radical and z is a multiple of it: so they hold in every group
+    and radical grading.  The unit basis z, a, b, c and its negative take
+    every sign of the degree-4 differential, and the three (a, b, z)
+    every order branch of the degree-3 one.  Not cached: a patched
+    function must not hide behind an old answer."""
+    spec = FormalSpec(4, radical=(0,))
+    sub = spec.sub_coords
+    closed = True
+    for s in (1, -1):
+        z, a, b, c = (tuple(s * (i == j) for i in range(4)) for j in range(4))
+        closed = closed and not _d_omega(spec, _sort_sign((a, b, c, sub(sub(sub(z, a), b), c)))[1])
+    identities = [("d(omega) = 0", closed)]
+    if free:
+        spec = FormalSpec(3, radical=(0,))
+        sub, f = spec.sub_coords, _integer_functional(spec, [Poly.var("c%d" % j) for j in range(3)])
+        primitive = True
+        for a, b, z in (((-1, -1, -1), (-1, -1, 0), (1, 0, 0)),
+                        ((-1, -1, -1), (-1, -1, 0), (-3, 0, 0)),
+                        ((0, 1, -1), (1, -1, 2), (2, 0, 0))):
+            key, g = _sort_sign((a, b, sub(sub(z, a), b)))[1], f(z)
+            primitive = primitive and _scaled_d_eta(spec, key, f, g) == g * _omega(spec, key)
+        identities.append(("d(eta) = omega", primitive))
+    return identities
 
 
 def _omega_rows(spec, z, n):
@@ -1446,64 +1451,39 @@ def _check_omega_rows(spec, z, rows):
 
 
 def omega_check(spec, z, box_radius):
-    """The cohomology class of omega in grading z: torsion z yields a
-    closed-form obstruction to any primitive (the class is nonzero);
-    non-torsion z yields an explicit primitive eta verified on every box
-    triple (the class dies on the derived part)."""
+    """The cohomology class of omega in grading z: d(omega) = 0 is proved
+    over symbols; torsion z yields a closed-form obstruction to any
+    primitive (the class is nonzero), and non-torsion z the primitive
+    eta = -2 f + 1 from an integer functional f with f(z) = 1, for
+    which d(eta) = omega is proved over symbols (the class dies on the
+    derived part).  Nothing depends on the box."""
     if not z.in_kernel_mu():
         raise ValueError("omega lives in radical gradings only")
-    cocycle_checked, cocycle_pool = _omega_cocycle_scan(spec, z, box_radius)
-    params = {"spec": spec.label, "z": list(z.coords), "box": box_radius}
+    torsion = z.is_torsion()
+    result = _formal_check("omega-class", {"spec": spec.label, "z": list(z.coords), "box": box_radius},
+                           [*_kernel_identities(spec), *_omega_identities(not torsion)])
 
-    if z.is_torsion():
+    if torsion:
         if spec.mu_is_zero():
             raise ValueError("omega vanishes with the form: no pair a, b has <a, b> != 0")
         # n = ord(z): the lcm of d / gcd(d, z_j) over the torsion coordinates.
         n = math.lcm(*(d // math.gcd(d, z.coords[j]) for j, d in spec.torsion))
         rows = _omega_rows(spec, z, n)
         _check_omega_rows(spec, z, rows)
-        return CheckResult(
-            "omega-class", params, CERTIFIED,
-            {"conclusion": "class is nonzero (no primitive exists)",
-             "z_is_torsion": True,
-             "cocycle_scan": {"wedges": cocycle_checked, "pool": cocycle_pool},
-             "certificate": [[frac_str(c), list(u), list(v)] for (u, v), c in rows.items()]})
+        result.details.update(
+            conclusion="class is nonzero (no primitive exists)", z_is_torsion=True,
+            certificate=[[frac_str(c), list(u), list(v)] for (u, v), c in rows.items()])
+        return result
 
-    # Non-torsion z: take an integer functional with f(z) = 1 (allowing
-    # denominators) and set eta([u] ^ [z-u]) = -2 f(u) + 1; then
-    # d(eta) = omega on every grading-z triple.  Scaled by g, both sides
-    # are integers.
-    zfree = [z.coords[j] for j in spec.free_indices]
-    coeffs, g = _extended_gcd_vector(zfree)
+    # An integer functional with f(z) = g, so f / g takes z to 1.
+    coeffs, g = _extended_gcd_vector([z.coords[j] for j in spec.free_indices])
     _require(g > 0, "gcd of the free coordinates of z > 0")
-
-    def f_num(x):
-        return sum(c * x[j] for c, j in zip(coeffs, spec.free_indices))
-
-    _require(f_num(z.coords) == g, "f(z) = 1")
-    # The boundary terms of the scan share their factors: f is evaluated
-    # once per coordinate tuple, and the primitive still per term.
-    f_values = functools.cache(f_num)
-
-    # Two factors from the pool; the third, determined by z, from the
-    # whole box.
-    ordered = box_by_weight(spec, box_radius)
-    pool = ordered[:OMEGA_PRIMITIVE_POOL]
-    checked = 0
-    for key in enumerate_keys(spec, sorted(x.coords for x in pool), 3, z.coords,
-                              {x.coords for x in ordered}):
-        _require(_scaled_d_eta(spec, key, f_values, g) == g * spec.pair_coords(*key[:2]),
-                 "d(eta) = omega")
-        checked += 1
-    return CheckResult(
-        "omega-class", params, CERTIFIED,
-        {"conclusion": "class vanishes on the derived part (explicit primitive)",
-         "z_is_torsion": False,
-         "cocycle_scan": {"wedges": cocycle_checked, "pool": cocycle_pool},
-         "primitive": {"formula": "eta([u]^[z-u]) = -2 f(u) + 1",
-                       "f_numerators": coeffs, "f_denominator": g},
-         "triples_checked": checked,
-         "scan_pool": len(pool)})
+    _require(_integer_functional(spec, coeffs)(z.coords) == g, "f(z) = 1")
+    result.details.update(
+        conclusion="class vanishes on the derived part (explicit primitive)", z_is_torsion=False,
+        primitive={"formula": "eta([u]^[z-u]) = -2 f(u) + 1",
+                   "f_numerators": coeffs, "f_denominator": g})
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -1511,22 +1491,26 @@ def omega_check(spec, z, box_radius):
 
 
 def h1_check(spec, box_radius, gradings):
-    """Grading-wise H_1: dimension 1 on radical gradings (all incoming
-    differentials vanish, checked on the first 500 box elements), 0 on
-    derived ones, where [z] bounds [u]^[z-u] / -<u, z-u> for the first u
-    of box(1) with <u, z-u> = <u, z> != 0, which a derived z always has.
-    ``gradings`` None means the whole box."""
+    """Grading-wise H_1: dimension 1 on radical gradings, where every
+    incoming differential -<u, z-u> [z] vanishes (proved over symbols),
+    0 on derived ones, where [z] bounds [u]^[z-u] / -<u, z-u> for the
+    first u of box(1) with <u, z-u> = <u, z> != 0, which a derived z
+    always has.  ``gradings`` None means the whole box."""
     if gradings is None:
         gradings = box_support(spec, box_radius)
-    scan = box_by_weight(spec, box_radius)[:500]
+    # <u, z-u> = 0 for a generic u and the radical symbol z, so in every
+    # group and radical grading.
+    formal = FormalSpec(3, radical=(0,))
+    generic = formal.generic("u")
+    result = _formal_check(
+        "h1-center", {"spec": spec.label, "box": box_radius, "gradings": len(gradings)},
+        [*_kernel_identities(spec), ("<u, z-u> = 0 in a radical grading",
+                                     not formal.pairing(generic, formal.symbols()[0] - generic))])
     units = box_by_weight(spec, 1)
     entries = []
     for z in gradings:
         if z.in_kernel_mu():
-            for u in scan:
-                _require(spec.pairing(u, z - u) == 0, "<u, z-u> = 0 in a radical grading")
-            entries.append({"z": list(z.coords), "dim": 1, "expected": 1,
-                            "incoming_coefficients_scanned": len(scan)})
+            entries.append({"z": list(z.coords), "dim": 1, "expected": 1})
             continue
         u = next((u for u in units if spec.pairing(u, z - u) != 0), None)
         _require(u is not None, "a unit u with <u, z-u> != 0 in a derived grading")
@@ -1535,7 +1519,5 @@ def h1_check(spec, box_radius, gradings):
         _require(_key_boundary(spec, pre) == {(z.coords,): pair}, "d(preimage) = [z]")
         entries.append({"z": list(z.coords), "dim": 0, "expected": 0,
                         "preimage": serialize_chain(pre, pair)})
-    return CheckResult(
-        "h1-center",
-        {"spec": spec.label, "box": box_radius, "gradings": len(entries)},
-        CERTIFIED, {"per_grading": entries})
+    result.details["per_grading"] = entries
+    return result

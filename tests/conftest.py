@@ -134,10 +134,13 @@ def reference_boundary(spec, factors, coeff=1):
 def source_mutant(fn, replacements):
     """fn recompiled from its dedented source with each (old, new) of
     ``replacements`` applied (each old occurring once), in a copy of its
-    module's globals."""
+    module's globals.  A snippet that does not occur once raises
+    ValueError, also in the ``python -O`` scripts, where an assert would
+    be stripped and the unmutated function handed back."""
     source = textwrap.dedent(inspect.getsource(fn))
     for old, new in replacements:
-        assert source.count(old) == 1, old
+        if source.count(old) != 1:
+            raise ValueError("snippet does not occur once: %r" % old)
         source = source.replace(old, new)
     namespace = dict(fn.__globals__)
     exec(source, namespace)
@@ -153,6 +156,20 @@ D3_SIGN_FLIPS = [
     ("else (-coeff, (b, total)))", "else (coeff, (b, total)))"),
     ("out.append((-coeff, (total, a)) if", "out.append((coeff, (total, a)) if"),
     ("else (coeff, (a, total)))", "else (-coeff, (a, total)))"),
+]
+
+# A sign flip in each of the nine signs of the unrolled degree-4 branch:
+# the six base signs (-1)^(i+j), then the three placements of the sum.
+D4_SIGN_FLIPS = [
+    ("((-1, a, b, c, d)", "((1, a, b, c, d)"),
+    ("(1, a, c, b, d)", "(-1, a, c, b, d)"),
+    ("(-1, a, d, b, c)", "(1, a, d, b, c)"),
+    ("(-1, b, c, a, d)", "(1, b, c, a, d)"),
+    ("(1, b, d, a, c)", "(-1, b, d, a, c)"),
+    ("(-1, c, d, a, b))", "(1, c, d, a, b))"),
+    ("((sign * coeff, (total, r0, r1)))", "((-sign * coeff, (total, r0, r1)))"),
+    ("((-sign * coeff, (r0, total, r1)))", "((sign * coeff, (r0, total, r1)))"),
+    ("((sign * coeff, (r0, r1, total)))", "((-sign * coeff, (r0, r1, total)))"),
 ]
 
 _FACTORS = "(-2 * lam, -2 * lam, -2 * lam, lam, 1)"
@@ -178,11 +195,42 @@ OUTER_MUTANTS = {
 }
 
 
+D_OMEGA, D_ETA = "d(omega) = 0", "d(eta) = omega"
+RADICAL_PAIRING = "<u, z-u> = 0 in a radical grading"
+
+# Mutants of the code behind the formal omega and h1 identities: name ->
+# (the function, as for OUTER_MUTANTS, its replacements, and the
+# identity each suite's entry must name when it is refuted).
+OMEGA_MUTANTS = {
+    **{"d4-sign-%d" % i: ("_boundary_terms", [flip], {"omega": D_OMEGA})
+       for i, flip in enumerate(D4_SIGN_FLIPS)},
+    **{"d3-sign-%d" % i: ("_boundary_terms", [flip], {"omega": D_ETA})
+       for i, flip in enumerate(D3_SIGN_FLIPS)},
+    **{"primitive" + name: ("_scaled_primitive", [("-2 * f_num + g", new)], {"omega": D_ETA})
+       for name, new in (("+2f-g", "2 * f_num - g"), ("+2f+g", "2 * f_num + g"),
+                         ("-2f-g", "-2 * f_num - g"))},
+    "omega-reads-g0-g2": ("_omega", [("key[0], key[1]", "key[0], key[2]")], {"omega": D_ETA}),
+    "radical-dropped": ("FormalSpec.__init__",
+                        [("if i not in radical and j not in radical", "if True")],
+                        {"omega": D_OMEGA, "h1": RADICAL_PAIRING}),
+}
+
+
 def outer_mutant(name):
     """(owner, attribute, mutated function) for OUTER_MUTANTS[name], ready
     for ``monkeypatch.setattr`` or ``mock.patch.object``."""
+    return verify_mutant(*OUTER_MUTANTS[name])
+
+
+def omega_mutant(name):
+    """(owner, attribute, mutated function) for OMEGA_MUTANTS[name]."""
+    return verify_mutant(*OMEGA_MUTANTS[name][:2])
+
+
+def verify_mutant(path, replacements):
+    """(owner, attribute, mutated function) for the function at ``path``
+    in goldman.verify with ``replacements`` applied."""
     from goldman import verify
-    path, replacements = OUTER_MUTANTS[name]
     *owners, attr = path.split(".")
     owner = verify
     for part in owners:

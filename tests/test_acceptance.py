@@ -203,20 +203,22 @@ def test_criterion_08_omega_dichotomy():
     """The degree-3 class: a closed-form combination of rows proves it
     nonzero at the torsion grading of Z^2 + Z/2 (box 3), and an explicit
     primitive kills it at the free radical grading e3 of Z^3 with the
-    rank-2 form, checked on every box triple; < 10 s combined."""
+    rank-2 form, d(eta) = omega proved over symbols; < 10 s combined."""
     start = time.monotonic()
     zt = z2_z2torsion()
     a = omega_check(zt, zt.element([0, 0, 1]), 3)
     assert a.verdict == "certified"
     assert a.details["z_is_torsion"]
     assert a.details["certificate"]
+    assert a.details["identities"][-1] == "d(omega) = 0"
 
     z3 = z3_rank2_form()
     b = omega_check(z3, z3.element([0, 0, 1]), 3)
     assert b.verdict == "certified"
     assert not b.details["z_is_torsion"]
     assert b.details["primitive"]["formula"] == "eta([u]^[z-u]) = -2 f(u) + 1"
-    assert b.details["triples_checked"] > 1000
+    assert b.details["identity"] == "formal"
+    assert b.details["identities"][-2:] == ["d(omega) = 0", "d(eta) = omega"]
     assert time.monotonic() - start < 10.0
 
 

@@ -17,9 +17,9 @@ from goldman import algebra, cli, complexes, groups, verify
 from goldman.cli import main, resolve_selection
 from goldman import box_support, surface_presentation
 
-from conftest import (D3_SIGN_FLIPS, HOMOTOPY_COEFFICIENTS, HOMOTOPY_IDENTITY, OUTER_MUTANTS,
-                      outer_mutant, source_mutant, symplectic_z2, torsion_only, z2_z2torsion,
-                      z3_rank2_form)
+from conftest import (D3_SIGN_FLIPS, D4_SIGN_FLIPS, HOMOTOPY_COEFFICIENTS, HOMOTOPY_IDENTITY,
+                      OMEGA_MUTANTS, OUTER_MUTANTS, outer_mutant, source_mutant, symplectic_z2,
+                      torsion_only, z2_z2torsion, z3_rank2_form)
 
 
 def run(capsys, *argv):
@@ -341,9 +341,29 @@ def test_h1_certifies_surface10_at_box1(capsys):
     assert entry["verdict"] == "certified"
     per = entry["details"]["per_grading"]
     assert len(per) == 9
-    # Radical gradings scan the whole box(1); derived ones name a unit.
-    assert [e["incoming_coefficients_scanned"] for e in per if e["dim"] == 1] == [9]
+    # Radical gradings rest on the formal <u, z-u> = 0; derived ones name
+    # a unit.
+    assert [e for e in per if e["dim"] == 1] == [{"z": [0, 0], "dim": 1, "expected": 1}]
+    assert entry["details"]["identities"][-1] == "<u, z-u> = 0 in a radical grading"
     assert all(len(e["preimage"]) == 1 for e in per if e["dim"] == 0)
+
+
+def test_omega_and_h1_do_not_depend_on_the_box(capsys):
+    # Their identities are proved over symbols, so box 2 and box 3 give
+    # the same results on surface(1,2), but for params.box.
+    gradings = "0,0,0,0;0,0,0,1;0,0,0,-2;1,0,0,0;1,1,1,0"
+    results = {}
+    for box in (2, 3):
+        for suite in ("omega", "h1"):
+            code, out, _ = run(capsys, "verify", "--suite", suite, "--surface", "1,2",
+                               "--box", str(box), "--grading", gradings, "--format", "json")
+            assert code == 0
+            results[suite, box] = json.loads(out)["results"]
+            for r in results[suite, box]:
+                assert r["verdict"] == "certified" and r["params"].pop("box") == box
+    assert len(results["omega", 2]) == 3
+    assert results["omega", 2] == results["omega", 3]
+    assert results["h1", 2] == results["h1", 3]
 
 
 def test_inner_suite_does_not_apply_to_a_zero_form(capsys):
@@ -427,7 +447,7 @@ verify._key_boundary = lambda spec, terms: {
     "linext": ("""
 functional = verify._integer_functional
 verify._integer_functional = lambda spec, coeffs: (
-    lambda x: functional(spec, coeffs)(x) + x.coords[0] ** 2)
+    lambda x: functional(spec, coeffs)(x) + x[0] ** 2)
 """, ["verify", "--suite", "linext", "--surface", "1,0", "--box", "1"],
         "linear-extension", "f(u+v) = f(u) + f(v)"),
     "bracket": ("""
@@ -486,15 +506,7 @@ _BOUNDARY_MUTANTS = [
         ("d3-sign", D3_SIGN_FLIPS),
         ("d3-coincidence", [("if total != c:", "if True:"), ("if total != b:", "if True:"),
                             ("if total != a:", "if True:")]),
-        ("d4-sign", [("((-1, a, b, c, d)", "((1, a, b, c, d)"),
-                     ("(1, a, c, b, d)", "(-1, a, c, b, d)"),
-                     ("(-1, a, d, b, c)", "(1, a, d, b, c)"),
-                     ("(-1, b, c, a, d)", "(1, b, c, a, d)"),
-                     ("(1, b, d, a, c)", "(-1, b, d, a, c)"),
-                     ("(-1, c, d, a, b))", "(1, c, d, a, b))"),
-                     ("((sign * coeff, (total, r0, r1)))", "((-sign * coeff, (total, r0, r1)))"),
-                     ("((-sign * coeff, (r0, total, r1)))", "((sign * coeff, (r0, total, r1)))"),
-                     ("((sign * coeff, (r0, r1, total)))", "((-sign * coeff, (r0, r1, total)))")]),
+        ("d4-sign", D4_SIGN_FLIPS),
         ("d4-coincidence", [("if total != r0:", "if True:"), ("elif total != r1:", "else:")]),
         ("loop-coincidence", [("if k < len(rest) and rest[k] == total:", "if False:")]),
     )
@@ -651,6 +663,63 @@ def test_a_patched_homotopy_coefficient_is_refuted_under_python_O(tmp_path):
         assert entry["check"] == "outer-exactness"
         assert (entry["verdict"], entry["details"]) == (
             "refuted", {"failed_identity": want[name]}), name
+
+
+# Each omega mutant runs the suites it names (the unpatched run first,
+# as "") on the free radical grading of surface(1,2), under python -O.
+_OMEGA_MUTANT_RUNS = """
+import contextlib, json, os, sys
+from unittest import mock
+from goldman.cli import main
+from conftest import OMEGA_MUTANTS, omega_mutant
+
+if not sys.flags.optimize:
+    sys.exit("run with python -O")
+patches = {"": (("omega", "h1"), contextlib.nullcontext())}
+for name, (_, _, suites) in OMEGA_MUTANTS.items():
+    patches[name] = suites, mock.patch.object(*omega_mutant(name))
+out = {}
+for name, (suites, patch) in patches.items():
+    for suite in suites:
+        path = os.path.join(sys.argv[1], "%s-%s.json" % (name, suite))
+        with patch:
+            code = main(["verify", "--suite", suite, "--surface", "1,2", "--grading", "0,0,0,1",
+                         "--box", "1", "--format", "json", "--out", path])
+        with open(path) as fh:
+            out.setdefault(name, {})[suite] = [code, json.load(fh)]
+print(json.dumps(out))
+"""
+
+
+@pytest.fixture(scope="module")
+def omega_mutant_runs(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("omega_mutants")
+    script = tmp / "mutants.py"
+    script.write_text(_OMEGA_MUTANT_RUNS)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(verify.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join((src, os.path.dirname(__file__))))
+    proc = subprocess.run([sys.executable, "-O", str(script), str(tmp)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize("name", sorted(OMEGA_MUTANTS))
+def test_an_omega_or_h1_mutant_is_refuted_under_python_O(name, omega_mutant_runs):
+    # A sign of the degree-4 or degree-3 differential, a sign of the
+    # primitive, omega read on the wrong pair, or the radical constraint
+    # of the formal spec dropped: each suite the mutant names refutes its
+    # entry with that identity, although asserts are off.
+    for code, report in omega_mutant_runs[""].values():
+        assert (code, [r["verdict"] for r in report["results"]]) == (0, ["certified"])
+    want = OMEGA_MUTANTS[name][2]
+    assert sorted(omega_mutant_runs[name]) == sorted(want)
+    for suite, identity in want.items():
+        code, report = omega_mutant_runs[name][suite]
+        (entry,) = report["results"]
+        assert code == 1, suite
+        assert (entry["verdict"], entry["details"]) == (
+            "refuted", {"failed_identity": identity}), suite
 
 
 def test_no_command_builds_a_wedge_chain(monkeypatch, capsys):

@@ -13,6 +13,7 @@ from goldman.complexes import (
     Wedge,
     _box_size,
     _boundary_terms,
+    _slice_size,
     _sort_sign,
     Cochain,
     WedgeChain,
@@ -417,28 +418,51 @@ def test_enumerate_basis_matches_bruteforce():
 
 @pytest.mark.parametrize("spec", [symplectic_z2(), z2_z2torsion()], ids=["free", "torsion"])
 def test_enumerate_keys_is_a_lazy_filter_of_combinations(spec):
-    # The first p-1 factors come from the pool, the last from the
-    # last-factor set: the pool itself, or the whole box around it.
+    # Every factor comes from the pool.
     rng = random.Random(22)
-    box = sorted(x.coords for x in box_support(spec, 1))
     pool = sorted(x.coords for x in box_by_weight(spec, 1)[:7])
     add = spec.add_coords
-    found = {}
-    for last in (set(pool), set(box)):
-        for p in (1, 2, 3, 4):
-            for z in [spec.zero] + [random_element(rng, spec, 2) for _ in range(3)]:
-                keys = enumerate_keys(spec, pool, p, z.coords, last)
-                assert iter(keys) is keys
-                slow = [t for t in itertools.combinations(sorted(last), p)
-                        if functools.reduce(add, t) == z.coords
-                        and set(t[:-1]) <= set(pool)]
-                assert list(keys) == slow
-                found[len(last), p] = found.get((len(last), p), 0) + len(slow)
-                if len(last) == len(pool):
-                    assert list(enumerate_keys(spec, pool, p, z.coords)) == slow
-    assert all(found[len(box), p] > found[len(pool), p] for p in (2, 3, 4))
+    found = 0
+    for p in (1, 2, 3, 4):
+        for z in [spec.zero] + [random_element(rng, spec, 2) for _ in range(3)]:
+            keys = enumerate_keys(spec, pool, p, z.coords)
+            assert iter(keys) is keys
+            slow = [t for t in itertools.combinations(pool, p)
+                    if functools.reduce(add, t) == z.coords]
+            assert list(keys) == slow
+            found += len(slow)
+    assert found > 0
     with pytest.raises(ValueError):
         enumerate_keys(spec, pool, 0, spec.zero.coords)
+
+
+def _slice_gradings(spec, m):
+    """Gradings for box(m): 0, an element of 2H, one with a free
+    coordinate past 2m, one on the edge 2m, and one with odd torsion."""
+    free = [j for j, d in enumerate(spec.divisors) if d == 0]
+
+    def element(free_values, torsion):
+        coords = [torsion % d if d else 0 for d in spec.divisors]
+        for j, x in zip(free, free_values):
+            coords[j] = x
+        return spec.element(coords)
+    return [spec.zero, element([2] * len(free), 2), element([2 * m + 1], 0),
+            element([-2 * m, 1], 1), element([1, -1], -1)]
+
+
+@pytest.mark.parametrize("spec", [
+    surface_presentation(1, 2), surface_presentation(2, 3), z2_z2torsion(),
+    GroupSpec(3, relations=[[0, 0, 16]], form=[[0, 1, 0], [-1, 0, 0], [0, 0, 0]])],
+    ids=["s12", "s23", "z2+z2", "z2+z16"])
+def test_slice_size_counts_the_degree_2_basis(spec):
+    # The closed form against the walk: pairs {u, z-u} of the box, with
+    # u = z-u counted out; none when z leaves box(2m).
+    for m in (1, 2, 3):
+        support = box_support(spec, m)
+        counts = [(_slice_size(spec, m, z.coords), len(enumerate_basis(support, 2, z)))
+                  for z in _slice_gradings(spec, m)]
+        assert all(fast == slow for fast, slow in counts), counts
+        assert counts[2] == (0, 0) and counts[0][0] > 0
 
 
 def test_enumerate_basis_is_deterministic():

@@ -126,3 +126,20 @@ def test_readme_shared_flags_are_the_parser_flags():
     accepted.discard("--help")
     assert "--box" in accepted and "--suite" in accepted
     assert named == accepted
+
+
+def test_verify_integer_constants_are_the_allowed_ones():
+    # Every module-level integer constant of goldman/verify.py sizes a
+    # cap, a pool or a scan; a new one needs an explicit edit here.
+    with open(os.path.join(SOURCE_DIR, "verify.py")) as fh:
+        tree = ast.parse(fh.read(), filename="verify.py")
+    arithmetic = (ast.Constant, ast.BinOp, ast.UnaryOp, ast.operator, ast.unaryop)
+    found = set()
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and all(
+                isinstance(n, arithmetic) for n in ast.walk(node.value)):
+            value = eval(compile(ast.Expression(node.value), "verify.py", "eval"))
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            if type(value) is int:
+                found.update(t.id for t in targets)
+    assert found == {"INNER_SUPPORT_CAP", "IDEAL_BOX_ENLARGE", "F_SCAN_POOL", "F_SCAN_EXHAUSTIVE"}
