@@ -36,7 +36,7 @@ check samples (``bracket``, ``complex`` and ``linext`` are proved over
 formal symbols, ``goldman.formal``), so ``--seed`` is only recorded.
 A command forks at most one pool, a worker per CPU in the
 affinity mask (``verify.fan_out``), for the gradings of ``homology`` or
-every unit of ``verify`` (omega, outer and inner gradings first); the
+every unit of ``verify`` (inner, outer and omega gradings first); the
 bytes are those of a serial run, which ``taskset -c 0`` gives.  Exit
 status: 0 when nothing failed, 2 when some check was inconclusive at the
 truncation, 1 on a refuted check or any error.
@@ -51,7 +51,7 @@ import re
 import sys
 
 from .algebra import AlgebraVector, bracket
-from .complexes import _box_size, _check_box_budget, _key_boundary, box_by_weight
+from .complexes import _box_size, _check_box_budget, _key_boundary, _sort_sign, box_by_weight
 from .formal import FormalSpec
 from .groups import GroupSpec, surface_presentation
 from .verify import (
@@ -80,9 +80,11 @@ from .verify import (
 SUITES = ("bracket", "complex", "inner", "outer", "gk", "surface",
           "omega", "h1", "linext")
 
-# Queue ranks of the suites with a unit per grading, heaviest first; the
-# others rank 3 and keep their report order (the sort is stable).
-HEAVY_FIRST = {"omega": 0, "outer": 1, "inner": 2}
+# Queue ranks of the suites with a unit per grading, heaviest first (run
+# serially, a surface(2,3) box-2 inner unit takes 3-9 outer units' time,
+# and an outer unit about 2 omega units'); the others rank 3 and keep
+# their report order (the sort is stable).
+HEAVY_FIRST = {"inner": 0, "outer": 1, "omega": 2}
 
 # Per-suite grading caps for default and all-in-box sweeps.  Explicit
 # --grading vectors bypass these.
@@ -273,18 +275,29 @@ def run_complex_suite():
     """d o d = 0 through ``_key_boundary`` on formal wedges: a generic
     p-wedge, p symbols, for p = 2..6 (the unrolled degrees and the
     loop), and every wedge of degree 2..5 with factors in box(1) of two
-    symbols, where a sum can meet a remaining factor."""
+    symbols, where a sum can meet a remaining factor.  Then the key
+    normal form: ``_sort_sign`` on every p-tuple of p symbols, p = 3..5
+    (the sorting network and the insertion sort), against the sign
+    counted from inversions, and (0, None) for a repeat anywhere."""
     generic, plane = FormalSpec(6), FormalSpec(2)
     units = sorted(e.coords for e in generic.symbols())
     box1 = sorted(c for c in itertools.product((-1, 0, 1), repeat=2) if any(c))
 
     def squares_to_zero(spec, keys):
         return not any(_key_boundary(spec, _key_boundary(spec, {key: 1})) for key in keys)
+
+    def sorted_with_sign(t):
+        if len(set(t)) < len(t):
+            return 0, None
+        return (-1) ** sum(x > y for x, y in itertools.combinations(t, 2)), tuple(sorted(t))
     return _certify_or_refute("complex-squares-to-zero", dict, _formal_check,
                               "complex-squares-to-zero", {}, [
-        ("d(d(w)) = 0 on %d-wedges" % p, squares_to_zero(generic, [tuple(units[:p])])
-         and (p > 5 or squares_to_zero(plane, itertools.combinations(box1, p))))
-        for p in range(2, 7)])
+        *(("d(d(w)) = 0 on %d-wedges" % p, squares_to_zero(generic, [tuple(units[:p])])
+           and (p > 5 or squares_to_zero(plane, itertools.combinations(box1, p))))
+          for p in range(2, 7)),
+        ("_sort_sign = (sign of the permutation, sorted), or (0, None) on a repeat",
+         all(_sort_sign(t) == sorted_with_sign(t)
+             for p in range(3, 6) for t in itertools.product(units[:p], repeat=p)))])
 
 
 # ---------------------------------------------------------------------------
@@ -330,9 +343,7 @@ def run_inner_suite(spec, gradings, box, fan=fan_out):
 
 def _inner_entry(spec, z, box):
     inner = inner_h2_certify(spec, z, box)
-    checked, exhaustive = inner.scan_f_kills_boundaries()
-    inner.result.details["f_boundary_scan"] = {
-        "wedges": checked, "exhaustive": exhaustive, "radius": inner.f_scan_radius}
+    inner.result.details["identities"] = inner.identities
     return inner.result
 
 

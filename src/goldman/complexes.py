@@ -457,13 +457,6 @@ def _check_box_budget(spec, radius):
                          % (radius, size, BOX_BUDGET))
 
 
-def _box_ranges(spec, radius):
-    """Per coordinate, the canonical values in box(radius), increasing,
-    so their product runs through the box in sorted order."""
-    return [range(-radius, radius + 1) if d == 0 else range(max(d, 1))
-            for d in spec.divisors]
-
-
 def _box(spec, radius):
     """The memo entry [box, weight order or None] of box(radius) on the
     spec, built on first use and never handed out itself."""
@@ -473,8 +466,10 @@ def _box(spec, radius):
     if radius < 0:
         raise ValueError("radius must be nonnegative")
     _check_box_budget(spec, radius)
-    box = [GroupElement(spec, coords)
-           for coords in itertools.product(*_box_ranges(spec, radius))]
+    # Per coordinate its canonical values, increasing, so the product
+    # runs through the box in sorted order.
+    box = [GroupElement(spec, coords) for coords in itertools.product(*(
+        range(-radius, radius + 1) if d == 0 else range(max(d, 1)) for d in spec.divisors))]
     entry = spec._boxes[radius] = [box, None]
     return entry
 

@@ -45,8 +45,11 @@ witnesses.  The certification patterns are:
   elimination over Q (the one kernel of ``goldman.linalg``), and the
   order changes which columns are kept, not the argument.  The
   certification needs f in degree 2 only, where f([u] ^ [z-u]) = 1 (x) u
-  is the integer coordinate vector of u in H / Zz; f(d(w)) = 0 on
-  3-wedges is a sampled scan that builds no boundary box.
+  is the integer coordinate vector of u in H / Zz.  f(d(w)) = 0 on
+  3-wedges is proved over symbols whose pairings with the radical
+  symbol z vanish, for any f that is additive and kills z.  The group's
+  projection kills z when it is built and is checked to be additive on
+  signed units.  No 3-wedge of the slice is scanned.
 
 * Outer gradings (z not in ker mu).  A contracting homotopy (Phi_1,
   Phi_2) built from any y with lam = <y, z> != 0 satisfies
@@ -89,6 +92,7 @@ import functools
 import itertools
 import math
 import os
+import types
 from fractions import Fraction
 
 from goldman.algebra import AlgebraVector, in_gk
@@ -100,7 +104,6 @@ from goldman.complexes import (
     _key_grading,
     _sort_sign,
     _wedge_keys,
-    _box_ranges,
     _box_size,
     _slice_size,
     boundary,
@@ -209,13 +212,19 @@ def _certify_or_refute(check, params, certify, *args):
         return CheckResult(check, params(), REFUTED, {"failed_identity": exc.identity})
 
 
+def _required(identities):
+    """The names of ``identities``, (name, holds) pairs, once ``_require``
+    has passed each."""
+    for name, holds in identities:
+        _require(holds, name)
+    return [name for name, _ in identities]
+
+
 def _formal_check(check, params, identities):
     """The certified entry of a check proved over formal symbols, once
     ``_require`` has passed each (name, holds) of ``identities``."""
-    for name, holds in identities:
-        _require(holds, name)
     return CheckResult(check, params, CERTIFIED,
-                       {"identity": "formal", "identities": [name for name, _ in identities]})
+                       {"identity": "formal", "identities": _required(identities)})
 
 
 def fan_out(fn, items):
@@ -679,10 +688,9 @@ class InnerCertification:
     when the verdict is certified.
     """
 
-    __slots__ = ("spec", "z", "box_radius", "boundary_radius", "f_scan_radius",
-                 "effective_radius", "support", "wedges", "rows",
-                 "qspace", "columns", "rank", "target_rank",
-                 "f_rank", "box_image_rank", "result")
+    __slots__ = ("spec", "z", "box_radius", "boundary_radius", "effective_radius",
+                 "identities", "support", "wedges", "rows", "qspace", "columns",
+                 "rank", "target_rank", "f_rank", "box_image_rank", "result")
 
     def __init__(self, spec, z, box_radius):
         if not z.in_kernel_mu():
@@ -691,9 +699,6 @@ class InnerCertification:
         self.z = z
         self.box_radius = box_radius
         self.boundary_radius = 3 * box_radius
-        # The f-boundary scan's box: the boundary box cut to 20000 elements.
-        self.f_scan_radius = _capped_radius(spec, self.boundary_radius, 20000)
-
         self.effective_radius = _capped_radius(spec, box_radius, INNER_SUPPORT_CAP)
         self.support = box_support(spec, self.effective_radius)
 
@@ -725,6 +730,9 @@ class InnerCertification:
                   if x != spec.zero][:80]
 
         f_rows = [f_on_ordered(self.qspace, key) for key in self.wedges]
+        # Before any column is checked against f: f(G(u, v)) = 0 is a
+        # boundary check only for an f that the proof of f(d(w)) = 0 covers.
+        self.identities = self.scan_f_kills_boundaries()
         fspan = _IncrementalSpan()
         for f in f_rows:
             fspan.insert(dict(enumerate(f)))
@@ -893,51 +901,16 @@ class InnerCertification:
         return out
 
     def scan_f_kills_boundaries(self):
-        """Check f(d(w)) = 0 for the degree-3 derived wedges w of
-        box(f_scan_radius) with two factors in a pool.  Returns (checked,
-        exhaustive).
-
-        With at most F_SCAN_EXHAUSTIVE derived elements in the box, the
-        pool is all of them and the scan is exhaustive; else it is the
-        F_SCAN_POOL lightest ones.  Those lie in box(r) for the least r
-        whose elements of weight <= r include F_SCAN_POOL derived ones,
-        or in the whole box when no r up to its radius does (the weight
-        is an l1 size, the box a max-norm box).  So the boundary box is
-        never built: its derived elements are counted lazily, and the
-        third factor is tested for membership on its coordinates.
-
-        The scan runs on wedge keys: f of a 2-wedge key (a, b) is the
-        integer coordinate vector proj(a), so f(d(w)) is an integer sum
-        over ``_boundary_terms``.  proj is computed once per coordinate
-        tuple.  It keeps its own pair walk: a triple counts once any two
-        of its factors lie in the pool, which ``enumerate_keys`` does not
-        walk, so moving it would change the reported wedge count."""
-        spec, zc = self.spec, self.z.coords
-        free, pair, sub = spec.free_indices, spec.pair_coords, spec.sub_coords
-        radius = self.f_scan_radius
-        member = functools.cache(lambda x: all(abs(x[t]) <= radius for t in free)
-                                 and any(pair(x, e) for e in spec.unit_coords))
-        exhaustive = sum(1 for _ in itertools.islice(
-            filter(member, itertools.product(*_box_ranges(spec, radius))),
-            F_SCAN_EXHAUSTIVE + 1)) <= F_SCAN_EXHAUSTIVE
-        for r in range(radius if exhaustive else 0, radius + 1):
-            pool = [x.coords for x in box_by_weight(spec, r)
-                    if x.is_derived_element() and (r == radius or x.weight() <= r)]
-            if len(pool) >= F_SCAN_POOL:
-                break
-        keys = {}
-        for u, v in itertools.combinations(pool if exhaustive else pool[:F_SCAN_POOL], 2):
-            w = sub(sub(zc, u), v)
-            if w != u and w != v and member(w):
-                keys.setdefault(_sort_sign((u, v, w))[1])
-        proj = functools.cache(self.qspace.proj_coords)
-        for key in keys:
-            total = [0] * self.qspace.dim
-            for coeff, (a, _) in _boundary_terms(spec, key):
-                for t, x in enumerate(proj(a)):
-                    total[t] += coeff * x
-            _require(not any(total), "f(d(w)) = 0")
-        return len(keys), exhaustive
+        """Require that f kills every boundary, and return the names of
+        the identities that show it: the group's coordinate kernels with
+        proj additive, and f(d(w)) = 0 proved over symbols.  Nothing is
+        scanned; the name is kept for the bench hook that times it."""
+        # proj of a unit is read once per pair it is in: compute it once.
+        proj, add = functools.cache(self.qspace.proj_coords), self.spec.add_coords
+        return _required([*_kernel_identities(self.spec, (
+            "proj_coords is additive on signed units", lambda a, b: proj(add(a, b)),
+            lambda a, b: tuple(x + y for x, y in zip(proj(a), proj(b))))),
+            ("f(d(w)) = 0", _f_identity_holds())])
 
 
 def _inner_params(spec, z, box_radius):
@@ -976,10 +949,11 @@ def _homotopy_identity_holds():
     return True
 
 
-def _kernel_identities(spec):
+def _kernel_identities(spec, *kernels):
     """(name, holds) of the coordinate kernels against ``spec.canonical``
-    and the Omega~ loop on all pairs of signed units: what the formal
-    identities read of a group."""
+    and the Omega~ loop, and of each further (name, kernel, reference) of
+    ``kernels``, on all pairs of signed units: what the formal identities
+    read of a group."""
     n, om, canonical = spec.n_generators, spec.omega_tilde, spec.canonical
     units = [canonical([s * (i == j) for i in range(n)]).coords
              for j in range(n) for s in (1, -1)]
@@ -990,7 +964,7 @@ def _kernel_identities(spec):
          lambda a, b: canonical([x - y for x, y in zip(a, b)]).coords),
         ("pair_coords = a Omega~ b^T on signed units", spec.pair_coords,
          lambda a, b: sum(a[i] * om[i][j] * b[j]
-                          for i in range(n) if a[i] for j in range(n) if b[j])))
+                          for i in range(n) if a[i] for j in range(n) if b[j])), *kernels)
     return [(name, all(kernel(a, b) == reference(a, b)
                        for a, b in itertools.product(units, repeat=2)))
             for name, kernel, reference in references]
@@ -1100,7 +1074,6 @@ def _main_theorem_entry(spec, support, z, box_radius):
 
     inner = inner_h2_certify(spec, z, box_radius)
     inner_res = inner.result
-    checked, exhaustive = inner.scan_f_kills_boundaries()
 
     certified = inner_res.verdict == CERTIFIED
     h2 = radical_wedges + (len(inner.wedges) - inner.rank)
@@ -1116,8 +1089,7 @@ def _main_theorem_entry(spec, support, z, box_radius):
         "quotient_dim": inner.qspace.dim,
         "h2_dim": h2,
         "predicted": predicted,
-        "f_boundary_scan": {"wedges": checked, "exhaustive": exhaustive,
-                            "radius": inner.f_scan_radius},
+        "identities": inner.identities,
         "inner": inner_res.details,
     }
     return CheckResult("main-theorem", params,
@@ -1316,13 +1288,6 @@ def linear_extension_check(spec, box_radius):
 # ---------------------------------------------------------------------------
 # The degree-3 cocycle
 
-# The inner f-boundary scan pairs the F_SCAN_POOL lightest derived
-# elements of its box, or all of them when there are at most
-# F_SCAN_EXHAUSTIVE (632 ** 2 <= 400000 < 633 ** 2).
-F_SCAN_POOL = 63
-F_SCAN_EXHAUSTIVE = 632
-
-
 def omega_cocycle(spec, z):
     """The cocycle omega([u],[v],[w]) = <u, v> on grading-z 3-wedges.
 
@@ -1385,12 +1350,38 @@ def _scaled_d_eta(spec, key, f_num, g):
     return total
 
 
+# Three (a, b, z) over FormalSpec(3, radical=(0,)), z a multiple of the
+# radical symbol e_0: their 3-wedges [a]^[b]^[z-a-b] take every order
+# branch of the degree-3 differential, which the unit basis does not.
+_D3_BRANCH_CASES = (((-1, -1, -1), (-1, -1, 0), (1, 0, 0)),
+                    ((-1, -1, -1), (-1, -1, 0), (-3, 0, 0)),
+                    ((0, 1, -1), (1, -1, 2), (2, 0, 0)))
+
+
+def _f_identity_holds():
+    """True when the production ``f_on_ordered`` and differential give
+    f(d(w)) = 0 on the 3-wedges of ``_D3_BRANCH_CASES``, with f the
+    formal quotient that drops coordinate 0: the free additive map that
+    kills z.  Then it holds for every additive f that kills z, in every
+    group and radical grading.  Not cached, as for the homotopy."""
+    spec = FormalSpec(3, radical=(0,))
+    sub, quotient = spec.sub_coords, types.SimpleNamespace(proj_coords=lambda c: c[1:])
+    for a, b, z in _D3_BRANCH_CASES:
+        total = [Poly(), Poly()]
+        for c, face in _boundary_terms(spec, _sort_sign((a, b, sub(sub(z, a), b)))[1]):
+            for t, x in enumerate(f_on_ordered(quotient, face)):
+                total[t] += c * x
+        if any(total):
+            return False
+    return True
+
+
 def _omega_identities(free):
     """(name, holds) of d(omega) = 0 and, for a free z, d(eta) = omega with
     f symbolic, through the production differential over symbols where
     e_0 is radical and z is a multiple of it: so they hold in every group
     and radical grading.  The unit basis z, a, b, c and its negative take
-    every sign of the degree-4 differential, and the three (a, b, z)
+    every sign of the degree-4 differential, and ``_D3_BRANCH_CASES``
     every order branch of the degree-3 one.  Not cached: a patched
     function must not hide behind an old answer."""
     spec = FormalSpec(4, radical=(0,))
@@ -1404,9 +1395,7 @@ def _omega_identities(free):
         spec = FormalSpec(3, radical=(0,))
         sub, f = spec.sub_coords, _integer_functional(spec, [Poly.var("c%d" % j) for j in range(3)])
         primitive = True
-        for a, b, z in (((-1, -1, -1), (-1, -1, 0), (1, 0, 0)),
-                        ((-1, -1, -1), (-1, -1, 0), (-3, 0, 0)),
-                        ((0, 1, -1), (1, -1, 2), (2, 0, 0))):
+        for a, b, z in _D3_BRANCH_CASES:
             key, g = _sort_sign((a, b, sub(sub(z, a), b)))[1], f(z)
             primitive = primitive and _scaled_d_eta(spec, key, f, g) == g * _omega(spec, key)
         identities.append(("d(eta) = omega", primitive))

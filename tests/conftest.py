@@ -216,6 +216,35 @@ OMEGA_MUTANTS = {
 }
 
 
+F_ADDITIVE = "proj_coords is additive on signed units"
+F_KILLS_BOUNDARIES = "f(d(w)) = 0"
+# The identities every inner entry requires, in order.
+INNER_IDENTITIES = ["add_coords = canonical a + b on signed units",
+                    "sub_coords = canonical a - b on signed units",
+                    "pair_coords = a Omega~ b^T on signed units", F_ADDITIVE, F_KILLS_BOUNDARIES]
+
+_PROJ_SUM = "sum(c * a for c, a in zip(coords, col) if c)"
+
+# Mutants of the code behind the inner f identities: name -> (the
+# function, as for OUTER_MUTANTS, its replacements, and the identity the
+# inner and main-theorem entries must name when refuted).  That the
+# projection kills z is QuotientTensorSpace's own check.  Not listed,
+# because harmless: f_on_ordered reading key[1], which is -f and has the
+# same kernel.
+INNER_MUTANTS = {
+    **{"d3-sign-%d" % i: ("_boundary_terms", [flip], F_KILLS_BOUNDARIES)
+       for i, flip in enumerate(D3_SIGN_FLIPS)},
+    "radical-dropped": ("FormalSpec.__init__",
+                        [("if i not in radical and j not in radical", "if True")],
+                        F_KILLS_BOUNDARIES),
+    "proj-squared": ("QuotientTensorSpace.proj_coords",
+                     [(_PROJ_SUM, "(%s) ** 2" % _PROJ_SUM)], F_ADDITIVE),
+    "proj-misses-z": ("QuotientTensorSpace.proj_coords",
+                      [(_PROJ_SUM, "%s + coords[-1]" % _PROJ_SUM)],
+                      "z survived its own quotient"),
+}
+
+
 def outer_mutant(name):
     """(owner, attribute, mutated function) for OUTER_MUTANTS[name], ready
     for ``monkeypatch.setattr`` or ``mock.patch.object``."""

@@ -39,7 +39,7 @@ from goldman import (
 )
 from goldman.cli import main as cli_main
 
-from conftest import spec_pool, symplectic_z2, z2_z2torsion, z3_rank2_form
+from conftest import INNER_IDENTITIES, spec_pool, symplectic_z2, z2_z2torsion, z3_rank2_form
 
 GOLDEN = "tests/golden/verify_all_surface23_box2_seed1.json"
 HOMOLOGY_GOLDEN = "tests/golden/homology_surface12_box3.json"
@@ -149,8 +149,7 @@ def test_criterion_04_inner_isomorphism_origin():
     assert r.details["f_image_rank"] == 2
     assert r.details["box_generator_image_rank"] == 2
     assert r.details["quotient_dim"] == 2
-    checked, exhaustive = inner.scan_f_kills_boundaries()
-    assert exhaustive and checked > 0
+    assert inner.scan_f_kills_boundaries() == inner.identities == INNER_IDENTITIES
     assert time.monotonic() - start < 2.0
 
 
@@ -327,6 +326,5 @@ def test_criterion_12_inner_isomorphism_z2_box12():
     assert r.details["boundary_rank"] == r.details["kernel_of_f_dim"] == 310
     assert r.details["f_surjective_on_box"]
     assert r.details["quotient_dim"] == r.details["space_dim"] == 2
-    checked, exhaustive = inner.scan_f_kills_boundaries()
-    assert checked > 0
+    assert inner.scan_f_kills_boundaries() == inner.identities == INNER_IDENTITIES
     assert time.monotonic() - start < 3.0

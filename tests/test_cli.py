@@ -18,8 +18,8 @@ from goldman.cli import main, resolve_selection
 from goldman import box_support, surface_presentation
 
 from conftest import (D3_SIGN_FLIPS, D4_SIGN_FLIPS, HOMOTOPY_COEFFICIENTS, HOMOTOPY_IDENTITY,
-                      OMEGA_MUTANTS, OUTER_MUTANTS, outer_mutant, source_mutant, symplectic_z2,
-                      torsion_only, z2_z2torsion, z3_rank2_form)
+                      INNER_IDENTITIES, INNER_MUTANTS, OMEGA_MUTANTS, OUTER_MUTANTS, outer_mutant,
+                      source_mutant, symplectic_z2, torsion_only, z2_z2torsion, z3_rank2_form)
 
 
 def run(capsys, *argv):
@@ -720,6 +720,66 @@ def test_an_omega_or_h1_mutant_is_refuted_under_python_O(name, omega_mutant_runs
         assert code == 1, suite
         assert (entry["verdict"], entry["details"]) == (
             "refuted", {"failed_identity": identity}), suite
+
+
+# Each inner mutant (the unpatched run first, as "") runs the inner suite
+# and homology on the free radical grading of surface(1,2), under python -O.
+_INNER_MUTANT_RUNS = """
+import contextlib, json, os, sys
+from unittest import mock
+from goldman.cli import main
+from conftest import INNER_MUTANTS, verify_mutant
+
+if not sys.flags.optimize:
+    sys.exit("run with python -O")
+patches = {"": contextlib.nullcontext()}
+for name, (path, replacements, _) in INNER_MUTANTS.items():
+    patches[name] = mock.patch.object(*verify_mutant(path, replacements))
+out = {}
+for name, patch in patches.items():
+    for command in ("verify", "homology"):
+        path = os.path.join(sys.argv[1], "%s-%s.json" % (name, command))
+        argv = [command, *(["--suite", "inner"] if command == "verify" else []),
+                "--surface", "1,2", "--grading", "0,0,0,1", "--box", "1",
+                "--format", "json", "--out", path]
+        with patch:
+            code = main(argv)
+        with open(path) as fh:
+            out.setdefault(name, {})[command] = [code, json.load(fh)]
+print(json.dumps(out))
+"""
+
+
+@pytest.fixture(scope="module")
+def inner_mutant_runs(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("inner_mutants")
+    script = tmp / "mutants.py"
+    script.write_text(_INNER_MUTANT_RUNS)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(verify.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join((src, os.path.dirname(__file__))))
+    proc = subprocess.run([sys.executable, "-O", str(script), str(tmp)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize("name", sorted(INNER_MUTANTS))
+def test_an_inner_f_mutant_is_refuted_under_python_O(name, inner_mutant_runs):
+    # A sign of the degree-3 differential, the radical constraint of the
+    # formal spec dropped, or a projection that is not additive or does
+    # not kill z: the inner-isomorphism and main-theorem entries are
+    # refuted naming the identity, although asserts are off.
+    clean = inner_mutant_runs[""]
+    for command, check in (("verify", "inner-isomorphism"), ("homology", "main-theorem")):
+        code, report = clean[command]
+        (entry,) = report["results"]
+        assert (code, entry["check"], entry["verdict"]) == (0, check, "certified")
+        assert entry["details"]["identities"] == INNER_IDENTITIES
+        code, report = inner_mutant_runs[name][command]
+        (entry,) = report["results"]
+        assert (code, entry["check"]) == (1, check)
+        assert (entry["verdict"], entry["details"]) == (
+            "refuted", {"failed_identity": INNER_MUTANTS[name][2]}), command
 
 
 def test_no_command_builds_a_wedge_chain(monkeypatch, capsys):

@@ -139,8 +139,8 @@ def test_the_queue_goes_heaviest_suites_first(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     assert main(["verify", "--suite", "all", "--surface", "1,1", "--box", "1",
                  "--format", "json"]) in (0, 2)
-    assert order == [("omega", 1), ("omega", 2), ("outer", 1), ("outer", 2),
-                     ("inner", 1), ("inner", 2)]
+    assert order == [("inner", 1), ("inner", 2), ("outer", 1), ("outer", 2),
+                     ("omega", 1), ("omega", 2)]
 
 
 def test_results_keep_input_order_and_nesting_stays_in_the_worker(cpus):

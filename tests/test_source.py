@@ -142,4 +142,4 @@ def test_verify_integer_constants_are_the_allowed_ones():
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             if type(value) is int:
                 found.update(t.id for t in targets)
-    assert found == {"INNER_SUPPORT_CAP", "IDEAL_BOX_ENLARGE", "F_SCAN_POOL", "F_SCAN_EXHAUSTIVE"}
+    assert found == {"INNER_SUPPORT_CAP", "IDEAL_BOX_ENLARGE"}

@@ -64,6 +64,7 @@ from goldman.verify import (
 from conftest import (
     HOMOTOPY_COEFFICIENTS,
     HOMOTOPY_IDENTITY,
+    INNER_IDENTITIES,
     reference_boundary,
     reference_homotopy_factors,
     reference_normalize,
@@ -748,72 +749,36 @@ def test_inner_requires_radical_grading_and_wide_boundary_box():
     assert inner_h2_certify(z2, z2.zero, 2).result.params["boundary_box"] == 6
 
 
-def test_f_scan_radius_is_reported_and_bounds_every_checked_key(monkeypatch):
-    # On surface(2,3) at box 2 the boundary box has radius 6, but the
-    # f-boundary scan tests membership in box(2): the report says so, and
-    # no checked key has a factor outside box(2).
-    spec = surface_presentation(2, 3)
-    (entry,) = cli.run_inner_suite(spec, [spec.zero], 2)
-    scan = entry.details["f_boundary_scan"]
-    assert (scan["radius"], entry.params["boundary_box"]) == (2, 6)
-    inner = InnerCertification(spec, spec.zero, 2)
-    assert inner.f_scan_radius == 2
-    keys = []
-    terms = verify._boundary_terms
-
-    def spy(spec, key):
-        keys.append(key)
-        return terms(spec, key)
-
-    monkeypatch.setattr(verify, "_boundary_terms", spy)
-    assert inner.scan_f_kills_boundaries() == (scan["wedges"], scan["exhaustive"])
-    assert len(keys) == scan["wedges"] > 0
-    assert all(len(key) == 3 and all(abs(x[t]) <= 2 for x in key for t in spec.free_indices)
-               for key in keys)
-
-
-def test_inner_f_scan_exhaustive_on_small_box():
-    z2 = symplectic_z2()
-    inner = inner_h2_certify(z2, z2.zero, 2)
-    checked, exhaustive = inner.scan_f_kills_boundaries()
-    assert exhaustive
-    assert checked > 100
-
-
 def test_inner_f_scan_rechecks_every_boundary(monkeypatch):
-    # A projection that is not additive makes f(d(w)) nonzero somewhere.
+    # A projection that is not additive is not an f the proof of
+    # f(d(w)) = 0 covers: the entry is refuted naming the additivity check.
     z2 = symplectic_z2()
-    inner = inner_h2_certify(z2, z2.zero, 2)
     proj = QuotientTensorSpace.proj_coords
     monkeypatch.setattr(QuotientTensorSpace, "proj_coords",
                         lambda self, c: tuple(v * v for v in proj(self, c)))
-    with pytest.raises(CertificateError) as info:
-        inner.scan_f_kills_boundaries()
-    assert info.value.identity == "f(d(w)) = 0"
+    (entry,) = cli.run_inner_suite(z2, [z2.zero], 2)
+    assert (entry.verdict, entry.details) == (
+        REFUTED, {"failed_identity": "proj_coords is additive on signed units"})
 
 
 def _reference_f_scan(inner):
-    """The f-boundary scan as first written, over the whole boundary box:
-    (checked, exhaustive, the set of triple keys it checks)."""
-    spec = inner.spec
+    """{key: f(d(w))} on the derived 3-wedges w of the boundary box cut to
+    20,000 elements with two factors in a pool: every derived element
+    when there are at most 632, else the 63 lightest.  d is
+    ``reference_boundary`` and f(face) the projection of its first factor."""
+    spec, proj, dim = inner.spec, inner.qspace.proj_coords, inner.qspace.dim
     radius = verify._capped_radius(spec, inner.boundary_radius, 20000)
     support = [x for x in verify.box_by_weight(spec, radius) if x.is_derived_element()]
-    exhaustive = len(support) ** 2 <= 400000
-    pool = support if exhaustive else support[:63]
-    members = {x.coords for x in support}
-    add, zc = spec.add_coords, inner.z.coords
-    negs = [tuple(-c for c in x.coords) for x in pool]
-    keys = []
-    for (i, u), (j, v) in itertools.combinations(enumerate(x.coords for x in pool), 2):
-        w = add(add(zc, negs[i]), negs[j])
-        if w not in members or w == u or w == v:
-            continue
-        _, key = verify._sort_sign((u, v, w))
-        if key not in keys:
-            keys.append(key)
-        if not exhaustive and len(keys) >= 2000:
-            break
-    return len(keys), exhaustive, set(keys)
+    pool = support if len(support) ** 2 <= 400000 else support[:63]
+    members = set(support)
+    values = {}
+    for u, v in itertools.combinations(pool, 2):
+        w = inner.z - u - v
+        key = reference_normalize([u, v, w])[1]
+        if w in members and key is not None and key not in values:
+            d = reference_boundary(spec, [u, v, w])
+            values[key] = [sum(c * proj(face[0])[t] for face, c in d.items()) for t in range(dim)]
+    return values
 
 
 @pytest.mark.parametrize("spec, zc, box", [
@@ -826,23 +791,17 @@ def _reference_f_scan(inner):
     (surface_presentation(3, 2), (0,) * 8, 1),
 ], ids=["z2-box2", "z2-box12", "s12-z0", "s12-z1", "s12-z2", "torsion-box3",
         "s32-box1-fallback"])
-def test_f_scan_matches_the_whole_box_scan(spec, zc, box, monkeypatch):
-    # The pool and the membership test come without the boundary box, and
-    # the scan checks exactly the triples of the scan over the whole box.
+def test_f_scan_matches_the_whole_box_scan(spec, zc, box):
+    # The proof that f kills every boundary agrees with a scan of the
+    # boundary box through the reference differential: f(d(w)) = 0 on
+    # every key it finds.
     inner = inner_h2_certify(spec, spec.canonical(list(zc)), box)
-    seen = []
-    terms = verify._boundary_terms
-    monkeypatch.setattr(verify, "_boundary_terms",
-                        lambda spec, key: seen.append(key) or terms(spec, key))
-    checked, exhaustive = inner.scan_f_kills_boundaries()
-    # Only the exhaustive scan reads its boundary box whole.
-    assert (3 * box in spec._boxes) == exhaustive == (box == 2)
-    assert len(seen) == len(set(seen)) == checked
-    assert (checked, exhaustive, set(seen)) == _reference_f_scan(inner)
+    assert inner.scan_f_kills_boundaries() == inner.identities == INNER_IDENTITIES
+    values = _reference_f_scan(inner)
+    assert values and not any(any(f) for f in values.values())
     if box == 1:
-        # The 63 lightest derived elements are not all of weight <= 1,
-        # so the pool comes from the whole box at radius 1.
-        assert checked == 1318
+        # The 63 lightest derived elements come from the whole box(1).
+        assert len(values) == 1318
 
 
 # ---------------------------------------------------------------------------
