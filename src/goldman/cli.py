@@ -62,6 +62,7 @@ from .verify import (
     REFUTED,
     CertificateError,
     CheckResult,
+    Proofs,
     _capped_radius,
     _certify_or_refute,
     _formal_check,
@@ -309,14 +310,14 @@ def _skip(check, note, spec, box=None):
     return CheckResult(check, params, NOT_APPLICABLE, {"note": note})
 
 
-def _graded(check, certify, spec, z, box):
-    """_certify_or_refute for a certify(spec, z, box) on one grading."""
+def _graded(check, certify, spec, z, box, proofs):
+    """_certify_or_refute for a certify(spec, z, box, proofs) on one grading."""
     return _certify_or_refute(
         check, lambda: {"spec": spec.label, "z": list(z.coords), "box": box},
-        certify, spec, z, box)
+        certify, spec, z, box, proofs)
 
 
-def run_inner_suite(spec, gradings, box, fan=fan_out):
+def run_inner_suite(spec, gradings, box, fan=fan_out, proofs=None):
     if spec.mu_is_zero():
         return [_skip("inner-isomorphism", "the form vanishes; no wedge is derived", spec, box)]
     zs = [z for z in gradings if z.in_kernel_mu()]
@@ -337,21 +338,21 @@ def run_inner_suite(spec, gradings, box, fan=fan_out):
              "skipped_gradings": skipped, "effective_radius": eff}))
     out.extend(fan(lambda z: _certify_or_refute(
         "inner-isomorphism", functools.partial(_inner_params, spec, z, box),
-        _inner_entry, spec, z, box), [z for z in zs if list(z.coords) not in skipped]))
+        _inner_entry, spec, z, box, proofs), [z for z in zs if list(z.coords) not in skipped]))
     return out
 
 
-def _inner_entry(spec, z, box):
-    inner = inner_h2_certify(spec, z, box)
+def _inner_entry(spec, z, box, proofs):
+    inner = inner_h2_certify(spec, z, box, proofs)
     inner.result.details["identities"] = inner.identities
     return inner.result
 
 
-def run_outer_suite(spec, gradings, box, fan=fan_out):
+def run_outer_suite(spec, gradings, box, fan=fan_out, proofs=None):
     zs = [z for z in gradings if z.is_derived_element()]
     if not zs:
         return [_skip("outer-exactness", "no derived gradings selected", spec, box)]
-    return fan(lambda z: _graded("outer-exactness", outer_h2_certify, spec, z, box), zs)
+    return fan(lambda z: _graded("outer-exactness", outer_h2_certify, spec, z, box, proofs), zs)
 
 
 def run_gk_suite(spec, gradings, box):
@@ -366,21 +367,21 @@ def run_gk_suite(spec, gradings, box):
         gk_cycle_check, spec, u, z, box) for z in zs]
 
 
-def run_omega_suite(spec, gradings, box, fan=fan_out):
+def run_omega_suite(spec, gradings, box, fan=fan_out, proofs=None):
     if spec.mu_is_zero():
         return [_skip("omega-class", "the form vanishes; omega is identically zero", spec, box)]
     zs = [z for z in gradings if z.in_kernel_mu()]
     if not zs:
         return [_skip("omega-class", "no radical gradings selected", spec, box)]
-    return fan(lambda z: _graded("omega-class", omega_check, spec, z, box), zs)
+    return fan(lambda z: _graded("omega-class", omega_check, spec, z, box, proofs), zs)
 
 
-def run_h1_suite(spec, gradings, box):
+def run_h1_suite(spec, gradings, box, proofs=None):
     """h1 on the given gradings, or on the whole box when None."""
     count = len(gradings) if gradings is not None else _box_size(spec, box)
     return [_certify_or_refute(
         "h1-center", lambda: {"spec": spec.label, "box": box, "gradings": count},
-        h1_check, spec, box, gradings)]
+        h1_check, spec, box, gradings, proofs)]
 
 
 def run_surface_suite(spec, source):
@@ -408,7 +409,8 @@ def build_verify_tasks(spec, source, args, selection):
     plan(fan) gives the suite's results and units (callables returning a
     list of results): a unit per grading of omega, outer and inner, made
     by ``fan``, else one.  Each sweeping suite takes its gradings from
-    resolve_selection at its own cap.
+    resolve_selection at its own cap; inner, outer, omega and h1 cite
+    one ``Proofs``.
     """
     suites = SUITES if args.suite == "all" else (args.suite,)
     swept = selection in (None, "all-in-box")
@@ -423,14 +425,15 @@ def build_verify_tasks(spec, source, args, selection):
         if capped or name == "h1":
             notes[name] = {"gradings_capped_at": cap}
     h1_gradings = picks.get("h1", None if swept else list(selection))
+    proofs = Proofs()
     plans = {
         "bracket": lambda fan: [lambda: [run_bracket_suite()]],
         "complex": lambda fan: [lambda: [run_complex_suite()]],
-        "inner": lambda fan: run_inner_suite(spec, picks["inner"], args.box, fan),
-        "outer": lambda fan: run_outer_suite(spec, picks["outer"], args.box, fan),
+        "inner": lambda fan: run_inner_suite(spec, picks["inner"], args.box, fan, proofs),
+        "outer": lambda fan: run_outer_suite(spec, picks["outer"], args.box, fan, proofs),
         "gk": lambda fan: [lambda: run_gk_suite(spec, picks["gk"], args.box)],
-        "omega": lambda fan: run_omega_suite(spec, picks["omega"], args.box, fan),
-        "h1": lambda fan: [lambda: run_h1_suite(spec, h1_gradings, args.box)],
+        "omega": lambda fan: run_omega_suite(spec, picks["omega"], args.box, fan, proofs),
+        "h1": lambda fan: [lambda: run_h1_suite(spec, h1_gradings, args.box, proofs)],
         "surface": lambda fan: [lambda: run_surface_suite(spec, source)],
         "linext": lambda fan: [lambda: run_linext_suite(spec, args.box)],
     }

@@ -22,22 +22,32 @@ __all__ = ["Poly", "FormalSpec"]
 
 def _poly(x):
     """x as a Poly, for a Poly, an int or a Fraction; None otherwise."""
-    return Poly({(): x}) if isinstance(x, (int, Fraction)) else x if isinstance(x, Poly) else None
+    return _merged([((), x)]) if isinstance(x, (int, Fraction)) else x if isinstance(x, Poly) else None
+
+
+def _merged(items):
+    """The Poly of (monomial, coefficient) items whose monomials are
+    sorted already: equal monomials summed, zero sums dropped."""
+    acc = {}
+    for m, c in items:
+        acc[m] = acc.get(m, 0) + c
+    out = Poly.__new__(Poly)
+    out.terms = {m: c for m, c in acc.items() if c}
+    return out
 
 
 class Poly:
     """A polynomial with rational coefficients: ``terms`` maps each
     monomial, its sorted variables with repeats (x^2 y is ("x", "x",
-    "y")), to a nonzero coefficient; ints and Fractions are constants."""
+    "y")), to a nonzero coefficient; ints and Fractions are constants.
+    The constructor and ``*`` sort monomials; ``+``, ``-`` and a scalar
+    ``*`` only merge the sorted ones of their operands (``_merged``)."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=()):
-        acc = {}
-        for m, c in terms.items() if hasattr(terms, "items") else terms:
-            m = tuple(sorted(m))
-            acc[m] = acc.get(m, 0) + c
-        self.terms = {m: c for m, c in acc.items() if c}
+        items = terms.items() if hasattr(terms, "items") else terms
+        self.terms = _merged((tuple(sorted(m)), c) for m, c in items).terms
 
     @classmethod
     def var(cls, name):
@@ -45,10 +55,12 @@ class Poly:
 
     def __add__(self, other):
         other = _poly(other)
-        return NotImplemented if other is None else Poly(
+        return NotImplemented if other is None else self if not other.terms else _merged(
             [*self.terms.items(), *other.terms.items()])
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return _merged((m, c * other) for m, c in self.terms.items())
         other = _poly(other)
         return NotImplemented if other is None else Poly(
             [(m1 + m2, c1 * c2) for m1, c1 in self.terms.items()
@@ -57,7 +69,7 @@ class Poly:
     __radd__, __rmul__ = __add__, __mul__
 
     def __neg__(self):
-        return Poly({m: -c for m, c in self.terms.items()})
+        return _merged((m, -c) for m, c in self.terms.items())
 
     def __sub__(self, other):
         return self + -other

@@ -55,7 +55,7 @@ witnesses.  The certification patterns are:
   Phi_2) built from any y with lam = <y, z> != 0 satisfies
   Phi_1 d_2 + d_3 Phi_2 = id, so every cycle c bounds via d_3 Phi_2(c).
   Scaled by D = 2 lam^2 (``_homotopy_factors``) this is a polynomial
-  identity in the pairings, proved once per certificate by running the
+  identity in the pairings, proved once per run (``Proofs``) by running the
   production homotopy and differential over the symbols u, y, z of
   ``FormalSpec(3)`` on [u] ^ [z-u]: no wedge of the slice is scanned.
   The group's coordinate kernels, all the proof reads of it, are checked
@@ -130,6 +130,7 @@ __all__ = [
     "NOT_APPLICABLE",
     "CertificateError",
     "CheckResult",
+    "Proofs",
     "QuotientTensorSpace",
     "f_map",
     "f_on_ordered",
@@ -227,11 +228,31 @@ def _formal_check(check, params, identities):
                        {"identity": "formal", "identities": _required(identities)})
 
 
+class Proofs:
+    """A run's proofs of the identities no grading changes, each made by
+    the production code when first cited and then cited (as in LCF).
+    ``verify`` makes one per command, ``main_theorem_check`` one per
+    call, and an entry given none its own; none is kept at module level,
+    so a patch is seen.  A failed proof stays False and refutes every
+    entry citing it."""
+
+    def __init__(self):
+        self._proved = {}
+
+    def cite(self, prove, *args):
+        """prove(*args), run the first time this value cites it."""
+        key = (prove, *args)
+        if key not in self._proved:
+            self._proved[key] = prove(*args)
+        return self._proved[key]
+
+
 def fan_out(fn, items):
     """[fn(x) for x in items], in input order, for independent units (the
     one queue of ``verify`` or the gradings of ``homology``): in forked
     workers (``goldman.pool``) with two or more items and CPUs in the
-    affinity mask, else here, with the same results (`taskset -c 0`)."""
+    affinity mask, else here, with the same results (`taskset -c 0`).
+    Each worker proves what it cites of the run's ``Proofs`` once."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     workers = min(len(items), cpus)
     if workers < 2:
@@ -692,7 +713,7 @@ class InnerCertification:
                  "identities", "support", "wedges", "rows", "qspace", "columns",
                  "rank", "target_rank", "f_rank", "box_image_rank", "result")
 
-    def __init__(self, spec, z, box_radius):
+    def __init__(self, spec, z, box_radius, proofs=None):
         if not z.in_kernel_mu():
             raise ValueError("inner certification needs z in ker mu")
         self.spec = spec
@@ -712,7 +733,7 @@ class InnerCertification:
                              reverse=True)
         self.rows = {key: r for r, key in enumerate(self.wedges)}
         self.qspace = QuotientTensorSpace(spec, z)
-        self._certify(weight)
+        self._certify(weight, proofs)
 
     # -- construction -----------------------------------------------------
 
@@ -721,7 +742,7 @@ class InnerCertification:
         probes are coordinate tuples."""
         return _generator_witness(self.spec, self.z.coords, u, v, probes)
 
-    def _certify(self, weight):
+    def _certify(self, weight, proofs):
         spec, z = self.spec, self.z
         # The factors of W, in sort_key order (weight, then coordinates).
         elements = sorted({f for key in self.wedges for f in key},
@@ -732,7 +753,7 @@ class InnerCertification:
         f_rows = [f_on_ordered(self.qspace, key) for key in self.wedges]
         # Before any column is checked against f: f(G(u, v)) = 0 is a
         # boundary check only for an f that the proof of f(d(w)) = 0 covers.
-        self.identities = self.scan_f_kills_boundaries()
+        self.identities = self.scan_f_kills_boundaries(proofs)
         fspan = _IncrementalSpan()
         for f in f_rows:
             fspan.insert(dict(enumerate(f)))
@@ -900,17 +921,19 @@ class InnerCertification:
         _require(boundary(out) == c, "d(assembled witness) = c")
         return out
 
-    def scan_f_kills_boundaries(self):
+    def scan_f_kills_boundaries(self, proofs=None):
         """Require that f kills every boundary, and return the names of
-        the identities that show it: the group's coordinate kernels with
-        proj additive, and f(d(w)) = 0 proved over symbols.  Nothing is
-        scanned; the name is kept for the bench hook that times it."""
+        the identities that show it: the group's coordinate kernels and
+        f(d(w)) = 0 over symbols, proved once per run through ``Proofs``,
+        and proj additive.  The name is kept for the bench hook."""
+        proofs = proofs or Proofs()
         # proj of a unit is read once per pair it is in: compute it once.
         proj, add = functools.cache(self.qspace.proj_coords), self.spec.add_coords
-        return _required([*_kernel_identities(self.spec, (
-            "proj_coords is additive on signed units", lambda a, b: proj(add(a, b)),
-            lambda a, b: tuple(x + y for x, y in zip(proj(a), proj(b))))),
-            ("f(d(w)) = 0", _f_identity_holds())])
+        additive = all(proj(add(a, b)) == tuple(x + y for x, y in zip(proj(a), proj(b)))
+                       for a, b in itertools.product(_signed_units(self.spec), repeat=2))
+        return _required([*proofs.cite(_kernel_identities, self.spec),
+                          ("proj_coords is additive on signed units", additive),
+                          ("f(d(w)) = 0", proofs.cite(_f_identity_holds))])
 
 
 def _inner_params(spec, z, box_radius):
@@ -920,11 +943,11 @@ def _inner_params(spec, z, box_radius):
             "box": box_radius, "boundary_box": 3 * box_radius}
 
 
-def inner_h2_certify(spec, z, box_radius):
+def inner_h2_certify(spec, z, box_radius, proofs=None):
     """Certify the inner grading z: boundaries exhaust ker(f) on the box
     and the homology slice has the quotient dimension.  Returns an
     InnerCertification; its ``result`` is the report entry."""
-    return InnerCertification(spec, z, box_radius)
+    return InnerCertification(spec, z, box_radius, proofs)
 
 
 # ---------------------------------------------------------------------------
@@ -938,8 +961,8 @@ def _homotopy_identity_holds():
 
     u, y, z is the basis 2 e_0 + e_1, e_0, 3 e_0 + e_2, and then its
     negative: y, u-y and z-u share their lead coordinate, so between the
-    two every order branch of the degree-3 differential is taken.  Not
-    cached: a patched homotopy must not hide behind an old answer."""
+    two every order branch of the degree-3 differential is taken.  Proved
+    once per run through ``Proofs``."""
     spec = FormalSpec(3)
     for s in (1, -1):
         u, y, z = (GroupElement(spec, tuple(s * c for c in coords))
@@ -949,14 +972,19 @@ def _homotopy_identity_holds():
     return True
 
 
-def _kernel_identities(spec, *kernels):
+def _signed_units(spec):
+    """The coordinates of the generators and their negatives."""
+    n = spec.n_generators
+    return [spec.canonical([s * (i == j) for i in range(n)]).coords
+            for j in range(n) for s in (1, -1)]
+
+
+def _kernel_identities(spec):
     """(name, holds) of the coordinate kernels against ``spec.canonical``
-    and the Omega~ loop, and of each further (name, kernel, reference) of
-    ``kernels``, on all pairs of signed units: what the formal identities
-    read of a group."""
+    and the Omega~ loop on all pairs of signed units: what the formal
+    identities read of a group."""
     n, om, canonical = spec.n_generators, spec.omega_tilde, spec.canonical
-    units = [canonical([s * (i == j) for i in range(n)]).coords
-             for j in range(n) for s in (1, -1)]
+    units = _signed_units(spec)
     references = (
         ("add_coords = canonical a + b on signed units", spec.add_coords,
          lambda a, b: canonical([x + y for x, y in zip(a, b)]).coords),
@@ -964,13 +992,13 @@ def _kernel_identities(spec, *kernels):
          lambda a, b: canonical([x - y for x, y in zip(a, b)]).coords),
         ("pair_coords = a Omega~ b^T on signed units", spec.pair_coords,
          lambda a, b: sum(a[i] * om[i][j] * b[j]
-                          for i in range(n) if a[i] for j in range(n) if b[j])), *kernels)
+                          for i in range(n) if a[i] for j in range(n) if b[j])))
     return [(name, all(kernel(a, b) == reference(a, b)
                        for a, b in itertools.product(units, repeat=2)))
             for name, kernel, reference in references]
 
 
-def outer_h2_certify(spec, z, box_radius):
+def outer_h2_certify(spec, z, box_radius, proofs=None):
     """Certify H_2 = 0 in the outer grading z: the homotopy identity is
     proved over symbols and the group's coordinate kernels are checked
     (a failure raises CertificateError naming the identity), with no
@@ -979,9 +1007,11 @@ def outer_h2_certify(spec, z, box_radius):
     cycle basis vectors get a serialized witness, checked on integers."""
     if z.in_kernel_mu():
         raise ValueError("outer certification needs z outside ker mu")
+    proofs = proofs or Proofs()
     result = _formal_check(
         "outer-exactness", {"spec": spec.label, "z": list(z.coords), "box": box_radius},
-        [*_kernel_identities(spec), ("Phi_1 d_2 + d_3 Phi_2 = id", _homotopy_identity_holds())])
+        [*proofs.cite(_kernel_identities, spec),
+         ("Phi_1 d_2 + d_3 Phi_2 = id", proofs.cite(_homotopy_identity_holds))])
 
     # The y's are the first ones in weight order that pair nonzero with z.
     pair, zc = spec.pair_coords, z.coords
@@ -1033,7 +1063,7 @@ def main_theorem_check(spec, gradings, box_radius):
     """Per grading: the truncated H_2 dimension against the predicted
     kernel-pair count plus the quotient dimension.  Returns one
     CheckResult per grading; a grading whose re-check fails gives a
-    refuted entry naming the identity."""
+    refuted entry naming the identity.  The gradings cite one ``Proofs``."""
     support = box_support(spec, box_radius)
     if spec.mu_is_zero():
         return [CheckResult(
@@ -1042,16 +1072,17 @@ def main_theorem_check(spec, gradings, box_radius):
                      "hypothesis fails and the differential is zero",
              "h2_dim": len(enumerate_basis(support, 2, z))})
             for z in gradings]
+    proofs = Proofs()
     return fan_out(lambda z: _certify_or_refute(
         "main-theorem", functools.partial(_inner_params, spec, z, box_radius),
-        _main_theorem_entry, spec, support, z, box_radius), gradings)
+        _main_theorem_entry, spec, support, z, box_radius, proofs), gradings)
 
 
-def _main_theorem_entry(spec, support, z, box_radius):
+def _main_theorem_entry(spec, support, z, box_radius, proofs):
     """The main-theorem entry of one grading of a nonzero form."""
     params = _inner_params(spec, z, box_radius)
     if z.is_derived_element():
-        outer = outer_h2_certify(spec, z, box_radius)
+        outer = outer_h2_certify(spec, z, box_radius, proofs)
         return CheckResult(
             "main-theorem", params, outer.verdict,
             {"component": "outer", "h2_dim": 0,
@@ -1072,7 +1103,7 @@ def _main_theorem_entry(spec, support, z, box_radius):
     kernel_pairs = sum(1 for _ in enumerate_keys(spec, sorted(radical), 2, z.coords))
     _require(kernel_pairs == radical_wedges, "radical-pool enumeration = radical wedges")
 
-    inner = inner_h2_certify(spec, z, box_radius)
+    inner = inner_h2_certify(spec, z, box_radius, proofs)
     inner_res = inner.result
 
     certified = inner_res.verdict == CERTIFIED
@@ -1363,7 +1394,7 @@ def _f_identity_holds():
     f(d(w)) = 0 on the 3-wedges of ``_D3_BRANCH_CASES``, with f the
     formal quotient that drops coordinate 0: the free additive map that
     kills z.  Then it holds for every additive f that kills z, in every
-    group and radical grading.  Not cached, as for the homotopy."""
+    group and radical grading.  Proved once per run through ``Proofs``."""
     spec = FormalSpec(3, radical=(0,))
     sub, quotient = spec.sub_coords, types.SimpleNamespace(proj_coords=lambda c: c[1:])
     for a, b, z in _D3_BRANCH_CASES:
@@ -1382,8 +1413,8 @@ def _omega_identities(free):
     e_0 is radical and z is a multiple of it: so they hold in every group
     and radical grading.  The unit basis z, a, b, c and its negative take
     every sign of the degree-4 differential, and ``_D3_BRANCH_CASES``
-    every order branch of the degree-3 one.  Not cached: a patched
-    function must not hide behind an old answer."""
+    every order branch of the degree-3 one.  Proved once per run through
+    ``Proofs``."""
     spec = FormalSpec(4, radical=(0,))
     sub = spec.sub_coords
     closed = True
@@ -1439,7 +1470,7 @@ def _check_omega_rows(spec, z, rows):
     _require(sum(rows.values()) != 0, "the omega rows sum to a nonzero right side")
 
 
-def omega_check(spec, z, box_radius):
+def omega_check(spec, z, box_radius, proofs=None):
     """The cohomology class of omega in grading z: d(omega) = 0 is proved
     over symbols; torsion z yields a closed-form obstruction to any
     primitive (the class is nonzero), and non-torsion z the primitive
@@ -1448,9 +1479,10 @@ def omega_check(spec, z, box_radius):
     derived part).  Nothing depends on the box."""
     if not z.in_kernel_mu():
         raise ValueError("omega lives in radical gradings only")
-    torsion = z.is_torsion()
+    torsion, proofs = z.is_torsion(), proofs or Proofs()
     result = _formal_check("omega-class", {"spec": spec.label, "z": list(z.coords), "box": box_radius},
-                           [*_kernel_identities(spec), *_omega_identities(not torsion)])
+                           [*proofs.cite(_kernel_identities, spec),
+                            *proofs.cite(_omega_identities, not torsion)])
 
     if torsion:
         if spec.mu_is_zero():
@@ -1479,7 +1511,7 @@ def omega_check(spec, z, box_radius):
 # First homology
 
 
-def h1_check(spec, box_radius, gradings):
+def h1_check(spec, box_radius, gradings, proofs=None):
     """Grading-wise H_1: dimension 1 on radical gradings, where every
     incoming differential -<u, z-u> [z] vanishes (proved over symbols),
     0 on derived ones, where [z] bounds [u]^[z-u] / -<u, z-u> for the
@@ -1490,11 +1522,11 @@ def h1_check(spec, box_radius, gradings):
     # <u, z-u> = 0 for a generic u and the radical symbol z, so in every
     # group and radical grading.
     formal = FormalSpec(3, radical=(0,))
-    generic = formal.generic("u")
+    generic, radical = formal.generic("u"), formal.symbols()[0]
     result = _formal_check(
         "h1-center", {"spec": spec.label, "box": box_radius, "gradings": len(gradings)},
-        [*_kernel_identities(spec), ("<u, z-u> = 0 in a radical grading",
-                                     not formal.pairing(generic, formal.symbols()[0] - generic))])
+        [*(proofs or Proofs()).cite(_kernel_identities, spec),
+         ("<u, z-u> = 0 in a radical grading", not formal.pairing(generic, radical - generic))])
     units = box_by_weight(spec, 1)
     entries = []
     for z in gradings:

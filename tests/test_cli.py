@@ -782,6 +782,112 @@ def test_an_inner_f_mutant_is_refuted_under_python_O(name, inner_mutant_runs):
             "refuted", {"failed_identity": INNER_MUTANTS[name][2]}), command
 
 
+# The proofs a run cites; inner's additivity check is per entry and not
+# among them.
+_PROOFS = ("_homotopy_identity_holds", "_kernel_identities", "_f_identity_holds",
+           "_omega_identities")
+
+
+@pytest.mark.parametrize("argv, golden, counts", [
+    (["homology", "--surface", "1,2", "--box", "3"], "homology_surface12_box3.json",
+     {"_homotopy_identity_holds": 1, "_kernel_identities": 1, "_f_identity_holds": 1}),
+    (["verify", "--suite", "all", "--surface", "2,3", "--box", "2", "--seed", "1"],
+     "verify_all_surface23_box2_seed1.json",
+     {"_homotopy_identity_holds": 1, "_kernel_identities": 1, "_f_identity_holds": 1,
+      "_omega_identities": 2}),
+], ids=["homology-s12", "golden"])
+def test_a_command_proves_each_identity_once(argv, golden, counts, monkeypatch, capsys):
+    # One Proofs value per command: run serially, the 64 gradings of
+    # homology-s12 prove the homotopy identity and check the group's
+    # kernels once between them, and golden proves omega's identities
+    # once per kind of grading (torsion, free); the bytes do not move.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    calls = dict.fromkeys(_PROOFS, 0)
+
+    def counted(name, prove):
+        def wrapper(*args):
+            calls[name] += 1
+            return prove(*args)
+        return wrapper
+
+    for name in _PROOFS:
+        monkeypatch.setattr(verify, name, counted(name, getattr(verify, name)))
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    with open(os.path.join(os.path.dirname(__file__), "golden", golden)) as fh:
+        assert out == fh.read()
+    assert calls == dict(dict.fromkeys(_PROOFS, 0), **counts)
+
+
+def test_a_patch_between_runs_is_seen_by_the_next_run(monkeypatch, capsys):
+    # Each command proves afresh: unpatched, then with the homotopy's
+    # scale flipped, then unpatched again, in one process, `verify
+    # --suite outer` certifies, refutes every entry naming the identity,
+    # and certifies again.
+    def outer_entries():
+        code, out, _ = run(capsys, "verify", "--suite", "outer", "--surface", "1,2",
+                           "--box", "1", "--format", "json")
+        return code, [(r["verdict"], r["details"].get("failed_identity"))
+                      for r in json.loads(out)["results"]]
+
+    first = outer_entries()
+    with monkeypatch.context() as patch:
+        patch.setattr(*outer_mutant("scale"))
+        second = outer_entries()
+    third = outer_entries()
+    assert len(first[1]) > 1
+    assert first == third == (0, [("certified", None)] * len(first[1]))
+    assert second == (1, [("refuted", HOMOTOPY_IDENTITY)] * len(first[1]))
+
+
+# homology on surface(1,2) at box 2, unpatched and then with the outer
+# mutant "scale", under python -O; the reports lie in sys.argv[1].
+_HOMOLOGY_MUTANT_RUNS = """
+import contextlib, json, os, sys
+from unittest import mock
+from goldman.cli import main
+from conftest import outer_mutant
+
+if not sys.flags.optimize:
+    sys.exit("run with python -O")
+out = {}
+for name in ("clean", "scale"):
+    path = os.path.join(sys.argv[1], name + ".json")
+    with mock.patch.object(*outer_mutant("scale")) if name == "scale" else contextlib.nullcontext():
+        code = main(["homology", "--surface", "1,2", "--box", "2", "--format", "json",
+                     "--out", path])
+    with open(path) as fh:
+        out[name] = [code, json.load(fh)]
+print(json.dumps(out))
+"""
+
+
+def test_a_failed_proof_refutes_every_entry_citing_it_under_python_O(tmp_path):
+    # The homotopy identity fails once per run (once per worker), and
+    # every outer row is refuted naming it, not only the first to prove
+    # it; the inner rows are those of the unpatched run.
+    script = tmp_path / "homology_mutant.py"
+    script.write_text(_HOMOLOGY_MUTANT_RUNS)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(verify.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join((src, os.path.dirname(__file__))))
+    proc = subprocess.run([sys.executable, "-O", str(script), str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    runs = json.loads(proc.stdout.splitlines()[-1])
+    (clean_code, clean), (code, patched) = runs["clean"], runs["scale"]
+    outer = [i for i, r in enumerate(clean["results"]) if r["details"].get("component") == "outer"]
+    assert clean_code == 0 and code == 1 and len(outer) > 1
+    assert len(patched["results"]) == len(clean["results"])
+    for i, (want, got) in enumerate(zip(clean["results"], patched["results"])):
+        assert got["params"] == want["params"]
+        if i in outer:
+            assert (got["verdict"], got["details"]) == (
+                "refuted", {"failed_identity": HOMOTOPY_IDENTITY}), i
+        else:
+            assert got == want, i
+    assert patched["summary"]["refuted"] == len(outer)
+
+
 def test_no_command_builds_a_wedge_chain(monkeypatch, capsys):
     # The command paths run on integer wedge keys: with WedgeChain
     # refused, verify and homology print the bytes of an unpatched run.

@@ -129,7 +129,7 @@ def test_the_queue_goes_heaviest_suites_first(monkeypatch):
     order = []
 
     def graded(name):
-        return lambda spec, gradings, box, fan: fan(
+        return lambda spec, gradings, box, fan, proofs: fan(
             lambda z: (order.append((name, z)), cli.CheckResult(name, {}, "certified", {}))[1],
             [1, 2])
 
@@ -271,10 +271,10 @@ def test_refuted_gradings_stay_in_their_slots(cpus, monkeypatch):
 def test_an_error_in_one_unit_is_raised_in_the_caller(cpus, monkeypatch):
     certify = cli.outer_h2_certify
 
-    def broken(spec, z, box):
+    def broken(spec, z, box, proofs):
         if z.coords == (0, 1):
             raise ValueError("no homotopy for z = %s" % (list(z.coords),))
-        return certify(spec, z, box)
+        return certify(spec, z, box, proofs)
 
     monkeypatch.setattr(cli, "outer_h2_certify", broken)
     z2 = symplectic_z2()
@@ -297,12 +297,12 @@ os.sched_getaffinity = lambda pid: {0, 1}
 parent = os.getpid()
 certify = cli.outer_h2_certify
 
-def dying(spec, z, box):
+def dying(spec, z, box, proofs):
     # In the workers, the first grading ends its worker and the second
     # runs long; the long one is killed, not waited for.
     if os.getpid() != parent:
         os._exit(1) if z.coords == (1, 0) else time.sleep(60)
-    return certify(spec, z, box)
+    return certify(spec, z, box, proofs)
 
 cli.outer_h2_certify = dying
 z2 = GroupSpec(2, form=[[0, 1], [-1, 0]])

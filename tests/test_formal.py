@@ -69,3 +69,18 @@ def test_formal_pairing_is_alternating_and_bilinear():
     assert spec.pairing(b + c, a) == -Poly.var("P0_1") - Poly.var("P0_2")
     assert (a + b - a).coords == b.coords and (-a).coords == (-1, 0, 0)
     assert spec.free_indices == (0, 1, 2) and spec.zero.coords == (0, 0, 0)
+
+
+def test_arithmetic_keeps_terms_sorted_and_nonzero():
+    # The constructor and * sort monomials; +, - and scalar * only merge
+    # them.  Whatever the order the inputs were given in, every result
+    # keeps sorted monomials and no zero coefficient.
+    p = Poly({("y", "x"): 2, ("x", "y"): 1, ("z",): 0, ("z", "x", "x"): -1})
+    q = Poly([(("y", "x"), -3), (("y",), Fraction(1, 2))])
+    assert p.terms == {("x", "y"): 3, ("x", "x", "z"): -1}
+    assert p + q == Poly({("y",): Fraction(1, 2), ("x", "x", "z"): -1})
+    for r in (p, q, p + q, q + p, p - q, -p, 3 - p, p - 3, p * q, q * p, 2 * p, p * 0,
+              Fraction(1, 3) * q, p ** 0, p ** 2, (p + q) ** 3, p - p, p + 0):
+        assert all(list(m) == sorted(m) for m in r.terms), r
+        assert all(r.terms.values()), r
+    assert not (p - p).terms and not (p * 0).terms and (p + 0) == p

@@ -143,3 +143,46 @@ def test_verify_integer_constants_are_the_allowed_ones():
             if type(value) is int:
                 found.update(t.id for t in targets)
     assert found == {"INNER_SUPPORT_CAP", "IDEAL_BOX_ENLARGE"}
+
+
+def _cached_proofs(source):
+    """Where ``source`` memoises a proof outside a run's ``Proofs``: a def
+    named ``*_holds`` or ``*_identities`` with a cache decorator, rebound
+    at module level, or a function that names such a proof and also a
+    module-level dict."""
+    tree = ast.parse(source)
+    proof = re.compile(r"_(holds|identities)$")
+    dict_call = re.compile(r"\b(dict|defaultdict|OrderedDict|Counter)$")
+    dicts = {t.id for node in tree.body if isinstance(node, ast.Assign)
+             and (isinstance(node.value, (ast.Dict, ast.DictComp))
+                  or isinstance(node.value, ast.Call) and dict_call.search(ast.unparse(node.value.func)))
+             for t in node.targets if isinstance(t, ast.Name)}
+    found = ["rebinds %s" % t.id for node in tree.body if isinstance(node, ast.Assign)
+             for t in node.targets if isinstance(t, ast.Name) and proof.search(t.id)]
+    for fn in ast.walk(tree):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        if proof.search(fn.name):
+            found.extend("%s: @%s" % (fn.name, ast.unparse(d)) for d in fn.decorator_list
+                         if re.search(r"\b(cache|lru_cache|cached_property)\b", ast.unparse(d)))
+        names = {n.id for n in ast.walk(fn) if isinstance(n, ast.Name)}
+        if any(proof.search(n) for n in names | {fn.name}):
+            found.extend("%s reads %s" % (fn.name, d) for d in sorted(names & dicts))
+    return found
+
+
+def test_no_proof_is_cached_at_module_level():
+    # A proof kept in the module would hide a patched function behind an
+    # old answer; a run keeps its proofs in its own Proofs value.
+    with open(os.path.join(SOURCE_DIR, "verify.py")) as fh:
+        source = fh.read()
+    assert _cached_proofs(source) == []
+    # The guard sees each way of caching one.
+    assert _cached_proofs("import functools\n@functools.lru_cache(None)\n"
+                          "def _f_identity_holds():\n    return True\n")
+    assert _cached_proofs("def _f_identity_holds():\n    return True\n"
+                          "_f_identity_holds = functools.cache(_f_identity_holds)\n")
+    assert _cached_proofs("_DONE = {}\ndef cite():\n"
+                          "    return _DONE.setdefault(1, _homotopy_identity_holds())\n")
+    assert _cached_proofs("_DONE = dict()\ndef _omega_identities(free):\n"
+                          "    return _DONE[free]\n")
