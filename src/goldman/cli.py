@@ -34,12 +34,10 @@ Reports are deterministic for a fixed config: no timestamps, dictionary
 output is key-sorted, and suites are reported in a fixed order.  No
 check samples (``bracket``, ``complex`` and ``linext`` are proved over
 formal symbols, ``goldman.formal``), so ``--seed`` is only recorded.
-A command forks at most one pool, a worker per CPU in the
-affinity mask (``verify.fan_out``), for the gradings of ``homology`` or
-every unit of ``verify`` (inner, outer and omega gradings first); the
-bytes are those of a serial run, which ``taskset -c 0`` gives.  Exit
-status: 0 when nothing failed, 2 when some check was inconclusive at the
-truncation, 1 on a refuted check or any error.
+A command runs in one process: each suite once, in report order, and
+each grading once within its suite.  Exit status: 0 when nothing failed,
+2 when some check was inconclusive at the truncation, 1 on a refuted
+check or any error.
 """
 
 import argparse
@@ -67,7 +65,6 @@ from .verify import (
     _certify_or_refute,
     _formal_check,
     _inner_params,
-    fan_out,
     gk_cycle_check,
     h1_check,
     inner_h2_certify,
@@ -80,12 +77,6 @@ from .verify import (
 
 SUITES = ("bracket", "complex", "inner", "outer", "gk", "surface",
           "omega", "h1", "linext")
-
-# Queue ranks of the suites with a unit per grading, heaviest first (run
-# serially, a surface(2,3) box-2 inner unit takes 3-9 outer units' time,
-# and an outer unit about 2 omega units'); the others rank 3 and keep
-# their report order (the sort is stable).
-HEAVY_FIRST = {"inner": 0, "outer": 1, "omega": 2}
 
 # Per-suite grading caps for default and all-in-box sweeps.  Explicit
 # --grading vectors bypass these.
@@ -317,7 +308,7 @@ def _graded(check, certify, spec, z, box, proofs):
         certify, spec, z, box, proofs)
 
 
-def run_inner_suite(spec, gradings, box, fan=fan_out, proofs=None):
+def run_inner_suite(spec, gradings, box, proofs=None):
     if spec.mu_is_zero():
         return [_skip("inner-isomorphism", "the form vanishes; no wedge is derived", spec, box)]
     zs = [z for z in gradings if z.in_kernel_mu()]
@@ -336,9 +327,9 @@ def run_inner_suite(spec, gradings, box, fan=fan_out, proofs=None):
             {"note": "grading outside the inner cycle box of radius %d, the largest within "
                      "--box and INNER_SUPPORT_CAP = %d elements" % (eff, INNER_SUPPORT_CAP),
              "skipped_gradings": skipped, "effective_radius": eff}))
-    out.extend(fan(lambda z: _certify_or_refute(
+    out.extend(_certify_or_refute(
         "inner-isomorphism", functools.partial(_inner_params, spec, z, box),
-        _inner_entry, spec, z, box, proofs), [z for z in zs if list(z.coords) not in skipped]))
+        _inner_entry, spec, z, box, proofs) for z in zs if list(z.coords) not in skipped)
     return out
 
 
@@ -348,11 +339,11 @@ def _inner_entry(spec, z, box, proofs):
     return inner.result
 
 
-def run_outer_suite(spec, gradings, box, fan=fan_out, proofs=None):
+def run_outer_suite(spec, gradings, box, proofs=None):
     zs = [z for z in gradings if z.is_derived_element()]
     if not zs:
         return [_skip("outer-exactness", "no derived gradings selected", spec, box)]
-    return fan(lambda z: _graded("outer-exactness", outer_h2_certify, spec, z, box, proofs), zs)
+    return [_graded("outer-exactness", outer_h2_certify, spec, z, box, proofs) for z in zs]
 
 
 def run_gk_suite(spec, gradings, box):
@@ -367,13 +358,13 @@ def run_gk_suite(spec, gradings, box):
         gk_cycle_check, spec, u, z, box) for z in zs]
 
 
-def run_omega_suite(spec, gradings, box, fan=fan_out, proofs=None):
+def run_omega_suite(spec, gradings, box, proofs=None):
     if spec.mu_is_zero():
         return [_skip("omega-class", "the form vanishes; omega is identically zero", spec, box)]
     zs = [z for z in gradings if z.in_kernel_mu()]
     if not zs:
         return [_skip("omega-class", "no radical gradings selected", spec, box)]
-    return fan(lambda z: _graded("omega-class", omega_check, spec, z, box, proofs), zs)
+    return [_graded("omega-class", omega_check, spec, z, box, proofs) for z in zs]
 
 
 def run_h1_suite(spec, gradings, box, proofs=None):
@@ -404,13 +395,12 @@ def run_linext_suite(spec, box):
 
 
 def build_verify_tasks(spec, source, args, selection):
-    """One (name, plan) per suite, in report order, and the report notes.
+    """One (name, run) per suite, in report order, and the report notes.
 
-    plan(fan) gives the suite's results and units (callables returning a
-    list of results): a unit per grading of omega, outer and inner, made
-    by ``fan``, else one.  Each sweeping suite takes its gradings from
-    resolve_selection at its own cap; inner, outer, omega and h1 cite
-    one ``Proofs``.
+    run() gives the suite's results; it looks its runner up in this
+    module when called, so a runner patched here is the one that runs.
+    Each sweeping suite takes its gradings from resolve_selection at its
+    own cap; inner, outer, omega and h1 cite one ``Proofs``.
     """
     suites = SUITES if args.suite == "all" else (args.suite,)
     swept = selection in (None, "all-in-box")
@@ -426,18 +416,18 @@ def build_verify_tasks(spec, source, args, selection):
             notes[name] = {"gradings_capped_at": cap}
     h1_gradings = picks.get("h1", None if swept else list(selection))
     proofs = Proofs()
-    plans = {
-        "bracket": lambda fan: [lambda: [run_bracket_suite()]],
-        "complex": lambda fan: [lambda: [run_complex_suite()]],
-        "inner": lambda fan: run_inner_suite(spec, picks["inner"], args.box, fan, proofs),
-        "outer": lambda fan: run_outer_suite(spec, picks["outer"], args.box, fan, proofs),
-        "gk": lambda fan: [lambda: run_gk_suite(spec, picks["gk"], args.box)],
-        "omega": lambda fan: run_omega_suite(spec, picks["omega"], args.box, fan, proofs),
-        "h1": lambda fan: [lambda: run_h1_suite(spec, h1_gradings, args.box, proofs)],
-        "surface": lambda fan: [lambda: run_surface_suite(spec, source)],
-        "linext": lambda fan: [lambda: run_linext_suite(spec, args.box)],
+    runs = {
+        "bracket": lambda: [run_bracket_suite()],
+        "complex": lambda: [run_complex_suite()],
+        "inner": lambda: run_inner_suite(spec, picks["inner"], args.box, proofs),
+        "outer": lambda: run_outer_suite(spec, picks["outer"], args.box, proofs),
+        "gk": lambda: run_gk_suite(spec, picks["gk"], args.box),
+        "omega": lambda: run_omega_suite(spec, picks["omega"], args.box, proofs),
+        "h1": lambda: run_h1_suite(spec, h1_gradings, args.box, proofs),
+        "surface": lambda: run_surface_suite(spec, source),
+        "linext": lambda: run_linext_suite(spec, args.box),
     }
-    return [(name, plans[name]) for name in suites], notes
+    return [(name, runs[name]) for name in suites], notes
 
 
 # ---------------------------------------------------------------------------
@@ -634,29 +624,20 @@ def cmd_homology(args):
         }, args, fh)
 
 
-def _as_units(fn, items):
-    return [(lambda x=x: [fn(x)]) for x in items]
-
-
 def cmd_verify(args):
     spec, source = load_spec(args)
     _check_box_budget(spec, args.box)
     selection, label = parse_gradings(spec, args.grading)
     with report_file(args) as fh:
         tasks, notes = build_verify_tasks(spec, source, args, selection)
-        # Plan every suite here, then run all units in one queue, heaviest first.
-        plans = [(name, plan(_as_units)) for name, plan in tasks]
-        queue = [e for _, entries in sorted(plans, key=lambda p: HEAVY_FIRST.get(p[0], 3))
-                 for e in entries if callable(e)]
-        done = dict(zip(queue, fan_out(lambda unit: unit(), queue)))
+        results = [r for _, run in tasks for r in run()]
         return emit({
             "command": "verify",
             "config": {"source": source, "box": args.box, "seed": args.seed,
                        "suite": args.suite, "gradings": label},
             "group": spec.describe(),
             "notes": notes,
-            "results": [r.to_dict() for _, entries in plans for e in entries
-                        for r in (done[e] if callable(e) else [e])],
+            "results": [r.to_dict() for r in results],
         }, args, fh)
 
 

@@ -62,8 +62,7 @@ class CertificateError(Exception):
     """
 
     def __init__(self, identity):
-        # Only the identity goes into ``args``, so the error pickles back
-        # to itself and crosses from a worker process unchanged.
+        # Only the identity goes into ``args``, so the error pickles back to itself.
         super().__init__(identity)
         self.identity = identity
 

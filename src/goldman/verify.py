@@ -91,7 +91,6 @@ import collections
 import functools
 import itertools
 import math
-import os
 import types
 from fractions import Fraction
 
@@ -245,20 +244,6 @@ class Proofs:
         if key not in self._proved:
             self._proved[key] = prove(*args)
         return self._proved[key]
-
-
-def fan_out(fn, items):
-    """[fn(x) for x in items], in input order, for independent units (the
-    one queue of ``verify`` or the gradings of ``homology``): in forked
-    workers (``goldman.pool``) with two or more items and CPUs in the
-    affinity mask, else here, with the same results (`taskset -c 0`).
-    Each worker proves what it cites of the run's ``Proofs`` once."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    workers = min(len(items), cpus)
-    if workers < 2:
-        return [fn(x) for x in items]
-    from goldman import pool
-    return pool.fan_out(fn, items, workers)
 
 
 # ---------------------------------------------------------------------------
@@ -1073,9 +1058,9 @@ def main_theorem_check(spec, gradings, box_radius):
              "h2_dim": len(enumerate_basis(support, 2, z))})
             for z in gradings]
     proofs = Proofs()
-    return fan_out(lambda z: _certify_or_refute(
+    return [_certify_or_refute(
         "main-theorem", functools.partial(_inner_params, spec, z, box_radius),
-        _main_theorem_entry, spec, support, z, box_radius, proofs), gradings)
+        _main_theorem_entry, spec, support, z, box_radius, proofs) for z in gradings]
 
 
 def _main_theorem_entry(spec, support, z, box_radius, proofs):

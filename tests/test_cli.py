@@ -797,11 +797,10 @@ _PROOFS = ("_homotopy_identity_holds", "_kernel_identities", "_f_identity_holds"
       "_omega_identities": 2}),
 ], ids=["homology-s12", "golden"])
 def test_a_command_proves_each_identity_once(argv, golden, counts, monkeypatch, capsys):
-    # One Proofs value per command: run serially, the 64 gradings of
-    # homology-s12 prove the homotopy identity and check the group's
-    # kernels once between them, and golden proves omega's identities
-    # once per kind of grading (torsion, free); the bytes do not move.
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    # One Proofs value per command: the 64 gradings of homology-s12
+    # prove the homotopy identity and check the group's kernels once
+    # between them, and golden proves omega's identities once per kind
+    # of grading (torsion, free); the bytes do not move.
     calls = dict.fromkeys(_PROOFS, 0)
 
     def counted(name, prove):
@@ -817,6 +816,76 @@ def test_a_command_proves_each_identity_once(argv, golden, counts, monkeypatch, 
     with open(os.path.join(os.path.dirname(__file__), "golden", golden)) as fh:
         assert out == fh.read()
     assert calls == dict(dict.fromkeys(_PROOFS, 0), **counts)
+
+
+@pytest.mark.parametrize("argv, golden", [
+    (["homology", "--surface", "1,2", "--box", "3"], "homology_surface12_box3.json"),
+    (["verify", "--suite", "all", "--surface", "2,3", "--box", "2", "--seed", "1"],
+     "verify_all_surface23_box2_seed1.json"),
+], ids=["homology-s12", "golden"])
+def test_no_command_forks(argv, golden, monkeypatch, capsys):
+    # Every suite and grading runs in this process: with os.fork
+    # refusing, both committed reports come out byte for byte.
+    def refuse():
+        raise AssertionError("a command forked")
+
+    monkeypatch.setattr(os, "fork", refuse)
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert (code, err) == (0, "")
+    with open(os.path.join(os.path.dirname(__file__), "golden", golden)) as fh:
+        assert out == fh.read()
+
+
+def test_verify_calls_each_patched_runner_once_in_report_order(monkeypatch, capsys):
+    # The runners are looked up on goldman.cli when each suite runs, as
+    # bench/probe.py and bench/hooks.py need: wrapped there, each is
+    # called once, in report order, and the report does not move.
+    code, want, _ = run(capsys, "verify", "--suite", "all", "--surface", "2,3", "--box", "1")
+    calls = []
+    for suite in cli.SUITES:
+        runner = getattr(cli, "run_%s_suite" % suite)
+        monkeypatch.setattr(cli, "run_%s_suite" % suite, lambda *a, _s=suite, _run=runner, **kw: (
+            calls.append(_s), _run(*a, **kw))[1])
+    assert run(capsys, "verify", "--suite", "all", "--surface", "2,3", "--box", "1") == (
+        code, want, "")
+    assert calls == list(cli.SUITES)
+
+
+def test_refuted_gradings_stay_in_their_slots(monkeypatch):
+    # A homotopy mutant refutes outer gradings, and main-theorem's outer
+    # gradings, in the slots of their gradings; the inner grading
+    # between them still certifies.
+    phi2_keys = verify.ContractingHomotopy.phi2_keys
+    monkeypatch.setattr(verify.ContractingHomotopy, "phi2_keys", lambda self, terms: {
+        key: 2 * c for key, c in phi2_keys(self, terms).items()})
+    z2 = symplectic_z2()
+    outer = cli.run_outer_suite(z2, [z2.element(c) for c in ([1, 0], [0, 1], [1, 1])], 1)
+    s = surface_presentation(1, 2)
+    gradings = [s.element(c) for c in ([1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0])]
+    theorem = verify.main_theorem_check(s, gradings, 1)
+    outer, theorem = [r.to_dict() for r in outer], [r.to_dict() for r in theorem]
+    assert [r["params"]["z"] for r in outer] == [[1, 0], [0, 1], [1, 1]]
+    assert all(r["verdict"] == "refuted"
+               and r["details"] == {"failed_identity": "d(Phi_2(c)) = c"} for r in outer)
+    assert [r["params"]["z"] for r in theorem] == [list(z.coords) for z in gradings]
+    assert [r["verdict"] for r in theorem] == ["refuted", "certified", "refuted"]
+    assert theorem[1]["details"]["component"] == "inner"
+
+
+def test_an_error_in_one_grading_is_raised_in_the_caller(monkeypatch):
+    # Only a CertificateError becomes a refuted entry; any other error
+    # in one grading reaches the caller of the suite unchanged.
+    certify = cli.outer_h2_certify
+
+    def broken(spec, z, box, proofs):
+        if z.coords == (0, 1):
+            raise ValueError("no homotopy for z = %s" % (list(z.coords),))
+        return certify(spec, z, box, proofs)
+
+    monkeypatch.setattr(cli, "outer_h2_certify", broken)
+    z2 = symplectic_z2()
+    with pytest.raises(ValueError, match=r"^no homotopy for z = \[0, 1\]$"):
+        cli.run_outer_suite(z2, [z2.element(c) for c in ([1, 0], [0, 1], [1, 1])], 1)
 
 
 def test_a_patch_between_runs_is_seen_by_the_next_run(monkeypatch, capsys):
@@ -1064,7 +1133,7 @@ def test_verify_inner_skips_unreachable_grading(tmp_path, capsys):
 ], ids=["verify-all", "homology"])
 def test_no_command_builds_a_wedge(argv, monkeypatch, capsys):
     # Every command runs on wedge keys: with the Wedge constructor
-    # refusing (in forked workers too), the report is the same.
+    # refusing, the report is the same.
     code, want, _ = run(capsys, *argv)
     assert code == 0
 

@@ -72,41 +72,30 @@ def test_only_the_definition_and_the_package_name_wedge():
     assert not found, "Wedge named outside its definition: " + ", ".join(found)
 
 
-def test_process_pool_is_imported_only_inside_fan_out():
-    # A single-grading run must not pay for the pool: os.fork, pickle and
-    # select are named only in goldman/pool.py, which only the body of
-    # verify.fan_out imports, when it forks, and no module imports
-    # multiprocessing or concurrent, anywhere.
-    pool_names = re.compile(r"\bos\.fork\b|\bpickle\b|\bselect\b")
-    found, pool_imports = [], []
+def test_no_module_forks_or_spawns():
+    # Every command runs in one process: no module imports a process,
+    # thread or pickling library, or names os.fork.
+    banned = ("pickle", "select", "multiprocessing", "concurrent", "threading", "subprocess")
+    found = []
     for name in sorted(os.listdir(SOURCE_DIR)):
         if not name.endswith(".py"):
             continue
         with open(os.path.join(SOURCE_DIR, name)) as fh:
             text = fh.read()
-        tree = ast.parse(text, filename=name)
-        for node in ast.walk(tree):
-            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+        for node in ast.walk(ast.parse(text, filename=name)):
+            if isinstance(node, ast.Import):
+                modules = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""] + ["%s.%s" % (node.module, a.name)
+                                                 for a in node.names]
+            else:
                 continue
-            modules = ([a.name for a in node.names] if isinstance(node, ast.Import)
-                       else ["%s.%s" % (node.module, a.name) for a in node.names])
             found.extend("%s:%d imports %s" % (name, node.lineno, m) for m in modules
-                         if m.split(".")[0] in ("multiprocessing", "concurrent"))
-            pool_imports.extend((name, node.lineno) for m in modules if m.endswith(".pool"))
-        if name == "verify.py":
-            (fan_out,) = [node for node in tree.body
-                          if isinstance(node, ast.FunctionDef) and node.name == "fan_out"]
-            body = range(fan_out.body[0].lineno, fan_out.end_lineno + 1)
-        if name != "pool.py":
-            found.extend("%s:%d names %s" % (name, lineno, m.group())
-                         for lineno, line in enumerate(text.splitlines(), 1)
-                         for m in pool_names.finditer(line))
-    assert not found, "process pool outside goldman/pool.py: " + ", ".join(found)
-    ((where, lineno),) = pool_imports
-    assert where == "verify.py" and lineno in body
-    with open(os.path.join(SOURCE_DIR, "pool.py")) as fh:
-        text = fh.read()
-    assert "import pickle" in text and "import select" in text and "os.fork()" in text
+                         if m.split(".")[0] in banned or m.startswith("os.fork"))
+        found.extend("%s:%d names %s" % (name, lineno, m.group())
+                     for lineno, line in enumerate(text.splitlines(), 1)
+                     for m in re.finditer(r"\bos\.fork\w*", line))
+    assert not found, "process machinery in src/goldman: " + ", ".join(found)
 
 
 def test_readme_shared_flags_are_the_parser_flags():
