@@ -221,17 +221,18 @@ def resolve_selection(spec, selection, radius, cap):
     of one suite, at most ``cap`` of them for a default or all-in-box
     sweep, and whether the sweep was cut.  Explicit vectors run in full.
 
-    The sweeps take a prefix of the box in weight order (sorted once
-    per box by ``box_by_weight``).  The default order is the zero, the
-    radical generators g and 2g that lie in the box (four elements at
-    most), then the derived elements by sort key; it is capped only when
-    the radical head alone exceeds the cap.
+    The sweeps read a prefix of the box in weight order, walked lazily
+    by ``box_by_weight``, so no box is built.  The default order is the
+    zero, the radical generators g and 2g that lie in the box (four
+    elements at most), then the derived elements by sort key; it is
+    capped only when the radical head alone exceeds the cap.
     """
     if selection not in (None, "all-in-box"):
         return list(selection), False
     ordered = box_by_weight(spec, radius)
     if selection == "all-in-box":
-        return ordered[:cap], len(ordered) > cap
+        picks = list(itertools.islice(ordered, cap + 1))
+        return picks[:cap], len(picks) > cap
     head = [spec.zero]
     for g in spec.kernel_basis_elements():
         for cand in (g, g + g):

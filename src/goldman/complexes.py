@@ -34,13 +34,14 @@ bases and walks of ``goldman.verify`` read that one stream; ``_slice_size``
 counts the degree-2 keys of a box without walking them.
 
 Supports are truncated to finite boxes.  A box is enumerated at most
-once per group and radius and kept on the group, in coordinate order
-and, when asked for, in weight order; a box over the element budget is
-refused before anything is enumerated.  The boundary of a truncated
-chain may leave the enumerated support; terms are kept rather than
-dropped, so a rank computation never silently loses boundary mass.
-A cochain is a rule on wedge keys, evaluated lazily and cached, so it
-is defined on every wedge and has no truncation edge.
+once per group and radius and kept on the group, in coordinate order;
+``box_by_weight`` walks its weight order lazily and builds no box.  A
+box over the element budget is refused before anything is enumerated.
+The boundary of a truncated chain may leave the enumerated support;
+terms are kept rather than dropped, so a rank computation never
+silently loses boundary mass.  A cochain is a rule on wedge keys,
+evaluated lazily and cached, so it is defined on every wedge and has
+no truncation edge.
 
 >>> from goldman.groups import GroupSpec
 >>> z2 = GroupSpec(2, form=[[0, 1], [-1, 0]])
@@ -450,28 +451,14 @@ def _slice_size(spec, radius, z):
 
 
 def _check_box_budget(spec, radius):
-    """Raise ValueError when box(radius) has more than BOX_BUDGET elements."""
+    """Raise ValueError for a negative radius, or when box(radius) has
+    more than BOX_BUDGET elements."""
+    if radius < 0:
+        raise ValueError("radius must be nonnegative")
     size = _box_size(spec, radius)
     if size > BOX_BUDGET:
         raise ValueError("box of radius %d has %d elements, over the budget of %d"
                          % (radius, size, BOX_BUDGET))
-
-
-def _box(spec, radius):
-    """The memo entry [box, weight order or None] of box(radius) on the
-    spec, built on first use and never handed out itself."""
-    entry = spec._boxes.get(radius)
-    if entry is not None:
-        return entry
-    if radius < 0:
-        raise ValueError("radius must be nonnegative")
-    _check_box_budget(spec, radius)
-    # Per coordinate its canonical values, increasing, so the product
-    # runs through the box in sorted order.
-    box = [GroupElement(spec, coords) for coords in itertools.product(*(
-        range(-radius, radius + 1) if d == 0 else range(max(d, 1)) for d in spec.divisors))]
-    entry = spec._boxes[radius] = [box, None]
-    return entry
 
 
 def box_support(spec, radius):
@@ -484,17 +471,42 @@ def box_support(spec, radius):
     list of the shared elements.  A box of more than ``BOX_BUDGET``
     elements raises ValueError before anything is enumerated.
     """
-    return list(_box(spec, radius)[0])
+    box = spec._boxes.get(radius)
+    if box is None:
+        _check_box_budget(spec, radius)
+        # Per coordinate its canonical values, increasing, so the product
+        # runs through the box in sorted order.
+        box = spec._boxes[radius] = [GroupElement(spec, coords) for coords in itertools.product(
+            *(range(-radius, radius + 1) if d == 0 else range(max(d, 1)) for d in spec.divisors))]
+    return list(box)
 
 
 def box_by_weight(spec, radius):
-    """box_support(spec, radius) in ``sort_key`` order (weight, then
-    coordinates), sorted once per (spec, radius) and returned as a new
-    list."""
-    entry = _box(spec, radius)
-    if entry[1] is None:
-        entry[1] = sorted(entry[0], key=GroupElement.sort_key)
-    return list(entry[1])
+    """An iterator over box_support(spec, radius) in ``sort_key`` order
+    (weight, then coordinates), walked lazily shell by shell: no box is
+    built, and the radius and budget are checked at the call.
+
+    >>> from goldman.groups import GroupSpec
+    >>> z2 = GroupSpec(2, form=[[0, 1], [-1, 0]])
+    >>> [x.coords for x in itertools.islice(box_by_weight(z2, 1), 5)]
+    [(0, 0), (-1, 0), (0, -1), (0, 1), (1, 0)]
+    """
+    _check_box_budget(spec, radius)
+    # Per coordinate its (cost, value) pairs by ascending value: |v| free,
+    # min(v, d - v) torsion.  Coordinates j, ... reach every weight up to
+    # room[j]; shell(j, w) prunes a value whose rest of w cannot be spent.
+    choices = [[(abs(v), v) for v in range(-radius, radius + 1)] if d == 0
+               else [(min(v, d - v), v) for v in range(max(d, 1))] for d in spec.divisors]
+    room = [sum(max(c)[0] for c in choices[j:]) for j in range(len(choices) + 1)]
+
+    def shell(j, w):
+        # The values of coordinates j, ... of weight w, ascending; w = 0 is all zeros.
+        if w == 0:
+            return [(0,) * (len(choices) - j)]
+        return ((v,) + rest for cost, v in choices[j] if 0 <= w - cost <= room[j + 1]
+                for rest in shell(j + 1, w - cost))
+
+    return (GroupElement(spec, coords) for w in range(room[0] + 1) for coords in shell(0, w))
 
 
 def project_derived(c):

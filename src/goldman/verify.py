@@ -732,8 +732,8 @@ class InnerCertification:
         # The factors of W, in sort_key order (weight, then coordinates).
         elements = sorted({f for key in self.wedges for f in key},
                           key=lambda f: (weight[f], f))
-        probes = [x.coords for x in box_by_weight(spec, self.effective_radius)
-                  if x != spec.zero][:80]
+        probes = [x.coords for x in itertools.islice(  # 80 lightest; the zero is first
+            box_by_weight(spec, self.effective_radius), 1, 81)]
 
         f_rows = [f_on_ordered(self.qspace, key) for key in self.wedges]
         # Before any column is checked against f: f(G(u, v)) = 0 is a
@@ -1151,7 +1151,7 @@ def gk_cycle_check(spec, u, z, box_radius):
         # The z part collapses to the ideal generator G(u, u), whose
         # probe witness runs through box(1) and needs no truncated span.
         found = part_z == _generator_keys(spec, zc, uc, uc) and _generator_witness(
-            spec, zc, uc, uc, [x.coords for x in box_by_weight(spec, 1)])
+            spec, zc, uc, uc, (x.coords for x in box_by_weight(spec, 1)))
         if not found:
             return CheckResult(
                 "gk-cycle", params, INCONCLUSIVE,
@@ -1512,7 +1512,7 @@ def h1_check(spec, box_radius, gradings, proofs=None):
         "h1-center", {"spec": spec.label, "box": box_radius, "gradings": len(gradings)},
         [*(proofs or Proofs()).cite(_kernel_identities, spec),
          ("<u, z-u> = 0 in a radical grading", not formal.pairing(generic, radical - generic))])
-    units = box_by_weight(spec, 1)
+    units = list(box_by_weight(spec, 1))
     entries = []
     for z in gradings:
         if z.in_kernel_mu():

@@ -115,11 +115,12 @@ def test_mismatched_specs_are_rejected():
 
 # Per kind: a small label pool on a spec, the constructor, the label key.
 COMBINATIONS = {
-    "vector": (lambda spec: box_by_weight(spec, 1)[:4],
+    "vector": (lambda spec: list(itertools.islice(box_by_weight(spec, 1), 4)),
                AlgebraVector,
                lambda x: x.coords),
     "chain": (lambda spec: [tuple(sorted(x.coords for x in pair)) for pair in
-                            itertools.combinations(box_by_weight(spec, 1)[:4], 2)],
+                            itertools.combinations(itertools.islice(
+                                box_by_weight(spec, 1), 4), 2)],
               lambda spec, terms: WedgeChain(spec, 2, terms),
               lambda key: key),
 }

@@ -5,6 +5,7 @@ tmp_path files or captured stdout.  Oracles are the library-level dims
 already pinned in test_verify.py.
 """
 
+import argparse
 import json
 import os
 import subprocess
@@ -317,18 +318,36 @@ def reference_selection(spec, selection, radius, cap):
     (symplectic_z2(), 3), (z2_z2torsion(), 2), (z3_rank2_form(), 1),
     (torsion_only(), 1)])
 def test_one_sort_gives_every_cap_its_selection(spec, radius):
-    caps = set(range(1, 40)) | {64, 200}
-    for selection in (None, "all-in-box"):
-        for cap in caps:
-            assert resolve_selection(spec, selection, radius, cap) == reference_selection(
-                spec, selection, radius, cap), (selection, cap)
-    # Every cap reads the one weight order kept on the spec.
-    order = spec._boxes[radius][1]
-    resolve_selection(spec, None, radius, 3)
-    assert order is not None and spec._boxes[radius][1] is order
+    caps = sorted(set(range(1, 40)) | {64, 200})
+    got = {(selection, cap): resolve_selection(spec, selection, radius, cap)
+           for selection in (None, "all-in-box") for cap in caps}
+    # Every cap reads a prefix of the lazy weight walk: the selection
+    # builds no box (reference_selection below does).
+    assert radius not in spec._boxes
+    for (selection, cap), picks in got.items():
+        assert picks == reference_selection(spec, selection, radius, cap), (selection, cap)
     explicit = [spec.zero]
     for cap in (2, 3):
         assert resolve_selection(spec, explicit, radius, cap) == (explicit, False)
+
+
+def test_default_selection_reads_only_the_lightest_gradings(monkeypatch):
+    spec = surface_presentation(2, 3)
+    built = []
+    init = groups.GroupElement.__init__
+
+    def counting_init(self, spec, coords):
+        built.append(coords)
+        init(self, spec, coords)
+
+    monkeypatch.setattr(groups.GroupElement, "__init__", counting_init)
+    args = argparse.Namespace(suite="all", box=2)
+    tasks, notes = cli.build_verify_tasks(spec, "surface 2,3", args, None)
+    assert [name for name, _ in tasks] == list(cli.SUITES)
+    assert notes["h1"] == {"gradings_capped_at": cli.SWEEP_CAPS["h1"]}
+    # No box is built: sorting box(2) would build all its 15,625 elements.
+    assert spec._boxes == {}
+    assert 0 < len(built) < 1000
 
 
 def test_h1_certifies_surface10_at_box1(capsys):

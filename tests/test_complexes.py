@@ -352,12 +352,28 @@ def test_box_support_sizes():
     assert box_support(POOL[0], 0) == [POOL[0].zero]
 
 
-@pytest.mark.parametrize("radius", [0, 1, 2])
+@pytest.mark.parametrize("radius", [0, 1, 2, 3])
 def test_box_orders_match_sorted(radius):
-    for spec in POOL:
+    # Fresh specs, so no radius-3 box stays on POOL.  Free, even and odd
+    # torsion, and surface(2,3)'s d = 1 coordinate.
+    specs = spec_pool() + [GroupSpec(3, relations=[[0, 0, 5]],
+                                     form=[[0, 1, 0], [-1, 0, 0], [0, 0, 0]])]
+    assert any(1 in s.divisors for s in specs)
+    assert {d % 2 for s in specs for d in s.divisors if d > 1} == {0, 1}
+    for spec in specs:
         box = box_support(spec, radius)
         assert box == sorted(box)
-        assert box_by_weight(spec, radius) == sorted(box, key=lambda e: e.sort_key())
+        assert list(box_by_weight(spec, radius)) == sorted(box, key=lambda e: e.sort_key())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(0, 6), min_size=1, max_size=4), st.integers(0, 3))
+def test_weight_walk_is_the_sorted_box_for_any_divisors(diagonal, radius):
+    n = len(diagonal)
+    spec = GroupSpec(n, relations=[[d if i == j else 0 for j in range(n)]
+                                   for i, d in enumerate(diagonal) if d])
+    box = box_support(spec, radius)
+    assert list(box_by_weight(spec, radius)) == sorted(box, key=lambda e: e.sort_key())
 
 
 def test_box_is_built_once_and_never_mutated():
@@ -367,12 +383,13 @@ def test_box_is_built_once_and_never_mutated():
     first.append(spec.zero)
     again = box_support(spec, 1)
     assert again == sorted(again) and len(again) == 9
-    # One set of elements per (spec, radius), in both orders.
+    # One set of elements per (spec, radius) in coordinate order; the
+    # weight walk yields equal elements, and each walk starts whole.
     assert all(a is b for a, b in zip(again, box_support(spec, 1)))
-    ordered = box_by_weight(spec, 1)
-    assert {id(x) for x in ordered} == {id(x) for x in again}
-    ordered.clear()
-    assert len(box_by_weight(spec, 1)) == 9
+    walk = box_by_weight(spec, 1)
+    assert set(walk) == set(again)
+    assert next(walk, None) is None
+    assert len(list(box_by_weight(spec, 1))) == 9
 
 
 def test_box_over_the_budget_is_refused_before_enumeration():
@@ -420,7 +437,7 @@ def test_enumerate_basis_matches_bruteforce():
 def test_enumerate_keys_is_a_lazy_filter_of_combinations(spec):
     # Every factor comes from the pool.
     rng = random.Random(22)
-    pool = sorted(x.coords for x in box_by_weight(spec, 1)[:7])
+    pool = sorted(x.coords for x in itertools.islice(box_by_weight(spec, 1), 7))
     add = spec.add_coords
     found = 0
     for p in (1, 2, 3, 4):
