@@ -30,7 +30,6 @@ from goldman.complexes import (
     enumerate_basis,
     box_support,
     box_by_weight,
-    project_derived,
 )
 from goldman.verify import (
     CERTIFIED,
@@ -40,17 +39,14 @@ from goldman.verify import (
     CheckResult,
     QuotientTensorSpace,
     f_map,
-    g_map,
     ideal_membership,
     ContractingHomotopy,
-    contracting_homotopy,
     inner_h2_certify,
     outer_h2_certify,
     main_theorem_check,
     gk_cycle_check,
     surface_generator_check,
     linear_extension_check,
-    omega_cocycle,
     omega_check,
     h1_check,
 )
@@ -73,7 +69,6 @@ __all__ = [
     "enumerate_basis",
     "box_support",
     "box_by_weight",
-    "project_derived",
     "CERTIFIED",
     "REFUTED",
     "INCONCLUSIVE",
@@ -81,17 +76,14 @@ __all__ = [
     "CheckResult",
     "QuotientTensorSpace",
     "f_map",
-    "g_map",
     "ideal_membership",
     "ContractingHomotopy",
-    "contracting_homotopy",
     "inner_h2_certify",
     "outer_h2_certify",
     "main_theorem_check",
     "gk_cycle_check",
     "surface_generator_check",
     "linear_extension_check",
-    "omega_cocycle",
     "omega_check",
     "h1_check",
 ]

@@ -55,16 +55,15 @@ from .groups import GroupSpec, surface_presentation
 from .verify import (
     CERTIFIED,
     INCONCLUSIVE,
-    INNER_SUPPORT_CAP,
     NOT_APPLICABLE,
     REFUTED,
     CertificateError,
     CheckResult,
     Proofs,
-    _capped_radius,
     _certify_or_refute,
     _formal_check,
     _inner_params,
+    _inner_radius,
     gk_cycle_check,
     h1_check,
     inner_h2_certify,
@@ -318,7 +317,7 @@ def run_inner_suite(spec, gradings, box, proofs=None):
     # Gradings outside the capped support cannot receive any ideal
     # column (every candidate leaves the box), so report them as out of
     # reach instead of scanning to a foregone inconclusive.
-    eff = _capped_radius(spec, box, INNER_SUPPORT_CAP)
+    eff, cap = _inner_radius(spec, box)
     out = []
     skipped = [list(z.coords) for z in zs
                if any(abs(z.coords[j]) > eff for j in spec.free_indices)]
@@ -326,7 +325,7 @@ def run_inner_suite(spec, gradings, box, proofs=None):
         out.append(CheckResult(
             "inner-isomorphism", {"spec": spec.label, "box": box}, NOT_APPLICABLE,
             {"note": "grading outside the inner cycle box of radius %d, the largest within "
-                     "--box and INNER_SUPPORT_CAP = %d elements" % (eff, INNER_SUPPORT_CAP),
+                     "--box and INNER_SUPPORT_CAP = %d elements" % (eff, cap),
              "skipped_gradings": skipped, "effective_radius": eff}))
     out.extend(_certify_or_refute(
         "inner-isomorphism", functools.partial(_inner_params, spec, z, box),
@@ -348,7 +347,7 @@ def run_outer_suite(spec, gradings, box, proofs=None):
 
 
 def run_gk_suite(spec, gradings, box):
-    u = next((x for x in box_by_weight(spec, box) if x.is_derived_element()), None)
+    u = next((x for x in spec.units if x.is_derived_element()), None)
     if u is None:
         return [_skip("gk-cycle", "the form vanishes; g_K is everything", spec, box)]
     zs = [z for z in gradings if z.in_kernel_mu()]

@@ -22,8 +22,8 @@ factors' canonical coordinate tuples.  A chain is {key: integer} over
 one scale: ``_wedge_keys`` builds it, ``_key_boundary`` is its
 differential, and a caller divides only to serialize.  ``WedgeChain``
 ({key: Fraction}, with the arithmetic of ``goldman.algebra``) stays for
-``g_map``, ``ideal_membership`` and the benchmark hooks; no command
-builds one.
+``ideal_membership``, ``InnerCertification.boundary_witness`` and the
+benchmark hooks; no command builds one.
 
 The label sum u_1 + ... + u_p is the grading of a wedge; every term of
 d(w) has the grading of w because each summand replaces u_i, u_j by
@@ -80,7 +80,6 @@ __all__ = [
     "enumerate_basis",
     "box_support",
     "box_by_weight",
-    "project_derived",
 ]
 
 
@@ -507,16 +506,3 @@ def box_by_weight(spec, radius):
                 for rest in shell(j + 1, w - cost))
 
     return (GroupElement(spec, coords) for w in range(room[0] + 1) for coords in shell(0, w))
-
-
-def project_derived(c):
-    """Term-wise projection killing every wedge with a radical factor.
-
-    This is the chain-level projection onto wedges of derived labels;
-    composed with the inclusion of derived-only chains it is the
-    identity.
-    """
-    spec = c.spec
-    return WedgeChain._trusted(spec, c.degree, {
-        key: coeff for key, coeff in c.terms.items()
-        if all(GroupElement(spec, f).is_derived_element() for f in key)})

@@ -352,7 +352,7 @@ class GroupElement:
         """True when <self, y> = 0 for every y, i.e. self lies in the radical."""
         if self._derived is None:
             pair, coords = self.spec.pair_coords, self.coords
-            self._derived = any(pair(coords, e) for e in self.spec.unit_coords)
+            self._derived = any(pair(coords, e.coords) for e in self.spec.units)
         return not self._derived
 
     def is_derived_element(self):
@@ -425,17 +425,17 @@ class GroupSpec:
     work on canonical coordinate tuples: the coordinates of a + b and
     a - b, and the integer <a, b>.  They are the arithmetic under every
     differential and of ``GroupElement``'s sum, difference, negation and
-    radical test (``unit_coords`` holds the unit tuple of each canonical
-    index), so each spec generates them as straight-line code for its
-    own rank, torsion and form (``_coordinate_kernels``); the tests
-    check them against plain loops over ``torsion`` and the Omega~
-    entries.  ``label`` names the group in reports ("Z^3 + Z/2"); it is
-    computed once, here.
+    radical test (against ``units``), so each spec generates them as
+    straight-line code for its own rank, torsion and form
+    (``_coordinate_kernels``); the tests check them against plain loops
+    over ``torsion`` and the Omega~ entries.  ``label`` names the group
+    in reports ("Z^3 + Z/2"); it is computed once, here.  ``units``, the
+    elements of weight 1 in ``sort_key`` order, generate H.
     """
 
     __slots__ = ("n_generators", "relations", "form", "names", "snf",
                  "divisors", "free_indices", "torsion", "dead_indices",
-                 "omega_tilde", "zero", "unit_coords", "_v", "_v_inv",
+                 "omega_tilde", "zero", "units", "_v", "_v_inv",
                  "_pair_entries", "torsion_indices", "torsion_coefficients",
                  "free_rank", "label", "add_coords", "sub_coords", "pair_coords", "_boxes")
 
@@ -508,7 +508,11 @@ class GroupSpec:
             self.divisors, self._pair_entries)
         self._boxes = {}
         self.zero = GroupElement(self, (0,) * n)
-        self.unit_coords = tuple(tuple(int(i == j) for i in range(n)) for j in range(n))
+        # +-e_j on a free coordinate, e_j and (d - 1) e_j on one of order d.
+        self.units = tuple(sorted(
+            (GroupElement(self, tuple(v * (i == j) for i in range(n)))
+             for j, d in enumerate(self.divisors) if d != 1
+             for v in ({-1, 1} if d == 0 else {1, d - 1})), key=GroupElement.sort_key))
 
     def _reduce(self, coords):
         for j, d in self.torsion:

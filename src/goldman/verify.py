@@ -5,7 +5,8 @@ so every statement here is certified on a finite box with exact
 witnesses.  The certification patterns are:
 
 * Inner gradings (z in ker mu).  Every degree-2 wedge [u] ^ [z-u] is a
-  cycle, and the quotient map
+  cycle by the radical lemma <u, z-u> = 0 (``_radical_identities``),
+  and the quotient map
 
       f([u_1] ^ ... ^ [u_p]) = 1 (x) (u_1 ^ ... ^ u_{p-1})
 
@@ -34,7 +35,7 @@ witnesses.  The certification patterns are:
   are built only when a boundary witness is asked for.
 
   The rows of W are indexed heavy first.  Each row r = [a]^[z-a] with a
-  unit step e (an element of box(1) that is a factor of W) such that
+  step e (an element of box(1) that is a factor of W) such that
   x = a - e is a factor of W, x != e, and the rows of x and e come
   after r, has the triangular column G(x, e): +-1 on r and 0 before
   it.  These come first, lightest row first, so each pivots on its own
@@ -49,7 +50,7 @@ witnesses.  The certification patterns are:
   3-wedges is proved over symbols whose pairings with the radical
   symbol z vanish, for any f that is additive and kills z.  The group's
   projection kills z when it is built and is checked to be additive on
-  signed units.  No 3-wedge of the slice is scanned.
+  the units.  No 3-wedge of the slice is scanned.
 
 * Outer gradings (z not in ker mu).  A contracting homotopy (Phi_1,
   Phi_2) built from any y with lam = <y, z> != 0 satisfies
@@ -59,7 +60,7 @@ witnesses.  The certification patterns are:
   production homotopy and differential over the symbols u, y, z of
   ``FormalSpec(3)`` on [u] ^ [z-u]: no wedge of the slice is scanned.
   The group's coordinate kernels, all the proof reads of it, are checked
-  on all pairs of signed units.  The five cycle witnesses c are key
+  on all pairs of units.  The five cycle witnesses c are key
   dicts, c times its denominator, and d(D Phi_2(c)) = D c is checked on
   integers.
 
@@ -72,6 +73,10 @@ witnesses.  The certification patterns are:
   an integer functional over g = f(z), and g d(eta) = g omega is
   proved over symbols with f symbolic.  No wedge of the slice is
   scanned, and no box enters.
+
+Every y, u and pair (a, b) is read from the units (``GroupSpec.units``),
+which generate H: ``_partner`` gives the first one pairing nonzero with
+a derived grading.
 
 The closed-form checks (g_K cycle, surface, H_1) build their chains on
 keys too; no command builds a ``WedgeChain``.  The linear extension
@@ -96,7 +101,6 @@ from fractions import Fraction
 
 from goldman.algebra import AlgebraVector, in_gk
 from goldman.complexes import (
-    Cochain,
     WedgeChain,
     _boundary_terms,
     _key_boundary,
@@ -110,8 +114,6 @@ from goldman.complexes import (
     box_support,
     enumerate_basis,
     enumerate_keys,
-    project_derived,
-    wedge_chain,
 )
 from goldman.formal import FormalSpec, Poly
 from goldman.groups import GroupElement, smith_normal_form, surface_presentation
@@ -133,10 +135,8 @@ __all__ = [
     "QuotientTensorSpace",
     "f_map",
     "f_on_ordered",
-    "g_map",
     "ideal_membership",
     "ContractingHomotopy",
-    "contracting_homotopy",
     "InnerCertification",
     "inner_h2_certify",
     "outer_h2_certify",
@@ -144,7 +144,6 @@ __all__ = [
     "gk_cycle_check",
     "surface_generator_check",
     "linear_extension_check",
-    "omega_cocycle",
     "omega_check",
     "h1_check",
 ]
@@ -328,31 +327,6 @@ def _f_terms(qspace, terms):
         for j, x in enumerate(f_on_ordered(qspace, key)):
             out[j] += coeff * x
     return tuple(out)
-
-
-def g_map(qspace, terms):
-    """The section of f: (coeff, (u_1, ..., u_{p-1})) terms map to
-
-        coeff [u_1] ^ ... ^ [u_{p-1}] ^ [z - u_1 - ... - u_{p-1}],
-
-    with wedges containing a radical factor projected away (the target
-    complex has derived labels only).  In degree 2, f_map(g_map(t)) = t
-    when the lifts are derived.
-    """
-    spec = qspace.spec
-    z = qspace.z
-    out = None
-    for coeff, lifts in terms:
-        lifts = list(lifts)
-        total = spec.zero
-        for u in lifts:
-            total = total + u
-        factors = lifts + [z - total]
-        piece = project_derived(wedge_chain(spec, factors, coeff))
-        out = piece if out is None else out + piece
-    if out is None:
-        raise ValueError("empty tensor expression; pass at least one term")
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -639,13 +613,13 @@ def _d2_coefficient(spec, key):
     return sum(coeff for coeff, _ in _boundary_terms(spec, key))
 
 
-def contracting_homotopy(spec, z, search_radius):
-    """A ContractingHomotopy for grading z with y the smallest box
-    element pairing nonzero with z."""
-    for y in box_support(spec, search_radius):
-        if spec.pairing(y, z) != 0:
-            return ContractingHomotopy(spec, z, y)
-    raise ValueError("no element pairing nonzero with z in the search box")
+def _partner(spec, z):
+    """The first unit y with <y, z> != 0.  The units generate H, so a
+    derived z has one; CertificateError otherwise."""
+    pair, zc = spec.pair_coords, z.coords
+    y = next((y for y in spec.units if pair(y.coords, zc)), None)
+    _require(y is not None, "a unit pairs nonzero with a derived z")
+    return y
 
 
 # ---------------------------------------------------------------------------
@@ -655,6 +629,14 @@ def contracting_homotopy(spec, z, search_radius):
 # The most elements an inner cycle box may hold: the radius is reduced
 # until the box fits (``effective_radius``).
 INNER_SUPPORT_CAP = 1200
+
+
+def _inner_radius(spec, box_radius):
+    """(radius, cap) of the inner cycle box: the largest radius within
+    ``box_radius`` whose box fits ``INNER_SUPPORT_CAP``, and that cap.
+    The one reader of the cap, so the inner suite's skips and the
+    certification agree."""
+    return _capped_radius(spec, box_radius, INNER_SUPPORT_CAP), INNER_SUPPORT_CAP
 
 
 def _pair_order(weights):
@@ -705,7 +687,7 @@ class InnerCertification:
         self.z = z
         self.box_radius = box_radius
         self.boundary_radius = 3 * box_radius
-        self.effective_radius = _capped_radius(spec, box_radius, INNER_SUPPORT_CAP)
+        self.effective_radius, _ = _inner_radius(spec, box_radius)
         self.support = box_support(spec, self.effective_radius)
 
         derived = [x for x in self.support if x.is_derived_element()]
@@ -721,11 +703,6 @@ class InnerCertification:
         self._certify(weight, proofs)
 
     # -- construction -----------------------------------------------------
-
-    def _witness_for(self, u, v, probes):
-        """A key witness (scale, keys) of G(u, v), or None; u, v and the
-        probes are coordinate tuples."""
-        return _generator_witness(self.spec, self.z.coords, u, v, probes)
 
     def _certify(self, weight, proofs):
         spec, z = self.spec, self.z
@@ -764,9 +741,9 @@ class InnerCertification:
             return (rows.get((y, x), -1), -1) if y < x else (-1, 0)
 
         # box(1) in weight order, each e with the row of [e]^[z-e] (-1
-        # off W); the unit steps are the e on a row, the factors of W.
-        units = [(e.coords, v_row(e.coords)[0]) for e in box_by_weight(spec, 1)]
-        seeds = self._triangular_pairs(v_row, units, weight)
+        # off W); the steps are the e on a row, the factors of W.
+        steps = [(e.coords, v_row(e.coords)[0]) for e in box_by_weight(spec, 1)]
+        seeds = self._triangular_pairs(v_row, steps, weight)
         seeded = set(seeds)
         fill = ((elements[i], elements[j])
                 for i, j in _pair_order([weight[x] for x in elements]))
@@ -801,12 +778,12 @@ class InnerCertification:
                                   _inner_params(spec, z, self.box_radius),
                                   verdict, details)
 
-    def _triangular_pairs(self, v_row, units, weight):
+    def _triangular_pairs(self, v_row, steps, weight):
         """The pair (x, e) of each row's triangular column G(x, e), as
         coordinate tuples in sort_key order, lightest row first.
 
         For the row r = [a]^[z-a], and for each factor a of it in turn, e
-        is the first of ``units`` (pairs of e and the row of [e]^[z-e])
+        is the first of ``steps`` (pairs of e and the row of [e]^[z-e])
         with x = a - e a factor of W, x != e, and the rows of [x]^[z-x]
         and [e]^[z-e] both after r.  G(x, e) is then +-1 on r and 0 on
         every row before it, so columns fed from the last row up each
@@ -815,7 +792,7 @@ class InnerCertification:
         sub = self.spec.sub_coords
         pairs = []
         for r in range(len(self.wedges) - 1, -1, -1):
-            found = next(((x, e) for a in self.wedges[r] for e, row in units if row > r
+            found = next(((x, e) for a in self.wedges[r] for e, row in steps if row > r
                           for x in (sub(a, e),) if x != e and v_row(x)[0] > r),
                          None)
             if found is not None:
@@ -859,7 +836,7 @@ class InnerCertification:
             residual = span.reduce(vec)
             if not residual:
                 continue
-            witness = self._witness_for(u, v, probes)
+            witness = _generator_witness(spec, self.z.coords, u, v, probes)
             if witness is None:
                 continue
             scale, keys = witness
@@ -914,8 +891,9 @@ class InnerCertification:
         proofs = proofs or Proofs()
         # proj of a unit is read once per pair it is in: compute it once.
         proj, add = functools.cache(self.qspace.proj_coords), self.spec.add_coords
+        units = [y.coords for y in self.spec.units]
         additive = all(proj(add(a, b)) == tuple(x + y for x, y in zip(proj(a), proj(b)))
-                       for a, b in itertools.product(_signed_units(self.spec), repeat=2))
+                       for a, b in itertools.product(units, repeat=2))
         return _required([*proofs.cite(_kernel_identities, self.spec),
                           ("proj_coords is additive on signed units", additive),
                           ("f(d(w)) = 0", proofs.cite(_f_identity_holds))])
@@ -957,19 +935,26 @@ def _homotopy_identity_holds():
     return True
 
 
-def _signed_units(spec):
-    """The coordinates of the generators and their negatives."""
-    n = spec.n_generators
-    return [spec.canonical([s * (i == j) for i in range(n)]).coords
-            for j in range(n) for s in (1, -1)]
+def _radical_identities():
+    """[(name, holds)] of the radical lemma: the production d_2 of [u]^[z-u],
+    in both key orders over FormalSpec(3, radical=(0,)) with u generic,
+    is -<u, z-u> [z] for a generic z (its sign) and 0 for z = e_0.  So
+    every [u]^[z-u] of a radical grading is a cycle, in every group."""
+    spec = FormalSpec(3, radical=(0,))
+    sub, u, z = spec.sub_coords, spec.generic("u").coords, spec.generic("z").coords
+    e0 = spec.symbols()[0].coords
+    return [("<u, z-u> = 0 in a radical grading",
+             all(_boundary_terms(spec, key) == [(-spec.pair_coords(*key), (z,))]
+                 for key in ((u, sub(z, u)), (sub(z, u), u)))
+             and not any(_d2_coefficient(spec, key) for key in ((u, sub(e0, u)), (sub(e0, u), u))))]
 
 
 def _kernel_identities(spec):
     """(name, holds) of the coordinate kernels against ``spec.canonical``
-    and the Omega~ loop on all pairs of signed units: what the formal
-    identities read of a group."""
+    and the Omega~ loop on all pairs of signed units (``spec.units``):
+    what the formal identities read of a group."""
     n, om, canonical = spec.n_generators, spec.omega_tilde, spec.canonical
-    units = _signed_units(spec)
+    units = [y.coords for y in spec.units]
     references = (
         ("add_coords = canonical a + b on signed units", spec.add_coords,
          lambda a, b: canonical([x + y for x, y in zip(a, b)]).coords),
@@ -998,13 +983,10 @@ def outer_h2_certify(spec, z, box_radius, proofs=None):
         [*proofs.cite(_kernel_identities, spec),
          ("Phi_1 d_2 + d_3 Phi_2 = id", proofs.cite(_homotopy_identity_holds))])
 
-    # The y's are the first ones in weight order that pair nonzero with z.
+    # The y's are the first two units pairing nonzero with z (-y is one).
     pair, zc = spec.pair_coords, z.coords
-    ys = list(itertools.islice(
-        (y for y in box_by_weight(spec, max(box_radius, 1)) if pair(y.coords, zc)),
-        2))
-    if not ys:
-        raise ValueError("no y with <y, z> != 0 in the box")
+    y = _partner(spec, z)
+    ys = [y, next(x for x in spec.units if y < x and pair(x.coords, zc))]
 
     # d_2([u] ^ [v]) = -<u, v> [z], so the cycles miss one dimension when
     # some wedge has d_2 != 0.  The first one pivots, the next five others
@@ -1058,13 +1040,17 @@ def main_theorem_check(spec, gradings, box_radius):
              "h2_dim": len(enumerate_basis(support, 2, z))})
             for z in gradings]
     proofs = Proofs()
+    radical = [x.coords for x in support if x.in_kernel_mu()]
     return [_certify_or_refute(
         "main-theorem", functools.partial(_inner_params, spec, z, box_radius),
-        _main_theorem_entry, spec, support, z, box_radius, proofs) for z in gradings]
+        _main_theorem_entry, spec, radical, z, box_radius, proofs) for z in gradings]
 
 
-def _main_theorem_entry(spec, support, z, box_radius, proofs):
-    """The main-theorem entry of one grading of a nonzero form."""
+def _main_theorem_entry(spec, radical, z, box_radius, proofs):
+    """The main-theorem entry of one grading of a nonzero form.  In a
+    radical grading a wedge is all-radical or all-derived (z - u is
+    radical exactly when u is) and a cycle by the radical lemma; the
+    radical ones are counted on ``radical``, the box's radical pool."""
     params = _inner_params(spec, z, box_radius)
     if z.is_derived_element():
         outer = outer_h2_certify(spec, z, box_radius, proofs)
@@ -1074,38 +1060,26 @@ def _main_theorem_entry(spec, support, z, box_radius, proofs):
              "predicted": 0,
              "cycle_dim": outer.details.get("cycle_dim")})
 
-    radical = {x.coords for x in support if x.in_kernel_mu()}
-    full = radical_wedges = 0
-    for u, v in enumerate_keys(spec, [x.coords for x in support], 2, z.coords):
-        # The radical is a subgroup, so z - u lies in it exactly when u
-        # does: every wedge is all-radical or all-derived, never mixed.
-        _require((u in radical) == (v in radical), "no mixed wedge in a radical grading")
-        # All grading-z wedges are cycles; verify rather than assume.
-        _require(not _d2_coefficient(spec, (u, v)), "d([u]^[z-u]) = 0 in a radical grading")
-        full += 1
-        radical_wedges += u in radical
-
-    kernel_pairs = sum(1 for _ in enumerate_keys(spec, sorted(radical), 2, z.coords))
-    _require(kernel_pairs == radical_wedges, "radical-pool enumeration = radical wedges")
-
     inner = inner_h2_certify(spec, z, box_radius, proofs)
+    identities = inner.identities + _required(proofs.cite(_radical_identities))
+    kernel_pairs = sum(1 for _ in enumerate_keys(spec, radical, 2, z.coords))
     inner_res = inner.result
 
     certified = inner_res.verdict == CERTIFIED
-    h2 = radical_wedges + (len(inner.wedges) - inner.rank)
+    h2 = kernel_pairs + (len(inner.wedges) - inner.rank)
     predicted = kernel_pairs + inner.qspace.dim
     if certified and h2 != predicted:
         certified = False
     details = {
         "component": "inner",
-        "wedges_full": full,
+        "wedges_full": _slice_size(spec, box_radius, z.coords),
         "kernel_pairs": kernel_pairs,
         "derived_wedges": len(inner.wedges),
         "inner_dim": len(inner.wedges) - inner.rank,
         "quotient_dim": inner.qspace.dim,
         "h2_dim": h2,
         "predicted": predicted,
-        "identities": inner.identities,
+        "identities": identities,
         "inner": inner_res.details,
     }
     return CheckResult("main-theorem", params,
@@ -1144,14 +1118,13 @@ def gk_cycle_check(spec, u, z, box_radius):
     for key, c in target.items():
         parts.setdefault(_key_grading(spec, key), {})[key] = c
 
-    radius = max(box_radius, 2 * max((abs(c) for c in uc), default=1))
     pieces, grading_notes = [], []
     part_z = parts.pop(zc, None)
     if part_z is not None:
         # The z part collapses to the ideal generator G(u, u), whose
-        # probe witness runs through box(1) and needs no truncated span.
+        # probe witness runs through the units and needs no truncated span.
         found = part_z == _generator_keys(spec, zc, uc, uc) and _generator_witness(
-            spec, zc, uc, uc, (x.coords for x in box_by_weight(spec, 1)))
+            spec, zc, uc, uc, (y.coords for y in spec.units))
         if not found:
             return CheckResult(
                 "gk-cycle", params, INCONCLUSIVE,
@@ -1162,14 +1135,15 @@ def gk_cycle_check(spec, u, z, box_radius):
                  "d(witness) = radical-grading part")
         pieces.append(found)
         grading_notes.append({"grading": list(zc), "part": serialize_chain(part_z, 1)})
-    for g, part in parts.items():
-        hom = contracting_homotopy(spec, GroupElement(spec, g), radius)
+    for grading, part in parts.items():
+        g = GroupElement(spec, grading)
+        hom = ContractingHomotopy(spec, g, _partner(spec, g))
         _require(not _key_boundary(spec, part), "shifted part is a cycle")
         x = hom.phi2_keys(part)
         _require(_key_boundary(spec, x) == {key: hom.scale * c for key, c in part.items()},
                  "d(Phi_2(part)) = part")
         pieces.append((hom.scale, x))
-        grading_notes.append({"grading": list(g), "part": serialize_chain(part, 1)})
+        grading_notes.append({"grading": list(grading), "part": serialize_chain(part, 1)})
 
     den = math.lcm(*(scale for scale, _ in pieces))
     witness = _wedge_keys((key, den // scale * c)
@@ -1304,24 +1278,6 @@ def linear_extension_check(spec, box_radius):
 # ---------------------------------------------------------------------------
 # The degree-3 cocycle
 
-def omega_cocycle(spec, z):
-    """The cocycle omega([u],[v],[w]) = <u, v> on grading-z 3-wedges.
-
-    Alternating consistency of the value needs z in ker mu: swapping v
-    and w changes <u, v> to <u, w> = -<u, v> exactly because
-    <u, v + w> = <u, z - u> = 0.
-    """
-    if not z.in_kernel_mu():
-        raise ValueError("omega needs z in ker mu")
-
-    def rule(key):
-        if _key_grading(spec, key) != z.coords:
-            raise ValueError("wedge is not graded at z")
-        return _omega(spec, key)
-
-    return Cochain(spec, 3, rule=rule)
-
-
 def _extended_gcd_vector(values):
     """Integers a with sum(a_i values_i) = g = gcd(values) >= 0, g = 0
     only for the zero vector: extended Euclid on (g, v) for each entry v."""
@@ -1421,7 +1377,7 @@ def _omega_identities(free):
 def _omega_rows(spec, z, n):
     """The rows {(u, v): coefficient} of the obstruction to a primitive
     eta of omega at a torsion z of order n, from the first pair a, b of
-    box(1) with <a, b> != 0.
+    units with <a, b> != 0.
 
     The row R(u, v) reads phi(u+v) - phi(u) - phi(v) = -1, for
     phi(x) = eta([x]^[z-x]).  With D(y) = phi(y+z) - phi(y),
@@ -1431,8 +1387,7 @@ def _omega_rows(spec, z, n):
     D(b+kz) telescope to 0, and right side -2.  Equal rows are merged
     and zero rows dropped: at z = 0 only the two R rows are left.
     """
-    a, b = next((a, b) for a, b in itertools.combinations(box_by_weight(spec, 1), 2)
-                if spec.pairing(a, b))
+    a, b = next((a, b) for a, b in itertools.combinations(spec.units, 2) if spec.pairing(a, b))
     rows = collections.Counter({((-a).coords, b.coords): 1, ((-b).coords, a.coords): 1})
     for q, c in [(a - b, 1), (-b, -1)] + [(b + k * z, Fraction(1, n)) for k in range(n)]:
         rows[(z - a).coords, (q + a).coords] += c
@@ -1498,28 +1453,22 @@ def omega_check(spec, z, box_radius, proofs=None):
 
 def h1_check(spec, box_radius, gradings, proofs=None):
     """Grading-wise H_1: dimension 1 on radical gradings, where every
-    incoming differential -<u, z-u> [z] vanishes (proved over symbols),
-    0 on derived ones, where [z] bounds [u]^[z-u] / -<u, z-u> for the
-    first u of box(1) with <u, z-u> = <u, z> != 0, which a derived z
-    always has.  ``gradings`` None means the whole box."""
+    incoming differential -<u, z-u> [z] vanishes (the radical lemma), 0
+    on derived ones, where [z] bounds [u]^[z-u] / -<u, z-u> for the
+    first unit u with <u, z-u> = <u, z> != 0 (``_partner``).
+    ``gradings`` None means the whole box."""
     if gradings is None:
         gradings = box_support(spec, box_radius)
-    # <u, z-u> = 0 for a generic u and the radical symbol z, so in every
-    # group and radical grading.
-    formal = FormalSpec(3, radical=(0,))
-    generic, radical = formal.generic("u"), formal.symbols()[0]
+    proofs = proofs or Proofs()
     result = _formal_check(
         "h1-center", {"spec": spec.label, "box": box_radius, "gradings": len(gradings)},
-        [*(proofs or Proofs()).cite(_kernel_identities, spec),
-         ("<u, z-u> = 0 in a radical grading", not formal.pairing(generic, radical - generic))])
-    units = list(box_by_weight(spec, 1))
+        [*proofs.cite(_kernel_identities, spec), *proofs.cite(_radical_identities)])
     entries = []
     for z in gradings:
         if z.in_kernel_mu():
             entries.append({"z": list(z.coords), "dim": 1, "expected": 1})
             continue
-        u = next((u for u in units if spec.pairing(u, z - u) != 0), None)
-        _require(u is not None, "a unit u with <u, z-u> != 0 in a derived grading")
+        u = _partner(spec, z)
         pair = spec.pairing(u, z - u)
         pre = _wedge_keys([((u.coords, (z - u).coords), -1)])
         _require(_key_boundary(spec, pre) == {(z.coords,): pair}, "d(preimage) = [z]")

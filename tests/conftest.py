@@ -1,6 +1,8 @@
 """Shared test helpers: a pool of small validated group presentations,
-an independent Fraction reference for the CE differential, and source
-mutants of the production outer homotopy."""
+an independent Fraction reference for the CE differential, the paper's
+maps that no command evaluates (the section g of f, the derived
+projection and the cocycle omega), and source mutants of the production
+code behind the formal identities."""
 
 import inspect
 import itertools
@@ -8,6 +10,7 @@ import math
 import textwrap
 from fractions import Fraction
 
+from goldman.complexes import Cochain, WedgeChain, wedge_chain
 from goldman.formal import Poly
 from goldman.groups import GroupSpec, surface_presentation
 
@@ -128,6 +131,56 @@ def reference_boundary(spec, factors, coeff=1):
 
 
 # ---------------------------------------------------------------------------
+# The paper's maps that no command evaluates, as chains and a cochain.
+
+
+def project_derived(c):
+    """Term-wise projection killing every wedge with a radical factor:
+    the chain-level projection onto wedges of derived labels."""
+    spec = c.spec
+    return WedgeChain(spec, c.degree, {
+        key: coeff for key, coeff in c.terms.items()
+        if all(spec.canonical(list(f)).is_derived_element() for f in key)})
+
+
+def g_map(qspace, terms):
+    """The section of f: (coeff, (u_1, ..., u_{p-1})) terms map to
+
+        coeff [u_1] ^ ... ^ [u_{p-1}] ^ [z - u_1 - ... - u_{p-1}],
+
+    with wedges containing a radical factor projected away (the target
+    complex has derived labels only).  In degree 2, f(g(t)) = t when the
+    lifts are derived."""
+    spec, z = qspace.spec, qspace.z
+    out = WedgeChain(spec, len(terms[0][1]) + 1)
+    for coeff, lifts in terms:
+        last = z
+        for u in lifts:
+            last = last - u
+        out = out + project_derived(wedge_chain(spec, [*lifts, last], coeff))
+    return out
+
+
+def omega_cocycle(spec, z):
+    """The cocycle omega([u],[v],[w]) = <u, v> on grading-z 3-wedges,
+    read on the stored factor order with ``reference_pairing``.
+
+    Alternating consistency of the value needs z in ker mu: swapping v
+    and w changes <u, v> to <u, w> = -<u, v> exactly because
+    <u, v + w> = <u, z - u> = 0."""
+    if not z.in_kernel_mu():
+        raise ValueError("omega needs z in ker mu")
+
+    def rule(key):
+        u, v, w = (spec.canonical(list(f)) for f in key)
+        if u + v + w != z:
+            raise ValueError("wedge is not graded at z")
+        return reference_pairing(spec, u, v)
+
+    return Cochain(spec, 3, rule=rule)
+
+
+# ---------------------------------------------------------------------------
 # Source mutants: a function recompiled with exact snippets replaced.
 
 
@@ -213,6 +266,22 @@ OMEGA_MUTANTS = {
     "radical-dropped": ("FormalSpec.__init__",
                         [("if i not in radical and j not in radical", "if True")],
                         {"omega": D_OMEGA, "h1": RADICAL_PAIRING}),
+}
+
+
+UNIT_PARTNER = "a unit pairs nonzero with a derived z"
+
+# Mutants of the unit lemma and the radical lemma: name -> (the function,
+# as for OUTER_MUTANTS, its replacements, and the identity each suite's
+# entry must name when refuted; "homology" stands for the main-theorem
+# entry of a radical grading).  The first one leaves ``_partner`` the
+# radical units only, so no derived grading finds its y or u; the second
+# flips the sign of d_2.
+LEMMA_MUTANTS = {
+    "units-radical-only": ("_partner", [("in spec.units", "in spec.units if y.in_kernel_mu()")],
+                           {"outer": UNIT_PARTNER, "h1": UNIT_PARTNER, "gk": UNIT_PARTNER}),
+    "d2-sign": ("_boundary_terms", [("[(-coeff, (add(a, b),))]", "[(coeff, (add(a, b),))]")],
+                {"h1": RADICAL_PAIRING, "homology": RADICAL_PAIRING}),
 }
 
 

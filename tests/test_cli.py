@@ -6,6 +6,7 @@ already pinned in test_verify.py.
 """
 
 import argparse
+import collections
 import json
 import os
 import subprocess
@@ -19,7 +20,8 @@ from goldman.cli import main, resolve_selection
 from goldman import box_support, surface_presentation
 
 from conftest import (D3_SIGN_FLIPS, D4_SIGN_FLIPS, HOMOTOPY_COEFFICIENTS, HOMOTOPY_IDENTITY,
-                      INNER_IDENTITIES, INNER_MUTANTS, OMEGA_MUTANTS, OUTER_MUTANTS, outer_mutant,
+                      INNER_IDENTITIES, INNER_MUTANTS, LEMMA_MUTANTS, OMEGA_MUTANTS,
+                      OUTER_MUTANTS, RADICAL_PAIRING, outer_mutant,
                       source_mutant, symplectic_z2, torsion_only, z2_z2torsion, z3_rank2_form)
 
 
@@ -395,16 +397,30 @@ def test_inner_suite_does_not_apply_to_a_zero_form(capsys):
     assert entry["details"] == {"note": "the form vanishes; no wedge is derived"}
 
 
+def test_the_inner_suite_and_certification_read_one_cap(monkeypatch):
+    # goldman.verify is the one reader of INNER_SUPPORT_CAP: patched there
+    # alone, the suite's reach agrees with the certification's, and a
+    # grading outside the capped box is skipped, not run to an
+    # inconclusive on a box smaller than the suite believed.
+    spec = z3_rank2_form()
+    monkeypatch.setattr(verify, "INNER_SUPPORT_CAP", 9)
+    (entry,) = cli.run_inner_suite(spec, [spec.element([0, 0, 2])], 3)
+    assert (entry.verdict, entry.details) == ("not-applicable", {
+        "note": "grading outside the inner cycle box of radius 1, the largest within "
+                "--box and INNER_SUPPORT_CAP = 9 elements",
+        "skipped_gradings": [[0, 0, 2]], "effective_radius": 1})
+
+
 def test_refuted_inner_entry_has_the_certified_params(monkeypatch):
     z2 = symplectic_z2()
     (certified,) = cli.run_inner_suite(z2, [z2.zero], 2)
-    witness_for = verify.InnerCertification._witness_for
+    witness_for = verify._generator_witness
 
-    def doubled_scale(self, u, v, probes):
-        scale, keys = witness_for(self, u, v, probes)
+    def doubled_scale(spec, z, u, v, probes):
+        scale, keys = witness_for(spec, z, u, v, probes)
         return 2 * scale, keys
 
-    monkeypatch.setattr(verify.InnerCertification, "_witness_for", doubled_scale)
+    monkeypatch.setattr(verify, "_generator_witness", doubled_scale)
     (refuted,) = cli.run_inner_suite(z2, [z2.zero], 2)
     assert (certified.verdict, refuted.verdict) == ("certified", "refuted")
     assert refuted.params == certified.params
@@ -787,13 +803,16 @@ def test_an_inner_f_mutant_is_refuted_under_python_O(name, inner_mutant_runs):
     # A sign of the degree-3 differential, the radical constraint of the
     # formal spec dropped, or a projection that is not additive or does
     # not kill z: the inner-isomorphism and main-theorem entries are
-    # refuted naming the identity, although asserts are off.
+    # refuted naming the identity, although asserts are off.  The
+    # main-theorem entry cites the radical lemma after the inner ones.
     clean = inner_mutant_runs[""]
-    for command, check in (("verify", "inner-isomorphism"), ("homology", "main-theorem")):
+    for command, check, identities in (
+            ("verify", "inner-isomorphism", INNER_IDENTITIES),
+            ("homology", "main-theorem", [*INNER_IDENTITIES, RADICAL_PAIRING])):
         code, report = clean[command]
         (entry,) = report["results"]
         assert (code, entry["check"], entry["verdict"]) == (0, check, "certified")
-        assert entry["details"]["identities"] == INNER_IDENTITIES
+        assert entry["details"]["identities"] == identities
         code, report = inner_mutant_runs[name][command]
         (entry,) = report["results"]
         assert (code, entry["check"]) == (1, check)
@@ -801,25 +820,86 @@ def test_an_inner_f_mutant_is_refuted_under_python_O(name, inner_mutant_runs):
             "refuted", {"failed_identity": INNER_MUTANTS[name][2]}), command
 
 
+# Each lemma mutant (the unpatched run first, as "") runs the suites it
+# names on surface(1,2) at a radical and a derived grading, under
+# python -O; "homology" runs the radical grading alone.
+_LEMMA_MUTANT_RUNS = """
+import contextlib, json, os, sys
+from unittest import mock
+from goldman.cli import main
+from conftest import LEMMA_MUTANTS, verify_mutant
+
+if not sys.flags.optimize:
+    sys.exit("run with python -O")
+patches = {"": (("outer", "h1", "gk", "homology"), contextlib.nullcontext())}
+for name, (path, replacements, suites) in LEMMA_MUTANTS.items():
+    patches[name] = suites, mock.patch.object(*verify_mutant(path, replacements))
+out = {}
+for name, (suites, patch) in patches.items():
+    for suite in suites:
+        path = os.path.join(sys.argv[1], "%s-%s.json" % (name, suite))
+        argv = (["homology", "--grading", "0,0,0,1"] if suite == "homology" else
+                ["verify", "--suite", suite, "--grading", "0,0,0,1;1,0,0,0"])
+        with patch:
+            code = main([*argv, "--surface", "1,2", "--box", "1", "--format", "json",
+                         "--out", path])
+        with open(path) as fh:
+            out.setdefault(name, {})[suite] = [code, json.load(fh)]
+print(json.dumps(out))
+"""
+
+
+@pytest.fixture(scope="module")
+def lemma_mutant_runs(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("lemma_mutants")
+    script = tmp / "mutants.py"
+    script.write_text(_LEMMA_MUTANT_RUNS)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(verify.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join((src, os.path.dirname(__file__))))
+    proc = subprocess.run([sys.executable, "-O", str(script), str(tmp)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize("name", sorted(LEMMA_MUTANTS))
+def test_a_unit_or_radical_lemma_mutant_is_refuted_under_python_O(name, lemma_mutant_runs):
+    # Units that miss every derived element, or a flipped sign of d_2:
+    # each entry the mutant names is refuted with the unit lemma or the
+    # radical lemma, although asserts are off.
+    for code, report in lemma_mutant_runs[""].values():
+        assert (code, [r["verdict"] for r in report["results"]]) == (0, ["certified"])
+    want = LEMMA_MUTANTS[name][2]
+    assert sorted(lemma_mutant_runs[name]) == sorted(want)
+    for suite, identity in want.items():
+        code, report = lemma_mutant_runs[name][suite]
+        (entry,) = report["results"]
+        assert code == 1, suite
+        assert (entry["verdict"], entry["details"]) == (
+            "refuted", {"failed_identity": identity}), suite
+
+
 # The proofs a run cites; inner's additivity check is per entry and not
 # among them.
 _PROOFS = ("_homotopy_identity_holds", "_kernel_identities", "_f_identity_holds",
-           "_omega_identities")
+           "_omega_identities", "_radical_identities")
 
 
 @pytest.mark.parametrize("argv, golden, counts", [
     (["homology", "--surface", "1,2", "--box", "3"], "homology_surface12_box3.json",
-     {"_homotopy_identity_holds": 1, "_kernel_identities": 1, "_f_identity_holds": 1}),
+     {"_homotopy_identity_holds": 1, "_kernel_identities": 1, "_f_identity_holds": 1,
+      "_radical_identities": 1}),
     (["verify", "--suite", "all", "--surface", "2,3", "--box", "2", "--seed", "1"],
      "verify_all_surface23_box2_seed1.json",
      {"_homotopy_identity_holds": 1, "_kernel_identities": 1, "_f_identity_holds": 1,
-      "_omega_identities": 2}),
+      "_omega_identities": 2, "_radical_identities": 1}),
 ], ids=["homology-s12", "golden"])
 def test_a_command_proves_each_identity_once(argv, golden, counts, monkeypatch, capsys):
     # One Proofs value per command: the 64 gradings of homology-s12
-    # prove the homotopy identity and check the group's kernels once
-    # between them, and golden proves omega's identities once per kind
-    # of grading (torsion, free); the bytes do not move.
+    # prove the homotopy identity and the radical lemma and check the
+    # group's kernels once between them, golden's h1 proves the radical
+    # lemma once, and golden proves omega's identities once per kind of
+    # grading (torsion, free); the bytes do not move.
     calls = dict.fromkeys(_PROOFS, 0)
 
     def counted(name, prove):
@@ -835,6 +915,34 @@ def test_a_command_proves_each_identity_once(argv, golden, counts, monkeypatch, 
     with open(os.path.join(os.path.dirname(__file__), "golden", golden)) as fh:
         assert out == fh.read()
     assert calls == dict(dict.fromkeys(_PROOFS, 0), **counts)
+
+
+@pytest.mark.parametrize("argv", [
+    ["homology", "--surface", "1,2", "--box", "3"],
+    ["verify", "--suite", "all", "--surface", "2,3", "--box", "2", "--seed", "1"],
+], ids=["homology-s12", "golden"])
+def test_no_entry_walks_a_box_for_its_units(argv, monkeypatch, capsys):
+    # Every y, u and pair (a, b) of the outer, h1, gk and omega entries,
+    # and the radical main-theorem count, comes from the group's units or
+    # the radical pool: counted by caller, the only box any of them reads
+    # is the outer slice's pool at --box, and only the grading selection
+    # and the inner search walk a box in weight order.
+    walks = collections.Counter()
+    for module in (cli, verify):
+        for name in ("box_by_weight", "box_support"):
+            if hasattr(module, name):
+                def spy(spec, radius, _walk=getattr(module, name), _name=name):
+                    walks[_name, sys._getframe(1).f_code.co_name, radius] += 1
+                    return _walk(spec, radius)
+                monkeypatch.setattr(module, name, spy)
+    assert run(capsys, *argv, "--format", "json")[0] == 0
+    box = int(argv[argv.index("--box") + 1])
+    entries = {"outer_h2_certify", "h1_check", "run_gk_suite", "gk_cycle_check",
+               "omega_check", "_omega_rows", "_main_theorem_entry"}
+    assert {key for key in walks if key[1] in entries} == {
+        ("box_support", "outer_h2_certify", box)}
+    assert {caller for name, caller, _ in walks if name == "box_by_weight"} == {
+        "resolve_selection", "_certify"}
 
 
 @pytest.mark.parametrize("argv, golden", [

@@ -23,12 +23,12 @@ from goldman.complexes import (
     coboundary,
     enumerate_basis,
     enumerate_keys,
-    project_derived,
     wedge_chain,
 )
 from goldman.groups import GroupSpec, surface_presentation
 
 from conftest import (
+    project_derived,
     random_element,
     reference_boundary,
     reference_normalize,
@@ -376,6 +376,31 @@ def test_weight_walk_is_the_sorted_box_for_any_divisors(diagonal, radius):
     assert list(box_by_weight(spec, radius)) == sorted(box, key=lambda e: e.sort_key())
 
 
+def _weight_one_shell(spec):
+    return [x for x in box_by_weight(spec, 1) if x.weight() == 1]
+
+
+@pytest.mark.parametrize("spec", [
+    *spec_pool(),
+    GroupSpec(3, relations=[[0, 0, 2]], form=[[0, 1, 0], [-1, 0, 0], [0, 0, 0]]),
+    GroupSpec(4, relations=[[0, 0, 0, 5]],
+              form=[[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]),
+    GroupSpec(2, relations=[[4, 0], [0, 6]]),
+], ids=lambda spec: spec.label)
+def test_units_are_the_weight_one_shell_of_box1(spec):
+    assert list(spec.units) == _weight_one_shell(spec)
+    assert all(type(c) is int for x in spec.units for c in x.coords)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(0, 6), min_size=1, max_size=4))
+def test_units_are_the_weight_one_shell_for_any_divisors(diagonal):
+    n = len(diagonal)
+    spec = GroupSpec(n, relations=[[d if i == j else 0 for j in range(n)]
+                                   for i, d in enumerate(diagonal) if d])
+    assert list(spec.units) == _weight_one_shell(spec)
+
+
 def test_box_is_built_once_and_never_mutated():
     spec = symplectic_z2()
     first = box_support(spec, 1)
@@ -491,7 +516,8 @@ def test_enumerate_basis_is_deterministic():
 
 
 # ---------------------------------------------------------------------------
-# Projection to derived-only chains
+# Projection to derived-only chains (the conftest reference, which g_map
+# reads)
 
 
 def test_project_derived_kills_radical_factors():
