@@ -60,10 +60,12 @@ from .verify import (
     CertificateError,
     CheckResult,
     Proofs,
+    _beyond_inner_reach,
     _certify_or_refute,
     _formal_check,
     _inner_params,
     _inner_radius,
+    _inner_reach_note,
     gk_cycle_check,
     h1_check,
     inner_h2_certify,
@@ -314,18 +316,15 @@ def run_inner_suite(spec, gradings, box, proofs=None):
     zs = [z for z in gradings if z.in_kernel_mu()]
     if not zs:
         return [_skip("inner-isomorphism", "no radical gradings selected", spec, box)]
-    # Gradings outside the capped support cannot receive any ideal
-    # column (every candidate leaves the box), so report them as out of
-    # reach instead of scanning to a foregone inconclusive.
+    # Gradings outside the capped support are reported as out of reach
+    # instead of scanned to a foregone inconclusive.
     eff, cap = _inner_radius(spec, box)
     out = []
-    skipped = [list(z.coords) for z in zs
-               if any(abs(z.coords[j]) > eff for j in spec.free_indices)]
+    skipped = [list(z.coords) for z in zs if _beyond_inner_reach(spec, z, eff)]
     if skipped:
         out.append(CheckResult(
             "inner-isomorphism", {"spec": spec.label, "box": box}, NOT_APPLICABLE,
-            {"note": "grading outside the inner cycle box of radius %d, the largest within "
-                     "--box and INNER_SUPPORT_CAP = %d elements" % (eff, cap),
+            {"note": _inner_reach_note(eff, cap),
              "skipped_gradings": skipped, "effective_radius": eff}))
     out.extend(_certify_or_refute(
         "inner-isomorphism", functools.partial(_inner_params, spec, z, box),
@@ -525,10 +524,10 @@ def render_text(report):
 
 
 def render_json(report, fh):
-    """Stream the report to fh as indented JSON, so no string of the
-    whole report is built."""
-    json.dump(report, fh, indent=2, sort_keys=True)
-    fh.write("\n")
+    """Write the report to fh as one line of JSON with sorted keys
+    (``python -m json.tool`` indents it).  The one-shot ``json.dumps``
+    takes the C encoder, which ``json.dump`` and any indent never do."""
+    fh.write(json.dumps(report, sort_keys=True) + "\n")
 
 
 def emit(report, args, fh):
@@ -591,7 +590,7 @@ def cmd_validate(args):
 def _homology_row(result):
     d = result.details
     z = list(result.params["z"])
-    if "failed_identity" in d:
+    if "failed_identity" in d or "h2_dim" not in d:
         return {"z": z, "Z2": None, "B2": None, "H2": None,
                 "predicted": None, "verdict": result.verdict}
     if result.verdict == NOT_APPLICABLE:

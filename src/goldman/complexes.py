@@ -29,9 +29,11 @@ The label sum u_1 + ... + u_p is the grading of a wedge; every term of
 d(w) has the grading of w because each summand replaces u_i, u_j by
 u_i + u_j.  The complex therefore splits over the group, one summand
 per grading, and all rank computations happen grading by grading.
-``enumerate_keys`` walks the wedge keys of one grading lazily, and the
-bases and walks of ``goldman.verify`` read that one stream; ``_slice_size``
-counts the degree-2 keys of a box without walking them.
+``enumerate_keys`` walks the wedge keys of one grading over a pool
+lazily, and the bases of ``goldman.verify`` read that one stream.  The
+degree-2 slice of a box has two shortcuts that build no box:
+``_slice_keys`` walks it over coordinate ranges, and ``_slice_size``
+counts it in closed form.
 
 Supports are truncated to finite boxes.  A box is enumerated at most
 once per group and radius and kept on the group, in coordinate order;
@@ -447,6 +449,17 @@ def _slice_size(spec, radius, z):
             pairs *= d
             fixed *= 1 if d % 2 else 2 * (zj % 2 == 0)
     return (pairs - fixed) // 2
+
+
+def _slice_keys(spec, radius, z):
+    """An iterator over enumerate_basis(box_support(spec, radius), 2, z)
+    in key order, with no box built: x runs over the product of its
+    coordinate ranges that keep z - x in the box, and (x, z - x) is a
+    key when z - x > x.  ``_slice_size`` is its length."""
+    sub = spec.sub_coords
+    ranges = [range(max(-radius, zj - radius), min(radius, zj + radius) + 1) if d == 0
+              else range(max(d, 1)) for d, zj in zip(spec.divisors, z)]
+    return ((x, y) for x in itertools.product(*ranges) for y in (sub(z, x),) if y > x)
 
 
 def _check_box_budget(spec, radius):

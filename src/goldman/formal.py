@@ -105,7 +105,7 @@ class FormalSpec:
     def __init__(self, n, radical=()):
         self.free_indices = tuple(range(n))
         self.zero = GroupElement(self, (0,) * n)
-        self._entries = [(i, j, Poly.var("P%d_%d" % (i, j)))
+        self._entries = [(i, j, "P%d_%d" % (i, j))
                          for i in range(n) for j in range(i + 1, n)
                          if i not in radical and j not in radical]
 
@@ -116,7 +116,10 @@ class FormalSpec:
         return tuple(x - y for x, y in zip(a, b))
 
     def pair_coords(self, a, b):
-        return sum((w * (a[i] * b[j] - a[j] * b[i]) for i, j, w in self._entries), Poly())
+        # One merge over the nonzero products P_i_j * (a_i b_j - a_j b_i).
+        return Poly([((w,) + m, c) for i, j, w in self._entries
+                     for k in (a[i] * b[j] - a[j] * b[i],) if k
+                     for m, c in _poly(k).terms.items()])
 
     def pairing(self, x, y):
         return self.pair_coords(x.coords, y.coords)

@@ -108,6 +108,7 @@ from goldman.complexes import (
     _sort_sign,
     _wedge_keys,
     _box_size,
+    _slice_keys,
     _slice_size,
     boundary,
     box_by_weight,
@@ -639,6 +640,18 @@ def _inner_radius(spec, box_radius):
     return _capped_radius(spec, box_radius, INNER_SUPPORT_CAP), INNER_SUPPORT_CAP
 
 
+def _beyond_inner_reach(spec, z, radius):
+    """Whether z lies outside the inner cycle box of this radius: no
+    ideal column reaches it, as every candidate leaves the box."""
+    return any(abs(z.coords[j]) > radius for j in spec.free_indices)
+
+
+def _inner_reach_note(radius, cap):
+    """The note of a radical grading beyond the inner cycle box."""
+    return ("grading outside the inner cycle box of radius %d, the largest within "
+            "--box and INNER_SUPPORT_CAP = %d elements" % (radius, cap))
+
+
 def _pair_order(weights):
     """Index pairs (i, j), i <= j, in the order of (w_i + w_j, i, j).
 
@@ -992,7 +1005,7 @@ def outer_h2_certify(spec, z, box_radius, proofs=None):
     # some wedge has d_2 != 0.  The first one pivots, the next five others
     # give the witnesses, and the walk stops there: the slice is counted.
     pivot, others = None, []
-    for key in enumerate_keys(spec, [x.coords for x in box_support(spec, box_radius)], 2, zc):
+    for key in _slice_keys(spec, box_radius, zc):
         d2 = _d2_coefficient(spec, key)
         if d2 and pivot is None:
             pivot = key, d2
@@ -1030,27 +1043,33 @@ def main_theorem_check(spec, gradings, box_radius):
     """Per grading: the truncated H_2 dimension against the predicted
     kernel-pair count plus the quotient dimension.  Returns one
     CheckResult per grading; a grading whose re-check fails gives a
-    refuted entry naming the identity.  The gradings cite one ``Proofs``."""
-    support = box_support(spec, box_radius)
+    refuted entry naming the identity.  The gradings cite one ``Proofs``.
+
+    A radical grading is read on one truncation, the inner cycle box
+    (``_inner_radius``): its wedges, kernel pairs and boundary rank, so
+    Z2 - B2 = H2 on its row.  One beyond that box is not applicable, as
+    in the inner suite."""
     if spec.mu_is_zero():
         return [CheckResult(
             "main-theorem", _inner_params(spec, z, box_radius), NOT_APPLICABLE,
             {"note": "the form vanishes identically; the decomposition "
                      "hypothesis fails and the differential is zero",
-             "h2_dim": len(enumerate_basis(support, 2, z))})
+             "h2_dim": _slice_size(spec, box_radius, z.coords)})
             for z in gradings]
     proofs = Proofs()
-    radical = [x.coords for x in support if x.in_kernel_mu()]
+    reach = _inner_radius(spec, box_radius)
+    radical = [x.coords for x in box_support(spec, reach[0]) if x.in_kernel_mu()]
     return [_certify_or_refute(
         "main-theorem", functools.partial(_inner_params, spec, z, box_radius),
-        _main_theorem_entry, spec, radical, z, box_radius, proofs) for z in gradings]
+        _main_theorem_entry, spec, radical, reach, z, box_radius, proofs) for z in gradings]
 
 
-def _main_theorem_entry(spec, radical, z, box_radius, proofs):
+def _main_theorem_entry(spec, radical, reach, z, box_radius, proofs):
     """The main-theorem entry of one grading of a nonzero form.  In a
     radical grading a wedge is all-radical or all-derived (z - u is
     radical exactly when u is) and a cycle by the radical lemma; the
-    radical ones are counted on ``radical``, the box's radical pool."""
+    radical ones are counted on ``radical``, the radical pool of the
+    inner cycle box, whose (radius, cap) is ``reach``."""
     params = _inner_params(spec, z, box_radius)
     if z.is_derived_element():
         outer = outer_h2_certify(spec, z, box_radius, proofs)
@@ -1060,6 +1079,10 @@ def _main_theorem_entry(spec, radical, z, box_radius, proofs):
              "predicted": 0,
              "cycle_dim": outer.details.get("cycle_dim")})
 
+    radius, cap = reach
+    if _beyond_inner_reach(spec, z, radius):
+        return CheckResult("main-theorem", params, NOT_APPLICABLE,
+                           {"note": _inner_reach_note(radius, cap), "effective_radius": radius})
     inner = inner_h2_certify(spec, z, box_radius, proofs)
     identities = inner.identities + _required(proofs.cite(_radical_identities))
     kernel_pairs = sum(1 for _ in enumerate_keys(spec, radical, 2, z.coords))
@@ -1072,7 +1095,7 @@ def _main_theorem_entry(spec, radical, z, box_radius, proofs):
         certified = False
     details = {
         "component": "inner",
-        "wedges_full": _slice_size(spec, box_radius, z.coords),
+        "wedges_full": _slice_size(spec, radius, z.coords),
         "kernel_pairs": kernel_pairs,
         "derived_wedges": len(inner.wedges),
         "inner_dim": len(inner.wedges) - inner.rank,

@@ -83,6 +83,15 @@ def reference_normalize(factors):
     return (-1) ** inversions, tuple(sorted(keys))
 
 
+def reference_pair_coords(n, radical, a, b):
+    """FormalSpec(n, radical).pair_coords as the pairwise sum it was,
+    zero products included: P_i_j (a_i b_j - a_j b_i) over i < j off
+    the radical."""
+    return sum((Poly.var("P%d_%d" % (i, j)) * (a[i] * b[j] - a[j] * b[i])
+                for i, j in itertools.combinations(range(n), 2)
+                if i not in radical and j not in radical), Poly())
+
+
 # The five contracting homotopy coefficients, in front of Phi_1 and the
 # four Phi_2 terms, as the ContractingHomotopy docstring writes them.
 HOMOTOPY_COEFFICIENTS = {"phi1": Fraction(-1), "shift_first": Fraction(-1),

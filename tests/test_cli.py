@@ -923,10 +923,11 @@ def test_a_command_proves_each_identity_once(argv, golden, counts, monkeypatch, 
 ], ids=["homology-s12", "golden"])
 def test_no_entry_walks_a_box_for_its_units(argv, monkeypatch, capsys):
     # Every y, u and pair (a, b) of the outer, h1, gk and omega entries,
-    # and the radical main-theorem count, comes from the group's units or
-    # the radical pool: counted by caller, the only box any of them reads
-    # is the outer slice's pool at --box, and only the grading selection
-    # and the inner search walk a box in weight order.
+    # and the radical main-theorem count, comes from the group's units,
+    # the lazy slice or the radical pool: counted by caller, no entry reads
+    # a box, main_theorem_check reads one, its radical pool on the inner
+    # cycle box, and only the grading selection and the inner search walk
+    # a box in weight order.
     walks = collections.Counter()
     for module in (cli, verify):
         for name in ("box_by_weight", "box_support"):
@@ -939,8 +940,11 @@ def test_no_entry_walks_a_box_for_its_units(argv, monkeypatch, capsys):
     box = int(argv[argv.index("--box") + 1])
     entries = {"outer_h2_certify", "h1_check", "run_gk_suite", "gk_cycle_check",
                "omega_check", "_omega_rows", "_main_theorem_entry"}
-    assert {key for key in walks if key[1] in entries} == {
-        ("box_support", "outer_h2_certify", box)}
+    assert {key for key in walks if key[1] in entries} == set()
+    g, r = map(int, argv[argv.index("--surface") + 1].split(","))
+    radius, _ = verify._inner_radius(surface_presentation(g, r), box)
+    assert {key for key in walks if key[1] == "main_theorem_check"} == (
+        {("box_support", "main_theorem_check", radius)} if argv[0] == "homology" else set())
     assert {caller for name, caller, _ in walks if name == "box_by_weight"} == {
         "resolve_selection", "_certify"}
 
@@ -961,6 +965,22 @@ def test_no_command_forks(argv, golden, monkeypatch, capsys):
     assert (code, err) == (0, "")
     with open(os.path.join(os.path.dirname(__file__), "golden", golden)) as fh:
         assert out == fh.read()
+
+
+@pytest.mark.parametrize("argv", [
+    ["homology", "--surface", "1,2", "--box", "3"],
+    ["verify", "--suite", "all", "--surface", "2,3", "--box", "2", "--seed", "1"],
+], ids=["homology-s12", "golden"])
+def test_json_report_is_one_line_with_sorted_keys(argv, tmp_path, capsys):
+    # The report is the one-shot dumps of itself with sorted keys, one
+    # line, and --out writes the same bytes as stdout.
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert (code, err) == (0, "")
+    assert out == json.dumps(json.loads(out), sort_keys=True) + "\n"
+    path = tmp_path / "report.json"
+    assert run(capsys, *argv, "--format", "json", "--out", str(path)) == (
+        0, "report written to %s\n" % path, "")
+    assert path.read_text() == out
 
 
 def test_verify_calls_each_patched_runner_once_in_report_order(monkeypatch, capsys):
@@ -1148,17 +1168,49 @@ def test_homology_reports_a_failed_identity_in_its_row(monkeypatch, capsys):
     assert "summary: 1 certified, 1 refuted" in out
 
 
-def test_homology_inconclusive_exits_two(tmp_path, capsys):
+def test_homology_inconclusive_exits_two(tmp_path, capsys, monkeypatch):
+    # A boundary search that keeps no column leaves a radical row short
+    # of its rank.  (A grading beyond the inner cycle box is not
+    # applicable instead: see test_homology_rows_read_one_truncation.)
+    monkeypatch.setattr(verify.InnerCertification, "_column_pass", lambda self, *args: ([], 0))
     path = write_spec(tmp_path, "z3.json", {
         "generators": 3,
         "form": [[0, 1, 0], [-1, 0, 0], [0, 0, 0]]})
     code, out, _ = run(capsys, "homology", "--spec", path, "--box", "1",
-                       "--grading", "0,0,2", "--format", "json")
+                       "--grading", "0,0,1", "--format", "json")
     assert code == 2
     report = json.loads(out)
     (row,) = report["table"]
     assert row["verdict"] == "inconclusive-at-truncation"
     assert report["summary"]["inconclusive"] == 1
+
+
+@pytest.mark.parametrize("box", [1, 2])
+@pytest.mark.parametrize("source", ["1,2", "2,3", "1,0", "z2+z/2"])
+def test_homology_rows_read_one_truncation(source, box, tmp_path, capsys):
+    # Z2, B2 and H2 of a radical row are all read on the inner cycle box,
+    # so every certified one has Z2 - B2 = H2; a radical grading beyond
+    # that box is not applicable, with the inner suite's note.
+    if source == "z2+z/2":
+        argv = ["--spec", write_spec(tmp_path, "z2z2.json", {
+            "generators": 3, "relations": [[0, 0, 2]],
+            "form": [[0, 1, 0], [-1, 0, 0], [0, 0, 0]]})]
+    else:
+        argv = ["--surface", source]
+    code, out, err = run(capsys, "homology", *argv, "--box", str(box), "--format", "json")
+    report = json.loads(out)
+    inner = [(row, r["details"]) for row, r in zip(report["table"], report["results"])
+             if r["details"].get("component") != "outer"]
+    assert inner
+    for row, d in inner:
+        if row["verdict"] == "not-applicable":
+            assert row["Z2"] is row["B2"] is row["H2"] is None
+            assert d["note"].startswith("grading outside the inner cycle box of radius %d"
+                                        % d["effective_radius"])
+            continue
+        assert row["verdict"] == "certified"
+        assert row["Z2"] - row["B2"] == row["H2"] == row["predicted"]
+    assert (code, err) == (0, "")
 
 
 # ---------------------------------------------------------------------------

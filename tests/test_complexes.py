@@ -13,6 +13,7 @@ from goldman.complexes import (
     Wedge,
     _box_size,
     _boundary_terms,
+    _slice_keys,
     _slice_size,
     _sort_sign,
     Cochain,
@@ -505,6 +506,23 @@ def test_slice_size_counts_the_degree_2_basis(spec):
                   for z in _slice_gradings(spec, m)]
         assert all(fast == slow for fast, slow in counts), counts
         assert counts[2] == (0, 0) and counts[0][0] > 0
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_slice_keys_are_the_box_slice_for_any_divisors(data):
+    # The lazy slice against the walk over the box, in key order, and its
+    # length against the closed form; a free |z_j| > 2r empties it.
+    diagonal = data.draw(st.lists(st.integers(0, 6), min_size=1, max_size=4))
+    radius = data.draw(st.integers(0, 3))
+    n = len(diagonal)
+    spec = GroupSpec(n, relations=[[d if i == j else 0 for j in range(n)]
+                                   for i, d in enumerate(diagonal) if d])
+    z = tuple(data.draw(st.integers(-3 * radius - 1, 3 * radius + 1)) if d == 0
+              else data.draw(st.integers(0, max(d, 1) - 1)) for d in spec.divisors)
+    keys = list(_slice_keys(spec, radius, z))
+    assert keys == list(enumerate_keys(spec, [x.coords for x in box_support(spec, radius)], 2, z))
+    assert len(keys) == _slice_size(spec, radius, z)
 
 
 def test_enumerate_basis_is_deterministic():

@@ -5,8 +5,11 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 
 from goldman.formal import FormalSpec, Poly
+
+from conftest import reference_pair_coords
 
 NAMES = ("x", "y", "z")
 
@@ -84,3 +87,21 @@ def test_arithmetic_keeps_terms_sorted_and_nonzero():
         assert all(list(m) == sorted(m) for m in r.terms), r
         assert all(r.terms.values()), r
     assert not (p - p).terms and not (p * 0).terms and (p + 0) == p
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_pair_coords_is_the_pairwise_sum(data):
+    # The one merge over nonzero products against the sum of every
+    # product, on integer and generic (Poly) coordinates alike.
+    n = data.draw(st.integers(1, 6))
+    radical = data.draw(st.sets(st.integers(0, n - 1)))
+    spec = FormalSpec(n, radical)
+
+    def coords(name):
+        if data.draw(st.booleans()):
+            return spec.generic(name).coords
+        return tuple(data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)))
+
+    a, b = coords("a"), coords("b")
+    assert spec.pair_coords(a, b) == reference_pair_coords(n, radical, a, b)
