@@ -30,8 +30,8 @@ d(w) has the grading of w because each summand replaces u_i, u_j by
 u_i + u_j.  The complex therefore splits over the group, one summand
 per grading, and all rank computations happen grading by grading.
 ``enumerate_keys`` walks the wedge keys of one grading over a pool
-lazily, and the bases of ``goldman.verify`` read that one stream.  The
-degree-2 slice of a box has two shortcuts that build no box:
+lazily, and the inner basis W of ``goldman.verify`` reads that one
+stream.  The degree-2 slice of a box has two shortcuts that build no box:
 ``_slice_keys`` walks it over coordinate ranges, and ``_slice_size``
 counts it in closed form.
 
@@ -140,28 +140,6 @@ class Wedge:
         """Sort factors, returning (sign, wedge); repeats give (0, None)."""
         sign, factors = _sort_sign(factors)
         return (sign, cls(factors)) if sign else (0, None)
-
-    @property
-    def degree(self):
-        return len(self.factors)
-
-    def grading(self):
-        total = self.factors[0]
-        for f in self.factors[1:]:
-            total = total + f
-        return total
-
-    def sort_key(self):
-        return tuple(f.coords for f in self.factors)
-
-    def __eq__(self, other):
-        return isinstance(other, Wedge) and other.factors == self.factors
-
-    def __hash__(self):
-        return hash(self.factors)
-
-    def __repr__(self):
-        return " ^ ".join("[%r]" % f for f in self.factors)
 
 
 class WedgeChain(SparseCombination):

@@ -345,9 +345,6 @@ class GroupElement:
 
     __rmul__ = __mul__
 
-    def pairing(self, other):
-        return self.spec.pairing(self, other)
-
     def in_kernel_mu(self):
         """True when <self, y> = 0 for every y, i.e. self lies in the radical."""
         if self._derived is None:
@@ -361,18 +358,6 @@ class GroupElement:
 
     def is_torsion(self):
         return all(self.coords[j] == 0 for j in self.spec.free_indices)
-
-    def lift(self):
-        """An original-coordinate representative (row times V^{-1})."""
-        vinv = self.spec._v_inv
-        n = self.spec.n_generators
-        out = [0] * n
-        for i, c in enumerate(self.coords):
-            if c:
-                row = vinv[i]
-                for j in range(n):
-                    out[j] += c * row[j]
-        return tuple(out)
 
     def weight(self):
         """Deterministic size: free coordinates by |.|, torsion by cyclic distance."""
@@ -435,7 +420,7 @@ class GroupSpec:
 
     __slots__ = ("n_generators", "relations", "form", "names", "snf",
                  "divisors", "free_indices", "torsion", "dead_indices",
-                 "omega_tilde", "zero", "units", "_v", "_v_inv",
+                 "omega_tilde", "zero", "units", "_v",
                  "_pair_entries", "torsion_indices", "torsion_coefficients",
                  "free_rank", "label", "add_coords", "sub_coords", "pair_coords", "_boxes")
 
@@ -478,7 +463,6 @@ class GroupSpec:
         self.snf = smith_normal_form(self.relations, n_cols=n)
         self.divisors = self.snf.diagonal
         self._v = self.snf.V
-        self._v_inv = self.snf.V_inv
         self.free_indices = tuple(j for j, d in enumerate(self.divisors) if d == 0)
         self.torsion = tuple((j, d) for j, d in enumerate(self.divisors) if d > 1)
         self.dead_indices = tuple(j for j, d in enumerate(self.divisors) if d == 1)
@@ -489,7 +473,7 @@ class GroupSpec:
         parts.extend("Z/%d" % d for d in self.torsion_coefficients)
         self.label = " + ".join(parts) or "0"
 
-        vinv = self._v_inv
+        vinv = self.snf.V_inv
         omega = [[sum(vinv[i][a] * self.form[a][b] * vinv[j][b]
                       for a in range(n) for b in range(n))
                   for j in range(n)] for i in range(n)]

@@ -46,11 +46,14 @@ witnesses.  The certification patterns are:
   elimination over Q (the one kernel of ``goldman.linalg``), and the
   order changes which columns are kept, not the argument.  The
   certification needs f in degree 2 only, where f([u] ^ [z-u]) = 1 (x) u
-  is the integer coordinate vector of u in H / Zz.  f(d(w)) = 0 on
-  3-wedges is proved over symbols whose pairings with the radical
-  symbol z vanish, for any f that is additive and kills z.  The group's
-  projection kills z when it is built and is checked to be additive on
-  the units.  No 3-wedge of the slice is scanned.
+  is the integer coordinate vector of u in H / Zz.  Over Q that is the
+  free canonical coordinates modulo z', the free part of z, so the
+  projection is a closed form on them (``QuotientTensorSpace``): no
+  Smith form is taken per grading.  f(d(w)) = 0 on 3-wedges is proved
+  over symbols whose pairings with the radical symbol z vanish, for any
+  f that is additive and kills z.  The projection kills z when it is
+  built and is checked to be additive on the units.  No 3-wedge of the
+  slice is scanned.
 
 * Outer gradings (z not in ker mu).  A contracting homotopy (Phi_1,
   Phi_2) built from any y with lam = <y, z> != 0 satisfies
@@ -114,10 +117,9 @@ from goldman.complexes import (
     box_by_weight,
     box_support,
     enumerate_basis,
-    enumerate_keys,
 )
 from goldman.formal import FormalSpec, Poly
-from goldman.groups import GroupElement, smith_normal_form, surface_presentation
+from goldman.groups import GroupElement, surface_presentation
 from goldman.linalg import (
     CertificateError,
     SparseRationalMatrix,
@@ -253,39 +255,29 @@ class Proofs:
 class QuotientTensorSpace:
     """Coordinates on Q (x) (H / Zz) for a fixed grading z.
 
-    Built from the Smith normal form of the relation matrix of H
-    augmented with (a lift of) z: the free canonical coordinates of the
-    augmented presentation are exactly Q (x) (H / Zz).  The projection
-    kills z and all torsion, and ``basis_lifts`` are elements of H
-    mapping to the standard basis.
+    Over Q, H / Zz is the free canonical coordinates of H modulo z', the
+    free part of z, so the projection is a closed form.  When z' = 0 it
+    reads the free coordinates.  Otherwise, with k the first free index
+    at which z' is nonzero, it reads z'_k x_j - z'_j x_k for every other
+    free index j.  Both maps are integer and additive, they kill the
+    torsion, and over Q the kernel of each is Q z'.
     """
 
-    __slots__ = ("spec", "z", "dim", "_proj_cols", "basis_lifts")
+    __slots__ = ("spec", "z", "dim", "_free", "_pivot")
 
     def __init__(self, spec, z):
         if z.spec is not spec:
             raise ValueError("grading belongs to a different group")
         self.spec = spec
         self.z = z
-        n = spec.n_generators
-        rows = [list(r) for r in spec.relations]
-        rows.append(list(z.lift()))
-        snf = smith_normal_form(rows, n_cols=n)
-        free = [j for j, d in enumerate(snf.diagonal) if d == 0]
-        self.dim = len(free)
-        # proj(x) = (lift(x) V')_free with lift(x) = coords(x) V^{-1} of
-        # the group; relation-lattice vectors have zero free coordinates,
-        # so this is well defined on H.  Both maps are integer, so their
-        # product acts on canonical coordinates directly.
-        lift = spec._v_inv
-        self._proj_cols = [
-            tuple(sum(lift[i][k] * snf.V[k][j] for k in range(n)) for i in range(n))
-            for j in free]
-        self.basis_lifts = [spec.element(snf.V_inv[j]) for j in free]
+        zc = z.coords
+        k = next((j for j in spec.free_indices if zc[j]), None)
+        # (j, z'_j) for the free j other than the pivot k, which is
+        # (k, z'_k) or None when z' = 0.
+        self._free = tuple((j, zc[j]) for j in spec.free_indices if j != k)
+        self._pivot = None if k is None else (k, zc[k])
+        self.dim = len(self._free)
         _require(not any(self.proj(z)), "z survived its own quotient")
-        for t, E in enumerate(self.basis_lifts):
-            _require(self.proj(E) == tuple(int(s == t) for s in range(self.dim)),
-                     "basis lifts map to the standard basis")
 
     def proj(self, x):
         """The image of x in Q (x) (H / Zz), a tuple of ints."""
@@ -293,8 +285,10 @@ class QuotientTensorSpace:
 
     def proj_coords(self, coords):
         """proj of the element with these canonical coordinates."""
-        return tuple(sum(c * a for c, a in zip(coords, col) if c)
-                     for col in self._proj_cols)
+        if self._pivot is None:
+            return tuple(coords[j] for j, _ in self._free)
+        k, zk = self._pivot
+        return tuple(zk * coords[j] - zj * coords[k] for j, zj in self._free)
 
 
 def f_on_ordered(qspace, key):
@@ -1058,18 +1052,17 @@ def main_theorem_check(spec, gradings, box_radius):
             for z in gradings]
     proofs = Proofs()
     reach = _inner_radius(spec, box_radius)
-    radical = [x.coords for x in box_support(spec, reach[0]) if x.in_kernel_mu()]
     return [_certify_or_refute(
         "main-theorem", functools.partial(_inner_params, spec, z, box_radius),
-        _main_theorem_entry, spec, radical, reach, z, box_radius, proofs) for z in gradings]
+        _main_theorem_entry, spec, reach, z, box_radius, proofs) for z in gradings]
 
 
-def _main_theorem_entry(spec, radical, reach, z, box_radius, proofs):
+def _main_theorem_entry(spec, reach, z, box_radius, proofs):
     """The main-theorem entry of one grading of a nonzero form.  In a
     radical grading a wedge is all-radical or all-derived (z - u is
-    radical exactly when u is) and a cycle by the radical lemma; the
-    radical ones are counted on ``radical``, the radical pool of the
-    inner cycle box, whose (radius, cap) is ``reach``."""
+    radical exactly when u is) and a cycle by the radical lemma, so the
+    radical wedges of the inner cycle box, whose (radius, cap) is
+    ``reach``, are its slice less the derived wedges W."""
     params = _inner_params(spec, z, box_radius)
     if z.is_derived_element():
         outer = outer_h2_certify(spec, z, box_radius, proofs)
@@ -1085,7 +1078,8 @@ def _main_theorem_entry(spec, radical, reach, z, box_radius, proofs):
                            {"note": _inner_reach_note(radius, cap), "effective_radius": radius})
     inner = inner_h2_certify(spec, z, box_radius, proofs)
     identities = inner.identities + _required(proofs.cite(_radical_identities))
-    kernel_pairs = sum(1 for _ in enumerate_keys(spec, radical, 2, z.coords))
+    wedges_full = _slice_size(spec, radius, z.coords)
+    kernel_pairs = wedges_full - len(inner.wedges)
     inner_res = inner.result
 
     certified = inner_res.verdict == CERTIFIED
@@ -1095,7 +1089,7 @@ def _main_theorem_entry(spec, radical, reach, z, box_radius, proofs):
         certified = False
     details = {
         "component": "inner",
-        "wedges_full": _slice_size(spec, radius, z.coords),
+        "wedges_full": wedges_full,
         "kernel_pairs": kernel_pairs,
         "derived_wedges": len(inner.wedges),
         "inner_dim": len(inner.wedges) - inner.rank,

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from goldman.complexes import Cochain, WedgeChain, wedge_chain
 from goldman.formal import Poly
-from goldman.groups import GroupSpec, surface_presentation
+from goldman.groups import GroupSpec, smith_normal_form, surface_presentation
 
 
 def symplectic_z2():
@@ -301,26 +301,52 @@ INNER_IDENTITIES = ["add_coords = canonical a + b on signed units",
                     "sub_coords = canonical a - b on signed units",
                     "pair_coords = a Omega~ b^T on signed units", F_ADDITIVE, F_KILLS_BOUNDARIES]
 
-_PROJ_SUM = "sum(c * a for c, a in zip(coords, col) if c)"
+# The two branches of QuotientTensorSpace.proj_coords: z' = 0 reads the
+# free coordinates, else each coordinate is z'_k x_j - z'_j x_k.
+_PROJ_FREE = "coords[j] for j, _ in self._free"
+_PROJ_CROSS = "zk * coords[j] - zj * coords[k]"
+# Gradings of surface(1,2) (original coordinates) where z' = 0 and z' != 0.
+Z_FREE_ZERO, Z_FREE_NONZERO = "0,0,0,0", "0,0,0,1"
 
 # Mutants of the code behind the inner f identities: name -> (the
-# function, as for OUTER_MUTANTS, its replacements, and the identity the
-# inner and main-theorem entries must name when refuted).  That the
-# projection kills z is QuotientTensorSpace's own check.  Not listed,
-# because harmless: f_on_ordered reading key[1], which is -f and has the
-# same kernel.
+# function, as for OUTER_MUTANTS, its replacements, the identity the
+# inner and main-theorem entries must name when refuted, and the grading
+# of surface(1,2) it runs at, whose z' takes the mutated branch).  That
+# the projection kills z is QuotientTensorSpace's own check.  Not
+# listed, because harmless: f_on_ordered reading key[1], which is -f and
+# has the same kernel.
 INNER_MUTANTS = {
-    **{"d3-sign-%d" % i: ("_boundary_terms", [flip], F_KILLS_BOUNDARIES)
+    **{"d3-sign-%d" % i: ("_boundary_terms", [flip], F_KILLS_BOUNDARIES, Z_FREE_NONZERO)
        for i, flip in enumerate(D3_SIGN_FLIPS)},
     "radical-dropped": ("FormalSpec.__init__",
                         [("if i not in radical and j not in radical", "if True")],
-                        F_KILLS_BOUNDARIES),
+                        F_KILLS_BOUNDARIES, Z_FREE_NONZERO),
+    "proj-free-squared": ("QuotientTensorSpace.proj_coords",
+                          [(_PROJ_FREE, "coords[j] ** 2 for j, _ in self._free")],
+                          F_ADDITIVE, Z_FREE_ZERO),
     "proj-squared": ("QuotientTensorSpace.proj_coords",
-                     [(_PROJ_SUM, "(%s) ** 2" % _PROJ_SUM)], F_ADDITIVE),
+                     [(_PROJ_CROSS, "(%s) ** 2" % _PROJ_CROSS)], F_ADDITIVE, Z_FREE_NONZERO),
     "proj-misses-z": ("QuotientTensorSpace.proj_coords",
-                      [(_PROJ_SUM, "%s + coords[-1]" % _PROJ_SUM)],
-                      "z survived its own quotient"),
+                      [(_PROJ_CROSS, "%s + coords[-1]" % _PROJ_CROSS)],
+                      "z survived its own quotient", Z_FREE_NONZERO),
 }
+
+
+def reference_quotient(spec, z):
+    """(dim, proj_coords) of Q (x) (H / Zz) from the Smith normal form of
+    the relations of H with a lift of z appended: the free coordinates
+    of that presentation, reached from canonical coordinates through the
+    lift x V^{-1} of the group and then V of the augmented form."""
+    n, v_inv = spec.n_generators, spec.snf.V_inv
+
+    def lift(coords):
+        return [sum(c * v_inv[i][j] for i, c in enumerate(coords)) for j in range(n)]
+
+    snf = smith_normal_form([*spec.relations, lift(z.coords)], n_cols=n)
+    cols = [[sum(v_inv[i][k] * snf.V[k][j] for k in range(n)) for i in range(n)]
+            for j, d in enumerate(snf.diagonal) if d == 0]
+    return len(cols), lambda coords: tuple(sum(c * a for c, a in zip(coords, col))
+                                           for col in cols)
 
 
 def outer_mutant(name):

@@ -757,8 +757,9 @@ def test_an_omega_or_h1_mutant_is_refuted_under_python_O(name, omega_mutant_runs
             "refuted", {"failed_identity": identity}), suite
 
 
-# Each inner mutant (the unpatched run first, as "") runs the inner suite
-# and homology on the free radical grading of surface(1,2), under python -O.
+# Each inner mutant runs the inner suite and homology on its radical
+# grading of surface(1,2), under python -O, and so does the unpatched
+# code (as "") on every such grading; a run is keyed "name@grading".
 _INNER_MUTANT_RUNS = """
 import contextlib, json, os, sys
 from unittest import mock
@@ -767,20 +768,21 @@ from conftest import INNER_MUTANTS, verify_mutant
 
 if not sys.flags.optimize:
     sys.exit("run with python -O")
-patches = {"": contextlib.nullcontext()}
-for name, (path, replacements, _) in INNER_MUTANTS.items():
-    patches[name] = mock.patch.object(*verify_mutant(path, replacements))
+runs = [("", grading, contextlib.nullcontext())
+        for grading in sorted({grading for *_, grading in INNER_MUTANTS.values()})]
+for name, (path, replacements, _, grading) in INNER_MUTANTS.items():
+    runs.append((name, grading, mock.patch.object(*verify_mutant(path, replacements))))
 out = {}
-for name, patch in patches.items():
+for name, grading, patch in runs:
     for command in ("verify", "homology"):
-        path = os.path.join(sys.argv[1], "%s-%s.json" % (name, command))
+        path = os.path.join(sys.argv[1], "%s-%s-%s.json" % (name, grading, command))
         argv = [command, *(["--suite", "inner"] if command == "verify" else []),
-                "--surface", "1,2", "--grading", "0,0,0,1", "--box", "1",
+                "--surface", "1,2", "--grading", grading, "--box", "1",
                 "--format", "json", "--out", path]
         with patch:
             code = main(argv)
         with open(path) as fh:
-            out.setdefault(name, {})[command] = [code, json.load(fh)]
+            out.setdefault("%s@%s" % (name, grading), {})[command] = [code, json.load(fh)]
 print(json.dumps(out))
 """
 
@@ -801,11 +803,13 @@ def inner_mutant_runs(tmp_path_factory):
 @pytest.mark.parametrize("name", sorted(INNER_MUTANTS))
 def test_an_inner_f_mutant_is_refuted_under_python_O(name, inner_mutant_runs):
     # A sign of the degree-3 differential, the radical constraint of the
-    # formal spec dropped, or a projection that is not additive or does
-    # not kill z: the inner-isomorphism and main-theorem entries are
-    # refuted naming the identity, although asserts are off.  The
-    # main-theorem entry cites the radical lemma after the inner ones.
-    clean = inner_mutant_runs[""]
+    # formal spec dropped, or a projection that is not additive (on
+    # either branch, z' = 0 or not) or does not kill z: the
+    # inner-isomorphism and main-theorem entries are refuted naming the
+    # identity, although asserts are off.  The main-theorem entry cites
+    # the radical lemma after the inner ones.
+    _, _, identity, grading = INNER_MUTANTS[name]
+    clean = inner_mutant_runs["@" + grading]
     for command, check, identities in (
             ("verify", "inner-isomorphism", INNER_IDENTITIES),
             ("homology", "main-theorem", [*INNER_IDENTITIES, RADICAL_PAIRING])):
@@ -813,11 +817,11 @@ def test_an_inner_f_mutant_is_refuted_under_python_O(name, inner_mutant_runs):
         (entry,) = report["results"]
         assert (code, entry["check"], entry["verdict"]) == (0, check, "certified")
         assert entry["details"]["identities"] == identities
-        code, report = inner_mutant_runs[name][command]
+        code, report = inner_mutant_runs["%s@%s" % (name, grading)][command]
         (entry,) = report["results"]
         assert (code, entry["check"]) == (1, check)
         assert (entry["verdict"], entry["details"]) == (
-            "refuted", {"failed_identity": INNER_MUTANTS[name][2]}), command
+            "refuted", {"failed_identity": identity}), command
 
 
 # Each lemma mutant (the unpatched run first, as "") runs the suites it
@@ -922,12 +926,11 @@ def test_a_command_proves_each_identity_once(argv, golden, counts, monkeypatch, 
     ["verify", "--suite", "all", "--surface", "2,3", "--box", "2", "--seed", "1"],
 ], ids=["homology-s12", "golden"])
 def test_no_entry_walks_a_box_for_its_units(argv, monkeypatch, capsys):
-    # Every y, u and pair (a, b) of the outer, h1, gk and omega entries,
-    # and the radical main-theorem count, comes from the group's units,
-    # the lazy slice or the radical pool: counted by caller, no entry reads
-    # a box, main_theorem_check reads one, its radical pool on the inner
-    # cycle box, and only the grading selection and the inner search walk
-    # a box in weight order.
+    # Every y, u and pair (a, b) of the outer, h1, gk and omega entries
+    # comes from the group's units or the lazy slice, and the radical
+    # main-theorem count is the slice less W: counted by caller, neither
+    # an entry nor main_theorem_check reads a box, and only the grading
+    # selection and the inner search walk a box in weight order.
     walks = collections.Counter()
     for module in (cli, verify):
         for name in ("box_by_weight", "box_support"):
@@ -937,14 +940,9 @@ def test_no_entry_walks_a_box_for_its_units(argv, monkeypatch, capsys):
                     return _walk(spec, radius)
                 monkeypatch.setattr(module, name, spy)
     assert run(capsys, *argv, "--format", "json")[0] == 0
-    box = int(argv[argv.index("--box") + 1])
     entries = {"outer_h2_certify", "h1_check", "run_gk_suite", "gk_cycle_check",
-               "omega_check", "_omega_rows", "_main_theorem_entry"}
+               "omega_check", "_omega_rows", "main_theorem_check", "_main_theorem_entry"}
     assert {key for key in walks if key[1] in entries} == set()
-    g, r = map(int, argv[argv.index("--surface") + 1].split(","))
-    radius, _ = verify._inner_radius(surface_presentation(g, r), box)
-    assert {key for key in walks if key[1] == "main_theorem_check"} == (
-        {("box_support", "main_theorem_check", radius)} if argv[0] == "homology" else set())
     assert {caller for name, caller, _ in walks if name == "box_by_weight"} == {
         "resolve_selection", "_certify"}
 

@@ -72,6 +72,16 @@ def test_only_the_definition_and_the_package_name_wedge():
     assert not found, "Wedge named outside its definition: " + ", ".join(found)
 
 
+def test_verify_reads_no_private_attribute_of_a_group():
+    # The certification layer works through a group's public surface:
+    # its coordinates, kernels, units and invariants.  A private slot
+    # read here would tie a certificate to how the group stores itself.
+    with open(os.path.join(SOURCE_DIR, "verify.py")) as fh:
+        found = ["verify.py:%d" % lineno for lineno, line in enumerate(fh, 1)
+                 if re.search(r"\bspec\._\w", line)]
+    assert not found, "private group attributes read: " + ", ".join(found)
+
+
 def test_no_module_forks_or_spawns():
     # Every command runs in one process: no module imports a process,
     # thread or pickling library, or names os.fork.

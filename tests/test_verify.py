@@ -71,6 +71,7 @@ from conftest import (
     reference_homotopy_factors,
     reference_normalize,
     reference_pairing,
+    reference_quotient,
     spec_pool,
     symplectic_z2,
     torsion_only,
@@ -130,6 +131,47 @@ def test_quotient_projection_is_integer():
         q = QuotientTensorSpace(spec, spec.element(z))
         for x in box_support(spec, 2):
             assert all(type(v) is int for v in q.proj(x))
+
+
+@st.composite
+def quotient_case(draw):
+    """A group with diagonal relations of divisors 0, 1 and d > 1, an
+    alternating form that is zero on every row with a relation, and a
+    grading z given in original coordinates."""
+    divisors = draw(st.lists(st.sampled_from([0, 0, 1, 2, 3, 4]), min_size=1, max_size=4))
+    n = len(divisors)
+    form = [[0] * n for _ in range(n)]
+    for i, j in itertools.combinations(range(n), 2):
+        if not divisors[i] and not divisors[j]:
+            form[i][j] = draw(st.integers(-2, 2))
+            form[j][i] = -form[i][j]
+    spec = GroupSpec(n, relations=[[d * (i == j) for j in range(n)]
+                                   for i, d in enumerate(divisors) if d], form=form)
+    return spec, spec.element(draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)))
+
+
+@given(quotient_case())
+@settings(max_examples=80, deadline=None)
+def test_quotient_closed_form_matches_the_smith_form_reference(case):
+    # Same dimension as the Smith-form construction, z dies, every image
+    # is an int, and on box(2) the two projections and their
+    # concatenation have one rank: the kernels agree over Q.
+    spec, z = case
+    q = QuotientTensorSpace(spec, z)
+    dim, reference = reference_quotient(spec, z)
+    assert q.dim == dim
+    assert not any(q.proj(z))
+    box = [x.coords for x in box_support(spec, 2)]
+    images = [q.proj_coords(c) for c in box]
+    assert all(type(v) is int for image in images for v in image)
+    ranks = []
+    for rows in (images, [reference(c) for c in box],
+                 [image + reference(c) for image, c in zip(images, box)]):
+        span = _IncrementalSpan()
+        for row in rows:
+            span.insert(dict(enumerate(row)))
+        ranks.append(span.rank)
+    assert ranks == [dim] * 3
 
 
 def test_f_map_degree_two_is_first_factor_image():
