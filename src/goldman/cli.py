@@ -235,7 +235,7 @@ def resolve_selection(spec, selection, radius, cap):
         picks = list(itertools.islice(ordered, cap + 1))
         return picks[:cap], len(picks) > cap
     head = [spec.zero]
-    for g in spec.kernel_basis_elements():
+    for g in spec.kernel_basis:
         for cand in (g, g + g):
             inside = all(abs(cand.coords[j]) <= radius for j in spec.free_indices)
             if inside and cand not in head and len(head) < 4:
@@ -385,7 +385,7 @@ def run_surface_suite(spec, source):
     return [_certify_or_refute(
         "surface-generators",
         lambda: {"genus": g, "boundary_components": r, "z": [0] * (2 * g + r)},
-        surface_generator_check, g, r)]
+        surface_generator_check, spec, g, r)]
 
 
 def run_linext_suite(spec, box):

@@ -415,12 +415,13 @@ class GroupSpec:
     (``_coordinate_kernels``); the tests check them against plain loops
     over ``torsion`` and the Omega~ entries.  ``label`` names the group
     in reports ("Z^3 + Z/2"); it is computed once, here.  ``units``, the
-    elements of weight 1 in ``sort_key`` order, generate H.
+    elements of weight 1 in ``sort_key`` order, generate H;
+    ``kernel_basis``, integer generators of ker mu, is also computed once.
     """
 
     __slots__ = ("n_generators", "relations", "form", "names", "snf",
                  "divisors", "free_indices", "torsion", "dead_indices",
-                 "omega_tilde", "zero", "units", "_v",
+                 "omega_tilde", "zero", "units", "kernel_basis", "_v",
                  "_pair_entries", "torsion_indices", "torsion_coefficients",
                  "free_rank", "label", "add_coords", "sub_coords", "pair_coords", "_boxes")
 
@@ -497,6 +498,20 @@ class GroupSpec:
             (GroupElement(self, tuple(v * (i == j) for i in range(n)))
              for j, d in enumerate(self.divisors) if d != 1
              for v in ({-1, 1} if d == 0 else {1, d - 1})), key=GroupElement.sort_key))
+        # Integer generators of ker mu: the torsion units, then a lattice
+        # basis of the kernel of the free block of Omega~ (the rows of U
+        # whose Smith divisor is 0).
+        basis = [self.canonical([int(i == j) for i in range(n)]) for j in self.torsion_indices]
+        free = self.free_indices
+        if free:
+            snf = smith_normal_form([[omega[i][j] for j in free] for i in free], n_cols=len(free))
+            for row, d in zip(snf.U, snf.diagonal):
+                if d == 0:
+                    coords = [0] * n
+                    for idx, c in zip(free, row):
+                        coords[idx] = c
+                    basis.append(self.canonical(coords))
+        self.kernel_basis = tuple(basis)
 
     def _reduce(self, coords):
         for j, d in self.torsion:
@@ -541,31 +556,13 @@ class GroupSpec:
         """True when the form vanishes identically on H (the abelian case)."""
         return all(all(v == 0 for v in row) for row in self.omega_tilde)
 
-    def kernel_basis_elements(self):
-        """Integer generators of ker mu: torsion units plus a free-block lattice basis."""
-        gens = [self.canonical([int(i == j) for i in range(self.n_generators)])
-                for j in self.torsion_indices]
-        free = self.free_indices
-        if free:
-            block = [[self.omega_tilde[i][j] for j in free] for i in free]
-            snf = smith_normal_form(block, n_cols=len(free))
-            for i, d in enumerate(snf.diagonal[:len(free)] if free else ()):
-                if d == 0:
-                    coords = [0] * self.n_generators
-                    for k, idx in enumerate(free):
-                        coords[idx] = snf.U[i][k]
-                    gens.append(self.canonical(coords))
-            # Rows of U beyond the row count of the block cannot occur
-            # (the block is square), so the loop above is complete.
-        return gens
-
     def describe(self):
         """Structure summary used by validation output."""
         return {
             "free_rank": self.free_rank,
             "torsion": list(self.torsion_coefficients),
             "group": self.label,
-            "kernel_mu_generators": [repr(x) for x in self.kernel_basis_elements()],
+            "kernel_mu_generators": [repr(x) for x in self.kernel_basis],
             "form_is_zero": self.mu_is_zero(),
         }
 

@@ -34,15 +34,17 @@ witnesses.  The certification patterns are:
   it.  No chain is built for a column; the column matrix and a chain
   are built only when a boundary witness is asked for.
 
+  The search reads one list, the factors of W in ``sort_key`` order.
   The rows of W are indexed heavy first.  Each row r = [a]^[z-a] with a
-  step e (an element of box(1) that is a factor of W) such that
+  step e (a factor of W with free coordinates in [-1, 1]) such that
   x = a - e is a factor of W, x != e, and the rows of x and e come
   after r, has the triangular column G(x, e): +-1 on r and 0 before
   it.  These come first, lightest row first, so each pivots on its own
-  row with a unit lead and the span stays in integers.  The fill comes
-  from every other pair, by weight sum and then by index, one weight
-  level at a time; each unordered pair is offered once, so a pair
-  without a witness is never offered again.  The search is exact
+  row with a unit lead and the span stays in integers.  The fill is
+  every other pair of factors in index order, and the probes are the
+  80 lightest factors (a radical probe pairs to 0 with u and v, so it
+  never gives a witness); each unordered pair is offered once, so a
+  pair without a witness is never offered again.  The search is exact
   elimination over Q (the one kernel of ``goldman.linalg``), and the
   order changes which columns are kept, not the argument.  The
   certification needs f in degree 2 only, where f([u] ^ [z-u]) = 1 (x) u
@@ -119,7 +121,7 @@ from goldman.complexes import (
     enumerate_basis,
 )
 from goldman.formal import FormalSpec, Poly
-from goldman.groups import GroupElement, surface_presentation
+from goldman.groups import GroupElement
 from goldman.linalg import (
     CertificateError,
     SparseRationalMatrix,
@@ -646,32 +648,6 @@ def _inner_reach_note(radius, cap):
             "--box and INNER_SUPPORT_CAP = %d elements" % (radius, cap))
 
 
-def _pair_order(weights):
-    """Index pairs (i, j), i <= j, in the order of (w_i + w_j, i, j).
-
-    ``weights`` must be non-decreasing (elements in ``sort_key`` order,
-    where the index order is the key order).  Pairs are produced one
-    weight-sum level at a time from the runs of equal weight, so a
-    consumer that stops early never pays for the rest.
-    """
-    runs = {}
-    for i, w in enumerate(weights):
-        start, _ = runs.get(w, (i, i))
-        runs[w] = (start, i + 1)
-    levels = sorted(runs)
-    for total in sorted({a + b for a in levels for b in levels if a <= b}):
-        for a in levels:
-            b = total - a
-            if b < a:
-                break
-            if b not in runs:
-                continue
-            (a_start, a_stop), (b_start, b_stop) = runs[a], runs[b]
-            for i in range(a_start, a_stop):
-                for j in range(max(i, b_start), b_stop):
-                    yield i, j
-
-
 class InnerCertification:
     """Certified data for one inner grading z in ker mu.
 
@@ -713,11 +689,10 @@ class InnerCertification:
 
     def _certify(self, weight, proofs):
         spec, z = self.spec, self.z
-        # The factors of W, in sort_key order (weight, then coordinates).
+        # The factors of W, in sort_key order (weight, then coordinates):
+        # the one source of the steps, the probes and the fill.
         elements = sorted({f for key in self.wedges for f in key},
                           key=lambda f: (weight[f], f))
-        probes = [x.coords for x in itertools.islice(  # 80 lightest; the zero is first
-            box_by_weight(spec, self.effective_radius), 1, 81)]
 
         f_rows = [f_on_ordered(self.qspace, key) for key in self.wedges]
         # Before any column is checked against f: f(G(u, v)) = 0 is a
@@ -747,16 +722,18 @@ class InnerCertification:
                 return rows.get((x, y), -1), 1
             return (rows.get((y, x), -1), -1) if y < x else (-1, 0)
 
-        # box(1) in weight order, each e with the row of [e]^[z-e] (-1
-        # off W); the steps are the e on a row, the factors of W.
-        steps = [(e.coords, v_row(e.coords)[0]) for e in box_by_weight(spec, 1)]
+        # The steps are the factors with free coordinates in [-1, 1], each
+        # with the row of [e]^[z-e]; the fill is every other pair of
+        # factors in index order; the probes are the 80 lightest factors
+        # (a radical probe pairs to 0 with u and v, so it gives no witness).
+        free = spec.free_indices
+        steps = [(e, v_row(e)[0]) for e in elements if all(-1 <= e[j] <= 1 for j in free)]
         seeds = self._triangular_pairs(v_row, steps, weight)
         seeded = set(seeds)
-        fill = ((elements[i], elements[j])
-                for i, j in _pair_order([weight[x] for x in elements]))
+        fill = (uv for uv in itertools.combinations_with_replacement(elements, 2)
+                if uv not in seeded)
         self.columns, self.rank = self._column_pass(
-            itertools.chain(seeds, (uv for uv in fill if uv not in seeded)),
-            v_row, probes, f_rows)
+            itertools.chain(seeds, fill), v_row, elements[:80], f_rows)
 
         verdict = CERTIFIED if self.rank == self.target_rank else INCONCLUSIVE
         quotient_dim = len(self.wedges) - self.rank
@@ -1181,10 +1158,11 @@ def gk_cycle_check(spec, u, z, box_radius):
 # Surface generator classes
 
 
-def surface_generator_check(g, r):
-    """At the origin grading z = 0, the generator wedges [x] ^ [-x] of a
-    surface group span the inner homology slice, and each boundary-class
-    decomposition
+def surface_generator_check(spec, g, r):
+    """At the origin grading z = 0 of spec, the surface group of genus g
+    with r boundary circles (``surface_presentation(g, r)``), the
+    generator wedges [x] ^ [-x] span the inner homology slice, and each
+    boundary-class decomposition
 
         [C_j] ^ [-C_j] - [C_j - A_g] ^ [A_g - C_j] - [A_g] ^ [-A_g]
 
@@ -1196,7 +1174,6 @@ def surface_generator_check(g, r):
     column search and no truncation is involved."""
     if g < 1:
         raise ValueError("the decomposition uses A_g; need genus >= 1")
-    spec = surface_presentation(g, r)
     gens = spec.generators()
     names = spec.names
     z = spec.zero

@@ -241,7 +241,7 @@ def test_criterion_09_surface_generator_classes():
     """Genus 2 with 3 boundary circles at the origin grading: the seven
     generator wedges span the 6-dimensional derived slice, and each
     boundary-class decomposition difference bounds explicitly."""
-    r = surface_generator_check(2, 3)
+    r = surface_generator_check(surface_presentation(2, 3), 2, 3)
     assert r.verdict == "certified"
     assert r.details["image_rank"] == 6
     assert r.details["spans"]

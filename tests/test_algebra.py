@@ -292,7 +292,7 @@ def test_bracket_axioms_seeded_bulk():
 def test_kernel_mu_elements_are_central():
     rng = random.Random(5)
     for spec in POOL:
-        kernel_gens = spec.kernel_basis_elements()
+        kernel_gens = spec.kernel_basis
         for u in kernel_gens:
             for _ in range(10):
                 b = AlgebraVector.basis(random_element(rng, spec))

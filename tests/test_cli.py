@@ -303,7 +303,7 @@ def reference_selection(spec, selection, radius, cap):
     if selection == "all-in-box":
         return ordered[:cap], len(ordered) > cap
     picks = [spec.zero]
-    for g in spec.kernel_basis_elements():
+    for g in spec.kernel_basis:
         for cand in (g, g + g):
             if cand in set(box) and cand not in picks and len(picks) < 4:
                 picks.append(cand)
@@ -615,8 +615,8 @@ def test_the_outer_entry_checks_the_group_kernels():
 
 
 def test_entry_params_compute_no_smith_normal_form(monkeypatch):
-    # The group's label is computed once, with the group; naming it in
-    # an entry runs no Smith normal form.
+    # The group's label and radical basis are computed once, with the
+    # group; naming it in an entry runs no Smith normal form.
     spec = surface_presentation(1, 2)
 
     def refuse(*args, **kwargs):
@@ -624,7 +624,8 @@ def test_entry_params_compute_no_smith_normal_form(monkeypatch):
 
     monkeypatch.setattr(groups, "smith_normal_form", refuse)
     with pytest.raises(AssertionError):
-        spec.kernel_basis_elements()
+        surface_presentation(1, 2)
+    assert spec.describe()["kernel_mu_generators"] == ["(0, 0, 0, 1)"]
     assert verify._inner_params(spec, spec.zero, 2)["spec"] == "Z^3"
     assert cli._skip("omega-class", "note", spec, 2).params == {"spec": "Z^3", "box": 2}
     (entry,) = cli.run_linext_suite(spec, 2)
@@ -930,7 +931,8 @@ def test_no_entry_walks_a_box_for_its_units(argv, monkeypatch, capsys):
     # comes from the group's units or the lazy slice, and the radical
     # main-theorem count is the slice less W: counted by caller, neither
     # an entry nor main_theorem_check reads a box, and only the grading
-    # selection and the inner search walk a box in weight order.
+    # selection walks a box in weight order (the inner search takes its
+    # steps and probes from the factors of W).
     walks = collections.Counter()
     for module in (cli, verify):
         for name in ("box_by_weight", "box_support"):
@@ -944,7 +946,24 @@ def test_no_entry_walks_a_box_for_its_units(argv, monkeypatch, capsys):
                "omega_check", "_omega_rows", "main_theorem_check", "_main_theorem_entry"}
     assert {key for key in walks if key[1] in entries} == set()
     assert {caller for name, caller, _ in walks if name == "box_by_weight"} == {
-        "resolve_selection", "_certify"}
+        "resolve_selection"}
+
+
+def test_golden_builds_its_group_once(monkeypatch, capsys):
+    # The radical basis is kept on the group and the surface suite reads
+    # the command's group, so golden takes the two Smith forms of one
+    # surface(2, 3) (its relations and the free block of Omega~).
+    callers = collections.Counter()
+    snf = groups.smith_normal_form
+
+    def counted(*args, **kwargs):
+        callers[sys._getframe(1).f_code.co_name] += 1
+        return snf(*args, **kwargs)
+
+    monkeypatch.setattr(groups, "smith_normal_form", counted)
+    argv = ["verify", "--suite", "all", "--surface", "2,3", "--box", "2", "--seed", "1"]
+    assert run(capsys, *argv, "--format", "json")[0] == 0
+    assert callers == {"__init__": 2}
 
 
 @pytest.mark.parametrize("argv, golden", [

@@ -302,7 +302,7 @@ def test_kernel_mu():
     assert not gens[0].in_kernel_mu()
     assert not gens[1].in_kernel_mu()
     assert gens[2].in_kernel_mu()
-    kernel = spec.kernel_basis_elements()
+    kernel = spec.kernel_basis
     assert all(k.in_kernel_mu() for k in kernel)
     # ker mu here is exactly the torsion summand.
     assert len(kernel) == 1
@@ -310,7 +310,7 @@ def test_kernel_mu():
 
 def test_kernel_basis_surface():
     s = surface_presentation(1, 2)
-    kernel = s.kernel_basis_elements()
+    kernel = s.kernel_basis
     assert len(kernel) == 1
     assert kernel[0].in_kernel_mu()
     c1 = s.generators()[2]
@@ -351,7 +351,7 @@ def test_surface_g2_r3():
     assert len(gens) == 7
     c1, c2, c3 = gens[4:]
     assert c1 + c2 + c3 == s.zero
-    assert len(s.kernel_basis_elements()) == 2
+    assert len(s.kernel_basis) == 2
     assert s.names == ("A1", "B1", "A2", "B2", "C1", "C2", "C3")
 
 

@@ -55,7 +55,6 @@ from goldman.verify import (
     CertificateError,
     InnerCertification,
     _ideal_generator,
-    _pair_order,
     f_on_ordered,
 )
 
@@ -986,22 +985,6 @@ def test_exact_span_keeps_columns_dependent_modulo_a_prime():
     assert span.rank == 2
 
 
-@given(st.lists(st.integers(0, 4), max_size=12))
-@settings(max_examples=200, deadline=None)
-def test_pair_order_is_the_sorted_pair_order(weights):
-    weights = sorted(weights)
-    n = len(weights)
-    expected = sorted(((i, j) for j in range(n) for i in range(j + 1)),
-                      key=lambda ij: (weights[ij[0]] + weights[ij[1]], ij[0], ij[1]))
-    assert list(_pair_order(weights)) == expected
-
-
-def test_pair_order_edge_cases():
-    assert list(_pair_order([])) == []
-    assert list(_pair_order([3])) == [(0, 0)]
-    assert list(_pair_order([1, 1])) == [(0, 0), (0, 1), (1, 1)]
-
-
 def _factors(inner):
     """The factors of W as group elements, in sort_key order."""
     spec = inner.spec
@@ -1010,11 +993,9 @@ def _factors(inner):
 
 
 def _row_steps(inner, elements):
-    """Indices of the derived box(1) elements among the factors of W,
-    in weight order."""
-    ordered = sorted(box_support(inner.spec, 1), key=lambda e: e.sort_key())
-    return [elements.index(e) for e in ordered
-            if e.is_derived_element() and e in elements]
+    """Indices of the factors of W with free coordinates in [-1, 1]."""
+    free = inner.spec.free_indices
+    return [k for k, e in enumerate(elements) if all(abs(e.coords[j]) <= 1 for j in free)]
 
 
 def _triangular_reference(inner, elements, steps):
@@ -1043,20 +1024,16 @@ def _reference_columns(inner):
     elements.
 
     The order: the triangular pairs, lightest row first; then every
-    other pair by weight sum and sort keys."""
+    other pair of factors of W by their indices in sort_key order.  The
+    probes are the 80 lightest factors of W."""
     spec, z = inner.spec, inner.z
     elements = _factors(inner)
     n = len(elements)
     seeds = _triangular_reference(inner, elements, _row_steps(inner, elements))
     first = {ij: (0, t) for t, ij in enumerate(seeds)}
-
-    def place(ij):
-        u, v = elements[ij[0]], elements[ij[1]]
-        return first.get(ij, (1, u.weight() + v.weight(), u.sort_key(), v.sort_key()))
-
-    pairs = sorted(((i, j) for j in range(n) for i in range(j + 1)), key=place)
-    probes = [x.coords for x in sorted(inner.support, key=lambda e: e.sort_key())
-              if x != spec.zero][:80]
+    pairs = sorted(((i, j) for j in range(n) for i in range(j + 1)),
+                   key=lambda ij: first.get(ij, (1, ij)))
+    probes = [x.coords for x in elements[:80]]
     span = _FractionEchelon()
     columns = []
     for i, j in pairs:
@@ -1117,13 +1094,38 @@ def test_inner_candidate_stream_is_a_permutation_of_all_pairs(spec, box, monkeyp
         pairs = [(index[u], index[v]) for u, v in stream]
         n = len(elements)
         assert sorted(pairs) == [(i, j) for i in range(n) for j in range(i, n)]
-        # The triangular pairs, then the rest by weight sum and indices.
+        # The triangular pairs, then the rest by indices.
         seeds = _triangular_reference(inner, elements, _row_steps(inner, elements))
         assert seeds and pairs[:len(seeds)] == seeds
-        weights = [x.weight() for x in elements]
-        assert pairs[len(seeds):] == sorted(
-            set(pairs) - set(seeds),
-            key=lambda ij: (weights[ij[0]] + weights[ij[1]], ij[0], ij[1]))
+        assert pairs[len(seeds):] == sorted(set(pairs) - set(seeds))
+
+
+@pytest.mark.parametrize("zc", [(0, 0, 0, 0), (0, 0, 0, 2)], ids=["origin", "radical"])
+def test_inner_steps_and_probes_are_derived_factors_of_w(zc, monkeypatch):
+    # On surface(1, 2) the radical units +-C_2 lie in every box, but they
+    # pair to 0 with everything and are no factor of W: the search offers
+    # only factors of W as steps and as probes.
+    offered = {}
+    triangular_pairs, column_pass = (InnerCertification._triangular_pairs,
+                                     InnerCertification._column_pass)
+
+    def steps_spy(self, v_row, steps, weight):
+        offered["steps"] = [e for e, _ in steps]
+        return triangular_pairs(self, v_row, steps, weight)
+
+    def probes_spy(self, pair_order, v_row, probes, f_rows):
+        offered["probes"] = list(probes)
+        return column_pass(self, pair_order, v_row, probes, f_rows)
+
+    monkeypatch.setattr(InnerCertification, "_triangular_pairs", steps_spy)
+    monkeypatch.setattr(InnerCertification, "_column_pass", probes_spy)
+    s12 = surface_presentation(1, 2)
+    inner = inner_h2_certify(s12, s12.canonical(list(zc)), 2)
+    assert inner.result.verdict == CERTIFIED
+    factors = {f for key in inner.wedges for f in key}
+    assert offered["steps"] and offered["probes"]
+    for x in offered["probes"] + offered["steps"]:
+        assert x in factors and s12.canonical(list(x)).is_derived_element()
 
 
 @pytest.mark.parametrize("spec, box, seeds", [
@@ -1249,8 +1251,9 @@ def test_inner_certifies_z2_box20_and_surface12_radical_gradings():
 
 
 def test_inner_pair_order_tail_certifies_without_unit_steps(monkeypatch):
-    # Refuse every pair with a step of box(1); the columns then all come
-    # from the _pair_order tail.
+    # Refuse every pair with a triangular step (a factor of W with free
+    # coordinates in [-1, 1]); the columns then all come from the fill,
+    # the other pairs of factors in index order.
     z2 = symplectic_z2()
     steps = {e.coords for e in box_support(z2, 1) if e.is_derived_element()}
     witness_for = verify._generator_witness
@@ -1843,7 +1846,7 @@ def test_gk_cycle_without_the_probe_witness_is_inconclusive(monkeypatch):
 
 
 def test_surface_generator_check_2_3():
-    r = surface_generator_check(2, 3)
+    r = surface_generator_check(surface_presentation(2, 3), 2, 3)
     assert r.verdict == CERTIFIED
     assert r.details["image_rank"] == 6
     assert r.details["spans"]
@@ -1856,7 +1859,7 @@ def test_surface_generator_check_2_3():
 
 
 def test_surface_generator_check_1_2():
-    r = surface_generator_check(1, 2)
+    r = surface_generator_check(surface_presentation(1, 2), 1, 2)
     assert r.verdict == CERTIFIED
     assert r.details["image_rank"] == 3
 
@@ -1883,7 +1886,7 @@ def _check_surface_witnesses(g, r):
     spec = surface_presentation(g, r)
     gens = spec.generators()
     a, b = gens[2 * g - 2], gens[2 * g - 1]
-    result = surface_generator_check(g, r)
+    result = surface_generator_check(spec, g, r)
     assert result.verdict == CERTIFIED
     assert result.params == {"genus": g, "boundary_components": r,
                              "z": [0] * spec.n_generators}
@@ -1916,7 +1919,7 @@ def test_surface_check_runs_no_column_search_or_ideal_solve(monkeypatch):
     for name in ("inner_h2_certify", "InnerCertification", "ideal_membership",
                  "SparseRationalMatrix"):
         monkeypatch.setattr(verify, name, forbidden)
-    assert surface_generator_check(2, 3).verdict == CERTIFIED
+    assert surface_generator_check(surface_presentation(2, 3), 2, 3).verdict == CERTIFIED
 
 
 @pytest.mark.parametrize("target, identity", [
@@ -1928,7 +1931,7 @@ def test_surface_closed_forms_are_rechecked(target, identity, monkeypatch):
     monkeypatch.setattr(verify, target, lambda *args: {
         key: 2 * c for key, c in original(*args).items()})
     with pytest.raises(CertificateError) as info:
-        surface_generator_check(2, 3)
+        surface_generator_check(surface_presentation(2, 3), 2, 3)
     assert info.value.identity == identity
 
 
